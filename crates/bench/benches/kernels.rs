@@ -311,7 +311,7 @@ fn bench_end_to_end(c: &mut Criterion) {
 fn bench_service(c: &mut Criterion) {
     use dc_mbqc::DcMbqcConfig;
     use mbqc_hardware::{DistributedHardware, ResourceStateKind};
-    use mbqc_service::{CompileService, ExecutionEngine, Priority, ServiceConfig};
+    use mbqc_service::{CompileService, ServiceConfig};
 
     let mut group = c.benchmark_group("service");
     group.sample_size(10);
@@ -326,37 +326,7 @@ fn bench_service(c: &mut Criterion) {
         .kmax(4)
         .build();
     let config = DcMbqcConfig::new(hw);
-    let run = |engine: ExecutionEngine| {
-        let service = CompileService::new(ServiceConfig {
-            workers: 0,
-            engine,
-            ..ServiceConfig::default()
-        })
-        .expect("service starts");
-        let ids: Vec<_> = patterns
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                service.submit_with_priority(
-                    p.clone(),
-                    config.clone(),
-                    Priority::ALL[i % Priority::ALL.len()],
-                )
-            })
-            .collect();
-        for id in ids {
-            service.wait(id).expect("service compiles");
-        }
-    };
-    group.bench_function("pipelined_batch_executor", |b| {
-        b.iter(|| run(ExecutionEngine::StageGraph));
-    });
-    // The preserved PR 3 whole-job shard loop, kept for speedup
-    // tracking against the stage-graph executor.
-    group.bench_function("pipelined_batch_jobloop_reference", |b| {
-        b.iter(|| run(ExecutionEngine::JobLoop));
-    });
-    // The same workload with ~30% abandonment riding along: cancelled
+    // A four-job QFT batch with ~30% abandonment riding along: cancelled
     // and expired jobs must cost bookkeeping only (tracked as
     // `end_to_end/lifecycle_churn` in BENCH_kernels.json).
     let victims: Vec<_> = [15usize, 16]
@@ -432,8 +402,8 @@ fn bench_service(c: &mut Criterion) {
     // a live service-wide subscriber on a drainer thread, and a
     // Chrome-trace export of the capture (tracked as
     // `end_to_end/telemetry_churn` in BENCH_kernels.json; the dormant
-    // side of that pair is `pipelined_batch_executor` shaped work with
-    // telemetry configured off, i.e. one relaxed atomic per emit site).
+    // side of that pair is the same batch with telemetry configured
+    // off, i.e. one relaxed atomic per emit site).
     group.bench_function("telemetry_churn", |b| {
         b.iter(|| {
             let service = CompileService::new(ServiceConfig {

@@ -19,8 +19,7 @@ use mbqc_partition::refine::refine_csr;
 use mbqc_partition::{reference as partition_ref, KwayConfig, Partition};
 use mbqc_pattern::transpile::transpile;
 use mbqc_service::{
-    ArtifactKey, ArtifactStore, CompileService, ExecutionEngine, PipelineStage, Priority,
-    ServiceConfig, StoreConfig,
+    ArtifactKey, ArtifactStore, CompileService, PipelineStage, ServiceConfig, StoreConfig,
 };
 use mbqc_sim::stabilizer::{PauliString, Tableau};
 use mbqc_sim::{reference as sim_ref, FusionWorkspace, StateVector, C64};
@@ -396,59 +395,6 @@ pub fn measure_kernels(reps: usize) -> Vec<KernelResult> {
         );
         results.push(KernelResult {
             name: "end_to_end/service_warm_cache",
-            baseline_ns,
-            optimized_ns,
-        });
-    }
-
-    // End-to-end: a mixed-size workload (cold cache each run) through
-    // the two service engines — the preserved PR 3 whole-job shard
-    // loop vs. the stage-graph executor, identical submissions (mixed
-    // priorities) and identical results. On this 1-CPU box both
-    // engines serialize, so the ratio only shows the executor's
-    // per-task overhead (~1.0× expected); the stage-overlap win needs
-    // a multi-core box.
-    {
-        let patterns: Vec<_> = [10usize, 14, 11, 16, 12, 15, 13]
-            .iter()
-            .map(|&n| transpile(&bench::qft(n)))
-            .collect();
-        let hw = DistributedHardware::builder()
-            .num_qpus(4)
-            .grid_width(bench::grid_size_for(16))
-            .resource_state(ResourceStateKind::FIVE_STAR)
-            .kmax(4)
-            .build();
-        let config = DcMbqcConfig::new(hw);
-        let run = |engine: ExecutionEngine| {
-            let service = CompileService::new(ServiceConfig {
-                workers: 0,
-                engine,
-                ..ServiceConfig::default()
-            })
-            .expect("service starts");
-            let ids: Vec<_> = patterns
-                .iter()
-                .enumerate()
-                .map(|(i, p)| {
-                    service.submit_with_priority(
-                        p.clone(),
-                        config.clone(),
-                        Priority::ALL[i % Priority::ALL.len()],
-                    )
-                })
-                .collect();
-            for id in ids {
-                std::hint::black_box(service.wait(id).expect("service compiles"));
-            }
-        };
-        let (baseline_ns, optimized_ns) = measure_pair(
-            || run(ExecutionEngine::JobLoop),
-            || run(ExecutionEngine::StageGraph),
-            reps,
-        );
-        results.push(KernelResult {
-            name: "end_to_end/pipelined_batch",
             baseline_ns,
             optimized_ns,
         });

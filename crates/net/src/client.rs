@@ -6,12 +6,12 @@
 //! [`CompileService`]: mbqc_service::CompileService
 
 use crate::wire::{
-    decode_event, Request, Response, WireJobOptions, WireOutcome, WireStats, KIND_EVENT,
-    KIND_REPLY, KIND_REQUEST, KIND_STREAM_END,
+    decode_event, Request, Response, WireJobOptions, WireOutcome, KIND_EVENT, KIND_REPLY,
+    KIND_REQUEST, KIND_STREAM_END,
 };
 use dc_mbqc::DcMbqcConfig;
 use mbqc_pattern::Pattern;
-use mbqc_service::{AdmissionError, TelemetryEvent};
+use mbqc_service::{AdmissionError, ServiceStats, TelemetryEvent};
 use mbqc_util::codec::CodecError;
 use mbqc_util::frame::{read_frame, write_frame, FrameError, MAX_FRAME_PAYLOAD};
 use std::io;
@@ -220,7 +220,7 @@ impl Client {
     /// # Errors
     ///
     /// Transport errors.
-    pub fn stats(&mut self) -> Result<WireStats, ClientError> {
+    pub fn stats(&mut self) -> Result<ServiceStats, ClientError> {
         match self.request(&Request::Stats)? {
             Response::Stats(stats) => Ok(*stats),
             Response::Error { message } => Err(ClientError::Server(message)),

@@ -120,6 +120,6 @@ pub mod wire;
 pub use client::{Client, ClientError, RemoteEvents};
 pub use server::Server;
 pub use wire::{
-    decode_event, encode_event, Request, Response, WireJobOptions, WireOutcome, WireStats,
-    KIND_EVENT, KIND_REPLY, KIND_REQUEST, KIND_STREAM_END,
+    decode_event, encode_event, Request, Response, WireJobOptions, WireOutcome, KIND_EVENT,
+    KIND_REPLY, KIND_REQUEST, KIND_STREAM_END,
 };

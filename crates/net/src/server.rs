@@ -15,7 +15,7 @@
 //! leaks neither jobs nor stage workspaces.
 
 use crate::wire::{
-    encode_event, Request, Response, WireOutcome, WireStats, KIND_EVENT, KIND_REPLY, KIND_REQUEST,
+    encode_event, Request, Response, WireOutcome, KIND_EVENT, KIND_REPLY, KIND_REQUEST,
     KIND_STREAM_END,
 };
 use mbqc_service::{CompileService, EventStream, JobId};
@@ -249,7 +249,7 @@ fn serve_connection(
                 reply(&mut stream, &resp)?;
             }
             Request::Stats => {
-                let resp = Response::Stats(Box::new(WireStats::from_stats(&service.stats())));
+                let resp = Response::Stats(Box::new(service.stats()));
                 reply(&mut stream, &resp)?;
             }
             Request::SubscribeEvents { id } => {

@@ -12,7 +12,7 @@ use dc_mbqc::{DcMbqcConfig, DistributedSchedule, PipelineStage, StageKind};
 use mbqc_pattern::Pattern;
 use mbqc_service::{
     AdmissionError, EventKind, JobId, JobOptions, Priority, RetryPolicy, ServiceError,
-    ServiceStats, TelemetryEvent, TenantStat, TerminalState,
+    ServiceStats, StoreStats, TelemetryEvent, TenantStat, TerminalState,
 };
 use mbqc_util::codec::{CodecError, Decoder, Encoder};
 use mbqc_util::metrics::Summary;
@@ -539,197 +539,177 @@ fn decode_summary(d: &mut Decoder<'_>) -> Result<Summary, CodecError> {
     })
 }
 
-/// The service-counter snapshot a [`Request::Stats`] returns: every
-/// job-level field of [`ServiceStats`] (the store-internal counters
-/// stay server-side — remote clients reason about jobs, not cache
-/// segments).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct WireStats {
-    /// Jobs submitted.
-    pub submitted: u64,
-    /// Per-priority submit split (batch, normal, interactive).
-    pub submitted_by_priority: [u64; 3],
-    /// Jobs that ran to an end (successfully or failed).
-    pub completed: u64,
-    /// Jobs that returned an error.
-    pub failed: u64,
-    /// Transient-failure retries.
-    pub retries: u64,
-    /// Jobs that terminated `Cancelled`.
-    pub cancelled: u64,
-    /// Jobs that terminated `Expired`.
-    pub expired: u64,
-    /// Admission-checked submits refused before enqueue.
-    pub rejected: u64,
-    /// Stage tasks executed by the stage-graph engine.
-    pub tasks_executed: u64,
-    /// Individual stage tasks answered from the artifact store.
-    pub task_store_hits: u64,
-    /// Submits deduplicated into an in-flight leader.
-    pub dedup_hits: u64,
-    /// Jobs answered entirely from a `Scheduled` artifact.
-    pub hits_scheduled: u64,
-    /// Jobs re-entered at scheduling from a `Mapped` artifact.
-    pub hits_mapped: u64,
-    /// Jobs re-entered at mapping from a `Partitioned` artifact.
-    pub hits_partitioned: u64,
-    /// Jobs that ran the full pipeline.
-    pub full_compiles: u64,
-    /// Total in-worker latency of successful jobs, ns.
-    pub total_latency_ns: u64,
-    /// Per-stage latency summaries, indexed like [`StageKind::ALL`].
-    pub stage_latency: [Summary; 4],
-    /// Enqueue → pop wait summary.
-    pub queue_wait: Summary,
-    /// Warm-hit serving latency summary.
-    pub warm_hit: Summary,
-    /// Jobs queued or parked at snapshot time.
-    pub queue_depth: u64,
-    /// Stage workspaces currently checked out (0 on a drained
-    /// service).
-    pub pool_outstanding: u64,
-    /// Disk tier quarantined by its circuit breaker.
-    pub disk_quarantined: bool,
-    /// Per-tenant breakdown, sorted by tenant id.
-    pub tenants: Vec<TenantStat>,
+/// A [`ServiceStats`] snapshot's fields grouped by wire type, in wire
+/// order: counters, sizes, flags, latency summaries. Tenant rows travel
+/// separately.
+type StatsFields<'a> = (
+    [&'a mut u64; 33],
+    [&'a mut usize; 8],
+    [&'a mut bool; 2],
+    [&'a mut Summary; 6],
+);
+
+/// Splits `s` into its [`StatsFields`] and tenant rows. The
+/// destructuring is exhaustive, so a field added to `ServiceStats` or
+/// `StoreStats` does not compile until it is put on the wire, and the
+/// encoder and decoder share this one field order.
+fn stats_fields(s: &mut ServiceStats) -> (StatsFields<'_>, &mut Vec<TenantStat>) {
+    let ServiceStats {
+        submitted,
+        submitted_by_priority: [batch, normal, interactive],
+        completed,
+        failed,
+        retries,
+        cancelled,
+        expired,
+        tasks_executed,
+        task_store_hits,
+        dedup_hits,
+        hits_scheduled,
+        hits_mapped,
+        hits_partitioned,
+        full_compiles,
+        total_latency_ns,
+        stage_latency: [transpile, partition, map, schedule],
+        queue_wait,
+        warm_hit,
+        pool_outstanding,
+        disk_quarantined,
+        store,
+        rejected,
+        queue_depth,
+        tenants,
+    } = s;
+    let StoreStats {
+        entries,
+        bytes,
+        evictions,
+        memory_hits,
+        disk_hits,
+        misses,
+        disk_writes,
+        disk_entries,
+        disk_bytes,
+        disk_evictions,
+        disk_expirations,
+        disk_errors,
+        disk_corrupt,
+        negative_hits,
+        segments,
+        segment_bytes,
+        compactions,
+        segment_gcs,
+        manifest_fallbacks,
+        disk_quarantined: store_quarantined,
+        disk_quarantines,
+        disk_probes,
+    } = store;
+    let counters = [
+        submitted,
+        batch,
+        normal,
+        interactive,
+        completed,
+        failed,
+        retries,
+        cancelled,
+        expired,
+        tasks_executed,
+        task_store_hits,
+        dedup_hits,
+        hits_scheduled,
+        hits_mapped,
+        hits_partitioned,
+        full_compiles,
+        total_latency_ns,
+        rejected,
+        evictions,
+        memory_hits,
+        disk_hits,
+        misses,
+        disk_writes,
+        disk_evictions,
+        disk_expirations,
+        disk_errors,
+        disk_corrupt,
+        negative_hits,
+        compactions,
+        segment_gcs,
+        manifest_fallbacks,
+        disk_quarantines,
+        disk_probes,
+    ];
+    let sizes = [
+        pool_outstanding,
+        queue_depth,
+        entries,
+        bytes,
+        disk_entries,
+        disk_bytes,
+        segments,
+        segment_bytes,
+    ];
+    let flags = [disk_quarantined, store_quarantined];
+    let summaries = [transpile, partition, map, schedule, queue_wait, warm_hit];
+    ((counters, sizes, flags, summaries), tenants)
 }
 
-impl WireStats {
-    /// Wire form of an in-process snapshot.
-    #[must_use]
-    pub fn from_stats(s: &ServiceStats) -> Self {
-        Self {
-            submitted: s.submitted,
-            submitted_by_priority: s.submitted_by_priority,
-            completed: s.completed,
-            failed: s.failed,
-            retries: s.retries,
-            cancelled: s.cancelled,
-            expired: s.expired,
-            rejected: s.rejected,
-            tasks_executed: s.tasks_executed,
-            task_store_hits: s.task_store_hits,
-            dedup_hits: s.dedup_hits,
-            hits_scheduled: s.hits_scheduled,
-            hits_mapped: s.hits_mapped,
-            hits_partitioned: s.hits_partitioned,
-            full_compiles: s.full_compiles,
-            total_latency_ns: s.total_latency_ns,
-            stage_latency: s.stage_latency,
-            queue_wait: s.queue_wait,
-            warm_hit: s.warm_hit,
-            queue_depth: s.queue_depth as u64,
-            pool_outstanding: s.pool_outstanding as u64,
-            disk_quarantined: s.disk_quarantined,
-            tenants: s.tenants.clone(),
-        }
+/// Encodes a [`ServiceStats`] snapshot, store counters included (the
+/// payload of [`Response::Stats`]).
+fn encode_stats(e: &mut Encoder, stats: &ServiceStats) {
+    let mut stats = stats.clone();
+    let ((counters, sizes, flags, summaries), tenants) = stats_fields(&mut stats);
+    for v in counters {
+        e.u64(*v);
     }
+    for v in sizes {
+        e.usize(*v);
+    }
+    for v in flags {
+        e.bool(*v);
+    }
+    for v in summaries {
+        encode_summary(e, v);
+    }
+    e.usize(tenants.len());
+    for t in tenants.iter() {
+        e.u64(u64::from(t.tenant));
+        e.u64(t.submitted);
+        e.u64(t.in_flight);
+    }
+}
 
-    fn encode(&self, e: &mut Encoder) {
-        e.u64(self.submitted);
-        for v in self.submitted_by_priority {
-            e.u64(v);
-        }
-        e.u64(self.completed);
-        e.u64(self.failed);
-        e.u64(self.retries);
-        e.u64(self.cancelled);
-        e.u64(self.expired);
-        e.u64(self.rejected);
-        e.u64(self.tasks_executed);
-        e.u64(self.task_store_hits);
-        e.u64(self.dedup_hits);
-        e.u64(self.hits_scheduled);
-        e.u64(self.hits_mapped);
-        e.u64(self.hits_partitioned);
-        e.u64(self.full_compiles);
-        e.u64(self.total_latency_ns);
-        for s in &self.stage_latency {
-            encode_summary(e, s);
-        }
-        encode_summary(e, &self.queue_wait);
-        encode_summary(e, &self.warm_hit);
-        e.u64(self.queue_depth);
-        e.u64(self.pool_outstanding);
-        e.bool(self.disk_quarantined);
-        e.usize(self.tenants.len());
-        for t in &self.tenants {
-            e.u64(u64::from(t.tenant));
-            e.u64(t.submitted);
-            e.u64(t.in_flight);
-        }
+fn decode_stats(d: &mut Decoder<'_>) -> Result<ServiceStats, CodecError> {
+    let mut stats = ServiceStats::default();
+    let ((counters, sizes, flags, summaries), tenants) = stats_fields(&mut stats);
+    for v in counters {
+        *v = d.u64()?;
     }
-
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let submitted = d.u64()?;
-        let mut submitted_by_priority = [0u64; 3];
-        for v in &mut submitted_by_priority {
-            *v = d.u64()?;
-        }
-        let completed = d.u64()?;
-        let failed = d.u64()?;
-        let retries = d.u64()?;
-        let cancelled = d.u64()?;
-        let expired = d.u64()?;
-        let rejected = d.u64()?;
-        let tasks_executed = d.u64()?;
-        let task_store_hits = d.u64()?;
-        let dedup_hits = d.u64()?;
-        let hits_scheduled = d.u64()?;
-        let hits_mapped = d.u64()?;
-        let hits_partitioned = d.u64()?;
-        let full_compiles = d.u64()?;
-        let total_latency_ns = d.u64()?;
-        let mut stage_latency = [Summary::default(); 4];
-        for s in &mut stage_latency {
-            *s = decode_summary(d)?;
-        }
-        let queue_wait = decode_summary(d)?;
-        let warm_hit = decode_summary(d)?;
-        let queue_depth = d.u64()?;
-        let pool_outstanding = d.u64()?;
-        let disk_quarantined = d.bool()?;
-        let n = d.len_hint()?;
-        let mut tenants = Vec::with_capacity(n);
-        let mut prev: Option<u32> = None;
-        for _ in 0..n {
-            let tenant = u32::try_from(d.u64()?).map_err(|_| CodecError::Invalid("tenant id"))?;
-            if prev.is_some_and(|p| p >= tenant) {
-                return Err(CodecError::Invalid("tenant rows not strictly sorted"));
-            }
-            prev = Some(tenant);
-            tenants.push(TenantStat {
-                tenant,
-                submitted: d.u64()?,
-                in_flight: d.u64()?,
-            });
-        }
-        Ok(Self {
-            submitted,
-            submitted_by_priority,
-            completed,
-            failed,
-            retries,
-            cancelled,
-            expired,
-            rejected,
-            tasks_executed,
-            task_store_hits,
-            dedup_hits,
-            hits_scheduled,
-            hits_mapped,
-            hits_partitioned,
-            full_compiles,
-            total_latency_ns,
-            stage_latency,
-            queue_wait,
-            warm_hit,
-            queue_depth,
-            pool_outstanding,
-            disk_quarantined,
-            tenants,
-        })
+    for v in sizes {
+        *v = d.usize()?;
     }
+    for v in flags {
+        *v = d.bool()?;
+    }
+    for v in summaries {
+        *v = decode_summary(d)?;
+    }
+    let n = d.len_hint()?;
+    tenants.reserve(n);
+    let mut prev: Option<u32> = None;
+    for _ in 0..n {
+        let tenant = u32::try_from(d.u64()?).map_err(|_| CodecError::Invalid("tenant id"))?;
+        if prev.is_some_and(|p| p >= tenant) {
+            return Err(CodecError::Invalid("tenant rows not strictly sorted"));
+        }
+        prev = Some(tenant);
+        tenants.push(TenantStat {
+            tenant,
+            submitted: d.u64()?,
+            in_flight: d.u64()?,
+        });
+    }
+    Ok(stats)
 }
 
 // ---------------------------------------------------------------------------
@@ -758,9 +738,9 @@ pub enum Response {
     /// Not terminal yet: a `Poll` on a live job, or a `Wait` whose
     /// timeout elapsed. The result stays available.
     Pending,
-    /// The counter snapshot (boxed: a stats block dwarfs every other
-    /// reply).
-    Stats(Box<WireStats>),
+    /// The service's counter snapshot (boxed: a stats block dwarfs
+    /// every other reply).
+    Stats(Box<ServiceStats>),
     /// The event stream is registered; [`KIND_EVENT`] frames follow.
     Subscribed {
         /// The observed job id.
@@ -811,7 +791,7 @@ impl Response {
             Response::Pending => e.u8(RESP_PENDING),
             Response::Stats(stats) => {
                 e.u8(RESP_STATS);
-                stats.encode(&mut e);
+                encode_stats(&mut e, stats);
             }
             Response::Subscribed { id } => {
                 e.u8(RESP_SUBSCRIBED);
@@ -840,7 +820,7 @@ impl Response {
             },
             RESP_OUTCOME => Response::Outcome(WireOutcome::decode(&mut d)?),
             RESP_PENDING => Response::Pending,
-            RESP_STATS => Response::Stats(Box::new(WireStats::decode(&mut d)?)),
+            RESP_STATS => Response::Stats(Box::new(decode_stats(&mut d)?)),
             RESP_SUBSCRIBED => Response::Subscribed { id: d.u64()? },
             RESP_ERROR => Response::Error {
                 message: string_from(&mut d)?,
@@ -1064,8 +1044,15 @@ mod tests {
                 message: "boom".into(),
             }),
             Response::Pending,
-            Response::Stats(Box::new(WireStats {
+            Response::Stats(Box::new(ServiceStats {
                 submitted: 3,
+                pool_outstanding: 2,
+                store: StoreStats {
+                    entries: 7,
+                    disk_corrupt: 1,
+                    disk_quarantined: true,
+                    ..StoreStats::default()
+                },
                 tenants: vec![
                     TenantStat {
                         tenant: 1,
@@ -1078,7 +1065,7 @@ mod tests {
                         in_flight: 0,
                     },
                 ],
-                ..WireStats::default()
+                ..ServiceStats::default()
             })),
             Response::Subscribed { id: 0 },
             Response::Error {

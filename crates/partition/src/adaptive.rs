@@ -179,6 +179,13 @@ pub fn adaptive_partition_csr_with(
         config.probe_workers
     };
     let speculative = workers > 1;
+    // The walk's down-step, clamped at 1 because the k-way partitioner
+    // rejects α < 1. Without the clamp the speculative down-candidate
+    // at α = 1 is 1/γ; for the sequential walk the clamp states the
+    // floor outright instead of leaving it to an argument about ΔQ
+    // signs. At α = 1 the clamped candidate is α itself, already
+    // probed.
+    let down = |a: f64| (a / config.gamma).max(1.0);
     let mut spec_ws: Option<KwayWorkspace> = None;
     let probe = |a: f64, ws: &mut KwayWorkspace| {
         let kcfg = KwayConfig::new(config.k)
@@ -198,7 +205,7 @@ pub fn adaptive_partition_csr_with(
         let mut candidates = vec![alpha];
         if speculative {
             candidates.push((alpha * config.gamma).min(config.alpha_max));
-            candidates.push(alpha / config.gamma);
+            candidates.push(down(alpha));
         }
         for a in candidates {
             let bits = a.to_bits();
@@ -238,7 +245,7 @@ pub fn adaptive_partition_csr_with(
         if delta > config.epsilon_q && alpha < config.alpha_max {
             alpha = (alpha * config.gamma).min(config.alpha_max);
         } else if delta < -config.epsilon_q {
-            alpha /= config.gamma;
+            alpha = down(alpha);
         } else {
             break;
         }
@@ -359,6 +366,22 @@ mod tests {
         assert_eq!(seq.modularity.to_bits(), spec.modularity.to_bits());
         assert_eq!(seq.alpha.to_bits(), spec.alpha.to_bits());
         assert_eq!(seq.cut, spec.cut);
+    }
+
+    /// A walk that steps up once and then back down to α = 1 (on this
+    /// 3×3 grid ΔQ drops at α = γ, so the walk oscillates 1 ↔ γ): with
+    /// speculation forced on, the down-candidate at α = 1 must be
+    /// clamped, never probed at 1/γ — whatever the host's core count.
+    #[test]
+    fn speculative_walk_back_to_alpha_one_stays_at_or_above_one() {
+        let g = generate::grid_graph(3, 3);
+        let cfg = AdaptiveConfig::new(3).with_seed(2);
+        let seq = adaptive_partition(&g, &cfg.with_probe_workers(1));
+        let spec = adaptive_partition(&g, &cfg.with_probe_workers(2));
+        assert_eq!(seq.history[2].alpha.to_bits(), 1.0f64.to_bits());
+        assert!(spec.history.iter().all(|s| s.alpha >= 1.0));
+        assert_eq!(seq.partition, spec.partition);
+        assert_eq!(seq.history, spec.history);
     }
 
     #[test]

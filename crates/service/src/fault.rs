@@ -1,8 +1,8 @@
 //! Deterministic, seeded fault injection for the service.
 //!
 //! A [`FaultPlan`] is threaded through the
-//! [`ArtifactStore`](crate::ArtifactStore) and both
-//! execution engines and decides, at every injection site, whether
+//! [`ArtifactStore`](crate::ArtifactStore) and the stage-task
+//! executor and decides, at every injection site, whether
 //! that operation fails:
 //!
 //! * **disk read / write IO errors** — the store's unlocked

@@ -9,9 +9,9 @@
 //! ## Job → stage-task decomposition
 //!
 //! A submitted job `(pattern, config, priority)` is not executed as one
-//! monolithic pipeline run. The stage-graph executor (the default
-//! [`ExecutionEngine`]) decomposes it into four stage tasks with
-//! explicit data dependencies,
+//! monolithic pipeline run. The stage-graph executor — the service's
+//! only execution engine ([`executor`]) — decomposes it into four
+//! stage tasks with explicit data dependencies,
 //!
 //! > `Transpile` → `Partition` → `Map` → `Schedule`
 //!
@@ -25,11 +25,6 @@
 //! [`dc_mbqc::Mapped::from_parts`]) and runs the matching stage
 //! function ([`dc_mbqc::partition_stage`] & co.) on workspaces checked
 //! out of a shared [`dc_mbqc::WorkspacePool`].
-//!
-//! The preserved PR 3 whole-job shard loop remains available as
-//! [`ExecutionEngine::JobLoop`] — it is the baseline the
-//! `end_to_end/pipelined_batch` kernel and the engine-equivalence
-//! property tests compare the executor against.
 //!
 //! ## Priority semantics
 //!
@@ -256,7 +251,7 @@
 //! assert_eq!(stats.pool_outstanding, 0, "no workspace leaked");
 //! ```
 //!
-//! **Determinism is the contract**: for any engine, worker count,
+//! **Determinism is the contract**: for any worker count,
 //! priority mix, queue policy, and cache state — cold, warm,
 //! disk-restored — results are bit-identical to a direct
 //! [`dc_mbqc::DcMbqcCompiler::compile_pattern`] call, and lifecycle
@@ -385,8 +380,8 @@
 //! * **Latency histograms.** Always-on `mbqc_util::metrics` log-bucketed
 //!   histograms (relaxed atomics, ≤12.5% relative quantile error)
 //!   record per-stage execution latency, queue wait, and warm-hit
-//!   serving latency under both engines; [`CompileService::stats`]
-//!   exports them as p50/p95/p99 [`ServiceStats::stage_latency`] /
+//!   serving latency; [`CompileService::stats`] exports them as
+//!   p50/p95/p99 [`ServiceStats::stage_latency`] /
 //!   [`ServiceStats::queue_wait`] / [`ServiceStats::warm_hit`]
 //!   summaries.
 //! * **Flight recorder and traces.** [`TelemetryConfig::flight_recorder`]
@@ -510,9 +505,9 @@ pub mod telemetry;
 pub use dc_mbqc::{PipelineStage, StageKind};
 pub use fault::{FaultConfig, FaultPlan, InjectedFault};
 pub use service::{
-    AdmissionConfig, AdmissionError, CancelToken, CompileService, ExecutionEngine, JobHandle,
-    JobId, JobOptions, Priority, QueuePolicy, RetryPolicy, ServiceConfig, ServiceError,
-    ServiceStats, TelemetryConfig, TenantQuota, TenantStat,
+    AdmissionConfig, AdmissionError, CancelToken, CompileService, JobHandle, JobId, JobOptions,
+    Priority, QueuePolicy, RetryPolicy, ServiceConfig, ServiceError, ServiceStats, TelemetryConfig,
+    TenantQuota, TenantStat,
 };
 pub use store::{ArtifactBytes, ArtifactKey, ArtifactStore, StoreConfig, StoreStats};
 pub use telemetry::{

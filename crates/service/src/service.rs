@@ -1,22 +1,14 @@
 //! The compilation service: a priority-aware queue of jobs executed by
 //! a pool of workers.
 //!
-//! Two execution engines share the queue, the result plumbing, and the
-//! [`ArtifactStore`]:
+//! One execution engine runs every job: the stage-graph executor
+//! ([`crate::executor`]) decomposes each job into stage tasks
+//! (`Transpile` → `Partition` → `Map` → `Schedule`) tracked by a
+//! [`StageGraph`] and lets any worker run any ready task — stages of
+//! *different* jobs overlap, so worker A can partition job 2 while
+//! worker B schedules job 1.
 //!
-//! * [`ExecutionEngine::StageGraph`] (the default) decomposes every
-//!   job into stage tasks (`Transpile` → `Partition` → `Map` →
-//!   `Schedule`) tracked by a [`StageGraph`] and
-//!   lets any worker run any ready task — stages of *different* jobs
-//!   overlap, so worker A can partition job 2 while worker B schedules
-//!   job 1 (see [`crate::executor`]).
-//! * [`ExecutionEngine::JobLoop`] is the preserved whole-job shard
-//!   loop of PR 3 — each worker runs a popped job's entire pipeline on
-//!   a long-lived [`CompileSession`] — kept as the baseline the
-//!   `end_to_end/pipelined_batch` kernel and the engine-equivalence
-//!   property tests compare against.
-//!
-//! Either way, every job routes its stages through the shared store:
+//! Every job routes its stages through the shared [`ArtifactStore`]:
 //!
 //! * a `Scheduled` hit returns the decoded [`DistributedSchedule`]
 //!   directly — partitioning, mapping, and scheduling are all skipped;
@@ -29,7 +21,7 @@
 //!
 //! Results are **bit-identical** to a direct
 //! [`DcMbqcCompiler::compile_pattern`](dc_mbqc::DcMbqcCompiler::compile_pattern)
-//! call for every engine, worker count, priority mix, and cache state —
+//! call for every worker count, priority mix, and cache state —
 //! cold, warm, or disk-restored (property-tested in
 //! `tests/proptest_service.rs`).
 //!
@@ -73,8 +65,6 @@
 //! order. No policy (nor any cancellation interleaving) can change a
 //! surviving job's *result* — only when it runs (property-tested in
 //! `tests/proptest_lifecycle.rs`).
-//!
-//! [`CompileSession`]: dc_mbqc::CompileSession
 
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -82,8 +72,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use dc_mbqc::{
-    CompileSession, DcMbqcConfig, DcMbqcError, DistributedSchedule, Mapped, Partitioned,
-    PipelineStage, ScheduledView, StageGraph, StageKind, Transpiled, WorkspacePool,
+    DcMbqcConfig, DcMbqcError, DistributedSchedule, Mapped, Partitioned, PipelineStage,
+    ScheduledView, StageGraph, StageKind, WorkspacePool,
 };
 use mbqc_compiler::CompiledProgram;
 use mbqc_graph::NodeId;
@@ -155,9 +145,8 @@ pub enum ServiceError {
     /// [`RetryPolicy`] allowed panicked too). This is the *transient*
     /// failure class — the only one a retry policy re-enqueues.
     Internal {
-        /// The pipeline stage whose task panicked, when the engine
-        /// could attribute it (the stage-graph engine always can; the
-        /// whole-job loop marks the stage it was entering).
+        /// The pipeline stage whose task panicked (the executor always
+        /// attributes it).
         stage: Option<StageKind>,
         /// Rendered panic payload.
         message: String,
@@ -259,10 +248,7 @@ pub enum QueuePolicy {
     /// Drain work-in-progress first: within a priority class, the job
     /// with the most satisfied stages pops first (ties by submission
     /// order). Finishing nearly-done jobs before starting fresh ones
-    /// cuts completion-latency tails under mixed load. Only the
-    /// stage-graph engine ever requeues a job mid-pipeline, so under
-    /// [`ExecutionEngine::JobLoop`] (whole jobs, depth always 0) this
-    /// degenerates to [`QueuePolicy::PriorityFifo`].
+    /// cuts completion-latency tails under mixed load.
     DeepestStageFirst,
     /// Class-affined workers with steal fall-through: worker `i`'s
     /// *home class* round-robins Interactive → Normal → Batch by index,
@@ -557,21 +543,6 @@ pub struct JobOptions {
     pub tenant: u32,
 }
 
-/// Which machinery executes queued jobs. Results are bit-identical
-/// either way (property-tested); only scheduling granularity differs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ExecutionEngine {
-    /// Stage-task executor: jobs decompose into stage tasks on the
-    /// shared ready-queue, so stages of different jobs overlap across
-    /// workers.
-    #[default]
-    StageGraph,
-    /// The preserved PR 3 shard loop: each worker runs one job's whole
-    /// pipeline at a time on a long-lived session. Kept as the
-    /// benchmark baseline for the stage-graph executor.
-    JobLoop,
-}
-
 /// Service configuration.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -590,8 +561,6 @@ pub struct ServiceConfig {
     /// non-deterministic failure. Deterministic `Compile` rejections
     /// are shared like successes.
     pub dedup: bool,
-    /// Execution engine (stage-graph executor by default).
-    pub engine: ExecutionEngine,
     /// Ready-queue order within a priority class (FIFO by default).
     /// Pure scheduling: never changes results.
     pub policy: QueuePolicy,
@@ -622,7 +591,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             workers: 0,
             dedup: true,
-            engine: ExecutionEngine::default(),
             policy: QueuePolicy::default(),
             store: StoreConfig::default(),
             faults: FaultPlan::none(),
@@ -658,8 +626,9 @@ impl Default for TelemetryConfig {
     }
 }
 
-/// Aggregate service counters (a consistent snapshot).
-#[derive(Debug, Clone, Default)]
+/// Aggregate service counters (a consistent snapshot). The same type
+/// crosses the network: `mbqc-net`'s `Stats` verb encodes it whole.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Jobs submitted.
     pub submitted: u64,
@@ -683,8 +652,7 @@ pub struct ServiceStats {
     pub cancelled: u64,
     /// Jobs whose deadline lapsed before their next task was popped.
     pub expired: u64,
-    /// Stage tasks executed by the stage-graph engine (cache-skipped
-    /// stages excluded; always 0 under [`ExecutionEngine::JobLoop`]).
+    /// Stage tasks executed (cache-skipped stages excluded).
     pub tasks_executed: u64,
     /// Stage tasks answered by an artifact that appeared *after* the
     /// job's initial cache probe (e.g. published by a concurrent
@@ -704,37 +672,31 @@ pub struct ServiceStats {
     /// Jobs that ran the full pipeline.
     pub full_compiles: u64,
     /// Total in-worker latency across *successful* jobs, nanoseconds —
-    /// the sum of each job's stage execution times (stage tasks under
-    /// the stage-graph engine, stage segments under the whole-job
-    /// loop; see [`ServiceStats::stage_latency`] for the residual
-    /// difference). Queue wait is excluded in both engines; failed,
-    /// cancelled, and expired jobs contribute nothing (a failed job's
-    /// partial latency is not a meaningful service time).
+    /// the sum of each job's stage-task execution times. Queue wait is
+    /// excluded; failed, cancelled, and expired jobs contribute nothing
+    /// (a failed job's partial latency is not a meaningful service
+    /// time).
     pub total_latency_ns: u64,
     /// Per-stage execution-latency summaries (p50/p95/p99, ns),
-    /// indexed like [`StageKind::ALL`]. Both engines record here: the
-    /// stage-graph engine times each stage *task*, the whole-job loop
-    /// times each stage *segment* of `run_job` — the two agree on
-    /// stage cost, but segment timings additionally include the
-    /// inter-stage glue (cache re-checks, artifact encodes) that the
-    /// stage-graph engine counts inside its task spans anyway.
+    /// indexed like [`StageKind::ALL`]: one sample per executed stage
+    /// task, including the task's cache re-check and artifact publish.
     /// Recorded for every executed stage, whatever the job's eventual
     /// terminal state; panicked executions record nothing.
     pub stage_latency: [Summary; 4],
     /// Queue-wait summary (ns): time from a job's (re-)enqueue to the
-    /// pop that ran it. One sample per executed task/segment batch
-    /// pop, both engines; a parked retry's wait counts from its
-    /// promotion back into the ready queue, not from first submit.
+    /// pop that ran its next task. One sample per task pop; a parked
+    /// retry's wait counts from its promotion back into the ready
+    /// queue, not from first submit.
     pub queue_wait: Summary,
     /// Warm-hit latency summary (ns): time to answer a job entirely
     /// from a cached `Scheduled` artifact (the planning stage's
     /// duration when it short-circuits). The cache's serving latency,
     /// as opposed to the compile latencies above.
     pub warm_hit: Summary,
-    /// Stage workspaces currently checked out of the shared pool
-    /// (stage-graph engine). 0 whenever no task is running; a leak on
-    /// the cancellation/abandon path would show up here
-    /// (property-tested to stay 0 on a drained service).
+    /// Stage workspaces currently checked out of the shared pool. 0
+    /// whenever no task is running; a leak on the cancellation/abandon
+    /// path would show up here (property-tested to stay 0 on a drained
+    /// service).
     pub pool_outstanding: usize,
     /// `true` while the store's disk tier is quarantined by its
     /// circuit breaker (memory-only degraded mode). Mirrors
@@ -837,7 +799,7 @@ pub(crate) struct JobState {
     /// job's queue entries to its fair lane under
     /// [`QueuePolicy::WeightedFair`].
     pub(crate) tenant: u32,
-    /// Stage-task dependency tracker (stage-graph engine only).
+    /// Stage-task dependency tracker.
     pub(crate) stages: StageGraph,
     /// Artifact keys, computed once by the first stage task.
     pub(crate) keys: Option<StageKeys>,
@@ -849,8 +811,8 @@ pub(crate) struct JobState {
     pub(crate) programs: Option<Vec<CompiledProgram>>,
     /// Derived partition state (workload CSR + metrics), computed once
     /// by the first task that needs the `Partitioned` artifact and
-    /// reused by the rest — rebuilding it per task would make the
-    /// executor pay more per job than the whole-job loop does.
+    /// reused by the rest — rebuilding it per task would redo the
+    /// workload CSR for every stage.
     pub(crate) part_cache: Option<dc_mbqc::PartitionedCache>,
     /// Accumulated in-worker execution time of this job's tasks.
     pub(crate) latency_ns: u64,
@@ -1207,7 +1169,7 @@ pub(crate) struct Shared {
     pub(crate) telemetry: Arc<TelemetryHub>,
     /// Always-on latency histograms.
     pub(crate) metrics: ServiceMetrics,
-    /// Stage workspaces checked out per task (stage-graph engine).
+    /// Stage workspaces checked out per task.
     pub(crate) pool: WorkspacePool,
     /// `> 1` pins each job's inner stage parallelism to one thread
     /// (the worker fleet already saturates the cores).
@@ -1492,8 +1454,8 @@ impl Shared {
     }
 
     /// Records a job finished by a worker: releases its running slot,
-    /// rolls the counters, and publishes the result (which the engines
-    /// decide at the final task boundary — a cancel observed there
+    /// rolls the counters, and publishes the result (which the executor
+    /// decides at the final task boundary — a cancel observed there
     /// turns a computed result into `Cancelled`).
     pub(crate) fn finish_job(
         &self,
@@ -1509,7 +1471,7 @@ impl Shared {
         self.publish_terminal(seq, result, latency_ns);
     }
 
-    /// The retry decision point, called by both engines when a job's
+    /// The retry decision point, called by the executor when a job's
     /// task **panicked** ([`ServiceError::Internal`] — the transient
     /// failure class; deterministic `Compile` rejections never come
     /// here). If the job's [`RetryPolicy`] has attempts left and its
@@ -1635,13 +1597,9 @@ impl CompileService {
         let handles = (0..workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
-                let engine = config.engine;
                 std::thread::Builder::new()
                     .name(format!("mbqc-worker-{i}"))
-                    .spawn(move || match engine {
-                        ExecutionEngine::StageGraph => executor::stage_loop(&shared, i),
-                        ExecutionEngine::JobLoop => job_loop(&shared, i),
-                    })
+                    .spawn(move || executor::stage_loop(&shared, i))
                     .expect("spawn service worker")
             })
             .collect();
@@ -2338,156 +2296,6 @@ pub(crate) fn probe_cache(
     entry
 }
 
-/// One `JobLoop` worker: pop jobs until shutdown *and* the queue is
-/// empty, running each popped job's whole pipeline (the preserved PR 3
-/// shard loop).
-fn job_loop(shared: &Shared, worker: usize) {
-    // The session (with all its stage workspaces) is kept across jobs
-    // with the same effective configuration; the fingerprint ignores
-    // worker-count knobs, which the worker overrides anyway.
-    let mut session: Option<(Vec<u8>, CompileSession)> = None;
-    while let Some((seq, mut state)) = shared.next_job(worker) {
-        // Which stage a panic should be attributed to: the whole job
-        // is one `catch_unwind` to this engine, so the segment tracker
-        // marks each stage as `run_job` enters it.
-        let stage = std::cell::Cell::new(None);
-        let start = Instant::now();
-        let mut segments = StageSegments::new(shared, JobId(seq), state.attempt);
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_job(shared, &mut session, &state, &stage, &mut segments)
-        }));
-        let result = match outcome {
-            Ok(r) => {
-                // Stage-segment-sourced latency, matching the
-                // stage-graph engine's task-time accounting.
-                state.latency_ns += segments.finish();
-                match r {
-                    // A whole job is one task to this engine, but
-                    // cancellation is still observed between stages: a
-                    // cancel that lands mid-pipeline stops before the
-                    // next stage (and before the next artifact
-                    // publish).
-                    Ok(None) => Err(ServiceError::Cancelled(JobId(seq))),
-                    Ok(Some(s)) => Ok(s),
-                    Err(e) => Err(ServiceError::Compile(e)),
-                }
-            }
-            Err(panic) => {
-                // The open segment unwound mid-stage: its duration is
-                // untrustworthy, so the histograms skip it and the
-                // attempt falls back to wall-clock latency (matching
-                // the pre-telemetry accounting for panicked attempts).
-                segments.abandon();
-                state.latency_ns += start.elapsed().as_nanos() as u64;
-                // The session's workspaces may be mid-update; rebuild.
-                session = None;
-                // Transient failure: the retry decision point, not a
-                // terminal result.
-                shared.retry_or_fail(seq, state, internal_error(stage.get(), &panic));
-                continue;
-            }
-        };
-        shared.finish_job(seq, result, state.latency_ns);
-    }
-}
-
-/// Per-stage segment tracker for the whole-job (`JobLoop`) engine: the
-/// satellite that unifies latency attribution across engines. Entering
-/// a stage closes the previous segment — recording its duration into
-/// the per-stage histogram and emitting `TaskStarted`/`TaskFinished`
-/// events — so the engine produces the same per-stage observability
-/// the stage-graph executor gets from its discrete tasks. Segments
-/// partition `run_job` wall time (cache probes, artifact encodes, and
-/// publishes are attributed to the stage that performs them), which is
-/// also what the stage-graph engine's task spans include.
-struct StageSegments<'s> {
-    shared: &'s Shared,
-    job: JobId,
-    attempt: u32,
-    open: Option<(StageKind, Instant)>,
-    total_ns: u64,
-    warm_hit: bool,
-}
-
-impl<'s> StageSegments<'s> {
-    fn new(shared: &'s Shared, job: JobId, attempt: u32) -> Self {
-        StageSegments {
-            shared,
-            job,
-            attempt,
-            open: None,
-            total_ns: 0,
-            warm_hit: false,
-        }
-    }
-
-    /// Opens the `kind` segment (closing the previous one) and runs
-    /// the stage-entry fault-injection boundary, mirroring the
-    /// stage-graph executor's per-task sites: an injected delay widens
-    /// the race windows the chaos tests explore, an injected panic
-    /// exercises the retry path. Compiled out (constant no-op) without
-    /// the `fault-inject` feature.
-    fn enter(&mut self, kind: StageKind, stage: &std::cell::Cell<Option<StageKind>>) {
-        stage.set(Some(kind));
-        self.close();
-        if self.shared.telemetry.armed() {
-            self.shared.telemetry.emit(
-                Some(self.job),
-                EventKind::TaskStarted {
-                    stage: kind,
-                    attempt: self.attempt,
-                },
-            );
-        }
-        self.open = Some((kind, Instant::now()));
-        if let Some(delay) = self.shared.faults.injected_delay() {
-            std::thread::sleep(delay);
-        }
-        self.shared.faults.maybe_panic(kind);
-    }
-
-    /// Marks the current (planning) segment as a `Scheduled` cache
-    /// hit, so its duration also lands in the warm-hit histogram.
-    fn mark_warm_hit(&mut self) {
-        self.warm_hit = true;
-    }
-
-    fn close(&mut self) {
-        if let Some((kind, started)) = self.open.take() {
-            let ns = started.elapsed().as_nanos() as u64;
-            self.total_ns += ns;
-            self.shared.metrics.stage[kind.index()].record(ns);
-            if self.warm_hit && kind == StageKind::Transpile {
-                self.shared.metrics.warm_hit.record(ns);
-            }
-            if self.shared.telemetry.armed() {
-                self.shared.telemetry.emit(
-                    Some(self.job),
-                    EventKind::TaskFinished {
-                        stage: kind,
-                        attempt: self.attempt,
-                        duration_ns: ns,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Closes the final segment and returns the attempt's summed
-    /// stage-segment latency.
-    fn finish(&mut self) -> u64 {
-        self.close();
-        self.total_ns
-    }
-
-    /// Discards the open segment without recording it (the stage
-    /// panicked mid-execution — its `TaskStarted` stays unmatched,
-    /// which the trace exporter renders as an unclosed attempt).
-    fn abandon(&mut self) {
-        self.open = None;
-    }
-}
-
 /// Builds the [`ServiceError::Internal`] for a caught worker panic.
 pub(crate) fn internal_error(
     stage: Option<StageKind>,
@@ -2521,107 +2329,6 @@ pub(crate) fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
             std::any::Any::type_id(&**panic)
         )
     }
-}
-
-/// Runs one job through the cache-routed pipeline (the `JobLoop`
-/// engine's whole-job path). `Ok(None)` means the job's cancellation
-/// fired mid-pipeline: the run stopped at a stage boundary, publishing
-/// nothing further to the store. `stage` tracks the pipeline stage
-/// being entered, for panic attribution.
-fn run_job(
-    shared: &Shared,
-    session: &mut Option<(Vec<u8>, CompileSession)>,
-    state: &JobState,
-    stage: &std::cell::Cell<Option<StageKind>>,
-    segments: &mut StageSegments<'_>,
-) -> Result<Option<DistributedSchedule>, DcMbqcError> {
-    let (pattern, config) = (&state.pattern, &state.config);
-    let cancelled = || state.cancel.is_cancelled();
-    let job = segments.job;
-    segments.enter(StageKind::Transpile, stage);
-    let keys = StageKeys::new(pattern, config);
-    let entry = probe_cache(shared, job, &keys, pattern, config);
-    if let CacheEntry::Scheduled(s) = entry {
-        segments.mark_warm_hit();
-        return Ok(Some(*s));
-    }
-
-    let session = session_for(session, config, shared.workers);
-    let transpiled = Transpiled::new(pattern)?;
-    if cancelled() {
-        return Ok(None);
-    }
-    let mapped = match entry {
-        CacheEntry::Mapped(partition, programs) => {
-            let partitioned = Partitioned::with_partition(transpiled, partition);
-            let part_nodes = part_nodes_of(&partitioned);
-            Mapped::from_parts(partitioned, part_nodes, programs)
-        }
-        CacheEntry::Partitioned(partition) => {
-            segments.enter(StageKind::Map, stage);
-            let partitioned = Partitioned::with_partition(transpiled, partition);
-            let mapped = session.map(partitioned)?;
-            if cancelled() {
-                return Ok(None);
-            }
-            shared.store.put(&keys.map, encode_mapped(&mapped));
-            mapped
-        }
-        CacheEntry::Miss | CacheEntry::Scheduled(_) => {
-            segments.enter(StageKind::Partition, stage);
-            let partitioned = session.partition(transpiled);
-            if cancelled() {
-                return Ok(None);
-            }
-            shared
-                .store
-                .put(&keys.part, partitioned.partition().to_bytes());
-            segments.enter(StageKind::Map, stage);
-            let mapped = session.map(partitioned)?;
-            if cancelled() {
-                return Ok(None);
-            }
-            shared.store.put(&keys.map, encode_mapped(&mapped));
-            mapped
-        }
-    };
-    segments.enter(StageKind::Schedule, stage);
-    let scheduled = session.schedule(mapped);
-    // The result exists: the job is past cancellation (it terminates
-    // `Done`), but a cancel observed here still suppresses the
-    // artifact publish.
-    if !cancelled() {
-        shared.store.put(&keys.sched, scheduled.to_bytes());
-    }
-    Ok(Some(scheduled))
-}
-
-/// Reuses the worker's session when the job's effective configuration
-/// matches; rebuilds it otherwise.
-fn session_for<'s>(
-    slot: &'s mut Option<(Vec<u8>, CompileSession)>,
-    config: &DcMbqcConfig,
-    workers: usize,
-) -> &'s mut CompileSession {
-    let fp = config.stage_fingerprint_bytes(PipelineStage::Schedule);
-    let stale = slot.as_ref().is_none_or(|(have, _)| *have != fp);
-    if stale {
-        let mut config = config.clone();
-        let mut map_workers = 0;
-        if workers > 1 {
-            // Mirrors `compile_batch`: the worker fleet already
-            // saturates the machine, so inner stage parallelism is
-            // pinned to one thread per worker. Worker counts never
-            // change results.
-            config.adaptive.probe_workers = 1;
-            map_workers = 1;
-        }
-        *slot = Some((
-            fp,
-            CompileSession::new(config).with_map_workers(map_workers),
-        ));
-    }
-    &mut slot.as_mut().expect("session just ensured").1
 }
 
 /// Per-QPU global node lists in placement order — exactly the

@@ -91,7 +91,7 @@
 //! partial/abandoned write (a cancelled or killed writer's stale temp
 //! file, a truncated artifact) into a miss, and restarts sweep the
 //! leftovers — and the store only ever holds artifacts a non-cancelled
-//! job's task published: the engines gate every [`ArtifactStore::put`]
+//! job's task published: the executor gates every [`ArtifactStore::put`]
 //! on the job's cancellation flag at the task boundary (see
 //! [`crate::executor`]), so a cancelled job contributes nothing.
 

@@ -64,8 +64,7 @@ pub enum EventKind {
         /// The job's scheduling class.
         priority: Priority,
     },
-    /// A worker started executing one stage task (or, under the
-    /// whole-job engine, entered one stage segment).
+    /// A worker started executing one stage task.
     TaskStarted {
         /// The stage being executed.
         stage: StageKind,

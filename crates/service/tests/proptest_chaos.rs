@@ -3,9 +3,9 @@
 //!
 //! The headline property pins, for random [`FaultConfig`]s (injected
 //! disk IO errors, artifact byte corruption, task panics, stage
-//! delays) × engine/queue-policy cells {`StageGraph`+`PriorityFifo`,
-//! `StageGraph`+`WorkStealing`, `JobLoop`+`WorkStealing`} × workers
-//! {1, 2, 8} × cache state {cold, warm/disk-restored}, with per-job
+//! delays) × partitioner probe workers {1, 2} × queue policy
+//! {`PriorityFifo`, `WorkStealing`} × workers {1, 2, 8} × cache state
+//! {cold, warm/disk-restored}, with per-job
 //! retry policies (work stealing must stay fault-transparent: a stolen
 //! task retries, cancels, and publishes exactly like a home-class
 //! one):
@@ -46,8 +46,8 @@ use mbqc_hardware::{DistributedHardware, ResourceStateKind};
 use mbqc_partition::Partition;
 use mbqc_pattern::{transpile::transpile, Pattern};
 use mbqc_service::{
-    ArtifactKey, CompileService, ExecutionEngine, FaultConfig, FaultPlan, JobId, JobOptions,
-    QueuePolicy, RetryPolicy, ServiceConfig, ServiceError, StoreConfig, TelemetryConfig,
+    ArtifactKey, CompileService, FaultConfig, FaultPlan, JobId, JobOptions, QueuePolicy,
+    RetryPolicy, ServiceConfig, ServiceError, StoreConfig, TelemetryConfig,
 };
 use mbqc_util::Rng;
 use proptest::prelude::*;
@@ -150,164 +150,166 @@ proptest! {
         qpus in 2usize..4,
         seed in 0u64..1000,
     ) {
-        let config = DcMbqcConfig::new(hardware(qpus, qubits + 2)).with_seed(seed);
         let patterns: Vec<Pattern> =
             (0..4).map(|i| pattern_for(i, qubits + (i % 3))).collect();
-        let workload: Vec<(Pattern, DistributedSchedule)> = {
-            let compiler = DcMbqcCompiler::new(config.clone());
-            patterns
-                .iter()
-                .map(|p| (p.clone(), compiler.compile_pattern(p).expect("compiles")))
-                .collect()
-        };
         let mut plan_rng = Rng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9));
-        for (engine, policy) in [
-            (ExecutionEngine::StageGraph, QueuePolicy::PriorityFifo),
-            (ExecutionEngine::StageGraph, QueuePolicy::WorkStealing),
-            (ExecutionEngine::JobLoop, QueuePolicy::WorkStealing),
-        ] {
-            // One disk dir per cell: workers=1 runs cold then warm;
-            // workers=2/8 start disk-restored (possibly with files a
-            // corrupting run left behind — they must read as misses).
-            let dir = scratch_dir();
-            for workers in [1usize, 2, 8] {
-                // A fresh random fault mix per service: moderate
-                // probabilities so most jobs see at least one fault
-                // but retries can still win.
-                let fault_config = FaultConfig {
-                    seed: plan_rng.next_u64(),
-                    disk_read_error: plan_rng.next_f64() * 0.3,
-                    disk_write_error: plan_rng.next_f64() * 0.3,
-                    disk_corrupt: plan_rng.next_f64() * 0.3,
-                    task_panic: plan_rng.next_f64() * 0.2,
-                    stage_delay: plan_rng.next_f64() * 0.3,
-                    delay: Duration::from_micros(50 + plan_rng.range(200) as u64),
-                };
-                // One plan drives the store sites and the task sites.
-                let plan = FaultPlan::new(fault_config);
-                let service = CompileService::new(ServiceConfig {
-                    workers,
-                    engine,
-                    policy,
-                    store: StoreConfig {
-                        memory_capacity: 8 << 20,
-                        disk_dir: Some(dir.clone()),
-                        disk_error_threshold: 4,
-                        disk_probe_interval: Duration::from_millis(5),
-                        // Segment packing + manifest replay under
-                        // injected IO errors and corruption too.
-                        segment_threshold: Some(4),
-                        faults: plan.clone(),
-                        ..StoreConfig::default()
-                    },
-                    faults: plan,
-                    // Flight recorder on: a failing cell dumps the
-                    // recent event history (retries, quarantine
-                    // transitions) alongside the assertion.
-                    telemetry: TelemetryConfig {
-                        flight_recorder: 128,
-                        ..TelemetryConfig::default()
-                    },
-                    ..ServiceConfig::default()
-                })
-                .expect("service starts");
-                // CI's release-mode pass sets MBQC_LIVE_SUBSCRIBER: the
-                // armed emit paths then run under injected faults too.
-                let _live = common::live_subscriber(&service);
-                let cell = (|| -> Result<(), TestCaseError> {
-                let rounds = if workers == 1 { 2 } else { 1 };
-                for round in 0..rounds {
-                    let mut rng = Rng::seed_from_u64(
-                        seed ^ (workers as u64) << 3 ^ (round as u64) << 9,
-                    );
-                    let mut jobs: Vec<(JobId, usize, u32)> = Vec::new();
-                    for (i, (pattern, _)) in workload.iter().enumerate() {
-                        // Mixed retry budgets, including none.
-                        let max_attempts = 1 + rng.range(4) as u32;
-                        let retry = RetryPolicy::attempts(max_attempts)
-                            .with_backoff(Duration::from_micros(rng.range(500) as u64));
-                        let h = service.submit_with(
-                            pattern.clone(),
-                            config.clone(),
-                            JobOptions { retry, ..JobOptions::default() },
+        // An explicit probe-worker axis (never the one-per-core
+        // default): every host runs both the sequential and the
+        // speculative α-walk under fire.
+        for probe_workers in [1usize, 2] {
+            let config = DcMbqcConfig::new(hardware(qpus, qubits + 2))
+                .with_seed(seed)
+                .with_probe_workers(probe_workers);
+            let workload: Vec<(Pattern, DistributedSchedule)> = {
+                let compiler = DcMbqcCompiler::new(config.clone());
+                patterns
+                    .iter()
+                    .map(|p| (p.clone(), compiler.compile_pattern(p).expect("compiles")))
+                    .collect()
+            };
+            for policy in [QueuePolicy::PriorityFifo, QueuePolicy::WorkStealing] {
+                // One disk dir per cell: workers=1 runs cold then warm;
+                // workers=2/8 start disk-restored (possibly with files a
+                // corrupting run left behind — they must read as misses).
+                let dir = scratch_dir();
+                for workers in [1usize, 2, 8] {
+                    // A fresh random fault mix per service: moderate
+                    // probabilities so most jobs see at least one fault
+                    // but retries can still win.
+                    let fault_config = FaultConfig {
+                        seed: plan_rng.next_u64(),
+                        disk_read_error: plan_rng.next_f64() * 0.3,
+                        disk_write_error: plan_rng.next_f64() * 0.3,
+                        disk_corrupt: plan_rng.next_f64() * 0.3,
+                        task_panic: plan_rng.next_f64() * 0.2,
+                        stage_delay: plan_rng.next_f64() * 0.3,
+                        delay: Duration::from_micros(50 + plan_rng.range(200) as u64),
+                    };
+                    // One plan drives the store sites and the task sites.
+                    let plan = FaultPlan::new(fault_config);
+                    let service = CompileService::new(ServiceConfig {
+                        workers,
+                        policy,
+                        store: StoreConfig {
+                            memory_capacity: 8 << 20,
+                            disk_dir: Some(dir.clone()),
+                            disk_error_threshold: 4,
+                            disk_probe_interval: Duration::from_millis(5),
+                            // Segment packing + manifest replay under
+                            // injected IO errors and corruption too.
+                            segment_threshold: Some(4),
+                            faults: plan.clone(),
+                            ..StoreConfig::default()
+                        },
+                        faults: plan,
+                        // Flight recorder on: a failing cell dumps the
+                        // recent event history (retries, quarantine
+                        // transitions) alongside the assertion.
+                        telemetry: TelemetryConfig {
+                            flight_recorder: 128,
+                            ..TelemetryConfig::default()
+                        },
+                        ..ServiceConfig::default()
+                    })
+                    .expect("service starts");
+                    // CI's release-mode pass sets MBQC_LIVE_SUBSCRIBER: the
+                    // armed emit paths then run under injected faults too.
+                    let _live = common::live_subscriber(&service);
+                    let cell = (|| -> Result<(), TestCaseError> {
+                    let rounds = if workers == 1 { 2 } else { 1 };
+                    for round in 0..rounds {
+                        let mut rng = Rng::seed_from_u64(
+                            seed ^ (workers as u64) << 3 ^ (round as u64) << 9,
                         );
-                        jobs.push((h.id(), i, max_attempts));
-                    }
-                    for &(id, i, max_attempts) in &jobs {
-                        let what = format!(
-                            "engine={engine:?} policy={policy:?} workers={workers} \
-                             round={round} job={i} faults={fault_config:?}"
-                        );
-                        let attempts =
-                            service.attempts(id).expect("job known until taken");
-                        prop_assert!(
-                            (1..=max_attempts).contains(&attempts),
-                            "{}: attempts {} outside budget {}",
-                            &what, attempts, max_attempts
-                        );
-                        // Exactly one terminal state, and the only
-                        // legal failure is an exhausted retry budget
-                        // on an injected panic.
-                        match service.wait(id) {
-                            Ok(got) => prop_assert_eq!(
-                                &got,
-                                &workload[i].1,
-                                "{}: surviving job must be bit-identical",
-                                &what
-                            ),
-                            Err(ServiceError::Internal { message, .. }) => prop_assert!(
-                                message.contains("InjectedFault"),
-                                "{}: non-injected panic: {}",
-                                &what,
-                                message
-                            ),
-                            Err(other) => prop_assert!(
-                                false,
-                                "{}: illegal terminal state {:?}",
-                                &what,
-                                other
-                            ),
+                        let mut jobs: Vec<(JobId, usize, u32)> = Vec::new();
+                        for (i, (pattern, _)) in workload.iter().enumerate() {
+                            // Mixed retry budgets, including none.
+                            let max_attempts = 1 + rng.range(4) as u32;
+                            let retry = RetryPolicy::attempts(max_attempts)
+                                .with_backoff(Duration::from_micros(rng.range(500) as u64));
+                            let h = service.submit_with(
+                                pattern.clone(),
+                                config.clone(),
+                                JobOptions { retry, ..JobOptions::default() },
+                            );
+                            jobs.push((h.id(), i, max_attempts));
+                        }
+                        for &(id, i, max_attempts) in &jobs {
+                            let what = format!(
+                                "probe={probe_workers} policy={policy:?} workers={workers} \
+                                 round={round} job={i} faults={fault_config:?}"
+                            );
+                            let attempts =
+                                service.attempts(id).expect("job known until taken");
+                            prop_assert!(
+                                (1..=max_attempts).contains(&attempts),
+                                "{}: attempts {} outside budget {}",
+                                &what, attempts, max_attempts
+                            );
+                            // Exactly one terminal state, and the only
+                            // legal failure is an exhausted retry budget
+                            // on an injected panic.
+                            match service.wait(id) {
+                                Ok(got) => prop_assert_eq!(
+                                    &got,
+                                    &workload[i].1,
+                                    "{}: surviving job must be bit-identical",
+                                    &what
+                                ),
+                                Err(ServiceError::Internal { message, .. }) => prop_assert!(
+                                    message.contains("InjectedFault"),
+                                    "{}: non-injected panic: {}",
+                                    &what,
+                                    message
+                                ),
+                                Err(other) => prop_assert!(
+                                    false,
+                                    "{}: illegal terminal state {:?}",
+                                    &what,
+                                    other
+                                ),
+                            }
                         }
                     }
+                    let stats = service.stats();
+                    let what =
+                        format!("probe={probe_workers} policy={policy:?} workers={workers}");
+                    prop_assert_eq!(
+                        stats.completed + stats.cancelled + stats.expired,
+                        stats.submitted,
+                        "{}: every job terminal: {:?}",
+                        &what,
+                        stats
+                    );
+                    prop_assert_eq!(
+                        stats.pool_outstanding,
+                        0,
+                        "{}: workspace leaked under injected panics: {:?}",
+                        &what,
+                        stats
+                    );
+                    // Retries fit inside the submitted budgets (each job
+                    // allowed at most 4 attempts, i.e. 3 retries).
+                    prop_assert!(
+                        stats.retries <= stats.submitted * 3,
+                        "{}: runaway retries: {:?}",
+                        &what,
+                        stats
+                    );
+                    // The store never decoded an injected corruption into
+                    // a foreign artifact; whatever survived is bit-exact.
+                    check_store(&service, &workload, &config, &what)?;
+                    Ok(())
+                    })();
+                    common::audited(
+                        &service,
+                        &format!("probe={probe_workers} policy={policy:?} workers={workers}"),
+                        cell,
+                    )?;
+                    drop(service);
                 }
-                let stats = service.stats();
-                let what =
-                    format!("engine={engine:?} policy={policy:?} workers={workers}");
-                prop_assert_eq!(
-                    stats.completed + stats.cancelled + stats.expired,
-                    stats.submitted,
-                    "{}: every job terminal: {:?}",
-                    &what,
-                    stats
-                );
-                prop_assert_eq!(
-                    stats.pool_outstanding,
-                    0,
-                    "{}: workspace leaked under injected panics: {:?}",
-                    &what,
-                    stats
-                );
-                // Retries fit inside the submitted budgets (each job
-                // allowed at most 4 attempts, i.e. 3 retries).
-                prop_assert!(
-                    stats.retries <= stats.submitted * 3,
-                    "{}: runaway retries: {:?}",
-                    &what,
-                    stats
-                );
-                // The store never decoded an injected corruption into
-                // a foreign artifact; whatever survived is bit-exact.
-                check_store(&service, &workload, &config, &what)?;
-                Ok(())
-                })();
-                common::audited(
-                    &service,
-                    &format!("engine={engine:?} policy={policy:?} workers={workers}"),
-                    cell,
-                )?;
-                drop(service);
+                std::fs::remove_dir_all(&dir).ok();
             }
-            std::fs::remove_dir_all(&dir).ok();
         }
     }
 }
@@ -329,47 +331,44 @@ fn await_completed(service: &CompileService, n: u64) {
 fn injected_panics_exhaust_retries_then_fail() {
     let config = DcMbqcConfig::new(hardware(2, 9));
     let pattern = pattern_for(0, 7);
-    for engine in [ExecutionEngine::StageGraph, ExecutionEngine::JobLoop] {
-        let service = CompileService::new(ServiceConfig {
-            workers: 1,
-            engine,
-            faults: FaultPlan::new(FaultConfig {
-                seed: 1,
-                task_panic: 1.0,
-                ..FaultConfig::default()
-            }),
-            ..ServiceConfig::default()
-        })
-        .unwrap();
-        let h = service.submit_with(
-            pattern.clone(),
-            config.clone(),
-            JobOptions {
-                retry: RetryPolicy::attempts(3),
-                ..JobOptions::default()
-            },
-        );
-        await_completed(&service, 1);
-        assert_eq!(service.attempts(h.id()), Some(3), "({engine:?})");
-        let err = h.wait().unwrap_err();
-        match err {
-            ServiceError::Internal { stage, message } => {
-                assert!(stage.is_some(), "panicking stage attributed ({engine:?})");
-                assert!(
-                    message.contains("injected fault") && message.contains("InjectedFault"),
-                    "self-describing payload, got: {message} ({engine:?})"
-                );
-            }
-            other => panic!("expected Internal, got {other:?} ({engine:?})"),
+    let service = CompileService::new(ServiceConfig {
+        workers: 1,
+        faults: FaultPlan::new(FaultConfig {
+            seed: 1,
+            task_panic: 1.0,
+            ..FaultConfig::default()
+        }),
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    let h = service.submit_with(
+        pattern,
+        config,
+        JobOptions {
+            retry: RetryPolicy::attempts(3),
+            ..JobOptions::default()
+        },
+    );
+    await_completed(&service, 1);
+    assert_eq!(service.attempts(h.id()), Some(3));
+    let err = h.wait().unwrap_err();
+    match err {
+        ServiceError::Internal { stage, message } => {
+            assert!(stage.is_some(), "panicking stage attributed");
+            assert!(
+                message.contains("injected fault") && message.contains("InjectedFault"),
+                "self-describing payload, got: {message}"
+            );
         }
-        let stats = service.stats();
-        assert_eq!(
-            (stats.retries, stats.failed, stats.completed),
-            (2, 1, 1),
-            "{stats:?} ({engine:?})"
-        );
-        assert_eq!(stats.pool_outstanding, 0, "({engine:?})");
+        other => panic!("expected Internal, got {other:?}"),
     }
+    let stats = service.stats();
+    assert_eq!(
+        (stats.retries, stats.failed, stats.completed),
+        (2, 1, 1),
+        "{stats:?}"
+    );
+    assert_eq!(stats.pool_outstanding, 0);
 }
 
 /// A half-panic plan recovers through retries: with a generous budget
@@ -382,55 +381,42 @@ fn retries_recover_from_transient_panics() {
     let expected = DcMbqcCompiler::new(config.clone())
         .compile_pattern(&pattern)
         .unwrap();
-    let mut total_attempts = 0u32;
-    for engine in [ExecutionEngine::StageGraph, ExecutionEngine::JobLoop] {
-        let service = CompileService::new(ServiceConfig {
-            workers: 1,
-            engine,
-            faults: FaultPlan::new(FaultConfig {
-                // This seed's Panic-site decision stream at p = 0.25
-                // fails attempts 1-6 and lets attempt 7 through (four
-                // stage draws per attempt), so the recovery path is
-                // genuinely walked, not merely possible.
-                seed: 13,
-                task_panic: 0.25,
-                ..FaultConfig::default()
-            }),
-            ..ServiceConfig::default()
-        })
-        .unwrap();
-        let h = service.submit_with(
-            pattern.clone(),
-            config.clone(),
-            JobOptions {
-                // P(all 24 attempts panic) < 1e-7 even with several
-                // injection sites per attempt.
-                retry: RetryPolicy::attempts(24).with_backoff(Duration::from_micros(100)),
-                ..JobOptions::default()
-            },
-        );
-        await_completed(&service, 1);
-        let attempts = service.attempts(h.id()).unwrap();
-        let got = h.wait().unwrap_or_else(|e| panic!("{e} ({engine:?})"));
-        assert_eq!(got, expected, "recovered result bit-identical ({engine:?})");
-        let stats = service.stats();
-        assert_eq!(
-            stats.retries,
-            u64::from(attempts - 1),
-            "{stats:?} ({engine:?})"
-        );
-        assert_eq!(
-            (stats.completed, stats.failed),
-            (1, 0),
-            "{stats:?} ({engine:?})"
-        );
-        assert_eq!(stats.pool_outstanding, 0, "({engine:?})");
-        total_attempts += attempts;
-    }
+    let service = CompileService::new(ServiceConfig {
+        workers: 1,
+        faults: FaultPlan::new(FaultConfig {
+            // This seed's Panic-site decision stream at p = 0.25
+            // fails attempts 1-12 and lets attempt 13 through (every
+            // attempt draws at each stage-task entry and at the
+            // mid-task site of each stage it computes), so the recovery
+            // path is genuinely walked, not merely possible.
+            seed: 13,
+            task_panic: 0.25,
+            ..FaultConfig::default()
+        }),
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    let h = service.submit_with(
+        pattern,
+        config,
+        JobOptions {
+            // Headroom past the 13 attempts this seed's stream needs.
+            retry: RetryPolicy::attempts(24).with_backoff(Duration::from_micros(100)),
+            ..JobOptions::default()
+        },
+    );
+    await_completed(&service, 1);
+    let attempts = service.attempts(h.id()).unwrap();
+    let got = h.wait().unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(got, expected, "recovered result bit-identical");
+    let stats = service.stats();
+    assert_eq!(stats.retries, u64::from(attempts - 1), "{stats:?}");
+    assert_eq!((stats.completed, stats.failed), (1, 0), "{stats:?}");
+    assert_eq!(stats.pool_outstanding, 0);
     // The single worker and seeded plan make the draw order
-    // reproducible, so this pins the recovery path (attempts > 1 for
-    // at least one engine) rather than hoping for it.
-    assert!(total_attempts > 2, "no retry exercised: {total_attempts}");
+    // reproducible, so this pins the recovery path rather than hoping
+    // for it.
+    assert!(attempts > 1, "no retry exercised: {attempts} attempt(s)");
 }
 
 /// Deterministic `Compile` rejections are never retried, even with a
@@ -446,34 +432,24 @@ fn compile_errors_are_never_retried() {
         .build();
     let config = DcMbqcConfig::new(hw).with_boundary_reservation(true);
     let pattern = transpile(&bench::qft(6));
-    for engine in [ExecutionEngine::StageGraph, ExecutionEngine::JobLoop] {
-        let service = CompileService::new(ServiceConfig {
-            workers: 1,
-            engine,
-            ..ServiceConfig::default()
-        })
-        .unwrap();
-        let h = service.submit_with(
-            pattern.clone(),
-            config.clone(),
-            JobOptions {
-                retry: RetryPolicy::attempts(5),
-                ..JobOptions::default()
-            },
-        );
-        await_completed(&service, 1);
-        assert_eq!(service.attempts(h.id()), Some(1), "({engine:?})");
-        assert!(
-            matches!(h.wait(), Err(ServiceError::Compile(_))),
-            "({engine:?})"
-        );
-        let stats = service.stats();
-        assert_eq!(
-            (stats.retries, stats.failed),
-            (0, 1),
-            "{stats:?} ({engine:?})"
-        );
-    }
+    let service = CompileService::new(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    let h = service.submit_with(
+        pattern,
+        config,
+        JobOptions {
+            retry: RetryPolicy::attempts(5),
+            ..JobOptions::default()
+        },
+    );
+    await_completed(&service, 1);
+    assert_eq!(service.attempts(h.id()), Some(1));
+    assert!(matches!(h.wait(), Err(ServiceError::Compile(_))));
+    let stats = service.stats();
+    assert_eq!((stats.retries, stats.failed), (0, 1), "{stats:?}");
 }
 
 /// Injected disk read errors quarantine the disk tier; the service

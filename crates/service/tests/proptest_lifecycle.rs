@@ -1,7 +1,7 @@
 //! The lifecycle determinism matrix: cancellation and expiry at
 //! arbitrary points must never corrupt the service.
 //!
-//! The headline property pins, for engine {`JobLoop`, `StageGraph`} ×
+//! The headline property pins, for partitioner probe workers {1, 2} ×
 //! workers {1, 2, 8} × policy {`PriorityFifo`, `DeepestStageFirst`,
 //! `WorkStealing`} × cache state {cold, warm, disk-restored}, under a
 //! mixed workload
@@ -36,8 +36,8 @@ use mbqc_hardware::{DistributedHardware, ResourceStateKind};
 use mbqc_partition::Partition;
 use mbqc_pattern::{transpile::transpile, Pattern};
 use mbqc_service::{
-    ArtifactKey, CancelToken, CompileService, ExecutionEngine, JobId, JobOptions, Priority,
-    QueuePolicy, ServiceConfig, ServiceError, StoreConfig, TelemetryConfig,
+    ArtifactKey, CancelToken, CompileService, JobId, JobOptions, Priority, QueuePolicy,
+    ServiceConfig, ServiceError, StoreConfig, TelemetryConfig,
 };
 use mbqc_util::Rng;
 use proptest::prelude::*;
@@ -189,30 +189,33 @@ proptest! {
         qpus in 2usize..5,
         seed in 0u64..1000,
     ) {
-        let config = DcMbqcConfig::new(hardware(qpus, qubits + 2)).with_seed(seed);
         let patterns: Vec<Pattern> =
             (0..5).map(|i| pattern_for(i, qubits + (i % 3))).collect();
-        let workload: Vec<(Pattern, DistributedSchedule)> = {
-            let compiler = DcMbqcCompiler::new(config.clone());
-            patterns
-                .iter()
-                .map(|p| (p.clone(), compiler.compile_pattern(p).expect("compiles")))
-                .collect()
-        };
-
-        for engine in [ExecutionEngine::StageGraph, ExecutionEngine::JobLoop] {
+        // An explicit probe-worker axis (never the one-per-core
+        // default): every host runs both the sequential and the
+        // speculative α-walk.
+        for probe_workers in [1usize, 2] {
+            let config = DcMbqcConfig::new(hardware(qpus, qubits + 2))
+                .with_seed(seed)
+                .with_probe_workers(probe_workers);
+            let workload: Vec<(Pattern, DistributedSchedule)> = {
+                let compiler = DcMbqcCompiler::new(config.clone());
+                patterns
+                    .iter()
+                    .map(|p| (p.clone(), compiler.compile_pattern(p).expect("compiles")))
+                    .collect()
+            };
             for policy in [
                 QueuePolicy::PriorityFifo,
                 QueuePolicy::DeepestStageFirst,
                 QueuePolicy::WorkStealing,
             ] {
-                // One disk dir per (engine, policy): workers=1 runs
+                // One disk dir per (probe, policy): workers=1 runs
                 // cold then warm; workers=2/8 start disk-restored.
                 let dir = scratch_dir();
                 for workers in [1usize, 2, 8] {
                     let service = CompileService::new(ServiceConfig {
                         workers,
-                        engine,
                         policy,
                         store: StoreConfig {
                             memory_capacity: 8 << 20,
@@ -343,7 +346,7 @@ proptest! {
                                 first_wait_done = true;
                             }
                             let what = format!(
-                                "engine={engine:?} policy={policy:?} workers={workers} \
+                                "probe={probe_workers} policy={policy:?} workers={workers} \
                                  round={round} job={i}"
                             );
                             survivors += usize::from(check_terminal(
@@ -360,7 +363,7 @@ proptest! {
                     }
                     let stats = service.stats();
                     let what =
-                        format!("engine={engine:?} policy={policy:?} workers={workers}");
+                        format!("probe={probe_workers} policy={policy:?} workers={workers}");
                     prop_assert_eq!(
                         stats.completed + stats.cancelled + stats.expired,
                         stats.submitted,
@@ -381,7 +384,7 @@ proptest! {
                     })();
                     common::audited(
                         &service,
-                        &format!("engine={engine:?} policy={policy:?} workers={workers}"),
+                        &format!("probe={probe_workers} policy={policy:?} workers={workers}"),
                         cell,
                     )?;
                 }

@@ -2,10 +2,12 @@
 //!
 //! * the stage-graph executor's output is **bit-identical** to a
 //!   sequential `compile_pattern` loop across worker counts {1, 2, 8}
-//!   × priority mixes × cache states {cold, warm, disk-restored};
-//! * the preserved PR 3 whole-job engine (`ExecutionEngine::JobLoop`)
-//!   produces the same bits as the executor;
+//!   × partitioner probe workers {1, 2} × priority mixes × cache
+//!   states {cold, warm, disk-restored};
 //! * every stage codec round-trips exactly on real pipeline artifacts.
+//!
+//! Probe workers are always explicit (never the `0` = one-per-core
+//! default), so every host runs the same code paths.
 
 use dc_mbqc::{DcMbqcCompiler, DcMbqcConfig, DistributedSchedule};
 use mbqc_circuit::bench::{self, BenchmarkKind};
@@ -13,7 +15,7 @@ use mbqc_hardware::{DistributedHardware, ResourceStateKind};
 use mbqc_partition::Partition;
 use mbqc_pattern::{transpile::transpile, Pattern};
 use mbqc_schedule::{LayerScheduleProblem, Schedule};
-use mbqc_service::{CompileService, ExecutionEngine, Priority, ServiceConfig, StoreConfig};
+use mbqc_service::{CompileService, Priority, ServiceConfig, StoreConfig};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -70,10 +72,10 @@ fn assert_identical(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The acceptance property: worker counts {1, 2, 8} × a cycling
-    /// priority mix × cache states {cold, warm, disk-restored} all
-    /// reproduce `compile_pattern` bit-for-bit under the stage-graph
-    /// executor.
+    /// The acceptance property: worker counts {1, 2, 8} × probe
+    /// workers {1, 2} × a cycling priority mix × cache states {cold,
+    /// warm, disk-restored} all reproduce `compile_pattern`
+    /// bit-for-bit under the stage-graph executor.
     #[test]
     fn executor_bit_identical_to_compile_pattern(
         qubits in 6usize..11,
@@ -81,113 +83,72 @@ proptest! {
         seed in 0u64..1000,
         batch in 2usize..4,
     ) {
-        let config = DcMbqcConfig::new(hardware(qpus, qubits + 2)).with_seed(seed);
         let patterns: Vec<Pattern> =
             (0..batch).map(|i| pattern_for(i, qubits + (i % 3))).collect();
-        let expected: Vec<DistributedSchedule> = {
-            let compiler = DcMbqcCompiler::new(config.clone());
-            patterns
-                .iter()
-                .map(|p| compiler.compile_pattern(p).expect("compiles"))
-                .collect()
-        };
-
-        let dir = scratch_dir();
-        for workers in [1usize, 2, 8] {
-            let service = CompileService::new(ServiceConfig {
-                workers,
-                engine: ExecutionEngine::StageGraph,
-                store: StoreConfig {
-                    memory_capacity: 8 << 20,
-                    disk_dir: Some(dir.clone()),
-                    ..StoreConfig::default()
-                },
-                ..ServiceConfig::default()
-            })
-            .expect("service starts");
-            // Cold on the first worker count; disk-restored (fresh
-            // memory, persisted artifacts) on the later ones.
-            for round in 0..2 {
-                let ids: Vec<_> = patterns
+        for probe_workers in [1usize, 2] {
+            let config = DcMbqcConfig::new(hardware(qpus, qubits + 2))
+                .with_seed(seed)
+                .with_probe_workers(probe_workers);
+            let expected: Vec<DistributedSchedule> = {
+                let compiler = DcMbqcCompiler::new(config.clone());
+                patterns
                     .iter()
-                    .enumerate()
-                    .map(|(i, p)| {
-                        service.submit_with_priority(
-                            p.clone(),
-                            config.clone(),
-                            priority_of(i + round),
-                        )
-                    })
-                    .collect();
-                for (i, id) in ids.into_iter().enumerate() {
-                    let got = service.wait(id).expect("service compiles");
-                    assert_identical(
-                        &expected[i],
-                        &got,
-                        &format!("workers={workers} round={round} job={i}"),
-                    )?;
-                }
-            }
-            let stats = service.stats();
-            prop_assert_eq!(stats.completed, 2 * patterns.len() as u64);
-            prop_assert_eq!(stats.failed, 0);
-            prop_assert!(stats.tasks_executed >= 1, "{:?}", stats);
-            // Round 2 (and later worker counts, via the disk tier) must
-            // be pure `Scheduled` hits.
-            prop_assert!(
-                stats.hits_scheduled >= patterns.len() as u64,
-                "warm round recomputed: {:?}",
-                stats
-            );
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
+                    .map(|p| compiler.compile_pattern(p).expect("compiles"))
+                    .collect()
+            };
 
-    /// The preserved PR 3 whole-job engine is bit-identical to the
-    /// stage-graph executor (both pinned to `compile_pattern`), on a
-    /// shared disk tier.
-    #[test]
-    fn job_loop_engine_matches_executor(
-        qubits in 6usize..11,
-        qpus in 2usize..5,
-        seed in 0u64..1000,
-    ) {
-        let config = DcMbqcConfig::new(hardware(qpus, qubits + 1)).with_seed(seed);
-        let patterns: Vec<Pattern> = (0..3).map(|i| pattern_for(i, qubits)).collect();
-        let direct: Vec<DistributedSchedule> = {
-            let compiler = DcMbqcCompiler::new(config.clone());
-            patterns
-                .iter()
-                .map(|p| compiler.compile_pattern(p).expect("compiles"))
-                .collect()
-        };
-        let dir = scratch_dir();
-        for engine in [ExecutionEngine::JobLoop, ExecutionEngine::StageGraph] {
-            let service = CompileService::new(ServiceConfig {
-                workers: 2,
-                engine,
-                store: StoreConfig {
-                    memory_capacity: 8 << 20,
-                    disk_dir: Some(dir.clone()),
-                    ..StoreConfig::default()
-                },
-                ..ServiceConfig::default()
-            })
-            .expect("service starts");
-            let ids: Vec<_> = patterns
-                .iter()
-                .enumerate()
-                .map(|(i, p)| {
-                    service.submit_with_priority(p.clone(), config.clone(), priority_of(i))
+            let dir = scratch_dir();
+            for workers in [1usize, 2, 8] {
+                let service = CompileService::new(ServiceConfig {
+                    workers,
+                    store: StoreConfig {
+                        memory_capacity: 8 << 20,
+                        disk_dir: Some(dir.clone()),
+                        ..StoreConfig::default()
+                    },
+                    ..ServiceConfig::default()
                 })
-                .collect();
-            for (i, id) in ids.into_iter().enumerate() {
-                let got = service.wait(id).expect("service compiles");
-                assert_identical(&direct[i], &got, &format!("{engine:?} job={i}"))?;
+                .expect("service starts");
+                // Cold on the first worker count; disk-restored (fresh
+                // memory, persisted artifacts) on the later ones.
+                for round in 0..2 {
+                    let ids: Vec<_> = patterns
+                        .iter()
+                        .enumerate()
+                        .map(|(i, p)| {
+                            service.submit_with_priority(
+                                p.clone(),
+                                config.clone(),
+                                priority_of(i + round),
+                            )
+                        })
+                        .collect();
+                    for (i, id) in ids.into_iter().enumerate() {
+                        let got = service.wait(id).expect("service compiles");
+                        assert_identical(
+                            &expected[i],
+                            &got,
+                            &format!(
+                                "probe_workers={probe_workers} workers={workers} \
+                                 round={round} job={i}"
+                            ),
+                        )?;
+                    }
+                }
+                let stats = service.stats();
+                prop_assert_eq!(stats.completed, 2 * patterns.len() as u64);
+                prop_assert_eq!(stats.failed, 0);
+                prop_assert!(stats.tasks_executed >= 1, "{:?}", stats);
+                // Round 2 (and later worker counts, via the disk tier) must
+                // be pure `Scheduled` hits.
+                prop_assert!(
+                    stats.hits_scheduled >= patterns.len() as u64,
+                    "warm round recomputed: {:?}",
+                    stats
+                );
             }
-            prop_assert_eq!(service.stats().failed, 0);
+            std::fs::remove_dir_all(&dir).ok();
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Mid-pipeline re-entry: a `Partitioned`/`Mapped` hit under a
@@ -199,29 +160,37 @@ proptest! {
         qpus in 2usize..5,
         seed in 0u64..1000,
     ) {
-        let base = DcMbqcConfig::new(hardware(qpus, qubits)).with_seed(seed);
-        let changed = base.clone().without_bdir();
         let pattern = pattern_for(seed as usize, qubits);
-        let service = CompileService::new(ServiceConfig {
-            workers: 1,
-            ..ServiceConfig::default()
-        })
-        .expect("service starts");
-        service
-            .wait(service.submit(pattern.clone(), base))
-            .expect("warms the cache");
-        let got = service
-            .wait(service.submit(pattern.clone(), changed.clone()))
-            .expect("service compiles");
-        let direct = DcMbqcCompiler::new(changed)
-            .compile_pattern(&pattern)
-            .expect("compiles");
-        assert_identical(&direct, &got, "re-entry after config change")?;
-        // The scheduling-stage fingerprint changed, but partitioning
-        // and mapping were served from cache.
-        let stats = service.stats();
-        prop_assert_eq!(stats.hits_mapped, 1, "{:?}", stats);
-        prop_assert_eq!(stats.full_compiles, 1);
+        for probe_workers in [1usize, 2] {
+            let base = DcMbqcConfig::new(hardware(qpus, qubits))
+                .with_seed(seed)
+                .with_probe_workers(probe_workers);
+            let changed = base.clone().without_bdir();
+            let service = CompileService::new(ServiceConfig {
+                workers: 1,
+                ..ServiceConfig::default()
+            })
+            .expect("service starts");
+            service
+                .wait(service.submit(pattern.clone(), base))
+                .expect("warms the cache");
+            let got = service
+                .wait(service.submit(pattern.clone(), changed.clone()))
+                .expect("service compiles");
+            let direct = DcMbqcCompiler::new(changed)
+                .compile_pattern(&pattern)
+                .expect("compiles");
+            assert_identical(
+                &direct,
+                &got,
+                &format!("re-entry after config change, probe_workers={probe_workers}"),
+            )?;
+            // The scheduling-stage fingerprint changed, but partitioning
+            // and mapping were served from cache.
+            let stats = service.stats();
+            prop_assert_eq!(stats.hits_mapped, 1, "{:?}", stats);
+            prop_assert_eq!(stats.full_compiles, 1);
+        }
     }
 
     /// Round trips of every stage codec on real pipeline artifacts.
@@ -623,32 +592,29 @@ fn degenerate_patterns_round_trip_through_the_service() {
         ("two on 4 QPUs", two.clone(), 4),
         ("two k=1", two, 1),
     ];
-    for engine in [ExecutionEngine::StageGraph, ExecutionEngine::JobLoop] {
-        let service = CompileService::new(ServiceConfig {
-            workers: 1,
-            engine,
-            ..ServiceConfig::default()
-        })
-        .unwrap();
-        for round in 0..2 {
-            for (what, pattern, qpus) in &cases {
-                let config = DcMbqcConfig::new(hardware(*qpus, 6));
-                let direct = DcMbqcCompiler::new(config.clone())
-                    .compile_pattern(pattern)
-                    .unwrap_or_else(|e| panic!("{what}: direct: {e}"));
-                let got = service
-                    .wait(service.submit(pattern.clone(), config))
-                    .unwrap_or_else(|e| panic!("{engine:?} round {round} {what}: {e}"));
-                assert_eq!(got, direct, "{engine:?} round {round} {what}");
-            }
+    let service = CompileService::new(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    for round in 0..2 {
+        for (what, pattern, qpus) in &cases {
+            let config = DcMbqcConfig::new(hardware(*qpus, 6));
+            let direct = DcMbqcCompiler::new(config.clone())
+                .compile_pattern(pattern)
+                .unwrap_or_else(|e| panic!("{what}: direct: {e}"));
+            let got = service
+                .wait(service.submit(pattern.clone(), config))
+                .unwrap_or_else(|e| panic!("round {round} {what}: {e}"));
+            assert_eq!(got, direct, "round {round} {what}");
         }
-        let stats = service.stats();
-        assert_eq!(stats.failed, 0);
-        assert!(
-            stats.hits_scheduled >= cases.len() as u64,
-            "warm round must hit: {stats:?}"
-        );
     }
+    let stats = service.stats();
+    assert_eq!(stats.failed, 0);
+    assert!(
+        stats.hits_scheduled >= cases.len() as u64,
+        "warm round must hit: {stats:?}"
+    );
 }
 
 /// Error jobs surface the pipeline error (and are not cached as

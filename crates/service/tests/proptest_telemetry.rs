@@ -1,11 +1,11 @@
 //! The telemetry correctness matrix: the event stream must be a
 //! faithful, ordered, gap-free account of every job's lifecycle —
-//! under both engines, all queue policies, and lifecycle churn — and
-//! observers must never perturb the service.
+//! under all queue policies and lifecycle churn — and observers must
+//! never perturb the service.
 //!
-//! The headline property pins, for engine {`JobLoop`, `StageGraph`} ×
-//! policy {`PriorityFifo`, `DeepestStageFirst`, `WorkStealing`} under
-//! a mixed workload with cancellations and lapsed deadlines:
+//! The headline property pins, for policy {`PriorityFifo`,
+//! `DeepestStageFirst`, `WorkStealing`} under a mixed workload with
+//! cancellations and lapsed deadlines:
 //!
 //! * every job's events arrive in sequence order with **gap-free**
 //!   `seq` starting at 0;
@@ -37,9 +37,9 @@ use mbqc_circuit::bench::{self, BenchmarkKind};
 use mbqc_hardware::{DistributedHardware, ResourceStateKind};
 use mbqc_pattern::{transpile::transpile, Pattern};
 use mbqc_service::{
-    chrome_trace_json, validate_chrome_trace, CompileService, EventKind, ExecutionEngine, JobId,
-    JobOptions, Priority, QueuePolicy, ServiceConfig, ServiceError, TelemetryConfig,
-    TelemetryEvent, TerminalState,
+    chrome_trace_json, validate_chrome_trace, CompileService, EventKind, JobId, JobOptions,
+    Priority, QueuePolicy, ServiceConfig, ServiceError, TelemetryConfig, TelemetryEvent,
+    TerminalState,
 };
 use mbqc_util::Rng;
 use proptest::prelude::*;
@@ -150,148 +150,141 @@ proptest! {
         let config = DcMbqcConfig::new(hardware(qpus, qubits + 2)).with_seed(seed);
         let patterns: Vec<Pattern> =
             (0..4).map(|i| pattern_for(i, qubits + (i % 3))).collect();
-        for engine in [ExecutionEngine::StageGraph, ExecutionEngine::JobLoop] {
-            for policy in [
-                QueuePolicy::PriorityFifo,
-                QueuePolicy::DeepestStageFirst,
-                QueuePolicy::WorkStealing,
-            ] {
-                let service = CompileService::new(ServiceConfig {
-                    workers: 2,
-                    engine,
-                    policy,
-                    telemetry: TelemetryConfig {
-                        flight_recorder: 64,
-                        ..TelemetryConfig::default()
-                    },
-                    ..ServiceConfig::default()
-                })
-                .expect("service starts");
-                let what = format!("engine={engine:?} policy={policy:?}");
-                let cell = (|| -> Result<(), TestCaseError> {
-                    // Service-wide subscriber registered before any
-                    // submission: it must miss nothing.
-                    let all = service.subscribe_with_capacity(1 << 14);
-                    let mut rng = Rng::seed_from_u64(seed ^ 0xC0FF_EE00);
-                    let mut jobs: Vec<(JobId, u64)> = Vec::new();
-                    for (i, pattern) in patterns.iter().enumerate() {
-                        let priority = Priority::ALL[rng.range(3)];
-                        let churn = rng.range(10);
-                        let options = JobOptions {
-                            priority,
-                            // ~20% lapsed deadlines exercise `Expired`.
-                            deadline: (churn == 0).then_some(Duration::ZERO),
-                            ..JobOptions::default()
-                        };
-                        let h = service.submit_with(pattern.clone(), config.clone(), options);
-                        // ~20% cancels land at arbitrary points.
-                        if churn == 1 {
-                            h.cancel();
-                        }
-                        jobs.push((h.id(), i as u64));
+        for policy in [
+            QueuePolicy::PriorityFifo,
+            QueuePolicy::DeepestStageFirst,
+            QueuePolicy::WorkStealing,
+        ] {
+            let service = CompileService::new(ServiceConfig {
+                workers: 2,
+                policy,
+                telemetry: TelemetryConfig {
+                    flight_recorder: 64,
+                    ..TelemetryConfig::default()
+                },
+                ..ServiceConfig::default()
+            })
+            .expect("service starts");
+            let what = format!("policy={policy:?}");
+            let cell = (|| -> Result<(), TestCaseError> {
+                // Service-wide subscriber registered before any
+                // submission: it must miss nothing.
+                let all = service.subscribe_with_capacity(1 << 14);
+                let mut rng = Rng::seed_from_u64(seed ^ 0xC0FF_EE00);
+                let mut jobs: Vec<(JobId, u64)> = Vec::new();
+                for (i, pattern) in patterns.iter().enumerate() {
+                    let priority = Priority::ALL[rng.range(3)];
+                    let churn = rng.range(10);
+                    let options = JobOptions {
+                        priority,
+                        // ~20% lapsed deadlines exercise `Expired`.
+                        deadline: (churn == 0).then_some(Duration::ZERO),
+                        ..JobOptions::default()
+                    };
+                    let h = service.submit_with(pattern.clone(), config.clone(), options);
+                    // ~20% cancels land at arbitrary points.
+                    if churn == 1 {
+                        h.cancel();
                     }
-                    let mut terminal: HashMap<JobId, TerminalState> = HashMap::new();
-                    for &(id, _) in &jobs {
-                        terminal.insert(id, expected_terminal(&service.wait(id)));
+                    jobs.push((h.id(), i as u64));
+                }
+                let mut terminal: HashMap<JobId, TerminalState> = HashMap::new();
+                for &(id, _) in &jobs {
+                    terminal.insert(id, expected_terminal(&service.wait(id)));
+                }
+                // `wait` returning implies the terminal event was
+                // already delivered to the pre-registered
+                // subscriber, so a non-blocking drain is complete.
+                let mut captured: Vec<TelemetryEvent> = Vec::new();
+                while let Some(ev) = all.try_recv() {
+                    captured.push(ev);
+                }
+                prop_assert_eq!(all.dropped(), 0, "{}: capacity overrun", &what);
+                let mut by_job: HashMap<JobId, Vec<TelemetryEvent>> = HashMap::new();
+                for ev in &captured {
+                    if let Some(id) = ev.job {
+                        by_job.entry(id).or_default().push(*ev);
                     }
-                    // `wait` returning implies the terminal event was
-                    // already delivered to the pre-registered
-                    // subscriber, so a non-blocking drain is complete.
-                    let mut captured: Vec<TelemetryEvent> = Vec::new();
-                    while let Some(ev) = all.try_recv() {
-                        captured.push(ev);
-                    }
-                    prop_assert_eq!(all.dropped(), 0, "{}: capacity overrun", &what);
-                    let mut by_job: HashMap<JobId, Vec<TelemetryEvent>> = HashMap::new();
-                    for ev in &captured {
-                        if let Some(id) = ev.job {
-                            by_job.entry(id).or_default().push(*ev);
-                        }
-                    }
-                    for (&id, &state) in &terminal {
-                        let events = by_job.get(&id);
-                        prop_assert!(events.is_some(), "{}: job {:?} unseen", &what, id);
-                        check_job_stream(
-                            &format!("{what} job={id:?}"),
-                            events.unwrap(),
-                            state,
-                        )?;
-                    }
-                    // The whole capture round-trips the trace schema.
-                    let json = chrome_trace_json(&captured);
-                    let spans = validate_chrome_trace(&json);
-                    prop_assert!(spans.is_ok(), "{}: {:?}", &what, spans);
-                    prop_assert!(spans.unwrap() > 0, "{}: empty trace", &what);
-                    // The flight recorder holds a bounded suffix of the
-                    // same history.
-                    let recorded = service.flight_recorder();
-                    prop_assert!(
-                        recorded.len() <= 64,
-                        "{}: recorder over capacity: {}",
-                        &what,
-                        recorded.len()
-                    );
-                    let tail = &captured[captured.len() - recorded.len()..];
-                    prop_assert_eq!(
-                        recorded.as_slice(),
-                        tail,
-                        "{}: recorder is not the event-history suffix",
-                        &what
-                    );
-                    Ok(())
-                })();
-                common::audited(&service, &what, cell)?;
-            }
+                }
+                for (&id, &state) in &terminal {
+                    let events = by_job.get(&id);
+                    prop_assert!(events.is_some(), "{}: job {:?} unseen", &what, id);
+                    check_job_stream(
+                        &format!("{what} job={id:?}"),
+                        events.unwrap(),
+                        state,
+                    )?;
+                }
+                // The whole capture round-trips the trace schema.
+                let json = chrome_trace_json(&captured);
+                let spans = validate_chrome_trace(&json);
+                prop_assert!(spans.is_ok(), "{}: {:?}", &what, spans);
+                prop_assert!(spans.unwrap() > 0, "{}: empty trace", &what);
+                // The flight recorder holds a bounded suffix of the
+                // same history.
+                let recorded = service.flight_recorder();
+                prop_assert!(
+                    recorded.len() <= 64,
+                    "{}: recorder over capacity: {}",
+                    &what,
+                    recorded.len()
+                );
+                let tail = &captured[captured.len() - recorded.len()..];
+                prop_assert_eq!(
+                    recorded.as_slice(),
+                    tail,
+                    "{}: recorder is not the event-history suffix",
+                    &what
+                );
+                Ok(())
+            })();
+            common::audited(&service, &what, cell)?;
         }
     }
 }
 
 /// A per-job stream from `submit_observed` is complete (`Submitted`
 /// at seq 0 through `Terminal`) and closes itself after the terminal
-/// event — under both engines.
+/// event.
 #[test]
 fn observed_stream_is_complete_and_self_closing() {
     let config = DcMbqcConfig::new(hardware(2, 10));
     let pattern = transpile(&bench::qft(8));
-    for engine in [ExecutionEngine::StageGraph, ExecutionEngine::JobLoop] {
-        let service = CompileService::new(ServiceConfig {
-            workers: 1,
-            engine,
-            ..ServiceConfig::default()
-        })
-        .unwrap();
-        let (handle, mut events) =
-            service.submit_observed(pattern.clone(), config.clone(), JobOptions::default());
-        handle.wait().expect("job completes");
-        let captured: Vec<TelemetryEvent> = events.by_ref().collect();
-        assert!(
-            events.is_closed(),
-            "per-job stream stays open after Terminal ({engine:?})"
-        );
-        assert!(captured.len() >= 2, "({engine:?})");
-        assert!(
-            matches!(captured[0].kind, EventKind::Submitted { .. }),
-            "({engine:?}): {:?}",
-            captured[0]
-        );
-        assert_eq!(captured[0].seq, 0, "({engine:?})");
-        assert!(
-            matches!(
-                captured.last().unwrap().kind,
-                EventKind::Terminal {
-                    state: TerminalState::Done
-                }
-            ),
-            "({engine:?}): {:?}",
-            captured.last()
-        );
-        // Four stages ran and finished exactly once each (cold cache).
-        let finished = captured
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::TaskFinished { .. }))
-            .count();
-        assert_eq!(finished, 4, "({engine:?}): {captured:?}");
-    }
+    let service = CompileService::new(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    let (handle, mut events) = service.submit_observed(pattern, config, JobOptions::default());
+    handle.wait().expect("job completes");
+    let captured: Vec<TelemetryEvent> = events.by_ref().collect();
+    assert!(
+        events.is_closed(),
+        "per-job stream stays open after Terminal"
+    );
+    assert!(captured.len() >= 2);
+    assert!(
+        matches!(captured[0].kind, EventKind::Submitted { .. }),
+        "{:?}",
+        captured[0]
+    );
+    assert_eq!(captured[0].seq, 0);
+    assert!(
+        matches!(
+            captured.last().unwrap().kind,
+            EventKind::Terminal {
+                state: TerminalState::Done
+            }
+        ),
+        "{:?}",
+        captured.last()
+    );
+    // Four stages ran and finished exactly once each (cold cache).
+    let finished = captured
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::TaskFinished { .. }))
+        .count();
+    assert_eq!(finished, 4, "{captured:?}");
 }
 
 /// An undrained capacity-1 subscriber counts drops but never blocks a

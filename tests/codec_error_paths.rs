@@ -6,7 +6,8 @@
 //! allocation.
 //!
 //! Covered impls: `Partition`, `CompiledProgram`, `Schedule`,
-//! `LayerScheduleProblem`, `DistributedSchedule`, `DiGraph`.
+//! `LayerScheduleProblem`, `DistributedSchedule`, `DiGraph`, and the
+//! `mbqc-net` request frames and `Stats` reply.
 
 use dc_mbqc::{DcMbqcCompiler, DcMbqcConfig, DistributedSchedule};
 use mbqc_circuit::bench;
@@ -215,6 +216,7 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 use mbqc_net::{Request, Response, WireJobOptions, KIND_REQUEST};
+use mbqc_service::{CompileService, JobOptions, ServiceConfig, ServiceStats};
 use mbqc_util::frame::{encode_frame, read_frame, FrameError, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD};
 
 /// A realistic request frame: a full `Submit` with a real pattern and
@@ -358,5 +360,122 @@ proptest! {
                 let _ = Request::from_bytes(&frame.payload);
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The `Stats` reply: a whole `ServiceStats` snapshot (store counters and
+// tenant rows included) decoded off the wire — every truncation and
+// every mutation is an error or a value, never a panic.
+// ---------------------------------------------------------------------------
+
+/// A `Stats` reply carrying a real service's snapshot after two jobs
+/// from two tenants: non-zero counters, latency summaries, store
+/// counters, and two tenant rows at the tail of the encoding.
+fn stats_reply() -> &'static (ServiceStats, Vec<u8>) {
+    static REPLY: std::sync::OnceLock<(ServiceStats, Vec<u8>)> = std::sync::OnceLock::new();
+    REPLY.get_or_init(|| {
+        let hw = DistributedHardware::builder()
+            .num_qpus(2)
+            .grid_width(bench::grid_size_for(4))
+            .resource_state(ResourceStateKind::FIVE_STAR)
+            .kmax(4)
+            .build();
+        let service = CompileService::new(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        })
+        .expect("service starts");
+        for tenant in [1, 4] {
+            let options = JobOptions {
+                tenant,
+                ..JobOptions::default()
+            };
+            let h = service.submit_with(transpile(&bench::qft(4)), DcMbqcConfig::new(hw), options);
+            h.wait().expect("compiles");
+        }
+        let stats = service.stats();
+        assert_eq!(stats.tenants.len(), 2, "{stats:?}");
+        let bytes = Response::Stats(Box::new(stats.clone())).to_bytes();
+        (stats, bytes)
+    })
+}
+
+/// Tenant rows are three `u64`s each and close the encoding.
+const TENANT_ROW: usize = 24;
+
+#[test]
+fn stats_reply_round_trips_and_every_truncation_is_an_error() {
+    let (stats, bytes) = stats_reply();
+    match Response::from_bytes(bytes) {
+        Ok(Response::Stats(back)) => assert_eq!(&*back, stats),
+        other => panic!("stats reply did not round-trip: {other:?}"),
+    }
+    for cut in 0..bytes.len() {
+        assert!(
+            Response::from_bytes(&bytes[..cut]).is_err(),
+            "truncation to {cut} of {} decoded",
+            bytes.len()
+        );
+    }
+}
+
+#[test]
+fn stats_reply_rejects_corrupt_tenant_rows() {
+    let (_, bytes) = stats_reply();
+    let rows = bytes.len() - 2 * TENANT_ROW;
+    // Out-of-order rows: swap the two tenant ids.
+    let mut swapped = bytes.clone();
+    swapped[rows..rows + 8].copy_from_slice(&bytes[rows + TENANT_ROW..rows + TENANT_ROW + 8]);
+    swapped[rows + TENANT_ROW..rows + TENANT_ROW + 8].copy_from_slice(&bytes[rows..rows + 8]);
+    assert!(
+        Response::from_bytes(&swapped).is_err(),
+        "unsorted rows decoded"
+    );
+    // A duplicated tenant id is not strictly sorted either.
+    let mut duplicated = bytes.clone();
+    duplicated[rows + TENANT_ROW..rows + TENANT_ROW + 8].copy_from_slice(&bytes[rows..rows + 8]);
+    assert!(
+        Response::from_bytes(&duplicated).is_err(),
+        "duplicate rows decoded"
+    );
+    // A tenant id past `u32::MAX`.
+    let mut wide = bytes.clone();
+    wide[rows..rows + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+    assert!(
+        Response::from_bytes(&wide).is_err(),
+        "oversized tenant id decoded"
+    );
+    // The row-count prefix: huge (no allocation) and off by one.
+    let count = rows - 8;
+    for claimed in [u64::MAX, 1, 3] {
+        let mut corrupt = bytes.clone();
+        corrupt[count..rows].copy_from_slice(&claimed.to_le_bytes());
+        assert!(
+            Response::from_bytes(&corrupt).is_err(),
+            "row count {claimed} decoded"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    /// Fuzz the `Stats` reply: random byte mutations, and truncations
+    /// of them, decode to an error or a value — never a panic.
+    #[test]
+    fn random_stats_reply_mutations_never_panic(
+        positions in prop::collection::vec(0usize..1_000_000, 1..8),
+        values in prop::collection::vec(0u8..=255, 8..9),
+        truncate_to in 0usize..1_000_000,
+    ) {
+        let mut bytes = stats_reply().1.clone();
+        for (k, &pos) in positions.iter().enumerate() {
+            let i = pos % bytes.len();
+            bytes[i] = values[k % values.len()];
+        }
+        let cut = truncate_to % (bytes.len() + 1);
+        let _ = Response::from_bytes(&bytes);
+        let _ = Response::from_bytes(&bytes[..cut]);
     }
 }
