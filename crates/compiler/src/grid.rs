@@ -123,45 +123,80 @@ impl LayerGrid {
     ///
     /// Returns the intermediate sites of the path (possibly empty when
     /// `from` and `to` are grid-adjacent), or `None` if no path exists.
-    #[must_use]
-    pub fn route<F>(&self, from: usize, to: usize, capacity_of: F) -> Option<Vec<usize>>
+    /// The search runs in `scratch`, which a mapper routing thousands of
+    /// edges reuses; the path lives there until the next call.
+    pub(crate) fn route<'s, F>(
+        &self,
+        from: usize,
+        to: usize,
+        capacity_of: F,
+        scratch: &'s mut RouteScratch,
+    ) -> Option<&'s [usize]>
     where
         F: Fn(usize) -> usize,
     {
+        let RouteScratch {
+            stamp,
+            seen,
+            prev,
+            queue,
+            path,
+        } = scratch;
+        path.clear();
         if from == to {
-            return Some(Vec::new());
+            return Some(path);
         }
-        let passable = |s: usize| -> bool { capacity_of(s) > 0 };
-        let mut prev: Vec<Option<usize>> = vec![None; self.sites.len()];
-        let mut seen = vec![false; self.sites.len()];
-        let mut queue = VecDeque::new();
-        seen[from] = true;
+        // A site is seen in this search iff its stamp is current; stale
+        // stamps from earlier searches need no clearing.
+        *stamp = stamp.wrapping_add(1);
+        if *stamp == 0 || seen.len() < self.sites.len() {
+            seen.clear();
+            seen.resize(self.sites.len(), 0);
+            prev.resize(self.sites.len(), 0);
+            *stamp = 1;
+        }
+        let stamp = *stamp;
+        queue.clear();
+        seen[from] = stamp;
         queue.push_back(from);
         while let Some(s) = queue.pop_front() {
-            for nb in self.neighbors(s).collect::<Vec<_>>() {
-                if seen[nb] {
+            for nb in self.neighbors(s) {
+                if seen[nb] == stamp {
                     continue;
                 }
                 if nb == to {
                     // Reconstruct intermediate path (exclusive of ends).
-                    let mut path = Vec::new();
                     let mut cur = s;
                     while cur != from {
                         path.push(cur);
-                        cur = prev[cur].expect("visited nodes have parents");
+                        cur = prev[cur];
                     }
                     path.reverse();
                     return Some(path);
                 }
-                if passable(nb) {
-                    seen[nb] = true;
-                    prev[nb] = Some(s);
+                if capacity_of(nb) > 0 {
+                    seen[nb] = stamp;
+                    prev[nb] = s;
                     queue.push_back(nb);
                 }
             }
         }
         None
     }
+}
+
+/// Reusable breadth-first-search buffers for [`LayerGrid::route`].
+#[derive(Debug, Default)]
+pub(crate) struct RouteScratch {
+    /// Generation of the current search.
+    stamp: u32,
+    /// Per site: generation that last visited it.
+    seen: Vec<u32>,
+    /// Per visited site: the site it was reached from.
+    prev: Vec<usize>,
+    queue: VecDeque<usize>,
+    /// Intermediate sites of the last path found.
+    path: Vec<usize>,
 }
 
 #[cfg(test)]
@@ -195,6 +230,17 @@ mod tests {
         assert!(!g.free_sites().contains(&1));
     }
 
+    /// A search on fresh buffers, with the path copied out.
+    fn route(
+        g: &LayerGrid,
+        from: usize,
+        to: usize,
+        capacity_of: impl Fn(usize) -> usize,
+    ) -> Option<Vec<usize>> {
+        g.route(from, to, capacity_of, &mut RouteScratch::default())
+            .map(<[usize]>::to_vec)
+    }
+
     /// Capacity function treating only `Free` sites as passable once.
     fn free_once(g: &LayerGrid) -> impl Fn(usize) -> usize + '_ {
         |s| usize::from(g.state(s) == SiteState::Free)
@@ -203,7 +249,7 @@ mod tests {
     #[test]
     fn route_adjacent_is_empty_path() {
         let g = LayerGrid::new(3);
-        let path = g.route(0, 1, free_once(&g)).unwrap();
+        let path = route(&g, 0, 1, free_once(&g)).unwrap();
         assert!(path.is_empty());
     }
 
@@ -211,7 +257,7 @@ mod tests {
     fn route_across_grid() {
         let g = LayerGrid::new(3);
         // 0 → 8 must pass through 2 intermediate sites.
-        let path = g.route(0, 8, free_once(&g)).unwrap();
+        let path = route(&g, 0, 8, free_once(&g)).unwrap();
         assert_eq!(path.len(), 3);
     }
 
@@ -222,7 +268,7 @@ mod tests {
         for c in 0..3 {
             g.set(g.index(1, c), SiteState::Node(NodeId::new(c)));
         }
-        assert!(g.route(0, 8, free_once(&g)).is_none());
+        assert!(route(&g, 0, 8, free_once(&g)).is_none());
     }
 
     #[test]
@@ -238,14 +284,35 @@ mod tests {
             _ => 0,
         };
         // A path 0 → (2,0) must squeeze through (1,1).
-        let path = g.route(0, g.index(2, 0), cap).unwrap();
+        let path = route(&g, 0, g.index(2, 0), cap).unwrap();
         assert!(path.contains(&g.index(1, 1)));
         // A zero-capacity corridor closes.
         let closed = |s: usize| match g.state(s) {
             SiteState::Free => 1,
             _ => 0,
         };
-        assert!(g.route(0, g.index(2, 0), closed).is_none());
+        assert!(route(&g, 0, g.index(2, 0), closed).is_none());
+    }
+
+    #[test]
+    fn reused_route_scratch_matches_fresh_search() {
+        // One scratch across grid sizes and blockages, found and failed
+        // searches alike, must give exactly the fresh-buffer answers.
+        let mut scratch = RouteScratch::default();
+        let mut rng = mbqc_util::Rng::seed_from_u64(3);
+        for width in [4, 7, 3, 6] {
+            let mut g = LayerGrid::new(width);
+            for _ in 0..40 {
+                let s = rng.range(g.len());
+                if rng.bernoulli(0.3) {
+                    g.set(s, SiteState::Node(NodeId::new(s)));
+                }
+                let (from, to) = (rng.range(g.len()), rng.range(g.len()));
+                let fresh = route(&g, from, to, free_once(&g));
+                let reused = g.route(from, to, free_once(&g), &mut scratch);
+                assert_eq!(fresh.as_deref(), reused, "{from} -> {to} on width {width}");
+            }
+        }
     }
 
     #[test]
@@ -260,7 +327,7 @@ mod tests {
             SiteState::Wire(_) => 1,
             _ => 0,
         };
-        let path = g.route(0, g.index(2, 0), cap).unwrap();
+        let path = route(&g, 0, g.index(2, 0), cap).unwrap();
         assert!(path.contains(&g.index(1, 1)));
     }
 }

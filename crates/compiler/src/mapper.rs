@@ -9,14 +9,12 @@
 //! cannot be routed through a congested layer are deferred: both wires
 //! stay alive and the edge retries on later layers.
 
-use std::collections::HashMap;
-
 use mbqc_graph::{DiGraph, Graph, NodeId};
 use mbqc_util::codec::{CodecError, Decoder, Encoder, UsizeSliceView};
 use mbqc_util::Rng;
 
 use crate::config::{CompileError, CompilerConfig};
-use crate::grid::{LayerGrid, SiteState};
+use crate::grid::{LayerGrid, RouteScratch, SiteState};
 use crate::metrics::{required_photon_lifetime, LifetimeReport};
 
 /// A realized fusion pair: edge `(a, b)` with the storage-epoch times of
@@ -463,12 +461,14 @@ impl GridMapper {
         let mut rng = Rng::seed_from_u64(self.config.seed);
         let MapperWorkspace {
             state: st,
+            layer,
             pending,
             pending_edges,
             still_pending,
             ..
         } = ws;
         st.reset(n, graph);
+        layer.reset(n, width * width);
         pending.clear();
         pending.extend_from_slice(order);
         pending_edges.clear();
@@ -483,11 +483,7 @@ impl GridMapper {
                 grid.set(st.site_of[u.index()], SiteState::Wire(u));
                 st.wire_fusions += 1;
             }
-            // Per-layer attachment budgets (wires and fresh nodes) and
-            // per-site wire pass-through usage.
-            let mut attach_used: HashMap<NodeId, usize> = HashMap::new();
-            let mut wire_pass_used: HashMap<usize, usize> = HashMap::new();
-            let mut placed_this_layer: Vec<NodeId> = Vec::new();
+            layer.open();
             let mut progressed = false;
 
             // --- 1. retry deferred edges --------------------------------
@@ -498,11 +494,9 @@ impl GridMapper {
                     v,
                     &mut grid,
                     st,
-                    &mut attach_used,
-                    &mut wire_pass_used,
+                    layer,
                     (wire_attach_cap, wire_pass_cap, node_arms, route_cap),
                     t,
-                    &placed_this_layer,
                 ) {
                     progressed = true;
                 } else {
@@ -523,17 +517,17 @@ impl GridMapper {
                     u,
                     &mut grid,
                     st,
-                    &mut attach_used,
-                    &mut wire_pass_used,
+                    layer,
                     pending_edges,
                     (wire_attach_cap, wire_pass_cap, node_arms, route_cap),
                     t,
-                    &placed_this_layer,
                     &mut spread_cursor,
                     &mut rng,
                 ) {
                     true => {
-                        placed_this_layer.push(u);
+                        // `u` routed its own edges above on the wire
+                        // budget; from here on it is a fresh node.
+                        layer.mark_placed(u);
                         pending.remove(i);
                         progressed = true;
                         failures = 0;
@@ -548,7 +542,7 @@ impl GridMapper {
             // --- close layer t -------------------------------------------
             // Wire lifecycle: newly placed nodes with open edges start
             // wires; realized-out wires die.
-            for &u in &placed_this_layer {
+            for &u in &layer.placed {
                 if st.open_edges[u.index()] > 0 {
                     st.live_wires.push(u);
                 }
@@ -606,12 +600,10 @@ impl GridMapper {
         u: NodeId,
         grid: &mut LayerGrid,
         st: &mut MapperState,
-        attach_used: &mut HashMap<NodeId, usize>,
-        wire_pass_used: &mut HashMap<usize, usize>,
+        layer: &mut LayerScratch,
         pending_edges: &mut Vec<(NodeId, NodeId)>,
         caps: (usize, usize, usize, usize),
         t: usize,
-        placed_this_layer: &[NodeId],
         spread_cursor: &mut usize,
         rng: &mut Rng,
     ) -> bool {
@@ -661,21 +653,11 @@ impl GridMapper {
         for (v, _) in ordered {
             let arms_for_wire = usize::from(st.open_edges[u.index()] > 1);
             let budget = node_arms.saturating_sub(arms_for_wire);
-            if attach_used.get(&u).copied().unwrap_or(0) >= budget {
+            if layer.attach.get(u.index(), layer.epoch) >= budget {
                 pending_edges.push((u, v));
                 continue;
             }
-            if !Self::try_realize_edge(
-                v,
-                u,
-                grid,
-                st,
-                attach_used,
-                wire_pass_used,
-                caps,
-                t,
-                placed_this_layer,
-            ) {
+            if !Self::try_realize_edge(v, u, grid, st, layer, caps, t) {
                 pending_edges.push((u, v));
             }
         }
@@ -686,17 +668,14 @@ impl GridMapper {
     /// their current sites in the open layer. Returns `true` on success.
     ///
     /// `caps = (wire_attach_cap, wire_pass_cap, node_arms, route_cap)`.
-    #[allow(clippy::too_many_arguments)]
     fn try_realize_edge(
         a: NodeId,
         b: NodeId,
         grid: &mut LayerGrid,
         st: &mut MapperState,
-        attach_used: &mut HashMap<NodeId, usize>,
-        wire_pass_used: &mut HashMap<usize, usize>,
+        layer: &mut LayerScratch,
         caps: (usize, usize, usize, usize),
         t: usize,
-        placed_this_layer: &[NodeId],
     ) -> bool {
         let (wire_attach_cap, wire_pass_cap, node_arms, route_cap) = caps;
         if !st.placed[a.index()] || !st.placed[b.index()] || st.edge_realized(a, b) {
@@ -704,15 +683,13 @@ impl GridMapper {
         }
         // Per-endpoint attachment budget: fresh nodes use their state's
         // arms; wires use the spare photons of this layer's chain state.
-        let budget = |x: NodeId| -> usize {
-            if placed_this_layer.contains(&x) {
+        for x in [a, b] {
+            let budget = if layer.placed_now(x) {
                 node_arms
             } else {
                 wire_attach_cap
-            }
-        };
-        for x in [a, b] {
-            if attach_used.get(&x).copied().unwrap_or(0) >= budget(x) {
+            };
+            if layer.attach.get(x.index(), layer.epoch) >= budget {
                 return false;
             }
         }
@@ -726,18 +703,18 @@ impl GridMapper {
                     // A wire's spare photons can bridge routes through
                     // its site (two spare photons per pass-through).
                     SiteState::Wire(_) => {
-                        wire_pass_cap.saturating_sub(wire_pass_used.get(&s).copied().unwrap_or(0))
+                        wire_pass_cap.saturating_sub(layer.wire_pass.get(s, layer.epoch))
                     }
                     SiteState::Node(_) => 0,
                 }
             };
-            grid.route(sa, sb, capacity_of)
+            grid.route(sa, sb, capacity_of, &mut layer.route)
         };
         let Some(path) = path else {
             return false;
         };
         // Commit the path.
-        for &s in &path {
+        for &s in path {
             match grid.state(s) {
                 SiteState::Free => grid.set(
                     s,
@@ -751,16 +728,14 @@ impl GridMapper {
                         remaining: remaining - 1,
                     },
                 ),
-                SiteState::Wire(_) => {
-                    *wire_pass_used.entry(s).or_insert(0) += 1;
-                }
+                SiteState::Wire(_) => layer.wire_pass.bump(s, layer.epoch),
                 SiteState::Node(_) => unreachable!("route traverses only passable sites"),
             }
         }
-        *attach_used.entry(a).or_insert(0) += 1;
-        *attach_used.entry(b).or_insert(0) += 1;
-        st.mark_edge_realized(a, b);
         st.routing_fusions += path.len();
+        layer.attach.bump(a.index(), layer.epoch);
+        layer.attach.bump(b.index(), layer.epoch);
+        st.mark_edge_realized(a, b);
         st.edge_fusions += 1;
         let (first, second) = if st.layer_of[a.index()] <= st.layer_of[b.index()] {
             (a, b)
@@ -783,6 +758,7 @@ impl GridMapper {
 #[derive(Debug, Default)]
 pub struct MapperWorkspace {
     state: MapperState,
+    layer: LayerScratch,
     pending: Vec<NodeId>,
     pending_edges: Vec<(NodeId, NodeId)>,
     still_pending: Vec<(NodeId, NodeId)>,
@@ -794,6 +770,70 @@ impl MapperWorkspace {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+}
+
+/// Scratch of the open layer: per-node and per-site budgets in dense
+/// tables, valid only when stamped with the layer's epoch, so opening a
+/// layer clears nothing; plus the routing search buffers.
+#[derive(Debug, Default)]
+struct LayerScratch {
+    /// Epoch of the open layer; grows over the workspace's whole life,
+    /// so stamps left by earlier layers and compilations are stale.
+    epoch: u64,
+    /// Per node: attachments used this layer.
+    attach: LayerCounts,
+    /// Per site: wire pass-throughs used this layer.
+    wire_pass: LayerCounts,
+    /// Per node: epoch of the layer it was committed to as a fresh node.
+    placed_at: Vec<u64>,
+    /// Nodes committed to this layer, in placement order.
+    placed: Vec<NodeId>,
+    route: RouteScratch,
+}
+
+impl LayerScratch {
+    fn reset(&mut self, nodes: usize, sites: usize) {
+        self.attach.resize(nodes);
+        self.wire_pass.resize(sites);
+        self.placed_at.resize(nodes, 0);
+    }
+
+    fn open(&mut self) {
+        self.epoch += 1;
+        self.placed.clear();
+    }
+
+    fn mark_placed(&mut self, u: NodeId) {
+        self.placed_at[u.index()] = self.epoch;
+        self.placed.push(u);
+    }
+
+    /// `true` once `x` has been committed to the open layer.
+    fn placed_now(&self, x: NodeId) -> bool {
+        self.placed_at[x.index()] == self.epoch
+    }
+}
+
+/// Dense counters that read as zero unless written in the current epoch.
+#[derive(Debug, Default)]
+struct LayerCounts(Vec<(u64, usize)>);
+
+impl LayerCounts {
+    fn resize(&mut self, len: usize) {
+        self.0.resize(len, (0, 0));
+    }
+
+    fn get(&self, i: usize, epoch: u64) -> usize {
+        match self.0[i] {
+            (e, count) if e == epoch => count,
+            _ => 0,
+        }
+    }
+
+    fn bump(&mut self, i: usize, epoch: u64) {
+        let count = self.get(i, epoch) + 1;
+        self.0[i] = (epoch, count);
     }
 }
 
@@ -1067,7 +1107,8 @@ mod tests {
     #[test]
     fn workspace_reuse_is_bit_identical() {
         // One workspace driven through graphs of different sizes and
-        // shapes must reproduce the fresh-allocation path exactly.
+        // shapes, on grids of different widths, must reproduce the
+        // fresh-allocation path exactly.
         let mut ws = MapperWorkspace::new();
         let graphs = [
             generate::grid_graph(5, 5),
@@ -1075,15 +1116,14 @@ mod tests {
             generate::star_graph(9),
             generate::grid_graph(4, 7),
         ];
-        let mapper = GridMapper::new(CompilerConfig::new(5, ResourceStateKind::FIVE_STAR));
-        for (i, g) in graphs.iter().enumerate() {
-            let order: Vec<NodeId> = g.nodes().collect();
-            let fresh = mapper.compile(g, &order).unwrap();
-            let reused = mapper.compile_with(g, &order, &mut ws).unwrap();
-            assert_eq!(fresh.layer_of, reused.layer_of, "graph {i}");
-            assert_eq!(fresh.site_of, reused.site_of, "graph {i}");
-            assert_eq!(fresh.fusee_pairs, reused.fusee_pairs, "graph {i}");
-            assert_eq!(fresh.fusion_count, reused.fusion_count, "graph {i}");
+        for width in [5, 7, 4] {
+            let mapper = GridMapper::new(CompilerConfig::new(width, ResourceStateKind::FIVE_STAR));
+            for (i, g) in graphs.iter().enumerate() {
+                let order: Vec<NodeId> = g.nodes().collect();
+                let fresh = mapper.compile(g, &order);
+                let reused = mapper.compile_with(g, &order, &mut ws);
+                assert_eq!(fresh, reused, "graph {i} on width {width}");
+            }
         }
     }
 

@@ -12,7 +12,7 @@
 //! * **removees** (Z-measured) contribute nothing — signal shifting
 //!   pushes their dependencies to classical post-processing.
 
-use mbqc_graph::DiGraph;
+use mbqc_graph::{DiGraph, NodeId};
 
 /// Breakdown of the required photon lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -63,11 +63,36 @@ pub fn required_photon_lifetime(
     fusee_pairs: &[(usize, usize)],
     deps: &DiGraph,
 ) -> LifetimeReport {
+    let order = deps.topological_sort().expect("dependency graph is cyclic");
+    required_photon_lifetime_in_order(times, fusee_pairs, deps, &order)
+}
+
+/// [`required_photon_lifetime`] over a caller-supplied topological order
+/// of `deps`, for callers that evaluate many time tables against one
+/// DAG (BDIR's annealing loop): the order is computed once instead of
+/// per evaluation.
+///
+/// `MTime` is a longest-path recurrence, so every topological order of
+/// `deps` yields the same report.
+///
+/// # Panics
+///
+/// Panics if `deps` or `order` has a different node count than `times`.
+/// Debug builds also panic if `order` visits a node before one of its
+/// parents.
+#[must_use]
+pub fn required_photon_lifetime_in_order(
+    times: &[usize],
+    fusee_pairs: &[(usize, usize)],
+    deps: &DiGraph,
+    order: &[NodeId],
+) -> LifetimeReport {
     assert_eq!(
         deps.node_count(),
         times.len(),
         "dependency graph and time table disagree"
     );
+    assert_eq!(order.len(), times.len(), "order and time table disagree");
     // Part 1: fusee lifetime.
     let fusee = fusee_pairs
         .iter()
@@ -78,12 +103,13 @@ pub fn required_photon_lifetime(
     // Part 2: measuree lifetime. MTime[u] = LayerIndex(u) + 1 (photon
     // reaches the measurement device one cycle after generation), pushed
     // later by parents' MTime + 1 (one cycle to compute the basis).
-    let order = deps.topological_sort().expect("dependency graph is cyclic");
     let mut mtime = vec![0usize; times.len()];
     let mut measuree = 0usize;
-    for u in order {
+    for &u in order {
         let mut m = times[u.index()] + 1;
         for &p in deps.predecessors(u) {
+            // MTime is at least 1 once computed.
+            debug_assert!(mtime[p.index()] > 0, "order is not topological");
             m = m.max(mtime[p.index()] + 1);
         }
         mtime[u.index()] = m;
@@ -95,7 +121,6 @@ pub fn required_photon_lifetime(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mbqc_graph::NodeId;
 
     fn chain_deps(n: usize) -> DiGraph {
         let mut d = DiGraph::with_nodes(n);
@@ -171,6 +196,71 @@ mod tests {
         let a = required_photon_lifetime(&[0, 4, 5], &[(0, 4), (4, 5)], &d);
         let b = required_photon_lifetime(&[100, 104, 105], &[(100, 104), (104, 105)], &d);
         assert_eq!(a, b);
+    }
+
+    /// Kahn's algorithm popping the largest ready index first: a valid
+    /// topological order that differs from `DiGraph::topological_sort`'s
+    /// smallest-first one on almost every DAG with branching.
+    fn max_index_kahn_order(d: &DiGraph) -> Vec<NodeId> {
+        let mut in_deg: Vec<usize> = d.nodes().map(|u| d.predecessors(u).len()).collect();
+        let mut ready: std::collections::BinaryHeap<usize> =
+            (0..d.node_count()).filter(|&i| in_deg[i] == 0).collect();
+        let mut order = Vec::with_capacity(d.node_count());
+        while let Some(i) = ready.pop() {
+            order.push(NodeId::new(i));
+            for &s in d.successors(NodeId::new(i)) {
+                in_deg[s.index()] -= 1;
+                if in_deg[s.index()] == 0 {
+                    ready.push(s.index());
+                }
+            }
+        }
+        assert_eq!(order.len(), d.node_count(), "test DAG is acyclic");
+        order
+    }
+
+    /// MTime is a longest-path recurrence, so Algorithm 1 must not depend
+    /// on which topological order it sweeps — the invariant that lets
+    /// BDIR compute the order once and reuse it for every evaluation.
+    #[test]
+    fn lifetime_is_independent_of_topological_order() {
+        let mut rng = mbqc_util::Rng::seed_from_u64(7);
+        let mut distinct_orders = 0;
+        for _ in 0..200 {
+            let n = rng.range_between(1, 40);
+            // Edges follow a random rank permutation, so node indices do
+            // not already form a topological order.
+            let mut rank: Vec<usize> = (0..n).collect();
+            rng.shuffle(&mut rank);
+            let mut d = DiGraph::with_nodes(n);
+            for i in 0..n {
+                for j in i + 1..n {
+                    if rng.bernoulli(0.15) {
+                        d.add_edge(NodeId::new(rank[i]), NodeId::new(rank[j]));
+                    }
+                }
+            }
+            let times: Vec<usize> = (0..n).map(|_| rng.range(12)).collect();
+            let pairs: Vec<(usize, usize)> = (0..rng.range(n + 1))
+                .map(|_| (times[rng.range(n)], times[rng.range(n)]))
+                .collect();
+            let expected = required_photon_lifetime(&times, &pairs, &d);
+            let min_order = d.topological_sort().unwrap();
+            let max_order = max_index_kahn_order(&d);
+            distinct_orders += usize::from(min_order != max_order);
+            assert_eq!(
+                required_photon_lifetime_in_order(&times, &pairs, &d, &min_order),
+                expected
+            );
+            assert_eq!(
+                required_photon_lifetime_in_order(&times, &pairs, &d, &max_order),
+                expected
+            );
+        }
+        assert!(
+            distinct_orders > 100,
+            "only {distinct_orders} DAGs had two orders"
+        );
     }
 
     #[test]

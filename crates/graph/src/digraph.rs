@@ -143,12 +143,15 @@ impl DiGraph {
     /// graph contains a cycle.
     ///
     /// Ties are broken by node index, so the order is deterministic.
+    ///
+    /// Costs O(E + V log V) and allocates. Callers that sweep the same DAG
+    /// repeatedly (an optimisation loop re-evaluating Algorithm 1) should
+    /// sort once and reuse the order.
     #[must_use]
     pub fn topological_sort(&self) -> Option<Vec<NodeId>> {
         let n = self.node_count();
         let mut in_deg: Vec<usize> = (0..n).map(|i| self.pred[i].len()).collect();
-        // Min-index-first queue keeps the order deterministic; a BinaryHeap
-        // over Reverse(index) gives O(E log V) which is fine at our sizes.
+        // Min-index-first queue keeps the order deterministic.
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
         let mut ready: BinaryHeap<Reverse<usize>> =

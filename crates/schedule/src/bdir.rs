@@ -7,7 +7,13 @@
 //! anchors: fusion partners, attached sync tasks, dependency parents),
 //! and `PinAndReschedule` pins the task there and rebuilds the rest of
 //! the schedule with start-time-preserving priorities.
+//!
+//! Cost per iteration: one list schedule and one evaluation of the
+//! neighbour (the current schedule's cost carries over). The dependency
+//! DAG's topological order is computed once per [`bdir`] call and shared
+//! by `FindBottleneckTask` and every evaluation.
 
+use mbqc_graph::NodeId;
 use mbqc_util::Rng;
 
 use crate::list::{list_schedule_with, priorities_from_schedule, ScheduleWorkspace};
@@ -41,6 +47,10 @@ impl Default for BdirConfig {
 /// Runs BDIR starting from `init` (typically a list schedule). Returns
 /// the best feasible schedule found.
 ///
+/// Each iteration costs one list schedule (`PinAndReschedule`) and one
+/// evaluation of the neighbour; the dependency DAG is sorted once per
+/// call.
+///
 /// # Panics
 ///
 /// Panics if `init` does not match the problem shape.
@@ -63,26 +73,29 @@ pub fn bdir_with(
     config: &BdirConfig,
     ws: &mut ScheduleWorkspace,
 ) -> Schedule {
+    // The DAG never changes within a call, and MTime is a longest-path
+    // recurrence: any topological order gives the same costs.
+    let order = p.dep_order();
     let mut rng = Rng::seed_from_u64(config.seed);
     let mut current = init.clone();
+    let mut c_current = p.evaluate_in_order(&current, &order).objective();
     let mut best = init.clone();
-    let mut c_best = p.evaluate(&best).objective();
+    let mut c_best = c_current;
     let mut temp = config.t0;
 
     for _ in 0..config.max_iters {
-        let Some(neighbor) = generate_neighbor(p, &current, ws) else {
+        let Some(neighbor) = generate_neighbor(p, &current, &order, ws) else {
             break; // no bottleneck to move (objective already 0)
         };
-        let c_current = p.evaluate(&current).objective();
-        let c_new = p.evaluate(&neighbor).objective();
+        let c_new = p.evaluate_in_order(&neighbor, &order).objective();
         let delta = c_new as f64 - c_current as f64;
         if delta <= 0.0 || rng.next_f64() < (-delta / temp.max(1e-9)).exp() {
             current = neighbor;
+            c_current = c_new;
         }
-        let c_cur = p.evaluate(&current).objective();
-        if c_cur < c_best {
+        if c_current < c_best {
             best = current.clone();
-            c_best = c_cur;
+            c_best = c_current;
         }
         temp *= config.cooling;
     }
@@ -95,9 +108,10 @@ pub fn bdir_with(
 fn generate_neighbor(
     p: &LayerScheduleProblem,
     current: &Schedule,
+    order: &[NodeId],
     ws: &mut ScheduleWorkspace,
 ) -> Option<Schedule> {
-    let (task, anchors) = find_bottleneck_task(p, current)?;
+    let (task, anchors) = find_bottleneck_task(p, current, order)?;
     let t = calculate_balance_point(&task, &anchors);
     Some(list_schedule_with(
         p,
@@ -109,11 +123,17 @@ fn generate_neighbor(
 
 /// `FindBottleneckTask`: identifies the task behind the current maximum
 /// lifetime term, together with the anchor times that pull on it.
+/// `order` is a topological order of the dependency DAG
+/// ([`LayerScheduleProblem::dep_order`]).
 ///
 /// Two passes: a cheap scan finds the maximum cost term; anchors are
 /// then gathered only for the single winning task (keeping each BDIR
 /// iteration linear in the problem size).
-fn find_bottleneck_task(p: &LayerScheduleProblem, s: &Schedule) -> Option<(TaskRef, Vec<usize>)> {
+fn find_bottleneck_task(
+    p: &LayerScheduleProblem,
+    s: &Schedule,
+    order: &[NodeId],
+) -> Option<(TaskRef, Vec<usize>)> {
     // (cost, task, fallback anchor)
     let mut best: Option<(usize, TaskRef, usize)> = None;
     let mut consider = |cost: usize, task: TaskRef, fallback: usize| {
@@ -135,12 +155,14 @@ fn find_bottleneck_task(p: &LayerScheduleProblem, s: &Schedule) -> Option<(TaskR
     }
 
     // Local terms need node-level structure.
-    if let Some(local) = &p.local {
-        let times: Vec<usize> = local
+    let times: Vec<usize> = p.local.as_ref().map_or_else(Vec::new, |local| {
+        local
             .node_slot
             .iter()
             .map(|&(q, j)| s.main_start[q][j])
-            .collect();
+            .collect()
+    });
+    if let Some(local) = &p.local {
         // Fusee spans: bottleneck is the later endpoint's main task.
         for &(u, v) in &local.fusee_pairs {
             let span = times[u].abs_diff(times[v]);
@@ -149,9 +171,8 @@ fn find_bottleneck_task(p: &LayerScheduleProblem, s: &Schedule) -> Option<(TaskR
             consider(span, TaskRef::Main(slot.0, slot.1), times[other]);
         }
         // Measuree waits: MTime sweep (Algorithm 1 Part 2).
-        let order = local.deps.topological_sort().expect("dependency cycle");
         let mut mtime = vec![0usize; times.len()];
-        for u in order {
+        for &u in order {
             let mut m = times[u.index()] + 1;
             for &q in local.deps.predecessors(u) {
                 m = m.max(mtime[q.index()] + 1);
@@ -168,7 +189,7 @@ fn find_bottleneck_task(p: &LayerScheduleProblem, s: &Schedule) -> Option<(TaskR
             // shrinks the wait: anchor at the latest parent MTime.
             let parent_anchor = local
                 .deps
-                .predecessors(mbqc_graph::NodeId::new(u))
+                .predecessors(NodeId::new(u))
                 .iter()
                 .map(|&q| mtime[q.index()])
                 .max()
@@ -180,11 +201,6 @@ fn find_bottleneck_task(p: &LayerScheduleProblem, s: &Schedule) -> Option<(TaskR
     let (_, task, fallback) = best?;
     let anchors = match (task, &p.local) {
         (TaskRef::Main(i, j), Some(local)) => {
-            let times: Vec<usize> = local
-                .node_slot
-                .iter()
-                .map(|&(q, l)| s.main_start[q][l])
-                .collect();
             anchors_or(anchors_of_main(p, local, &times, (i, j), s), fallback)
         }
         _ => vec![fallback],
@@ -242,7 +258,7 @@ mod tests {
     use super::*;
     use crate::list::{default_priorities, list_schedule};
     use crate::problem::{LocalStructure, SyncTask};
-    use mbqc_graph::{DiGraph, NodeId};
+    use mbqc_graph::DiGraph;
 
     /// Two QPUs, 6 main layers each; one sync ties the *first* layer of
     /// QPU 0 to the *last* layer of QPU 1 — list scheduling leaves a
@@ -321,6 +337,71 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// A random problem with node-level structure: 2–4 QPUs, random
+    /// sync tasks, node slots, fusee pairs and a random dependency DAG
+    /// whose node indices are not a topological order.
+    fn random_local_problem(rng: &mut Rng) -> LayerScheduleProblem {
+        let qpus = rng.range_between(2, 5);
+        let main_counts: Vec<usize> = (0..qpus).map(|_| rng.range_between(1, 9)).collect();
+        let slot = |rng: &mut Rng, q: usize| (q, rng.range(main_counts[q]));
+        let sync_tasks: Vec<SyncTask> = (0..rng.range(2 * qpus + 1))
+            .map(|_| {
+                let qa = rng.range(qpus);
+                let qb = (qa + rng.range_between(1, qpus)) % qpus;
+                SyncTask {
+                    a: slot(rng, qa),
+                    b: slot(rng, qb),
+                }
+            })
+            .collect();
+        let n = rng.range_between(1, 30);
+        let node_slot: Vec<(usize, usize)> = (0..n)
+            .map(|_| {
+                let q = rng.range(qpus);
+                slot(rng, q)
+            })
+            .collect();
+        let fusee_pairs: Vec<(usize, usize)> = (0..rng.range(n + 1))
+            .map(|_| (rng.range(n), rng.range(n)))
+            .collect();
+        let mut rank: Vec<usize> = (0..n).collect();
+        rng.shuffle(&mut rank);
+        let mut deps = DiGraph::with_nodes(n);
+        for i in 0..n {
+            for j in i + 1..n {
+                if rng.bernoulli(0.1) {
+                    deps.add_edge(NodeId::new(rank[i]), NodeId::new(rank[j]));
+                }
+            }
+        }
+        let kmax = rng.range_between(1, 5);
+        LayerScheduleProblem::new(main_counts, sync_tasks, kmax).with_local(LocalStructure {
+            node_slot,
+            fusee_pairs,
+            deps,
+        })
+    }
+
+    #[test]
+    fn bdir_on_random_local_problems_is_feasible_monotone_and_deterministic() {
+        let mut rng = Rng::seed_from_u64(11);
+        for case in 0..150 {
+            let p = random_local_problem(&mut rng);
+            let init = list_schedule(&p, &default_priorities(&p), None);
+            let config = BdirConfig {
+                seed: rng.next_u64(),
+                ..BdirConfig::default()
+            };
+            let refined = bdir(&p, &init, &config);
+            assert!(p.is_feasible(&refined), "case {case}: infeasible");
+            assert!(
+                p.evaluate(&refined).objective() <= p.evaluate(&init).objective(),
+                "case {case}: BDIR regressed"
+            );
+            assert_eq!(refined, bdir(&p, &init, &config), "case {case}");
+        }
+    }
+
     #[test]
     fn balance_point_midpoint_and_clamp() {
         assert_eq!(calculate_balance_point(&TaskRef::Sync(0), &[2, 10]), 6);
@@ -339,7 +420,7 @@ mod tests {
             deps,
         });
         let s = list_schedule(&p, &default_priorities(&p), None);
-        let (task, anchors) = find_bottleneck_task(&p, &s).unwrap();
+        let (task, anchors) = find_bottleneck_task(&p, &s, &p.dep_order()).unwrap();
         assert!(matches!(task, TaskRef::Main(1, 9)));
         assert!(!anchors.is_empty());
     }
