@@ -11,10 +11,8 @@ use mbqc_circuit::bench::{self, BenchmarkKind};
 use mbqc_compiler::{CompilerConfig, GridMapper};
 use mbqc_graph::generate;
 use mbqc_hardware::ResourceStateKind;
-use mbqc_partition::coarsen::{heavy_edge_matching, heavy_edge_matching_reference};
-use mbqc_partition::{
-    adaptive_partition, multilevel_kway, reference as partition_ref, AdaptiveConfig, KwayConfig,
-};
+use mbqc_partition::coarsen::heavy_edge_matching;
+use mbqc_partition::{adaptive_partition, multilevel_kway, AdaptiveConfig, KwayConfig};
 use mbqc_pattern::transpile::transpile;
 use mbqc_schedule::{bdir, default_priorities, list_schedule, BdirConfig};
 use mbqc_sim::stabilizer::Tableau;
@@ -39,16 +37,11 @@ fn bench_partition(c: &mut Criterion) {
     group.bench_function("kway_qft36_k4", |b| {
         b.iter(|| multilevel_kway(&graph, &KwayConfig::new(4)));
     });
-    // Pre-optimization adjacency-list path, kept for speedup tracking.
-    group.bench_function("kway_qft36_k4_reference", |b| {
-        b.iter(|| partition_ref::multilevel_kway(&graph, &KwayConfig::new(4)));
-    });
     group.bench_function("adaptive_qft36_k4", |b| {
         b.iter(|| adaptive_partition(&graph, &AdaptiveConfig::new(4)));
     });
     // One heavy-edge matching round in isolation on a 360k-node grid
-    // (above the adaptive threshold): the word-parallel bitset branch
-    // vs. the preserved Option-probe scalar pass.
+    // (above the adaptive threshold, so the word-parallel bitset branch).
     let big = generate::grid_graph(600, 600);
     let csr = mbqc_graph::CsrGraph::from_graph(&big);
     let mut order: Vec<usize> = (0..big.node_count()).collect();
@@ -57,10 +50,6 @@ fn bench_partition(c: &mut Criterion) {
         let mut mate = Vec::new();
         let mut unmatched = Vec::new();
         b.iter(|| heavy_edge_matching(&csr, &order, &mut mate, &mut unmatched));
-    });
-    group.bench_function("matching_grid600_reference", |b| {
-        let mut mate = Vec::new();
-        b.iter(|| heavy_edge_matching_reference(&csr, &order, &mut mate));
     });
     group.finish();
 }
@@ -79,13 +68,6 @@ fn bench_refine(c: &mut Criterion) {
             let mut p = p0.clone();
             let mut r = Rng::seed_from_u64(7);
             mbqc_partition::refine::refine_csr(&csr, &mut p, bound, 8, &mut r)
-        });
-    });
-    group.bench_function("reference_qft36_k4", |b| {
-        b.iter(|| {
-            let mut p = p0.clone();
-            let mut r = Rng::seed_from_u64(7);
-            partition_ref::refine(&graph, &mut p, bound, 8, &mut r)
         });
     });
     group.finish();

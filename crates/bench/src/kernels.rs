@@ -11,12 +11,10 @@ use std::time::Instant;
 
 use dc_mbqc::{DcMbqcCompiler, DcMbqcConfig, DistributedSchedule, ScheduledView};
 use mbqc_circuit::{bench, Circuit};
-use mbqc_graph::{generate, CsrGraph, NodeId};
+use mbqc_graph::{generate, NodeId};
 use mbqc_hardware::{DistributedHardware, ResourceStateKind};
 use mbqc_net::{Client, Server, WireJobOptions};
-use mbqc_partition::coarsen::{heavy_edge_matching, heavy_edge_matching_reference};
-use mbqc_partition::refine::refine_csr;
-use mbqc_partition::{reference as partition_ref, KwayConfig, Partition};
+use mbqc_partition::KwayConfig;
 use mbqc_pattern::transpile::transpile;
 use mbqc_service::{
     ArtifactKey, ArtifactStore, CompileService, PipelineStage, ServiceConfig, StoreConfig,
@@ -84,93 +82,6 @@ fn measure_pair<A: FnMut(), B: FnMut()>(mut base: A, mut opt: B, reps: usize) ->
 #[must_use]
 pub fn measure_kernels(reps: usize) -> Vec<KernelResult> {
     let mut results = Vec::new();
-
-    // Partition: multilevel k-way on the QFT-36 computation graph, the
-    // Figure 10 partitioning workload.
-    let pattern = transpile(&bench::qft(36));
-    let graph = pattern.graph().clone();
-    {
-        let cfg = KwayConfig::new(4);
-        let (baseline_ns, optimized_ns) = measure_pair(
-            || {
-                std::hint::black_box(partition_ref::multilevel_kway(&graph, &cfg));
-            },
-            || {
-                std::hint::black_box(mbqc_partition::multilevel_kway(&graph, &cfg));
-            },
-            reps,
-        );
-        results.push(KernelResult {
-            name: "partition/kway_qft36_k4",
-            baseline_ns,
-            optimized_ns,
-        });
-    }
-
-    // Refinement in isolation: the incremental-gain hot path against the
-    // recompute-per-visit reference, from the same random partition.
-    {
-        let csr = CsrGraph::from_graph(&graph);
-        let n = graph.node_count();
-        let bound = graph.total_node_weight() / 4 + n as i64 / 8;
-        let mut rng = Rng::seed_from_u64(3);
-        let p0 = Partition::new((0..n).map(|_| rng.range(4)).collect(), 4);
-        let (baseline_ns, optimized_ns) = measure_pair(
-            || {
-                let mut p = p0.clone();
-                let mut r = Rng::seed_from_u64(7);
-                std::hint::black_box(partition_ref::refine(&graph, &mut p, bound, 8, &mut r));
-            },
-            || {
-                let mut p = p0.clone();
-                let mut r = Rng::seed_from_u64(7);
-                std::hint::black_box(refine_csr(&csr, &mut p, bound, 8, &mut r));
-            },
-            reps,
-        );
-        results.push(KernelResult {
-            name: "partition/refine_qft36_k4",
-            baseline_ns,
-            optimized_ns,
-        });
-    }
-
-    // Matching in isolation: one heavy-edge matching round over a
-    // 600×600 grid (360k nodes — above the adaptive threshold, so the
-    // public entry takes the word-parallel bitset branch) vs. the
-    // Option-probe scalar reference, identical visit order and
-    // identical mates. Small levels (like QFT-36's) take the scalar
-    // branch, where the two sides are the same algorithm.
-    {
-        let big = generate::grid_graph(600, 600);
-        let csr = CsrGraph::from_graph(&big);
-        let n = big.node_count();
-        let mut order: Vec<usize> = (0..n).collect();
-        let mut rng = Rng::seed_from_u64(11);
-        rng.shuffle(&mut order);
-        let mut mate_ref: Vec<Option<NodeId>> = Vec::new();
-        let mut mate_opt: Vec<Option<NodeId>> = Vec::new();
-        let mut unmatched: Vec<u64> = Vec::new();
-        let (baseline_ns, optimized_ns) = measure_pair(
-            || {
-                std::hint::black_box(heavy_edge_matching_reference(&csr, &order, &mut mate_ref));
-            },
-            || {
-                std::hint::black_box(heavy_edge_matching(
-                    &csr,
-                    &order,
-                    &mut mate_opt,
-                    &mut unmatched,
-                ));
-            },
-            reps,
-        );
-        results.push(KernelResult {
-            name: "partition/matching_grid600",
-            baseline_ns,
-            optimized_ns,
-        });
-    }
 
     // Tableau row products: folding 342 graph-state stabilizers of a
     // 1024-photon grid into one Pauli — pure word-wise row operations.
@@ -298,8 +209,10 @@ pub fn measure_kernels(reps: usize) -> Vec<KernelResult> {
 
     // End-to-end: the Algorithm-2 restart probes with one worker vs.
     // one worker per core (bit-identical partitions either way; the
-    // speedup is bounded by the core count — ~1.0× on a 1-core box).
+    // speedup is bounded by the core count — ~1.0× on a 1-core box) on
+    // the QFT-36 computation graph, the Figure 10 partitioning workload.
     {
+        let graph = transpile(&bench::qft(36)).graph().clone();
         let cfg = KwayConfig::new(4).with_initial_restarts(16);
         let (baseline_ns, optimized_ns) = measure_pair(
             || {

@@ -131,9 +131,8 @@ impl CsrGraph {
 
     /// Builds a CSR graph directly from its raw arrays — the
     /// zero-copy constructor for graph-contraction passes that
-    /// assemble the flat arrays themselves (e.g. the coarsening
-    /// rebuild that runs when the `reference-impls` oracle is compiled
-    /// out and no insertion order has to be mirrored).
+    /// assemble the flat arrays themselves (e.g. the partitioner's
+    /// coarse-graph rebuild).
     ///
     /// `offsets[u]..offsets[u+1]` must bound node `u`'s adjacency
     /// slice in `neighbors`/`weights`, and each undirected edge must

@@ -55,7 +55,7 @@
 //! | 1      | `Compile`       | `Failed`       | rendered error     |
 //! | 2      | `Cancelled`     | `Cancelled`    | job id             |
 //! | 3      | `Expired`       | `Expired`      | job id             |
-//! | 4      | `Internal`      | `Failed`       | stage? + message   |
+//! | 4      | `Internal`      | `Failed`       | stage + message    |
 //! | 5      | `UnknownJob`    | —              | job id             |
 //!
 //! Admission rejections (`Rejected`) use their own statuses: 0

@@ -357,8 +357,8 @@ pub enum WireOutcome {
     Expired(u64),
     /// Status 4: terminal `Failed` by a worker panic.
     Internal {
-        /// The panicking stage, when attributable.
-        stage: Option<StageKind>,
+        /// The pipeline stage whose task panicked.
+        stage: StageKind,
         /// Rendered panic payload.
         message: String,
     },
@@ -418,13 +418,10 @@ impl WireOutcome {
             }
             WireOutcome::Internal { stage, message } => {
                 e.u8(4);
-                match stage {
-                    Some(s) => {
-                        e.bool(true);
-                        e.u8(stage_kind_tag(*s));
-                    }
-                    None => e.bool(false),
-                }
+                // Stage-present flag, always set; decode rejects a
+                // frame with it clear.
+                e.bool(true);
+                e.u8(stage_kind_tag(*stage));
                 string(e, message);
             }
             WireOutcome::UnknownJob(id) => {
@@ -448,13 +445,11 @@ impl WireOutcome {
             2 => WireOutcome::Cancelled(d.u64()?),
             3 => WireOutcome::Expired(d.u64()?),
             4 => {
-                let stage = if d.bool()? {
-                    Some(stage_kind_from(d.u8()?)?)
-                } else {
-                    None
-                };
+                if !d.bool()? {
+                    return Err(CodecError::Invalid("internal outcome without a stage"));
+                }
                 WireOutcome::Internal {
-                    stage,
+                    stage: stage_kind_from(d.u8()?)?,
                     message: string_from(d)?,
                 }
             }
@@ -1036,11 +1031,7 @@ mod tests {
             Response::Outcome(WireOutcome::UnknownJob(5)),
             Response::Outcome(WireOutcome::Compile("k too large".into())),
             Response::Outcome(WireOutcome::Internal {
-                stage: Some(StageKind::Map),
-                message: "boom".into(),
-            }),
-            Response::Outcome(WireOutcome::Internal {
-                stage: None,
+                stage: StageKind::Map,
                 message: "boom".into(),
             }),
             Response::Pending,

@@ -1,122 +1,24 @@
 //! Multilevel coarsening via heavy-edge matching (Karypis–Kumar).
 //!
-//! Two parallel implementations live here: the original [`Graph`]-based
-//! one (kept for its tests and for callers holding a mutable graph), and
-//! the CSR-native one the multilevel driver uses. Both produce identical
-//! hierarchies for the same RNG: matching visits nodes in the same order,
-//! and the coarse adjacency lists replicate the first-encounter insertion
-//! order of `Graph::add_edge_weighted`. The CSR path fuses the visit-order
-//! construction (shuffle, per-node key build, stable descending sort)
-//! into a single pass over the candidate edges plus the Fisher–Yates
-//! walk itself — pinned bit-identical to the separate-pass formulation.
+//! The multilevel driver coarsens frozen [`CsrGraph`]s through one
+//! entry point, [`coarsen_to_csr`] (or [`coarsen_to_csr_with`] with a
+//! reusable [`CoarsenWorkspace`]). Each round visits nodes by
+//! decreasing heaviest incident edge (random tie-break), pairs every
+//! unmatched node with its heaviest unmatched neighbor
+//! ([`heavy_edge_matching`]), and rebuilds the coarse graph with each
+//! node's neighbors in first-encounter order of the fine-edge scan —
+//! the order an adjacency-list graph gets from repeated
+//! `Graph::add_edge_weighted` calls. Neighbor order feeds downstream
+//! random tie-breaks, so that one rebuild fixes every partition; the
+//! adjacency-list oracle in this crate's `tests/common` pins it level
+//! by level. The visit-order construction (shuffle, per-node key build,
+//! stable descending sort) is fused into a single pass over the
+//! candidate edges plus the Fisher–Yates walk itself.
 
-use mbqc_graph::{CsrGraph, Graph, NodeId};
+use mbqc_graph::{CsrGraph, NodeId};
 use mbqc_util::Rng;
 
 /// One level of the coarsening hierarchy.
-#[derive(Debug, Clone)]
-pub struct CoarseLevel {
-    /// The coarser graph (node weights are sums, edge weights merge).
-    pub graph: Graph,
-    /// Mapping fine node → coarse node.
-    pub map: Vec<NodeId>,
-}
-
-/// Performs one round of heavy-edge matching: visits nodes in order of
-/// decreasing heaviest incident edge (random tie-break), matching each
-/// unmatched node with its unmatched neighbor of maximum edge weight;
-/// matched pairs collapse into one coarse node.
-///
-/// Returns `None` when no edge could be matched (the graph cannot shrink
-/// further this way).
-#[must_use]
-pub fn coarsen_once(g: &Graph, rng: &mut Rng) -> Option<CoarseLevel> {
-    let n = g.node_count();
-    let mut order: Vec<usize> = (0..n).collect();
-    rng.shuffle(&mut order);
-    // Heaviest-incident-edge-first visiting makes heavy edges reliably
-    // collapse (the property that gives HEM its name and quality).
-    let key: Vec<i64> = (0..n)
-        .map(|i| {
-            g.neighbors_weighted(NodeId::new(i))
-                .iter()
-                .map(|&(_, w)| w)
-                .max()
-                .unwrap_or(0)
-        })
-        .collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(key[i]));
-    let mut mate: Vec<Option<NodeId>> = vec![None; n];
-    let mut matched_any = false;
-    for &i in &order {
-        let u = NodeId::new(i);
-        if mate[i].is_some() {
-            continue;
-        }
-        let best = g
-            .neighbors_weighted(u)
-            .iter()
-            .filter(|(v, _)| mate[v.index()].is_none() && *v != u)
-            .max_by_key(|(v, w)| (*w, std::cmp::Reverse(v.index())));
-        if let Some(&(v, _)) = best {
-            mate[i] = Some(v);
-            mate[v.index()] = Some(u);
-            matched_any = true;
-        }
-    }
-    if !matched_any {
-        return None;
-    }
-    // Assign coarse ids: the lower-index endpoint of each pair owns it.
-    let mut map = vec![NodeId::new(0); n];
-    let mut coarse = Graph::new();
-    for i in 0..n {
-        let u = NodeId::new(i);
-        match mate[i] {
-            Some(v) if v.index() < i => {
-                map[i] = map[v.index()]; // already created by the partner
-            }
-            Some(v) => {
-                let id = coarse.add_node_weighted(g.node_weight(u) + g.node_weight(v));
-                map[i] = id;
-            }
-            None => {
-                let id = coarse.add_node_weighted(g.node_weight(u));
-                map[i] = id;
-            }
-        }
-    }
-    for (a, b, w) in g.edges() {
-        let (ca, cb) = (map[a.index()], map[b.index()]);
-        if ca != cb {
-            coarse.add_edge_weighted(ca, cb, w);
-        }
-    }
-    Some(CoarseLevel { graph: coarse, map })
-}
-
-/// Coarsens until the graph has at most `target_nodes` nodes or no round
-/// shrinks it by at least ~10%. Returns the hierarchy from finest to
-/// coarsest (empty if the input is already small enough).
-#[must_use]
-pub fn coarsen_to(g: &Graph, target_nodes: usize, rng: &mut Rng) -> Vec<CoarseLevel> {
-    let mut levels: Vec<CoarseLevel> = Vec::new();
-    let mut current = g.clone();
-    while current.node_count() > target_nodes {
-        let Some(level) = coarsen_once(&current, rng) else {
-            break;
-        };
-        let shrink = level.graph.node_count() as f64 / current.node_count() as f64;
-        current = level.graph.clone();
-        levels.push(level);
-        if shrink > 0.9 {
-            break; // diminishing returns (e.g. star graphs)
-        }
-    }
-    levels
-}
-
-/// One level of the CSR coarsening hierarchy.
 #[derive(Debug, Clone)]
 pub struct CsrLevel {
     /// The coarser graph (node weights are sums, edge weights merge).
@@ -127,46 +29,28 @@ pub struct CsrLevel {
 
 /// How the coarse graph's adjacency is rebuilt after matching.
 ///
-/// The two strategies produce the same coarse *edge set* with the same
-/// merged weights; they differ only in per-node neighbor order, which
-/// downstream random tie-breaks observe — so each is deterministic,
-/// but they yield different (equal-quality) partitions.
+/// There is one rebuild, so nothing takes this as a parameter. The
+/// type is kept only because the `perfbench` results header prints
+/// [`CoarseRebuild::default_mode`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoarseRebuild {
     /// Replicate the first-encounter insertion order of
-    /// `Graph::add_edge_weighted` with a hash-free bucket scatter —
-    /// the order the `reference-impls` oracle produces, kept so the
-    /// CSR hierarchy stays bit-identical to the adjacency-list
-    /// reference.
+    /// `Graph::add_edge_weighted` with a hash-free bucket scatter.
     MirrorInsertion,
-    /// Contract per coarse node: walk each coarse node's (at most two)
-    /// fine members and accumulate their neighbors with a flat marker
-    /// array, emitting the CSR arrays directly. No global dedup hash
-    /// table, no second counting pass — the cheaper rebuild used when
-    /// the oracle is compiled out and there is no insertion order left
-    /// to mirror.
-    Contracted,
 }
 
 impl CoarseRebuild {
-    /// The build's default strategy: mirror the oracle's insertion
-    /// order while `reference-impls` is compiled in (the equivalence
-    /// proptests pin against it), contract directly once it is not.
+    /// The rebuild every coarsening round uses.
     #[must_use]
     pub fn default_mode() -> Self {
-        if cfg!(feature = "reference-impls") {
-            CoarseRebuild::MirrorInsertion
-        } else {
-            CoarseRebuild::Contracted
-        }
+        CoarseRebuild::MirrorInsertion
     }
 }
 
-/// Reusable scratch for the CSR coarsening hot path: the matching
-/// buffers, the rebuild scatter arrays, and the contraction marker
-/// arrays survive across levels and across whole partitioning calls,
-/// so repeated compilations stop re-allocating the coarsening
-/// hierarchy machinery.
+/// Reusable scratch for the coarsening hot path: the matching buffers
+/// and the rebuild scatter arrays survive across levels and across
+/// whole partitioning calls, so repeated compilations stop
+/// re-allocating the coarsening hierarchy machinery.
 #[derive(Debug, Default)]
 pub struct CoarsenWorkspace {
     order: Vec<usize>,
@@ -177,18 +61,15 @@ pub struct CoarsenWorkspace {
     unmatched: Vec<u64>,
     counts: Vec<u32>,
     sorted: Vec<usize>,
-    /// Mirrored-rebuild scratch: surviving coarse edges `(ca, cb, w)` in
+    /// Rebuild scratch: surviving coarse edges `(ca, cb, w)` in
     /// fine-scan order.
     pairs: Vec<(u32, u32, i64)>,
-    /// Mirrored-rebuild scratch: per-coarse-node bucket cursors.
+    /// Rebuild scratch: per-coarse-node bucket cursors.
     cursor: Vec<u32>,
-    /// Mirrored-rebuild scratch: scattered half-edge targets.
+    /// Rebuild scratch: scattered half-edge targets.
     half_nb: Vec<u32>,
-    /// Mirrored-rebuild scratch: scattered half-edge weights.
+    /// Rebuild scratch: scattered half-edge weights.
     half_w: Vec<i64>,
-    /// Per-coarse-node fine members `(a, b)` (`b == u32::MAX` for
-    /// singletons), rebuilt every round.
-    fine_of: Vec<(u32, u32)>,
     /// Rebuild scratch: per-coarse-node last-visitor stamp.
     mark: Vec<u32>,
     /// Rebuild scratch: coarse neighbor → adjacency slot.
@@ -203,39 +84,10 @@ impl CoarsenWorkspace {
     }
 }
 
-/// CSR-native [`coarsen_once`]: one round of heavy-edge matching on a
-/// frozen graph. Identical matching decisions to the `Graph` version for
-/// the same RNG state.
-///
-/// Returns `None` when no edge could be matched.
-#[must_use]
-pub fn coarsen_once_csr(g: &CsrGraph, rng: &mut Rng) -> Option<CsrLevel> {
-    coarsen_once_csr_with(g, rng, &mut CoarsenWorkspace::new())
-}
-
-/// [`coarsen_once_csr`] with caller-owned scratch buffers — bit-identical
-/// results, zero steady-state allocation for the matching pass. Uses
-/// the build's default [`CoarseRebuild`] strategy.
-#[must_use]
-pub fn coarsen_once_csr_with(
-    g: &CsrGraph,
-    rng: &mut Rng,
-    ws: &mut CoarsenWorkspace,
-) -> Option<CsrLevel> {
-    coarsen_once_csr_rebuild(g, rng, ws, CoarseRebuild::default_mode())
-}
-
-/// [`coarsen_once_csr_with`] with an explicit coarse-graph rebuild
-/// strategy (the default-mode entry points are what production callers
-/// use; an explicit mode lets tests compare the strategies directly in
-/// either feature configuration).
-#[must_use]
-pub fn coarsen_once_csr_rebuild(
-    g: &CsrGraph,
-    rng: &mut Rng,
-    ws: &mut CoarsenWorkspace,
-    rebuild: CoarseRebuild,
-) -> Option<CsrLevel> {
+/// One round of heavy-edge matching: matched pairs collapse into one
+/// coarse node. Returns `None` when no edge could be matched (the graph
+/// cannot shrink further this way).
+fn coarsen_once(g: &CsrGraph, rng: &mut Rng, ws: &mut CoarsenWorkspace) -> Option<CsrLevel> {
     let n = g.node_count();
     // Heaviest-incident-edge-first visiting makes heavy edges reliably
     // collapse (the property that gives HEM its name and quality). The
@@ -315,45 +167,29 @@ pub fn coarsen_once_csr_rebuild(
         return None;
     }
     // Assign coarse ids: the lower-index endpoint of each pair owns it.
-    // `fine_of` records each coarse node's (≤ 2) fine members for the
-    // contracted rebuild. `map` is built by pushing (each entry is
-    // final when reached — a matched partner with a lower index was
-    // already assigned), skipping the zero-fill an indexed write-out
-    // would need; it is owned by the returned level, so it is the one
-    // per-level allocation that cannot live in the workspace.
+    // `map` is built by pushing (each entry is final when reached — a
+    // matched partner with a lower index was already assigned),
+    // skipping the zero-fill an indexed write-out would need; it is
+    // owned by the returned level, so it is the one per-level
+    // allocation that cannot live in the workspace.
     let mut map: Vec<NodeId> = Vec::with_capacity(n);
     let mut coarse_weights: Vec<i64> = Vec::with_capacity(n);
-    let fine_of = &mut ws.fine_of;
-    fine_of.clear();
     for (i, &mate_i) in mate.iter().enumerate() {
         let u = NodeId::new(i);
         match mate_i {
-            Some(v) if v.index() < i => {
-                let c = map[v.index()]; // already created by the partner
-                map.push(c);
-                fine_of[c.index()].1 = i as u32;
-            }
+            // Already created by the lower-index partner.
+            Some(v) if v.index() < i => map.push(map[v.index()]),
             Some(v) => {
                 map.push(NodeId::new(coarse_weights.len()));
                 coarse_weights.push(g.node_weight(u) + g.node_weight(v));
-                fine_of.push((i as u32, u32::MAX));
             }
             None => {
                 map.push(NodeId::new(coarse_weights.len()));
                 coarse_weights.push(g.node_weight(u));
-                fine_of.push((i as u32, u32::MAX));
             }
         }
     }
-    let graph = match rebuild {
-        CoarseRebuild::MirrorInsertion => rebuild_mirrored(g, &map, coarse_weights, ws),
-        CoarseRebuild::Contracted => {
-            let fine_of = std::mem::take(&mut ws.fine_of);
-            let graph = rebuild_contracted(g, &map, &fine_of, coarse_weights, ws);
-            ws.fine_of = fine_of;
-            graph
-        }
-    };
+    let graph = rebuild(g, &map, coarse_weights, ws);
     Some(CsrLevel { graph, map })
 }
 
@@ -376,12 +212,12 @@ const WORD_PARALLEL_MIN_NODES: usize = 1 << 16;
 ///
 /// Adaptive probe strategy: levels below
 /// [`WORD_PARALLEL_MIN_NODES`](self) scan with direct mate-array
-/// probes (the scalar reference loop — fastest when the array is
-/// cache-resident); larger levels take the word-parallel bitset pass
-/// ([`heavy_edge_matching_bitset`]). Both branches make identical
-/// max-weight-then-smallest-index decisions, so the output is
-/// bit-identical to [`heavy_edge_matching_reference`] at every size —
-/// pinned by proptest on both branches.
+/// probes (fastest when the array is cache-resident); larger levels
+/// take the word-parallel bitset pass ([`heavy_edge_matching_bitset`]).
+/// Both branches make identical max-weight-then-smallest-index
+/// decisions, so the output does not depend on the branch taken —
+/// pinned by proptest on both branches against a plain scalar oracle
+/// in this crate's tests.
 pub fn heavy_edge_matching(
     g: &CsrGraph,
     order: &[usize],
@@ -492,54 +328,8 @@ pub fn heavy_edge_matching_bitset(
     matched_any
 }
 
-/// The scalar matching pass [`heavy_edge_matching`] replaced: probes a
-/// per-node `Option<NodeId>` array and keeps the running best through a
-/// branchy compare. Preserved as the bit-identity oracle for the
-/// word-parallel pass.
-#[cfg(any(test, feature = "reference-impls"))]
-pub fn heavy_edge_matching_reference(
-    g: &CsrGraph,
-    order: &[usize],
-    mate: &mut Vec<Option<NodeId>>,
-) -> bool {
-    let n = g.node_count();
-    mate.clear();
-    mate.resize(n, None);
-    let mut matched_any = false;
-    for &i in order {
-        let u = NodeId::new(i);
-        if mate[i].is_some() {
-            continue;
-        }
-        // Unmatched neighbor of maximum edge weight, smallest index on
-        // ties.
-        let weights = g.neighbor_weights(u);
-        let mut best: Option<(NodeId, i64)> = None;
-        for (j, &v) in g.neighbors(u).iter().enumerate() {
-            if v == u || mate[v.index()].is_some() {
-                continue;
-            }
-            let w = weights[j];
-            let better = match best {
-                None => true,
-                Some((bv, bw)) => w > bw || (w == bw && v < bv),
-            };
-            if better {
-                best = Some((v, w));
-            }
-        }
-        if let Some((v, _)) = best {
-            mate[i] = Some(v);
-            mate[v.index()] = Some(u);
-            matched_any = true;
-        }
-    }
-    matched_any
-}
-
 /// Coarse-graph rebuild that replicates the first-encounter insertion
-/// order of `Graph::add_edge_weighted` — the order the
-/// `reference-impls` oracle produces — without a dedup hash table.
+/// order of `Graph::add_edge_weighted` without a dedup hash table.
 ///
 /// `Graph::add_edge_weighted(ca, cb, w)` appends `cb` to `ca`'s
 /// adjacency (and vice versa) on first encounter and accumulates the
@@ -550,7 +340,7 @@ pub fn heavy_edge_matching_reference(
 /// half-edges into per-coarse-node buckets (bucket contents inherit the
 /// scan order), then dedup each bucket with a stamp/slot pair while
 /// emitting the CSR arrays.
-fn rebuild_mirrored(
+fn rebuild(
     g: &CsrGraph,
     map: &[NodeId],
     coarse_weights: Vec<i64>,
@@ -640,59 +430,9 @@ fn rebuild_mirrored(
     CsrGraph::from_csr_parts(offsets, neighbors, out_weights, coarse_weights)
 }
 
-/// Coarse-graph rebuild by direct contraction: emits each coarse
-/// node's adjacency in one pass over its fine members' edges, merging
-/// parallel edges through a flat marker/slot pair instead of a dedup
-/// hash table, and writes the CSR arrays in place. Neighbor order is
-/// fine-member encounter order per coarse node — deterministic, but
-/// *not* the oracle's insertion order.
-fn rebuild_contracted(
-    g: &CsrGraph,
-    map: &[NodeId],
-    fine_of: &[(u32, u32)],
-    coarse_weights: Vec<i64>,
-    ws: &mut CoarsenWorkspace,
-) -> CsrGraph {
-    let nc = coarse_weights.len();
-    let mark = &mut ws.mark;
-    mark.clear();
-    mark.resize(nc, u32::MAX);
-    let pos = &mut ws.pos;
-    pos.clear();
-    pos.resize(nc, 0);
-    let mut offsets: Vec<u32> = Vec::with_capacity(nc + 1);
-    offsets.push(0);
-    let mut neighbors: Vec<NodeId> = Vec::with_capacity(2 * g.edge_count());
-    let mut weights: Vec<i64> = Vec::with_capacity(2 * g.edge_count());
-    for (c, &(a, b)) in fine_of.iter().enumerate() {
-        for fine in [a, b] {
-            if fine == u32::MAX {
-                continue;
-            }
-            let u = NodeId::new(fine as usize);
-            let edge_weights = g.neighbor_weights(u);
-            for (j, &v) in g.neighbors(u).iter().enumerate() {
-                let cv = map[v.index()].index();
-                if cv == c {
-                    continue; // collapsed (or self) edge
-                }
-                if mark[cv] == c as u32 {
-                    weights[pos[cv] as usize] += edge_weights[j];
-                } else {
-                    mark[cv] = c as u32;
-                    pos[cv] = neighbors.len() as u32;
-                    neighbors.push(NodeId::new(cv));
-                    weights.push(edge_weights[j]);
-                }
-            }
-        }
-        offsets.push(neighbors.len() as u32);
-    }
-    CsrGraph::from_csr_parts(offsets, neighbors, weights, coarse_weights)
-}
-
-/// CSR-native [`coarsen_to`]: coarsens until at most `target_nodes`
-/// remain or a round shrinks the graph by less than ~10%.
+/// Coarsens until at most `target_nodes` nodes remain or a round
+/// shrinks the graph by less than ~10%. Returns the hierarchy from
+/// finest to coarsest (empty if the input is already small enough).
 #[must_use]
 pub fn coarsen_to_csr(g: &CsrGraph, target_nodes: usize, rng: &mut Rng) -> Vec<CsrLevel> {
     coarsen_to_csr_with(g, target_nodes, rng, &mut CoarsenWorkspace::new())
@@ -701,26 +441,12 @@ pub fn coarsen_to_csr(g: &CsrGraph, target_nodes: usize, rng: &mut Rng) -> Vec<C
 /// [`coarsen_to_csr`] with a caller-owned [`CoarsenWorkspace`]; the
 /// matching buffers and rebuild scratch are reused across every level of
 /// the hierarchy (and across calls when the caller keeps the workspace).
-/// Uses the build's default [`CoarseRebuild`] strategy.
 #[must_use]
 pub fn coarsen_to_csr_with(
     g: &CsrGraph,
     target_nodes: usize,
     rng: &mut Rng,
     ws: &mut CoarsenWorkspace,
-) -> Vec<CsrLevel> {
-    coarsen_to_csr_rebuild(g, target_nodes, rng, ws, CoarseRebuild::default_mode())
-}
-
-/// [`coarsen_to_csr_with`] with an explicit coarse-graph rebuild
-/// strategy.
-#[must_use]
-pub fn coarsen_to_csr_rebuild(
-    g: &CsrGraph,
-    target_nodes: usize,
-    rng: &mut Rng,
-    ws: &mut CoarsenWorkspace,
-    rebuild: CoarseRebuild,
 ) -> Vec<CsrLevel> {
     let mut levels: Vec<CsrLevel> = Vec::new();
     while levels
@@ -730,7 +456,7 @@ pub fn coarsen_to_csr_rebuild(
     {
         let current: &CsrGraph = levels.last().map_or(g, |l| &l.graph);
         let before = current.node_count();
-        let Some(level) = coarsen_once_csr_rebuild(current, rng, ws, rebuild) else {
+        let Some(level) = coarsen_once(current, rng, ws) else {
             break;
         };
         let shrink = level.graph.node_count() as f64 / before as f64;
@@ -745,13 +471,26 @@ pub fn coarsen_to_csr_rebuild(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mbqc_graph::generate;
+    use mbqc_graph::{generate, Graph};
+
+    /// Coarsens `g` through the public entry point and returns the
+    /// hierarchy.
+    fn hierarchy(g: &Graph, target: usize, seed: u64) -> Vec<CsrLevel> {
+        let mut rng = Rng::seed_from_u64(seed);
+        coarsen_to_csr(&CsrGraph::from_graph(g), target, &mut rng)
+    }
+
+    /// Exactly one matching round (a target one below the node count
+    /// stops the hierarchy after its first level), or `None` when no
+    /// edge matches.
+    fn one_round(g: &Graph, seed: u64) -> Option<CsrLevel> {
+        hierarchy(g, g.node_count() - 1, seed).into_iter().next()
+    }
 
     #[test]
     fn matching_halves_path() {
         let g = generate::path_graph(8);
-        let mut rng = Rng::seed_from_u64(1);
-        let level = coarsen_once(&g, &mut rng).unwrap();
+        let level = one_round(&g, 1).unwrap();
         assert!(level.graph.node_count() >= 4);
         assert!(level.graph.node_count() < 8);
         // Total node weight is conserved.
@@ -761,8 +500,7 @@ mod tests {
     #[test]
     fn edge_weight_conserved_modulo_internal() {
         let g = generate::cycle_graph(10);
-        let mut rng = Rng::seed_from_u64(2);
-        let level = coarsen_once(&g, &mut rng).unwrap();
+        let level = one_round(&g, 2).unwrap();
         // Every original edge is either internal to a coarse node (a
         // matched pair) or present in the coarse graph's weights.
         let matched_pairs = 10 - level.graph.node_count();
@@ -772,8 +510,7 @@ mod tests {
     #[test]
     fn map_is_surjective_onto_coarse_nodes() {
         let g = generate::grid_graph(5, 5);
-        let mut rng = Rng::seed_from_u64(3);
-        let level = coarsen_once(&g, &mut rng).unwrap();
+        let level = one_round(&g, 3).unwrap();
         let mut seen = vec![false; level.graph.node_count()];
         for &c in &level.map {
             seen[c.index()] = true;
@@ -784,15 +521,13 @@ mod tests {
     #[test]
     fn edgeless_graph_cannot_coarsen() {
         let g = Graph::with_nodes(5);
-        let mut rng = Rng::seed_from_u64(4);
-        assert!(coarsen_once(&g, &mut rng).is_none());
+        assert!(one_round(&g, 4).is_none());
     }
 
     #[test]
     fn hierarchy_reaches_target() {
         let g = generate::grid_graph(12, 12);
-        let mut rng = Rng::seed_from_u64(5);
-        let levels = coarsen_to(&g, 20, &mut rng);
+        let levels = hierarchy(&g, 20, 5);
         assert!(!levels.is_empty());
         let coarsest = &levels.last().unwrap().graph;
         assert!(coarsest.node_count() <= 80, "got {}", coarsest.node_count());
@@ -805,37 +540,7 @@ mod tests {
     #[test]
     fn small_graph_needs_no_coarsening() {
         let g = generate::path_graph(5);
-        let mut rng = Rng::seed_from_u64(6);
-        assert!(coarsen_to(&g, 10, &mut rng).is_empty());
-    }
-
-    /// Coarsens with the order-mirroring rebuild pinned (the
-    /// Graph-hierarchy equivalence only holds for that mode; the
-    /// build default switches to `Contracted` without
-    /// `reference-impls`).
-    fn coarsen_to_csr_mirrored(g: &CsrGraph, target: usize, rng: &mut Rng) -> Vec<CsrLevel> {
-        coarsen_to_csr_rebuild(
-            g,
-            target,
-            rng,
-            &mut CoarsenWorkspace::new(),
-            CoarseRebuild::MirrorInsertion,
-        )
-    }
-
-    #[test]
-    fn csr_hierarchy_identical_to_graph_hierarchy() {
-        let g = generate::grid_graph(9, 9);
-        let csr = CsrGraph::from_graph(&g);
-        let mut rng_a = Rng::seed_from_u64(8);
-        let mut rng_b = Rng::seed_from_u64(8);
-        let adj_levels = coarsen_to(&g, 12, &mut rng_a);
-        let csr_levels = coarsen_to_csr_mirrored(&csr, 12, &mut rng_b);
-        assert_eq!(adj_levels.len(), csr_levels.len());
-        for (a, b) in adj_levels.iter().zip(&csr_levels) {
-            assert_eq!(a.map, b.map);
-            assert_eq!(CsrGraph::from_graph(&a.graph), b.graph);
-        }
+        assert!(hierarchy(&g, 10, 6).is_empty());
     }
 
     #[test]
@@ -858,28 +563,6 @@ mod tests {
     }
 
     #[test]
-    fn wide_key_fallback_identical_to_graph_hierarchy() {
-        // Edge weights ≥ 4096 push the fused counting path onto the
-        // comparison-sort fallback; both must still mirror the Graph
-        // oracle exactly.
-        let mut g = generate::grid_graph(8, 8);
-        let n: Vec<_> = g.nodes().collect();
-        g.add_edge_weighted(n[0], n[9], 10_000);
-        g.add_edge_weighted(n[20], n[28], 5_000);
-        let csr = CsrGraph::from_graph(&g);
-        let mut rng_a = Rng::seed_from_u64(11);
-        let mut rng_b = Rng::seed_from_u64(11);
-        let adj_levels = coarsen_to(&g, 10, &mut rng_a);
-        let csr_levels = coarsen_to_csr_mirrored(&csr, 10, &mut rng_b);
-        assert_eq!(adj_levels.len(), csr_levels.len());
-        assert!(!adj_levels.is_empty());
-        for (a, b) in adj_levels.iter().zip(&csr_levels) {
-            assert_eq!(a.map, b.map);
-            assert_eq!(CsrGraph::from_graph(&a.graph), b.graph);
-        }
-    }
-
-    #[test]
     fn heavy_edges_matched_first() {
         // Star with one heavy edge: the heavy pair should merge.
         let mut g = Graph::with_nodes(4);
@@ -887,8 +570,7 @@ mod tests {
         g.add_edge_weighted(n[0], n[1], 100);
         g.add_edge(n[0], n[2]);
         g.add_edge(n[0], n[3]);
-        let mut rng = Rng::seed_from_u64(7);
-        let level = coarsen_once(&g, &mut rng).unwrap();
+        let level = one_round(&g, 7).unwrap();
         assert_eq!(level.map[0], level.map[1], "heavy edge must collapse");
     }
 }

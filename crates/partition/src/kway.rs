@@ -4,13 +4,13 @@
 //! [`CsrGraph`], the coarsening hierarchy is built as CSR levels, and
 //! every refinement pass iterates flat CSR slices with incremental gain
 //! state ([`crate::refine::GainTable`]). The pre-optimization adjacency
-//! implementation survives in [`crate::reference`] and is property-tested
-//! to produce bit-identical partitions.
+//! implementation survives as an oracle in this crate's tests and is
+//! property-tested to produce bit-identical partitions.
 
-use mbqc_graph::{algo, CsrGraph, Graph, NodeId};
+use mbqc_graph::{CsrGraph, Graph, NodeId};
 use mbqc_util::Rng;
 
-use crate::coarsen::{coarsen_to_csr_rebuild, CoarseRebuild, CoarsenWorkspace};
+use crate::coarsen::{coarsen_to_csr_with, CoarsenWorkspace};
 use crate::refine::{
     fm_refine_csr, fm_refine_csr_with, rebalance_csr, refine_csr, refine_csr_with, RefineWorkspace,
 };
@@ -121,7 +121,7 @@ fn initial_partition(g: &CsrGraph, k: usize, max_w: i64, rng: &mut Rng) -> Parti
         // Seed: random unassigned node, preferring low-degree frontier
         // nodes (classic GGGP heuristic — grows from the periphery).
         // Streaming min — no candidate vector; the RNG is still drawn
-        // once per unassigned node, matching the reference path.
+        // once per unassigned node, matching the adjacency-list oracle.
         let seed = (0..n)
             .filter(|&i| assignment[i] == usize::MAX)
             .min_by_key(|&i| (g.degree(NodeId::new(i)), rng.next_u64() & 0xffff))
@@ -309,21 +309,6 @@ pub fn multilevel_kway_csr_with(
     config: &KwayConfig,
     ws: &mut KwayWorkspace,
 ) -> Partition {
-    multilevel_kway_csr_rebuild(g, config, ws, CoarseRebuild::default_mode())
-}
-
-/// [`multilevel_kway_csr_with`] with an explicit coarse-graph rebuild
-/// strategy — a test hook for comparing the strategies' partition
-/// quality under either feature configuration; production callers use
-/// the build default.
-#[doc(hidden)]
-#[must_use]
-pub fn multilevel_kway_csr_rebuild(
-    g: &CsrGraph,
-    config: &KwayConfig,
-    ws: &mut KwayWorkspace,
-    rebuild: CoarseRebuild,
-) -> Partition {
     assert!(config.k >= 1, "k must be positive");
     assert!(config.alpha >= 1.0, "alpha must be at least 1");
     let mut rng = Rng::seed_from_u64(config.seed);
@@ -334,7 +319,7 @@ pub fn multilevel_kway_csr_rebuild(
     }
     let max_w = weight_bound(g, config.k, config.alpha);
     let target_coarse = (config.k * 16).max(48);
-    let levels = coarsen_to_csr_rebuild(g, target_coarse, &mut rng, &mut ws.coarsen, rebuild);
+    let levels = coarsen_to_csr_with(g, target_coarse, &mut rng, &mut ws.coarsen);
 
     let coarsest: &CsrGraph = levels.last().map_or(g, |l| &l.graph);
     let mut part = run_restarts(coarsest, config, max_w, &mut rng);
@@ -382,38 +367,25 @@ pub fn multilevel_kway_csr_rebuild(
     part
 }
 
-/// Convenience: partitions and reports `(partition, cut_weight,
-/// imbalance)` in one call.
-#[must_use]
-pub fn partition_with_stats(g: &Graph, config: &KwayConfig) -> (Partition, i64, f64) {
-    let p = multilevel_kway(g, config);
-    let cut = p.cut_weight(g);
-    let imb = p.imbalance(g);
-    (p, cut, imb)
-}
-
-/// Checks structural sanity of a partition for distributed compilation:
-/// parts should not be internally disconnected into many fragments
-/// (fragmented parts compile poorly). Returns the total number of
-/// connected fragments across parts (ideal = k).
-#[must_use]
-pub fn fragment_count(g: &Graph, p: &Partition) -> usize {
-    p.parts()
-        .iter()
-        .map(|nodes| {
-            if nodes.is_empty() {
-                return 0;
-            }
-            let (sub, _) = g.induced_subgraph(nodes);
-            algo::connected_components(&sub).1
-        })
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mbqc_graph::generate;
+    use mbqc_graph::{algo, generate};
+
+    /// Total number of connected fragments across parts (ideal = k):
+    /// fragmented parts compile poorly.
+    fn fragment_count(g: &Graph, p: &Partition) -> usize {
+        p.parts()
+            .iter()
+            .map(|nodes| {
+                if nodes.is_empty() {
+                    return 0;
+                }
+                let (sub, _) = g.induced_subgraph(nodes);
+                algo::connected_components(&sub).1
+            })
+            .sum()
+    }
 
     #[test]
     fn partitions_grid_balanced() {

@@ -22,10 +22,12 @@
 //! * [`louvain`] — Louvain community detection (the modularity-first
 //!   extreme of the trade-off, used for comparison).
 //! * [`adaptive`] — the paper's Algorithm 2.
-//! * [`reference`] — the pre-optimization adjacency-list implementation,
-//!   kept as the equivalence-test oracle and benchmark baseline. Gated
-//!   behind the `reference-impls` feature (on by default) so release
-//!   consumers can compile without it (`default-features = false`).
+//!
+//! Every partition is a pure function of the graph and the seed: one
+//! coarsening path, one coarse-graph rebuild, no feature that changes
+//! results. The pre-optimization adjacency-list partitioner lives in
+//! this crate's `tests/common` as the bit-identity oracle; it is not
+//! compiled into the library.
 //!
 //! # Kernel design
 //!
@@ -44,13 +46,12 @@
 //! to a packed `u64` bitset (bit `i` set ⇔ node `i` unmatched), so one
 //! cached word answers the probe for 64 nodes instead of one
 //! `Option<NodeId>` load per neighbor. Both branches make exactly the
-//! max-weight-then-smallest-index decisions of the preserved scalar
-//! loop ([`coarsen::heavy_edge_matching_reference`]) and are **pinned
-//! bit-identical** to it by a 256-case proptest over random graphs
-//! including wide-weight and isolated-node corners (the bitset branch
-//! is exercised directly via `coarsen::heavy_edge_matching_bitset`) —
-//! identical mates mean identical coarse graphs mean identical
-//! partitions.
+//! max-weight-then-smallest-index decisions of a plain scalar loop (the
+//! test oracle's) and are **pinned bit-identical** to it by a 256-case
+//! proptest over random graphs including wide-weight and isolated-node
+//! corners (the bitset branch is exercised directly via
+//! `coarsen::heavy_edge_matching_bitset`) — identical mates mean
+//! identical coarse graphs mean identical partitions.
 //!
 //! ## Decision-invariant driver plumbing
 //!
@@ -58,11 +59,11 @@
 //! *provably invisible* to the move sequence and RNG stream, so the
 //! partitioning proptests pin them for free:
 //!
-//! * **Hash-free coarse rebuild** — the mirrored rebuild reproduces
-//!   the oracle's `add_edge_weighted` insertion order with a 3-pass
-//!   bucket scatter + per-node stamp dedup instead of a dedup hash
-//!   table (order depends only on the fine-edge scan, not on how
-//!   duplicates are detected).
+//! * **Hash-free coarse rebuild** — the one coarse-graph rebuild
+//!   ([`coarsen::coarsen_to_csr`]) reproduces the oracle's
+//!   `add_edge_weighted` insertion order with a 3-pass bucket scatter +
+//!   per-node stamp dedup instead of a dedup hash table (order depends
+//!   only on the fine-edge scan, not on how duplicates are detected).
 //! * **Boundary-flag refinement** — greedy refinement skips nodes
 //!   where no part's connectivity beats the home part's; such nodes
 //!   can never yield a positive-gain move, and the flag is maintained
@@ -95,8 +96,6 @@ pub mod kway;
 pub mod louvain;
 pub mod modularity;
 pub mod partition;
-#[cfg(feature = "reference-impls")]
-pub mod reference;
 pub mod refine;
 
 pub use adaptive::{

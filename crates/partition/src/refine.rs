@@ -9,10 +9,10 @@
 //! O(deg) per applied move, with zero allocation per visit.
 //!
 //! Move semantics are bit-identical to the recompute-from-scratch
-//! reference ([`crate::reference`]), which the equivalence proptests
-//! assert.
+//! adjacency-list oracle in this crate's tests, which the equivalence
+//! proptests assert.
 
-use mbqc_graph::{CsrGraph, Graph, NodeId};
+use mbqc_graph::{CsrGraph, NodeId};
 use mbqc_util::Rng;
 
 use crate::Partition;
@@ -81,27 +81,6 @@ impl GainTable {
     }
 }
 
-/// Refines `p` in place with greedy boundary moves: each pass visits
-/// nodes in random order and moves a node to the neighboring part with
-/// the highest positive cut gain, subject to the balance bound
-/// `max part weight ≤ max_part_weight`. Stops early when a pass makes no
-/// move.
-///
-/// Returns the total cut-weight improvement.
-///
-/// # Panics
-///
-/// Panics if graph and partition sizes disagree.
-pub fn refine(
-    g: &Graph,
-    p: &mut Partition,
-    max_part_weight: i64,
-    passes: usize,
-    rng: &mut Rng,
-) -> i64 {
-    refine_csr(&CsrGraph::from_graph(g), p, max_part_weight, passes, rng)
-}
-
 /// Reusable scratch for [`refine_csr_with`]: the connectivity table,
 /// visit-order buffer, and part-weight vector survive across calls, so
 /// the multilevel driver stops re-allocating them at every hierarchy
@@ -134,8 +113,13 @@ impl RefineWorkspace {
     }
 }
 
-/// CSR-native [`refine`]; the multilevel driver calls this directly so the
-/// conversion happens once per hierarchy, not once per level visit.
+/// Refines `p` in place with greedy boundary moves: each pass visits
+/// nodes in random order and moves a node to the neighboring part with
+/// the highest positive cut gain, subject to the balance bound
+/// `max part weight ≤ max_part_weight`. Stops early when a pass makes no
+/// move.
+///
+/// Returns the total cut-weight improvement.
 ///
 /// # Panics
 ///
@@ -258,15 +242,6 @@ pub fn refine_csr_with(
 /// levels; each round additionally caps its tentative-move sequence at
 /// `MAX_FM_MOVES` (long sequences almost never recover past the best
 /// prefix). Returns the total cut improvement.
-///
-/// # Panics
-///
-/// Panics if graph and partition sizes disagree.
-pub fn fm_refine(g: &Graph, p: &mut Partition, max_part_weight: i64, rounds: usize) -> i64 {
-    fm_refine_csr(&CsrGraph::from_graph(g), p, max_part_weight, rounds)
-}
-
-/// CSR-native [`fm_refine`].
 ///
 /// # Panics
 ///
@@ -419,11 +394,6 @@ pub fn fm_refine_csr_with(
 /// nodes out of overloaded parts (used after projection when coarse
 /// moves overshoot the bound). Best-effort: returns `true` if the bound
 /// holds afterwards.
-pub fn rebalance(g: &Graph, p: &mut Partition, max_part_weight: i64, rng: &mut Rng) -> bool {
-    rebalance_csr(&CsrGraph::from_graph(g), p, max_part_weight, rng)
-}
-
-/// CSR-native [`rebalance`].
 pub fn rebalance_csr(g: &CsrGraph, p: &mut Partition, max_part_weight: i64, rng: &mut Rng) -> bool {
     let mut weights = p.part_weights_csr(g);
     let k = p.k();
@@ -471,7 +441,7 @@ pub fn rebalance_csr(g: &CsrGraph, p: &mut Partition, max_part_weight: i64, rng:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mbqc_graph::generate;
+    use mbqc_graph::{generate, Graph};
 
     #[test]
     fn refine_fixes_interleaved_path() {
@@ -485,7 +455,7 @@ mod tests {
         let mut p = Partition::new(vec![0, 1, 0, 1, 0, 1], 2);
         let before = p.cut_weight(&g);
         let mut rng = Rng::seed_from_u64(1);
-        let gain = refine(&g, &mut p, 4, 10, &mut rng);
+        let gain = refine_csr(&CsrGraph::from_graph(&g), &mut p, 4, 10, &mut rng);
         let after = p.cut_weight(&g);
         assert_eq!(before - gain, after);
         assert!(after <= 2, "cut after refine: {after}");
@@ -498,7 +468,7 @@ mod tests {
         let mut p = Partition::new(vec![0, 0, 0, 1, 1, 1], 2);
         let mut rng = Rng::seed_from_u64(2);
         // In a clique every move has negative or zero gain; nothing moves.
-        refine(&g, &mut p, 3, 5, &mut rng);
+        refine_csr(&CsrGraph::from_graph(&g), &mut p, 3, 5, &mut rng);
         let w = p.part_weights(&g);
         assert_eq!(w, vec![3, 3]);
     }
@@ -511,7 +481,7 @@ mod tests {
         let assignment: Vec<usize> = (0..36).map(|_| rng.range(3)).collect();
         let mut p = Partition::new(assignment, 3);
         let before = p.cut_weight(&g);
-        let gain = refine(&g, &mut p, 15, 8, &mut rng);
+        let gain = refine_csr(&CsrGraph::from_graph(&g), &mut p, 15, 8, &mut rng);
         assert_eq!(p.cut_weight(&g), before - gain);
         assert!(gain >= 0);
     }
@@ -522,7 +492,8 @@ mod tests {
         // Everything in part 0.
         let mut p = Partition::new(vec![0; 8], 2);
         let mut rng = Rng::seed_from_u64(4);
-        assert!(rebalance(&g, &mut p, 4, &mut rng));
+        let csr = CsrGraph::from_graph(&g);
+        assert!(rebalance_csr(&csr, &mut p, 4, &mut rng));
         let w = p.part_weights(&g);
         assert!(w.iter().all(|&x| x <= 4), "{w:?}");
     }
@@ -534,7 +505,8 @@ mod tests {
         g.set_node_weight(NodeId::new(0), 10);
         let mut p = Partition::new(vec![0, 1], 2);
         let mut rng = Rng::seed_from_u64(5);
-        assert!(!rebalance(&g, &mut p, 5, &mut rng));
+        let csr = CsrGraph::from_graph(&g);
+        assert!(!rebalance_csr(&csr, &mut p, 5, &mut rng));
     }
 
     #[test]
@@ -558,18 +530,5 @@ mod tests {
         for u in csr.nodes() {
             assert_eq!(gains.conn(u), fresh.conn(u), "node {u}");
         }
-    }
-
-    #[test]
-    fn fm_refine_csr_matches_graph_wrapper() {
-        let g = generate::grid_graph(6, 6);
-        let csr = CsrGraph::from_graph(&g);
-        let assignment: Vec<usize> = (0..36).map(|i| (i * 5) % 3).collect();
-        let mut p1 = Partition::new(assignment.clone(), 3);
-        let mut p2 = Partition::new(assignment, 3);
-        let g1 = fm_refine(&g, &mut p1, 14, 3);
-        let g2 = fm_refine_csr(&csr, &mut p2, 14, 3);
-        assert_eq!(g1, g2);
-        assert_eq!(p1, p2);
     }
 }

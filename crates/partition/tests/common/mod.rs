@@ -1,33 +1,170 @@
-//! Pre-optimization reference implementations of the partitioner.
+//! The pre-optimization partitioner: the bit-identity oracle for the
+//! library's CSR hot paths.
 //!
-//! This module preserves the original adjacency-list hot paths exactly as
-//! they were before the CSR/incremental-gain overhaul: `connectivity()`
-//! allocates a fresh `Vec<i64>` per node visit, refinement recomputes it
-//! from scratch, and the multilevel driver clones [`Graph`]s through the
-//! hierarchy. It exists for two reasons:
+//! This module preserves the original adjacency-list implementation
+//! exactly as it was before the CSR/incremental-gain overhaul:
+//! coarsening builds each coarse level as a [`Graph`] through
+//! `add_edge_weighted`, `connectivity()` allocates a fresh `Vec<i64>`
+//! per node visit, refinement recomputes it from scratch, and the
+//! multilevel driver clones [`Graph`]s through the hierarchy. The
+//! library is required to produce *bit-identical* results (same RNG
+//! consumption, same tie-breaks); `proptest_partition.rs` and
+//! `oracle_equivalence.rs` assert that on seeded random graphs.
 //!
-//! 1. **Equivalence testing** — the CSR path is required to produce
-//!    *bit-identical* partitions (same RNG consumption, same tie-breaks);
-//!    the proptests in `tests/proptest_partition.rs` assert
-//!    `multilevel_kway == reference::multilevel_kway` on seeded random
-//!    graphs.
-//! 2. **Benchmark baselines** — `benches/kernels.rs` and the
-//!    `repro bench-kernels` experiment measure the optimized path against
-//!    this one, so speedups are recorded rather than asserted.
-//!
-//! Do not "optimize" this module; its slowness is the point.
+//! Do not "optimize" this module; its plainness is the point.
 
-use mbqc_graph::{Graph, NodeId};
+#![allow(dead_code)] // each test binary uses a different subset
+
+use mbqc_graph::{CsrGraph, Graph, NodeId};
+use mbqc_partition::{KwayConfig, Partition};
 use mbqc_util::Rng;
 
-use crate::coarsen::coarsen_to;
-use crate::kway::KwayConfig;
-use crate::Partition;
+/// One level of the coarsening hierarchy.
+#[derive(Debug, Clone)]
+pub struct CoarseLevel {
+    /// The coarser graph (node weights are sums, edge weights merge).
+    pub graph: Graph,
+    /// Mapping fine node → coarse node.
+    pub map: Vec<NodeId>,
+}
+
+/// Performs one round of heavy-edge matching: visits nodes in order of
+/// decreasing heaviest incident edge (random tie-break), matching each
+/// unmatched node with its unmatched neighbor of maximum edge weight;
+/// matched pairs collapse into one coarse node.
+///
+/// Returns `None` when no edge could be matched.
+#[must_use]
+pub fn coarsen_once(g: &Graph, rng: &mut Rng) -> Option<CoarseLevel> {
+    let n = g.node_count();
+    let mut order: Vec<usize> = (0..n).collect();
+    rng.shuffle(&mut order);
+    let key: Vec<i64> = (0..n)
+        .map(|i| {
+            g.neighbors_weighted(NodeId::new(i))
+                .iter()
+                .map(|&(_, w)| w)
+                .max()
+                .unwrap_or(0)
+        })
+        .collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(key[i]));
+    let mut mate: Vec<Option<NodeId>> = vec![None; n];
+    let mut matched_any = false;
+    for &i in &order {
+        let u = NodeId::new(i);
+        if mate[i].is_some() {
+            continue;
+        }
+        let best = g
+            .neighbors_weighted(u)
+            .iter()
+            .filter(|(v, _)| mate[v.index()].is_none() && *v != u)
+            .max_by_key(|(v, w)| (*w, std::cmp::Reverse(v.index())));
+        if let Some(&(v, _)) = best {
+            mate[i] = Some(v);
+            mate[v.index()] = Some(u);
+            matched_any = true;
+        }
+    }
+    if !matched_any {
+        return None;
+    }
+    // Assign coarse ids: the lower-index endpoint of each pair owns it.
+    let mut map = vec![NodeId::new(0); n];
+    let mut coarse = Graph::new();
+    for i in 0..n {
+        let u = NodeId::new(i);
+        match mate[i] {
+            Some(v) if v.index() < i => {
+                map[i] = map[v.index()]; // already created by the partner
+            }
+            Some(v) => {
+                let id = coarse.add_node_weighted(g.node_weight(u) + g.node_weight(v));
+                map[i] = id;
+            }
+            None => {
+                let id = coarse.add_node_weighted(g.node_weight(u));
+                map[i] = id;
+            }
+        }
+    }
+    for (a, b, w) in g.edges() {
+        let (ca, cb) = (map[a.index()], map[b.index()]);
+        if ca != cb {
+            coarse.add_edge_weighted(ca, cb, w);
+        }
+    }
+    Some(CoarseLevel { graph: coarse, map })
+}
+
+/// Coarsens until the graph has at most `target_nodes` nodes or no round
+/// shrinks it by at least ~10%. Returns the hierarchy from finest to
+/// coarsest (empty if the input is already small enough).
+#[must_use]
+pub fn coarsen_to(g: &Graph, target_nodes: usize, rng: &mut Rng) -> Vec<CoarseLevel> {
+    let mut levels: Vec<CoarseLevel> = Vec::new();
+    let mut current = g.clone();
+    while current.node_count() > target_nodes {
+        let Some(level) = coarsen_once(&current, rng) else {
+            break;
+        };
+        let shrink = level.graph.node_count() as f64 / current.node_count() as f64;
+        current = level.graph.clone();
+        levels.push(level);
+        if shrink > 0.9 {
+            break; // diminishing returns (e.g. star graphs)
+        }
+    }
+    levels
+}
+
+/// The scalar matching pass the library's `heavy_edge_matching`
+/// replaced: probes a per-node `Option<NodeId>` array and keeps the
+/// running best through a branchy compare.
+pub fn heavy_edge_matching_reference(
+    g: &CsrGraph,
+    order: &[usize],
+    mate: &mut Vec<Option<NodeId>>,
+) -> bool {
+    let n = g.node_count();
+    mate.clear();
+    mate.resize(n, None);
+    let mut matched_any = false;
+    for &i in order {
+        let u = NodeId::new(i);
+        if mate[i].is_some() {
+            continue;
+        }
+        // Unmatched neighbor of maximum edge weight, smallest index on
+        // ties.
+        let weights = g.neighbor_weights(u);
+        let mut best: Option<(NodeId, i64)> = None;
+        for (j, &v) in g.neighbors(u).iter().enumerate() {
+            if v == u || mate[v.index()].is_some() {
+                continue;
+            }
+            let w = weights[j];
+            let better = match best {
+                None => true,
+                Some((bv, bw)) => w > bw || (w == bw && v < bv),
+            };
+            if better {
+                best = Some((v, w));
+            }
+        }
+        if let Some((v, _)) = best {
+            mate[i] = Some(v);
+            mate[v.index()] = Some(u);
+            matched_any = true;
+        }
+    }
+    matched_any
+}
 
 /// Computes, for node `u`, the edge weight connecting it to each part
-/// (fresh allocation per call — the pattern the [`GainTable`] replaced).
-///
-/// [`GainTable`]: crate::refine::GainTable
+/// (fresh allocation per call — the pattern the library's `GainTable`
+/// replaced).
 fn connectivity(g: &Graph, p: &Partition, u: NodeId) -> Vec<i64> {
     let mut conn = vec![0i64; p.k()];
     for &(v, w) in g.neighbors_weighted(u) {
@@ -281,7 +418,7 @@ fn initial_partition(g: &Graph, k: usize, max_w: i64, rng: &mut Rng) -> Partitio
 
 /// The pre-optimization multilevel k-way driver, byte-for-byte the
 /// algorithm the CSR path replaced. Must produce partitions identical to
-/// [`crate::multilevel_kway`] for every input and seed.
+/// `mbqc_partition::multilevel_kway` for every input and seed.
 #[must_use]
 pub fn multilevel_kway(g: &Graph, config: &KwayConfig) -> Partition {
     /// Node-count bound under which the quadratic FM pass runs at a level.
@@ -348,37 +485,4 @@ pub fn multilevel_kway(g: &Graph, config: &KwayConfig) -> Partition {
         let _ = refine(g, &mut part, max_w, config.refine_passes, &mut rng);
     }
     part
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mbqc_graph::generate;
-
-    #[test]
-    fn reference_matches_csr_on_grid() {
-        let g = generate::grid_graph(10, 10);
-        for k in [2, 4] {
-            let cfg = KwayConfig::new(k).with_seed(11);
-            let a = multilevel_kway(&g, &cfg);
-            let b = crate::multilevel_kway(&g, &cfg);
-            assert_eq!(a, b, "k={k}");
-        }
-    }
-
-    #[test]
-    fn reference_refine_matches_csr_refine() {
-        let g = generate::grid_graph(6, 6);
-        let assignment: Vec<usize> = (0..36).map(|i| (i * 7) % 3).collect();
-        let mut p_ref = Partition::new(assignment.clone(), 3);
-        let mut p_csr = Partition::new(assignment, 3);
-        let mut rng_ref = Rng::seed_from_u64(5);
-        let mut rng_csr = Rng::seed_from_u64(5);
-        let g_ref = refine(&g, &mut p_ref, 14, 6, &mut rng_ref);
-        let g_csr = crate::refine::refine(&g, &mut p_csr, 14, 6, &mut rng_csr);
-        assert_eq!(g_ref, g_csr);
-        assert_eq!(p_ref, p_csr);
-        // Both consumed the same amount of randomness.
-        assert_eq!(rng_ref.next_u64(), rng_csr.next_u64());
-    }
 }

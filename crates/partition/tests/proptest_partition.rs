@@ -1,12 +1,13 @@
-//! Property-based tests for the partitioning stack.
+//! Property-based tests for the partitioning stack, including the
+//! bit-identity pins against the pre-optimization oracle in `common`.
+
+mod common;
 
 use mbqc_graph::{generate, CsrGraph, Graph, NodeId};
 use mbqc_partition::adaptive::{adaptive_partition, AdaptiveConfig};
 use mbqc_partition::kway::{multilevel_kway, multilevel_kway_csr, KwayConfig};
 use mbqc_partition::louvain::louvain;
 use mbqc_partition::modularity::{modularity, modularity_csr};
-#[cfg(feature = "reference-impls")]
-use mbqc_partition::reference;
 use mbqc_util::Rng;
 use proptest::prelude::*;
 
@@ -100,7 +101,6 @@ proptest! {
         prop_assert_eq!(&one, &eight);
     }
 
-    #[cfg(feature = "reference-impls")]
     #[test]
     fn csr_partitioning_identical_to_seed_adjacency_path(
         n in 8usize..90,
@@ -115,7 +115,7 @@ proptest! {
         let g = random_connected_graph(n, extra, seed);
         let cfg = KwayConfig::new(k).with_seed(seed);
         let optimized = multilevel_kway(&g, &cfg);
-        let baseline = reference::multilevel_kway(&g, &cfg);
+        let baseline = common::multilevel_kway(&g, &cfg);
         prop_assert_eq!(optimized.assignment(), baseline.assignment());
         prop_assert_eq!(optimized.cut_weight(&g), baseline.cut_weight(&g));
     }
@@ -139,7 +139,6 @@ proptest! {
         prop_assert!((qa - qb).abs() < 1e-9, "Q {} vs {}", qa, qb);
     }
 
-    #[cfg(feature = "reference-impls")]
     #[test]
     fn weighted_graphs_also_identical(
         n in 8usize..50,
@@ -162,7 +161,7 @@ proptest! {
         }
         let cfg = KwayConfig::new(k).with_seed(seed);
         let optimized = multilevel_kway(&g, &cfg);
-        let baseline = reference::multilevel_kway(&g, &cfg);
+        let baseline = common::multilevel_kway(&g, &cfg);
         prop_assert_eq!(optimized, baseline);
     }
 
@@ -187,7 +186,6 @@ proptest! {
     // hierarchy test sits on, and single rounds are cheap.
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    #[cfg(feature = "reference-impls")]
     #[test]
     fn word_parallel_matching_bit_identical(
         n in 1usize..90,
@@ -203,9 +201,8 @@ proptest! {
         // of the scalar reference — including isolated tail nodes
         // (never matched, bit stays set) and weights past the 4096
         // counting-sort ceiling (the wide-key tie-break classes).
-        use mbqc_partition::coarsen::{
-            heavy_edge_matching, heavy_edge_matching_bitset, heavy_edge_matching_reference,
-        };
+        use mbqc_partition::coarsen::{heavy_edge_matching, heavy_edge_matching_bitset};
+        use common::heavy_edge_matching_reference;
         let mut rng = Rng::seed_from_u64(seed);
         let total = n + isolated;
         let mut g = Graph::with_nodes(total);

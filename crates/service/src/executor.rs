@@ -127,7 +127,7 @@ pub(crate) fn stage_loop(shared: &Shared, worker: usize) {
             // the checkout count. Transient failure: the job goes to
             // the retry decision point, not straight to `Failed`.
             Err(panic) => {
-                let err = internal_error(Some(kind), &panic);
+                let err = internal_error(kind, &panic);
                 shared.retry_or_fail(seq, state, err);
             }
         }

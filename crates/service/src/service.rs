@@ -145,9 +145,8 @@ pub enum ServiceError {
     /// [`RetryPolicy`] allowed panicked too). This is the *transient*
     /// failure class — the only one a retry policy re-enqueues.
     Internal {
-        /// The pipeline stage whose task panicked (the executor always
-        /// attributes it).
-        stage: Option<StageKind>,
+        /// The pipeline stage whose task panicked.
+        stage: StageKind,
         /// Rendered panic payload.
         message: String,
     },
@@ -165,14 +164,9 @@ impl std::fmt::Display for ServiceError {
         match self {
             ServiceError::Compile(e) => write!(f, "compilation failed: {e}"),
             ServiceError::UnknownJob(id) => write!(f, "unknown or already-taken job {id:?}"),
-            ServiceError::Internal {
-                stage: Some(stage),
-                message,
-            } => write!(f, "worker panicked in {stage:?} task: {message}"),
-            ServiceError::Internal {
-                stage: None,
-                message,
-            } => write!(f, "worker panicked: {message}"),
+            ServiceError::Internal { stage, message } => {
+                write!(f, "worker panicked in {stage:?} task: {message}")
+            }
             ServiceError::Cancelled(id) => write!(f, "job {id:?} was cancelled"),
             ServiceError::Expired(id) => write!(f, "job {id:?} expired before running"),
         }
@@ -2298,7 +2292,7 @@ pub(crate) fn probe_cache(
 
 /// Builds the [`ServiceError::Internal`] for a caught worker panic.
 pub(crate) fn internal_error(
-    stage: Option<StageKind>,
+    stage: StageKind,
     panic: &Box<dyn std::any::Any + Send>,
 ) -> ServiceError {
     ServiceError::Internal {

@@ -352,9 +352,13 @@ fn injected_panics_exhaust_retries_then_fail() {
     await_completed(&service, 1);
     assert_eq!(service.attempts(h.id()), Some(3));
     let err = h.wait().unwrap_err();
+    let rendered = err.to_string();
     match err {
         ServiceError::Internal { stage, message } => {
-            assert!(stage.is_some(), "panicking stage attributed");
+            assert!(
+                rendered.contains(&format!("{stage:?} task")),
+                "rendered error names the panicking stage, got: {rendered}"
+            );
             assert!(
                 message.contains("injected fault") && message.contains("InjectedFault"),
                 "self-describing payload, got: {message}"

@@ -7,7 +7,7 @@
 //!
 //! Covered impls: `Partition`, `CompiledProgram`, `Schedule`,
 //! `LayerScheduleProblem`, `DistributedSchedule`, `DiGraph`, and the
-//! `mbqc-net` request frames and `Stats` reply.
+//! `mbqc-net` request frames, `Stats` reply and worker-panic outcome.
 
 use dc_mbqc::{DcMbqcCompiler, DcMbqcConfig, DistributedSchedule};
 use mbqc_circuit::bench;
@@ -215,8 +215,8 @@ proptest! {
 // typed errors, never a panic, a hang, or a runaway allocation.
 // ---------------------------------------------------------------------------
 
-use mbqc_net::{Request, Response, WireJobOptions, KIND_REQUEST};
-use mbqc_service::{CompileService, JobOptions, ServiceConfig, ServiceStats};
+use mbqc_net::{Request, Response, WireJobOptions, WireOutcome, KIND_REQUEST};
+use mbqc_service::{CompileService, JobOptions, ServiceConfig, ServiceStats, StageKind};
 use mbqc_util::frame::{encode_frame, read_frame, FrameError, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD};
 
 /// A realistic request frame: a full `Submit` with a real pattern and
@@ -331,6 +331,39 @@ fn unknown_verbs_and_tags_are_typed() {
     }
     for tag in [8u8, 99, 255] {
         assert!(Response::from_bytes(&[tag]).is_err(), "tag {tag}");
+    }
+}
+
+/// A worker-panic outcome always names its stage: the encoding keeps a
+/// stage-present flag, and a frame with the flag clear (the layout an
+/// unattributed panic once had) is a typed error, not an outcome.
+#[test]
+fn internal_outcome_without_a_stage_is_rejected() {
+    for stage in StageKind::ALL {
+        let outcome = Response::Outcome(WireOutcome::Internal {
+            stage,
+            message: "boom".into(),
+        });
+        let bytes = outcome.to_bytes();
+        // Reply tag `Outcome` (3), status `Internal` (4), flag set.
+        assert_eq!(&bytes[..3], &[3, 4, 1], "{stage:?}");
+        assert_eq!(Response::from_bytes(&bytes).expect("round trip"), outcome);
+
+        // Flag cleared, stage tag dropped: the old unattributed layout.
+        let mut unattributed = bytes[..2].to_vec();
+        unattributed.push(0);
+        unattributed.extend_from_slice(&bytes[4..]);
+        assert!(
+            Response::from_bytes(&unattributed).is_err(),
+            "{stage:?}: unattributed panic decoded"
+        );
+        // Flag cleared, everything else intact.
+        let mut flag_cleared = bytes.clone();
+        flag_cleared[2] = 0;
+        assert!(
+            Response::from_bytes(&flag_cleared).is_err(),
+            "{stage:?}: cleared stage flag decoded"
+        );
     }
 }
 

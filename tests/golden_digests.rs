@@ -6,9 +6,10 @@
 //! every in-process bit-identity matrix would reproduce consistently. A
 //! deliberate output change re-baselines them in the same commit.
 //!
-//! The root package depends on `mbqc-bench`, which enables
-//! mbqc-partition's `reference-impls` feature, so the coarse-rebuild mode
-//! behind these digests is fixed for this test binary.
+//! Each program is compiled with one, two and four grid-mapping workers,
+//! and every run must produce the pinned digest: the worker count is
+//! never an input to the result. No cargo feature changes partitions,
+//! so the digests hold in every build configuration.
 
 use dc_mbqc::{CompileSession, DcMbqcConfig};
 use mbqc_circuit::bench::{self, BenchmarkKind};
@@ -41,18 +42,32 @@ fn config(n: usize, qpus: usize, rsg: ResourceStateKind) -> DcMbqcConfig {
         .with_batch_workers(1)
 }
 
-fn digest(kind: BenchmarkKind, n: usize, qpus: usize, rsg: ResourceStateKind) -> String {
+/// Grid-mapping worker counts every corpus program is compiled with.
+const MAP_WORKERS: [usize; 3] = [1, 2, 4];
+
+fn digest(
+    kind: BenchmarkKind,
+    n: usize,
+    qpus: usize,
+    rsg: ResourceStateKind,
+    map_workers: usize,
+) -> String {
     let pattern = transpile(&kind.generate(n, SEED));
     let schedule = CompileSession::new(config(n, qpus, rsg))
-        .with_map_workers(1)
+        .with_map_workers(map_workers)
         .compile_pattern(&pattern)
         .expect("corpus program compiles");
     format!("{:016x}", fnv1a64(&schedule.to_bytes()))
 }
 
 fn assert_digest(kind: BenchmarkKind, n: usize, qpus: usize, rsg: ResourceStateKind, want: &str) {
-    let got = digest(kind, n, qpus, rsg);
-    assert_eq!(got, want, "{kind}-{n} on {qpus} × {rsg}: output changed");
+    for map_workers in MAP_WORKERS {
+        let got = digest(kind, n, qpus, rsg, map_workers);
+        assert_eq!(
+            got, want,
+            "{kind}-{n} on {qpus} × {rsg}, {map_workers} map workers: output changed"
+        );
+    }
 }
 
 #[test]
