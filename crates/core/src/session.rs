@@ -341,6 +341,10 @@ impl CompileSession {
             kway_ws: KwayWorkspace::new(),
             schedule_ws: ScheduleWorkspace::new(),
             mapper_ws: Vec::new(),
+            // One per core. Safe as a default because the map-worker
+            // count never changes output: `tests/golden_digests.rs`
+            // compiles its corpus with 1, 2 and 4 workers against the
+            // same pinned digests.
             map_workers: 0,
         }
     }

@@ -216,9 +216,7 @@ impl StageGraph {
     }
 
     /// Pipeline depth: how many of the four stages are already
-    /// satisfied (executed *or* answered by a cached artifact). A
-    /// deepest-stage-first queue policy orders ready jobs by this —
-    /// draining work-in-progress before starting fresh jobs.
+    /// satisfied (executed *or* answered by a cached artifact).
     #[must_use]
     pub fn depth(&self) -> u32 {
         self.done.iter().map(|&d| u32::from(d)).sum()

@@ -3,18 +3,18 @@
 //!
 //! ```text
 //! mbqc-server [--addr HOST:PORT] [--workers N]
-//!             [--policy fifo|dsf|steal|fair]
 //!             [--disk DIR] [--queue-limit N]
 //!             [--tenant ID:WEIGHT[:QUOTA]]...
 //! ```
 //!
 //! Arguments are hand-parsed (no CLI crates on the offline box).
 //! `--tenant` repeats: each adds a [`TenantQuota`] with the given
-//! fair-share weight and optional in-flight quota. Runs until
-//! interrupted.
+//! fair-share weight and optional in-flight quota; unlisted tenants
+//! get weight 1 and no quota. Prints the configuration in effect, then
+//! runs until interrupted.
 
 use mbqc_net::Server;
-use mbqc_service::{AdmissionConfig, CompileService, QueuePolicy, ServiceConfig, TenantQuota};
+use mbqc_service::{AdmissionConfig, CompileService, ServiceConfig, TenantQuota};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -22,7 +22,6 @@ use std::time::Duration;
 struct Args {
     addr: String,
     workers: usize,
-    policy: QueuePolicy,
     disk: Option<std::path::PathBuf>,
     queue_limit: Option<usize>,
     tenants: Vec<TenantQuota>,
@@ -30,8 +29,7 @@ struct Args {
 
 fn usage() -> String {
     "usage: mbqc-server [--addr HOST:PORT] [--workers N] \
-     [--policy fifo|dsf|steal|fair] [--disk DIR] [--queue-limit N] \
-     [--tenant ID:WEIGHT[:QUOTA]]..."
+     [--disk DIR] [--queue-limit N] [--tenant ID:WEIGHT[:QUOTA]]..."
         .into()
 }
 
@@ -69,7 +67,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         addr: "127.0.0.1:7161".into(),
         workers: 0, // 0 = ServiceConfig default
-        policy: QueuePolicy::PriorityFifo,
         disk: None,
         queue_limit: None,
         tenants: Vec::new(),
@@ -87,15 +84,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 args.workers = value("--workers")?
                     .parse()
                     .map_err(|_| "--workers: not a number".to_string())?;
-            }
-            "--policy" => {
-                args.policy = match value("--policy")?.as_str() {
-                    "fifo" => QueuePolicy::PriorityFifo,
-                    "dsf" => QueuePolicy::DeepestStageFirst,
-                    "steal" => QueuePolicy::WorkStealing,
-                    "fair" => QueuePolicy::WeightedFair,
-                    other => return Err(format!("--policy {other}: unknown policy\n{}", usage())),
-                };
             }
             "--disk" => args.disk = Some(value("--disk")?.into()),
             "--queue-limit" => {
@@ -124,7 +112,6 @@ fn main() -> ExitCode {
     };
 
     let mut config = ServiceConfig {
-        policy: args.policy,
         admission: AdmissionConfig {
             max_queue_depth: args.queue_limit,
             tenants: args.tenants,
@@ -135,6 +122,26 @@ fn main() -> ExitCode {
         config.workers = args.workers;
     }
     config.store.disk_dir = args.disk;
+    // Rendered before the config moves into the service.
+    let queue_limit = config
+        .admission
+        .max_queue_depth
+        .map_or_else(|| "none".to_string(), |n| n.to_string());
+    let disk = config
+        .store
+        .disk_dir
+        .as_ref()
+        .map_or_else(|| "none".to_string(), |d| d.display().to_string());
+    let tenants = config
+        .admission
+        .tenants
+        .iter()
+        .map(|t| match t.max_in_flight {
+            Some(q) => format!("{}:{}:{q}", t.tenant, t.weight),
+            None => format!("{}:{}", t.tenant, t.weight),
+        })
+        .collect::<Vec<_>>()
+        .join(" ");
 
     let service = match CompileService::new(config) {
         Ok(s) => Arc::new(s),
@@ -151,11 +158,12 @@ fn main() -> ExitCode {
         }
     };
     println!(
-        "mbqc-server listening on {} ({} workers, {:?})",
+        "mbqc-server listening on {}: {} workers, queue limit {}, disk {}, tenants [{}]",
         server.local_addr(),
         service.workers(),
-        // policy moved into the service; echo what was requested
-        args.policy,
+        queue_limit,
+        disk,
+        tenants,
     );
 
     // Park forever: the server's threads do the work. No signal

@@ -5,8 +5,8 @@
 //! no serde, no tonic), a thread-per-connection [`Server`], and a
 //! typed blocking [`Client`]. Remote jobs are **bit-identical** to
 //! in-process ones — the remote-equivalence test matrix pins loopback
-//! submissions against `compile_pattern` across worker counts, queue
-//! policies, and cache states.
+//! submissions against `compile_pattern` across worker counts,
+//! tenants, and cache states.
 //!
 //! ## Frame layout
 //!

@@ -59,10 +59,10 @@ use crate::service::{
 use crate::telemetry::EventKind;
 
 /// One stage-graph worker: pop ready stage tasks until shutdown *and*
-/// the queue is drained. The worker index selects the class-scan order
-/// under [`QueuePolicy::WorkStealing`](crate::QueuePolicy).
-pub(crate) fn stage_loop(shared: &Shared, worker: usize) {
-    while let Some((seq, mut state)) = shared.next_job(worker) {
+/// the queue is drained. Every worker pops from the same ready queue
+/// in the same order.
+pub(crate) fn stage_loop(shared: &Shared) {
+    while let Some((seq, mut state)) = shared.next_job() {
         let kind = state
             .stages
             .ready()
@@ -292,6 +292,11 @@ fn map_task(
             }
         }
     }
+    // A multi-worker service already saturates the cores, so each map
+    // task runs on one thread; a lone worker maps on all of them. Either
+    // choice is free to make: the map-worker count never changes output
+    // (`tests/golden_digests.rs` pins one digest across 1, 2 and 4
+    // workers).
     let map_workers = if shared.workers > 1 { 1 } else { 0 };
     let mut ws = shared.pool.checkout_mapper();
     let unwind = DiscardOnUnwind(&shared.pool);

@@ -1,14 +1,14 @@
-//! Weighted fair queueing across tenants, per priority class.
+//! Weighted fair queueing across tenants, per priority class — the
+//! service's ready queue.
 //!
-//! Under [`QueuePolicy::WeightedFair`](crate::QueuePolicy::WeightedFair)
-//! each priority class splits its ready entries into per-tenant FIFO
+//! Each priority class splits its ready entries into per-tenant FIFO
 //! lanes and pops by a credit scheduler: every pop first grants each
 //! *active* lane (one with queued entries) its weight in credit, then
 //! serves the lane with the most credit (ties to the smallest tenant
 //! id) and charges it the total active weight. This is the greedy
 //! chairman-assignment rule — by Tijdeman's theorem the number of pops
 //! any backlogged tenant receives stays within one of its exact
-//! weighted share, which is the fairness bound the policy proptest
+//! weighted share, which is the fairness bound the proptest below
 //! pins.
 //!
 //! Two deliberate properties of the credit bookkeeping:
@@ -20,18 +20,16 @@
 //!   stages) keeps its recent-service debt, so rapid
 //!   deactivate/reactivate cycles do not forgive it.
 //! * Entries within one lane pop in heap order — priority is constant
-//!   inside a class and depth is pinned to 0 under this policy, so the
-//!   order is submission order, exactly like
-//!   [`QueuePolicy::PriorityFifo`] within a tenant.
+//!   inside a class, so the order is submission order. With a single
+//!   tenant a class is one lane, and the whole queue pops by priority
+//!   then submission order.
 //!
 //! Fairness is scheduling only: it decides *when* a tenant's job runs,
 //! never its result (the remote-equivalence matrix pins bit-identical
-//! schedules under this policy too). Dedup followers never enter the
-//! queue, so fairness is accounted on leaders; a stale entry whose job
-//! was cancelled still charges its lane one pop (rare, and self-
-//! correcting within the same bound).
-//!
-//! [`QueuePolicy::PriorityFifo`]: crate::QueuePolicy::PriorityFifo
+//! schedules across tenants). Dedup followers never enter the queue,
+//! so fairness is accounted on leaders; a stale entry whose job was
+//! cancelled still charges its lane one pop (rare, and self-correcting
+//! within the same bound).
 
 use std::collections::{BinaryHeap, HashMap};
 
@@ -70,8 +68,11 @@ struct Lane {
 /// One priority class's weighted-fair state.
 #[derive(Debug, Default)]
 pub(crate) struct FairClass {
-    /// Lanes sorted by tenant id (created on a tenant's first push and
-    /// kept — tenant counts are small and bounded by configuration).
+    /// Lanes sorted by tenant id. A lane is created on a tenant's
+    /// first push and kept after it drains, so it keeps its debt. Tenant
+    /// ids come off the wire (any `u32`), so this holds one lane per
+    /// distinct tenant id seen — the same growth as the
+    /// [`ServiceStats::tenants`](crate::ServiceStats::tenants) rows.
     lanes: Vec<Lane>,
 }
 
@@ -144,7 +145,6 @@ mod tests {
     fn entry(tenant: u32, seq: u64) -> ReadyJob {
         ReadyJob {
             priority: Priority::Normal,
-            depth: 0,
             seq,
             tenant,
             enqueued: Instant::now(),

@@ -203,14 +203,14 @@
 //! backlog reports `Expired` only when its turn comes (or when it is
 //! cancelled, or at service drain).
 //!
-//! **The queue order is pluggable** ([`QueuePolicy`]).
-//! `PriorityFifo` (the default) pops by priority then submission
-//! order. `DeepestStageFirst` drains work-in-progress first within a
-//! priority class: jobs with more satisfied stages pop before fresh
-//! jobs, which finishes nearly-done (e.g. cache-accelerated) jobs
-//! ahead of cold backlog and trims completion-latency tails under
-//! mixed load. Policies are pure scheduling — no policy, cancellation
-//! interleaving, or deadline can change a surviving job's bits.
+//! **The queue has one order.** Priority classes pop highest first.
+//! Within a class, each tenant ([`JobOptions::tenant`]) has a FIFO
+//! lane, and a credit scheduler shares the class's pops between
+//! backlogged tenants by weight ([`TenantQuota::weight`], default 1),
+//! within one task of the exact share. With one tenant this is plain
+//! priority-then-submission order. Queue order is pure scheduling — no
+//! order, cancellation interleaving, or deadline can change a
+//! surviving job's bits.
 //!
 //! ```
 //! use dc_mbqc::DcMbqcConfig;
@@ -252,7 +252,7 @@
 //! ```
 //!
 //! **Determinism is the contract**: for any worker count,
-//! priority mix, queue policy, and cache state — cold, warm,
+//! priority and tenant mix, and cache state — cold, warm,
 //! disk-restored — results are bit-identical to a direct
 //! [`dc_mbqc::DcMbqcCompiler::compile_pattern`] call, and lifecycle
 //! churn (cancellation/expiry at arbitrary points) never perturbs a
@@ -506,8 +506,8 @@ pub use dc_mbqc::{PipelineStage, StageKind};
 pub use fault::{FaultConfig, FaultPlan, InjectedFault};
 pub use service::{
     AdmissionConfig, AdmissionError, CancelToken, CompileService, JobHandle, JobId, JobOptions,
-    Priority, QueuePolicy, RetryPolicy, ServiceConfig, ServiceError, ServiceStats, TelemetryConfig,
-    TenantQuota, TenantStat,
+    Priority, RetryPolicy, ServiceConfig, ServiceError, ServiceStats, TelemetryConfig, TenantQuota,
+    TenantStat,
 };
 pub use store::{ArtifactBytes, ArtifactKey, ArtifactStore, StoreConfig, StoreStats};
 pub use telemetry::{

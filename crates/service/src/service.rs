@@ -54,19 +54,16 @@
 //! next task would be popped, so an expired job costs exactly one
 //! queue-pop and never a stage execution.
 //!
-//! The ready queue itself is policy-driven ([`QueuePolicy`]): the
-//! default [`QueuePolicy::PriorityFifo`] pops by priority then
-//! submission order, [`QueuePolicy::DeepestStageFirst`] drains
-//! work-in-progress first within a priority class — jobs with more
-//! satisfied stages pop before fresh jobs, cutting latency tails under
-//! mixed load — and [`QueuePolicy::WorkStealing`] affines each worker
-//! to a home priority class and lets idle workers steal from the other
-//! classes (descending priority) instead of contending on one shared
-//! order. No policy (nor any cancellation interleaving) can change a
-//! surviving job's *result* — only when it runs (property-tested in
+//! The ready queue has one order. Priority classes pop in descending
+//! priority; inside a class, each tenant ([`JobOptions::tenant`]) has
+//! a FIFO lane and the lanes share pops by weight
+//! ([`TenantQuota::weight`], see the `fair` module). With a single
+//! tenant this is plain priority-then-submission order. Queue order
+//! (like any cancellation interleaving) never changes a surviving
+//! job's *result* — only when it runs (property-tested in
 //! `tests/proptest_lifecycle.rs`).
 
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -228,51 +225,9 @@ impl CancelToken {
     }
 }
 
-/// How the shared ready-queue orders runnable jobs *within* a priority
-/// class (priority always dominates; submission order always breaks
-/// ties). The policy is pure scheduling: it can never change a job's
-/// result, only when it runs (property-tested).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum QueuePolicy {
-    /// Today's order: priority, then submission order. A fresh job and
-    /// a three-stages-deep job of the same priority pop
-    /// first-come-first-served.
-    #[default]
-    PriorityFifo,
-    /// Drain work-in-progress first: within a priority class, the job
-    /// with the most satisfied stages pops first (ties by submission
-    /// order). Finishing nearly-done jobs before starting fresh ones
-    /// cuts completion-latency tails under mixed load.
-    DeepestStageFirst,
-    /// Class-affined workers with steal fall-through: worker `i`'s
-    /// *home class* round-robins Interactive → Normal → Batch by index,
-    /// a pop scans the worker's home class first, and an idle worker
-    /// whose home class is empty *steals* from the remaining classes in
-    /// descending priority (so Batch backfill is stolen last, and only
-    /// when nothing more urgent is ready anywhere). With fewer than
-    /// three workers every class is still served — stealing is a scan
-    /// order, not a partition — and within one class jobs pop in
-    /// submission order exactly as under
-    /// [`QueuePolicy::PriorityFifo`]. The win is queue-contention
-    /// relief under mixed load: a Batch-affined worker drains backfill
-    /// without racing the interactive workers for the same heap top.
-    WorkStealing,
-    /// Weighted fair sharing across *tenants* within a priority class
-    /// (priority still dominates across classes). Each tenant
-    /// ([`JobOptions::tenant`]) gets a FIFO lane; lanes are served by a
-    /// credit scheduler so every backlogged tenant's share of pops
-    /// stays within one task of its configured weight
-    /// ([`TenantQuota::weight`], default 1) — a tenant flooding the
-    /// queue can no longer starve the others in its class. With a
-    /// single tenant this degenerates to [`QueuePolicy::PriorityFifo`]
-    /// exactly. See the `fair` module docs for the scheduling rule and
-    /// its fairness bound.
-    WeightedFair,
-}
-
-/// One tenant's multi-tenancy configuration: its fair-share weight
-/// under [`QueuePolicy::WeightedFair`] and an optional in-flight quota
-/// enforced by admission-checked submits.
+/// One tenant's multi-tenancy configuration: its fair-share weight in
+/// the ready queue and an optional in-flight quota enforced by
+/// admission-checked submits.
 ///
 /// # Examples
 ///
@@ -288,8 +243,8 @@ pub enum QueuePolicy {
 pub struct TenantQuota {
     /// The tenant id this entry configures.
     pub tenant: u32,
-    /// Fair-share weight under [`QueuePolicy::WeightedFair`]: a
-    /// backlogged weight-3 tenant gets three pops for every pop a
+    /// Fair-share weight within each priority class: a backlogged
+    /// weight-3 tenant gets three pops for every pop a
     /// weight-1 tenant gets, within one task. Must be non-zero —
     /// [`CompileService::new`] rejects a zero weight (a tenant that
     /// should never run is expressed by not submitting, not by a
@@ -530,10 +485,12 @@ pub struct JobOptions {
     /// failures. The default never retries.
     pub retry: RetryPolicy,
     /// The submitting tenant (default 0). Tenancy is pure scheduling
-    /// and accounting — it feeds the per-tenant fair lanes under
-    /// [`QueuePolicy::WeightedFair`], the in-flight quotas of the
-    /// admission-checked submits, and the [`ServiceStats::tenants`]
-    /// breakdown — and never changes a job's result.
+    /// and accounting — it picks the job's fair lane within its
+    /// priority class (weighted by [`TenantQuota::weight`]), the
+    /// in-flight quotas of the admission-checked submits, and the
+    /// [`ServiceStats::tenants`] breakdown — and never changes a job's
+    /// result. Any `u32` is accepted; an unconfigured tenant has
+    /// weight 1 and no quota.
     pub tenant: u32,
 }
 
@@ -555,9 +512,6 @@ pub struct ServiceConfig {
     /// non-deterministic failure. Deterministic `Compile` rejections
     /// are shared like successes.
     pub dedup: bool,
-    /// Ready-queue order within a priority class (FIFO by default).
-    /// Pure scheduling: never changes results.
-    pub policy: QueuePolicy,
     /// Artifact-store configuration (memory budget, optional disk
     /// tier).
     pub store: StoreConfig,
@@ -585,7 +539,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             workers: 0,
             dedup: true,
-            policy: QueuePolicy::default(),
             store: StoreConfig::default(),
             faults: FaultPlan::none(),
             telemetry: TelemetryConfig::default(),
@@ -790,8 +743,7 @@ pub(crate) struct JobState {
     pub(crate) config: DcMbqcConfig,
     pub(crate) priority: Priority,
     /// The submitting tenant ([`JobOptions::tenant`]): routes the
-    /// job's queue entries to its fair lane under
-    /// [`QueuePolicy::WeightedFair`].
+    /// job's queue entries to its fair lane.
     pub(crate) tenant: u32,
     /// Stage-task dependency tracker.
     pub(crate) stages: StageGraph,
@@ -877,19 +829,13 @@ impl JobState {
 }
 
 /// A ready queue entry: one job with (at least) one runnable stage
-/// task. Max-heap order: higher priority first, then pipeline depth
-/// (always 0 under [`QueuePolicy::PriorityFifo`], so the term is
-/// inert), then submission order.
+/// task. Max-heap order: higher priority first, then submission order.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ReadyJob {
     pub(crate) priority: Priority,
-    /// Satisfied-stage count at push time under
-    /// [`QueuePolicy::DeepestStageFirst`]; 0 under
-    /// [`QueuePolicy::PriorityFifo`].
-    pub(crate) depth: u32,
     pub(crate) seq: u64,
-    /// The job's tenant: selects the fair lane under
-    /// [`QueuePolicy::WeightedFair`] (never part of the heap order).
+    /// The job's tenant: selects the fair lane (never part of the heap
+    /// order).
     pub(crate) tenant: u32,
     /// Push time, for the queue-wait histogram (never part of the heap
     /// order). A parked retry is re-stamped at promotion, so its
@@ -897,11 +843,22 @@ pub(crate) struct ReadyJob {
     pub(crate) enqueued: Instant,
 }
 
+impl ReadyJob {
+    /// The entry for a job's next task, stamped now.
+    fn new(seq: u64, state: &JobState) -> Self {
+        ReadyJob {
+            priority: state.priority,
+            seq,
+            tenant: state.tenant,
+            enqueued: Instant::now(),
+        }
+    }
+}
+
 impl Ord for ReadyJob {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.priority
             .cmp(&other.priority)
-            .then_with(|| self.depth.cmp(&other.depth))
             .then_with(|| other.seq.cmp(&self.seq))
     }
 }
@@ -931,16 +888,13 @@ struct ParkedJob {
 
 #[derive(Debug, Default)]
 pub(crate) struct QueueState {
-    /// Ready entries, one heap per priority class (indexed like
-    /// [`Priority::ALL`]). Splitting by class is order-preserving for
-    /// every policy — priority dominates the single-heap order, so
-    /// "pop the highest non-empty class" is the same sequence — and it
-    /// is what gives [`QueuePolicy::WorkStealing`] its per-worker scan
-    /// order for free. May contain *stale* entries whose job was
-    /// cancelled while queued (the job is dropped from `jobs`
-    /// immediately; the heap entry is skipped lazily at pop — a heap
-    /// cannot remove from the middle in O(log n)).
-    ready: [BinaryHeap<ReadyJob>; 3],
+    /// Ready entries: one weighted-fair class per priority (indexed
+    /// like [`Priority::ALL`]), each split into per-tenant FIFO lanes.
+    /// May contain *stale* entries whose job was cancelled while
+    /// queued (the job is dropped from `jobs` immediately; the lane
+    /// entry is skipped lazily at pop — a heap cannot remove from the
+    /// middle in O(log n)).
+    ready: [FairClass; 3],
     jobs: HashMap<u64, JobState>,
     /// Retries waiting out their backoff. Promoted back into `ready`
     /// by queue pops once due (workers `wait_timeout` until the
@@ -952,62 +906,20 @@ pub(crate) struct QueueState {
     /// back to the queue or finish — shutdown must wait for them).
     running: usize,
     shutdown: bool,
-    /// Per-class weighted-fair lanes, present exactly under
-    /// [`QueuePolicy::WeightedFair`] (the `ready` heaps then stay
-    /// empty — entries route to their tenant's lane instead).
-    fair: Option<[FairClass; 3]>,
-    /// Tenant fair-share weights (only read when `fair` is active).
+    /// Tenant fair-share weights.
     weights: TenantWeights,
 }
 
 impl QueueState {
-    /// Fresh queue state for the given policy (fair lanes only under
-    /// [`QueuePolicy::WeightedFair`]).
-    fn for_policy(policy: QueuePolicy, weights: TenantWeights) -> Self {
-        Self {
-            fair: (policy == QueuePolicy::WeightedFair)
-                .then(|| std::array::from_fn(|_| FairClass::default())),
-            weights,
-            ..Self::default()
-        }
-    }
-
-    /// Queues a ready entry under its job's priority class (and, under
-    /// weighted-fair scheduling, its tenant's lane).
+    /// Queues a ready entry in its tenant's lane of its priority class.
     fn push_ready(&mut self, entry: ReadyJob) {
-        match &mut self.fair {
-            Some(classes) => classes[entry.priority as usize].push(entry, &self.weights),
-            None => self.ready[entry.priority as usize].push(entry),
-        }
+        self.ready[entry.priority as usize].push(entry, &self.weights);
     }
 
-    /// Pops the best ready entry in the given class-scan order (every
-    /// scan covers all three classes, so `None` means the whole ready
-    /// queue is empty regardless of policy).
-    fn pop_ready(&mut self, scan: [usize; 3]) -> Option<ReadyJob> {
-        match &mut self.fair {
-            Some(classes) => scan.into_iter().find_map(|class| classes[class].pop()),
-            None => scan.into_iter().find_map(|class| self.ready[class].pop()),
-        }
-    }
-}
-
-/// The class-scan order (indices into [`Priority::ALL`], visited first
-/// to last) the given worker uses at a pop. Under the global policies
-/// every worker scans descending priority; under
-/// [`QueuePolicy::WorkStealing`] the worker's home class comes first
-/// and the rest follow in descending priority — the steal fall-through.
-fn scan_order(policy: QueuePolicy, worker: usize) -> [usize; 3] {
-    const DESCENDING: [usize; 3] = [2, 1, 0];
-    match policy {
-        QueuePolicy::PriorityFifo | QueuePolicy::DeepestStageFirst | QueuePolicy::WeightedFair => {
-            DESCENDING
-        }
-        QueuePolicy::WorkStealing => match worker % 3 {
-            0 => [2, 1, 0], // home Interactive
-            1 => [1, 2, 0], // home Normal
-            _ => [0, 2, 1], // home Batch
-        },
+    /// Pops the next entry of the highest non-empty priority class, or
+    /// `None` when the whole ready queue is empty.
+    fn pop_ready(&mut self) -> Option<ReadyJob> {
+        self.ready.iter_mut().rev().find_map(FairClass::pop)
     }
 }
 
@@ -1168,8 +1080,6 @@ pub(crate) struct Shared {
     /// `> 1` pins each job's inner stage parallelism to one thread
     /// (the worker fleet already saturates the cores).
     pub(crate) workers: usize,
-    /// Ready-queue order within a priority class.
-    pub(crate) policy: QueuePolicy,
     /// Task-level fault injection (inert in production builds).
     pub(crate) faults: FaultPlan,
     /// Queue bound enforced by admission-checked submits.
@@ -1179,23 +1089,6 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// The heap key a job's next task gets under the configured
-    /// [`QueuePolicy`].
-    fn ready_entry(&self, seq: u64, state: &JobState) -> ReadyJob {
-        ReadyJob {
-            priority: state.priority,
-            depth: match self.policy {
-                QueuePolicy::PriorityFifo
-                | QueuePolicy::WorkStealing
-                | QueuePolicy::WeightedFair => 0,
-                QueuePolicy::DeepestStageFirst => state.stages.depth(),
-            },
-            seq,
-            tenant: state.tenant,
-            enqueued: Instant::now(),
-        }
-    }
-
     /// Pops the highest-ranked ready job and takes its state out of
     /// the job table for the duration of one task (at most one worker
     /// ever holds a given job). Returns `None` on drained shutdown.
@@ -1205,8 +1098,7 @@ impl Shared {
     /// are skipped, a popped job whose token fired terminates
     /// `Cancelled`, and a popped job whose deadline lapsed terminates
     /// `Expired` — all without running a stage.
-    pub(crate) fn next_job(&self, worker: usize) -> Option<(u64, JobState)> {
-        let scan = scan_order(self.policy, worker);
+    pub(crate) fn next_job(&self) -> Option<(u64, JobState)> {
         let mut q = lock(&self.queue);
         loop {
             // Promote parked retries whose backoff elapsed. Guarded so
@@ -1217,7 +1109,7 @@ impl Shared {
                 while i < q.parked.len() {
                     if q.parked[i].due <= now {
                         let p = q.parked.swap_remove(i);
-                        let entry = self.ready_entry(p.seq, &p.state);
+                        let entry = ReadyJob::new(p.seq, &p.state);
                         q.jobs.insert(p.seq, p.state);
                         q.push_ready(entry);
                     } else {
@@ -1225,7 +1117,7 @@ impl Shared {
                     }
                 }
             }
-            if let Some(r) = q.pop_ready(scan) {
+            if let Some(r) = q.pop_ready() {
                 // Stale entry: the job was cancelled while queued (its
                 // result is already published).
                 let Some(state) = q.jobs.remove(&r.seq) else {
@@ -1288,7 +1180,7 @@ impl Shared {
             self.finish_job(seq, Err(ServiceError::Cancelled(JobId(seq))), 0);
             return;
         }
-        let entry = self.ready_entry(seq, &state);
+        let entry = ReadyJob::new(seq, &state);
         let mut q = lock(&self.queue);
         q.jobs.insert(seq, state);
         q.push_ready(entry);
@@ -1366,7 +1258,7 @@ impl Shared {
                 f.pattern, f.config, f.priority, f.tenant, f.cancel, f.deadline, f.retry,
                 f.attempts,
             );
-            let entry = self.ready_entry(f.seq, &state);
+            let entry = ReadyJob::new(f.seq, &state);
             let mut q = lock(&self.queue);
             q.jobs.insert(f.seq, state);
             q.push_ready(entry);
@@ -1526,8 +1418,8 @@ impl CompileService {
     /// Returns the I/O error when the disk tier cannot be initialized,
     /// or an [`InvalidInput`](std::io::ErrorKind::InvalidInput) error
     /// for a malformed [`AdmissionConfig`] — a zero tenant weight
-    /// (which would starve the tenant forever under
-    /// [`QueuePolicy::WeightedFair`]) or a duplicate tenant id.
+    /// (which would starve the tenant's fair lanes forever) or a
+    /// duplicate tenant id.
     pub fn new(config: ServiceConfig) -> std::io::Result<Self> {
         let mut seen_tenants = std::collections::HashSet::new();
         for t in &config.admission.tenants {
@@ -1570,7 +1462,10 @@ impl CompileService {
             .filter_map(|t| t.max_in_flight.map(|m| (t.tenant, m)))
             .collect();
         let shared = Arc::new(Shared {
-            queue: Mutex::new(QueueState::for_policy(config.policy, weights)),
+            queue: Mutex::new(QueueState {
+                weights,
+                ..QueueState::default()
+            }),
             queue_cv: Condvar::new(),
             results: Mutex::new(ResultState::default()),
             results_cv: Condvar::new(),
@@ -1583,7 +1478,6 @@ impl CompileService {
             metrics: ServiceMetrics::default(),
             pool: WorkspacePool::new(),
             workers,
-            policy: config.policy,
             faults: config.faults,
             max_queue_depth: config.admission.max_queue_depth,
             quotas,
@@ -1593,7 +1487,7 @@ impl CompileService {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("mbqc-worker-{i}"))
-                    .spawn(move || executor::stage_loop(&shared, i))
+                    .spawn(move || executor::stage_loop(&shared))
                     .expect("spawn service worker")
             })
             .collect();
@@ -1856,7 +1750,7 @@ impl CompileService {
         let state = JobState::new(
             pattern, config, priority, tenant, cancel, deadline, retry, attempts,
         );
-        let entry = self.shared.ready_entry(id.0, &state);
+        let entry = ReadyJob::new(id.0, &state);
         let mut q = lock(&self.shared.queue);
         q.jobs.insert(id.0, state);
         q.push_ready(entry);
@@ -2392,128 +2286,65 @@ pub(crate) fn decode_mapped(bytes: &[u8]) -> Result<(Partition, Vec<CompiledProg
 mod tests {
     use super::*;
 
-    fn rj(priority: Priority, depth: u32, seq: u64) -> ReadyJob {
+    use proptest::prelude::*;
+
+    fn rj(tenant: u32, priority: Priority, seq: u64) -> ReadyJob {
         ReadyJob {
             priority,
-            depth,
-            seq,
-            tenant: 0,
-            enqueued: Instant::now(),
-        }
-    }
-
-    /// The heap comparator behind both queue policies: priority
-    /// dominates, then depth (inert under `PriorityFifo`, where every
-    /// entry carries 0), then submission order.
-    #[test]
-    fn ready_queue_pops_priority_then_depth_then_submission_order() {
-        let mut heap = BinaryHeap::new();
-        heap.push(rj(Priority::Normal, 0, 0)); // early but shallow
-        heap.push(rj(Priority::Normal, 3, 5)); // late but deep
-        heap.push(rj(Priority::Batch, 3, 1)); // deepest of the lowest class
-        heap.push(rj(Priority::Interactive, 0, 9)); // priority trumps all
-        heap.push(rj(Priority::Normal, 3, 4)); // same depth: earlier seq first
-        let order: Vec<u64> = std::iter::from_fn(|| heap.pop()).map(|r| r.seq).collect();
-        assert_eq!(order, vec![9, 4, 5, 0, 1]);
-    }
-
-    /// With every depth pinned to 0 (what `PriorityFifo` pushes), the
-    /// comparator reduces to priority + submission order exactly.
-    #[test]
-    fn fifo_entries_ignore_depth() {
-        let mut heap = BinaryHeap::new();
-        for seq in [3u64, 1, 4, 0, 2] {
-            heap.push(rj(Priority::Normal, 0, seq));
-        }
-        let order: Vec<u64> = std::iter::from_fn(|| heap.pop()).map(|r| r.seq).collect();
-        assert_eq!(order, vec![0, 1, 2, 3, 4]);
-    }
-
-    /// Every scan visits all three classes exactly once (stealing is a
-    /// scan *order*, never a partition — no class can starve), the
-    /// global policies scan descending priority for every worker, and
-    /// work stealing round-robins the home class by worker index.
-    #[test]
-    fn scan_orders_cover_all_classes_and_rotate_homes() {
-        for policy in [
-            QueuePolicy::PriorityFifo,
-            QueuePolicy::DeepestStageFirst,
-            QueuePolicy::WorkStealing,
-        ] {
-            for worker in 0..9 {
-                let mut scan = scan_order(policy, worker);
-                scan.sort_unstable();
-                assert_eq!(scan, [0, 1, 2], "{policy:?} worker {worker}");
-            }
-        }
-        for worker in 0..9 {
-            assert_eq!(
-                scan_order(QueuePolicy::PriorityFifo, worker),
-                [2, 1, 0],
-                "global policies ignore the worker index"
-            );
-        }
-        // Home classes rotate Interactive → Normal → Batch, and the
-        // steal fall-through after the home is descending priority.
-        assert_eq!(scan_order(QueuePolicy::WorkStealing, 0), [2, 1, 0]);
-        assert_eq!(scan_order(QueuePolicy::WorkStealing, 1), [1, 2, 0]);
-        assert_eq!(scan_order(QueuePolicy::WorkStealing, 2), [0, 2, 1]);
-        assert_eq!(
-            scan_order(QueuePolicy::WorkStealing, 3),
-            scan_order(QueuePolicy::WorkStealing, 0)
-        );
-    }
-
-    /// The class-split ready queue preserves the single-heap pop
-    /// sequence under a descending scan, and a stealing worker's scan
-    /// pops its home class first, then steals in descending priority.
-    #[test]
-    fn class_split_pop_matches_priority_order_and_steals_home_first() {
-        let mut q = QueueState::default();
-        q.push_ready(rj(Priority::Batch, 0, 0));
-        q.push_ready(rj(Priority::Interactive, 0, 1));
-        q.push_ready(rj(Priority::Normal, 0, 2));
-        q.push_ready(rj(Priority::Normal, 0, 3));
-        let descending = scan_order(QueuePolicy::PriorityFifo, 0);
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop_ready(descending))
-            .map(|r| r.seq)
-            .collect();
-        assert_eq!(order, vec![1, 2, 3, 0], "same sequence as one shared heap");
-
-        let mut q = QueueState::default();
-        q.push_ready(rj(Priority::Batch, 0, 0));
-        q.push_ready(rj(Priority::Interactive, 0, 1));
-        q.push_ready(rj(Priority::Normal, 0, 2));
-        // A Batch-affined worker drains its home class before stealing
-        // the more urgent classes (which its siblings would normally
-        // serve), and steals Interactive before Normal once idle.
-        let batch_home = scan_order(QueuePolicy::WorkStealing, 2);
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop_ready(batch_home))
-            .map(|r| r.seq)
-            .collect();
-        assert_eq!(order, vec![0, 1, 2]);
-    }
-
-    /// Under `WeightedFair` the queue routes entries through the fair
-    /// lanes; priority still dominates across classes, and two equal-
-    /// weight tenants in one class interleave.
-    #[test]
-    fn weighted_fair_queue_interleaves_tenants_and_keeps_priority() {
-        let mut q = QueueState::for_policy(QueuePolicy::WeightedFair, TenantWeights::default());
-        let t = |tenant: u32, priority: Priority, seq: u64| ReadyJob {
-            priority,
-            depth: 0,
             seq,
             tenant,
             enqueued: Instant::now(),
-        };
-        q.push_ready(t(0, Priority::Normal, 0));
-        q.push_ready(t(0, Priority::Normal, 1));
-        q.push_ready(t(1, Priority::Normal, 2));
-        q.push_ready(t(1, Priority::Normal, 3));
-        q.push_ready(t(0, Priority::Interactive, 4));
-        let scan = scan_order(QueuePolicy::WeightedFair, 0);
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop_ready(scan))
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// With a single tenant the fair lanes are plain priority-then-
+        /// submission order: under any interleaving of pushes and pops
+        /// across the three classes, every pop returns the maximum by
+        /// (priority desc, seq asc) among the entries still queued.
+        #[test]
+        fn single_tenant_pops_follow_priority_then_submission_order(
+            // Each op is a push into class `v` (v < 3) or a pop (v >= 3)
+            // — the vendored proptest shim has no tuple strategies.
+            ops in prop::collection::vec(0usize..6, 1..200),
+        ) {
+            let mut q = QueueState::default();
+            let mut queued: Vec<(Priority, u64)> = Vec::new();
+            let mut seq = 0;
+            for op in ops {
+                if op < 3 {
+                    let priority = Priority::ALL[op];
+                    q.push_ready(rj(0, priority, seq));
+                    queued.push((priority, seq));
+                    seq += 1;
+                } else {
+                    let best = queued
+                        .iter()
+                        .copied()
+                        .enumerate()
+                        .max_by(|(_, a), (_, b)| a.0.cmp(&b.0).then(b.1.cmp(&a.1)))
+                        .map(|(i, _)| i);
+                    let popped = q.pop_ready().map(|r| (r.priority, r.seq));
+                    prop_assert_eq!(popped, best.map(|i| queued.swap_remove(i)));
+                }
+            }
+        }
+    }
+
+    /// The queue routes entries through the fair lanes; priority still
+    /// dominates across classes, and two equal-weight tenants in one
+    /// class interleave.
+    #[test]
+    fn weighted_fair_queue_interleaves_tenants_and_keeps_priority() {
+        let mut q = QueueState::default();
+        q.push_ready(rj(0, Priority::Normal, 0));
+        q.push_ready(rj(0, Priority::Normal, 1));
+        q.push_ready(rj(1, Priority::Normal, 2));
+        q.push_ready(rj(1, Priority::Normal, 3));
+        q.push_ready(rj(0, Priority::Interactive, 4));
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop_ready())
             .map(|r| r.seq)
             .collect();
         // Interactive first, then Normal alternates tenants 0/1.

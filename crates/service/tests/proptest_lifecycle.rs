@@ -2,18 +2,18 @@
 //! arbitrary points must never corrupt the service.
 //!
 //! The headline property pins, for partitioner probe workers {1, 2} ×
-//! workers {1, 2, 8} × policy {`PriorityFifo`, `DeepestStageFirst`,
-//! `WorkStealing`} × cache state {cold, warm, disk-restored}, under a
-//! mixed workload
-//! where jobs are cancelled (by id and by shared token) and expired
-//! (lazy deadlines) at random points:
+//! workers {1, 2, 8} × cache state {cold, warm, disk-restored}, under a
+//! mixed workload split across two tenants (job `i` runs as tenant
+//! `i % 2`, so every priority class has two fair lanes to churn) where
+//! jobs are cancelled (by id and by shared token) and expired (lazy
+//! deadlines) at random points:
 //!
 //! * the service never deadlocks — every `wait` returns;
 //! * every job reaches exactly one terminal state
 //!   (`Done`/`Failed`/`Cancelled`/`Expired`), and the state is
 //!   plausible for what the test did to the job;
 //! * surviving (`Done`) jobs are **bit-identical** to a direct
-//!   `compile_pattern` — no cancellation interleaving, queue policy, or
+//!   `compile_pattern` — no cancellation interleaving, queue order, or
 //!   cache state can perturb a result;
 //! * the `WorkspacePool` is fully returned (no workspace leaks on the
 //!   abandon path);
@@ -36,8 +36,8 @@ use mbqc_hardware::{DistributedHardware, ResourceStateKind};
 use mbqc_partition::Partition;
 use mbqc_pattern::{transpile::transpile, Pattern};
 use mbqc_service::{
-    ArtifactKey, CancelToken, CompileService, JobId, JobOptions, Priority, QueuePolicy,
-    ServiceConfig, ServiceError, StoreConfig, TelemetryConfig,
+    ArtifactKey, CancelToken, CompileService, JobId, JobOptions, Priority, ServiceConfig,
+    ServiceError, StoreConfig, TelemetryConfig,
 };
 use mbqc_util::Rng;
 use proptest::prelude::*;
@@ -205,191 +205,214 @@ proptest! {
                     .map(|p| (p.clone(), compiler.compile_pattern(p).expect("compiles")))
                     .collect()
             };
-            for policy in [
-                QueuePolicy::PriorityFifo,
-                QueuePolicy::DeepestStageFirst,
-                QueuePolicy::WorkStealing,
-            ] {
-                // One disk dir per (probe, policy): workers=1 runs
-                // cold then warm; workers=2/8 start disk-restored.
-                let dir = scratch_dir();
-                for workers in [1usize, 2, 8] {
-                    let service = CompileService::new(ServiceConfig {
-                        workers,
-                        policy,
-                        store: StoreConfig {
-                            memory_capacity: 8 << 20,
-                            disk_dir: Some(dir.clone()),
-                            // Low threshold: the matrix churns through
-                            // segment packing, mmap reads of packed
-                            // frames, and manifest replay on the
-                            // disk-restored worker counts.
-                            segment_threshold: Some(4),
-                            ..StoreConfig::default()
-                        },
-                        // Flight recorder on: a failing cell below
-                        // dumps the recent event history alongside the
-                        // assertion (see `common::audited`).
-                        telemetry: TelemetryConfig {
-                            flight_recorder: 128,
-                            ..TelemetryConfig::default()
-                        },
-                        ..ServiceConfig::default()
-                    })
-                    .expect("service starts");
-                    // CI's release-mode pass sets MBQC_LIVE_SUBSCRIBER:
-                    // the armed fan-out path then runs under the full
-                    // lifecycle churn instead of only the happy paths.
-                    let _live = common::live_subscriber(&service);
-                    let cell = (|| -> Result<(), TestCaseError> {
-                    let rounds = if workers == 1 { 2 } else { 1 };
-                    for round in 0..rounds {
-                        // Deterministic churn plan from the seed; the
-                        // *timing* of each cancel is inherently racy —
-                        // which is the point: any interleaving must be
-                        // safe.
-                        let mut rng = Rng::seed_from_u64(
-                            seed ^ (workers as u64) << 3 ^ (round as u64) << 9,
-                        );
-                        let group = CancelToken::new();
-                        let mut jobs: Vec<(JobId, usize, Fate)> = Vec::new();
-                        let mut cancel_late: Vec<JobId> = Vec::new();
-                        for (i, (pattern, _)) in workload.iter().enumerate() {
-                            let priority = Priority::ALL[rng.range(3)];
-                            let fate = rng.range(10);
-                            let (id, fate) = match fate {
-                                // ~30% cancellations, at varied points.
-                                0 => {
-                                    // Cancel immediately after submit.
-                                    let h = service.submit_with(
-                                        pattern.clone(),
-                                        config.clone(),
-                                        JobOptions { priority, ..JobOptions::default() },
-                                    );
-                                    h.cancel();
-                                    (h.id(), Fate::CancelRequested)
-                                }
-                                1 => {
-                                    // Shared token, fired after all
-                                    // submissions.
-                                    let h = service.submit_with(
-                                        pattern.clone(),
-                                        config.clone(),
-                                        JobOptions {
-                                            priority,
-                                            cancel: Some(group.clone()),
-                                            ..JobOptions::default()
-                                        },
-                                    );
-                                    (h.id(), Fate::CancelRequested)
-                                }
-                                2 => {
-                                    // Cancel after the first wait (some
-                                    // jobs will be mid-flight by then).
-                                    let id = service.submit_with_priority(
-                                        pattern.clone(),
-                                        config.clone(),
+            // One disk dir per probe-worker count: workers=1 runs cold
+            // then warm; workers=2/8 start disk-restored.
+            let dir = scratch_dir();
+            for workers in [1usize, 2, 8] {
+                let service = CompileService::new(ServiceConfig {
+                    workers,
+                    store: StoreConfig {
+                        memory_capacity: 8 << 20,
+                        disk_dir: Some(dir.clone()),
+                        // Low threshold: the matrix churns through
+                        // segment packing, mmap reads of packed
+                        // frames, and manifest replay on the
+                        // disk-restored worker counts.
+                        segment_threshold: Some(4),
+                        ..StoreConfig::default()
+                    },
+                    // Flight recorder on: a failing cell below
+                    // dumps the recent event history alongside the
+                    // assertion (see `common::audited`).
+                    telemetry: TelemetryConfig {
+                        flight_recorder: 128,
+                        ..TelemetryConfig::default()
+                    },
+                    ..ServiceConfig::default()
+                })
+                .expect("service starts");
+                // CI's release-mode pass sets MBQC_LIVE_SUBSCRIBER:
+                // the armed fan-out path then runs under the full
+                // lifecycle churn instead of only the happy paths.
+                let _live = common::live_subscriber(&service);
+                let cell = (|| -> Result<(), TestCaseError> {
+                let rounds = if workers == 1 { 2 } else { 1 };
+                for round in 0..rounds {
+                    // Deterministic churn plan from the seed; the
+                    // *timing* of each cancel is inherently racy —
+                    // which is the point: any interleaving must be
+                    // safe.
+                    let mut rng = Rng::seed_from_u64(
+                        seed ^ (workers as u64) << 3 ^ (round as u64) << 9,
+                    );
+                    let group = CancelToken::new();
+                    let mut jobs: Vec<(JobId, usize, Fate)> = Vec::new();
+                    let mut cancel_late: Vec<JobId> = Vec::new();
+                    for (i, (pattern, _)) in workload.iter().enumerate() {
+                        let priority = Priority::ALL[rng.range(3)];
+                        // Two tenants: every class churns two fair
+                        // lanes.
+                        let tenant = (i % 2) as u32;
+                        let fate = rng.range(10);
+                        let (id, fate) = match fate {
+                            // ~30% cancellations, at varied points.
+                            0 => {
+                                // Cancel immediately after submit.
+                                let h = service.submit_with(
+                                    pattern.clone(),
+                                    config.clone(),
+                                    JobOptions {
                                         priority,
-                                    );
-                                    cancel_late.push(id);
-                                    (id, Fate::CancelRequested)
-                                }
-                                3 => {
-                                    // Already-lapsed deadline: expires
-                                    // at its first pop, runs nothing.
-                                    let also_cancelled = rng.bernoulli(0.3);
-                                    let h = service.submit_with(
-                                        pattern.clone(),
-                                        config.clone(),
-                                        JobOptions {
-                                            priority,
-                                            deadline: Some(Duration::ZERO),
-                                            ..JobOptions::default()
-                                        },
-                                    );
-                                    if also_cancelled {
-                                        h.cancel();
-                                    }
-                                    (h.id(), Fate::DeadlineLapsed { also_cancelled })
-                                }
-                                4 => {
-                                    // Generous deadline: never fires.
-                                    let h = service.submit_with_deadline(
-                                        pattern.clone(),
-                                        config.clone(),
-                                        Duration::from_secs(3600),
-                                    );
-                                    (h.id(), Fate::RunsFree)
-                                }
-                                _ => (
-                                    service.submit_with_priority(
-                                        pattern.clone(),
-                                        config.clone(),
-                                        priority,
-                                    ),
-                                    Fate::RunsFree,
-                                ),
-                            };
-                            jobs.push((id, i, fate));
-                        }
-                        group.cancel();
-                        let mut first_wait_done = false;
-                        let mut survivors = 0usize;
-                        for &(id, i, fate) in &jobs {
-                            let result = service.wait(id);
-                            if !first_wait_done {
-                                // Mid-flight cancellations: the rest of
-                                // the queue is in arbitrary progress now.
-                                for &late in &cancel_late {
-                                    service.cancel(late);
-                                }
-                                first_wait_done = true;
+                                        tenant,
+                                        ..JobOptions::default()
+                                    },
+                                );
+                                h.cancel();
+                                (h.id(), Fate::CancelRequested)
                             }
-                            let what = format!(
-                                "probe={probe_workers} policy={policy:?} workers={workers} \
-                                 round={round} job={i}"
-                            );
-                            survivors += usize::from(check_terminal(
-                                &what,
-                                // A late cancel may arrive after the
-                                // job completed: Done is legal for
-                                // CancelRequested either way.
-                                fate,
-                                &result,
-                                &workload[i].1,
-                            )?);
-                        }
-                        prop_assert!(survivors <= jobs.len());
+                            1 => {
+                                // Shared token, fired after all
+                                // submissions.
+                                let h = service.submit_with(
+                                    pattern.clone(),
+                                    config.clone(),
+                                    JobOptions {
+                                        priority,
+                                        tenant,
+                                        cancel: Some(group.clone()),
+                                        ..JobOptions::default()
+                                    },
+                                );
+                                (h.id(), Fate::CancelRequested)
+                            }
+                            2 => {
+                                // Cancel after the first wait (some
+                                // jobs will be mid-flight by then).
+                                let id = service
+                                    .submit_with(
+                                        pattern.clone(),
+                                        config.clone(),
+                                        JobOptions {
+                                            priority,
+                                            tenant,
+                                            ..JobOptions::default()
+                                        },
+                                    )
+                                    .id();
+                                cancel_late.push(id);
+                                (id, Fate::CancelRequested)
+                            }
+                            3 => {
+                                // Already-lapsed deadline: expires
+                                // at its first pop, runs nothing.
+                                let also_cancelled = rng.bernoulli(0.3);
+                                let h = service.submit_with(
+                                    pattern.clone(),
+                                    config.clone(),
+                                    JobOptions {
+                                        priority,
+                                        tenant,
+                                        deadline: Some(Duration::ZERO),
+                                        ..JobOptions::default()
+                                    },
+                                );
+                                if also_cancelled {
+                                    h.cancel();
+                                }
+                                (h.id(), Fate::DeadlineLapsed { also_cancelled })
+                            }
+                            4 => {
+                                // Generous deadline: never fires.
+                                let h = service.submit_with(
+                                    pattern.clone(),
+                                    config.clone(),
+                                    JobOptions {
+                                        tenant,
+                                        deadline: Some(Duration::from_secs(3600)),
+                                        ..JobOptions::default()
+                                    },
+                                );
+                                (h.id(), Fate::RunsFree)
+                            }
+                            _ => (
+                                service
+                                    .submit_with(
+                                        pattern.clone(),
+                                        config.clone(),
+                                        JobOptions {
+                                            priority,
+                                            tenant,
+                                            ..JobOptions::default()
+                                        },
+                                    )
+                                    .id(),
+                                Fate::RunsFree,
+                            ),
+                        };
+                        jobs.push((id, i, fate));
                     }
-                    let stats = service.stats();
-                    let what =
-                        format!("probe={probe_workers} policy={policy:?} workers={workers}");
-                    prop_assert_eq!(
-                        stats.completed + stats.cancelled + stats.expired,
-                        stats.submitted,
-                        "{}: every job terminal: {:?}",
-                        &what,
-                        stats
-                    );
-                    prop_assert_eq!(stats.failed, 0, "{}: {:?}", &what, stats);
-                    prop_assert_eq!(
-                        stats.pool_outstanding,
-                        0,
-                        "{}: workspace leaked: {:?}",
-                        &what,
-                        stats
-                    );
-                    check_store(&service, &workload, &config, &what)?;
-                    Ok(())
-                    })();
-                    common::audited(
-                        &service,
-                        &format!("probe={probe_workers} policy={policy:?} workers={workers}"),
-                        cell,
-                    )?;
+                    group.cancel();
+                    let mut first_wait_done = false;
+                    let mut survivors = 0usize;
+                    for &(id, i, fate) in &jobs {
+                        let result = service.wait(id);
+                        if !first_wait_done {
+                            // Mid-flight cancellations: the rest of
+                            // the queue is in arbitrary progress now.
+                            for &late in &cancel_late {
+                                service.cancel(late);
+                            }
+                            first_wait_done = true;
+                        }
+                        let what = format!(
+                            "probe={probe_workers} workers={workers} \
+                             round={round} job={i}"
+                        );
+                        survivors += usize::from(check_terminal(
+                            &what,
+                            // A late cancel may arrive after the
+                            // job completed: Done is legal for
+                            // CancelRequested either way.
+                            fate,
+                            &result,
+                            &workload[i].1,
+                        )?);
+                    }
+                    prop_assert!(survivors <= jobs.len());
                 }
-                std::fs::remove_dir_all(&dir).ok();
+                let stats = service.stats();
+                let what = format!("probe={probe_workers} workers={workers}");
+                prop_assert_eq!(
+                    stats.completed + stats.cancelled + stats.expired,
+                    stats.submitted,
+                    "{}: every job terminal: {:?}",
+                    &what,
+                    stats
+                );
+                prop_assert_eq!(stats.failed, 0, "{}: {:?}", &what, stats);
+                prop_assert!(
+                    stats.tenants.len() == 2 && stats.tenants.iter().all(|t| t.in_flight == 0),
+                    "{}: both tenants ran and drained: {:?}",
+                    &what,
+                    stats.tenants
+                );
+                prop_assert_eq!(
+                    stats.pool_outstanding,
+                    0,
+                    "{}: workspace leaked: {:?}",
+                    &what,
+                    stats
+                );
+                check_store(&service, &workload, &config, &what)?;
+                Ok(())
+                })();
+                common::audited(
+                    &service,
+                    &format!("probe={probe_workers} workers={workers}"),
+                    cell,
+                )?;
             }
+            std::fs::remove_dir_all(&dir).ok();
         }
     }
 }
@@ -543,15 +566,13 @@ fn cancel_is_noop_after_terminal_state() {
     service.wait(blocker).expect("blocker unaffected");
 }
 
-/// Priority still dominates under `DeepestStageFirst`: a starved
-/// interactive job overtakes a deep batch backlog exactly as it does
-/// under FIFO.
+/// Priority dominates the tenant lanes: an interactive job overtakes
+/// another tenant's batch backlog on a single worker.
 #[test]
-fn interactive_overtakes_batch_backlog_under_deepest_stage_first() {
+fn interactive_overtakes_other_tenants_batch_backlog() {
     let config = DcMbqcConfig::new(hardware(2, 9));
     let service = CompileService::new(ServiceConfig {
         workers: 1,
-        policy: QueuePolicy::DeepestStageFirst,
         ..ServiceConfig::default()
     })
     .unwrap();
@@ -564,7 +585,22 @@ fn interactive_overtakes_batch_backlog_under_deepest_stage_first() {
         pattern_for(1, 10),
     ];
     let hot_pattern = pattern_for(0, 9);
-    let batch_ids = service.submit_many_with_priority(&batch_patterns, &config, Priority::Batch);
+    let batch_ids: Vec<JobId> = batch_patterns
+        .iter()
+        .map(|p| {
+            service
+                .submit_with(
+                    p.clone(),
+                    config.clone(),
+                    JobOptions {
+                        priority: Priority::Batch,
+                        tenant: 1,
+                        ..JobOptions::default()
+                    },
+                )
+                .id()
+        })
+        .collect();
     let hot = service.submit_with_priority(hot_pattern, config.clone(), Priority::Interactive);
     service.wait(hot).expect("interactive job compiles");
     let mut still_pending = Vec::new();
@@ -578,7 +614,7 @@ fn interactive_overtakes_batch_backlog_under_deepest_stage_first() {
     }
     assert!(
         !still_pending.is_empty(),
-        "interactive job did not overtake the batch backlog under DSF"
+        "interactive job did not overtake the batch backlog"
     );
     for id in still_pending {
         service.wait(id).expect("batch job compiles");

@@ -1,10 +1,9 @@
 //! The telemetry correctness matrix: the event stream must be a
 //! faithful, ordered, gap-free account of every job's lifecycle —
-//! under all queue policies and lifecycle churn — and observers must
-//! never perturb the service.
+//! under lifecycle churn — and observers must never perturb the
+//! service.
 //!
-//! The headline property pins, for policy {`PriorityFifo`,
-//! `DeepestStageFirst`, `WorkStealing`} under a mixed workload with
+//! The headline property pins, under a mixed two-tenant workload with
 //! cancellations and lapsed deadlines:
 //!
 //! * every job's events arrive in sequence order with **gap-free**
@@ -38,8 +37,7 @@ use mbqc_hardware::{DistributedHardware, ResourceStateKind};
 use mbqc_pattern::{transpile::transpile, Pattern};
 use mbqc_service::{
     chrome_trace_json, validate_chrome_trace, CompileService, EventKind, JobId, JobOptions,
-    Priority, QueuePolicy, ServiceConfig, ServiceError, TelemetryConfig, TelemetryEvent,
-    TerminalState,
+    Priority, ServiceConfig, ServiceError, TelemetryConfig, TelemetryEvent, TerminalState,
 };
 use mbqc_util::Rng;
 use proptest::prelude::*;
@@ -150,96 +148,90 @@ proptest! {
         let config = DcMbqcConfig::new(hardware(qpus, qubits + 2)).with_seed(seed);
         let patterns: Vec<Pattern> =
             (0..4).map(|i| pattern_for(i, qubits + (i % 3))).collect();
-        for policy in [
-            QueuePolicy::PriorityFifo,
-            QueuePolicy::DeepestStageFirst,
-            QueuePolicy::WorkStealing,
-        ] {
-            let service = CompileService::new(ServiceConfig {
-                workers: 2,
-                policy,
-                telemetry: TelemetryConfig {
-                    flight_recorder: 64,
-                    ..TelemetryConfig::default()
-                },
-                ..ServiceConfig::default()
-            })
-            .expect("service starts");
-            let what = format!("policy={policy:?}");
-            let cell = (|| -> Result<(), TestCaseError> {
-                // Service-wide subscriber registered before any
-                // submission: it must miss nothing.
-                let all = service.subscribe_with_capacity(1 << 14);
-                let mut rng = Rng::seed_from_u64(seed ^ 0xC0FF_EE00);
-                let mut jobs: Vec<(JobId, u64)> = Vec::new();
-                for (i, pattern) in patterns.iter().enumerate() {
-                    let priority = Priority::ALL[rng.range(3)];
-                    let churn = rng.range(10);
-                    let options = JobOptions {
-                        priority,
-                        // ~20% lapsed deadlines exercise `Expired`.
-                        deadline: (churn == 0).then_some(Duration::ZERO),
-                        ..JobOptions::default()
-                    };
-                    let h = service.submit_with(pattern.clone(), config.clone(), options);
-                    // ~20% cancels land at arbitrary points.
-                    if churn == 1 {
-                        h.cancel();
-                    }
-                    jobs.push((h.id(), i as u64));
+        let service = CompileService::new(ServiceConfig {
+            workers: 2,
+            telemetry: TelemetryConfig {
+                flight_recorder: 64,
+                ..TelemetryConfig::default()
+            },
+            ..ServiceConfig::default()
+        })
+        .expect("service starts");
+        let what = format!("seed={seed}");
+        let cell = (|| -> Result<(), TestCaseError> {
+            // Service-wide subscriber registered before any
+            // submission: it must miss nothing.
+            let all = service.subscribe_with_capacity(1 << 14);
+            let mut rng = Rng::seed_from_u64(seed ^ 0xC0FF_EE00);
+            let mut jobs: Vec<(JobId, u64)> = Vec::new();
+            for (i, pattern) in patterns.iter().enumerate() {
+                let priority = Priority::ALL[rng.range(3)];
+                let churn = rng.range(10);
+                let options = JobOptions {
+                    priority,
+                    tenant: (i % 2) as u32,
+                    // ~20% lapsed deadlines exercise `Expired`.
+                    deadline: (churn == 0).then_some(Duration::ZERO),
+                    ..JobOptions::default()
+                };
+                let h = service.submit_with(pattern.clone(), config.clone(), options);
+                // ~20% cancels land at arbitrary points.
+                if churn == 1 {
+                    h.cancel();
                 }
-                let mut terminal: HashMap<JobId, TerminalState> = HashMap::new();
-                for &(id, _) in &jobs {
-                    terminal.insert(id, expected_terminal(&service.wait(id)));
+                jobs.push((h.id(), i as u64));
+            }
+            let mut terminal: HashMap<JobId, TerminalState> = HashMap::new();
+            for &(id, _) in &jobs {
+                terminal.insert(id, expected_terminal(&service.wait(id)));
+            }
+            // `wait` returning implies the terminal event was
+            // already delivered to the pre-registered
+            // subscriber, so a non-blocking drain is complete.
+            let mut captured: Vec<TelemetryEvent> = Vec::new();
+            while let Some(ev) = all.try_recv() {
+                captured.push(ev);
+            }
+            prop_assert_eq!(all.dropped(), 0, "{}: capacity overrun", &what);
+            let mut by_job: HashMap<JobId, Vec<TelemetryEvent>> = HashMap::new();
+            for ev in &captured {
+                if let Some(id) = ev.job {
+                    by_job.entry(id).or_default().push(*ev);
                 }
-                // `wait` returning implies the terminal event was
-                // already delivered to the pre-registered
-                // subscriber, so a non-blocking drain is complete.
-                let mut captured: Vec<TelemetryEvent> = Vec::new();
-                while let Some(ev) = all.try_recv() {
-                    captured.push(ev);
-                }
-                prop_assert_eq!(all.dropped(), 0, "{}: capacity overrun", &what);
-                let mut by_job: HashMap<JobId, Vec<TelemetryEvent>> = HashMap::new();
-                for ev in &captured {
-                    if let Some(id) = ev.job {
-                        by_job.entry(id).or_default().push(*ev);
-                    }
-                }
-                for (&id, &state) in &terminal {
-                    let events = by_job.get(&id);
-                    prop_assert!(events.is_some(), "{}: job {:?} unseen", &what, id);
-                    check_job_stream(
-                        &format!("{what} job={id:?}"),
-                        events.unwrap(),
-                        state,
-                    )?;
-                }
-                // The whole capture round-trips the trace schema.
-                let json = chrome_trace_json(&captured);
-                let spans = validate_chrome_trace(&json);
-                prop_assert!(spans.is_ok(), "{}: {:?}", &what, spans);
-                prop_assert!(spans.unwrap() > 0, "{}: empty trace", &what);
-                // The flight recorder holds a bounded suffix of the
-                // same history.
-                let recorded = service.flight_recorder();
-                prop_assert!(
-                    recorded.len() <= 64,
-                    "{}: recorder over capacity: {}",
-                    &what,
-                    recorded.len()
-                );
-                let tail = &captured[captured.len() - recorded.len()..];
-                prop_assert_eq!(
-                    recorded.as_slice(),
-                    tail,
-                    "{}: recorder is not the event-history suffix",
-                    &what
-                );
-                Ok(())
-            })();
-            common::audited(&service, &what, cell)?;
-        }
+            }
+            for (&id, &state) in &terminal {
+                let events = by_job.get(&id);
+                prop_assert!(events.is_some(), "{}: job {:?} unseen", &what, id);
+                check_job_stream(
+                    &format!("{what} job={id:?}"),
+                    events.unwrap(),
+                    state,
+                )?;
+            }
+            // The whole capture round-trips the trace schema.
+            let json = chrome_trace_json(&captured);
+            let spans = validate_chrome_trace(&json);
+            prop_assert!(spans.is_ok(), "{}: {:?}", &what, spans);
+            prop_assert!(spans.unwrap() > 0, "{}: empty trace", &what);
+            // The flight recorder holds a bounded suffix of the
+            // same history.
+            let recorded = service.flight_recorder();
+            prop_assert!(
+                recorded.len() <= 64,
+                "{}: recorder over capacity: {}",
+                &what,
+                recorded.len()
+            );
+            let tail = &captured[captured.len() - recorded.len()..];
+            prop_assert_eq!(
+                recorded.as_slice(),
+                tail,
+                "{}: recorder is not the event-history suffix",
+                &what
+            );
+            Ok(())
+        })();
+        common::audited(&service, &what, cell)?;
     }
 }
 

@@ -24,9 +24,7 @@ use mbqc_circuit::bench;
 use mbqc_hardware::{DistributedHardware, ResourceStateKind};
 use mbqc_net::{Client, ClientError, Server, WireJobOptions, WireOutcome};
 use mbqc_pattern::{transpile::transpile, Pattern};
-use mbqc_service::{
-    AdmissionConfig, CompileService, Priority, QueuePolicy, ServiceConfig, TenantQuota,
-};
+use mbqc_service::{AdmissionConfig, CompileService, Priority, ServiceConfig, TenantQuota};
 
 const QUBITS: usize = 12;
 
@@ -68,7 +66,6 @@ fn main() {
     let service = Arc::new(
         CompileService::new(ServiceConfig {
             workers: 2,
-            policy: QueuePolicy::WeightedFair,
             admission: AdmissionConfig {
                 max_queue_depth: Some(64),
                 tenants: vec![

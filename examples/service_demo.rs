@@ -31,7 +31,7 @@ use mbqc_hardware::{DistributedHardware, ResourceStateKind};
 use mbqc_pattern::{transpile::transpile, Pattern};
 use mbqc_service::{
     chrome_trace_json, CancelToken, CompileService, FaultConfig, FaultPlan, InjectedFault,
-    JobOptions, Priority, QueuePolicy, RetryPolicy, ServiceConfig, ServiceStats, StoreConfig,
+    JobOptions, Priority, RetryPolicy, ServiceConfig, ServiceStats, StoreConfig,
 };
 use mbqc_util::TextTable;
 
@@ -103,9 +103,6 @@ fn main() {
     let config = DcMbqcConfig::new(hw);
     let service = CompileService::new(ServiceConfig {
         workers: 2,
-        // Drain work-in-progress before starting fresh jobs within a
-        // priority class (pure scheduling — results are identical).
-        policy: QueuePolicy::DeepestStageFirst,
         ..ServiceConfig::default()
     })
     .expect("service starts");
@@ -122,7 +119,7 @@ fn main() {
         })
     });
     println!(
-        "service: {} workers (stage-graph executor, deepest-stage-first), {} jobs per round\n",
+        "service: {} workers (stage-graph executor), {} jobs per round\n",
         service.workers(),
         patterns.len()
     );

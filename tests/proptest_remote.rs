@@ -1,14 +1,14 @@
 //! The remote-equivalence matrix: jobs submitted over loopback TCP
 //! through `mbqc-net` must be **bit-identical** to in-process
-//! `compile_pattern`, across worker counts × queue policies × cache
-//! states, and must stay exactly-once-terminal under churn (cancels,
+//! `compile_pattern`, across worker counts × tenants × cache states,
+//! and must stay exactly-once-terminal under churn (cancels,
 //! lapsed deadlines, disconnects mid-job).
 //!
 //! Pinned here:
 //!
-//! * worker counts {1, 2, 8} × policies {PriorityFifo,
-//!   DeepestStageFirst, WeightedFair} × cache states {cold, warm,
-//!   disk-restored}: every remote schedule's bytes equal the
+//! * worker counts {1, 2, 8} × cache states {cold, warm,
+//!   disk-restored}, with jobs spread over three tenants and all
+//!   three priorities: every remote schedule's bytes equal the
 //!   in-process compiler's bytes;
 //! * remote `SubmitObserved` event streams are gap-free (consecutive
 //!   seq from 0) and (seq, kind)-equal to in-process
@@ -25,9 +25,7 @@ use mbqc_hardware::{DistributedHardware, ResourceStateKind};
 use mbqc_net::{Client, Server, WireJobOptions, WireOutcome};
 use mbqc_pattern::transpile::transpile;
 use mbqc_pattern::Pattern;
-use mbqc_service::{
-    CompileService, EventKind, Priority, QueuePolicy, ServiceConfig, TelemetryEvent,
-};
+use mbqc_service::{CompileService, EventKind, Priority, ServiceConfig, TelemetryEvent};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
@@ -65,10 +63,9 @@ fn workload() -> &'static [(Pattern, Vec<u8>)] {
     })
 }
 
-fn service(workers: usize, policy: QueuePolicy, disk: Option<PathBuf>) -> Arc<CompileService> {
+fn service(workers: usize, disk: Option<PathBuf>) -> Arc<CompileService> {
     let mut cfg = ServiceConfig {
         workers,
-        policy,
         ..ServiceConfig::default()
     };
     cfg.store.disk_dir = disk;
@@ -115,56 +112,47 @@ fn temp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("mbqc-remote-{tag}-{}", std::process::id()))
 }
 
-/// The matrix: workers × policy × {cold, warm, disk-restored}, every
+/// The matrix: workers × {cold, warm, disk-restored}, every
 /// cell bit-identical and leak-free.
 #[test]
 fn remote_matrix_bit_identical_across_workers_policies_and_cache_states() {
     for workers in [1usize, 2, 8] {
-        for (pi, policy) in [
-            QueuePolicy::PriorityFifo,
-            QueuePolicy::DeepestStageFirst,
-            QueuePolicy::WeightedFair,
-        ]
-        .into_iter()
-        .enumerate()
+        let tag = format!("w{workers}");
+        let disk = temp_dir(&tag);
+        let _ = std::fs::remove_dir_all(&disk);
+
         {
-            let tag = format!("w{workers}-p{pi}");
-            let disk = temp_dir(&tag);
-            let _ = std::fs::remove_dir_all(&disk);
-
-            {
-                let service = service(workers, policy, Some(disk.clone()));
-                let server = Server::bind(Arc::clone(&service), "127.0.0.1:0").expect("bind");
-                submit_round(server.local_addr(), &format!("{tag}-cold"));
-                submit_round(server.local_addr(), &format!("{tag}-warm"));
-                let stats = service.stats();
-                assert_eq!(
-                    stats.pool_outstanding, 0,
-                    "{tag}: leaked workspaces after drain"
-                );
-                assert!(
-                    stats.hits_scheduled >= workload().len() as u64,
-                    "{tag}: warm round should be served from cache"
-                );
-            }
-
-            // Disk-restored: a brand-new service over the same disk
-            // tier answers from restored artifacts, still bit-exact.
-            {
-                let service = service(workers, policy, Some(disk.clone()));
-                let server = Server::bind(Arc::clone(&service), "127.0.0.1:0").expect("bind");
-                submit_round(server.local_addr(), &format!("{tag}-restored"));
-                let stats = service.stats();
-                assert_eq!(stats.pool_outstanding, 0, "{tag}: restored leak");
-                assert!(
-                    stats.hits_scheduled >= workload().len() as u64,
-                    "{tag}: restored round should hit the disk tier \
-                     (hits_scheduled = {})",
-                    stats.hits_scheduled
-                );
-            }
-            let _ = std::fs::remove_dir_all(&disk);
+            let service = service(workers, Some(disk.clone()));
+            let server = Server::bind(Arc::clone(&service), "127.0.0.1:0").expect("bind");
+            submit_round(server.local_addr(), &format!("{tag}-cold"));
+            submit_round(server.local_addr(), &format!("{tag}-warm"));
+            let stats = service.stats();
+            assert_eq!(
+                stats.pool_outstanding, 0,
+                "{tag}: leaked workspaces after drain"
+            );
+            assert!(
+                stats.hits_scheduled >= workload().len() as u64,
+                "{tag}: warm round should be served from cache"
+            );
         }
+
+        // Disk-restored: a brand-new service over the same disk
+        // tier answers from restored artifacts, still bit-exact.
+        {
+            let service = service(workers, Some(disk.clone()));
+            let server = Server::bind(Arc::clone(&service), "127.0.0.1:0").expect("bind");
+            submit_round(server.local_addr(), &format!("{tag}-restored"));
+            let stats = service.stats();
+            assert_eq!(stats.pool_outstanding, 0, "{tag}: restored leak");
+            assert!(
+                stats.hits_scheduled >= workload().len() as u64,
+                "{tag}: restored round should hit the disk tier \
+                 (hits_scheduled = {})",
+                stats.hits_scheduled
+            );
+        }
+        let _ = std::fs::remove_dir_all(&disk);
     }
 }
 
@@ -189,8 +177,8 @@ fn remote_event_streams_match_in_process() {
     // one observed in-process, one observed over loopback. Single
     // worker + sequential submits make the event sequence per job
     // deterministic.
-    let local = service(1, QueuePolicy::PriorityFifo, None);
-    let remote = service(1, QueuePolicy::PriorityFifo, None);
+    let local = service(1, None);
+    let remote = service(1, None);
     let server = Server::bind(Arc::clone(&remote), "127.0.0.1:0").expect("bind");
 
     for round in ["cold", "warm"] {
@@ -237,7 +225,7 @@ fn remote_event_streams_match_in_process() {
 /// job reaches exactly one terminal state; the service leaks nothing.
 #[test]
 fn remote_churn_every_job_exactly_one_terminal_state() {
-    let service = service(2, QueuePolicy::WeightedFair, None);
+    let service = service(2, None);
     let server = Server::bind(Arc::clone(&service), "127.0.0.1:0").expect("bind");
     let addr = server.local_addr();
     let mut client = Client::connect(addr).expect("connect");
@@ -338,17 +326,11 @@ proptest! {
     #[test]
     fn random_churn_stays_bit_identical(
         workers in 1usize..4,
-        policy_ix in 0usize..3,
         // Each draw encodes (pattern index, cancel?) as v % 3 and
         // v >= 3 — the vendored proptest shim has no tuple strategies.
         jobs in prop::collection::vec(0usize..6, 1..8),
     ) {
-        let policy = [
-            QueuePolicy::PriorityFifo,
-            QueuePolicy::DeepestStageFirst,
-            QueuePolicy::WeightedFair,
-        ][policy_ix];
-        let service = service(workers, policy, None);
+        let service = service(workers, None);
         let server = Server::bind(Arc::clone(&service), "127.0.0.1:0").expect("bind");
         let mut client = Client::connect(server.local_addr()).expect("connect");
 
