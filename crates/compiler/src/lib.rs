@@ -27,5 +27,5 @@ pub mod mapper;
 pub mod metrics;
 
 pub use config::{CompileError, CompilerConfig};
-pub use mapper::{CompiledProgram, CompiledProgramView, GridMapper, MapperWorkspace};
+pub use mapper::{CompiledProgram, GridMapper, MapperWorkspace};
 pub use metrics::{required_photon_lifetime, required_photon_lifetime_in_order, LifetimeReport};

@@ -10,7 +10,7 @@
 //! stay alive and the edge retries on later layers.
 
 use mbqc_graph::{DiGraph, Graph, NodeId};
-use mbqc_util::codec::{CodecError, Decoder, Encoder, UsizeSliceView};
+use mbqc_util::codec::{CodecError, Decoder, Encoder};
 use mbqc_util::Rng;
 
 use crate::config::{CompileError, CompilerConfig};
@@ -136,17 +136,6 @@ impl CompiledProgram {
         Ok(program)
     }
 
-    /// Validates `bytes` as a program artifact and returns a lazy
-    /// [`CompiledProgramView`] over it. See the view's docs.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors of [`CompiledProgram::from_bytes`] on the
-    /// same bytes.
-    pub fn view(bytes: &[u8]) -> Result<CompiledProgramView<'_>, CodecError> {
-        CompiledProgramView::new(bytes)
-    }
-
     /// Algorithm 1 on this compilation: required photon lifetime from
     /// the realized fusee pairs and the real-time dependency DAG.
     ///
@@ -161,182 +150,6 @@ impl CompiledProgram {
             .map(|p| (p.time_a, p.time_b))
             .collect();
         required_photon_lifetime(&self.effective_layer, &pairs, deps)
-    }
-}
-
-/// A zero-allocation lazy view over [`CompiledProgram::to_bytes`]
-/// output.
-///
-/// [`CompiledProgramView::new`] performs the *complete* validation of
-/// [`CompiledProgram::from_bytes`] — structure, side-table length
-/// agreement, fusee node ranges — without materializing any vector;
-/// field access afterwards decodes on demand and cannot fail. Property
-/// tests pin the view's accept/reject classification and decoded values
-/// bit-identical to the eager decoder on the full corruption corpus.
-#[derive(Debug, Clone, Copy)]
-pub struct CompiledProgramView<'a> {
-    num_layers: usize,
-    layer_of: UsizeSliceView<'a>,
-    effective_layer: UsizeSliceView<'a>,
-    site_of: UsizeSliceView<'a>,
-    fusee_raw: &'a [u8],
-    num_pairs: usize,
-    fusion_count: usize,
-    routing_fusions: usize,
-    wire_fusions: usize,
-    refresh_events: usize,
-}
-
-impl<'a> CompiledProgramView<'a> {
-    /// Validates `bytes` and returns the lazy view.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors of [`CompiledProgram::from_bytes`] on the
-    /// same bytes: truncation, disagreeing table lengths, out-of-range
-    /// fusee nodes, trailing bytes.
-    pub fn new(bytes: &'a [u8]) -> Result<Self, CodecError> {
-        let mut d = Decoder::new(bytes);
-        let num_layers = d.usize()?;
-        let layer_of = d.usize_slice_view()?;
-        layer_of.validate_elements()?;
-        let effective_layer = d.usize_slice_view()?;
-        effective_layer.validate_elements()?;
-        let site_of = d.usize_slice_view()?;
-        site_of.validate_elements()?;
-        if effective_layer.len() != layer_of.len() || site_of.len() != layer_of.len() {
-            return Err(CodecError::Invalid("per-node table lengths disagree"));
-        }
-        let num_pairs = d.len_hint()?;
-        let fusee_start = bytes.len() - d.remaining();
-        // Walk the pairs in the eager decoder's order so truncation and
-        // range errors classify identically, but keep only the raw
-        // region — fields decode on demand.
-        for _ in 0..num_pairs {
-            let a = d.usize()?;
-            let b = d.usize()?;
-            if a >= layer_of.len() || b >= layer_of.len() {
-                return Err(CodecError::Invalid("fusee node out of range"));
-            }
-            d.usize()?;
-            d.usize()?;
-        }
-        let fusee_raw = &bytes[fusee_start..bytes.len() - d.remaining()];
-        let fusion_count = d.usize()?;
-        let routing_fusions = d.usize()?;
-        let wire_fusions = d.usize()?;
-        let refresh_events = d.usize()?;
-        d.finish()?;
-        Ok(Self {
-            num_layers,
-            layer_of,
-            effective_layer,
-            site_of,
-            fusee_raw,
-            num_pairs,
-            fusion_count,
-            routing_fusions,
-            wire_fusions,
-            refresh_events,
-        })
-    }
-
-    /// Number of execution layers.
-    #[must_use]
-    pub fn num_layers(&self) -> usize {
-        self.num_layers
-    }
-
-    /// Number of nodes (length of the per-node tables).
-    #[must_use]
-    pub fn num_nodes(&self) -> usize {
-        self.layer_of.len()
-    }
-
-    /// Placement layer per node (lazy).
-    #[must_use]
-    pub fn layer_of(&self) -> UsizeSliceView<'a> {
-        self.layer_of
-    }
-
-    /// Storage epoch per node (lazy).
-    #[must_use]
-    pub fn effective_layer(&self) -> UsizeSliceView<'a> {
-        self.effective_layer
-    }
-
-    /// Site index per node (lazy).
-    #[must_use]
-    pub fn site_of(&self) -> UsizeSliceView<'a> {
-        self.site_of
-    }
-
-    /// Number of realized fusion pairs.
-    #[must_use]
-    pub fn num_fusee_pairs(&self) -> usize {
-        self.num_pairs
-    }
-
-    /// Decodes fusee pair `i` (`None` out of range). Validated at view
-    /// construction, so the decode cannot fail.
-    #[must_use]
-    pub fn fusee_pair(&self, i: usize) -> Option<FuseePair> {
-        if i >= self.num_pairs {
-            return None;
-        }
-        let mut d = Decoder::new(&self.fusee_raw[i * 32..i * 32 + 32]);
-        let pair = FuseePair {
-            a: NodeId::new(d.usize().expect("validated at construction")),
-            b: NodeId::new(d.usize().expect("validated at construction")),
-            time_a: d.usize().expect("validated at construction"),
-            time_b: d.usize().expect("validated at construction"),
-        };
-        Some(pair)
-    }
-
-    /// Total fusion count.
-    #[must_use]
-    pub fn fusion_count(&self) -> usize {
-        self.fusion_count
-    }
-
-    /// Routing-chain fusions.
-    #[must_use]
-    pub fn routing_fusions(&self) -> usize {
-        self.routing_fusions
-    }
-
-    /// Inter-layer wire fusions.
-    #[must_use]
-    pub fn wire_fusions(&self) -> usize {
-        self.wire_fusions
-    }
-
-    /// Dynamic-refresh events.
-    #[must_use]
-    pub fn refresh_events(&self) -> usize {
-        self.refresh_events
-    }
-
-    /// Materializes the eager [`CompiledProgram`].
-    #[must_use]
-    pub fn materialize(&self) -> CompiledProgram {
-        CompiledProgram {
-            num_layers: self.num_layers,
-            layer_of: self.layer_of.to_vec().expect("validated at construction"),
-            effective_layer: self
-                .effective_layer
-                .to_vec()
-                .expect("validated at construction"),
-            site_of: self.site_of.to_vec().expect("validated at construction"),
-            fusee_pairs: (0..self.num_pairs)
-                .map(|i| self.fusee_pair(i).expect("index in range"))
-                .collect(),
-            fusion_count: self.fusion_count,
-            routing_fusions: self.routing_fusions,
-            wire_fusions: self.wire_fusions,
-            refresh_events: self.refresh_events,
-        }
     }
 }
 

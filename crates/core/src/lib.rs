@@ -127,7 +127,7 @@ pub mod stage_graph;
 
 pub use baseline::BaselineResult;
 pub use config::{DcMbqcConfig, DcMbqcError, PipelineStage};
-pub use pipeline::{DcMbqcCompiler, DistributedSchedule, ScheduledView};
+pub use pipeline::{DcMbqcCompiler, DistributedSchedule};
 pub use report::ComparisonReport;
 pub use session::{
     map_stage, partition_stage, schedule_stage, CompileSession, Mapped, Partitioned,

@@ -13,10 +13,10 @@
 //! [`Scheduled`]: crate::session::Scheduled
 
 use mbqc_circuit::Circuit;
-use mbqc_partition::{resolve_workers, Partition, PartitionView};
+use mbqc_partition::{resolve_workers, Partition};
 use mbqc_pattern::{transpile::transpile, Pattern};
 use mbqc_schedule::{LayerScheduleProblem, Schedule, ScheduleCost};
-use mbqc_util::codec::{CodecError, Decoder, Encoder, UsizeSliceView};
+use mbqc_util::codec::{CodecError, Decoder, Encoder};
 
 use crate::baseline::{placement_order, BaselineResult};
 use crate::config::{DcMbqcConfig, DcMbqcError};
@@ -192,7 +192,8 @@ impl DistributedSchedule {
     /// arbitrary bytes still decode to a typed [`CodecError`] rather
     /// than a panic. The artifact store and anything reading durable
     /// bytes must keep using `from_bytes`: a lying producer is exactly
-    /// what bit-rot looks like.
+    /// what bit-rot looks like. This twin exists only for the wire
+    /// client, which decodes every served reply with it.
     ///
     /// # Errors
     ///
@@ -242,185 +243,6 @@ impl DistributedSchedule {
             per_qpu_layers,
             refresh_events,
         })
-    }
-
-    /// Validates `bytes` structurally and returns a lazy
-    /// [`ScheduledView`] over them. See the view's docs for exactly
-    /// what is (and is not) checked up front.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError`] on any structural violation — a strict subset of
-    /// the errors [`DistributedSchedule::from_bytes`] reports.
-    pub fn view(bytes: &[u8]) -> Result<ScheduledView<'_>, CodecError> {
-        ScheduledView::new(bytes)
-    }
-}
-
-/// A lazy, zero-allocation view over [`DistributedSchedule::to_bytes`]
-/// output — the `Scheduled` warm-hit fast path of `mbqc-service`.
-///
-/// [`ScheduledView::new`] validates the artifact's *structure* in one
-/// pass without allocating: the three cost scalars, the three
-/// length-prefixed nested blobs (schedule, problem, partition), the
-/// headline metrics, the per-QPU layer table, and the absence of
-/// trailing bytes. The headline scalars and the per-QPU table are then
-/// readable straight off the borrowed bytes — on a memory-mapped
-/// artifact a warm hit costs the store checksum plus these pointer
-/// fixups, not a full materialization.
-///
-/// What the view does **not** do up front is decode the nested
-/// schedule/problem/partition blobs or run the semantic cross-checks
-/// (`is_feasible`, cost re-evaluation, metric agreement) — those
-/// require materialized values, so they run in
-/// [`materialize`](ScheduledView::materialize), which is exactly
-/// [`DistributedSchedule::from_bytes`]. The pinned contract
-/// (property-tested against the corruption corpus) is one-directional
-/// per layer: whenever `from_bytes` accepts, `new` accepts with
-/// bit-identical scalar fields and `materialize` decodes the same
-/// value; whenever `new` rejects, `from_bytes` rejects too; and
-/// whenever `new` accepts bytes that `from_bytes` rejects, the
-/// rejection surfaces from `materialize` with exactly `from_bytes`'s
-/// [`CodecError`]. When *both* paths reject, the classifications may
-/// differ: the view finishes the outer frame (including the
-/// trailing-bytes check) before any nested decode, while the eager
-/// decoder interleaves nested blob decodes with the outer walk, so
-/// multi-site corruption can surface a different first error on each
-/// path.
-#[derive(Debug, Clone, Copy)]
-pub struct ScheduledView<'a> {
-    bytes: &'a [u8],
-    cost: ScheduleCost,
-    schedule_bytes: &'a [u8],
-    problem_bytes: &'a [u8],
-    partition_bytes: &'a [u8],
-    modularity: f64,
-    cut_edges: usize,
-    per_qpu_layers: UsizeSliceView<'a>,
-    refresh_events: usize,
-}
-
-impl<'a> ScheduledView<'a> {
-    /// Structurally validates `bytes` and returns the lazy view.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError`] on truncation, corrupt length prefixes, or
-    /// trailing bytes.
-    pub fn new(bytes: &'a [u8]) -> Result<Self, CodecError> {
-        let mut d = Decoder::new(bytes);
-        let cost = ScheduleCost {
-            tau_local: d.usize()?,
-            tau_remote: d.usize()?,
-            makespan: d.usize()?,
-        };
-        let schedule_bytes = d.bytes()?;
-        let problem_bytes = d.bytes()?;
-        let partition_bytes = d.bytes()?;
-        let modularity = d.f64()?;
-        let cut_edges = d.usize()?;
-        let per_qpu_layers = d.usize_slice_view()?;
-        per_qpu_layers.validate_elements()?;
-        let refresh_events = d.usize()?;
-        d.finish()?;
-        Ok(Self {
-            bytes,
-            cost,
-            schedule_bytes,
-            problem_bytes,
-            partition_bytes,
-            modularity,
-            cut_edges,
-            per_qpu_layers,
-            refresh_events,
-        })
-    }
-
-    /// Local-computation lifetime component.
-    #[must_use]
-    pub fn tau_local(&self) -> usize {
-        self.cost.tau_local
-    }
-
-    /// Remote-communication lifetime component.
-    #[must_use]
-    pub fn tau_remote(&self) -> usize {
-        self.cost.tau_remote
-    }
-
-    /// Schedule makespan (execution time in logical layers).
-    #[must_use]
-    pub fn makespan(&self) -> usize {
-        self.cost.makespan
-    }
-
-    /// Required photon lifetime: `max(τ_local, τ_remote)`.
-    #[must_use]
-    pub fn required_photon_lifetime(&self) -> usize {
-        self.cost.objective()
-    }
-
-    /// Modularity of the partition (as stored).
-    #[must_use]
-    pub fn modularity(&self) -> f64 {
-        self.modularity
-    }
-
-    /// Number of cut edges (as stored).
-    #[must_use]
-    pub fn cut_edges(&self) -> usize {
-        self.cut_edges
-    }
-
-    /// Execution layers per QPU (lazy).
-    #[must_use]
-    pub fn per_qpu_layers(&self) -> UsizeSliceView<'a> {
-        self.per_qpu_layers
-    }
-
-    /// Dynamic-refresh events (as stored).
-    #[must_use]
-    pub fn refresh_events(&self) -> usize {
-        self.refresh_events
-    }
-
-    /// The nested schedule blob (undecoded).
-    #[must_use]
-    pub fn schedule_bytes(&self) -> &'a [u8] {
-        self.schedule_bytes
-    }
-
-    /// The nested problem blob (undecoded).
-    #[must_use]
-    pub fn problem_bytes(&self) -> &'a [u8] {
-        self.problem_bytes
-    }
-
-    /// The nested partition blob (undecoded).
-    #[must_use]
-    pub fn partition_bytes(&self) -> &'a [u8] {
-        self.partition_bytes
-    }
-
-    /// A lazy [`PartitionView`] over the nested partition blob (this
-    /// *does* fully validate the partition, still without allocating).
-    ///
-    /// # Errors
-    ///
-    /// The partition's own [`CodecError`] classification.
-    pub fn partition_view(&self) -> Result<PartitionView<'a>, CodecError> {
-        PartitionView::new(self.partition_bytes)
-    }
-
-    /// Fully decodes the artifact — nested blobs and all semantic
-    /// cross-checks. Exactly [`DistributedSchedule::from_bytes`] on the
-    /// original bytes.
-    ///
-    /// # Errors
-    ///
-    /// Whatever `from_bytes` reports for these bytes.
-    pub fn materialize(&self) -> Result<DistributedSchedule, CodecError> {
-        DistributedSchedule::from_bytes(self.bytes)
     }
 }
 

@@ -110,8 +110,6 @@ impl StageKind {
 /// ```
 #[derive(Debug, Clone)]
 pub struct StageGraph {
-    /// Per-stage completion flags (executed *or* skipped).
-    done: [bool; 4],
     /// Tasks that actually executed (skips excluded).
     executed: u32,
     ready: Option<StageKind>,
@@ -125,7 +123,6 @@ impl StageGraph {
     #[must_use]
     pub fn new() -> Self {
         Self {
-            done: [false; 4],
             executed: 0,
             ready: Some(StageKind::Transpile),
             abandoned: false,
@@ -146,14 +143,13 @@ impl StageGraph {
     /// dependency order is an executor bug, never valid).
     pub fn complete(&mut self, kind: StageKind) {
         assert_eq!(self.ready, Some(kind), "stage task not ready");
-        self.done[kind.index()] = true;
         self.executed += 1;
         self.ready = kind.next();
     }
 
-    /// Fast-forwards to `kind`: every earlier pending stage is marked
-    /// satisfied *without* counting as executed (a cached artifact
-    /// answered it), and `kind` becomes the ready task.
+    /// Fast-forwards to `kind`: every earlier pending stage is treated
+    /// as answered by a cached artifact *without* counting as
+    /// executed, and `kind` becomes the ready task.
     ///
     /// # Panics
     ///
@@ -162,11 +158,6 @@ impl StageGraph {
     pub fn skip_to(&mut self, kind: StageKind) {
         let ready = self.ready.expect("job already finished");
         assert!(ready <= kind, "cannot fast-forward backwards");
-        for earlier in StageKind::ALL {
-            if earlier < kind {
-                self.done[earlier.index()] = true;
-            }
-        }
         self.ready = Some(kind);
     }
 
@@ -213,13 +204,6 @@ impl StageGraph {
     #[must_use]
     pub fn completed(&self) -> u32 {
         self.executed
-    }
-
-    /// Pipeline depth: how many of the four stages are already
-    /// satisfied (executed *or* answered by a cached artifact).
-    #[must_use]
-    pub fn depth(&self) -> u32 {
-        self.done.iter().map(|&d| u32::from(d)).sum()
     }
 }
 
@@ -364,6 +348,14 @@ mod tests {
         g.complete(StageKind::Schedule);
         assert!(g.is_finished());
         assert_eq!(g.completed(), 3, "partition was skipped, not executed");
+
+        // Skipping straight to the last stage leaves nothing before it.
+        let mut g = StageGraph::new();
+        g.skip_to(StageKind::Schedule);
+        assert_eq!(g.ready(), Some(StageKind::Schedule));
+        g.complete(StageKind::Schedule);
+        assert!(g.is_finished(), "the skipped stages count as done");
+        assert_eq!(g.completed(), 1);
     }
 
     #[test]
@@ -381,13 +373,11 @@ mod tests {
         let mut g = StageGraph::new();
         g.complete(StageKind::Transpile);
         g.complete(StageKind::Partition);
-        assert_eq!(g.depth(), 2);
         g.abandon();
         assert!(g.is_finished());
         assert!(g.is_abandoned());
         assert_eq!(g.ready(), None);
         assert_eq!(g.completed(), 2, "executed tasks keep counting");
-        assert_eq!(g.depth(), 2, "abandoned stages are not satisfied");
     }
 
     #[test]
@@ -400,17 +390,6 @@ mod tests {
         }
         g.abandon();
         assert!(!g.is_abandoned());
-    }
-
-    #[test]
-    fn depth_counts_skips_as_satisfied() {
-        let mut g = StageGraph::new();
-        assert_eq!(g.depth(), 0);
-        g.complete(StageKind::Transpile);
-        g.skip_to(StageKind::Schedule);
-        assert_eq!(g.depth(), 3, "transpile + two cache-answered stages");
-        g.complete(StageKind::Schedule);
-        assert_eq!(g.depth(), 4);
     }
 
     #[test]

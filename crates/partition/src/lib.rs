@@ -105,4 +105,4 @@ pub use kway::{
     multilevel_kway, multilevel_kway_csr, multilevel_kway_csr_with, resolve_workers, KwayConfig,
     KwayWorkspace,
 };
-pub use partition::{Partition, PartitionView};
+pub use partition::Partition;

@@ -1,7 +1,7 @@
 //! The [`Partition`] type and its quality metrics.
 
 use mbqc_graph::{CsrGraph, Graph, NodeId};
-use mbqc_util::codec::{CodecError, Decoder, Encoder, UsizeSliceView};
+use mbqc_util::codec::{CodecError, Decoder, Encoder};
 
 /// A k-way assignment of graph nodes to parts `0..k`.
 ///
@@ -250,80 +250,6 @@ impl Partition {
         }
         d.finish()?;
         Ok(Self { assignment, k })
-    }
-}
-
-/// A zero-allocation lazy view over [`Partition::to_bytes`] output.
-///
-/// [`PartitionView::new`] performs the *complete* validation of
-/// [`Partition::from_bytes`] — structure, `k > 0`, every assignment
-/// entry `< k` — without materializing the assignment vector; reading
-/// the view afterwards cannot fail. Property tests pin the view's
-/// accept/reject classification and decoded values bit-identical to the
-/// eager decoder on the full corruption corpus.
-#[derive(Debug, Clone, Copy)]
-pub struct PartitionView<'a> {
-    k: usize,
-    assignment: UsizeSliceView<'a>,
-}
-
-impl<'a> PartitionView<'a> {
-    /// Validates `bytes` as a partition artifact and returns the lazy
-    /// view.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors of [`Partition::from_bytes`] on the same
-    /// bytes: truncation, `k == 0`, out-of-range assignment entries,
-    /// trailing bytes.
-    pub fn new(bytes: &'a [u8]) -> Result<Self, CodecError> {
-        let mut d = Decoder::new(bytes);
-        let k = d.usize()?;
-        if k == 0 {
-            return Err(CodecError::Invalid("k must be positive"));
-        }
-        let assignment = d.usize_slice_view()?;
-        // The eager decoder surfaces element overflow (32-bit targets)
-        // before the range check — mirror that order.
-        assignment.validate_elements()?;
-        for i in 0..assignment.len() {
-            let p = assignment.get(i).expect("index in range")?;
-            if p >= k {
-                return Err(CodecError::Invalid("assignment references part >= k"));
-            }
-        }
-        d.finish()?;
-        Ok(Self { k, assignment })
-    }
-
-    /// Number of parts.
-    #[must_use]
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Number of nodes.
-    #[must_use]
-    pub fn num_nodes(&self) -> usize {
-        self.assignment.len()
-    }
-
-    /// Part of node `i` (`None` out of range). Validated at view
-    /// construction, so the decode cannot fail.
-    #[must_use]
-    pub fn part_of(&self, i: usize) -> Option<usize> {
-        self.assignment
-            .get(i)
-            .map(|r| r.expect("validated at construction"))
-    }
-
-    /// Materializes the eager [`Partition`].
-    #[must_use]
-    pub fn materialize(&self) -> Partition {
-        Partition {
-            assignment: self.assignment.to_vec().expect("validated at construction"),
-            k: self.k,
-        }
     }
 }
 

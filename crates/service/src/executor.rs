@@ -47,7 +47,7 @@ use std::time::Instant;
 
 use dc_mbqc::{
     map_stage, partition_stage, schedule_stage, DcMbqcError, DistributedSchedule, Mapped,
-    Partitioned, PipelineStage, ScheduledView, StageKind, Transpiled, WorkspacePool,
+    Partitioned, PipelineStage, StageKind, Transpiled, WorkspacePool,
 };
 use mbqc_partition::Partition;
 use mbqc_util::sync::lock;
@@ -334,10 +334,10 @@ fn schedule_task(
     state: &mut JobState,
 ) -> Result<Option<DistributedSchedule>, DcMbqcError> {
     let keys = state.keys.as_ref().expect("planning task ran first");
-    // Same zero-copy warm-hit path as the planning probe: mapped bytes
-    // + lazy structural validation, one decode only on a real hit.
+    // Same zero-copy warm-hit path as the planning probe: the store's
+    // in-place bytes, one validating decode.
     if let Some(bytes) = shared.store.get_ref(&keys.sched) {
-        if let Ok(s) = ScheduledView::new(&bytes).and_then(|v| v.materialize()) {
+        if let Ok(s) = DistributedSchedule::from_bytes(&bytes) {
             lock(&shared.counters).task_store_hits += 1;
             if shared.telemetry.armed() {
                 shared.telemetry.emit(

@@ -77,10 +77,10 @@
 //! [`ArtifactStore::get_ref`], which returns [`ArtifactBytes`]: the
 //! artifact's checksum-verified value bytes *in place*, memory-mapped
 //! when they live on disk — no intermediate `Vec` copy of a multi-MB
-//! artifact. The lazy stage views ([`dc_mbqc::ScheduledView`] & co.)
-//! then validate structure over those bytes without decoding anything;
-//! only a confirmed hit pays the single materializing decode that
-//! produces the job's owned result. [`ArtifactStore::get`] remains the
+//! artifact. The probe decodes them once with
+//! [`dc_mbqc::DistributedSchedule::from_bytes`], which runs every
+//! structural and semantic check and produces the job's owned result.
+//! [`ArtifactStore::get`] remains the
 //! copying variant, and is the one that promotes disk hits into the
 //! memory tier.
 //!

@@ -69,8 +69,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use dc_mbqc::{
-    DcMbqcConfig, DcMbqcError, DistributedSchedule, Mapped, Partitioned, PipelineStage,
-    ScheduledView, StageGraph, StageKind, WorkspacePool,
+    DcMbqcConfig, DcMbqcError, DistributedSchedule, Mapped, Partitioned, PipelineStage, StageGraph,
+    StageKind, WorkspacePool,
 };
 use mbqc_compiler::CompiledProgram;
 use mbqc_graph::NodeId;
@@ -2130,15 +2130,11 @@ pub(crate) fn probe_cache(
     let mut entry = CacheEntry::Miss;
     // Zero-copy warm-hit path: `get_ref` hands the artifact's verified
     // bytes back in place (memory-mapped when they live on disk, no
-    // intermediate `Vec` copy of a multi-MB artifact), the lazy view
-    // validates structure without decoding, and only a confirmed hit
-    // pays the one materializing decode that produces the job's owned
-    // result.
+    // intermediate `Vec` copy of a multi-MB artifact), and one
+    // validating decode turns them into the job's owned result.
     if let Some(bytes) = shared.store.get_ref(&keys.sched) {
-        if let Ok(view) = ScheduledView::new(&bytes) {
-            if let Ok(s) = view.materialize() {
-                entry = CacheEntry::Scheduled(Box::new(s));
-            }
+        if let Ok(s) = DistributedSchedule::from_bytes(&bytes) {
+            entry = CacheEntry::Scheduled(Box::new(s));
         }
     }
     if matches!(entry, CacheEntry::Miss) {
@@ -2402,6 +2398,47 @@ mod tests {
         };
         let msg = e.to_string();
         assert!(msg.contains('5') && msg.contains('9'), "{msg}");
+    }
+
+    /// A `Scheduled` artifact whose stored cost lies (structurally
+    /// valid bytes, checksummed by the store as written) is never
+    /// served: the warm-hit probes' validating decode rejects it and
+    /// the job recompiles to the correct result.
+    #[test]
+    fn warm_hit_probe_rejects_a_cost_tampered_artifact() {
+        use mbqc_circuit::bench;
+        use mbqc_hardware::{DistributedHardware, ResourceStateKind};
+        use mbqc_pattern::transpile::transpile;
+
+        let pattern = transpile(&bench::qft(6));
+        let hw = DistributedHardware::builder()
+            .num_qpus(2)
+            .grid_width(bench::grid_size_for(6))
+            .resource_state(ResourceStateKind::FIVE_STAR)
+            .kmax(4)
+            .build();
+        let config = DcMbqcConfig::new(hw);
+        let expected = dc_mbqc::DcMbqcCompiler::new(config.clone())
+            .compile_pattern(&pattern)
+            .expect("compiles");
+        // `makespan` is the third cost word, bytes 16..24.
+        let mut tampered = expected.to_bytes();
+        let makespan = u64::from_le_bytes(tampered[16..24].try_into().unwrap());
+        tampered[16..24].copy_from_slice(&(makespan + 1).to_le_bytes());
+        assert!(DistributedSchedule::from_bytes_trusted(&tampered).is_ok());
+
+        let service = CompileService::new(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        })
+        .expect("service starts");
+        let keys = StageKeys::new(&pattern, &config);
+        service.shared.store.put(&keys.sched, tampered);
+        let id = service.submit(pattern, config);
+        assert_eq!(service.wait(id).expect("job compiles"), expected);
+        let stats = service.stats();
+        assert_eq!(stats.hits_scheduled, 0, "the lying artifact was served");
+        assert_eq!(stats.full_compiles, 1);
     }
 
     #[test]

@@ -1747,8 +1747,8 @@ impl ArtifactStore {
     /// validated borrowed view of the memory-mapped bytes instead of
     /// copying the value into the memory tier. The checksum and key
     /// verification still run on every hit; what is skipped is the
-    /// `Vec` allocation, the memcpy, and (for the caller) the eager
-    /// decode — pair this with the lazy `*View` decoders. Because
+    /// `Vec` allocation and the memcpy; the caller decodes straight
+    /// from the borrowed bytes. Because
     /// nothing is promoted, a hot artifact read only through `get_ref`
     /// stays on disk; use `get` when promotion is wanted.
     #[must_use]

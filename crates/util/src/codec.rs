@@ -238,29 +238,6 @@ impl<'a> Decoder<'a> {
         Ok(v)
     }
 
-    /// Reads a length-prefixed `usize` slice *lazily*: the returned view
-    /// borrows the raw 8-byte little-endian words without allocating.
-    /// Validation up front covers exactly what [`Decoder::usize_vec`]
-    /// checks structurally (the prefixed length fits the remaining
-    /// bytes); the per-element `usize` range check is deferred to
-    /// [`UsizeSliceView::get`] / [`UsizeSliceView::to_vec`], which on
-    /// 64-bit targets can never fail.
-    pub fn usize_slice_view(&mut self) -> Result<UsizeSliceView<'a>, CodecError> {
-        let len = self.usize()?;
-        let byte_len = len
-            .checked_mul(8)
-            .ok_or(CodecError::UnexpectedEof)
-            .and_then(|n| {
-                if n > self.buf.len().saturating_sub(self.pos) {
-                    Err(CodecError::UnexpectedEof)
-                } else {
-                    Ok(n)
-                }
-            })?;
-        let raw = self.take(byte_len)?;
-        Ok(UsizeSliceView { raw, len })
-    }
-
     /// Reads an `Option<usize>` written by [`Encoder::opt_usize`].
     pub fn opt_usize(&mut self) -> Result<Option<usize>, CodecError> {
         if self.bool()? {
@@ -294,91 +271,6 @@ impl<'a> Decoder<'a> {
         } else {
             Err(CodecError::TrailingBytes)
         }
-    }
-}
-
-/// A validated, zero-allocation view over a length-prefixed `usize`
-/// slice written by [`Encoder::usize_slice`]. The raw region's size was
-/// checked when the view was produced; element access decodes on demand.
-#[derive(Debug, Clone, Copy)]
-pub struct UsizeSliceView<'a> {
-    raw: &'a [u8],
-    len: usize,
-}
-
-impl<'a> UsizeSliceView<'a> {
-    /// Number of elements.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when the slice is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Decodes element `i` (`None` out of range).
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::Invalid`] when the stored `u64` does not fit a
-    /// `usize` (impossible on 64-bit targets).
-    pub fn get(&self, i: usize) -> Option<Result<usize, CodecError>> {
-        if i >= self.len {
-            return None;
-        }
-        let b: [u8; 8] = self.raw[i * 8..i * 8 + 8].try_into().expect("8-byte slot");
-        Some(
-            usize::try_from(u64::from_le_bytes(b))
-                .map_err(|_| CodecError::Invalid("usize overflow")),
-        )
-    }
-
-    /// Materializes the whole slice.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::Invalid`] when any element overflows `usize` —
-    /// exactly the classification [`Decoder::usize_vec`] gives the same
-    /// bytes.
-    pub fn to_vec(&self) -> Result<Vec<usize>, CodecError> {
-        (0..self.len)
-            .map(|i| self.get(i).expect("index in range"))
-            .collect()
-    }
-
-    /// Compares against an eager slice without allocating.
-    #[must_use]
-    pub fn eq_slice(&self, other: &[usize]) -> bool {
-        self.len == other.len()
-            && other
-                .iter()
-                .enumerate()
-                .all(|(i, &x)| matches!(self.get(i), Some(Ok(v)) if v == x))
-    }
-
-    /// The borrowed raw little-endian words (8 bytes per element).
-    #[must_use]
-    pub fn raw_bytes(&self) -> &'a [u8] {
-        self.raw
-    }
-
-    /// Checks every element fits a `usize`, matching the classification
-    /// an eager [`Decoder::usize_vec`] would give the same bytes. On
-    /// 64-bit targets a `u64` always fits, so this compiles to `Ok(())`.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::Invalid`] on the first overflowing element
-    /// (32-bit targets only).
-    pub fn validate_elements(&self) -> Result<(), CodecError> {
-        #[cfg(not(target_pointer_width = "64"))]
-        for i in 0..self.len {
-            self.get(i).expect("index in range")?;
-        }
-        Ok(())
     }
 }
 
@@ -442,53 +334,5 @@ mod tests {
     fn bad_bool_byte_is_invalid() {
         let mut d = Decoder::new(&[3]);
         assert_eq!(d.bool(), Err(CodecError::Invalid("bool byte")));
-    }
-
-    #[test]
-    fn usize_slice_view_matches_eager_vec() {
-        let xs = [0usize, 1, 7, usize::MAX / 3, 42];
-        let mut e = Encoder::new();
-        e.usize_slice(&xs);
-        e.u8(0xEE);
-        let buf = e.into_bytes();
-
-        let mut d = Decoder::new(&buf);
-        let view = d.usize_slice_view().unwrap();
-        assert_eq!(d.u8().unwrap(), 0xEE);
-        d.finish().unwrap();
-
-        assert_eq!(view.len(), xs.len());
-        assert!(!view.is_empty());
-        assert_eq!(view.to_vec().unwrap(), xs.to_vec());
-        assert!(view.eq_slice(&xs));
-        assert!(!view.eq_slice(&xs[..4]));
-        assert_eq!(view.get(2), Some(Ok(7)));
-        assert!(view.get(xs.len()).is_none());
-        assert_eq!(view.raw_bytes().len(), xs.len() * 8);
-    }
-
-    #[test]
-    fn usize_slice_view_rejects_truncated_payloads() {
-        let mut e = Encoder::new();
-        e.usize_slice(&[1, 2, 3]);
-        let buf = e.into_bytes();
-        // Cut into the last element: eager and lazy agree on the error.
-        let cut = &buf[..buf.len() - 3];
-        assert_eq!(
-            Decoder::new(cut).usize_vec().unwrap_err(),
-            CodecError::UnexpectedEof
-        );
-        assert_eq!(
-            Decoder::new(cut).usize_slice_view().unwrap_err(),
-            CodecError::UnexpectedEof
-        );
-        // A huge length prefix is rejected without allocating.
-        let mut e = Encoder::new();
-        e.usize(usize::MAX / 2);
-        let buf = e.into_bytes();
-        assert_eq!(
-            Decoder::new(&buf).usize_slice_view().unwrap_err(),
-            CodecError::UnexpectedEof
-        );
     }
 }

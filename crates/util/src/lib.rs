@@ -20,8 +20,8 @@
 //! * [`frame`] — checksummed, length-prefixed message frames over byte
 //!   streams: the transport layer under the `mbqc-net` wire protocol.
 //! * [`mmap`] — read-only memory-mapped byte buffers (with a heap
-//!   fallback), the zero-copy substrate under the store's lazy artifact
-//!   views.
+//!   fallback), the zero-copy substrate under the store's disk-tier
+//!   reads.
 //! * [`metrics`] — atomic counters and fixed-size log-bucketed
 //!   histograms with p50/p95/p99 summaries, the offline-box stand-in
 //!   for a metrics crate; `mbqc-service` records per-stage latency,
@@ -52,7 +52,7 @@ pub mod stats;
 pub mod sync;
 pub mod table;
 
-pub use codec::{CodecError, Decoder, Encoder, UsizeSliceView};
+pub use codec::{CodecError, Decoder, Encoder};
 pub use fingerprint::Fingerprint;
 pub use mmap::MappedBytes;
 pub use rng::Rng;

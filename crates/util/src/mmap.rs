@@ -2,7 +2,7 @@
 //!
 //! [`MappedBytes`] gives the artifact store zero-copy access to files on
 //! disk: a warm hit served from a mapping costs a checksum walk over the
-//! mapped pages plus pointer fixups, not a `read(2)` into a fresh `Vec`.
+//! mapped pages, not a `read(2)` into a fresh `Vec`.
 //! The build box is offline (no `memmap2`), so on Unix the mapping is a
 //! direct `mmap(2)` through a minimal `extern "C"` shim against the libc
 //! that `std` already links; everywhere else — and whenever the syscall

@@ -9,7 +9,7 @@
 //! disk-backed service: an identical-submit storm collapses onto one
 //! in-flight compilation, cold traffic fills (and segment-compacts)
 //! the disk tier, and a restart replays the crash-safe manifest and
-//! serves the warm repeat round from memory-mapped lazy views. The
+//! serves the warm repeat round from memory-mapped artifact bytes. The
 //! run ends with the service's per-stage latency distributions
 //! (p50/p95/p99 from the always-on histograms).
 //!
@@ -239,8 +239,8 @@ fn main() {
     //    Finally the service is dropped and reopened over the same
     //    directory: the crash-safe manifest replays the disk index in
     //    one sequential read (no O(files) rescan) and the repeat
-    //    traffic is served from memory-mapped artifact bytes through
-    //    lazy views — checksum plus pointer fixups, no decode.
+    //    traffic is served from memory-mapped artifact bytes — a
+    //    checksum walk plus one decode, no intermediate copy.
     let store_dir =
         std::env::temp_dir().join(format!("mbqc-service-demo-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&store_dir);
@@ -291,7 +291,7 @@ fn main() {
     let warm_ms = t.elapsed().as_secs_f64() * 1e3;
     let stats = reopened.stats();
     println!(
-        "restart: manifest replayed {} artifacts ({} scan fallbacks); mmap warm round {:.1} ms vs {:.1} ms cold ({} scheduled hits served from lazy views)",
+        "restart: manifest replayed {} artifacts ({} scan fallbacks); mmap warm round {:.1} ms vs {:.1} ms cold ({} scheduled hits served from mapped bytes)",
         stats.store.disk_entries,
         stats.store.manifest_fallbacks,
         warm_ms,

@@ -17,6 +17,7 @@ use mbqc_hardware::{DistributedHardware, ResourceStateKind};
 use mbqc_partition::Partition;
 use mbqc_pattern::transpile::transpile;
 use mbqc_schedule::{LayerScheduleProblem, Schedule};
+use mbqc_util::codec::CodecError;
 use proptest::prelude::*;
 
 /// One codec under test: a real valid encoding, a decode probe
@@ -178,6 +179,30 @@ fn wrong_stage_bytes_are_errors() {
             );
         }
     }
+}
+
+/// The one difference between the two `DistributedSchedule` decoders:
+/// bytes that stay structurally valid but carry a cost that disagrees
+/// with the schedule are rejected by the validating `from_bytes` and
+/// accepted, as stored, by `from_bytes_trusted`.
+#[test]
+fn tampered_cost_separates_the_two_schedule_decoders() {
+    let valid = &codecs()
+        .iter()
+        .find(|c| c.name == "DistributedSchedule")
+        .expect("codec present")
+        .bytes;
+    let fresh = DistributedSchedule::from_bytes(valid).expect("valid encoding");
+    // `makespan` is the third cost word, bytes 16..24.
+    let mut tampered = valid.clone();
+    let makespan = u64::from_le_bytes(tampered[16..24].try_into().unwrap());
+    tampered[16..24].copy_from_slice(&(makespan + 1).to_le_bytes());
+    assert_eq!(
+        DistributedSchedule::from_bytes(&tampered).unwrap_err(),
+        CodecError::Invalid("stored cost disagrees with schedule")
+    );
+    let trusted = DistributedSchedule::from_bytes_trusted(&tampered).expect("structurally valid");
+    assert_eq!(trusted.execution_time(), fresh.execution_time() + 1);
 }
 
 proptest! {
