@@ -354,7 +354,13 @@ pub fn figure10(scale: Scale) -> TextTable {
         "DC-MBQC (Core) [ms]",
         "DC-MBQC (Core+BDIR) [ms]",
     ]);
-    t.title("Figure 10 — compilation runtime scaling (QFT, 8 QPUs)");
+    // Core maps the QPUs in parallel with the `CompileSession` default
+    // of one map worker per core (capped at the QPU count), so the
+    // host's core count is part of the setting.
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    t.title(format!(
+        "Figure 10 — compilation runtime scaling (QFT, 8 QPUs; Core: one map worker per core, {cores} available)"
+    ));
     let sizes: &[usize] = match scale {
         Scale::Quick => &[16, 25],
         Scale::Full => &[16, 25, 36, 49, 64, 81, 100],

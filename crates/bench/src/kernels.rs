@@ -585,70 +585,6 @@ pub fn measure_kernels(reps: usize) -> Vec<KernelResult> {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    // Store: restart recovery — one sequential manifest replay vs. the
-    // O(files) directory rescan it replaces (measured by deleting the
-    // manifest before each baseline open, which forces the fallback
-    // scan and its whole-manifest rewrite). Two store sizes so the
-    // scaling difference is recorded, not just one point.
-    for (count, name) in [
-        (128usize, "store/restart_manifest_128"),
-        (512usize, "store/restart_manifest_512"),
-    ] {
-        let dir =
-            std::env::temp_dir().join(format!("mbqc-bench-restart-{}-{count}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let open = || {
-            ArtifactStore::new(StoreConfig {
-                memory_capacity: 1,
-                disk_dir: Some(dir.clone()),
-                // Loose files only: the fallback scan adopts loose
-                // artifacts but drops segment files (it cannot prove
-                // frame liveness), so the replay-vs-scan comparison
-                // must run over a layout both paths fully recover.
-                segment_threshold: None,
-                ..StoreConfig::default()
-            })
-            .expect("store opens")
-        };
-        {
-            let store = open();
-            for i in 0..count {
-                let b = (i as u32).to_le_bytes();
-                store.put(
-                    &ArtifactKey::new(PipelineStage::Partition, &b, &b),
-                    vec![i as u8; 64],
-                );
-            }
-        }
-        let manifest = ArtifactStore::manifest_path(&dir);
-        let (baseline_ns, optimized_ns) = measure_pair(
-            || {
-                std::fs::remove_file(&manifest).ok();
-                let store = open();
-                assert_eq!(
-                    store.stats().disk_entries,
-                    count,
-                    "fallback scan lost entries"
-                );
-            },
-            || {
-                let store = open();
-                assert_eq!(
-                    store.stats().disk_entries,
-                    count,
-                    "manifest replay lost entries"
-                );
-            },
-            reps,
-        );
-        results.push(KernelResult {
-            name,
-            baseline_ns,
-            optimized_ns,
-        });
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     // End-to-end: a storm of identical concurrent submits, with
     // in-flight dedup off (every duplicate decodes the stored artifact
     // back on its own warm-hit probe) vs. on (duplicates join the

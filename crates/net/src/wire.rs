@@ -538,8 +538,8 @@ fn decode_summary(d: &mut Decoder<'_>) -> Result<Summary, CodecError> {
 /// order: counters, sizes, flags, latency summaries. Tenant rows travel
 /// separately.
 type StatsFields<'a> = (
-    [&'a mut u64; 33],
-    [&'a mut usize; 8],
+    [&'a mut u64; 28],
+    [&'a mut usize; 6],
     [&'a mut bool; 2],
     [&'a mut Summary; 6],
 );
@@ -586,15 +586,8 @@ fn stats_fields(s: &mut ServiceStats) -> (StatsFields<'_>, &mut Vec<TenantStat>)
         disk_entries,
         disk_bytes,
         disk_evictions,
-        disk_expirations,
         disk_errors,
         disk_corrupt,
-        negative_hits,
-        segments,
-        segment_bytes,
-        compactions,
-        segment_gcs,
-        manifest_fallbacks,
         disk_quarantined: store_quarantined,
         disk_quarantines,
         disk_probes,
@@ -624,13 +617,8 @@ fn stats_fields(s: &mut ServiceStats) -> (StatsFields<'_>, &mut Vec<TenantStat>)
         misses,
         disk_writes,
         disk_evictions,
-        disk_expirations,
         disk_errors,
         disk_corrupt,
-        negative_hits,
-        compactions,
-        segment_gcs,
-        manifest_fallbacks,
         disk_quarantines,
         disk_probes,
     ];
@@ -641,8 +629,6 @@ fn stats_fields(s: &mut ServiceStats) -> (StatsFields<'_>, &mut Vec<TenantStat>)
         bytes,
         disk_entries,
         disk_bytes,
-        segments,
-        segment_bytes,
     ];
     let flags = [disk_quarantined, store_quarantined];
     let summaries = [transpile, partition, map, schedule, queue_wait, warm_hit];

@@ -67,11 +67,12 @@
 //! so there is no serde): a byte-budgeted in-memory LRU
 //! ([`StoreConfig::memory_capacity`]) whose entries are `Arc`-shared,
 //! and an optional on-disk tier ([`StoreConfig::disk_dir`]) of
-//! content-checksummed frames. Disk artifacts survive restarts — a
-//! fresh service pointed at the same directory starts warm — and the
-//! tier is bounded by a byte budget with least-recently-accessed
-//! eviction plus an optional TTL ([`StoreConfig::disk_capacity`],
-//! [`StoreConfig::disk_ttl`]).
+//! content-checksummed frames, one `<fingerprint>.art` file per
+//! artifact. Disk artifacts survive restarts — a fresh service pointed
+//! at the same directory scans it and starts warm — and the tier is
+//! bounded by a byte budget with least-recently-accessed eviction
+//! ([`StoreConfig::disk_capacity`]). Every artifact is recomputable, so
+//! the disk tier is only a cache and the directory is its only index.
 //!
 //! **Zero-copy reads.** The `Scheduled` warm-hit probe goes through
 //! [`ArtifactStore::get_ref`], which returns [`ArtifactBytes`]: the
@@ -83,43 +84,6 @@
 //! [`ArtifactStore::get`] remains the
 //! copying variant, and is the one that promotes disk hits into the
 //! memory tier.
-//!
-//! **Segments and compaction.** A store that only ever writes one
-//! loose `<fingerprint>.art` file per artifact degrades into an
-//! O(files) directory of tiny files. Once
-//! [`StoreConfig::segment_threshold`] loose files accumulate, the cold
-//! majority (by recency) is packed into an append-only `seg-N.seg`
-//! file whose frames are byte-identical to the loose encoding, so
-//! every checksum and key verification carries over verbatim. Segment
-//! reads go through one cached mmap per segment. Eviction or invalidation of a packed
-//! artifact only marks it dead; a segment whose live fraction falls
-//! below [`StoreConfig::segment_gc_fraction`] is garbage-collected
-//! (survivors spill back to loose files) and an all-dead segment is
-//! deleted outright ([`StoreStats::compactions`],
-//! [`StoreStats::segment_gcs`]).
-//!
-//! **Crash-safe manifest.** Every disk mutation appends a checksummed
-//! record to `manifest.log`, so restart recovery is one sequential
-//! read that rebuilds the index *and the exact access-recency order* —
-//! the byte/TTL budgets re-enforce against true recency, not file
-//! mtimes. A torn tail, a missing manifest, or any record that fails
-//! its checksum falls back to a full directory scan
-//! ([`StoreStats::manifest_fallbacks`]) whose recency approximation
-//! *is* file mtime (1-second granularity on many filesystems), after
-//! which the manifest is rewritten whole. The scan adopts loose files
-//! only and deletes segment files: an append-only segment can hold
-//! clean-checksumming frames that are nonetheless dead (superseded or
-//! deleted after packing), and only the manifest records liveness —
-//! dropping cold packed artifacts on this rare path is an ordinary
-//! cache miss, never a stale read. The log self-compacts: when
-//! the appended tail outgrows the live index, it is snapshotted.
-//!
-//! **Negative caching.** A small ring of recently-missed fingerprints
-//! ([`StoreConfig::negative_capacity`]) answers repeat misses without
-//! touching the filesystem ([`StoreStats::negative_hits`]). Only an
-//! authoritative absence — not found, expired, corrupt-and-deleted —
-//! is cached; IO errors and quarantine skips never are, and a store
-//! write clears its key.
 //!
 //! **In-flight dedup** ([`ServiceConfig::dedup`], on by default).
 //! Concurrent submits of an identical `(pattern, config)` collapse

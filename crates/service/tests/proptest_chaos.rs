@@ -191,9 +191,6 @@ proptest! {
                         disk_dir: Some(dir.clone()),
                         disk_error_threshold: 4,
                         disk_probe_interval: Duration::from_millis(5),
-                        // Segment packing + manifest replay under
-                        // injected IO errors and corruption too.
-                        segment_threshold: Some(4),
                         faults: plan.clone(),
                         ..StoreConfig::default()
                     },

@@ -214,11 +214,6 @@ proptest! {
                     store: StoreConfig {
                         memory_capacity: 8 << 20,
                         disk_dir: Some(dir.clone()),
-                        // Low threshold: the matrix churns through
-                        // segment packing, mmap reads of packed
-                        // frames, and manifest replay on the
-                        // disk-restored worker counts.
-                        segment_threshold: Some(4),
                         ..StoreConfig::default()
                     },
                     // Flight recorder on: a failing cell below

@@ -229,18 +229,16 @@ proptest! {
 /// The disk tier under lifecycle churn: random interleavings of
 /// puts, gets, abandoned writes (a writer cancelled/killed mid-write
 /// leaves a stale temp file), corruptions (torn or garbled artifact
-/// files), segment compactions, manifest tail tears, and restarts.
-/// Invariants, checked after every operation:
+/// files), and restarts. Invariants, checked after every operation:
 ///
-/// * the on-disk artifact bytes (loose `.art` files *and* packed
-///   `.seg` segments) never exceed `disk_capacity` (including
+/// * the on-disk `.art` bytes never exceed `disk_capacity` (including
 ///   immediately after a restart over a dirty directory);
+/// * the store's index holds exactly the `.art` files in the
+///   directory (`stats().disk_entries` equals their count);
 /// * a key-verified read returns either exactly the last value stored
 ///   under that key or a miss — never torn, stale-keyed, or foreign
-///   bytes — whether the artifact is loose or packed;
-/// * a restart sweeps abandoned temp files, and a restart over a
-///   *torn manifest* falls back to the directory scan with every
-///   invariant intact.
+///   bytes;
+/// * a restart sweeps abandoned temp files.
 mod disk_churn {
     use super::*;
     use mbqc_service::{ArtifactKey, ArtifactStore, PipelineStage};
@@ -258,24 +256,23 @@ mod disk_churn {
         dir.join(format!("{}.art", key(n).fingerprint().to_hex()))
     }
 
-    /// Ground truth the budget is asserted against: actual `.art` and
-    /// `.seg` bytes in the directory (the manifest log is metadata,
-    /// not artifact payload, and is excluded from the budget).
-    fn dir_art_bytes(dir: &Path) -> usize {
+    /// The sizes of the `.art` files in the directory: the ground
+    /// truth the budget and the index are asserted against.
+    fn dir_art_sizes(dir: &Path) -> Vec<usize> {
         std::fs::read_dir(dir)
             .map(|entries| {
                 entries
                     .filter_map(Result::ok)
-                    .filter(|e| {
-                        e.path()
-                            .extension()
-                            .is_some_and(|x| x == "art" || x == "seg")
-                    })
+                    .filter(|e| e.path().extension().is_some_and(|x| x == "art"))
                     .filter_map(|e| e.metadata().ok())
                     .map(|m| m.len() as usize)
-                    .sum()
+                    .collect()
             })
-            .unwrap_or(0)
+            .unwrap_or_default()
+    }
+
+    fn dir_art_bytes(dir: &Path) -> usize {
+        dir_art_sizes(dir).iter().sum()
     }
 
     fn has_tmp_files(dir: &Path) -> bool {
@@ -296,10 +293,6 @@ mod disk_churn {
             memory_capacity: 1,
             disk_dir: Some(dir.to_path_buf()),
             disk_capacity: Some(CAPACITY),
-            // Low threshold so the churn crosses the loose → segment
-            // boundary organically (on top of the explicit compaction
-            // op below).
-            segment_threshold: Some(4),
             ..mbqc_service::StoreConfig::default()
         })
         .expect("store opens")
@@ -328,7 +321,7 @@ mod disk_churn {
             let mut corrupted = vec![false; KEYS as usize];
             for step in 0..ops {
                 let k = rng.range(KEYS as usize) as u64;
-                match rng.range(12) {
+                match rng.range(10) {
                     // Put (sizes vary; occasionally over-budget).
                     0..=3 => {
                         let oversized = rng.bernoulli(0.1);
@@ -429,27 +422,6 @@ mod disk_churn {
                             corrupted[k as usize] = true;
                         }
                     }
-                    // Explicit compaction: every loose artifact packs
-                    // into a fresh segment (reads must keep resolving
-                    // through the segment mmap path).
-                    9 => {
-                        store.compact();
-                    }
-                    // Torn manifest tail (a crash mid-append): nothing
-                    // may break *now* — appends continue past the tear
-                    // — and the next restart must fall back to the
-                    // directory scan with every invariant intact.
-                    10 => {
-                        let m = ArtifactStore::manifest_path(&dir);
-                        if let Ok(meta) = std::fs::metadata(&m) {
-                            let cut = meta.len().saturating_sub(1 + rng.range(24) as u64);
-                            if let Ok(f) =
-                                std::fs::OpenOptions::new().write(true).open(&m)
-                            {
-                                f.set_len(cut).ok();
-                            }
-                        }
-                    }
                     // Restart: temp files swept, budget re-enforced.
                     _ => {
                         drop(store);
@@ -461,13 +433,20 @@ mod disk_churn {
                         );
                     }
                 }
-                let bytes = dir_art_bytes(&dir);
+                let sizes = dir_art_sizes(&dir);
+                let bytes: usize = sizes.iter().sum();
                 prop_assert!(
                     bytes <= CAPACITY,
                     "step {}: disk budget exceeded: {} > {}",
                     step,
                     bytes,
                     CAPACITY
+                );
+                prop_assert_eq!(
+                    store.stats().disk_entries,
+                    sizes.len(),
+                    "step {}: index disagrees with the directory",
+                    step
                 );
             }
             // Final audit across a clean restart.

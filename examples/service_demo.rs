@@ -7,9 +7,10 @@
 //! handle and by shared token) and deadlines drop jobs without
 //! disturbing the rest of the queue. A persistence round then runs a
 //! disk-backed service: an identical-submit storm collapses onto one
-//! in-flight compilation, cold traffic fills (and segment-compacts)
-//! the disk tier, and a restart replays the crash-safe manifest and
-//! serves the warm repeat round from memory-mapped artifact bytes. The
+//! in-flight compilation, cold traffic fills the disk tier with one
+//! file per artifact, and a restart re-indexes that directory with one
+//! scan and serves the warm repeat round from memory-mapped artifact
+//! bytes. The
 //! run ends with the service's per-stage latency distributions
 //! (p50/p95/p99 from the always-on histograms).
 //!
@@ -230,17 +231,15 @@ fn main() {
     // over the whole mixed workload above.
     println!("\n{}", latency_table(&stats));
 
-    // 6. Persistence + dedup round: a disk-backed service with a small
-    //    segment threshold. First a burst of identical concurrent
-    //    submits collapses onto one in-flight compilation (the rest
-    //    join as followers and receive clones of the leader's result).
-    //    Then the mixed workload cold-fills the disk tier — watch
-    //    loose artifact files get compacted into append-only segments.
+    // 6. Persistence + dedup round: a disk-backed service. First a
+    //    burst of identical concurrent submits collapses onto one
+    //    in-flight compilation (the rest join as followers and receive
+    //    clones of the leader's result). Then the mixed workload
+    //    cold-fills the disk tier, one `.art` file per artifact.
     //    Finally the service is dropped and reopened over the same
-    //    directory: the crash-safe manifest replays the disk index in
-    //    one sequential read (no O(files) rescan) and the repeat
-    //    traffic is served from memory-mapped artifact bytes — a
-    //    checksum walk plus one decode, no intermediate copy.
+    //    directory: one directory scan re-indexes the artifacts and
+    //    the repeat traffic is served from memory-mapped artifact
+    //    bytes — a checksum walk plus one decode, no intermediate copy.
     let store_dir =
         std::env::temp_dir().join(format!("mbqc-service-demo-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&store_dir);
@@ -248,7 +247,6 @@ fn main() {
         workers: 2,
         store: StoreConfig {
             disk_dir: Some(store_dir.clone()),
-            segment_threshold: Some(8),
             ..StoreConfig::default()
         },
         ..ServiceConfig::default()
@@ -275,15 +273,14 @@ fn main() {
     let cold_ms = t.elapsed().as_secs_f64() * 1e3;
     let stats = persistent.stats();
     println!(
-        "cold fill: {:.1} ms wall -> {} artifacts on disk, {} segment file(s) ({:.1} KiB packed, {} compactions)",
+        "cold fill: {:.1} ms wall -> {} artifacts on disk ({:.1} KiB)",
         cold_ms,
         stats.store.disk_entries,
-        stats.store.segments,
-        stats.store.segment_bytes as f64 / 1024.0,
-        stats.store.compactions,
+        stats.store.disk_bytes as f64 / 1024.0,
     );
     drop(persistent);
     let reopened = CompileService::new(disk_config()).expect("service reopens");
+    let reindexed = reopened.stats().store.disk_entries;
     let t = Instant::now();
     for id in reopened.submit_many(&just_patterns, &config) {
         reopened.wait(id).expect("warm job compiles");
@@ -291,9 +288,8 @@ fn main() {
     let warm_ms = t.elapsed().as_secs_f64() * 1e3;
     let stats = reopened.stats();
     println!(
-        "restart: manifest replayed {} artifacts ({} scan fallbacks); mmap warm round {:.1} ms vs {:.1} ms cold ({} scheduled hits served from mapped bytes)",
-        stats.store.disk_entries,
-        stats.store.manifest_fallbacks,
+        "restart: directory scan re-indexed {} artifacts; mmap warm round {:.1} ms vs {:.1} ms cold ({} scheduled hits served from mapped bytes)",
+        reindexed,
         warm_ms,
         cold_ms,
         stats.hits_scheduled,
