@@ -9,8 +9,9 @@
 
 use mbqc_graph::{CsrGraph, Graph};
 
-use crate::kway::{multilevel_kway_csr_with, KwayConfig, KwayWorkspace};
+use crate::kway::{coarsen_levels, uncoarsen, KwayConfig, KwayWorkspace};
 use crate::modularity::modularity_csr;
+use crate::refine::RefineWorkspace;
 use crate::Partition;
 
 /// Parameters of Algorithm 2. Paper defaults: `ε_Q = 0.01`, `γ = 1.02`,
@@ -142,6 +143,12 @@ pub fn adaptive_partition_csr(g: &CsrGraph, config: &AdaptiveConfig) -> Adaptive
 /// shared by every α probe of the search (and across searches when the
 /// caller keeps the workspace) — bit-identical results.
 ///
+/// The coarsening hierarchy depends only on the graph, `k` and the
+/// seed, so the search builds it once; each probe is the uncoarsening
+/// half of [`multilevel_kway_csr_with`](crate::kway::multilevel_kway_csr_with)
+/// on the shared levels from a clone of the RNG state coarsening left,
+/// which is exactly what a fresh k-way call at that α computes.
+///
 /// # Panics
 ///
 /// Panics if `k == 0`, `γ ≤ 1`, or `α_max < 1`.
@@ -186,13 +193,15 @@ pub fn adaptive_partition_csr_with(
     // signs. At α = 1 the clamped candidate is α itself, already
     // probed.
     let down = |a: f64| (a / config.gamma).max(1.0);
-    let mut spec_ws: Option<KwayWorkspace> = None;
-    let probe = |a: f64, ws: &mut KwayWorkspace| {
+    let (levels, rng) = coarsen_levels(g, config.k, config.seed, &mut ws.coarsen);
+    let ws = &mut ws.refine;
+    let mut spec_ws: Option<RefineWorkspace> = None;
+    let probe = |a: f64, ws: &mut RefineWorkspace| {
         let kcfg = KwayConfig::new(config.k)
             .with_alpha(a)
             .with_seed(config.seed)
             .with_probe_workers(config.probe_workers);
-        let p = multilevel_kway_csr_with(g, &kcfg, ws);
+        let p = uncoarsen(g, &levels, &kcfg, rng.clone(), ws);
         let q = modularity_csr(g, &p);
         (p, q)
     };
@@ -220,7 +229,7 @@ pub fn adaptive_partition_csr_with(
                 memo.insert(a, r);
             }
             [a, b] => {
-                let sw = spec_ws.get_or_insert_with(KwayWorkspace::new);
+                let sw = spec_ws.get_or_insert_with(RefineWorkspace::new);
                 let (ra, rb) = std::thread::scope(|s| {
                     let hb = s.spawn(|| probe(f64::from_bits(b), sw));
                     let ra = probe(f64::from_bits(a), ws);

@@ -10,13 +10,12 @@
 use mbqc_graph::{CsrGraph, Graph, NodeId};
 use mbqc_util::Rng;
 
-use crate::coarsen::{coarsen_to_csr_with, CoarsenWorkspace};
-use crate::refine::{
-    fm_refine_csr, fm_refine_csr_with, rebalance_csr, refine_csr, refine_csr_with, RefineWorkspace,
-};
+use crate::coarsen::{coarsen_to_csr_with, CoarsenWorkspace, CsrLevel};
+use crate::refine::{fm_refine_built, rebalance_csr_with, refine_csr_with, RefineWorkspace};
 use crate::Partition;
 
-/// Node-count bound under which the quadratic FM pass runs at a level.
+/// Node-count bound under which the FM hill-climbing pass runs at a
+/// level.
 const FM_LIMIT: usize = 2000;
 
 /// Configuration for [`multilevel_kway`].
@@ -221,10 +220,16 @@ impl KwayWorkspace {
 
 /// One restart probe on the coarsest graph: greedy growing + greedy
 /// refinement + FM hill climbing, from the probe's own RNG stream.
-fn restart_probe(g: &CsrGraph, config: &KwayConfig, max_w: i64, rng: &mut Rng) -> (i64, Partition) {
+fn restart_probe(
+    g: &CsrGraph,
+    config: &KwayConfig,
+    max_w: i64,
+    rng: &mut Rng,
+    ws: &mut RefineWorkspace,
+) -> (i64, Partition) {
     let mut p = initial_partition(g, config.k, max_w, rng);
-    let _ = refine_csr(g, &mut p, max_w, config.refine_passes, rng);
-    let _ = fm_refine_csr(g, &mut p, max_w, 3);
+    let _ = refine_csr_with(g, &mut p, max_w, config.refine_passes, rng, ws);
+    let _ = fm_refine_built(g, &mut p, max_w, 3, ws);
     (p.cut_weight_csr(g), p)
 }
 
@@ -232,14 +237,20 @@ fn restart_probe(g: &CsrGraph, config: &KwayConfig, max_w: i64, rng: &mut Rng) -
 /// asks for it — and returns the winner. Each probe owns a forked RNG
 /// drawn *before* any work starts and the lowest `(cut, probe index)`
 /// wins, so the result is bit-identical for every worker count.
-fn run_restarts(coarsest: &CsrGraph, config: &KwayConfig, max_w: i64, rng: &mut Rng) -> Partition {
+fn run_restarts(
+    coarsest: &CsrGraph,
+    config: &KwayConfig,
+    max_w: i64,
+    rng: &mut Rng,
+    ws: &mut RefineWorkspace,
+) -> Partition {
     let restarts = config.initial_restarts.max(1);
     let mut probe_rngs: Vec<Rng> = (0..restarts).map(|_| rng.fork()).collect();
     let workers = resolve_workers(config.probe_workers, restarts);
     let mut results: Vec<(i64, usize, Partition)> = Vec::with_capacity(restarts);
     if workers <= 1 {
         for (idx, probe_rng) in probe_rngs.iter_mut().enumerate() {
-            let (cut, p) = restart_probe(coarsest, config, max_w, probe_rng);
+            let (cut, p) = restart_probe(coarsest, config, max_w, probe_rng, ws);
             results.push((cut, idx, p));
         }
     } else {
@@ -253,11 +264,13 @@ fn run_restarts(coarsest: &CsrGraph, config: &KwayConfig, max_w: i64, rng: &mut 
                 .enumerate()
             {
                 handles.push(scope.spawn(move || {
+                    let mut ws = RefineWorkspace::new();
                     chunk
                         .into_iter()
                         .enumerate()
                         .map(|(j, probe_rng)| {
-                            let (cut, p) = restart_probe(coarsest, config, max_w, probe_rng);
+                            let (cut, p) =
+                                restart_probe(coarsest, config, max_w, probe_rng, &mut ws);
                             (cut, w + j * workers, p)
                         })
                         .collect::<Vec<_>>()
@@ -311,18 +324,54 @@ pub fn multilevel_kway_csr_with(
 ) -> Partition {
     assert!(config.k >= 1, "k must be positive");
     assert!(config.alpha >= 1.0, "alpha must be at least 1");
-    let mut rng = Rng::seed_from_u64(config.seed);
-    if config.k == 1 || g.node_count() <= config.k {
-        // Trivial cases: one part, or one node per part round-robin.
+    let (levels, rng) = coarsen_levels(g, config.k, config.seed, &mut ws.coarsen);
+    uncoarsen(g, &levels, config, rng, &mut ws.refine)
+}
+
+/// `true` when a `k`-way partition of `g` needs no search: one part, or
+/// at most one node per part (assigned round-robin).
+fn is_trivial(g: &CsrGraph, k: usize) -> bool {
+    k == 1 || g.node_count() <= k
+}
+
+/// The coarsening half of a k-way partition: the hierarchy from finest
+/// to coarsest and the RNG state it leaves for [`uncoarsen`]. Both
+/// depend only on `(g, k, seed)`, never on `α`, so Algorithm 2 builds
+/// them once and hands every probe the same levels and a clone of the
+/// RNG.
+pub(crate) fn coarsen_levels(
+    g: &CsrGraph,
+    k: usize,
+    seed: u64,
+    ws: &mut CoarsenWorkspace,
+) -> (Vec<CsrLevel>, Rng) {
+    let mut rng = Rng::seed_from_u64(seed);
+    let levels = if is_trivial(g, k) {
+        Vec::new()
+    } else {
+        coarsen_to_csr_with(g, (k * 16).max(48), &mut rng, ws)
+    };
+    (levels, rng)
+}
+
+/// The rest of a k-way partition after [`coarsen_levels`]: restart
+/// probes on the coarsest level, projection back through `levels` with
+/// refinement at every level, and a final rebalance when the finest
+/// level ends over the bound.
+pub(crate) fn uncoarsen(
+    g: &CsrGraph,
+    levels: &[CsrLevel],
+    config: &KwayConfig,
+    mut rng: Rng,
+    ws: &mut RefineWorkspace,
+) -> Partition {
+    if is_trivial(g, config.k) {
         let assignment = (0..g.node_count()).map(|i| i % config.k).collect();
         return Partition::new(assignment, config.k);
     }
     let max_w = weight_bound(g, config.k, config.alpha);
-    let target_coarse = (config.k * 16).max(48);
-    let levels = coarsen_to_csr_with(g, target_coarse, &mut rng, &mut ws.coarsen);
-
     let coarsest: &CsrGraph = levels.last().map_or(g, |l| &l.graph);
-    let mut part = run_restarts(coarsest, config, max_w, &mut rng);
+    let mut part = run_restarts(coarsest, config, max_w, &mut rng, ws);
 
     // Project back through the hierarchy, refining at each level
     // (hill-climbing FM on the few coarsest levels small enough to
@@ -340,29 +389,15 @@ pub fn multilevel_kway_csr_with(
             .map(|i| part.part_of(map[i]))
             .collect();
         part = Partition::new(assignment, config.k);
-        let _ = refine_csr_with(
-            finer,
-            &mut part,
-            max_w,
-            config.refine_passes,
-            &mut rng,
-            &mut ws.refine,
-        );
+        let _ = refine_csr_with(finer, &mut part, max_w, config.refine_passes, &mut rng, ws);
         if finer.node_count() <= FM_LIMIT && fm_runs < 4 {
-            let _ = fm_refine_csr_with(finer, &mut part, max_w, 2, &mut ws.refine);
+            let _ = fm_refine_built(finer, &mut part, max_w, 2, ws);
             fm_runs += 1;
         }
     }
     if !part.is_balanced_csr(g, config.alpha) {
-        let _ = rebalance_csr(g, &mut part, max_w, &mut rng);
-        let _ = refine_csr_with(
-            g,
-            &mut part,
-            max_w,
-            config.refine_passes,
-            &mut rng,
-            &mut ws.refine,
-        );
+        let _ = rebalance_csr_with(g, &mut part, max_w, &mut rng, ws);
+        let _ = refine_csr_with(g, &mut part, max_w, config.refine_passes, &mut rng, ws);
     }
     part
 }

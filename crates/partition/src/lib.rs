@@ -68,14 +68,29 @@
 //!   where no part's connectivity beats the home part's; such nodes
 //!   can never yield a positive-gain move, and the flag is maintained
 //!   exactly (recomputed for the mover and its neighbors only).
-//! * **Active-candidate FM** — the FM selection scan walks a compact
-//!   unlocked-boundary list with an explicit
-//!   (gain, lowest-index, lowest-part) tie-break key, reproducing the
-//!   ascending full-array scan's choice without its O(n)-per-move
-//!   flag sweep.
+//! * **One hierarchy per α-walk** — the coarsening hierarchy depends
+//!   only on the graph, `k` and the seed, never on `α`, so
+//!   [`adaptive::adaptive_partition_csr_with`] coarsens once and runs
+//!   every probe (the speculative one included) as the uncoarsening
+//!   half of [`kway::multilevel_kway_csr_with`] on the shared levels,
+//!   from a clone of the RNG state coarsening left.
+//! * **Indexed FM selection** — FM keeps every candidate move in one
+//!   max tournament tree per target part, keyed by the oracle's
+//!   (gain, lowest index) order, with the leaves sorted by node weight
+//!   so the moves that fit a part's room are a prefix. A step is `k`
+//!   prefix maxima plus the re-keying of the mover's neighbors, instead
+//!   of a scan of the boundary; the oracle's lowest-part tie-break
+//!   falls out of comparing the `k` answers in part order.
+//! * **Indexed rebalance** — rebalancing keeps each overloaded-part
+//!   node's best fitting move in a lazily invalidated heap keyed by
+//!   (gain, shuffled position, part). It is exact because a part
+//!   brought under the bound never exceeds it again and the other
+//!   parts only gain weight while one part drains, so a move is
+//!   re-keyed only when a neighbor moves or its target fills up.
 //! * **Workspace reuse everywhere** — coarsening scratch, the
-//!   connectivity [`refine::GainTable`], and the FM buffers live in
-//!   [`kway::KwayWorkspace`] and survive across levels and calls.
+//!   connectivity [`refine::GainTable`], and the FM and rebalance
+//!   buffers live in [`kway::KwayWorkspace`] and survive across levels
+//!   and calls.
 //!
 //! # Examples
 //!

@@ -12,6 +12,9 @@
 //! adjacency-list oracle in this crate's tests, which the equivalence
 //! proptests assert.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use mbqc_graph::{CsrGraph, NodeId};
 use mbqc_util::Rng;
 
@@ -81,10 +84,12 @@ impl GainTable {
     }
 }
 
-/// Reusable scratch for [`refine_csr_with`]: the connectivity table,
-/// visit-order buffer, and part-weight vector survive across calls, so
-/// the multilevel driver stops re-allocating them at every hierarchy
-/// level. Results are bit-identical to the allocating entry point.
+/// Reusable buffers for [`refine_csr_with`], [`fm_refine_csr_with`]
+/// and the multilevel partitioner's rebalance: the connectivity table,
+/// visit-order buffer, part-weight vector and move indexes survive
+/// across calls, so the multilevel partitioner stops re-allocating them
+/// at every hierarchy level. Results are bit-identical to the
+/// allocating entry points.
 #[derive(Debug, Default)]
 pub struct RefineWorkspace {
     gains: GainTable,
@@ -97,12 +102,15 @@ pub struct RefineWorkspace {
     movable: Vec<bool>,
     /// FM scratch: per-node moved-this-round flag.
     locked: Vec<bool>,
-    /// FM scratch: per-node ≥ 1-cross-part-edge flag.
-    boundary: Vec<bool>,
-    /// FM scratch: compact unlocked-boundary candidate list.
-    active: Vec<u32>,
+    /// FM: the per-target-part move index.
+    trees: MoveTrees,
     /// FM scratch: tentative `(node, from, to, gain)` move log.
     moves: Vec<(NodeId, usize, usize, i64)>,
+    /// Rebalance: node → position in the shuffled order.
+    rank: Vec<u32>,
+    /// Rebalance: lazily invalidated
+    /// `(gain, Reverse(rank), Reverse(to))` max-heap of best moves.
+    queue: BinaryHeap<(i64, Reverse<u32>, Reverse<u32>)>,
 }
 
 impl RefineWorkspace {
@@ -110,6 +118,158 @@ impl RefineWorkspace {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+}
+
+/// An FM move's selection key within one target part: the gain above
+/// the complement of the node index, so a larger key is a higher gain,
+/// then a lower node index.
+type MoveKey = i128;
+
+/// The key of "no candidate move", below every real key.
+const NO_MOVE: MoveKey = i128::MIN;
+
+/// The key of moving `u` with `gain`.
+fn move_key(gain: i64, u: NodeId) -> MoveKey {
+    (i128::from(gain) << 32) | i128::from(u32::MAX - u.index() as u32)
+}
+
+/// The `(gain, node)` a [`move_key`] was made from.
+fn key_move(key: MoveKey) -> (i64, NodeId) {
+    (
+        (key >> 32) as i64,
+        NodeId::new((u32::MAX - key as u32) as usize),
+    )
+}
+
+/// `u`'s move keys by target part: [`NO_MOVE`] into its own part.
+fn move_keys<'a>(gains: &'a GainTable, p: &Partition, u: NodeId) -> impl Fn(usize) -> MoveKey + 'a {
+    let home = p.part_of(u);
+    let conn = gains.conn(u);
+    move |t| {
+        if t == home {
+            NO_MOVE
+        } else {
+            move_key(conn[t] - conn[home], u)
+        }
+    }
+}
+
+/// FM's move index: per target part, a max tournament tree whose leaves
+/// are the level's nodes in ascending (weight, index) order, each
+/// holding the key of that node's move into the part ([`NO_MOVE`] for
+/// a non-candidate). The nodes that fit a part's room are a prefix of
+/// that order, so the best move that fits is one prefix maximum, and
+/// re-keying a node is one leaf-to-root walk. The `k` trees share one
+/// slot layout, stored slot-major, so re-keying a node in every part
+/// walks its path once.
+#[derive(Debug, Default)]
+struct MoveTrees {
+    k: usize,
+    /// Leaves per tree: a power of two, at least the node count.
+    width: usize,
+    /// Slot `i` of part `t`'s tree at `i · k + t`; the roots are slot 1
+    /// and the leaves slots `width..2 · width`.
+    slots: Vec<MoveKey>,
+    /// Sort buffer: `(weight, node)` packed so that integer order is
+    /// leaf order.
+    order: Vec<u128>,
+    /// Node → leaf slot.
+    leaf: Vec<u32>,
+    /// Node weights in leaf order (ascending).
+    leaf_weight: Vec<i64>,
+}
+
+impl MoveTrees {
+    /// Lays out the leaves for `g`'s nodes and `k` parts.
+    fn reset(&mut self, g: &CsrGraph, k: usize) {
+        let n = g.node_count();
+        self.k = k;
+        self.width = n.next_power_of_two();
+        // Flipping the sign bit maps i64 order onto u64 order.
+        self.order.clear();
+        self.order.extend(g.nodes().map(|u| {
+            let w = (g.node_weight(u) as u64) ^ (1 << 63);
+            (u128::from(w) << 32) | u.index() as u128
+        }));
+        self.order.sort_unstable();
+        self.leaf.clear();
+        self.leaf.resize(n, 0);
+        self.leaf_weight.clear();
+        for (pos, &packed) in self.order.iter().enumerate() {
+            let u = NodeId::new(packed as u32 as usize);
+            self.leaf[u.index()] = (self.width + pos) as u32;
+            self.leaf_weight.push(g.node_weight(u));
+        }
+        // Every round writes the real leaves and rebuilds the inner
+        // slots, so only the padding leaves need a value here.
+        self.slots.resize(2 * self.width * k, NO_MOVE);
+        self.slots[(self.width + n) * k..].fill(NO_MOVE);
+    }
+
+    /// Writes `u`'s key into every part's leaf, `keys(t)` for part `t`,
+    /// without updating the trees above; [`MoveTrees::build`] follows.
+    fn write(&mut self, u: NodeId, keys: impl Fn(usize) -> MoveKey) {
+        let row = self.leaf[u.index()] as usize * self.k;
+        for (t, slot) in self.slots[row..row + self.k].iter_mut().enumerate() {
+            *slot = keys(t);
+        }
+    }
+
+    /// Recomputes every inner slot from the leaves.
+    fn build(&mut self) {
+        let k = self.k;
+        for i in (k..self.width * k).rev() {
+            let c = (i / k) * 2 * k + i % k;
+            self.slots[i] = self.slots[c].max(self.slots[c + k]);
+        }
+    }
+
+    /// Writes `u`'s keys as [`MoveTrees::write`] does and updates the
+    /// trees, up to the first ancestor where no maximum changes.
+    fn set(&mut self, u: NodeId, keys: impl Fn(usize) -> MoveKey) {
+        let k = self.k;
+        let mut i = self.leaf[u.index()] as usize;
+        let mut changed = false;
+        for (t, slot) in self.slots[i * k..i * k + k].iter_mut().enumerate() {
+            let key = keys(t);
+            changed |= *slot != key;
+            *slot = key;
+        }
+        while changed && i > 1 {
+            i /= 2;
+            changed = false;
+            for t in 0..k {
+                let max = self.slots[2 * i * k + t].max(self.slots[(2 * i + 1) * k + t]);
+                changed |= self.slots[i * k + t] != max;
+                self.slots[i * k + t] = max;
+            }
+        }
+    }
+
+    /// The best key in part `t`'s tree among the nodes no heavier than
+    /// `room`.
+    fn best_fitting(&self, t: usize, room: i64) -> MoveKey {
+        let k = self.k;
+        if self.leaf_weight.last().is_none_or(|&w| w <= room) {
+            return self.slots[k + t];
+        }
+        let len = self.leaf_weight.partition_point(|&w| w <= room);
+        let (mut lo, mut hi) = (self.width, self.width + len);
+        let mut best = NO_MOVE;
+        while lo < hi {
+            if lo % 2 == 1 {
+                best = best.max(self.slots[lo * k + t]);
+                lo += 1;
+            }
+            if hi % 2 == 1 {
+                hi -= 1;
+                best = best.max(self.slots[hi * k + t]);
+            }
+            lo /= 2;
+            hi /= 2;
+        }
+        best
     }
 }
 
@@ -238,8 +398,11 @@ pub fn refine_csr_with(
 /// stop positive-gain-only refinement (e.g. hub fan-outs in
 /// fully-entangled VQE graphs).
 ///
-/// Quadratic per round, so callers gate it to small graphs/coarse
-/// levels; each round additionally caps its tentative-move sequence at
+/// Each step takes the best move that fits from an index of every
+/// candidate move, one tournament tree per target part, so a step costs
+/// `O(k log n)` plus the re-keying of the mover's neighbors rather than
+/// a scan of the boundary. Callers gate it to small graphs/coarse
+/// levels, and each round caps its tentative-move sequence at
 /// `MAX_FM_MOVES` (long sequences almost never recover past the best
 /// prefix). Returns the total cut improvement.
 ///
@@ -265,92 +428,75 @@ pub fn fm_refine_csr_with(
     rounds: usize,
     ws: &mut RefineWorkspace,
 ) -> i64 {
+    assert_eq!(g.node_count(), p.len(), "graph size mismatch");
+    ws.gains.rebuild(g, p);
+    fm_refine_built(g, p, max_part_weight, rounds, ws)
+}
+
+/// [`fm_refine_csr_with`] for a caller whose workspace connectivity
+/// table already holds `p` on `g`, as [`refine_csr_with`] leaves it.
+/// The table holds the refined partition on return.
+pub(crate) fn fm_refine_built(
+    g: &CsrGraph,
+    p: &mut Partition,
+    max_part_weight: i64,
+    rounds: usize,
+    ws: &mut RefineWorkspace,
+) -> i64 {
     /// Tentative moves per FM round.
     const MAX_FM_MOVES: usize = 384;
-    assert_eq!(g.node_count(), p.len(), "graph size mismatch");
-    let n = g.node_count();
+    let k = p.k();
     let mut total_gain = 0i64;
-    // Scratch reused across rounds: gain table, lock and boundary flags.
     let RefineWorkspace {
         gains,
         weights,
         locked,
-        boundary,
-        // Compact list of unlocked boundary nodes — the only candidates
-        // the selection scan must visit. Entries are dropped lazily when
-        // their node locks; the scan compares with an explicit
-        // (gain, lowest-index, lowest-part) key, so list order is free
-        // and the chosen move matches the ascending full-array scan
-        // exactly.
-        active,
+        // Every move of an unlocked boundary node, keyed by its current
+        // gain: a candidate's keys are re-set whenever its connectivity
+        // changes, and a node's keys are cleared when it locks.
+        trees,
         moves,
         ..
     } = ws;
-    gains.rebuild(g, p);
+    trees.reset(g, k);
     locked.clear();
-    locked.resize(n, false);
-    boundary.clear();
-    boundary.resize(n, false);
-    for round in 0..rounds {
-        if round > 0 {
-            gains.rebuild(g, p);
-        }
+    locked.resize(g.node_count(), false);
+    for _ in 0..rounds {
         p.part_weights_csr_into(g, weights);
         locked.iter_mut().for_each(|l| *l = false);
-        // Only boundary nodes (≥ 1 cross-part edge) can have
-        // non-negative moves; restricting the scan to them keeps each
-        // step linear in the boundary, not the graph.
-        boundary.iter_mut().for_each(|b| *b = false);
-        for (a, b, _) in g.edges() {
-            if p.part_of(a) != p.part_of(b) {
-                boundary[a.index()] = true;
-                boundary[b.index()] = true;
+        // Only boundary nodes (≥ 1 cross-part edge) are candidates; a
+        // neighbor of a moved node joins them.
+        for u in g.nodes() {
+            let home = p.part_of(u);
+            if g.neighbors(u).iter().any(|&v| p.part_of(v) != home) {
+                trees.write(u, move_keys(gains, p, u));
+            } else {
+                trees.write(u, |_| NO_MOVE);
             }
         }
-        active.clear();
-        active.extend((0..n as u32).filter(|&i| boundary[i as usize]));
+        trees.build();
         // (node, from, to, gain) in application order.
         moves.clear();
         let mut cum = 0i64;
         let mut best_cum = 0i64;
         let mut best_prefix = 0usize;
         loop {
-            // Best single move over unlocked boundary nodes. Ties break
-            // to the lowest node index, then the lowest target part —
-            // what an ascending scan with a strict `>` yields.
-            let mut best: Option<(NodeId, usize, i64)> = None;
-            let mut write = 0;
-            for r in 0..active.len() {
-                let i = active[r] as usize;
-                if locked[i] {
-                    continue; // drop locked entries on the fly
-                }
-                active[write] = active[r];
-                write += 1;
-                let u = NodeId::new(i);
-                let from = p.part_of(u);
-                let wu = g.node_weight(u);
-                let conn = gains.conn(u);
-                let conn_from = conn[from];
-                for (to, &c_to) in conn.iter().enumerate() {
-                    if to == from || weights[to] + wu > max_part_weight {
-                        continue;
-                    }
-                    let gain = c_to - conn_from;
-                    let better = match best {
-                        None => true,
-                        Some((u0, to0, g0)) => {
-                            gain > g0
-                                || (gain == g0 && (u.index() < u0.index() || (u == u0 && to < to0)))
-                        }
-                    };
-                    if better {
-                        best = Some((u, to, gain));
-                    }
-                }
-            }
-            active.truncate(write);
-            let Some((u, to, gain)) = best else { break };
+            // Best single move: the highest gain, then the lowest node
+            // index, then the lowest target part — what an ascending
+            // scan with a strict `>` yields.
+            let best = (0..k)
+                .map(|t| {
+                    (
+                        trees.best_fitting(t, max_part_weight - weights[t]),
+                        Reverse(t),
+                    )
+                })
+                .max()
+                .filter(|&(key, _)| key != NO_MOVE);
+            let Some((key, Reverse(to))) = best else {
+                break;
+            };
+            let (gain, u) = key_move(key);
             let from = p.part_of(u);
             let wu = g.node_weight(u);
             p.assign(u, to);
@@ -358,13 +504,12 @@ pub fn fm_refine_csr_with(
             weights[from] -= wu;
             weights[to] += wu;
             locked[u.index()] = true;
-            // The move may expose new boundary nodes.
+            trees.set(u, |_| NO_MOVE);
+            // The move changed the neighbors' connectivity and made
+            // them all candidates.
             for &v in g.neighbors(u) {
-                if !boundary[v.index()] {
-                    boundary[v.index()] = true;
-                    if !locked[v.index()] {
-                        active.push(v.index() as u32);
-                    }
+                if !locked[v.index()] {
+                    trees.set(v, move_keys(gains, p, v));
                 }
             }
             cum += gain;
@@ -378,9 +523,10 @@ pub fn fm_refine_csr_with(
                 break;
             }
         }
-        // Roll back past the best prefix.
-        for &(u, from, _, _) in moves.iter().skip(best_prefix).rev() {
+        // Roll back past the best prefix, connectivity included.
+        for &(u, from, to, _) in moves.iter().skip(best_prefix).rev() {
             p.assign(u, from);
+            gains.apply_move(g, u, to, from);
         }
         total_gain += best_cum;
         if best_cum == 0 {
@@ -395,38 +541,100 @@ pub fn fm_refine_csr_with(
 /// moves overshoot the bound). Best-effort: returns `true` if the bound
 /// holds afterwards.
 pub fn rebalance_csr(g: &CsrGraph, p: &mut Partition, max_part_weight: i64, rng: &mut Rng) -> bool {
-    let mut weights = p.part_weights_csr(g);
+    rebalance_csr_with(g, p, max_part_weight, rng, &mut RefineWorkspace::new())
+}
+
+/// [`rebalance_csr`] with the partitioner's workspace — identical moves
+/// and RNG consumption.
+///
+/// Each move takes, out of the lowest-indexed overloaded part, the node
+/// whose best fitting move has the highest gain — the earliest in a
+/// shuffled order on ties, then the lowest target part. The choice
+/// comes from a queue of each node's best move, so a move costs the
+/// queue operations of the nodes it touches rather than a scan of the
+/// graph. The queue stays exact because a part brought under the bound
+/// never exceeds it again, and while one part is drained the other
+/// parts only gain weight: a move that stops fitting never fits again
+/// in that phase.
+pub(crate) fn rebalance_csr_with(
+    g: &CsrGraph,
+    p: &mut Partition,
+    max_part_weight: i64,
+    rng: &mut Rng,
+    ws: &mut RefineWorkspace,
+) -> bool {
+    let RefineWorkspace {
+        gains,
+        order,
+        weights,
+        rank,
+        queue,
+        ..
+    } = ws;
+    let n = g.node_count();
     let k = p.k();
-    let mut gains = GainTable::build(g, p);
-    let mut order: Vec<usize> = (0..g.node_count()).collect();
-    rng.shuffle(&mut order);
-    // Repeatedly move nodes from overloaded parts to the lightest
-    // feasible part, preferring moves with the least cut damage.
-    for _ in 0..2 * g.node_count() {
+    p.part_weights_csr_into(g, weights);
+    gains.rebuild(g, p);
+    order.clear();
+    order.extend(0..n);
+    rng.shuffle(order);
+    rank.clear();
+    rank.resize(n, 0);
+    for (r, &i) in order.iter().enumerate() {
+        rank[i] = r as u32;
+    }
+    // `u`'s best fitting move out of `over` as its queue entry.
+    let best_move = |gains: &GainTable, weights: &[i64], over: usize, u: usize| {
+        let wu = g.node_weight(NodeId::new(u));
+        let conn = gains.conn(NodeId::new(u));
+        let mut best: Option<(i64, usize)> = None;
+        for to in 0..k {
+            if to == over || weights[to] + wu > max_part_weight {
+                continue;
+            }
+            let gain = conn[to] - conn[over];
+            if best.is_none_or(|(g0, _)| gain > g0) {
+                best = Some((gain, to));
+            }
+        }
+        best.map(|(gain, to)| (gain, Reverse(rank[u]), Reverse(to as u32)))
+    };
+    // Repeatedly move nodes from overloaded parts to a feasible part,
+    // preferring moves with the least cut damage.
+    let mut phase = None;
+    for _ in 0..2 * n {
         let Some(over) = (0..k).find(|&c| weights[c] > max_part_weight) else {
             return true;
         };
-        // Candidate: node in `over` with the best (gain, weight) move.
-        let mut best: Option<(NodeId, usize, i64)> = None;
-        for &i in &order {
-            let u = NodeId::new(i);
-            if p.part_of(u) != over {
+        if phase != Some(over) {
+            phase = Some(over);
+            queue.clear();
+            queue.extend(
+                (0..n)
+                    .filter(|&i| p.part_of(NodeId::new(i)) == over)
+                    .filter_map(|i| best_move(gains, weights, over, i)),
+            );
+        }
+        // An entry is exact when it still equals its node's best move.
+        // Otherwise that move got worse since (its target filled up),
+        // and the entry is replaced by the current one; a neighbor's
+        // move already pushed the node's new key.
+        let mut picked = None;
+        while let Some(entry) = queue.pop() {
+            let u = order[entry.1 .0 as usize];
+            if p.part_of(NodeId::new(u)) != over {
                 continue;
             }
-            let wu = g.node_weight(u);
-            let conn = gains.conn(u);
-            let conn_over = conn[over];
-            for to in 0..k {
-                if to == over || weights[to] + wu > max_part_weight {
-                    continue;
+            match best_move(gains, weights, over, u) {
+                Some(now) if now == entry => {
+                    picked = Some((NodeId::new(u), entry.2 .0 as usize));
+                    break;
                 }
-                let gain = conn[to] - conn_over;
-                if best.is_none_or(|(_, _, g0)| gain > g0) {
-                    best = Some((u, to, gain));
-                }
+                Some(now) => queue.push(now),
+                None => {}
             }
         }
-        let Some((u, to, _)) = best else {
+        let Some((u, to)) = picked else {
             return false; // nothing movable
         };
         let wu = g.node_weight(u);
@@ -434,6 +642,11 @@ pub fn rebalance_csr(g: &CsrGraph, p: &mut Partition, max_part_weight: i64, rng:
         weights[to] += wu;
         p.assign(u, to);
         gains.apply_move(g, u, over, to);
+        for &v in g.neighbors(u) {
+            if p.part_of(v) == over {
+                queue.extend(best_move(gains, weights, over, v.index()));
+            }
+        }
     }
     (0..k).all(|c| weights[c] <= max_part_weight)
 }

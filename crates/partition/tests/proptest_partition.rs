@@ -4,10 +4,12 @@
 mod common;
 
 use mbqc_graph::{generate, CsrGraph, Graph, NodeId};
-use mbqc_partition::adaptive::{adaptive_partition, AdaptiveConfig};
+use mbqc_partition::adaptive::{adaptive_partition, adaptive_partition_csr, AdaptiveConfig};
 use mbqc_partition::kway::{multilevel_kway, multilevel_kway_csr, KwayConfig};
 use mbqc_partition::louvain::louvain;
 use mbqc_partition::modularity::{modularity, modularity_csr};
+use mbqc_partition::refine::{fm_refine_csr, rebalance_csr};
+use mbqc_partition::Partition;
 use mbqc_util::Rng;
 use proptest::prelude::*;
 
@@ -23,6 +25,41 @@ fn random_connected_graph(n: usize, extra_edges: usize, seed: u64) -> Graph {
         }
     }
     g
+}
+
+/// A random connected graph with node weights 1–4 and some heavier
+/// edges, plus a starting partition into `k` parts: everything in part
+/// 0 when `spread` is 0, otherwise each node lands in part 0 with
+/// probability about `1 / (spread + 1)` and in a uniform part
+/// otherwise, so part 0 usually starts overloaded.
+fn weighted_instance(
+    n: usize,
+    extra: usize,
+    k: usize,
+    spread: usize,
+    seed: u64,
+) -> (Graph, Partition) {
+    let mut g = random_connected_graph(n, extra, seed);
+    let mut rng = Rng::seed_from_u64(seed ^ 0x5eed);
+    for u in 0..g.node_count() {
+        g.set_node_weight(NodeId::new(u), 1 + rng.range(4) as i64);
+    }
+    let heavy: Vec<(NodeId, NodeId)> = g.edges().map(|(a, b, _)| (a, b)).collect();
+    for (a, b) in heavy {
+        if rng.bernoulli(0.2) {
+            g.add_edge_weighted(a, b, 1 + rng.range(3) as i64);
+        }
+    }
+    let assignment = (0..g.node_count())
+        .map(|_| {
+            if spread == 0 || rng.range(spread + 1) == 0 {
+                0
+            } else {
+                rng.range(k)
+            }
+        })
+        .collect();
+    (g, Partition::new(assignment, k))
 }
 
 proptest! {
@@ -166,13 +203,92 @@ proptest! {
     }
 
     #[test]
+    fn rebalance_identical_to_seed_adjacency_path(
+        n in 4usize..90,
+        extra in 0usize..70,
+        k in 2usize..=8,
+        spread in 0usize..4,
+        slack in 0i64..4,
+        seed in 0u64..1000,
+    ) {
+        // Indexed rebalance ≡ the oracle's rescan: the same moves (so
+        // the same partition), the same verdict, and the same RNG
+        // consumption. Starting overloaded in part 0 makes targets fill
+        // up mid-phase; a zero slack makes some instances infeasible.
+        let (g, start) = weighted_instance(n, extra, k, spread, seed);
+        let max_w = (g.total_node_weight() + k as i64 - 1) / k as i64 + slack;
+        let (mut p_ref, mut p_csr) = (start.clone(), start);
+        let mut rng_ref = Rng::seed_from_u64(seed);
+        let mut rng_csr = Rng::seed_from_u64(seed);
+        let ok_ref = common::rebalance(&g, &mut p_ref, max_w, &mut rng_ref);
+        let ok_csr = rebalance_csr(&CsrGraph::from_graph(&g), &mut p_csr, max_w, &mut rng_csr);
+        prop_assert_eq!(ok_ref, ok_csr);
+        prop_assert_eq!(p_ref.assignment(), p_csr.assignment());
+        prop_assert_eq!(rng_ref.next_u64(), rng_csr.next_u64());
+    }
+
+    #[test]
+    fn fm_refine_identical_to_seed_adjacency_path(
+        n in 4usize..90,
+        extra in 0usize..70,
+        k in 2usize..=8,
+        spread in 0usize..4,
+        slack in 0i64..6,
+        rounds in 1usize..4,
+        seed in 0u64..1000,
+    ) {
+        // Indexed FM ≡ the oracle's full scan: the same tentative moves
+        // under the (gain, lowest index, lowest part) key, so the same
+        // partition and the same reported gain. Node weights 1–4 under
+        // a tight bound make moves stop and start fitting as parts
+        // fill and drain.
+        let (g, start) = weighted_instance(n, extra, k, spread, seed);
+        let max_w = (g.total_node_weight() + k as i64 - 1) / k as i64 + slack;
+        let (mut p_ref, mut p_csr) = (start.clone(), start);
+        let gain_ref = common::fm_refine(&g, &mut p_ref, max_w, rounds);
+        let gain_csr = fm_refine_csr(&CsrGraph::from_graph(&g), &mut p_csr, max_w, rounds);
+        prop_assert_eq!(gain_ref, gain_csr);
+        prop_assert_eq!(p_ref.assignment(), p_csr.assignment());
+    }
+
+    #[test]
+    fn adaptive_shared_hierarchy_matches_fresh_kway(
+        n in 8usize..80,
+        extra in 0usize..60,
+        k in 2usize..6,
+        seed in 0u64..500,
+    ) {
+        // Algorithm 2 coarsens once and reuses the hierarchy for every
+        // α it probes; each probe must still be exactly a fresh k-way
+        // partition at that α. One probe worker runs the walk
+        // sequentially, two run it speculatively, on any host.
+        let (g, _) = weighted_instance(n, extra, k, 1, seed);
+        let csr = CsrGraph::from_graph(&g);
+        for workers in [1usize, 2] {
+            let cfg = AdaptiveConfig::new(k).with_seed(seed).with_probe_workers(workers);
+            let r = adaptive_partition_csr(&csr, &cfg);
+            let fresh = |alpha: f64| {
+                let kcfg = KwayConfig::new(k)
+                    .with_alpha(alpha)
+                    .with_seed(seed)
+                    .with_probe_workers(workers);
+                multilevel_kway_csr(&csr, &kcfg)
+            };
+            prop_assert_eq!(&r.partition, &fresh(r.alpha));
+            for step in &r.history {
+                prop_assert_eq!(step.cut, fresh(step.alpha).cut_weight_csr(&csr));
+            }
+        }
+    }
+
+    #[test]
     fn adaptive_history_monotone_alpha_until_break(n in 12usize..60, k in 2usize..5, seed in 0u64..100) {
         let g = random_connected_graph(n, n / 2, seed);
         let r = adaptive_partition(&g, &AdaptiveConfig::new(k).with_seed(seed));
         // α never exceeds α_max.
         for s in &r.history {
             prop_assert!(s.alpha <= 1.5 + 1e-9);
-            prop_assert!(s.alpha >= 1.0 / 1.02 - 1e-9);
+            prop_assert!(s.alpha >= 1.0);
         }
         // Best modularity equals max of history.
         let max_q = r.history.iter().map(|s| s.modularity).fold(f64::NEG_INFINITY, f64::max);
