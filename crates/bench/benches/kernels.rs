@@ -16,7 +16,7 @@ use mbqc_partition::{adaptive_partition, multilevel_kway, AdaptiveConfig, KwayCo
 use mbqc_pattern::transpile::transpile;
 use mbqc_schedule::{bdir, default_priorities, list_schedule, BdirConfig};
 use mbqc_sim::stabilizer::Tableau;
-use mbqc_sim::{reference as sim_ref, StateVector, C64};
+use mbqc_sim::{StateVector, C64};
 use mbqc_util::Rng;
 
 fn bench_transpile(c: &mut Criterion) {
@@ -84,10 +84,6 @@ fn bench_tableau(c: &mut Criterion) {
             mbqc_sim::stabilizer::PauliString::graph_stabilizer(&g32, mbqc_graph::NodeId::new(i))
         })
         .collect();
-    let bool_rows: Vec<_> = (0..g32.node_count())
-        .step_by(3)
-        .map(|i| sim_ref::PauliString::graph_stabilizer(&g32, mbqc_graph::NodeId::new(i)))
-        .collect();
     group.bench_function("rowops_mul_grid32", |b| {
         b.iter(|| {
             let mut acc = packed_rows[0].clone();
@@ -97,36 +93,13 @@ fn bench_tableau(c: &mut Criterion) {
             acc
         });
     });
-    group.bench_function("rowops_mul_grid32_reference", |b| {
-        b.iter(|| {
-            let mut acc = bool_rows[0].clone();
-            for p in &bool_rows[1..] {
-                acc = acc.mul(p);
-            }
-            acc
-        });
-    });
     group.bench_function("graph_state_grid24", |b| {
         b.iter(|| Tableau::graph_state(&g));
-    });
-    group.bench_function("graph_state_grid24_reference", |b| {
-        b.iter(|| sim_ref::Tableau::graph_state(&g));
     });
     let packed = Tableau::graph_state(&g);
     group.bench_function("rowops_measure_grid24", |b| {
         b.iter(|| {
             let mut t = packed.clone();
-            let mut rng = Rng::seed_from_u64(1);
-            (0..n)
-                .map(|q| t.measure_z(q, &mut rng))
-                .filter(|&o| o)
-                .count()
-        });
-    });
-    let boolean = sim_ref::Tableau::graph_state(&g);
-    group.bench_function("rowops_measure_grid24_reference", |b| {
-        b.iter(|| {
-            let mut t = boolean.clone();
             let mut rng = Rng::seed_from_u64(1);
             (0..n)
                 .map(|q| t.measure_z(q, &mut rng))

@@ -9,20 +9,17 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use dc_mbqc::{DcMbqcCompiler, DcMbqcConfig, DistributedSchedule};
+use dc_mbqc::{DcMbqcConfig, DistributedSchedule};
 use mbqc_circuit::{bench, Circuit};
-use mbqc_graph::{generate, NodeId};
+use mbqc_graph::generate;
 use mbqc_hardware::{DistributedHardware, ResourceStateKind};
 use mbqc_net::{Client, Server, WireJobOptions};
-use mbqc_partition::KwayConfig;
 use mbqc_pattern::transpile::transpile;
-use mbqc_service::{
-    ArtifactKey, ArtifactStore, CompileService, PipelineStage, ServiceConfig, StoreConfig,
-};
+use mbqc_service::{CompileService, ServiceConfig};
 use mbqc_sim::stabilizer::{PauliString, Tableau};
-use mbqc_sim::{reference as sim_ref, FusionWorkspace, StateVector, C64};
+use mbqc_sim::{FusionWorkspace, StateVector, C64};
 use mbqc_util::table::fmt_f64;
-use mbqc_util::{Rng, TextTable};
+use mbqc_util::TextTable;
 
 /// One measured kernel pair.
 #[derive(Debug, Clone)]
@@ -83,93 +80,6 @@ fn measure_pair<A: FnMut(), B: FnMut()>(mut base: A, mut opt: B, reps: usize) ->
 pub fn measure_kernels(reps: usize) -> Vec<KernelResult> {
     let mut results = Vec::new();
 
-    // Tableau row products: folding 342 graph-state stabilizers of a
-    // 1024-photon grid into one Pauli — pure word-wise row operations.
-    {
-        let g = generate::grid_graph(32, 32);
-        let packed: Vec<PauliString> = (0..g.node_count())
-            .step_by(3)
-            .map(|i| PauliString::graph_stabilizer(&g, NodeId::new(i)))
-            .collect();
-        let boolean: Vec<sim_ref::PauliString> = (0..g.node_count())
-            .step_by(3)
-            .map(|i| sim_ref::PauliString::graph_stabilizer(&g, NodeId::new(i)))
-            .collect();
-        let (baseline_ns, optimized_ns) = measure_pair(
-            || {
-                let mut acc = boolean[0].clone();
-                for p in &boolean[1..] {
-                    acc = acc.mul(p);
-                }
-                std::hint::black_box(acc);
-            },
-            || {
-                let mut acc = packed[0].clone();
-                for p in &packed[1..] {
-                    acc.mul_inplace(p);
-                }
-                std::hint::black_box(acc);
-            },
-            reps,
-        );
-        results.push(KernelResult {
-            name: "tableau/rowops_mul_grid32",
-            baseline_ns,
-            optimized_ns,
-        });
-    }
-
-    // Tableau row operations: measuring every qubit of a 576-photon
-    // grid graph state is rowsum-dominated (the CHP measurement path).
-    {
-        let g = generate::grid_graph(24, 24);
-        let packed = Tableau::graph_state(&g);
-        let boolean = sim_ref::Tableau::graph_state(&g);
-        let n = g.node_count();
-        let (baseline_ns, optimized_ns) = measure_pair(
-            || {
-                let mut t = boolean.clone();
-                let mut rng = Rng::seed_from_u64(1);
-                for q in 0..n {
-                    std::hint::black_box(t.measure_z(q, &mut rng));
-                }
-            },
-            || {
-                let mut t = packed.clone();
-                let mut rng = Rng::seed_from_u64(1);
-                for q in 0..n {
-                    std::hint::black_box(t.measure_z(q, &mut rng));
-                }
-            },
-            reps,
-        );
-        results.push(KernelResult {
-            name: "tableau/rowops_measure_grid24",
-            baseline_ns,
-            optimized_ns,
-        });
-    }
-
-    // Tableau construction: H per qubit + CZ per edge, column-update
-    // bound (the graph-state build path).
-    {
-        let g = generate::grid_graph(24, 24);
-        let (baseline_ns, optimized_ns) = measure_pair(
-            || {
-                std::hint::black_box(sim_ref::Tableau::graph_state(&g));
-            },
-            || {
-                std::hint::black_box(Tableau::graph_state(&g));
-            },
-            reps,
-        );
-        results.push(KernelResult {
-            name: "tableau/graph_state_grid24",
-            baseline_ns,
-            optimized_ns,
-        });
-    }
-
     // Stabilizer-membership verification: the word-blocked symplectic
     // elimination vs. the single-bit-probe Gaussian elimination,
     // deciding membership of generator products on a 576-photon grid
@@ -202,69 +112,6 @@ pub fn measure_kernels(reps: usize) -> Vec<KernelResult> {
         );
         results.push(KernelResult {
             name: "tableau/is_stabilized_by_grid24",
-            baseline_ns,
-            optimized_ns,
-        });
-    }
-
-    // End-to-end: the Algorithm-2 restart probes with one worker vs.
-    // one worker per core (bit-identical partitions either way; the
-    // speedup is bounded by the core count — ~1.0× on a 1-core box) on
-    // the QFT-36 computation graph, the Figure 10 partitioning workload.
-    {
-        let graph = transpile(&bench::qft(36)).graph().clone();
-        let cfg = KwayConfig::new(4).with_initial_restarts(16);
-        let (baseline_ns, optimized_ns) = measure_pair(
-            || {
-                std::hint::black_box(mbqc_partition::multilevel_kway(
-                    &graph,
-                    &cfg.with_probe_workers(1),
-                ));
-            },
-            || {
-                std::hint::black_box(mbqc_partition::multilevel_kway(
-                    &graph,
-                    &cfg.with_probe_workers(0),
-                ));
-            },
-            reps,
-        );
-        results.push(KernelResult {
-            name: "end_to_end/restarts_parallel",
-            baseline_ns,
-            optimized_ns,
-        });
-    }
-
-    // End-to-end: batch compilation over shared hardware vs. a
-    // sequential loop of single-pattern compilations (identical
-    // results; the batch path adds worker parallelism + per-worker
-    // workspace reuse — the parallel win needs a multi-core box).
-    {
-        let patterns: Vec<_> = [12usize, 13, 14, 12, 13, 14]
-            .iter()
-            .map(|&n| transpile(&bench::qft(n)))
-            .collect();
-        let hw = DistributedHardware::builder()
-            .num_qpus(4)
-            .grid_width(bench::grid_size_for(14))
-            .resource_state(ResourceStateKind::FIVE_STAR)
-            .kmax(4)
-            .build();
-        let compiler = DcMbqcCompiler::new(DcMbqcConfig::new(hw));
-        let (baseline_ns, optimized_ns) = measure_pair(
-            || {
-                for p in &patterns {
-                    std::hint::black_box(compiler.compile_pattern(p).unwrap());
-                }
-            },
-            || {
-                std::hint::black_box(compiler.compile_batch(&patterns));
-            },
-            reps,
-        );
-        results.push(KernelResult {
-            name: "end_to_end/batch_compile",
             baseline_ns,
             optimized_ns,
         });
@@ -530,59 +377,6 @@ pub fn measure_kernels(reps: usize) -> Vec<KernelResult> {
             baseline_ns,
             optimized_ns,
         });
-    }
-
-    // Store: the warm-hit probe on a disk-tier artifact. One large
-    // `Scheduled` artifact lives on the disk tier (the one-byte memory
-    // tier forces every read through it). Both sides run the same
-    // validating `DistributedSchedule::from_bytes`; only the read
-    // differs. Baseline: `get` copies the file into a `Vec`. Optimized:
-    // the service's probe, where `get_ref` hands back the
-    // checksum-verified bytes in place (memory-mapped). The decode
-    // dominates, so this row pins the probe at about 1.0x rather than
-    // claiming a win.
-    {
-        let pattern = transpile(&bench::qft(36));
-        let hw = DistributedHardware::builder()
-            .num_qpus(4)
-            .grid_width(bench::grid_size_for(36))
-            .resource_state(ResourceStateKind::FIVE_STAR)
-            .kmax(4)
-            .build();
-        let config = DcMbqcConfig::new(hw);
-        let dist = DcMbqcCompiler::new(config)
-            .compile_pattern(&pattern)
-            .expect("compiles");
-        let dir = std::env::temp_dir().join(format!("mbqc-bench-warmhit-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = ArtifactStore::new(StoreConfig {
-            memory_capacity: 1,
-            disk_dir: Some(dir.clone()),
-            ..StoreConfig::default()
-        })
-        .expect("store opens");
-        let key = ArtifactKey::new(PipelineStage::Schedule, &[1], &[2]);
-        store.put(&key, dist.to_bytes());
-        let (baseline_ns, optimized_ns) = measure_pair(
-            || {
-                let bytes = store.get(&key).expect("disk hit");
-                let s = DistributedSchedule::from_bytes(&bytes).expect("decodes");
-                std::hint::black_box(s.execution_time());
-            },
-            || {
-                let bytes = store.get_ref(&key).expect("disk hit");
-                let s = DistributedSchedule::from_bytes(&bytes).expect("decodes");
-                std::hint::black_box(s.execution_time());
-            },
-            reps,
-        );
-        results.push(KernelResult {
-            name: "store/warm_hit_mmap",
-            baseline_ns,
-            optimized_ns,
-        });
-        drop(store);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     // End-to-end: a storm of identical concurrent submits, with

@@ -334,9 +334,9 @@ fn schedule_task(
     state: &mut JobState,
 ) -> Result<Option<DistributedSchedule>, DcMbqcError> {
     let keys = state.keys.as_ref().expect("planning task ran first");
-    // Same zero-copy warm-hit path as the planning probe: the store's
-    // in-place bytes, one validating decode.
-    if let Some(bytes) = shared.store.get_ref(&keys.sched) {
+    // Same warm-hit path as the planning probe: the store's shared
+    // bytes, one validating decode.
+    if let Some(bytes) = shared.store.get(&keys.sched) {
         if let Ok(s) = DistributedSchedule::from_bytes(&bytes) {
             lock(&shared.counters).task_store_hits += 1;
             if shared.telemetry.armed() {

@@ -74,16 +74,14 @@
 //! ([`StoreConfig::disk_capacity`]). Every artifact is recomputable, so
 //! the disk tier is only a cache and the directory is its only index.
 //!
-//! **Zero-copy reads.** The `Scheduled` warm-hit probe goes through
-//! [`ArtifactStore::get_ref`], which returns [`ArtifactBytes`]: the
-//! artifact's checksum-verified value bytes *in place*, memory-mapped
-//! when they live on disk — no intermediate `Vec` copy of a multi-MB
-//! artifact. The probe decodes them once with
+//! **One read path.** [`ArtifactStore::get`] is the store's only read.
+//! A memory-tier hit hands out the LRU's `Arc`-shared bytes without
+//! copying them. A disk-tier hit reads the file, verifies the embedded
+//! key and the checksum, and promotes the value into the memory tier,
+//! so the next read of the same artifact is a memory hit. The
+//! `Scheduled` warm-hit probe decodes the bytes once with
 //! [`dc_mbqc::DistributedSchedule::from_bytes`], which runs every
 //! structural and semantic check and produces the job's owned result.
-//! [`ArtifactStore::get`] remains the
-//! copying variant, and is the one that promotes disk hits into the
-//! memory tier.
 //!
 //! **In-flight dedup** ([`ServiceConfig::dedup`], on by default).
 //! Concurrent submits of an identical `(pattern, config)` collapse
@@ -473,7 +471,7 @@ pub use service::{
     Priority, RetryPolicy, ServiceConfig, ServiceError, ServiceStats, TelemetryConfig, TenantQuota,
     TenantStat,
 };
-pub use store::{ArtifactBytes, ArtifactKey, ArtifactStore, StoreConfig, StoreStats};
+pub use store::{ArtifactKey, ArtifactStore, StoreConfig, StoreStats};
 pub use telemetry::{
     chrome_trace_json, validate_chrome_trace, EventKind, EventStream, TelemetryEvent, TerminalState,
 };

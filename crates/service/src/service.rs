@@ -1935,7 +1935,7 @@ impl CompileService {
     /// that every resident artifact is bit-exact.
     #[must_use]
     pub fn store_get(&self, key: &ArtifactKey) -> Option<Vec<u8>> {
-        self.shared.store.get(key)
+        self.shared.store.get(key).map(|bytes| bytes.to_vec())
     }
 
     /// A consistent snapshot of the service counters.
@@ -2128,11 +2128,9 @@ pub(crate) fn probe_cache(
     config: &DcMbqcConfig,
 ) -> CacheEntry {
     let mut entry = CacheEntry::Miss;
-    // Zero-copy warm-hit path: `get_ref` hands the artifact's verified
-    // bytes back in place (memory-mapped when they live on disk, no
-    // intermediate `Vec` copy of a multi-MB artifact), and one
-    // validating decode turns them into the job's owned result.
-    if let Some(bytes) = shared.store.get_ref(&keys.sched) {
+    // Warm-hit path: a memory hit shares the store's bytes (no copy),
+    // and one validating decode turns them into the job's owned result.
+    if let Some(bytes) = shared.store.get(&keys.sched) {
         if let Ok(s) = DistributedSchedule::from_bytes(&bytes) {
             entry = CacheEntry::Scheduled(Box::new(s));
         }
@@ -2439,6 +2437,57 @@ mod tests {
         let stats = service.stats();
         assert_eq!(stats.hits_scheduled, 0, "the lying artifact was served");
         assert_eq!(stats.full_compiles, 1);
+    }
+
+    #[test]
+    fn restart_serves_a_disk_schedule_hit_then_a_memory_hit() {
+        use mbqc_circuit::bench;
+        use mbqc_hardware::{DistributedHardware, ResourceStateKind};
+        use mbqc_pattern::transpile::transpile;
+
+        let pattern = transpile(&bench::qft(6));
+        let hw = DistributedHardware::builder()
+            .num_qpus(2)
+            .grid_width(bench::grid_size_for(6))
+            .resource_state(ResourceStateKind::FIVE_STAR)
+            .kmax(4)
+            .build();
+        let config = DcMbqcConfig::new(hw);
+        let dir =
+            std::env::temp_dir().join(format!("mbqc-service-test-promote-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let service_config = || ServiceConfig {
+            workers: 1,
+            store: StoreConfig {
+                disk_dir: Some(dir.clone()),
+                ..StoreConfig::default()
+            },
+            ..ServiceConfig::default()
+        };
+        let expected = {
+            let cold = CompileService::new(service_config()).expect("service starts");
+            let id = cold.submit(pattern.clone(), config.clone());
+            cold.wait(id).expect("job compiles")
+        };
+        // A fresh service over the populated directory: the first read
+        // of the `Schedule` artifact is a disk hit that promotes it, so
+        // the second is a memory hit.
+        let warm = CompileService::new(service_config()).expect("service reopens");
+        for (round, (disk_hits, memory_hits)) in [(1, 0), (1, 1)].into_iter().enumerate() {
+            let id = warm.submit(pattern.clone(), config.clone());
+            assert_eq!(warm.wait(id).expect("job is served"), expected);
+            let stats = warm.stats();
+            assert_eq!(stats.hits_scheduled, round as u64 + 1);
+            assert_eq!(stats.full_compiles, 0);
+            assert_eq!(
+                (stats.store.disk_hits, stats.store.memory_hits),
+                (disk_hits, memory_hits),
+                "round {round}"
+            );
+        }
+        assert_eq!(warm.stats().store.entries, 1, "only the schedule was read");
+        drop(warm);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

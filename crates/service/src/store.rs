@@ -15,13 +15,11 @@
 //!   artifact, written via temp-file + fsync + rename — giving
 //!   persistence and warm restarts. Disk reads verify the embedded key
 //!   *and* a content checksum (a [`Fingerprint`] over the framed key +
-//!   value); [`ArtifactStore::get`] promotes the artifact back into the
-//!   memory tier, while [`ArtifactStore::get_ref`] serves a zero-copy
-//!   [`ArtifactBytes`] straight off a read-only memory mapping. Every
-//!   disk failure degrades to a cache miss, never an error, and a file
-//!   that fails verification is deleted on detection (it can never
-//!   verify again, so keeping it would cost a failed decode per
-//!   lookup). An optional byte budget
+//!   value), then promote the artifact into the memory tier, so the
+//!   next read of it is a memory hit. Every disk failure degrades to a
+//!   cache miss, never an error, and a file that fails verification is
+//!   deleted on detection (it can never verify again, so keeping it
+//!   would cost a failed decode per lookup). An optional byte budget
 //!   ([`StoreConfig::disk_capacity`]) evicts least-recently-accessed
 //!   artifacts.
 //!
@@ -59,7 +57,6 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::io::Write;
-use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant, SystemTime};
@@ -67,7 +64,7 @@ use std::time::{Duration, Instant, SystemTime};
 use dc_mbqc::PipelineStage;
 use mbqc_util::codec::{Decoder, Encoder};
 use mbqc_util::sync::lock;
-use mbqc_util::{Fingerprint, MappedBytes};
+use mbqc_util::Fingerprint;
 
 use crate::fault::FaultPlan;
 use crate::telemetry::{EventKind, TelemetryHub};
@@ -197,8 +194,8 @@ struct Slot {
     /// Shared with the map key, so the (pattern-sized) key bytes exist
     /// once and the byte accounting below stays honest.
     key: Arc<[u8]>,
-    /// Shared with in-flight [`ArtifactBytes`] readers: a memory hit
-    /// clones the `Arc`, never the bytes.
+    /// Shared with in-flight readers: a memory hit clones the `Arc`,
+    /// never the bytes.
     value: Arc<Vec<u8>>,
     prev: usize,
     next: usize,
@@ -693,46 +690,22 @@ impl ArtifactStore {
 
     /// Looks the artifact up: memory tier first, then disk (verifying
     /// the embedded key and the content checksum, then promoting the
-    /// artifact into memory). The disk read happens *outside* the
-    /// memory-tier lock so one worker's cold miss never stalls the
-    /// others' memory-tier traffic.
+    /// artifact into memory). A hit hands out the memory tier's shared
+    /// bytes: an `Arc` clone, never a copy. The disk read happens
+    /// *outside* the memory-tier lock so one worker's cold miss never
+    /// stalls the others' memory-tier traffic.
     #[must_use]
-    pub fn get(&self, key: &ArtifactKey) -> Option<Vec<u8>> {
-        self.lookup(key, true).map(|b| b.to_vec())
-    }
-
-    /// Zero-copy lookup: like [`Self::get`], but a disk hit returns a
-    /// validated borrowed view of the memory-mapped bytes instead of
-    /// copying the value into the memory tier. The checksum and key
-    /// verification still run on every hit; what is skipped is the
-    /// `Vec` allocation and the memcpy; the caller decodes straight
-    /// from the borrowed bytes. Because
-    /// nothing is promoted, a hot artifact read only through `get_ref`
-    /// stays on disk; use `get` when promotion is wanted.
-    #[must_use]
-    pub fn get_ref(&self, key: &ArtifactKey) -> Option<ArtifactBytes> {
-        self.lookup(key, false)
-    }
-
-    /// The shared lookup path. `promote` selects the classic
-    /// read-decode-promote behaviour (`get`) over the zero-copy mmap
-    /// view (`get_ref`).
-    fn lookup(&self, key: &ArtifactKey, promote: bool) -> Option<ArtifactBytes> {
+    pub fn get(&self, key: &ArtifactKey) -> Option<Arc<Vec<u8>>> {
         {
             let mut inner = lock(&self.inner);
             if let Some(v) = inner.lru.get_arc(key.bytes()) {
                 inner.stats.memory_hits += 1;
-                let end = v.len();
-                return Some(ArtifactBytes {
-                    source: ByteSource::Mem(v),
-                    start: 0,
-                    end,
-                });
+                return Some(v);
             }
         }
         let mut disk_error = false;
         let mut corrupt = false;
-        let mut hit: Option<ArtifactBytes> = None;
+        let mut hit: Option<Arc<Vec<u8>>> = None;
         if let Some(disk) = &self.disk {
             let name = Self::name_of(key);
             // Bound to a `let` so the disk-lock temporary drops here —
@@ -746,24 +719,16 @@ impl ArtifactStore {
                 // would.
                 let read = if self.faults.disk_read_error() {
                     Err(std::io::Error::other("injected disk read error"))
-                } else if promote {
-                    std::fs::read(&path).map(ByteSource::from_vec)
                 } else {
-                    MappedBytes::open(&path).map(|m| ByteSource::Map(Arc::new(m)))
+                    std::fs::read(&path)
                 };
                 match read {
-                    Ok(source) => {
-                        if lock(disk).note_read(&name, source.as_bytes().len() as u64) {
+                    Ok(file) => {
+                        if lock(disk).note_read(&name, file.len() as u64) {
                             self.emit_quarantine(false);
                         }
-                        match verify_disk_artifact(source.as_bytes(), key) {
-                            Some(range) => {
-                                hit = Some(ArtifactBytes {
-                                    source,
-                                    start: range.start,
-                                    end: range.end,
-                                });
-                            }
+                        match verify_disk_artifact(&file, key) {
+                            Some(value) => hit = Some(Arc::new(value.to_vec())),
                             None => {
                                 // Checksum or key verification failed:
                                 // the artifact is corrupt (or a
@@ -802,12 +767,10 @@ impl ArtifactStore {
         if corrupt {
             inner.stats.disk_corrupt += 1;
         }
-        if let Some(bytes) = hit {
+        if let Some(value) = hit {
             inner.stats.disk_hits += 1;
-            if promote {
-                inner.stats.evictions += inner.lru.insert(key.bytes(), Arc::new(bytes.to_vec()));
-            }
-            return Some(bytes);
+            inner.stats.evictions += inner.lru.insert(key.bytes(), Arc::clone(&value));
+            return Some(value);
         }
         inner.stats.misses += 1;
         None
@@ -883,72 +846,6 @@ impl ArtifactStore {
     }
 }
 
-/// Borrowed artifact bytes from [`ArtifactStore::get_ref`]: either a
-/// shared reference into the memory tier or a validated window into a
-/// memory-mapped `.art` file. Dereferences to the artifact value.
-/// Holding one keeps the underlying mapping alive — deleting or
-/// replacing the file (eviction, corruption cleanup, a newer write of
-/// the same key) unlinks the name but the pages stay valid until the
-/// last clone drops.
-#[derive(Debug, Clone)]
-pub struct ArtifactBytes {
-    source: ByteSource,
-    start: usize,
-    end: usize,
-}
-
-#[derive(Debug, Clone)]
-enum ByteSource {
-    Mem(Arc<Vec<u8>>),
-    Map(Arc<MappedBytes>),
-}
-
-impl ByteSource {
-    fn from_vec(v: Vec<u8>) -> Self {
-        Self::Mem(Arc::new(v))
-    }
-
-    fn as_bytes(&self) -> &[u8] {
-        match self {
-            Self::Mem(v) => v,
-            Self::Map(m) => m,
-        }
-    }
-}
-
-impl ArtifactBytes {
-    /// True when the bytes are served from a memory-mapped file rather
-    /// than the in-memory tier.
-    #[must_use]
-    pub fn is_mapped(&self) -> bool {
-        matches!(self.source, ByteSource::Map(_))
-    }
-
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.end - self.start
-    }
-
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.start == self.end
-    }
-
-    /// Copies the value out (what [`ArtifactStore::get`] returns).
-    #[must_use]
-    pub fn to_vec(&self) -> Vec<u8> {
-        self[..].to_vec()
-    }
-}
-
-impl std::ops::Deref for ArtifactBytes {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        &self.source.as_bytes()[self.start..self.end]
-    }
-}
-
 /// Encodes a disk artifact: the length-framed key and value, followed
 /// by a [`Fingerprint`] checksum (two raw little-endian `u64`s, high
 /// lane first) over those framed bytes. The key comparison makes a hit
@@ -969,22 +866,20 @@ fn encode_disk_artifact(key: &ArtifactKey, value: &[u8]) -> Vec<u8> {
     contents
 }
 
-/// Verifies a disk artifact frame and returns the byte range of its
-/// value: the trailing checksum must verify over the framed bytes *and*
-/// the embedded key must match `key` exactly. The zero-copy read path
-/// serves `file[range]` straight out of the mapping; the eager path
-/// copies it.
-fn verify_disk_artifact(file: &[u8], key: &ArtifactKey) -> Option<Range<usize>> {
+/// Verifies a disk artifact frame and returns its value bytes: the
+/// trailing checksum must verify over the framed bytes *and* the
+/// embedded key must match `key` exactly.
+fn verify_disk_artifact<'a>(file: &'a [u8], key: &ArtifactKey) -> Option<&'a [u8]> {
     let mut d = Decoder::new(file);
     let stored_key = d.bytes().ok()?;
-    let value_len = d.bytes().ok()?.len();
+    let value = d.bytes().ok()?;
     let framed_len = file.len() - d.remaining();
     let check = (u128::from(d.u64().ok()?) << 64) | u128::from(d.u64().ok()?);
     d.finish().ok()?;
     if Fingerprint::of(&file[..framed_len]).0 != check || stored_key != key.bytes() {
         return None;
     }
-    Some(framed_len - value_len..framed_len)
+    Some(value)
 }
 
 /// Writes via a sibling temp file + rename so concurrent writers of the
@@ -1019,12 +914,26 @@ mod tests {
         let store = ArtifactStore::new(StoreConfig::default()).unwrap();
         assert!(store.get(&key(1)).is_none());
         store.put(&key(1), vec![7, 8, 9]);
-        assert_eq!(store.get(&key(1)), Some(vec![7, 8, 9]));
+        assert_eq!(store.get(&key(1)).as_deref(), Some(&vec![7, 8, 9]));
         let s = store.stats();
         assert_eq!(s.memory_hits, 1);
         assert_eq!(s.misses, 1);
         assert_eq!(s.entries, 1);
         assert!(s.bytes > 3);
+    }
+
+    #[test]
+    fn memory_hits_share_the_resident_bytes() {
+        let store = ArtifactStore::new(StoreConfig::default()).unwrap();
+        let value = vec![3; 1024];
+        store.put(&key(2), value.clone());
+        let a = store.get(&key(2)).unwrap();
+        let b = store.get(&key(2)).unwrap();
+        assert!(
+            Arc::ptr_eq(&a, &b),
+            "a memory hit is an Arc clone, not a copy"
+        );
+        assert_eq!(*a, value);
     }
 
     #[test]
@@ -1116,13 +1025,13 @@ mod tests {
         }
         // A fresh store (cold memory) restores from disk.
         let store = ArtifactStore::new(cfg.clone()).unwrap();
-        assert_eq!(store.get(&key(5)), Some(vec![42; 100]));
+        assert_eq!(store.get(&key(5)).as_deref(), Some(&vec![42; 100]));
         let s = store.stats();
         assert_eq!(s.disk_hits, 1);
         assert_eq!(s.entries, 1, "disk hit promotes into memory");
         assert_eq!(s.disk_entries, 1, "restart re-indexed the artifact");
         assert!(s.disk_bytes > 100);
-        assert_eq!(store.get(&key(5)), Some(vec![42; 100]));
+        assert_eq!(store.get(&key(5)).as_deref(), Some(&vec![42; 100]));
         assert_eq!(store.stats().memory_hits, 1);
 
         // Corrupt the file: the store degrades to a miss.
@@ -1225,7 +1134,7 @@ mod tests {
         let s = store.stats();
         assert_eq!(s.disk_entries, 1, "{s:?}");
         assert_eq!(s.disk_bytes, art.len(), "only .art bytes are counted");
-        assert_eq!(store.get(&key(6)), Some(vec![6; 80]));
+        assert_eq!(store.get(&key(6)).as_deref(), Some(&vec![6; 80]));
         assert_eq!(store.stats().disk_hits, 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -381,7 +381,7 @@ mod disk_churn {
                         match (&got, &last_put[k as usize]) {
                             (None, _) => {}
                             (Some(g), Some(v)) => prop_assert_eq!(
-                                g, v, "step {}: torn/stale read", step
+                                &**g, v, "step {}: torn/stale read", step
                             ),
                             (Some(_), None) => prop_assert!(
                                 false,
@@ -460,8 +460,8 @@ mod disk_churn {
                         "post-restart read decoded a corrupted file"
                     );
                     prop_assert_eq!(
-                        Some(got),
-                        last_put[k as usize].clone(),
+                        Some(&*got),
+                        last_put[k as usize].as_ref(),
                         "post-restart read disagrees with last put"
                     );
                 }

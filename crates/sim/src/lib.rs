@@ -13,10 +13,6 @@
 //!   Pauli-group membership checking, used to verify graph-state
 //!   stabilizers on instances far beyond statevector reach. Bit-packed:
 //!   row operations are word-wise XORs over `u64` words.
-//! * [`reference`] — the pre-optimization `Vec<bool>` tableau, kept as
-//!   the equivalence-test oracle and benchmark baseline. Gated behind
-//!   the `reference-impls` feature (on by default) so release consumers
-//!   can compile without it (`default-features = false`).
 //! * [`pattern_sim`] — a lazy MBQC pattern executor: it walks a
 //!   [`Pattern`](mbqc_pattern::Pattern) in measurement order, allocates
 //!   photons on demand, applies byproduct corrections, and returns the
@@ -81,8 +77,6 @@
 
 pub mod complex;
 pub mod pattern_sim;
-#[cfg(feature = "reference-impls")]
-pub mod reference;
 pub mod stabilizer;
 pub mod statevector;
 

@@ -467,8 +467,8 @@ impl Tableau {
     /// loop. The collection scans themselves stay as tight
     /// compare-only loops over the measured qubit's contiguous column
     /// — fully fusing them into the rowsum body was measured *slower*
-    /// (it defeats the vectorized column scan; see
-    /// `tableau/rowops_measure_grid24`).
+    /// (it defeats the vectorized column scan; see the
+    /// `tableau/rowops_measure_grid24` criterion bench).
     fn rowsum_measure(&mut self, p: usize, wq: usize, m: u64) {
         let n = self.n;
         let rows = 2 * n;

@@ -1,10 +1,11 @@
-//! Pre-optimization reference implementations of the simulator kernels.
+//! The pre-optimization stabilizer tableau: the equivalence oracle for
+//! the library's bit-packed one.
 //!
 //! Preserves the original `Vec<bool>` Pauli/tableau representation (one
 //! branchy loop iteration per qubit) exactly as it was before the
-//! bit-packing overhaul. Used as the oracle for the packed-vs-bool
-//! equivalence proptests (`tests/proptest_sim.rs`) and as the baseline
-//! the kernel benchmarks measure speedups against.
+//! bit-packing overhaul. `proptest_sim.rs` requires the packed tableau
+//! to agree with it on random Clifford sequences with interleaved
+//! measurements (same outcomes from the same RNG draws).
 //!
 //! Do not "optimize" this module; its slowness is the point.
 

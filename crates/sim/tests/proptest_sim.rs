@@ -1,17 +1,18 @@
 //! Property-based equivalence tests: the bit-packed stabilizer tableau
-//! against the pre-optimization `Vec<bool>` reference, on random Clifford
-//! sequences with interleaved measurements.
-#![cfg(feature = "reference-impls")]
+//! against the pre-optimization `Vec<bool>` oracle in `common`, on
+//! random Clifford sequences with interleaved measurements.
+
+mod common;
 
 use mbqc_graph::{generate, NodeId};
-use mbqc_sim::{reference, stabilizer};
+use mbqc_sim::stabilizer;
 use mbqc_util::Rng;
 use proptest::prelude::*;
 
 /// One random Clifford operation, chosen identically for both tableaus.
 fn apply_random_op(
     packed: &mut stabilizer::Tableau,
-    boolean: &mut reference::Tableau,
+    boolean: &mut common::Tableau,
     n: usize,
     rng: &mut Rng,
 ) {
@@ -54,7 +55,7 @@ fn apply_random_op(
 /// Asserts the two tableaus describe identical stabilizer rows.
 fn assert_rows_equal(
     packed: &stabilizer::Tableau,
-    boolean: &reference::Tableau,
+    boolean: &common::Tableau,
 ) -> Result<(), TestCaseError> {
     let n = packed.num_qubits();
     prop_assert_eq!(n, boolean.num_qubits());
@@ -82,7 +83,7 @@ proptest! {
         // Sizes beyond 64 qubits exercise multi-word rows.
         let mut rng = Rng::seed_from_u64(seed);
         let mut packed = stabilizer::Tableau::new(n);
-        let mut boolean = reference::Tableau::new(n);
+        let mut boolean = common::Tableau::new(n);
         for _ in 0..ops {
             apply_random_op(&mut packed, &mut boolean, n, &mut rng);
         }
@@ -102,7 +103,7 @@ proptest! {
         // measurement tableau.
         let mut rng = Rng::seed_from_u64(seed);
         let mut packed = stabilizer::Tableau::new(n);
-        let mut boolean = reference::Tableau::new(n);
+        let mut boolean = common::Tableau::new(n);
         for _ in 0..ops {
             apply_random_op(&mut packed, &mut boolean, n, &mut rng);
         }
@@ -130,7 +131,7 @@ proptest! {
         // to the reference at every step.
         let mut rng = Rng::seed_from_u64(seed);
         let mut packed = stabilizer::Tableau::new(n);
-        let mut boolean = reference::Tableau::new(n);
+        let mut boolean = common::Tableau::new(n);
         let mut rng_p = Rng::seed_from_u64(seed ^ 0xfeed);
         let mut rng_b = Rng::seed_from_u64(seed ^ 0xfeed);
         for step in 0..steps {
@@ -161,7 +162,7 @@ proptest! {
         let g = generate::grid_graph(side, side);
         let n = g.node_count();
         let mut packed = stabilizer::Tableau::graph_state(&g);
-        let mut boolean = reference::Tableau::graph_state(&g);
+        let mut boolean = common::Tableau::graph_state(&g);
         let mut rng_p = Rng::seed_from_u64(seed ^ 0xdead);
         let mut rng_b = Rng::seed_from_u64(seed ^ 0xdead);
         let mut rng = Rng::seed_from_u64(seed);
@@ -193,24 +194,24 @@ proptest! {
         let mut rng = Rng::seed_from_u64(seed);
         let mut p1 = stabilizer::PauliString::identity(n);
         let mut p2 = stabilizer::PauliString::identity(n);
-        let mut b1 = reference::PauliString::identity(n);
-        let mut b2 = reference::PauliString::identity(n);
+        let mut b1 = common::PauliString::identity(n);
+        let mut b2 = common::PauliString::identity(n);
         for q in 0..n {
             if rng.bernoulli(0.4) {
                 p1 = p1.mul(&stabilizer::PauliString::single_x(n, q));
-                b1 = b1.mul(&reference::PauliString::single_x(n, q));
+                b1 = b1.mul(&common::PauliString::single_x(n, q));
             }
             if rng.bernoulli(0.4) {
                 p1 = p1.mul(&stabilizer::PauliString::single_z(n, q));
-                b1 = b1.mul(&reference::PauliString::single_z(n, q));
+                b1 = b1.mul(&common::PauliString::single_z(n, q));
             }
             if rng.bernoulli(0.4) {
                 p2 = p2.mul(&stabilizer::PauliString::single_x(n, q));
-                b2 = b2.mul(&reference::PauliString::single_x(n, q));
+                b2 = b2.mul(&common::PauliString::single_x(n, q));
             }
             if rng.bernoulli(0.4) {
                 p2 = p2.mul(&stabilizer::PauliString::single_z(n, q));
-                b2 = b2.mul(&reference::PauliString::single_z(n, q));
+                b2 = b2.mul(&common::PauliString::single_z(n, q));
             }
         }
         prop_assert_eq!(p1.phase(), b1.phase());
@@ -230,15 +231,15 @@ proptest! {
         // graph-state stabilizers.
         let g = generate::grid_graph(side, side);
         let packed = stabilizer::Tableau::graph_state(&g);
-        let boolean = reference::Tableau::graph_state(&g);
+        let boolean = common::Tableau::graph_state(&g);
         let mut rng = Rng::seed_from_u64(seed);
         let i = NodeId::new(rng.range(g.node_count()));
         let k_packed = stabilizer::PauliString::graph_stabilizer(&g, i);
-        let k_bool = reference::PauliString::graph_stabilizer(&g, i);
+        let k_bool = common::PauliString::graph_stabilizer(&g, i);
         prop_assert!(packed.is_stabilized_by(&k_packed));
         prop_assert!(boolean.is_stabilized_by(&k_bool));
         let x_packed = stabilizer::PauliString::single_x(g.node_count(), i.index());
-        let x_bool = reference::PauliString::single_x(g.node_count(), i.index());
+        let x_bool = common::PauliString::single_x(g.node_count(), i.index());
         prop_assert_eq!(
             packed.is_stabilized_by(&x_packed),
             boolean.is_stabilized_by(&x_bool)

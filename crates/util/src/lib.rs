@@ -1,7 +1,7 @@
 //! Shared utilities for the DC-MBQC workspace.
 //!
-//! This crate has no external dependencies and provides three things used
-//! across every other crate in the workspace:
+//! This crate has no external dependencies and provides the building
+//! blocks used across every other crate in the workspace:
 //!
 //! * [`rng`] — deterministic, seedable pseudo-random number generation
 //!   (SplitMix64 and Xoshiro256\*\*). All stochastic components of the
@@ -19,9 +19,6 @@
 //!   content-addressed artifact store of `mbqc-service`.
 //! * [`frame`] — checksummed, length-prefixed message frames over byte
 //!   streams: the transport layer under the `mbqc-net` wire protocol.
-//! * [`mmap`] — read-only memory-mapped byte buffers (with a heap
-//!   fallback), the zero-copy substrate under the store's disk-tier
-//!   reads.
 //! * [`metrics`] — atomic counters and fixed-size log-bucketed
 //!   histograms with p50/p95/p99 summaries, the offline-box stand-in
 //!   for a metrics crate; `mbqc-service` records per-stage latency,
@@ -46,7 +43,6 @@ pub mod codec;
 pub mod fingerprint;
 pub mod frame;
 pub mod metrics;
-pub mod mmap;
 pub mod rng;
 pub mod stats;
 pub mod sync;
@@ -54,6 +50,5 @@ pub mod table;
 
 pub use codec::{CodecError, Decoder, Encoder};
 pub use fingerprint::Fingerprint;
-pub use mmap::MappedBytes;
 pub use rng::Rng;
 pub use table::TextTable;
