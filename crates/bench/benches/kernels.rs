@@ -266,7 +266,21 @@ fn bench_end_to_end(c: &mut Criterion) {
 fn bench_service(c: &mut Criterion) {
     use dc_mbqc::DcMbqcConfig;
     use mbqc_hardware::{DistributedHardware, ResourceStateKind};
-    use mbqc_service::{CompileService, ServiceConfig};
+    use mbqc_pattern::Pattern;
+    use mbqc_service::{CompileService, JobId, ServiceConfig};
+
+    /// One default-options job per pattern, all submitted before any
+    /// wait; ids are in input order.
+    fn submit_all(
+        service: &CompileService,
+        patterns: &[Pattern],
+        config: &DcMbqcConfig,
+    ) -> Vec<JobId> {
+        patterns
+            .iter()
+            .map(|p| service.submit(p.clone(), config.clone()))
+            .collect()
+    }
 
     let mut group = c.benchmark_group("service");
     group.sample_size(10);
@@ -295,7 +309,7 @@ fn bench_service(c: &mut Criterion) {
                 ..ServiceConfig::default()
             })
             .expect("service starts");
-            let ids = service.submit_many(&patterns, &config);
+            let ids = submit_all(&service, &patterns, &config);
             let doomed: Vec<_> = victims
                 .iter()
                 .map(|p| {
@@ -304,14 +318,17 @@ fn bench_service(c: &mut Criterion) {
                         config.clone(),
                         mbqc_service::JobOptions::default(),
                     );
-                    h.cancel();
+                    service.cancel(h.id());
                     h.id()
                 })
                 .collect();
-            let expired = service.submit_with_deadline(
+            let expired = service.submit_with(
                 victims[0].clone(),
                 config.clone(),
-                std::time::Duration::ZERO,
+                mbqc_service::JobOptions {
+                    deadline: Some(std::time::Duration::ZERO),
+                    ..mbqc_service::JobOptions::default()
+                },
             );
             for id in ids {
                 service.wait(id).expect("service compiles");
@@ -319,7 +336,7 @@ fn bench_service(c: &mut Criterion) {
             for id in doomed {
                 assert!(service.wait(id).is_err());
             }
-            assert!(expired.wait().is_err());
+            assert!(service.wait(expired.id()).is_err());
         });
     });
     // The same workload with a retry budget on every job: in a build
@@ -349,7 +366,7 @@ fn bench_service(c: &mut Criterion) {
                 })
                 .collect();
             for h in handles {
-                h.wait().expect("service compiles");
+                service.wait(h.id()).expect("service compiles");
             }
         });
     });
@@ -370,7 +387,7 @@ fn bench_service(c: &mut Criterion) {
                 ..ServiceConfig::default()
             })
             .expect("service starts");
-            let stream = service.subscribe_with_capacity(4096);
+            let stream = service.subscribe(None, Some(4096));
             let drainer = std::thread::spawn(move || {
                 let mut events = Vec::new();
                 while let Some(ev) = stream.recv() {
@@ -378,7 +395,7 @@ fn bench_service(c: &mut Criterion) {
                 }
                 events
             });
-            for id in service.submit_many(&patterns, &config) {
+            for id in submit_all(&service, &patterns, &config) {
                 service.wait(id).expect("service compiles");
             }
             drop(service);

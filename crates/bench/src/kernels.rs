@@ -15,7 +15,8 @@ use mbqc_graph::generate;
 use mbqc_hardware::{DistributedHardware, ResourceStateKind};
 use mbqc_net::{Client, Server, WireJobOptions};
 use mbqc_pattern::transpile::transpile;
-use mbqc_service::{CompileService, ServiceConfig};
+use mbqc_pattern::Pattern;
+use mbqc_service::{CompileService, JobId, ServiceConfig};
 use mbqc_sim::stabilizer::{PauliString, Tableau};
 use mbqc_sim::{FusionWorkspace, StateVector, C64};
 use mbqc_util::table::fmt_f64;
@@ -73,9 +74,18 @@ fn measure_pair<A: FnMut(), B: FnMut()>(mut base: A, mut opt: B, reps: usize) ->
     (min_b, min_o)
 }
 
+/// Submits one default-options job per pattern, all before any wait;
+/// ids are in input order.
+fn submit_all(service: &CompileService, patterns: &[Pattern], config: &DcMbqcConfig) -> Vec<JobId> {
+    patterns
+        .iter()
+        .map(|p| service.submit(p.clone(), config.clone()))
+        .collect()
+}
+
 /// Measures every tracked kernel pair. `reps` is the minimum number of
 /// interleaved rounds per kernel (the per-side minimum is reported;
-/// see [`measure_pair`]).
+/// see `measure_pair`).
 #[must_use]
 pub fn measure_kernels(reps: usize) -> Vec<KernelResult> {
     let mut results = Vec::new();
@@ -139,7 +149,7 @@ pub fn measure_kernels(reps: usize) -> Vec<KernelResult> {
             ..ServiceConfig::default()
         };
         let run = |service: &CompileService| {
-            for id in service.submit_many(&patterns, &config) {
+            for id in submit_all(service, &patterns, &config) {
                 std::hint::black_box(service.wait(id).expect("service compiles"));
             }
         };
@@ -197,13 +207,13 @@ pub fn measure_kernels(reps: usize) -> Vec<KernelResult> {
         let (baseline_ns, optimized_ns) = measure_pair(
             || {
                 let service = fresh();
-                for id in service.submit_many(&survivors, &config) {
+                for id in submit_all(&service, &survivors, &config) {
                     std::hint::black_box(service.wait(id).expect("job compiles"));
                 }
             },
             || {
                 let service = fresh();
-                let ids = service.submit_many(&survivors, &config);
+                let ids = submit_all(&service, &survivors, &config);
                 // The churn: cancelled and expired jobs riding
                 // along with the real workload.
                 let doomed: Vec<_> = victims
@@ -214,14 +224,17 @@ pub fn measure_kernels(reps: usize) -> Vec<KernelResult> {
                             config.clone(),
                             mbqc_service::JobOptions::default(),
                         );
-                        h.cancel();
+                        service.cancel(h.id());
                         h.id()
                     })
                     .collect();
-                let expired = service.submit_with_deadline(
+                let expired = service.submit_with(
                     victims[0].clone(),
                     config.clone(),
-                    std::time::Duration::ZERO,
+                    mbqc_service::JobOptions {
+                        deadline: Some(std::time::Duration::ZERO),
+                        ..mbqc_service::JobOptions::default()
+                    },
                 );
                 for id in ids {
                     std::hint::black_box(service.wait(id).expect("job compiles"));
@@ -229,7 +242,10 @@ pub fn measure_kernels(reps: usize) -> Vec<KernelResult> {
                 for id in doomed {
                     assert!(service.wait(id).is_err(), "victim must not complete");
                 }
-                assert!(expired.wait().is_err(), "lapsed deadline must expire");
+                assert!(
+                    service.wait(expired.id()).is_err(),
+                    "lapsed deadline must expire"
+                );
             },
             reps,
         );
@@ -277,7 +293,7 @@ pub fn measure_kernels(reps: usize) -> Vec<KernelResult> {
         let (baseline_ns, optimized_ns) = measure_pair(
             || {
                 let service = fresh();
-                for id in service.submit_many(&jobs, &config) {
+                for id in submit_all(&service, &jobs, &config) {
                     std::hint::black_box(service.wait(id).expect("job compiles"));
                 }
             },
@@ -297,7 +313,7 @@ pub fn measure_kernels(reps: usize) -> Vec<KernelResult> {
                     })
                     .collect();
                 for h in handles {
-                    std::hint::black_box(h.wait().expect("job compiles"));
+                    std::hint::black_box(service.wait(h.id()).expect("job compiles"));
                 }
                 assert_eq!(service.stats().retries, 0, "no fault fires in this build");
             },
@@ -348,13 +364,13 @@ pub fn measure_kernels(reps: usize) -> Vec<KernelResult> {
         let (baseline_ns, optimized_ns) = measure_pair(
             || {
                 let service = fresh(0);
-                for id in service.submit_many(&jobs, &config) {
+                for id in submit_all(&service, &jobs, &config) {
                     std::hint::black_box(service.wait(id).expect("job compiles"));
                 }
             },
             || {
                 let service = fresh(256);
-                let stream = service.subscribe_with_capacity(4096);
+                let stream = service.subscribe(None, Some(4096));
                 let drainer = std::thread::spawn(move || {
                     let mut events = Vec::new();
                     while let Some(ev) = stream.recv() {
@@ -362,7 +378,7 @@ pub fn measure_kernels(reps: usize) -> Vec<KernelResult> {
                     }
                     events
                 });
-                for id in service.submit_many(&jobs, &config) {
+                for id in submit_all(&service, &jobs, &config) {
                     std::hint::black_box(service.wait(id).expect("job compiles"));
                 }
                 drop(service); // closes the stream; the drainer ends
@@ -453,7 +469,7 @@ pub fn measure_kernels(reps: usize) -> Vec<KernelResult> {
         let mut client = Client::connect(server.local_addr()).expect("connect");
         // Prime the cache: after this, both measured paths serve pure
         // warm hits.
-        for id in service.submit_many(&patterns, &config) {
+        for id in submit_all(&service, &patterns, &config) {
             service.wait(id).expect("service compiles");
         }
         let (baseline_ns, optimized_ns) = measure_pair(

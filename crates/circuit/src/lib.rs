@@ -12,7 +12,7 @@
 //! * [`decompose`] — rewriting passes down to the photonic-friendly
 //!   `{1-qubit, CZ}` basis that the MBQC transpiler consumes
 //!   (`mbqc-pattern`).
-//! * [`bench`] — deterministic generators for the paper's four benchmark
+//! * [`bench`](mod@bench) — deterministic generators for the paper's four benchmark
 //!   families, reproducing Table II's program statistics.
 //!
 //! # Examples

@@ -3,7 +3,7 @@
 use std::fmt;
 
 use mbqc_compiler::{CompileError, CompilerConfig};
-use mbqc_hardware::{DistributedHardware, InterconnectTopology, ResourceStateKind};
+use mbqc_hardware::{DistributedHardware, ResourceStateKind};
 use mbqc_partition::AdaptiveConfig;
 use mbqc_schedule::BdirConfig;
 use mbqc_util::codec::{CodecError, Decoder};
@@ -170,10 +170,9 @@ impl DcMbqcConfig {
     /// (property-tested), so artifacts cached under one worker count
     /// must be hits under every other. `adaptive.k` and `adaptive.seed`
     /// are excluded too — the pipeline overrides them with the
-    /// hardware's QPU count and the master seed. Everything else,
-    /// including fields the current stage implementations ignore (e.g.
-    /// the interconnect topology for scheduling), is included so a
-    /// future stage change cannot silently serve stale artifacts.
+    /// hardware's QPU count and the master seed. Everything else is
+    /// included so a future stage change cannot silently serve stale
+    /// artifacts.
     #[must_use]
     pub fn stage_fingerprint_bytes(&self, stage: PipelineStage) -> Vec<u8> {
         let mut e = Encoder::new();
@@ -202,11 +201,9 @@ impl DcMbqcConfig {
         }
         if stage >= PipelineStage::Schedule {
             e.usize(self.hardware.kmax());
-            e.u8(match self.hardware.topology() {
-                InterconnectTopology::FullyConnected => 0,
-                InterconnectTopology::Line => 1,
-                InterconnectTopology::Ring => 2,
-            });
+            // Reserved byte, always 0: still written so cache keys do
+            // not shift.
+            e.u8(0);
             match &self.bdir {
                 Some(b) => {
                     e.bool(true);
@@ -232,7 +229,7 @@ impl DcMbqcConfig {
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut e = Encoder::new();
-        // Hardware: the five builder fields determine the value.
+        // Hardware: the four builder fields determine the value.
         e.usize(self.hardware.num_qpus());
         e.usize(self.hardware.grid_width());
         let (tag, photons) = match self.hardware.resource_state() {
@@ -242,11 +239,8 @@ impl DcMbqcConfig {
         e.u8(tag);
         e.usize(photons);
         e.usize(self.hardware.kmax());
-        e.u8(match self.hardware.topology() {
-            InterconnectTopology::FullyConnected => 0,
-            InterconnectTopology::Line => 1,
-            InterconnectTopology::Ring => 2,
-        });
+        // Reserved topology byte, always 0 (QPUs are fully connected).
+        e.u8(0);
         // Adaptive partitioning.
         e.usize(self.adaptive.k);
         e.f64(self.adaptive.epsilon_q);
@@ -294,12 +288,11 @@ impl DcMbqcConfig {
             _ => return Err(CodecError::Invalid("resource state tag")),
         };
         let kmax = d.usize()?;
-        let topology = match d.u8()? {
-            0 => InterconnectTopology::FullyConnected,
-            1 => InterconnectTopology::Line,
-            2 => InterconnectTopology::Ring,
-            _ => return Err(CodecError::Invalid("topology tag")),
-        };
+        // The reserved topology byte: a peer that still sends a line or
+        // ring tag gets a typed error, not a silently different config.
+        if d.u8()? != 0 {
+            return Err(CodecError::Invalid("topology tag"));
+        }
         // The builder panics on zero parameters; these bytes may come
         // from an untrusted peer, so pre-validate into a typed error.
         if num_qpus == 0 || grid_width == 0 || kmax == 0 || photons == 0 {
@@ -310,7 +303,6 @@ impl DcMbqcConfig {
             .grid_width(grid_width)
             .resource_state(resource_state)
             .kmax(kmax)
-            .topology(topology)
             .build();
         let adaptive = AdaptiveConfig {
             k: d.usize()?,
@@ -474,6 +466,59 @@ mod tests {
         );
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn stage_fingerprint_bytes_are_pinned() {
+        // Every artifact cache key is built from these bytes, so they
+        // must never shift (the reserved topology byte included).
+        let paper = DcMbqcConfig::new(DistributedHardware::builder().num_qpus(8).build());
+        let hw = DistributedHardware::builder()
+            .num_qpus(3)
+            .grid_width(9)
+            .resource_state(ResourceStateKind::Ring(6))
+            .kmax(2)
+            .build();
+        let tuned = DcMbqcConfig::new(hw)
+            .with_seed(99)
+            .with_refresh(5)
+            .with_boundary_reservation(true)
+            .with_alpha_max(2.5)
+            .without_bdir();
+        let pins = [
+            (
+                &paper,
+                [
+                    "002a0000000000000008000000000000007b14ae47e17a843f52b81e85eb51f03f000000000000f83f4000000000000000",
+                    "012a0000000000000008000000000000007b14ae47e17a843f52b81e85eb51f03f000000000000f83f400000000000000007000000000000000105000000000000000000",
+                    "022a0000000000000008000000000000007b14ae47e17a843f52b81e85eb51f03f000000000000f83f400000000000000007000000000000000105000000000000000000040000000000000000010000000000002440666666666666ee3f1400000000000000",
+                ],
+            ),
+            (
+                &tuned,
+                [
+                    "00630000000000000003000000000000007b14ae47e17a843f52b81e85eb51f03f00000000000004404000000000000000",
+                    "01630000000000000003000000000000007b14ae47e17a843f52b81e85eb51f03f00000000000004404000000000000000090000000000000000060000000000000001010500000000000000",
+                    "02630000000000000003000000000000007b14ae47e17a843f52b81e85eb51f03f0000000000000440400000000000000009000000000000000006000000000000000101050000000000000002000000000000000000",
+                ],
+            ),
+        ];
+        for (cfg, want) in pins {
+            for (stage, want) in [
+                PipelineStage::Partition,
+                PipelineStage::Map,
+                PipelineStage::Schedule,
+            ]
+            .into_iter()
+            .zip(want)
+            {
+                assert_eq!(hex(&cfg.stage_fingerprint_bytes(stage)), want, "{stage:?}");
+            }
+        }
+    }
+
     #[test]
     fn wire_codec_round_trips() {
         let hw = DistributedHardware::builder()
@@ -481,7 +526,6 @@ mod tests {
             .grid_width(9)
             .resource_state(ResourceStateKind::Ring(6))
             .kmax(2)
-            .topology(InterconnectTopology::Line)
             .build();
         let cfg = DcMbqcConfig::new(hw)
             .with_seed(99)
@@ -499,7 +543,6 @@ mod tests {
         assert_eq!(back.hardware.grid_width(), 9);
         assert_eq!(back.hardware.resource_state(), ResourceStateKind::Ring(6));
         assert_eq!(back.hardware.kmax(), 2);
-        assert_eq!(back.hardware.topology(), InterconnectTopology::Line);
         // The decoded config keys into the same cache entries.
         for stage in [
             PipelineStage::Partition,
@@ -518,6 +561,22 @@ mod tests {
             .unwrap()
             .bdir
             .is_none());
+    }
+
+    #[test]
+    fn wire_codec_rejects_line_and_ring_topology_tags() {
+        let bytes = DcMbqcConfig::new(DistributedHardware::builder().build()).to_bytes();
+        // num_qpus, grid_width, resource tag, photons, kmax: the topology
+        // byte follows at offset 33.
+        assert_eq!(bytes[33], 0);
+        for tag in [1u8, 2] {
+            let mut old_peer = bytes.clone();
+            old_peer[33] = tag;
+            assert_eq!(
+                DcMbqcConfig::from_bytes(&old_peer).unwrap_err(),
+                CodecError::Invalid("topology tag")
+            );
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! pipeline implemented here:
 //!
 //! 1. **Transpile** a circuit to an MBQC pattern
-//!    ([`mbqc_pattern::transpile`]) — validated against a statevector
+//!    ([`mbqc_pattern::transpile()`]) — validated against a statevector
 //!    simulator in `mbqc-sim`.
 //! 2. **Partition** the computation graph across QPUs with the adaptive
 //!    algorithm ([`mbqc_partition::adaptive`], Algorithm 2) balancing

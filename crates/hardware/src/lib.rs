@@ -12,8 +12,8 @@
 //! * [`loss`] — the fiber-delay-line photon-loss model behind Figure 1
 //!   (0.2 dB/km attenuation, photons at 2/3·c), which motivates the
 //!   required-photon-lifetime metric.
-//! * [`qpu`] — QPU grids, connection capacity `K_max`, and inter-QPU
-//!   topologies for distributed execution.
+//! * [`qpu`] — QPU grids and connection capacity `K_max` for
+//!   distributed execution over fully connected QPUs.
 //! * [`survey`] — the Table I survey of remote-entanglement platforms.
 //!
 //! # Examples
@@ -35,5 +35,5 @@ pub mod qpu;
 pub mod resource;
 pub mod survey;
 
-pub use qpu::{DistributedHardware, InterconnectTopology};
+pub use qpu::DistributedHardware;
 pub use resource::ResourceStateKind;

@@ -2,57 +2,11 @@
 
 use crate::ResourceStateKind;
 
-/// Inter-QPU connectivity.
-///
-/// The paper evaluates fully-connected QPUs; linear and ring topologies
-/// are provided for ablation studies (a cut edge between unconnected
-/// QPUs must relay through intermediate QPUs, multiplying its
-/// communication cost by the hop distance).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum InterconnectTopology {
-    /// Every pair of QPUs shares a direct optical link (the paper's
-    /// setting).
-    FullyConnected,
-    /// QPUs in a line: `i` links to `i ± 1`.
-    Line,
-    /// QPUs in a ring: `i` links to `(i ± 1) mod n`.
-    Ring,
-}
-
-impl InterconnectTopology {
-    /// Number of optical-link hops between QPUs `a` and `b` among `n`
-    /// QPUs (0 when `a == b`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` or `b` is not below `n`.
-    #[must_use]
-    pub fn hop_distance(self, n: usize, a: usize, b: usize) -> usize {
-        assert!(a < n && b < n, "QPU index out of range");
-        if a == b {
-            return 0;
-        }
-        match self {
-            InterconnectTopology::FullyConnected => 1,
-            InterconnectTopology::Line => a.abs_diff(b),
-            InterconnectTopology::Ring => {
-                let d = a.abs_diff(b);
-                d.min(n - d)
-            }
-        }
-    }
-
-    /// Whether `a` and `b` share a direct link.
-    #[must_use]
-    pub fn are_adjacent(self, n: usize, a: usize, b: usize) -> bool {
-        a != b && self.hop_distance(n, a, b) == 1
-    }
-}
-
 /// Hardware configuration for a distributed photonic MBQC system:
 /// `num_qpus` identical QPUs, each with a `grid_width × grid_width` RSG
 /// array producing one resource state per site per cycle, a per-layer
-/// connection capacity `K_max`, and an interconnect topology.
+/// connection capacity `K_max`. Every pair of QPUs shares a direct
+/// optical link (the paper's fully connected setting).
 ///
 /// # Examples
 ///
@@ -74,12 +28,11 @@ pub struct DistributedHardware {
     grid_width: usize,
     resource_state: ResourceStateKind,
     kmax: usize,
-    topology: InterconnectTopology,
 }
 
 impl DistributedHardware {
     /// Starts a builder with the paper's defaults: 4 QPUs, 5-star RSGs,
-    /// `K_max = 4`, fully connected, grid width 7.
+    /// `K_max = 4`, grid width 7.
     #[must_use]
     pub fn builder() -> DistributedHardwareBuilder {
         DistributedHardwareBuilder::default()
@@ -110,12 +63,6 @@ impl DistributedHardware {
         self.kmax
     }
 
-    /// Interconnect topology.
-    #[must_use]
-    pub fn topology(&self) -> InterconnectTopology {
-        self.topology
-    }
-
     /// Resource states produced per layer per QPU.
     #[must_use]
     pub fn sites_per_layer(&self) -> usize {
@@ -139,7 +86,6 @@ pub struct DistributedHardwareBuilder {
     grid_width: usize,
     resource_state: ResourceStateKind,
     kmax: usize,
-    topology: InterconnectTopology,
 }
 
 impl Default for DistributedHardwareBuilder {
@@ -149,7 +95,6 @@ impl Default for DistributedHardwareBuilder {
             grid_width: 7,
             resource_state: ResourceStateKind::FIVE_STAR,
             kmax: 4,
-            topology: InterconnectTopology::FullyConnected,
         }
     }
 }
@@ -183,13 +128,6 @@ impl DistributedHardwareBuilder {
         self
     }
 
-    /// Sets the interconnect topology.
-    #[must_use]
-    pub fn topology(mut self, topology: InterconnectTopology) -> Self {
-        self.topology = topology;
-        self
-    }
-
     /// Builds the hardware description.
     ///
     /// # Panics
@@ -205,7 +143,6 @@ impl DistributedHardwareBuilder {
             grid_width: self.grid_width,
             resource_state: self.resource_state,
             kmax: self.kmax,
-            topology: self.topology,
         }
     }
 }
@@ -220,7 +157,6 @@ mod tests {
         assert_eq!(hw.num_qpus(), 4);
         assert_eq!(hw.kmax(), 4);
         assert_eq!(hw.resource_state(), ResourceStateKind::FIVE_STAR);
-        assert_eq!(hw.topology(), InterconnectTopology::FullyConnected);
     }
 
     #[test]
@@ -235,35 +171,6 @@ mod tests {
         let solo = hw.single_qpu();
         assert_eq!(solo.num_qpus(), 1);
         assert_eq!(solo.grid_width(), hw.grid_width());
-    }
-
-    #[test]
-    fn fully_connected_distances() {
-        let t = InterconnectTopology::FullyConnected;
-        assert_eq!(t.hop_distance(8, 0, 0), 0);
-        assert_eq!(t.hop_distance(8, 0, 7), 1);
-        assert!(t.are_adjacent(8, 2, 5));
-        assert!(!t.are_adjacent(8, 3, 3));
-    }
-
-    #[test]
-    fn line_and_ring_distances() {
-        let line = InterconnectTopology::Line;
-        assert_eq!(line.hop_distance(8, 0, 7), 7);
-        assert_eq!(line.hop_distance(8, 3, 5), 2);
-        assert!(line.are_adjacent(8, 3, 4));
-        assert!(!line.are_adjacent(8, 3, 5));
-
-        let ring = InterconnectTopology::Ring;
-        assert_eq!(ring.hop_distance(8, 0, 7), 1);
-        assert_eq!(ring.hop_distance(8, 1, 5), 4);
-        assert!(ring.are_adjacent(8, 0, 7));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn hop_distance_oob_panics() {
-        let _ = InterconnectTopology::Line.hop_distance(4, 0, 4);
     }
 
     #[test]

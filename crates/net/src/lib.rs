@@ -104,9 +104,9 @@
 //!   result, and later calls answer `UnknownJob`.
 //! * **`SubmitObserved` streams are gap-free**: the subscription is
 //!   registered before the job's first event, so the remote stream is
-//!   (seq, kind)-identical to an in-process
-//!   [`submit_observed`](mbqc_service::CompileService::submit_observed)
-//!   stream — the equivalence matrix checks this event for event.
+//!   (seq, kind)-identical to the stream of an in-process submit with
+//!   [`JobOptions::observe`](mbqc_service::JobOptions::observe) set —
+//!   the equivalence matrix checks this event for event.
 //! * **Streaming takes over the connection** until `STREAM_END`;
 //!   [`RemoteEvents::finish`] hands the connection back.
 //!

@@ -18,7 +18,7 @@ use crate::wire::{
     encode_event, Request, Response, WireOutcome, KIND_EVENT, KIND_REPLY, KIND_REQUEST,
     KIND_STREAM_END,
 };
-use mbqc_service::{CompileService, EventStream, JobId};
+use mbqc_service::{CompileService, EventStream, JobId, JobOptions};
 use mbqc_util::frame::{read_frame, write_frame, FrameError, MAX_FRAME_PAYLOAD};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -203,36 +203,37 @@ fn serve_connection(
                 continue;
             }
         };
+        let observe = matches!(request, Request::SubmitObserved { .. });
         match request {
             Request::Submit {
                 pattern,
                 config,
                 options,
-            } => {
-                let resp = match service.submit_checked(pattern, config, options.to_job_options()) {
-                    Ok(handle) => Response::Submitted {
-                        id: handle.id().as_u64(),
-                    },
-                    Err(e) => Response::Rejected(e),
-                };
-                reply(&mut stream, &resp)?;
             }
-            Request::SubmitObserved {
+            | Request::SubmitObserved {
                 pattern,
                 config,
                 options,
-            } => match service.submit_observed_checked(pattern, config, options.to_job_options()) {
-                Ok((handle, events)) => {
-                    reply(
-                        &mut stream,
-                        &Response::Submitted {
-                            id: handle.id().as_u64(),
-                        },
-                    )?;
-                    stream_events(&mut stream, &events, shutdown)?;
+            } => {
+                let options = JobOptions {
+                    observe,
+                    ..options.to_job_options()
+                };
+                match service.submit_checked(pattern, config, options) {
+                    Ok(mut handle) => {
+                        reply(
+                            &mut stream,
+                            &Response::Submitted {
+                                id: handle.id().as_u64(),
+                            },
+                        )?;
+                        if let Some(events) = handle.take_events() {
+                            stream_events(&mut stream, &events, shutdown)?;
+                        }
+                    }
+                    Err(e) => reply(&mut stream, &Response::Rejected(e))?,
                 }
-                Err(e) => reply(&mut stream, &Response::Rejected(e))?,
-            },
+            }
             Request::Cancel { id } => {
                 let acknowledged = service.cancel(JobId::from_raw(id));
                 reply(&mut stream, &Response::CancelAck { acknowledged })?;
@@ -253,7 +254,7 @@ fn serve_connection(
                 reply(&mut stream, &resp)?;
             }
             Request::SubscribeEvents { id } => {
-                let events = service.handle(JobId::from_raw(id)).events();
+                let events = service.subscribe(Some(JobId::from_raw(id)), None);
                 reply(&mut stream, &Response::Subscribed { id })?;
                 stream_events(&mut stream, &events, shutdown)?;
             }

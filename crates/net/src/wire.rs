@@ -123,16 +123,16 @@ pub struct WireJobOptions {
 }
 
 impl WireJobOptions {
-    /// The equivalent in-process [`JobOptions`] (no cancel token — the
-    /// server cancels by id).
+    /// The equivalent in-process [`JobOptions`]: no cancel token (the
+    /// server cancels by id), and not observed (the verb decides that).
     #[must_use]
     pub fn to_job_options(&self) -> JobOptions {
         JobOptions {
             priority: self.priority,
             deadline: self.deadline_ns.map(Duration::from_nanos),
-            cancel: None,
             retry: self.retry,
             tenant: self.tenant,
+            ..JobOptions::default()
         }
     }
 

@@ -13,7 +13,7 @@
 //! * [`Pattern`] — the graph state + measurement pattern + flow
 //!   structure; this *is* the computation graph consumed by the
 //!   compiler crates.
-//! * [`transpile`] — circuit → pattern translation through the
+//! * [`transpile`](mod@transpile) — circuit → pattern translation through the
 //!   `J(α) = H·Rz(α)` calculus (`J(α)` + CZ is universal), with a
 //!   peephole pass that merges rotations and cancels `H·H` pairs.
 //! * [`deps`] — the dependency graph (`G'` in the paper), signal

@@ -16,7 +16,7 @@
 //! motivating two heuristics implemented here:
 //!
 //! * [`list`] — priority-based list scheduling (the baseline),
-//! * [`bdir`] — Bottleneck-Driven Iterative Refinement (Algorithm 3):
+//! * [`bdir`](mod@bdir) — Bottleneck-Driven Iterative Refinement (Algorithm 3):
 //!   a simulated-annealing loop whose neighborhood generator pins the
 //!   current bottleneck task at its temporal equilibrium point and
 //!   reschedules everything else with start-time-preserving priorities.

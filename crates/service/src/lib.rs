@@ -145,8 +145,16 @@
 //! |---|---|---|
 //! | `Done` | the pipeline (or cache) produced the result | `Ok(schedule)` |
 //! | `Failed` | pipeline error or worker panic | [`ServiceError::Compile`] / [`ServiceError::Internal`] |
-//! | `Cancelled` | [`CompileService::cancel`], [`JobHandle::cancel`], or a shared [`CancelToken`] | [`ServiceError::Cancelled`] |
-//! | `Expired` | the deadline of [`CompileService::submit_with_deadline`] lapsed while queued | [`ServiceError::Expired`] |
+//! | `Cancelled` | [`CompileService::cancel`] or a shared [`CancelToken`] | [`ServiceError::Cancelled`] |
+//! | `Expired` | the [`JobOptions::deadline`] of a [`CompileService::submit_with`] job lapsed while queued | [`ServiceError::Expired`] |
+//!
+//! **Three ways to submit.** [`CompileService::submit`] takes default
+//! options and returns the [`JobId`]. [`CompileService::submit_with`]
+//! takes [`JobOptions`] and always enqueues. [`CompileService::submit_checked`]
+//! takes [`JobOptions`] and first enforces [`ServiceConfig::admission`],
+//! so it can reject the job; the `mbqc-net` front door uses it. Both
+//! return a [`JobHandle`]: the id, plus the job's event stream when
+//! [`JobOptions::observe`] is set. Wait, poll and cancel by id.
 //!
 //! **Cancellation is boundary-checked.** Stages are deterministic and
 //! are never interrupted mid-computation: a queued job is dropped from
@@ -197,14 +205,10 @@
 //! // A blocker keeps the lone worker busy while the client changes
 //! // its mind about the second job.
 //! let keep = service.submit(transpile(&bench::qft(12)), config.clone());
-//! let abandon = service.submit_with(
-//!     transpile(&bench::qft(16)),
-//!     config.clone(),
-//!     mbqc_service::JobOptions::default(),
-//! );
-//! assert!(abandon.cancel(), "registered before a terminal state");
+//! let abandon = service.submit(transpile(&bench::qft(16)), config.clone());
+//! assert!(service.cancel(abandon), "registered before a terminal state");
 //!
-//! assert!(matches!(abandon.wait(), Err(ServiceError::Cancelled(_))));
+//! assert!(matches!(service.wait(abandon), Err(ServiceError::Cancelled(_))));
 //! let schedule = service.wait(keep).expect("unaffected by the cancel");
 //! assert!(schedule.execution_time() > 0);
 //!
@@ -304,13 +308,11 @@
 //!         ..JobOptions::default()
 //!     },
 //! );
-//! let id = handle.id();
-//! assert!(matches!(handle.wait(), Err(ServiceError::Compile(_))));
+//! assert!(matches!(service.wait(handle.id()), Err(ServiceError::Compile(_))));
 //!
 //! // Deterministic rejection: one attempt, the retry budget unused.
 //! let stats = service.stats();
 //! assert_eq!((stats.failed, stats.retries), (1, 0));
-//! # let _ = id;
 //! ```
 //!
 //! Injected-failure coverage (disk IO errors, artifact corruption,
@@ -330,10 +332,11 @@
 //!   [`TelemetryEvent`] — submitted, stage task started/finished,
 //!   cache hit, retry scheduled, quarantine opened/closed, terminal —
 //!   with a monotonic timestamp and a gap-free per-job sequence
-//!   number. Subscribe service-wide ([`CompileService::subscribe`]) or
-//!   per-job ([`CompileService::submit_observed`] for a
-//!   guaranteed-complete stream, [`JobHandle::events`] for
-//!   from-now-on). Streams are bounded channels: a slow or abandoned
+//!   number. [`CompileService::subscribe`] observes from now on,
+//!   service-wide or for one job; a submit with
+//!   [`JobOptions::observe`] set registers a guaranteed-complete
+//!   per-job stream ([`JobHandle::take_events`]). Streams are bounded
+//!   channels: a slow or abandoned
 //!   subscriber overflows (counted, [`EventStream::dropped`]) or is
 //!   pruned — it never blocks a worker. **Emission is zero-cost when
 //!   nobody listens**: with no subscriber and no flight recorder, an
@@ -380,12 +383,16 @@
 //! .unwrap();
 //!
 //! // A per-job stream registered before the job's first event.
-//! let (handle, events) = service.submit_observed(
+//! let mut handle = service.submit_with(
 //!     transpile(&bench::qft(8)),
 //!     config,
-//!     JobOptions::default(),
+//!     JobOptions {
+//!         observe: true,
+//!         ..JobOptions::default()
+//!     },
 //! );
-//! handle.wait().unwrap();
+//! let events = handle.take_events().expect("observed submit");
+//! service.wait(handle.id()).unwrap();
 //!
 //! // `wait` returning implies the terminal event is already delivered:
 //! // the stream drains Submitted → 4 × (TaskStarted, TaskFinished) →
@@ -415,7 +422,7 @@
 //! use mbqc_circuit::bench;
 //! use mbqc_hardware::{DistributedHardware, ResourceStateKind};
 //! use mbqc_pattern::transpile::transpile;
-//! use mbqc_service::{CompileService, Priority, ServiceConfig};
+//! use mbqc_service::{CompileService, JobOptions, Priority, ServiceConfig};
 //!
 //! let hw = DistributedHardware::builder()
 //!     .num_qpus(2)
@@ -432,9 +439,14 @@
 //!
 //! let batch = transpile(&bench::qft(8));
 //! let interactive = transpile(&bench::qft(7));
-//! let batch_ids =
-//!     service.submit_many_with_priority(&[batch.clone(), batch.clone()], &config, Priority::Batch);
-//! let hot = service.submit_with_priority(interactive, config.clone(), Priority::Interactive);
+//! let at = |priority| JobOptions {
+//!     priority,
+//!     ..JobOptions::default()
+//! };
+//! let batch_ids: Vec<_> = (0..2)
+//!     .map(|_| service.submit_with(batch.clone(), config.clone(), at(Priority::Batch)).id())
+//!     .collect();
+//! let hot = service.submit_with(interactive, config.clone(), at(Priority::Interactive)).id();
 //!
 //! // Same results as a direct compile, whatever the queue order…
 //! let got = service.wait(hot).unwrap();

@@ -38,8 +38,8 @@
 //!   left — panics are *transient* and retryable; compile rejections
 //!   are deterministic and never retried (see the crate-level
 //!   "Failure model and recovery" section);
-//! * **Cancelled** — the client called [`CompileService::cancel`] /
-//!   [`JobHandle::cancel`] or fired a shared [`CancelToken`]
+//! * **Cancelled** — the client called [`CompileService::cancel`] or
+//!   fired a shared [`CancelToken`]
 //!   ([`ServiceError::Cancelled`]);
 //! * **Expired** — the job's deadline passed while it was queued
 //!   ([`ServiceError::Expired`]).
@@ -284,12 +284,12 @@ impl TenantQuota {
     }
 }
 
-/// Admission-control configuration: what the *checked* submit paths
-/// ([`CompileService::submit_checked`],
-/// [`CompileService::submit_observed_checked`]) enforce before a job
-/// may enter the queue. The unchecked submits ([`CompileService::submit`]
-/// & co) bypass every check — in-process callers keep their infallible
-/// API; the network front door routes through the checked path.
+/// Admission-control configuration: what the checked submit
+/// ([`CompileService::submit_checked`]) enforces before a job may enter
+/// the queue. The unchecked submits ([`CompileService::submit`] and
+/// [`CompileService::submit_with`]) bypass every check — in-process
+/// callers keep their infallible API; the network front door routes
+/// through the checked one.
 #[derive(Debug, Clone, Default)]
 pub struct AdmissionConfig {
     /// Bound on the submit queue (jobs queued or parked, not yet
@@ -492,6 +492,14 @@ pub struct JobOptions {
     /// result. Any `u32` is accepted; an unconfigured tenant has
     /// weight 1 and no quota.
     pub tenant: u32,
+    /// Register a per-job [`EventStream`] *before* the job's first
+    /// event (default `false`). The stream is then guaranteed complete,
+    /// from [`EventKind::Submitted`] (`seq` 0) through
+    /// [`EventKind::Terminal`], with no subscription race; take it with
+    /// [`JobHandle::take_events`]. A later
+    /// [`CompileService::subscribe`] observes only from the moment it
+    /// is called.
+    pub observe: bool,
 }
 
 /// Service configuration.
@@ -528,7 +536,7 @@ pub struct ServiceConfig {
     /// somebody subscribes.
     pub telemetry: TelemetryConfig,
     /// Admission control: queue bound, per-tenant weights and quotas.
-    /// Enforced by the *checked* submit paths only
+    /// Enforced by the checked submit only
     /// ([`CompileService::submit_checked`]); the default is fully
     /// permissive.
     pub admission: AdmissionConfig,
@@ -558,7 +566,7 @@ pub struct TelemetryConfig {
     /// recording cost even with no subscriber.
     pub flight_recorder: usize,
     /// Default capacity of subscription channels
-    /// ([`CompileService::subscribe`], [`JobHandle::events`]). A full
+    /// ([`CompileService::subscribe`], [`JobOptions::observe`]). A full
     /// channel drops events (counted on [`EventStream::dropped`])
     /// rather than blocking the emitting worker.
     pub channel_capacity: usize,
@@ -1503,63 +1511,31 @@ impl CompileService {
         self.shared.workers
     }
 
-    /// Enqueues one compilation job at [`Priority::Normal`].
+    /// Enqueues one compilation job with default [`JobOptions`]
+    /// ([`Priority::Normal`], no deadline, no retries, tenant 0).
     pub fn submit(&self, pattern: Pattern, config: DcMbqcConfig) -> JobId {
-        self.submit_with_priority(pattern, config, Priority::Normal)
-    }
-
-    /// Enqueues one compilation job at the given priority. Priority
-    /// orders the ready-queue (interactive jobs pop before batch
-    /// backfill) and never changes the job's result.
-    pub fn submit_with_priority(
-        &self,
-        pattern: Pattern,
-        config: DcMbqcConfig,
-        priority: Priority,
-    ) -> JobId {
-        self.submit_with(
-            pattern,
-            config,
-            JobOptions {
-                priority,
-                ..JobOptions::default()
-            },
-        )
-        .id()
+        self.submit_with(pattern, config, JobOptions::default())
+            .id()
     }
 
     /// Enqueues one compilation job with full lifecycle options —
     /// priority, an optional deadline, an optional shared
-    /// [`CancelToken`] — and returns a [`JobHandle`] bundling the id
-    /// with the wait/poll/cancel operations.
+    /// [`CancelToken`], a retry policy, the tenant, and whether to
+    /// observe its events from submission. Infallible: it ignores
+    /// [`ServiceConfig::admission`], so an in-process deadline job is
+    /// always queued and, if the deadline lapses first, terminates
+    /// [`Expired`](ServiceError::Expired). Expiry is lazy — checked at
+    /// queue pops, never by a timer — so an expired job costs one pop,
+    /// not a stage execution; a job whose *last* task is already
+    /// running when the deadline passes still completes.
     pub fn submit_with(
         &self,
         pattern: Pattern,
         config: DcMbqcConfig,
         options: JobOptions,
-    ) -> JobHandle<'_> {
-        self.submit_inner(pattern, config, options, false, false)
+    ) -> JobHandle {
+        self.submit_inner(pattern, config, options, false)
             .expect("admission checks disabled")
-            .0
-    }
-
-    /// Like [`submit_with`](Self::submit_with), but also returns a
-    /// per-job [`EventStream`] registered *before* the job's first
-    /// event — the stream is guaranteed complete, from
-    /// [`EventKind::Submitted`] (`seq` 0) through
-    /// [`EventKind::Terminal`], with no subscription race.
-    /// ([`JobHandle::events`] by contrast observes from the moment it
-    /// is called.)
-    pub fn submit_observed(
-        &self,
-        pattern: Pattern,
-        config: DcMbqcConfig,
-        options: JobOptions,
-    ) -> (JobHandle<'_>, EventStream) {
-        let (handle, events) = self
-            .submit_inner(pattern, config, options, true, false)
-            .expect("admission checks disabled");
-        (handle, events.expect("observed submit registers a stream"))
     }
 
     /// Admission-checked submit: enforces [`ServiceConfig::admission`]
@@ -1567,8 +1543,8 @@ impl CompileService {
     /// feasibility — *before* the job enters the queue. A rejected job
     /// was never enqueued, holds no id, and costs the service nothing
     /// beyond the [`ServiceStats::rejected`] count. This is the submit
-    /// path the `mbqc-net` front door routes through; the unchecked
-    /// [`submit_with`](Self::submit_with) family stays infallible for
+    /// the `mbqc-net` front door routes through; the unchecked
+    /// [`submit_with`](Self::submit_with) stays infallible for
     /// in-process callers.
     ///
     /// # Errors
@@ -1583,28 +1559,8 @@ impl CompileService {
         pattern: Pattern,
         config: DcMbqcConfig,
         options: JobOptions,
-    ) -> Result<JobHandle<'_>, AdmissionError> {
-        self.submit_inner(pattern, config, options, false, true)
-            .map(|(handle, _)| handle)
-    }
-
-    /// [`submit_checked`](Self::submit_checked) +
-    /// [`submit_observed`](Self::submit_observed): admission-checked,
-    /// and on admission returns the job's guaranteed-complete
-    /// [`EventStream`] — how `mbqc-net` serves `SubscribeEvents`
-    /// streams with no subscription race.
-    ///
-    /// # Errors
-    ///
-    /// As [`submit_checked`](Self::submit_checked).
-    pub fn submit_observed_checked(
-        &self,
-        pattern: Pattern,
-        config: DcMbqcConfig,
-        options: JobOptions,
-    ) -> Result<(JobHandle<'_>, EventStream), AdmissionError> {
-        let (handle, events) = self.submit_inner(pattern, config, options, true, true)?;
-        Ok((handle, events.expect("observed submit registers a stream")))
+    ) -> Result<JobHandle, AdmissionError> {
+        self.submit_inner(pattern, config, options, true)
     }
 
     fn submit_inner(
@@ -1612,15 +1568,15 @@ impl CompileService {
         pattern: Pattern,
         config: DcMbqcConfig,
         options: JobOptions,
-        observed: bool,
         admission: bool,
-    ) -> Result<(JobHandle<'_>, Option<EventStream>), AdmissionError> {
+    ) -> Result<JobHandle, AdmissionError> {
         let JobOptions {
             priority,
             deadline,
             cancel,
             retry,
             tenant,
+            observe,
         } = options;
         if admission {
             // Backpressure and deadline feasibility read the queue
@@ -1693,7 +1649,7 @@ impl CompileService {
         // Register the observer and emit `Submitted` before the job
         // becomes poppable, so no event can precede the subscription
         // and `Submitted` is always seq 0.
-        let events = observed.then(|| self.shared.telemetry.subscribe(Some(id), None));
+        let events = observe.then(|| self.shared.telemetry.subscribe(Some(id), None));
         if self.shared.telemetry.armed() {
             self.shared
                 .telemetry
@@ -1736,7 +1692,7 @@ impl CompileService {
                         },
                     );
                 }
-                return Ok((JobHandle { service: self, id }, events));
+                return Ok(JobHandle { id, events });
             }
             inflight.by_key.insert(key, id.0);
             inflight.groups.insert(
@@ -1756,31 +1712,7 @@ impl CompileService {
         q.push_ready(entry);
         drop(q);
         self.shared.queue_cv.notify_one();
-        Ok((JobHandle { service: self, id }, events))
-    }
-
-    /// Enqueues one job at [`Priority::Normal`] with a time budget
-    /// measured from now: if the deadline lapses before the job's next
-    /// task is popped, the job terminates
-    /// [`Expired`](ServiceError::Expired) instead of running. Expiry is
-    /// lazy — checked at queue pops, never by a timer — so an expired
-    /// job costs one pop, not a stage execution; a job whose *last*
-    /// task is already running when the deadline passes still
-    /// completes.
-    pub fn submit_with_deadline(
-        &self,
-        pattern: Pattern,
-        config: DcMbqcConfig,
-        deadline: Duration,
-    ) -> JobHandle<'_> {
-        self.submit_with(
-            pattern,
-            config,
-            JobOptions {
-                deadline: Some(deadline),
-                ..JobOptions::default()
-            },
-        )
+        Ok(JobHandle { id, events })
     }
 
     /// Requests cancellation of a job. Returns `true` when the request
@@ -1821,32 +1753,6 @@ impl CompileService {
                 .finish_dropped(id.0, ServiceError::Cancelled(id));
         }
         true
-    }
-
-    /// A [`JobHandle`] for a previously submitted job id.
-    #[must_use]
-    pub fn handle(&self, id: JobId) -> JobHandle<'_> {
-        JobHandle { service: self, id }
-    }
-
-    /// Enqueues one job per pattern under a shared configuration at
-    /// [`Priority::Normal`]; returned ids are in input order.
-    pub fn submit_many(&self, patterns: &[Pattern], config: &DcMbqcConfig) -> Vec<JobId> {
-        self.submit_many_with_priority(patterns, config, Priority::Normal)
-    }
-
-    /// Enqueues one job per pattern under a shared configuration and
-    /// priority; returned ids are in input order.
-    pub fn submit_many_with_priority(
-        &self,
-        patterns: &[Pattern],
-        config: &DcMbqcConfig,
-        priority: Priority,
-    ) -> Vec<JobId> {
-        patterns
-            .iter()
-            .map(|p| self.submit_with_priority(p.clone(), config.clone(), priority))
-            .collect()
     }
 
     /// Blocks until the job reaches a terminal state and takes its
@@ -2000,10 +1906,16 @@ impl CompileService {
         }
     }
 
-    /// Subscribes to the service-wide event stream: every
-    /// [`TelemetryEvent`] of every job (plus service-scoped store
-    /// events), from now on. The stream closes when the service is
-    /// dropped. See the crate-level "Observability" section.
+    /// Subscribes to telemetry events from now on: every job's events
+    /// plus service-scoped store events when `job` is `None`, or one
+    /// job's events when it is `Some` (events emitted before the call
+    /// are not replayed — submit with [`JobOptions::observe`] for a
+    /// guaranteed-complete stream). `capacity` bounds the channel;
+    /// `None` uses [`TelemetryConfig::channel_capacity`]. A per-job
+    /// stream closes after delivering the job's
+    /// [`EventKind::Terminal`] event; a service-wide stream, or one for
+    /// a job already terminal, closes when the service is dropped. See
+    /// the crate-level "Observability" section.
     ///
     /// Subscribing arms the telemetry hub: emit sites go from one
     /// relaxed atomic check to actually constructing and delivering
@@ -2011,15 +1923,8 @@ impl CompileService {
     /// — on overflow, events are dropped and counted
     /// ([`EventStream::dropped`]).
     #[must_use]
-    pub fn subscribe(&self) -> EventStream {
-        self.shared.telemetry.subscribe(None, None)
-    }
-
-    /// [`subscribe`](Self::subscribe) with an explicit channel bound
-    /// instead of [`TelemetryConfig::channel_capacity`].
-    #[must_use]
-    pub fn subscribe_with_capacity(&self, capacity: usize) -> EventStream {
-        self.shared.telemetry.subscribe(None, Some(capacity))
+    pub fn subscribe(&self, job: Option<JobId>, capacity: Option<usize>) -> EventStream {
+        self.shared.telemetry.subscribe(job, capacity)
     }
 
     /// Snapshot of the flight recorder: the most recent telemetry
@@ -2034,59 +1939,27 @@ impl CompileService {
     }
 }
 
-/// A submitted job's id bundled with the service it lives on: wait,
-/// poll, and cancel without threading the service reference around.
-/// Obtained from [`CompileService::submit_with`] /
-/// [`CompileService::submit_with_deadline`] or retrofitted onto any id
-/// via [`CompileService::handle`].
-#[derive(Debug, Clone, Copy)]
-pub struct JobHandle<'s> {
-    service: &'s CompileService,
+/// What a submit returns: the job's id and, when submitted with
+/// [`JobOptions::observe`], its event stream. Plain owned data — wait,
+/// poll, cancel and count attempts through the id-keyed
+/// [`CompileService`] methods.
+#[derive(Debug)]
+pub struct JobHandle {
     id: JobId,
+    events: Option<EventStream>,
 }
 
-impl JobHandle<'_> {
+impl JobHandle {
     /// The job's id (usable with every id-based service method).
     #[must_use]
     pub fn id(&self) -> JobId {
         self.id
     }
 
-    /// Requests cancellation — see [`CompileService::cancel`].
-    pub fn cancel(&self) -> bool {
-        self.service.cancel(self.id)
-    }
-
-    /// Blocks for the result — see [`CompileService::wait`].
-    ///
-    /// # Errors
-    ///
-    /// As [`CompileService::wait`].
-    pub fn wait(&self) -> Result<DistributedSchedule, ServiceError> {
-        self.service.wait(self.id)
-    }
-
-    /// Non-blocking poll — see [`CompileService::try_poll`].
-    #[must_use]
-    pub fn try_poll(&self) -> Option<Result<DistributedSchedule, ServiceError>> {
-        self.service.try_poll(self.id)
-    }
-
-    /// Attempts used so far — see [`CompileService::attempts`].
-    #[must_use]
-    pub fn attempts(&self) -> Option<u32> {
-        self.service.attempts(self.id)
-    }
-
-    /// Subscribes to this job's events **from now on** (events emitted
-    /// before the call are not replayed — submit with
-    /// [`CompileService::submit_observed`] for a guaranteed-complete
-    /// stream). The stream closes after delivering the job's
-    /// [`EventKind::Terminal`] event; for a job that was already
-    /// terminal when this was called, it closes only at service drop.
-    #[must_use]
-    pub fn events(&self) -> EventStream {
-        self.service.shared.telemetry.subscribe(Some(self.id), None)
+    /// Takes the event stream registered at submit: `Some` once for a
+    /// job submitted with [`JobOptions::observe`], `None` otherwise.
+    pub fn take_events(&mut self) -> Option<EventStream> {
+        self.events.take()
     }
 }
 

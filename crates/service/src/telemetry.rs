@@ -4,7 +4,7 @@
 //!
 //! The design constraint is **zero cost when nobody is listening**:
 //! every emit site in the service does exactly one relaxed atomic load
-//! ([`TelemetryHub::armed`]) before constructing an event. Only when a
+//! (`TelemetryHub::armed`) before constructing an event. Only when a
 //! subscriber exists (or the flight recorder is enabled) does an emit
 //! take the hub lock, stamp a monotonic timestamp and a per-job
 //! sequence number, and fan the event out. Delivery is strictly
@@ -196,8 +196,9 @@ impl Channel {
 
 /// The receiving half of a telemetry subscription (bounded channel).
 ///
-/// Obtained from `CompileService::subscribe` (service-wide) or
-/// `JobHandle::events` (one job). Iterating the stream yields events
+/// Obtained from `CompileService::subscribe` (service-wide or one job)
+/// or from a submit with `JobOptions::observe` set (one job, complete
+/// from its first event). Iterating the stream yields events
 /// until the stream closes: per-job streams close after delivering the
 /// job's [`EventKind::Terminal`] event, service-wide streams close when
 /// the service is dropped.

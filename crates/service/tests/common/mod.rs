@@ -36,7 +36,7 @@ fn drain(stream: EventStream) -> u64 {
 /// dormant fast path.
 pub fn live_subscriber(service: &CompileService) -> Option<JoinHandle<u64>> {
     std::env::var_os("MBQC_LIVE_SUBSCRIBER")?;
-    let stream = service.subscribe_with_capacity(1 << 14);
+    let stream = service.subscribe(None, Some(1 << 14));
     Some(std::thread::spawn(move || drain(stream)))
 }
 

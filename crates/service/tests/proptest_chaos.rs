@@ -347,7 +347,7 @@ fn injected_panics_exhaust_retries_then_fail() {
     );
     await_completed(&service, 1);
     assert_eq!(service.attempts(h.id()), Some(3));
-    let err = h.wait().unwrap_err();
+    let err = service.wait(h.id()).unwrap_err();
     let rendered = err.to_string();
     match err {
         ServiceError::Internal { stage, message } => {
@@ -407,7 +407,7 @@ fn retries_recover_from_transient_panics() {
     );
     await_completed(&service, 1);
     let attempts = service.attempts(h.id()).unwrap();
-    let got = h.wait().unwrap_or_else(|e| panic!("{e}"));
+    let got = service.wait(h.id()).unwrap_or_else(|e| panic!("{e}"));
     assert_eq!(got, expected, "recovered result bit-identical");
     let stats = service.stats();
     assert_eq!(stats.retries, u64::from(attempts - 1), "{stats:?}");
@@ -447,7 +447,10 @@ fn compile_errors_are_never_retried() {
     );
     await_completed(&service, 1);
     assert_eq!(service.attempts(h.id()), Some(1));
-    assert!(matches!(h.wait(), Err(ServiceError::Compile(_))));
+    assert!(matches!(
+        service.wait(h.id()),
+        Err(ServiceError::Compile(_))
+    ));
     let stats = service.stats();
     assert_eq!((stats.retries, stats.failed), (0, 1), "{stats:?}");
 }
@@ -488,7 +491,10 @@ fn disk_quarantine_degrades_to_memory_only() {
     // Two rounds: the warm round is answered by the *memory* tier
     // even though every disk read the cold round attempted errored.
     for _round in 0..2 {
-        let ids = service.submit_many(&patterns, &config);
+        let ids: Vec<_> = patterns
+            .iter()
+            .map(|p| service.submit(p.clone(), config.clone()))
+            .collect();
         for (id, want) in ids.iter().zip(&expected) {
             assert_eq!(&service.wait(*id).unwrap(), want);
         }

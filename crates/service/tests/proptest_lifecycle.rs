@@ -67,6 +67,14 @@ fn scratch_dir() -> std::path::PathBuf {
     ))
 }
 
+/// Default options with a time budget measured from submission.
+fn deadline(budget: Duration) -> JobOptions {
+    JobOptions {
+        deadline: Some(budget),
+        ..JobOptions::default()
+    }
+}
+
 /// The three content-addressed keys of one `(pattern, config)` job.
 fn keys_of(pattern: &Pattern, config: &DcMbqcConfig) -> [ArtifactKey; 3] {
     let pattern_bytes = pattern.content_bytes();
@@ -262,7 +270,7 @@ proptest! {
                                         ..JobOptions::default()
                                     },
                                 );
-                                h.cancel();
+                                service.cancel(h.id());
                                 (h.id(), Fate::CancelRequested)
                             }
                             1 => {
@@ -312,7 +320,7 @@ proptest! {
                                     },
                                 );
                                 if also_cancelled {
-                                    h.cancel();
+                                    service.cancel(h.id());
                                 }
                                 (h.id(), Fate::DeadlineLapsed { also_cancelled })
                             }
@@ -428,9 +436,12 @@ fn cancelled_while_queued_runs_nothing_and_publishes_nothing() {
     .unwrap();
     let blocker_id = service.submit(blocker, config.clone());
     let victim_handle = service.submit_with(victim.clone(), config.clone(), JobOptions::default());
-    assert!(victim_handle.cancel(), "cancel lands while queued");
+    assert!(
+        service.cancel(victim_handle.id()),
+        "cancel lands while queued"
+    );
     assert!(matches!(
-        victim_handle.wait(),
+        service.wait(victim_handle.id()),
         Err(ServiceError::Cancelled(_))
     ));
     service.wait(blocker_id).expect("blocker unaffected");
@@ -457,8 +468,11 @@ fn lapsed_deadline_expires_without_running() {
         ..ServiceConfig::default()
     })
     .unwrap();
-    let handle = service.submit_with_deadline(pattern.clone(), config.clone(), Duration::ZERO);
-    assert!(matches!(handle.wait(), Err(ServiceError::Expired(_))));
+    let handle = service.submit_with(pattern.clone(), config.clone(), deadline(Duration::ZERO));
+    assert!(matches!(
+        service.wait(handle.id()),
+        Err(ServiceError::Expired(_))
+    ));
     let stats = service.stats();
     assert_eq!(stats.expired, 1);
     assert_eq!(stats.completed, 0);
@@ -468,7 +482,10 @@ fn lapsed_deadline_expires_without_running() {
     }
     // A second wait on the taken id is UnknownJob, like any other
     // terminal state.
-    assert!(matches!(handle.wait(), Err(ServiceError::UnknownJob(_))));
+    assert!(matches!(
+        service.wait(handle.id()),
+        Err(ServiceError::UnknownJob(_))
+    ));
 }
 
 /// A generous deadline never fires: the job completes bit-identically.
@@ -480,8 +497,8 @@ fn generous_deadline_completes_identically() {
         .compile_pattern(&pattern)
         .unwrap();
     let service = CompileService::new(ServiceConfig::default()).unwrap();
-    let handle = service.submit_with_deadline(pattern, config, Duration::from_secs(3600));
-    assert_eq!(handle.wait().expect("completes"), direct);
+    let handle = service.submit_with(pattern, config, deadline(Duration::from_secs(3600)));
+    assert_eq!(service.wait(handle.id()).expect("completes"), direct);
     let stats = service.stats();
     assert_eq!(stats.expired, 0);
     assert_eq!(stats.completed, 1);
@@ -596,7 +613,16 @@ fn interactive_overtakes_other_tenants_batch_backlog() {
                 .id()
         })
         .collect();
-    let hot = service.submit_with_priority(hot_pattern, config.clone(), Priority::Interactive);
+    let hot = service
+        .submit_with(
+            hot_pattern,
+            config.clone(),
+            JobOptions {
+                priority: Priority::Interactive,
+                ..JobOptions::default()
+            },
+        )
+        .id();
     service.wait(hot).expect("interactive job compiles");
     let mut still_pending = Vec::new();
     for id in batch_ids {

@@ -15,7 +15,7 @@ use mbqc_hardware::{DistributedHardware, ResourceStateKind};
 use mbqc_partition::Partition;
 use mbqc_pattern::{transpile::transpile, Pattern};
 use mbqc_schedule::{LayerScheduleProblem, Schedule};
-use mbqc_service::{CompileService, Priority, ServiceConfig, StoreConfig};
+use mbqc_service::{CompileService, JobId, JobOptions, Priority, ServiceConfig, StoreConfig};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -37,6 +37,20 @@ fn pattern_for(kind_idx: usize, qubits: usize) -> Pattern {
 /// batch exercises out-of-submission-order execution.
 fn priority_of(i: usize) -> Priority {
     Priority::ALL[i % Priority::ALL.len()]
+}
+
+/// Submits one job at `priority` with otherwise default options.
+fn submit_at(
+    service: &CompileService,
+    pattern: Pattern,
+    config: DcMbqcConfig,
+    priority: Priority,
+) -> JobId {
+    let options = JobOptions {
+        priority,
+        ..JobOptions::default()
+    };
+    service.submit_with(pattern, config, options).id()
 }
 
 /// A unique scratch directory per call (tests may run concurrently).
@@ -116,11 +130,7 @@ proptest! {
                         .iter()
                         .enumerate()
                         .map(|(i, p)| {
-                            service.submit_with_priority(
-                                p.clone(),
-                                config.clone(),
-                                priority_of(i + round),
-                            )
+                            submit_at(&service, p.clone(), config.clone(), priority_of(i + round))
                         })
                         .collect();
                     for (i, id) in ids.into_iter().enumerate() {
@@ -496,8 +506,11 @@ fn interactive_overtakes_batch_backlog() {
         pattern_for(1, 10),
     ];
     let hot_pattern = pattern_for(0, 9);
-    let batch_ids = service.submit_many_with_priority(&batch_patterns, &config, Priority::Batch);
-    let hot = service.submit_with_priority(hot_pattern, config.clone(), Priority::Interactive);
+    let batch_ids: Vec<_> = batch_patterns
+        .iter()
+        .map(|p| submit_at(&service, p.clone(), config.clone(), Priority::Batch))
+        .collect();
+    let hot = submit_at(&service, hot_pattern, config.clone(), Priority::Interactive);
     service.wait(hot).expect("interactive job compiles");
     // At the moment the interactive job finished, the batch backlog
     // must not be done: at least one batch job is still pending.

@@ -161,7 +161,7 @@ proptest! {
         let cell = (|| -> Result<(), TestCaseError> {
             // Service-wide subscriber registered before any
             // submission: it must miss nothing.
-            let all = service.subscribe_with_capacity(1 << 14);
+            let all = service.subscribe(None, Some(1 << 14));
             let mut rng = Rng::seed_from_u64(seed ^ 0xC0FF_EE00);
             let mut jobs: Vec<(JobId, u64)> = Vec::new();
             for (i, pattern) in patterns.iter().enumerate() {
@@ -177,7 +177,7 @@ proptest! {
                 let h = service.submit_with(pattern.clone(), config.clone(), options);
                 // ~20% cancels land at arbitrary points.
                 if churn == 1 {
-                    h.cancel();
+                    service.cancel(h.id());
                 }
                 jobs.push((h.id(), i as u64));
             }
@@ -235,7 +235,7 @@ proptest! {
     }
 }
 
-/// A per-job stream from `submit_observed` is complete (`Submitted`
+/// A per-job stream from an observed submit is complete (`Submitted`
 /// at seq 0 through `Terminal`) and closes itself after the terminal
 /// event.
 #[test]
@@ -247,8 +247,11 @@ fn observed_stream_is_complete_and_self_closing() {
         ..ServiceConfig::default()
     })
     .unwrap();
-    let (handle, mut events) = service.submit_observed(pattern, config, JobOptions::default());
-    handle.wait().expect("job completes");
+    let mut handle = service.submit_with(pattern, config, observed());
+    let mut events = handle
+        .take_events()
+        .expect("observed submit registers a stream");
+    service.wait(handle.id()).expect("job completes");
     let captured: Vec<TelemetryEvent> = events.by_ref().collect();
     assert!(
         events.is_closed(),
@@ -294,11 +297,14 @@ fn slow_and_dropped_subscribers_never_block() {
     .unwrap();
     // Subscriber A: bound 1, never drained — overflow must be counted,
     // not waited on.
-    let starved = service.subscribe_with_capacity(1);
+    let starved = service.subscribe(None, Some(1));
     // Subscriber B: dropped while jobs are in flight — the hub must
     // prune it and stop paying for it.
-    let doomed = service.subscribe_with_capacity(4);
-    let ids = service.submit_many(&patterns, &config);
+    let doomed = service.subscribe(None, Some(4));
+    let ids: Vec<_> = patterns
+        .iter()
+        .map(|p| service.submit(p.clone(), config.clone()))
+        .collect();
     drop(doomed);
     for id in ids {
         service
@@ -313,9 +319,9 @@ fn slow_and_dropped_subscribers_never_block() {
     drop(starved);
     // The service is still healthy: a fresh per-job stream sees a full
     // lifecycle.
-    let (h, events) =
-        service.submit_observed(patterns[0].clone(), config.clone(), JobOptions::default());
-    h.wait().expect("post-churn job completes");
+    let mut h = service.submit_with(patterns[0].clone(), config.clone(), observed());
+    let events = h.take_events().expect("observed submit registers a stream");
+    service.wait(h.id()).expect("post-churn job completes");
     let captured: Vec<TelemetryEvent> = events.collect();
     assert!(
         matches!(
@@ -326,6 +332,14 @@ fn slow_and_dropped_subscribers_never_block() {
         ),
         "{captured:?}"
     );
+}
+
+/// Default options with a per-job stream registered at submit.
+fn observed() -> JobOptions {
+    JobOptions {
+        observe: true,
+        ..JobOptions::default()
+    }
 }
 
 /// Number of buffered events a stream currently holds (drains it).
@@ -352,7 +366,7 @@ fn dormant_service_emits_nothing() {
     let id = service.submit(pattern, config);
     service.wait(id).expect("completes");
     assert!(service.flight_recorder().is_empty());
-    let late = service.subscribe();
+    let late = service.subscribe(None, None);
     assert!(
         late.try_recv().is_none(),
         "late subscriber saw stale events"
@@ -371,7 +385,7 @@ fn subscriber_outliving_service_sees_close() {
         ..ServiceConfig::default()
     })
     .unwrap();
-    let mut stream = service.subscribe();
+    let mut stream = service.subscribe(None, None);
     let id = service.submit(pattern, config);
     service.wait(id).expect("completes");
     drop(service);

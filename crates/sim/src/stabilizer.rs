@@ -10,8 +10,9 @@
 //! (`rowsum`, the measurement hot path) are word-wise XORs with a
 //! branch-free phase update, 64 qubits per instruction instead of the
 //! seed's one-`bool`-at-a-time loops. The original `Vec<bool>`
-//! implementation is preserved in [`crate::reference`] and property-tested
-//! to agree with this one on random Clifford sequences.
+//! implementation is preserved as a test oracle in the crate's
+//! `tests/common/reference.rs` and property-tested to agree with this
+//! one on random Clifford sequences.
 
 use mbqc_graph::Graph;
 use mbqc_util::Rng;

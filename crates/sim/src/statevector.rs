@@ -224,7 +224,7 @@ impl StateVector {
     ///
     /// The general case walks the amplitude vector in strides of
     /// `2^(q+1)`, splitting each stride block into its low and high
-    /// halves and streaming both through [`butterfly`] — a hand-unrolled
+    /// halves and streaming both through `butterfly` — a hand-unrolled
     /// f64-lane formulation of the complex 2×2 product. The halves are
     /// consumed through paired `chunks_exact` iterators (two butterflies
     /// per step), so the compiler sees bounds-check-free, unrolled lane

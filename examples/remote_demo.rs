@@ -9,6 +9,12 @@
 //! working across the wire. Ends with the server-side counter
 //! snapshot fetched over the `Stats` verb.
 //!
+//! On the server, both submit verbs go through one admission-checked
+//! call, `CompileService::submit_checked`. `SubmitObserved` sets
+//! `JobOptions::observe`, so the job's stream is registered before its
+//! first event. `SubscribeEvents` calls `CompileService::subscribe` for
+//! one job id.
+//!
 //! Run with:
 //! ```text
 //! cargo run --release --example remote_demo
@@ -130,8 +136,9 @@ fn main() {
     }
     println!("cold round: {total} jobs in {:?}\n", t.elapsed());
 
-    // 3. A live remote event stream: submit observed and print the
-    //    job's full telemetry as it arrives, gap-free from seq 0.
+    // 3. A live remote event stream: submit observed (server side:
+    //    `submit_checked` with `observe` set) and print the job's full
+    //    telemetry as it arrives, gap-free from seq 0.
     let (name, pattern) = &workload()[0];
     let observer = Client::connect(addr).expect("connect");
     let events = observer

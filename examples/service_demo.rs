@@ -4,7 +4,7 @@
 //! near-free `Scheduled`-artifact hits — plus a BDIR-budget change that
 //! re-enters the pipeline mid-way from the cached `Mapped` artifacts,
 //! and a lifecycle round where clients abandon work: cancellations (by
-//! handle and by shared token) and deadlines drop jobs without
+//! id and by shared token) and deadlines drop jobs without
 //! disturbing the rest of the queue. A persistence round then runs a
 //! disk-backed service: an identical-submit storm collapses onto one
 //! in-flight compilation, cold traffic fills the disk tier with one
@@ -31,10 +31,30 @@ use mbqc_circuit::bench::{self, BenchmarkKind};
 use mbqc_hardware::{DistributedHardware, ResourceStateKind};
 use mbqc_pattern::{transpile::transpile, Pattern};
 use mbqc_service::{
-    chrome_trace_json, CancelToken, CompileService, FaultConfig, FaultPlan, InjectedFault,
+    chrome_trace_json, CancelToken, CompileService, FaultConfig, FaultPlan, InjectedFault, JobId,
     JobOptions, Priority, RetryPolicy, ServiceConfig, ServiceStats, StoreConfig,
 };
 use mbqc_util::TextTable;
+
+/// Submits one job per pattern at `priority`, all before any wait,
+/// through the infallible `submit_with`; ids are in input order.
+fn submit_all(
+    service: &CompileService,
+    patterns: &[Pattern],
+    config: &DcMbqcConfig,
+    priority: Priority,
+) -> Vec<JobId> {
+    patterns
+        .iter()
+        .map(|p| {
+            let options = JobOptions {
+                priority,
+                ..JobOptions::default()
+            };
+            service.submit_with(p.clone(), config.clone(), options).id()
+        })
+        .collect()
+}
 
 /// Renders the service's latency distributions — per-stage execution,
 /// queue wait, and warm-hit serving — as a p50/p95/p99 table in µs.
@@ -110,7 +130,7 @@ fn main() {
     // Subscribe before the first submission so the trace misses
     // nothing; a background thread keeps the bounded channel drained.
     let observer = trace_path.is_some().then(|| {
-        let stream = service.subscribe_with_capacity(1 << 14);
+        let stream = service.subscribe(None, Some(1 << 14));
         std::thread::spawn(move || {
             let mut events = Vec::new();
             while let Some(ev) = stream.recv() {
@@ -130,7 +150,7 @@ fn main() {
     //    stage-task ready-queue but never changes results).
     for (round, priority) in [("cold", Priority::Batch), ("warm", Priority::Interactive)] {
         let t = Instant::now();
-        let ids = service.submit_many_with_priority(&just_patterns, &config, priority);
+        let ids = submit_all(&service, &just_patterns, &config, priority);
         for ((name, _), id) in patterns.iter().zip(ids) {
             let result = service.wait(id).expect("job compiles");
             if round == "cold" {
@@ -156,7 +176,7 @@ fn main() {
     //    BDIR), so only the scheduler reruns.
     let core_only = config.clone().without_bdir();
     let t = Instant::now();
-    for id in service.submit_many(&just_patterns, &core_only) {
+    for id in submit_all(&service, &just_patterns, &core_only, Priority::Normal) {
         service.wait(id).expect("job compiles");
     }
     let stats = service.stats();
@@ -181,7 +201,7 @@ fn main() {
 
     // 5. Lifecycle round: clients abandon work. A fresh batch of
     //    *novel* patterns (nothing cached) is submitted and then mostly
-    //    walked away from — one job cancelled through its handle, a
+    //    walked away from — one job cancelled by id, a
     //    token-grouped pair cancelled in one shot, one job submitted
     //    with an already-hopeless deadline. Only the surviving job
     //    costs compile time; the rest are queue bookkeeping.
@@ -192,7 +212,7 @@ fn main() {
     let t = Instant::now();
     let survivor = service.submit(novel[4].clone(), config.clone());
     let handle = service.submit_with(novel[0].clone(), config.clone(), JobOptions::default());
-    handle.cancel();
+    service.cancel(handle.id());
     let group = CancelToken::new();
     let grouped: Vec<_> = novel[1..3]
         .iter()
@@ -210,13 +230,23 @@ fn main() {
         })
         .collect();
     group.cancel();
-    let hopeless = service.submit_with_deadline(novel[3].clone(), config.clone(), Duration::ZERO);
+    let hopeless = service.submit_with(
+        novel[3].clone(),
+        config.clone(),
+        JobOptions {
+            deadline: Some(Duration::ZERO),
+            ..JobOptions::default()
+        },
+    );
     service.wait(survivor).expect("survivor compiles");
     for id in grouped {
         assert!(service.wait(id).is_err(), "token dropped the group");
     }
-    assert!(handle.wait().is_err(), "cancelled by handle");
-    assert!(hopeless.wait().is_err(), "deadline lapsed before running");
+    assert!(service.wait(handle.id()).is_err(), "cancelled by id");
+    assert!(
+        service.wait(hopeless.id()).is_err(),
+        "deadline lapsed before running"
+    );
     let stats = service.stats();
     println!(
         "\nlifecycle round: {:.1} ms wall for 1 survivor + 4 abandoned jobs — {} cancelled, {} expired, {} completed total (cancelled work costs bookkeeping, not compile time)",
@@ -267,7 +297,7 @@ fn main() {
         stats.full_compiles, stats.dedup_hits, storm_ms,
     );
     let t = Instant::now();
-    for id in persistent.submit_many(&just_patterns, &config) {
+    for id in submit_all(&persistent, &just_patterns, &config, Priority::Normal) {
         persistent.wait(id).expect("cold job compiles");
     }
     let cold_ms = t.elapsed().as_secs_f64() * 1e3;
@@ -282,7 +312,7 @@ fn main() {
     let reopened = CompileService::new(disk_config()).expect("service reopens");
     let reindexed = reopened.stats().store.disk_entries;
     let t = Instant::now();
-    for id in reopened.submit_many(&just_patterns, &config) {
+    for id in submit_all(&reopened, &just_patterns, &config, Priority::Normal) {
         reopened.wait(id).expect("warm job compiles");
     }
     let warm_ms = t.elapsed().as_secs_f64() * 1e3;
@@ -358,7 +388,7 @@ fn main() {
         .collect();
     let (mut survived, mut gave_up) = (0u32, 0u32);
     for h in handles {
-        match h.wait() {
+        match chaotic.wait(h.id()) {
             Ok(_) => survived += 1,
             Err(e) => {
                 gave_up += 1;

@@ -9,6 +9,8 @@
 //!   typed depth/limit once full, and drains back to accepting;
 //! * quotas: an over-quota tenant is rejected with its tenant id in
 //!   the error, and admitted again once its jobs drain;
+//! * observed checked submits: an admitted job's stream is complete
+//!   and gap-free, and a rejected one registers nothing;
 //! * `stats()` consistency: a hammer thread snapshots during heavy
 //!   churn and every snapshot satisfies
 //!   `Σ tenant_in_flight == submitted − completed − cancelled − expired`.
@@ -19,7 +21,8 @@ use mbqc_hardware::{DistributedHardware, ResourceStateKind};
 use mbqc_pattern::transpile::transpile;
 use mbqc_pattern::Pattern;
 use mbqc_service::{
-    AdmissionConfig, AdmissionError, CompileService, JobOptions, ServiceConfig, TenantQuota,
+    AdmissionConfig, AdmissionError, CompileService, EventKind, JobOptions, ServiceConfig,
+    TelemetryEvent, TenantQuota, TerminalState,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -122,7 +125,9 @@ fn unmeetable_deadline_rejected_at_submit_and_never_enqueued() {
             },
         )
         .expect("generous deadline admitted");
-    handle.wait().expect("compiles within its budget");
+    service
+        .wait(handle.id())
+        .expect("compiles within its budget");
 }
 
 #[test]
@@ -174,11 +179,10 @@ fn bounded_queue_overloads_exactly_at_limit_and_drains_to_accepting() {
     for id in ids {
         service.wait(id).expect("admitted jobs compile");
     }
-    service
+    let again = service
         .submit_checked(slow_pattern(), config(12), JobOptions::default())
-        .expect("drained queue admits again")
-        .wait()
-        .expect("compiles");
+        .expect("drained queue admits again");
+    service.wait(again.id()).expect("compiles");
 }
 
 #[test]
@@ -224,13 +228,86 @@ fn quota_exceeded_rejected_with_tenant_id_and_drains() {
         .expect("tenant without a quota is not limited");
 
     // Once tenant 7's job drains, its quota frees up.
-    first.wait().expect("compiles");
-    service
+    service.wait(first.id()).expect("compiles");
+    let again = service
         .submit_checked(slow_pattern(), config(12), tenant_opts(7))
-        .expect("drained tenant admits again")
-        .wait()
-        .expect("compiles");
-    other.wait().expect("compiles");
+        .expect("drained tenant admits again");
+    service.wait(again.id()).expect("compiles");
+    service.wait(other.id()).expect("compiles");
+}
+
+/// `submit_checked` with `observe` set, in process: an admitted job's
+/// stream runs gap-free from `Submitted` (seq 0) to `Terminal`, and a
+/// rejected submit returns `Err`, enqueues nothing and counts one
+/// rejection.
+#[test]
+fn observed_checked_submit_streams_or_rejects() {
+    let service = CompileService::new(ServiceConfig {
+        workers: 1,
+        dedup: false,
+        admission: AdmissionConfig {
+            tenants: vec![TenantQuota::new(7).with_max_in_flight(1)],
+            ..AdmissionConfig::default()
+        },
+        ..ServiceConfig::default()
+    })
+    .expect("service starts");
+    let observed = JobOptions {
+        observe: true,
+        ..tenant_opts(7)
+    };
+
+    let mut admitted = service
+        .submit_checked(slow_pattern(), config(12), observed.clone())
+        .expect("first job within quota");
+    let events = admitted
+        .take_events()
+        .expect("observed submit registers a stream");
+
+    // Tenant 7 is at its quota while the first job is in flight.
+    let before = service.stats();
+    let err = service
+        .submit_checked(slow_pattern(), config(12), observed)
+        .expect_err("second in-flight job exceeds quota 1");
+    assert!(
+        matches!(err, AdmissionError::QuotaExceeded { tenant: 7, .. }),
+        "{err:?}"
+    );
+    let after = service.stats();
+    assert_eq!(
+        after.submitted, before.submitted,
+        "rejected job was enqueued"
+    );
+    assert_eq!(after.rejected, before.rejected + 1);
+
+    // `wait` returning implies the terminal event is already delivered
+    // and the per-job stream closed.
+    service.wait(admitted.id()).expect("compiles");
+    let captured: Vec<TelemetryEvent> = events.collect();
+    assert!(
+        matches!(captured[0].kind, EventKind::Submitted { .. }),
+        "{captured:?}"
+    );
+    assert!(
+        captured
+            .iter()
+            .enumerate()
+            .all(|(i, e)| e.seq as usize == i),
+        "gap-free from seq 0: {captured:?}"
+    );
+    assert!(
+        captured.iter().all(|e| e.job == Some(admitted.id())),
+        "{captured:?}"
+    );
+    assert!(
+        matches!(
+            captured.last().unwrap().kind,
+            EventKind::Terminal {
+                state: TerminalState::Done
+            }
+        ),
+        "{captured:?}"
+    );
 }
 
 /// Hammer `stats()` during churn: every snapshot must be internally
@@ -270,9 +347,9 @@ fn stats_snapshots_stay_consistent_under_churn() {
                     };
                     n += 1;
                     if n.is_multiple_of(3) {
-                        handle.cancel();
+                        service.cancel(handle.id());
                     }
-                    let _ = handle.wait();
+                    let _ = service.wait(handle.id());
                 }
             })
         })

@@ -450,7 +450,7 @@ fn stats_reply() -> &'static (ServiceStats, Vec<u8>) {
                 ..JobOptions::default()
             };
             let h = service.submit_with(transpile(&bench::qft(4)), DcMbqcConfig::new(hw), options);
-            h.wait().expect("compiles");
+            service.wait(h.id()).expect("compiles");
         }
         let stats = service.stats();
         assert_eq!(stats.tenants.len(), 2, "{stats:?}");

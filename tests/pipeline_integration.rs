@@ -124,25 +124,3 @@ fn boundary_reservation_costs_execution_time() {
             .unwrap();
     assert!(reserved.execution_time() + 3 >= plain.execution_time());
 }
-
-#[test]
-fn interconnect_topologies_expose_hop_distance() {
-    use mbqc_hardware::InterconnectTopology;
-    // The pipeline assumes fully-connected QPUs (paper setting); other
-    // topologies are available for studies and must be consistent.
-    for n in [2usize, 4, 8] {
-        for t in [
-            InterconnectTopology::FullyConnected,
-            InterconnectTopology::Line,
-            InterconnectTopology::Ring,
-        ] {
-            for a in 0..n {
-                for b in 0..n {
-                    let d = t.hop_distance(n, a, b);
-                    assert_eq!(d == 0, a == b);
-                    assert_eq!(d, t.hop_distance(n, b, a), "symmetry");
-                }
-            }
-        }
-    }
-}

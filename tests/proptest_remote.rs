@@ -12,7 +12,7 @@
 //!   in-process compiler's bytes;
 //! * remote `SubmitObserved` event streams are gap-free (consecutive
 //!   seq from 0) and (seq, kind)-equal to in-process
-//!   `submit_observed` streams;
+//!   observed-submit streams;
 //! * every churned job reaches exactly one terminal state (the first
 //!   wait takes it; a second poll answers `UnknownJob`);
 //! * zero leaked stage workspaces after every cell
@@ -25,7 +25,9 @@ use mbqc_hardware::{DistributedHardware, ResourceStateKind};
 use mbqc_net::{Client, Server, WireJobOptions, WireOutcome};
 use mbqc_pattern::transpile::transpile;
 use mbqc_pattern::Pattern;
-use mbqc_service::{CompileService, EventKind, Priority, ServiceConfig, TelemetryEvent};
+use mbqc_service::{
+    CompileService, EventKind, JobOptions, Priority, ServiceConfig, TelemetryEvent,
+};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
@@ -170,7 +172,7 @@ fn event_key(ev: &TelemetryEvent) -> (u32, String) {
 }
 
 /// Remote `SubmitObserved` streams are gap-free and (seq, kind)-equal
-/// to in-process `submit_observed` streams, cold and warm.
+/// to in-process observed-submit streams, cold and warm.
 #[test]
 fn remote_event_streams_match_in_process() {
     // Two fresh single-worker services with identical configuration:
@@ -183,9 +185,15 @@ fn remote_event_streams_match_in_process() {
 
     for round in ["cold", "warm"] {
         for (i, (pattern, _)) in workload().iter().enumerate() {
-            let (handle, stream) =
-                local.submit_observed(pattern.clone(), config(), options(i).to_job_options());
-            handle.wait().expect("local job compiles");
+            let observed = JobOptions {
+                observe: true,
+                ..options(i).to_job_options()
+            };
+            let mut handle = local.submit_with(pattern.clone(), config(), observed);
+            let stream = handle
+                .take_events()
+                .expect("observed submit registers a stream");
+            local.wait(handle.id()).expect("local job compiles");
             let local_events: Vec<TelemetryEvent> = stream.collect();
 
             let client = Client::connect(server.local_addr()).expect("connect");
