@@ -1,33 +1,23 @@
 //! `repro` — regenerate every table and figure of the DC-MBQC paper.
 //!
 //! ```text
-//! Usage: repro [--quick] [--csv] [--check] <experiment>...
+//! Usage: repro [--quick] [--csv] <experiment>...
 //!
 //! Experiments: table1 figure1 table2 table3 table4 table5 table6
-//!              figure7 figure8 figure9 figure10 bench-kernels all
+//!              figure7 figure8 figure9 figure10 all
 //!
 //! --quick   restrict each experiment to its smallest sizes
 //! --csv     emit CSV instead of aligned text
-//! --check   (bench-kernels only) compare against the committed
-//!           BENCH_kernels.json instead of rewriting it; exit 1 if
-//!           any tracked kernel's speedup regressed more than 15%
-//!
-//! `bench-kernels` additionally writes BENCH_kernels.json (optimized
-//! hot-path timings vs. their pre-optimization references).
 //! ```
 
 use mbqc_bench::{experiments, Scale};
 use mbqc_util::TextTable;
 
-/// Fractional speedup drop vs. the committed `BENCH_kernels.json`
-/// that `--check` treats as a regression.
-const CHECK_TOLERANCE: f64 = 0.15;
-
 fn usage() -> ! {
     eprintln!(
-        "Usage: repro [--quick] [--csv] [--check] <experiment>...\n\
+        "Usage: repro [--quick] [--csv] <experiment>...\n\
          Experiments: table1 figure1 table2 table3 table4 table5 table6\n\
-         \x20            figure7 figure8 figure9 figure10 bench-kernels all"
+         \x20            figure7 figure8 figure9 figure10 all"
     );
     std::process::exit(2);
 }
@@ -35,13 +25,11 @@ fn usage() -> ! {
 fn main() {
     let mut scale = Scale::Full;
     let mut csv = false;
-    let mut check = false;
     let mut selected: Vec<String> = Vec::new();
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--quick" => scale = Scale::Quick,
             "--csv" => csv = true,
-            "--check" => check = true,
             "--help" | "-h" => usage(),
             other if other.starts_with('-') => usage(),
             other => selected.push(other.to_string()),
@@ -67,7 +55,6 @@ fn main() {
             println!("{}", t.render());
         }
     };
-    let mut regressed = false;
     for name in &selected {
         let started = std::time::Instant::now();
         let table = match name.as_str() {
@@ -82,22 +69,6 @@ fn main() {
             "figure8" => experiments::figure8(scale),
             "figure9" => experiments::figure9(scale),
             "figure10" => experiments::figure10(scale),
-            "bench-kernels" if check => {
-                let (table, failures) = experiments::bench_kernels_check(CHECK_TOLERANCE);
-                if failures.is_empty() {
-                    eprintln!(
-                        "[bench-kernels --check: no tracked kernel regressed more than {:.0}%]",
-                        CHECK_TOLERANCE * 100.0
-                    );
-                } else {
-                    for f in &failures {
-                        eprintln!("kernel regression: {f}");
-                    }
-                    regressed = true;
-                }
-                table
-            }
-            "bench-kernels" => experiments::bench_kernels(),
             other => {
                 eprintln!("unknown experiment: {other}");
                 usage();
@@ -107,8 +78,5 @@ fn main() {
         if !csv {
             println!("[{name} generated in {:.1?}]\n", started.elapsed());
         }
-    }
-    if regressed {
-        std::process::exit(1);
     }
 }

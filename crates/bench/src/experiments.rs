@@ -4,7 +4,7 @@
 //! paper reports. Absolute values differ from the paper (our substrate
 //! is a reimplemented compiler stack, not the authors' testbed); the
 //! *shapes* — who wins, by what factor, where the elbows fall — are the
-//! reproduction target. See `EXPERIMENTS.md`.
+//! reproduction target, and `tests/paper_shapes.rs` asserts them.
 
 use std::time::Instant;
 
@@ -14,8 +14,6 @@ use mbqc_hardware::{loss, survey, ResourceStateKind};
 use mbqc_pattern::transpile::transpile;
 use mbqc_util::table::{fmt_f64, fmt_factor};
 use mbqc_util::TextTable;
-
-pub use crate::kernels::{bench_kernels, bench_kernels_check};
 
 use crate::runner::{compare, compare_oneadapt, RunConfig, SEED};
 use crate::Scale;

@@ -1,9 +1,11 @@
 //! Reproduction harness for the DC-MBQC paper's evaluation section.
 //!
 //! Every table and figure has a generator in [`experiments`]; the
-//! `repro` binary dispatches to them. See `DESIGN.md` (per-experiment
-//! index) and `EXPERIMENTS.md` (paper-vs-measured record) at the
-//! repository root.
+//! `repro` binary dispatches to them by name (`repro --quick all` runs
+//! each at its smallest sizes). `tests/paper_shapes.rs` at the
+//! repository root asserts the paper's qualitative claims, and
+//! `perfbench/README.md` describes the benchmark that times the
+//! compiler end to end.
 //!
 //! # Examples
 //!
@@ -14,7 +16,6 @@
 //! ```
 
 pub mod experiments;
-pub mod kernels;
 pub mod runner;
 
 /// Experiment scale: `Full` uses every program size from Table II,

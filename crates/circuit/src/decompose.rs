@@ -6,8 +6,9 @@
 //! gate set step by step:
 //!
 //! 1. [`decompose_three_qubit`] — Toffoli → 6-CNOT + T network
-//!    (the textbook decomposition; Table II's RCA row depends on this
-//!    choice, see EXPERIMENTS.md).
+//!    (the textbook decomposition; Table II's RCA node and edge counts
+//!    depend on this choice, since a cheaper Toffoli would shrink every
+//!    RCA pattern).
 //! 2. [`decompose_to_cnot`] — SWAP/CPhase/Rzz → CNOT + rotations.
 //! 3. [`to_cz_basis`] — CNOT → H·CZ·H; everything else untouched.
 

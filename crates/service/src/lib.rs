@@ -340,8 +340,7 @@
 //!   subscriber overflows (counted, [`EventStream::dropped`]) or is
 //!   pruned — it never blocks a worker. **Emission is zero-cost when
 //!   nobody listens**: with no subscriber and no flight recorder, an
-//!   emit site is one relaxed atomic load (pinned ~1.0× by the tracked
-//!   `end_to_end/telemetry_churn` kernel).
+//!   emit site is one relaxed atomic load.
 //! * **Latency histograms.** Always-on `mbqc_util::metrics` log-bucketed
 //!   histograms (relaxed atomics, ≤12.5% relative quantile error)
 //!   record per-stage execution latency, queue wait, and warm-hit

@@ -28,8 +28,7 @@
 //! anti-diagonal gates (X/Y) touch each amplitude once. Dense gates
 //! with all-real entries (H, RY, √X compositions) take a real-matrix
 //! path that does the butterfly in 12 real flops per amplitude pair
-//! instead of the 28 a complex 2×2 costs, which is what moves the
-//! tracked `statevector/apply_single_h14` kernel. All paths iterate
+//! instead of the 28 a complex 2×2 costs. All paths iterate
 //! the amplitude array in stride-aware contiguous blocks so the
 //! compiler autovectorizes the inner loops — no explicit SIMD
 //! intrinsics, no `unsafe`.
@@ -40,9 +39,8 @@
 //! when a two-qubit gate or measurement touches the qubit. A run of k
 //! single-qubit gates then costs one amplitude sweep instead of k, and
 //! a composed run of diagonal gates stays diagonal, keeping the
-//! cheapest path. The `apply_single_reference` /
-//! `apply_circuit_reference` entry points keep the unfused dense sweep
-//! as the proptest-pinned oracle.
+//! cheapest path. The crate's tests pin both against the unfused dense
+//! sweep they keep as an oracle.
 //!
 //! ## Stabilizer membership via destabilizer duality
 //!
@@ -53,12 +51,11 @@
 //! *and* every stabilizer, and its factor decomposition is read off
 //! from which destabilizers it anticommutes with. That is one
 //! word-parallel AND+popcount sweep per row — `O(n²/64)` — replacing
-//! the `O(n³/64)` Gaussian elimination this kernel used before. Both
-//! eliminating checkers survive as hidden methods — the word-blocked
-//! `is_stabilized_by_elimination` and the probe-based
-//! `is_stabilized_by_reference` — so the three-way equivalence
-//! proptest pins projection, blocked elimination, and the
-//! pre-optimization probe against each other.
+//! the `O(n³/64)` Gaussian elimination this kernel used before. The
+//! word-blocked `is_stabilized_by_elimination` survives as a hidden
+//! method, and the crate's tests keep the pre-optimization probe-based
+//! elimination, so the three-way equivalence proptest pins projection,
+//! blocked elimination, and the probe against each other.
 //!
 //! # Examples
 //!

@@ -11,7 +11,7 @@
 //! branch-free phase update, 64 qubits per instruction instead of the
 //! seed's one-`bool`-at-a-time loops. The original `Vec<bool>`
 //! implementation is preserved as a test oracle in the crate's
-//! `tests/common/reference.rs` and property-tested to agree with this
+//! `tests/common/mod.rs` and property-tested to agree with this
 //! one on random Clifford sequences.
 
 use mbqc_graph::Graph;
@@ -468,8 +468,7 @@ impl Tableau {
     /// loop. The collection scans themselves stay as tight
     /// compare-only loops over the measured qubit's contiguous column
     /// — fully fusing them into the rowsum body was measured *slower*
-    /// (it defeats the vectorized column scan; see the
-    /// `tableau/rowops_measure_grid24` criterion bench).
+    /// (it defeats the vectorized column scan).
     fn rowsum_measure(&mut self, p: usize, wq: usize, m: u64) {
         let n = self.n;
         let rows = 2 * n;
@@ -671,9 +670,10 @@ impl Tableau {
     /// part cancels to the identity, and in the *group* iff the
     /// accumulated phase is `+1` on top. Total cost is `O(n²/64)` word
     /// operations — the projection replaces the `O(n³/64)` Gaussian
-    /// elimination both [`Tableau::is_stabilized_by_reference`] and the
-    /// word-blocked [`Tableau::is_stabilized_by_elimination`] run.
-    /// Equal to both on every input — pinned by a three-way proptest.
+    /// elimination the word-blocked
+    /// [`Tableau::is_stabilized_by_elimination`] and the test suite's
+    /// probe-based oracle run. Equal to both on every input — pinned by
+    /// a three-way proptest.
     ///
     /// # Panics
     ///
@@ -726,8 +726,8 @@ impl Tableau {
     }
 
     /// Membership by word-blocked (M4RI-style) Gaussian elimination —
-    /// the intermediate kernel between the probe-based
-    /// [`Tableau::is_stabilized_by_reference`] and the projection-based
+    /// the intermediate kernel between the test suite's probe-based
+    /// oracle and the projection-based
     /// [`Tableau::is_stabilized_by`], kept because its elimination
     /// machinery does not lean on the destabilizer invariant and it
     /// anchors the three-way equivalence pin.
@@ -846,46 +846,6 @@ impl Tableau {
             "combination subset must reproduce the target's Pauli part"
         );
         phase.rem_euclid(4) == 0
-    }
-
-    /// The pre-optimization [`Tableau::is_stabilized_by`]: Gaussian
-    /// elimination probing one symplectic column bit per row, with
-    /// per-row exact phase tracking through `mul_inplace`. Kept as the
-    /// benchmark baseline and equivalence oracle; behavior is
-    /// identical.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn is_stabilized_by_reference(&self, p: &PauliString) -> bool {
-        assert_eq!(p.len(), self.n, "qubit count mismatch");
-        let mut gens = self.stabilizer_generators();
-        let mut target = p.clone();
-        let mut pivot_row = 0usize;
-        // Columns: first all x-bits, then all z-bits.
-        for col in 0..2 * self.n {
-            let bit_of = |g: &PauliString| {
-                if col < self.n {
-                    g.x_bit(col)
-                } else {
-                    g.z_bit(col - self.n)
-                }
-            };
-            let Some(r) = (pivot_row..gens.len()).find(|&r| bit_of(&gens[r])) else {
-                continue;
-            };
-            gens.swap(pivot_row, r);
-            let (head, tail) = gens.split_at_mut(pivot_row + 1);
-            let pivot = &head[pivot_row];
-            for g in tail {
-                if bit_of(g) {
-                    g.mul_inplace(pivot);
-                }
-            }
-            if bit_of(&target) {
-                target.mul_inplace(pivot);
-            }
-            pivot_row += 1;
-        }
-        target.is_empty() && target.phase.is_multiple_of(4)
     }
 }
 

@@ -237,12 +237,12 @@ impl StateVector {
     /// terms entirely, leaving lane-uniform multiply–adds the compiler
     /// vectorizes at full register width.
     ///
-    /// Every path performs the reference kernel's f64 operations on the
-    /// reference's association — each resulting amplitude compares
-    /// exactly equal (`==`) to [`StateVector::apply_single_reference`]'s
-    /// (the real-matrix path may flip the sign of a zero where the
-    /// reference multiplies one by `±0.0`, never a value), which the
-    /// equivalence tests assert with exact equality.
+    /// Every path performs the f64 operations of a plain full-`2^n` scan
+    /// (`amps[i], amps[i | bit] = m·(amps[i], amps[i | bit])`) on that
+    /// scan's association — each resulting amplitude compares exactly
+    /// equal (`==`) to the scan's (the real-matrix path may flip the
+    /// sign of a zero where the scan multiplies one by `±0.0`, never a
+    /// value), which the unit tests assert with exact equality.
     pub fn apply_single(&mut self, q: usize, m: [[C64; 2]; 2]) {
         self.check(q);
         let bit = 1usize << q;
@@ -280,7 +280,7 @@ impl StateVector {
             // `re·im` terms vanish, leaving two independent f64 lanes
             // per amplitude — 12 flops per pair instead of 28, and
             // elementwise code the compiler vectorizes at full width.
-            // The dropped terms are the reference's `± 0.0·im` products,
+            // The dropped terms are the plain scan's `± 0.0·im` products,
             // which can flip a zero's sign but never change a value, so
             // every amplitude still compares equal (`==`).
             let (m00, m01, m10, m11) = (m[0][0].re, m[0][1].re, m[1][0].re, m[1][1].re);
@@ -321,23 +321,6 @@ impl StateVector {
                 hi2[0] = h0;
                 lo2[1] = l1;
                 hi2[1] = h1;
-            }
-        }
-    }
-
-    /// The pre-optimization [`StateVector::apply_single`]: a full-`2^n`
-    /// scan testing bit `q` of every index. Kept as the benchmark
-    /// baseline; behavior is identical.
-    #[doc(hidden)]
-    pub fn apply_single_reference(&mut self, q: usize, m: [[C64; 2]; 2]) {
-        self.check(q);
-        let bit = 1usize << q;
-        for i in 0..self.amps.len() {
-            if i & bit == 0 {
-                let a0 = self.amps[i];
-                let a1 = self.amps[i | bit];
-                self.amps[i] = m[0][0] * a0 + m[0][1] * a1;
-                self.amps[i | bit] = m[1][0] * a0 + m[1][1] * a1;
             }
         }
     }
@@ -454,10 +437,9 @@ impl StateVector {
     /// amplitude vector (an internal [`FusionWorkspace`] is allocated
     /// per call; use [`StateVector::apply_circuit_with`] to reuse one).
     ///
-    /// The state equals gate-by-gate application
-    /// ([`StateVector::apply_circuit_reference`]) up to fp
-    /// reassociation — within `1e-12` per amplitude, which the fusion
-    /// equivalence proptest pins.
+    /// The state equals gate-by-gate [`StateVector::apply_gate`]
+    /// application up to fp reassociation — within `1e-12` per
+    /// amplitude, which the fusion equivalence proptest pins.
     ///
     /// # Panics
     ///
@@ -528,24 +510,6 @@ impl StateVector {
     fn flush_pending(&mut self, ws: &mut FusionWorkspace, q: usize) {
         if let Some(m) = ws.pending.get_mut(q).and_then(Option::take) {
             self.apply_single(q, m);
-        }
-    }
-
-    /// The pre-fusion [`StateVector::apply_circuit`]: every gate of
-    /// `circuit` applied in order, one amplitude sweep each. Kept as
-    /// the fusion equivalence baseline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the circuit has more qubits than the state.
-    #[doc(hidden)]
-    pub fn apply_circuit_reference(&mut self, circuit: &Circuit) {
-        assert!(
-            circuit.num_qubits() <= self.num_qubits,
-            "circuit register larger than state"
-        );
-        for g in circuit.gates() {
-            self.apply_gate(g);
         }
     }
 
@@ -703,6 +667,22 @@ impl StateVector {
 mod tests {
     use super::*;
     use std::f64::consts::PI;
+
+    /// The pre-optimization [`StateVector::apply_single`]: a full-`2^n`
+    /// scan testing bit `q` of every index. The fast paths must match
+    /// it exactly.
+    fn apply_single_reference(sv: &mut StateVector, q: usize, m: [[C64; 2]; 2]) {
+        sv.check(q);
+        let bit = 1usize << q;
+        for i in 0..sv.amps.len() {
+            if i & bit == 0 {
+                let a0 = sv.amps[i];
+                let a1 = sv.amps[i | bit];
+                sv.amps[i] = m[0][0] * a0 + m[0][1] * a1;
+                sv.amps[i | bit] = m[1][0] * a0 + m[1][1] * a1;
+            }
+        }
+    }
 
     fn bell() -> StateVector {
         let mut c = Circuit::new(2);
@@ -987,7 +967,7 @@ mod tests {
                     let mut fast = a.clone();
                     let mut slow = a.clone();
                     fast.apply_single(q, m);
-                    slow.apply_single_reference(q, m);
+                    apply_single_reference(&mut slow, q, m);
                     assert_eq!(fast, slow, "n={n} q={q}");
                 }
             }
@@ -1011,7 +991,7 @@ mod tests {
                 let mut fast = sv.clone();
                 let mut slow = sv.clone();
                 fast.apply_single(q, m);
-                slow.apply_single_reference(q, m);
+                apply_single_reference(&mut slow, q, m);
                 assert_eq!(fast, slow, "q={q}");
             }
         }

@@ -1,5 +1,4 @@
-//! The pre-optimization stabilizer tableau: the equivalence oracle for
-//! the library's bit-packed one.
+//! Pre-optimization oracles for the library's simulators.
 //!
 //! Preserves the original `Vec<bool>` Pauli/tableau representation (one
 //! branchy loop iteration per qubit) exactly as it was before the
@@ -7,9 +6,17 @@
 //! to agree with it on random Clifford sequences with interleaved
 //! measurements (same outcomes from the same RNG draws).
 //!
+//! Two free functions keep the pre-optimization algorithms that run on
+//! the library's own types: [`is_stabilized_by_reference`] (the
+//! probe-based membership check) and [`apply_circuit_reference`]
+//! (gate-by-gate application with no fusion).
+//!
 //! Do not "optimize" this module; its slowness is the point.
 
+use mbqc_circuit::Circuit;
 use mbqc_graph::Graph;
+use mbqc_sim::stabilizer as packed;
+use mbqc_sim::StateVector;
 use mbqc_util::Rng;
 
 /// Reference Pauli string: one `bool` per qubit per component.
@@ -401,6 +408,65 @@ impl Tableau {
             pivot_row += 1;
         }
         target.is_empty() && target.phase.is_multiple_of(4)
+    }
+}
+
+/// The pre-optimization `Tableau::is_stabilized_by`: Gaussian
+/// elimination over the packed tableau's stabilizer generators, probing
+/// one symplectic column bit per row, with per-row exact phase tracking
+/// through `mul_inplace`.
+///
+/// # Panics
+///
+/// Panics if `p` has the wrong qubit count.
+#[must_use]
+pub fn is_stabilized_by_reference(t: &packed::Tableau, p: &packed::PauliString) -> bool {
+    let n = t.num_qubits();
+    assert_eq!(p.len(), n, "qubit count mismatch");
+    let mut gens = t.stabilizer_generators();
+    let mut target = p.clone();
+    let mut pivot_row = 0usize;
+    // Columns: first all x-bits, then all z-bits.
+    for col in 0..2 * n {
+        let bit_of = |g: &packed::PauliString| {
+            if col < n {
+                g.x_bit(col)
+            } else {
+                g.z_bit(col - n)
+            }
+        };
+        let Some(r) = (pivot_row..gens.len()).find(|&r| bit_of(&gens[r])) else {
+            continue;
+        };
+        gens.swap(pivot_row, r);
+        let (head, tail) = gens.split_at_mut(pivot_row + 1);
+        let pivot = &head[pivot_row];
+        for g in tail {
+            if bit_of(g) {
+                g.mul_inplace(pivot);
+            }
+        }
+        if bit_of(&target) {
+            target.mul_inplace(pivot);
+        }
+        pivot_row += 1;
+    }
+    target.is_empty() && target.phase().is_multiple_of(4)
+}
+
+/// The pre-fusion `StateVector::apply_circuit`: every gate of `circuit`
+/// applied in order, one amplitude sweep each.
+///
+/// # Panics
+///
+/// Panics if the circuit has more qubits than the state.
+pub fn apply_circuit_reference(sv: &mut StateVector, circuit: &Circuit) {
+    assert!(
+        circuit.num_qubits() <= sv.num_qubits(),
+        "circuit register larger than state"
+    );
+    for g in circuit.gates() {
+        sv.apply_gate(g);
     }
 }
 
