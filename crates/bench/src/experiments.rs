@@ -8,6 +8,7 @@
 
 use std::time::Instant;
 
+use dc_mbqc::CompileSession;
 use mbqc_circuit::bench::{self, BenchmarkKind};
 use mbqc_circuit::decompose;
 use mbqc_hardware::{loss, survey, ResourceStateKind};
@@ -341,27 +342,37 @@ pub fn figure9(scale: Scale) -> TextTable {
     t
 }
 
+/// Wall time of `compile` in milliseconds.
+fn elapsed_ms(compile: impl FnOnce()) -> f64 {
+    let t0 = Instant::now();
+    compile();
+    t0.elapsed().as_secs_f64() * 1e3
+}
+
 /// Figure 10: compilation-runtime scaling on QFT programs — monolithic
 /// baseline vs. DC-MBQC (Core) vs. DC-MBQC (Core + BDIR), 8 QPUs,
-/// excluding the common transpilation preprocessing.
+/// excluding the common transpilation preprocessing. Core is timed
+/// twice: with one map worker (the sequential compile) and with the
+/// default of one map worker per core.
 #[must_use]
 pub fn figure10(scale: Scale) -> TextTable {
     let mut t = TextTable::new(vec![
         "#Qubits",
         "Baseline (OneQ-style) [ms]",
+        "DC-MBQC (Core, 1 map worker) [ms]",
         "DC-MBQC (Core) [ms]",
         "DC-MBQC (Core+BDIR) [ms]",
     ]);
-    // Core maps the QPUs in parallel with the `CompileSession` default
-    // of one map worker per core (capped at the QPU count), so the
-    // host's core count is part of the setting.
+    // Core and Core+BDIR map the QPUs in parallel with the
+    // `CompileSession` default of one map worker per core (capped at
+    // the QPU count), so the host's core count is part of the setting.
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     t.title(format!(
         "Figure 10 — compilation runtime scaling (QFT, 8 QPUs; Core: one map worker per core, {cores} available)"
     ));
     let sizes: &[usize] = match scale {
         Scale::Quick => &[16, 25],
-        Scale::Full => &[16, 25, 36, 49, 64, 81, 100],
+        Scale::Full => &[16, 25, 36, 49, 64, 81, 100, 144, 196, 256],
     };
     for &n in sizes {
         let circuit = bench::qft(n);
@@ -372,30 +383,35 @@ pub fn figure10(scale: Scale) -> TextTable {
             ..RunConfig::table4()
         };
 
-        let t0 = Instant::now();
-        let _ = base_cfg
-            .compiler(n)
-            .compile_baseline_pattern(&pattern)
-            .expect("baseline compiles");
-        let base_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-        let t1 = Instant::now();
-        let _ = core_cfg
-            .compiler(n)
-            .compile_pattern(&pattern)
-            .expect("core compiles");
-        let core_ms = t1.elapsed().as_secs_f64() * 1e3;
-
-        let t2 = Instant::now();
-        let _ = base_cfg
-            .compiler(n)
-            .compile_pattern(&pattern)
-            .expect("core+bdir compiles");
-        let bdir_ms = t2.elapsed().as_secs_f64() * 1e3;
+        let base_ms = elapsed_ms(|| {
+            base_cfg
+                .compiler(n)
+                .compile_baseline_pattern(&pattern)
+                .expect("baseline compiles");
+        });
+        let core_one_ms = elapsed_ms(|| {
+            CompileSession::new(core_cfg.compiler(n).config().clone())
+                .with_map_workers(1)
+                .compile_pattern(&pattern)
+                .expect("core compiles");
+        });
+        let core_ms = elapsed_ms(|| {
+            core_cfg
+                .compiler(n)
+                .compile_pattern(&pattern)
+                .expect("core compiles");
+        });
+        let bdir_ms = elapsed_ms(|| {
+            base_cfg
+                .compiler(n)
+                .compile_pattern(&pattern)
+                .expect("core+bdir compiles");
+        });
 
         t.row(vec![
             n.to_string(),
             fmt_f64(base_ms, 1),
+            fmt_f64(core_one_ms, 1),
             fmt_f64(core_ms, 1),
             fmt_f64(bdir_ms, 1),
         ]);

@@ -31,12 +31,6 @@ pub struct CompilerConfig {
     /// Reserve the grid perimeter as communication interface
     /// (the Table V protocol: usable grid shrinks by 2 per dimension).
     pub boundary_reservation: bool,
-    /// Candidate placement sites tried per node before deferring it to
-    /// the next layer.
-    pub placement_candidates: usize,
-    /// Consecutive placement failures after which the current layer is
-    /// considered congested and closed.
-    pub congestion_limit: usize,
 }
 
 impl CompilerConfig {
@@ -49,8 +43,6 @@ impl CompilerConfig {
             seed: 42,
             refresh_interval: None,
             boundary_reservation: false,
-            placement_candidates: 4,
-            congestion_limit: 24,
         }
     }
 

@@ -1,7 +1,5 @@
 //! One logical layer of the RSG grid.
 
-use std::collections::VecDeque;
-
 use mbqc_graph::NodeId;
 
 /// What a site's resource state is consumed by within one layer.
@@ -27,6 +25,8 @@ pub enum SiteState {
 pub struct LayerGrid {
     width: usize,
     sites: Vec<SiteState>,
+    /// Number of `Free` sites, kept by [`LayerGrid::set`].
+    free: usize,
 }
 
 impl LayerGrid {
@@ -36,6 +36,7 @@ impl LayerGrid {
         Self {
             width,
             sites: vec![SiteState::Free; width * width],
+            free: width * width,
         }
     }
 
@@ -65,6 +66,9 @@ impl LayerGrid {
 
     /// Sets the state at site `s`.
     pub fn set(&mut self, s: usize, state: SiteState) {
+        let was_free = self.sites[s] == SiteState::Free;
+        let is_free = state == SiteState::Free;
+        self.free = self.free + usize::from(is_free) - usize::from(was_free);
         self.sites[s] = state;
     }
 
@@ -89,31 +93,95 @@ impl LayerGrid {
     }
 
     /// 4-neighborhood of a site.
-    pub fn neighbors(&self, s: usize) -> impl Iterator<Item = usize> + '_ {
-        let (r, c) = self.coords(s);
+    pub fn neighbors(&self, s: usize) -> impl Iterator<Item = usize> {
         let w = self.width;
+        let c = s % w;
         [
-            (r > 0).then(|| self.index(r - 1, c)),
-            (r + 1 < w).then(|| self.index(r + 1, c)),
-            (c > 0).then(|| self.index(r, c - 1)),
-            (c + 1 < w).then(|| self.index(r, c + 1)),
+            (s >= w).then(|| s - w),
+            (s + w < self.sites.len()).then(|| s + w),
+            (c > 0).then(|| s - 1),
+            (c + 1 < w).then(|| s + 1),
         ]
         .into_iter()
         .flatten()
     }
 
-    /// Linear indices of all free sites.
-    #[must_use]
-    pub fn free_sites(&self) -> Vec<usize> {
-        (0..self.sites.len())
-            .filter(|&s| self.sites[s] == SiteState::Free)
-            .collect()
-    }
-
     /// Number of free sites.
     #[must_use]
     pub fn free_count(&self) -> usize {
-        self.sites.iter().filter(|s| **s == SiteState::Free).count()
+        self.free
+    }
+
+    /// Linear index of the `k`-th free site (0-based, in index order),
+    /// or `None` when fewer than `k + 1` sites are free.
+    #[must_use]
+    pub fn nth_free(&self, k: usize) -> Option<usize> {
+        (0..self.sites.len())
+            .filter(|&s| self.sites[s] == SiteState::Free)
+            .nth(k)
+    }
+
+    /// The free site with the least total Manhattan distance to
+    /// `targets`, the lowest index among ties; `None` on a full layer.
+    ///
+    /// Manhattan distance splits by axis, so the cost of site `(r, c)`
+    /// is `rows[r] + cols[c]`, both filled once per call in `axis_cost`
+    /// (a buffer the caller reuses). Each is a sum of absolute values,
+    /// hence convex: the columns cheaper than any bound form one
+    /// interval around the cheapest column, and only that interval of
+    /// each row is scanned.
+    pub(crate) fn nearest_free(
+        &self,
+        targets: impl Iterator<Item = usize>,
+        axis_cost: &mut Vec<usize>,
+    ) -> Option<usize> {
+        let w = self.width;
+        axis_cost.clear();
+        axis_cost.resize(2 * w, 0);
+        let (rows, cols) = axis_cost.split_at_mut(w);
+        for target in targets {
+            let (tr, tc) = self.coords(target);
+            for (r, cost) in rows.iter_mut().enumerate() {
+                *cost += r.abs_diff(tr);
+            }
+            for (c, cost) in cols.iter_mut().enumerate() {
+                *cost += c.abs_diff(tc);
+            }
+        }
+        let argmin = |costs: &[usize]| (0..costs.len()).min_by_key(|&i| costs[i]);
+        let (best_row, best_col) = (argmin(rows)?, argmin(cols)?);
+        // Only sites strictly cheaper than `bound` can win; the cheapest
+        // free site of the cheapest row seeds it. Sites are visited in
+        // index order, so the first site of least cost wins.
+        let mut bound = (0..w)
+            .filter(|&c| self.sites[best_row * w + c] == SiteState::Free)
+            .map(|c| rows[best_row] + cols[c] + 1)
+            .min()
+            .unwrap_or(usize::MAX);
+        let mut best = None;
+        for (r, &row_cost) in rows.iter().enumerate() {
+            let slack = bound.saturating_sub(row_cost);
+            if cols[best_col] >= slack {
+                continue;
+            }
+            let mut lo = best_col;
+            while lo > 0 && cols[lo - 1] < slack {
+                lo -= 1;
+            }
+            let mut hi = best_col;
+            while hi + 1 < w && cols[hi + 1] < slack {
+                hi += 1;
+            }
+            let sites = &self.sites[r * w + lo..=r * w + hi];
+            for (c, (&col_cost, &state)) in (lo..).zip(cols[lo..=hi].iter().zip(sites)) {
+                let cost = row_cost + col_cost;
+                if cost < bound && state == SiteState::Free {
+                    bound = cost;
+                    best = Some(r * w + c);
+                }
+            }
+        }
+        best
     }
 
     /// Finds a shortest routing path from a site adjacent to `from` to
@@ -124,7 +192,9 @@ impl LayerGrid {
     /// Returns the intermediate sites of the path (possibly empty when
     /// `from` and `to` are grid-adjacent), or `None` if no path exists.
     /// The search runs in `scratch`, which a mapper routing thousands of
-    /// edges reuses; the path lives there until the next call.
+    /// edges reuses; the path lives there until the next call. A failed
+    /// search gives every site it reached, `from` included, one fresh
+    /// component label (see [`RouteScratch::reset_labels`]).
     pub(crate) fn route<'s, F>(
         &self,
         from: usize,
@@ -141,8 +211,11 @@ impl LayerGrid {
             prev,
             queue,
             path,
+            label,
+            next_label,
         } = scratch;
         path.clear();
+        queue.clear();
         if from == to {
             return Some(path);
         }
@@ -155,11 +228,15 @@ impl LayerGrid {
             prev.resize(self.sites.len(), 0);
             *stamp = 1;
         }
+        if label.len() < self.sites.len() {
+            label.resize(self.sites.len(), 0);
+        }
         let stamp = *stamp;
-        queue.clear();
         seen[from] = stamp;
-        queue.push_back(from);
-        while let Some(s) = queue.pop_front() {
+        queue.push(from);
+        let mut head = 0;
+        while let Some(&s) = queue.get(head) {
+            head += 1;
             for nb in self.neighbors(s) {
                 if seen[nb] == stamp {
                     continue;
@@ -177,15 +254,52 @@ impl LayerGrid {
                 if capacity_of(nb) > 0 {
                     seen[nb] = stamp;
                     prev[nb] = s;
-                    queue.push_back(nb);
+                    queue.push(nb);
                 }
             }
         }
+        // The search flooded whole components of passable sites: none of
+        // them can reach `to` while capacities only shrink.
+        for &s in queue.iter() {
+            label[s] = *next_label;
+        }
+        *next_label = next_label.wrapping_add(1);
         None
+    }
+
+    /// `false` when the component labels in `scratch` prove that
+    /// [`LayerGrid::route`] from `from` to `to` would fail: the two are
+    /// not grid-adjacent and no passable neighbour of `from` shares a
+    /// label with a passable neighbour of `to`. `true` means a search
+    /// may succeed.
+    pub(crate) fn may_route<F>(
+        &self,
+        from: usize,
+        to: usize,
+        capacity_of: F,
+        scratch: &RouteScratch,
+    ) -> bool
+    where
+        F: Fn(usize) -> usize,
+    {
+        if from == to || self.neighbors(from).any(|nb| nb == to) {
+            return true;
+        }
+        let label = &scratch.label;
+        let mut to_labels = [None; 4];
+        for (slot, nb) in to_labels
+            .iter_mut()
+            .zip(self.neighbors(to).filter(|&nb| capacity_of(nb) > 0))
+        {
+            *slot = Some(label[nb]);
+        }
+        self.neighbors(from)
+            .any(|nb| capacity_of(nb) > 0 && to_labels.contains(&Some(label[nb])))
     }
 }
 
-/// Reusable breadth-first-search buffers for [`LayerGrid::route`].
+/// Reusable breadth-first-search buffers for [`LayerGrid::route`], plus
+/// the open layer's component labels.
 #[derive(Debug, Default)]
 pub(crate) struct RouteScratch {
     /// Generation of the current search.
@@ -194,9 +308,36 @@ pub(crate) struct RouteScratch {
     seen: Vec<u32>,
     /// Per visited site: the site it was reached from.
     prev: Vec<usize>,
-    queue: VecDeque<usize>,
+    /// Sites the last search reached, `from` first, in visiting order.
+    queue: Vec<usize>,
     /// Intermediate sites of the last path found.
     path: Vec<usize>,
+    /// Per site: component label (see [`RouteScratch::reset_labels`]).
+    label: Vec<u32>,
+    /// Next unused label.
+    next_label: u32,
+}
+
+impl RouteScratch {
+    /// Puts all `sites` sites in one component.
+    ///
+    /// The labels stay sound while pass-through capacities only shrink
+    /// and every failed [`LayerGrid::route`] gives what it flooded a
+    /// fresh label: sites joined by passable sites always share a label,
+    /// so [`LayerGrid::may_route`] can refute a search without running
+    /// it. One label for all is the coarsest sound start; failed
+    /// searches refine it.
+    pub(crate) fn reset_labels(&mut self, sites: usize) {
+        self.label.clear();
+        self.label.resize(sites, 0);
+        self.next_label = 1;
+    }
+
+    /// Sites the last [`LayerGrid::route`] search reached, its origin
+    /// included.
+    pub(crate) fn visited(&self) -> usize {
+        self.queue.len()
+    }
 }
 
 #[cfg(test)]
@@ -227,7 +368,13 @@ mod tests {
         assert_eq!(g.free_count(), 4);
         g.set(1, SiteState::Wire(NodeId::new(0)));
         assert_eq!(g.free_count(), 3);
-        assert!(!g.free_sites().contains(&1));
+        g.set(1, SiteState::Node(NodeId::new(0)));
+        assert_eq!(g.free_count(), 3);
+        assert_eq!(g.nth_free(1), Some(2));
+        assert_eq!(g.nth_free(3), None);
+        g.set(1, SiteState::Free);
+        assert_eq!(g.free_count(), 4);
+        assert_eq!(g.nth_free(1), Some(1));
     }
 
     /// A search on fresh buffers, with the path copied out.
@@ -313,6 +460,74 @@ mod tests {
                 assert_eq!(fresh.as_deref(), reused, "{from} -> {to} on width {width}");
             }
         }
+    }
+
+    #[test]
+    fn nearest_free_matches_exhaustive_scan() {
+        // The axis-split, interval-pruned scan must pick exactly the
+        // site a full scan of the free sites in index order picks.
+        let mut rng = mbqc_util::Rng::seed_from_u64(11);
+        let mut axis_cost = Vec::new();
+        for width in [1, 2, 5, 8, 11] {
+            let mut g = LayerGrid::new(width);
+            for _ in 0..60 {
+                let s = rng.range(g.len());
+                let state = if rng.bernoulli(0.5) {
+                    SiteState::Node(NodeId::new(s))
+                } else {
+                    SiteState::Free
+                };
+                g.set(s, state);
+                let targets: Vec<usize> =
+                    (0..1 + rng.range(4)).map(|_| rng.range(g.len())).collect();
+                let mut want = None;
+                let mut want_cost = usize::MAX;
+                for s in (0..g.len()).filter(|&s| g.state(s) == SiteState::Free) {
+                    let cost: usize = targets.iter().map(|&e| g.distance(s, e)).sum();
+                    if cost < want_cost {
+                        want_cost = cost;
+                        want = Some(s);
+                    }
+                }
+                let got = g.nearest_free(targets.iter().copied(), &mut axis_cost);
+                assert_eq!(got, want, "targets {targets:?} on width {width}");
+            }
+        }
+    }
+
+    #[test]
+    fn doomed_verdicts_are_sound() {
+        // Capacities only shrink, failed searches relabel what they
+        // flood; whenever the labels call a search doomed, a fresh
+        // search must indeed find no path.
+        let mut rng = mbqc_util::Rng::seed_from_u64(5);
+        let mut scratch = RouteScratch::default();
+        let (mut doomed, mut failed) = (0, 0);
+        for width in [3, 6, 9] {
+            for _ in 0..20 {
+                let g = LayerGrid::new(width);
+                let mut cap: Vec<usize> = (0..g.len()).map(|_| rng.range(3)).collect();
+                scratch.reset_labels(g.len());
+                for _ in 0..4 * g.len() {
+                    let s = rng.range(g.len());
+                    cap[s] = cap[s].saturating_sub(1 + rng.range(2));
+                    let (from, to) = (rng.range(g.len()), rng.range(g.len()));
+                    if g.may_route(from, to, |s| cap[s], &scratch) {
+                        if g.route(from, to, |s| cap[s], &mut scratch).is_none() {
+                            failed += 1;
+                        }
+                    } else {
+                        doomed += 1;
+                        assert_eq!(route(&g, from, to, |s| cap[s]), None, "{from} -> {to}");
+                    }
+                }
+            }
+        }
+        // Both verdicts were exercised, failed searches included.
+        assert!(
+            doomed > 100 && failed > 100,
+            "{doomed} doomed, {failed} failed"
+        );
     }
 
     #[test]

@@ -9,6 +9,8 @@
 //! cannot be routed through a congested layer are deferred: both wires
 //! stay alive and the edge retries on later layers.
 
+use std::collections::VecDeque;
+
 use mbqc_graph::{DiGraph, Graph, NodeId};
 use mbqc_util::codec::{CodecError, Decoder, Encoder};
 use mbqc_util::Rng;
@@ -270,6 +272,7 @@ impl GridMapper {
         let wire_pass_cap = (kind.photons().saturating_sub(2) / 2).max(1);
         // Fusion arms on a freshly placed node's state.
         let node_arms = kind.degree_capacity();
+        let caps = (wire_attach_cap, wire_pass_cap, node_arms, route_cap);
 
         let mut rng = Rng::seed_from_u64(self.config.seed);
         let MapperWorkspace {
@@ -283,11 +286,10 @@ impl GridMapper {
         st.reset(n, graph);
         layer.reset(n, width * width);
         pending.clear();
-        pending.extend_from_slice(order);
+        pending.extend(order.iter().copied());
         pending_edges.clear();
         let mut t = 0usize;
         let mut stagnant_layers = 0usize;
-        let mut spread_cursor = 0usize;
 
         while !pending.is_empty() || !pending_edges.is_empty() {
             // --- open layer t: wires occupy their sites -----------------
@@ -297,20 +299,15 @@ impl GridMapper {
                 st.wire_fusions += 1;
             }
             layer.open();
+            st.counters.layers += 1;
+            layer.route.reset_labels(grid.len());
             let mut progressed = false;
 
             // --- 1. retry deferred edges --------------------------------
+            st.counters.edge_retries += pending_edges.len() as u64;
             still_pending.clear();
             for (u, v) in pending_edges.drain(..) {
-                if Self::try_realize_edge(
-                    u,
-                    v,
-                    &mut grid,
-                    st,
-                    layer,
-                    (wire_attach_cap, wire_pass_cap, node_arms, route_cap),
-                    t,
-                ) {
+                if Self::try_realize_edge(u, v, &mut grid, st, layer, caps, t) {
                     progressed = true;
                 } else {
                     still_pending.push((u, v));
@@ -319,37 +316,17 @@ impl GridMapper {
             std::mem::swap(pending_edges, still_pending);
 
             // --- 2. place new nodes in order -----------------------------
-            let mut failures = 0usize;
-            let mut i = 0usize;
-            while i < pending.len() {
-                if grid.free_count() == 0 || failures >= self.config.congestion_limit {
+            // A placement needs only a free site: edges it cannot route
+            // are deferred, never the node.
+            while grid.free_count() > 0 {
+                let Some(u) = pending.pop_front() else {
                     break;
-                }
-                let u = pending[i];
-                match self.try_place(
-                    u,
-                    &mut grid,
-                    st,
-                    layer,
-                    pending_edges,
-                    (wire_attach_cap, wire_pass_cap, node_arms, route_cap),
-                    t,
-                    &mut spread_cursor,
-                    &mut rng,
-                ) {
-                    true => {
-                        // `u` routed its own edges above on the wire
-                        // budget; from here on it is a fresh node.
-                        layer.mark_placed(u);
-                        pending.remove(i);
-                        progressed = true;
-                        failures = 0;
-                    }
-                    false => {
-                        failures += 1;
-                        i += 1;
-                    }
-                }
+                };
+                Self::place(u, &mut grid, st, layer, pending_edges, caps, t, &mut rng);
+                // `u` routed its own edges above on the wire budget; from
+                // here on it is a fresh node.
+                layer.mark_placed(u);
+                progressed = true;
             }
 
             // --- close layer t -------------------------------------------
@@ -378,7 +355,7 @@ impl GridMapper {
                 stagnant_layers += 1;
                 if stagnant_layers > 3 {
                     let node = pending
-                        .first()
+                        .front()
                         .map_or_else(|| pending_edges[0].0.index(), |u| u.index());
                     return Err(CompileError::PlacementStuck {
                         node,
@@ -402,14 +379,13 @@ impl GridMapper {
         })
     }
 
-    /// Attempts to place node `u` in the open layer, routing as many
-    /// edges to already-placed neighbors as budgets allow (the rest are
-    /// deferred). Returns `false` only when no free site exists.
+    /// Places node `u` on a free site of the open layer (the caller
+    /// guarantees one), routing as many edges to already-placed
+    /// neighbors as budgets allow; the rest are deferred.
     ///
     /// `caps = (wire_attach_cap, wire_pass_cap, node_arms, route_cap)`.
     #[allow(clippy::too_many_arguments)]
-    fn try_place(
-        &self,
+    fn place(
         u: NodeId,
         grid: &mut LayerGrid,
         st: &mut MapperState,
@@ -417,42 +393,29 @@ impl GridMapper {
         pending_edges: &mut Vec<(NodeId, NodeId)>,
         caps: (usize, usize, usize, usize),
         t: usize,
-        spread_cursor: &mut usize,
         rng: &mut Rng,
-    ) -> bool {
+    ) {
         let node_arms = caps.2;
-        let free = grid.free_sites();
-        if free.is_empty() {
-            return false;
-        }
         // Placed neighbors whose edge to u is still unrealized.
-        let nbr_endpoints: Vec<(NodeId, usize)> = st
-            .graph_neighbors(u)
-            .iter()
-            .filter(|v| st.placed[v.index()] && !st.edge_realized(u, **v))
-            .map(|&v| (v, st.site_of[v.index()]))
-            .collect();
+        let mut nbrs = std::mem::take(&mut layer.nbrs);
+        nbrs.clear();
+        nbrs.extend(
+            st.graph_neighbors(u)
+                .iter()
+                .filter(|v| st.placed[v.index()] && !st.edge_realized(u, **v))
+                .map(|&v| (v, st.site_of[v.index()])),
+        );
 
-        // Candidate sites: nearest to the neighbor endpoints, or a
-        // spread-out pick for isolated placements.
-        let site = if nbr_endpoints.is_empty() {
-            *spread_cursor = (*spread_cursor + 7 + (rng.next_u64() % 3) as usize) % free.len();
-            free[*spread_cursor % free.len()]
+        // The site nearest the neighbor endpoints, or a spread-out pick
+        // for isolated placements.
+        let site = if nbrs.is_empty() {
+            st.spread_cursor =
+                (st.spread_cursor + 7 + (rng.next_u64() % 3) as usize) % grid.free_count();
+            grid.nth_free(st.spread_cursor)
         } else {
-            let mut best = free[0];
-            let mut best_cost = usize::MAX;
-            for &s in &free {
-                let cost: usize = nbr_endpoints
-                    .iter()
-                    .map(|&(_, e)| grid.distance(s, e))
-                    .sum();
-                if cost < best_cost {
-                    best_cost = cost;
-                    best = s;
-                }
-            }
-            best
-        };
+            grid.nearest_free(nbrs.iter().map(|&(_, e)| e), &mut layer.axis_cost)
+        }
+        .expect("placement needs a free site");
 
         grid.set(site, SiteState::Node(u));
         st.placed[u.index()] = true;
@@ -461,20 +424,17 @@ impl GridMapper {
         st.effective_layer[u.index()] = t;
 
         // Route to neighbors, nearest first, within u's arm budget.
-        let mut ordered = nbr_endpoints;
-        ordered.sort_by_key(|&(_, e)| grid.distance(site, e));
-        for (v, _) in ordered {
+        nbrs.sort_by_key(|&(_, e)| grid.distance(site, e));
+        for &(v, _) in &nbrs {
             let arms_for_wire = usize::from(st.open_edges[u.index()] > 1);
             let budget = node_arms.saturating_sub(arms_for_wire);
-            if layer.attach.get(u.index(), layer.epoch) >= budget {
-                pending_edges.push((u, v));
-                continue;
-            }
-            if !Self::try_realize_edge(v, u, grid, st, layer, caps, t) {
+            if layer.attach.get(u.index(), layer.epoch) >= budget
+                || !Self::try_realize_edge(v, u, grid, st, layer, caps, t)
+            {
                 pending_edges.push((u, v));
             }
         }
-        true
+        layer.nbrs = nbrs;
     }
 
     /// Attempts to realize edge `(a, b)` (both placed) by routing between
@@ -521,9 +481,17 @@ impl GridMapper {
                     SiteState::Node(_) => 0,
                 }
             };
+            // Capacities only shrink within a layer, so the labels can
+            // refute a search before it floods a component.
+            if !grid.may_route(sa, sb, capacity_of, &layer.route) {
+                st.counters.searches_skipped += 1;
+                return false;
+            }
             grid.route(sa, sb, capacity_of, &mut layer.route)
         };
         let Some(path) = path else {
+            st.counters.searches_failed += 1;
+            st.counters.sites_visited_failed += layer.route.visited() as u64;
             return false;
         };
         // Commit the path.
@@ -546,6 +514,8 @@ impl GridMapper {
             }
         }
         st.routing_fusions += path.len();
+        st.counters.searches_found += 1;
+        st.counters.sites_visited_found += layer.route.visited() as u64;
         layer.attach.bump(a.index(), layer.epoch);
         layer.attach.bump(b.index(), layer.epoch);
         st.mark_edge_realized(a, b);
@@ -565,6 +535,28 @@ impl GridMapper {
     }
 }
 
+/// Deterministic work counts of one [`GridMapper::compile_with`] call,
+/// read through [`MapperWorkspace::counters`]. They depend only on the
+/// inputs, never on the host or its timing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MapperCounters {
+    /// Layers opened.
+    pub layers: u64,
+    /// Deferred edges retried when a layer opens.
+    pub edge_retries: u64,
+    /// Routing searches that found a path.
+    pub searches_found: u64,
+    /// Routing searches that exhausted their component without
+    /// reaching the target.
+    pub searches_failed: u64,
+    /// Searches the component labels proved doomed, so never run.
+    pub searches_skipped: u64,
+    /// Sites reached by successful searches, origins included.
+    pub sites_visited_found: u64,
+    /// Sites reached by failed searches, origins included.
+    pub sites_visited_failed: u64,
+}
+
 /// Reusable placement-state buffers for [`GridMapper::compile_with`].
 /// One workspace serves any sequence of graphs (buffers are resized per
 /// call); a compile session keeps one per mapping worker.
@@ -572,7 +564,7 @@ impl GridMapper {
 pub struct MapperWorkspace {
     state: MapperState,
     layer: LayerScratch,
-    pending: Vec<NodeId>,
+    pending: VecDeque<NodeId>,
     pending_edges: Vec<(NodeId, NodeId)>,
     still_pending: Vec<(NodeId, NodeId)>,
     seen: Vec<bool>,
@@ -583,6 +575,12 @@ impl MapperWorkspace {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Work counts of the last compilation run in this workspace.
+    #[must_use]
+    pub fn counters(&self) -> MapperCounters {
+        self.state.counters
     }
 }
 
@@ -603,6 +601,10 @@ struct LayerScratch {
     /// Nodes committed to this layer, in placement order.
     placed: Vec<NodeId>,
     route: RouteScratch,
+    /// The placing node's unrealized placed neighbors and their sites.
+    nbrs: Vec<(NodeId, usize)>,
+    /// Per-row then per-column placement costs.
+    axis_cost: Vec<usize>,
 }
 
 impl LayerScratch {
@@ -666,6 +668,9 @@ struct MapperState {
     routing_fusions: usize,
     wire_fusions: usize,
     refresh_events: usize,
+    /// Free-site index of the last isolated placement.
+    spread_cursor: usize,
+    counters: MapperCounters,
 }
 
 impl MapperState {
@@ -697,6 +702,8 @@ impl MapperState {
         self.routing_fusions = 0;
         self.wire_fusions = 0;
         self.refresh_events = 0;
+        self.spread_cursor = 0;
+        self.counters = MapperCounters::default();
     }
 
     fn graph_neighbors(&self, u: NodeId) -> &[NodeId] {
@@ -937,6 +944,33 @@ mod tests {
                 let reused = mapper.compile_with(g, &order, &mut ws);
                 assert_eq!(fresh, reused, "graph {i} on width {width}");
             }
+        }
+    }
+
+    #[test]
+    fn counters_pin_routing_work() {
+        // K10 on a 5×5 grid congests: edges defer, searches fail, and
+        // the component labels refute most retries without a search.
+        let g = generate::complete_graph(10);
+        let order: Vec<NodeId> = g.nodes().collect();
+        let mapper = GridMapper::new(CompilerConfig::new(5, ResourceStateKind::FIVE_STAR));
+        let mut ws = MapperWorkspace::new();
+        let want = MapperCounters {
+            layers: 9,
+            edge_retries: 118,
+            searches_found: 45,
+            searches_failed: 9,
+            searches_skipped: 99,
+            sites_visited_found: 467,
+            sites_visited_failed: 50,
+        };
+        for _ in 0..2 {
+            // Counts are per compilation: a reused workspace starts over.
+            let c = mapper.compile_with(&g, &order, &mut ws).unwrap();
+            let got = ws.counters();
+            assert_eq!(got, want);
+            assert_eq!(got.layers, c.num_layers as u64);
+            assert_eq!(got.searches_found, g.edge_count() as u64);
         }
     }
 

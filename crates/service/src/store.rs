@@ -256,8 +256,8 @@ impl Lru {
         Some(&self.slots[i].value)
     }
 
-    /// Like [`Lru::get`], but returns the shared value handle (an
-    /// `Arc` clone, no byte copy).
+    /// Looks up `key`, marks it most recently used, and returns the
+    /// shared value handle (an `Arc` clone, no byte copy).
     fn get_arc(&mut self, key: &[u8]) -> Option<Arc<Vec<u8>>> {
         let &i = self.map.get(key)?;
         self.unlink(i);
