@@ -53,7 +53,11 @@
 //! can be inspected, stored, or re-entered, and a [`CompileSession`]
 //! owns the reusable workspaces of every stage so repeated compilations
 //! stop re-allocating. `compile_pattern` is exactly this chain run end
-//! to end (property-tested to be bit-identical).
+//! to end (property-tested to be bit-identical). An artifact either
+//! borrows its pattern ([`Transpiled::new`], as below) or shares it
+//! through an `Arc` ([`Transpiled::shared`]); a shared-pattern artifact
+//! is `'static` and owns everything it needs, so a job can carry it
+//! from one stage task to the next. Neither form copies the pattern.
 //!
 //! ```
 //! use dc_mbqc::{CompileSession, DcMbqcConfig, Transpiled};
@@ -81,21 +85,23 @@
 //! assert!(scheduled.problem().is_feasible(scheduled.schedule()));
 //! ```
 //!
-//! # Batch compilation
+//! # Batch compilation and stage tasks
 //!
 //! [`DcMbqcCompiler::compile_batch`] compiles many patterns
-//! concurrently over the shared hardware configuration — the building
-//! block of a compilation service. Results are in input order and
-//! identical to a sequential `compile_pattern` loop for every worker
-//! count. For finer-grained scheduling, [`crate::stage_graph`] exposes
-//! the pipeline as *stage tasks*: a [`StageGraph`] tracks one job's
-//! stage dependencies, a [`WorkspacePool`] lends out per-stage
-//! workspaces, and the free stage functions ([`partition_stage`],
-//! [`map_stage`], [`schedule_stage`]) run any stage on any worker.
-//! (The `mbqc-service` crate builds the full service on top: a
-//! priority-aware stage-task executor over a content-addressed
-//! stage-artifact cache keyed by [`Pattern::content_bytes`] and
-//! [`DcMbqcConfig::stage_fingerprint_bytes`].)
+//! concurrently over the shared hardware configuration, one whole
+//! pipeline per pattern. Results are in input order and identical to a
+//! sequential `compile_pattern` loop for every worker count. For
+//! finer-grained scheduling, [`crate::stage_graph`] names the pipeline's
+//! *stage tasks* ([`StageKind`]) and a [`WorkspacePool`] lends out
+//! per-stage workspaces, so the free stage functions
+//! ([`partition_stage`], [`map_stage`], [`schedule_stage`]) can run any
+//! job's next stage on any worker. The `mbqc-service` crate builds its
+//! executor on these rather than on `compile_batch`: each job carries
+//! its latest shared-pattern artifact between tasks, and a
+//! content-addressed stage-artifact cache keyed by
+//! [`Pattern::content_bytes`] and
+//! [`DcMbqcConfig::stage_fingerprint_bytes`] lets a job re-enter the
+//! chain at any stage.
 //!
 //! [`Pattern::content_bytes`]: mbqc_pattern::Pattern::content_bytes
 //!
@@ -130,7 +136,7 @@ pub use config::{DcMbqcConfig, DcMbqcError, PipelineStage};
 pub use pipeline::{DcMbqcCompiler, DistributedSchedule};
 pub use report::ComparisonReport;
 pub use session::{
-    map_stage, partition_stage, schedule_stage, CompileSession, Mapped, Partitioned,
-    PartitionedCache, Scheduled, Transpiled,
+    map_stage, partition_stage, schedule_stage, CompileSession, Mapped, Partitioned, Scheduled,
+    Transpiled,
 };
-pub use stage_graph::{StageGraph, StageKind, WorkspacePool};
+pub use stage_graph::{StageKind, WorkspacePool};

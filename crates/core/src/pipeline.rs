@@ -293,8 +293,9 @@ impl DcMbqcCompiler {
     }
 
     /// Compiles a batch of patterns concurrently over the shared
-    /// hardware configuration — the building block of a sharded
-    /// compilation service. Results are returned in input order and are
+    /// hardware configuration, one whole pipeline per pattern. (The
+    /// `mbqc-service` crate does not use it: its executor runs jobs one
+    /// stage task at a time.) Results are returned in input order and are
     /// identical to a sequential loop of
     /// [`compile_pattern`](Self::compile_pattern) per element, for
     /// every worker count (`config.batch_workers`; `0` = one per

@@ -8,16 +8,22 @@
 //! each independently constructible and inspectable: diagnostics can
 //! stop after any stage, and re-entry (e.g. re-scheduling a mapped
 //! program, or injecting an externally computed partition) starts from
-//! the matching artifact instead of re-running the whole driver. The
-//! session owns the reusable workspaces of every stage — the
-//! partitioner's coarsening buffers, one mapper workspace per mapping
-//! worker, and the scheduler's ready-queue scratch — so repeated
-//! compilations stop re-allocating.
+//! the matching artifact instead of re-running the whole driver. An
+//! artifact borrows its pattern ([`Transpiled::new`]) or shares it
+//! through an `Arc` ([`Transpiled::shared`]); the shared form is
+//! `'static`, so an executor can store a job's latest artifact between
+//! stage tasks. The session owns the reusable workspaces of every
+//! stage — the partitioner's coarsening buffers, one mapper workspace
+//! per mapping worker, and the scheduler's ready-queue scratch — so
+//! repeated compilations stop re-allocating.
 //!
 //! [`DcMbqcCompiler::compile_pattern`](crate::DcMbqcCompiler::compile_pattern)
 //! is a thin wrapper that drives a fresh session through all four
 //! stages; the staged path is pinned bit-identical to it by property
 //! tests.
+
+use std::ops::Deref;
+use std::sync::Arc;
 
 use mbqc_compiler::{CompiledProgram, GridMapper, MapperWorkspace};
 use mbqc_graph::{CsrGraph, Graph, NodeId};
@@ -34,6 +40,28 @@ use crate::baseline::placement_order;
 use crate::config::{DcMbqcConfig, DcMbqcError};
 use crate::pipeline::DistributedSchedule;
 
+/// How a stage artifact holds its pattern: borrowed from the caller
+/// ([`Transpiled::new`]), or shared through an [`Arc`]
+/// ([`Transpiled::shared`]) so the artifact owns its pattern and can be
+/// carried between the stage tasks of a job. Neither form copies the
+/// pattern.
+#[derive(Debug, Clone)]
+enum PatternRef<'p> {
+    Borrowed(&'p Pattern),
+    Shared(Arc<Pattern>),
+}
+
+impl Deref for PatternRef<'_> {
+    type Target = Pattern;
+
+    fn deref(&self) -> &Pattern {
+        match self {
+            PatternRef::Borrowed(p) => p,
+            PatternRef::Shared(p) => p,
+        }
+    }
+}
+
 /// Stage-1 artifact: a pattern with a verified causal flow and the
 /// placement order derived from it.
 ///
@@ -42,50 +70,50 @@ use crate::pipeline::DistributedSchedule;
 /// order.
 #[derive(Debug, Clone)]
 pub struct Transpiled<'p> {
-    pattern: &'p Pattern,
+    pattern: PatternRef<'p>,
     order: Vec<NodeId>,
 }
 
 impl<'p> Transpiled<'p> {
-    /// Verifies causal flow and derives the placement order.
+    /// Verifies causal flow and derives the placement order of a
+    /// borrowed pattern.
     ///
     /// # Errors
     ///
     /// Returns [`DcMbqcError::NoFlow`] for patterns without causal flow.
     pub fn new(pattern: &'p Pattern) -> Result<Self, DcMbqcError> {
-        let order = placement_order(pattern).ok_or(DcMbqcError::NoFlow)?;
-        Ok(Self { pattern, order })
+        Self::verify(PatternRef::Borrowed(pattern))
     }
 
-    /// Re-enters the pipeline with an already-derived placement order
-    /// (e.g. one retained by a stage-task executor between tasks of the
-    /// same job). The order must be exactly what [`Transpiled::new`]
-    /// would derive for this pattern — it is taken on trust beyond a
-    /// length check, so the flow computation is not repeated.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the order does not cover the pattern's nodes.
-    #[must_use]
-    pub fn from_parts(pattern: &'p Pattern, order: Vec<NodeId>) -> Self {
-        assert_eq!(
-            order.len(),
-            pattern.node_count(),
-            "placement order does not cover the pattern"
-        );
-        Self { pattern, order }
+    fn verify(pattern: PatternRef<'p>) -> Result<Self, DcMbqcError> {
+        let order = placement_order(&pattern).ok_or(DcMbqcError::NoFlow)?;
+        Ok(Self { pattern, order })
     }
 
     /// The underlying pattern.
     #[must_use]
-    pub fn pattern(&self) -> &'p Pattern {
-        self.pattern
+    pub fn pattern(&self) -> &Pattern {
+        &self.pattern
     }
 
     /// The flow-respecting placement order (covers all nodes).
     #[must_use]
     pub fn placement_order(&self) -> &[NodeId] {
         &self.order
+    }
+}
+
+impl Transpiled<'static> {
+    /// [`Transpiled::new`] on a shared pattern: the artifact — and
+    /// every later one built from it — holds a reference count instead
+    /// of a borrow, so it can be stored between the stage tasks of a
+    /// job.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DcMbqcError::NoFlow`] for patterns without causal flow.
+    pub fn shared(pattern: Arc<Pattern>) -> Result<Self, DcMbqcError> {
+        Self::verify(PatternRef::Shared(pattern))
     }
 }
 
@@ -160,75 +188,16 @@ impl<'p> Partitioned<'p> {
         &self.csr
     }
 
-    /// Snapshots the derived state [`Partitioned::with_partition`]
-    /// would recompute — the workload CSR and the partition metrics —
-    /// so an executor that rebuilds this artifact once per stage task
-    /// can pay for the derivation once per *job* (see
-    /// [`Partitioned::with_partition_cached`]).
-    #[must_use]
-    pub fn cache(&self) -> PartitionedCache {
-        PartitionedCache {
-            csr: self.csr.clone(),
-            modularity: self.modularity,
-            cut: self.adaptive.cut,
-            alpha: self.adaptive.alpha,
+    /// Global node ids owned by each QPU, in placement order: the
+    /// subprogram each QPU's grid compilation runs on.
+    fn part_nodes(&self) -> Vec<Vec<NodeId>> {
+        let partition = &self.adaptive.partition;
+        let mut part_nodes: Vec<Vec<NodeId>> = vec![Vec::new(); partition.k()];
+        for &u in &self.transpiled.order {
+            part_nodes[partition.part_of(u)].push(u);
         }
+        part_nodes
     }
-
-    /// [`Partitioned::with_partition`] with the derived state supplied
-    /// from a previous construction's [`Partitioned::cache`] — a plain
-    /// memcpy instead of a workload-CSR rebuild plus modularity/cut
-    /// recomputation. The cache must come from the same
-    /// `(pattern, partition)` pair; sizes are checked, values are
-    /// trusted (they are deterministic functions of the pair).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache or partition does not cover the pattern's
-    /// nodes.
-    #[must_use]
-    pub fn with_partition_cached(
-        transpiled: Transpiled<'p>,
-        partition: Partition,
-        cache: PartitionedCache,
-    ) -> Self {
-        assert_eq!(
-            cache.csr.node_count(),
-            transpiled.pattern.node_count(),
-            "cached CSR does not cover the pattern"
-        );
-        assert_eq!(
-            partition.len(),
-            cache.csr.node_count(),
-            "partition size mismatch"
-        );
-        let modularity = cache.modularity;
-        Self {
-            transpiled,
-            csr: cache.csr,
-            adaptive: AdaptiveResult {
-                partition,
-                modularity: cache.modularity,
-                cut: cache.cut,
-                alpha: cache.alpha,
-                history: Vec::new(),
-            },
-            modularity,
-        }
-    }
-}
-
-/// The derived state of a [`Partitioned`] artifact (workload CSR +
-/// partition metrics), detached from the pattern borrow so it can be
-/// carried between the stage tasks of one job. Produced by
-/// [`Partitioned::cache`], consumed by
-/// [`Partitioned::with_partition_cached`].
-#[derive(Debug, Clone)]
-pub struct PartitionedCache {
-    csr: CsrGraph,
-    modularity: f64,
-    cut: i64,
-    alpha: f64,
 }
 
 /// Stage-3 artifact: every QPU's subprogram compiled onto its RSG grid.
@@ -242,23 +211,21 @@ pub struct Mapped<'p> {
 
 impl<'p> Mapped<'p> {
     /// Re-enters the pipeline with externally compiled per-QPU
-    /// programs (paired with the per-QPU global node lists they were
-    /// compiled from, in placement order).
+    /// programs, one per part of the partition, each compiled from its
+    /// part's nodes in placement order (the node lists are derived from
+    /// the partition exactly as [`map_stage`] derives them).
     ///
     /// # Panics
     ///
     /// Panics if the shapes disagree with the partition.
     #[must_use]
-    pub fn from_parts(
-        partitioned: Partitioned<'p>,
-        part_nodes: Vec<Vec<NodeId>>,
-        compiled: Vec<CompiledProgram>,
-    ) -> Self {
-        let k = partitioned.partition().k();
-        assert_eq!(part_nodes.len(), k, "per-QPU node lists disagree with k");
-        assert_eq!(compiled.len(), k, "per-QPU programs disagree with k");
-        let covered: usize = part_nodes.iter().map(Vec::len).sum();
-        assert_eq!(covered, partitioned.partition().len(), "nodes not covered");
+    pub fn from_parts(partitioned: Partitioned<'p>, compiled: Vec<CompiledProgram>) -> Self {
+        let part_nodes = partitioned.part_nodes();
+        assert_eq!(
+            compiled.len(),
+            part_nodes.len(),
+            "per-QPU programs disagree with k"
+        );
         for (qpu, (nodes, program)) in part_nodes.iter().zip(&compiled).enumerate() {
             assert_eq!(
                 program.layer_of.len(),
@@ -422,7 +389,7 @@ impl CompileSession {
 // Each stage of the pipeline is a pure function of `(config, input
 // artifact, workspace)`. `CompileSession` binds them to its owned
 // workspaces; executors that pool workspaces across many concurrent
-// jobs (`mbqc-service`'s stage-graph executor) call them directly with
+// jobs (`mbqc-service`'s stage-task executor) call them directly with
 // a checked-out workspace instead. Workspaces never influence results
 // (property-tested), so the two call styles are bit-identical.
 // ---------------------------------------------------------------------
@@ -480,11 +447,7 @@ pub fn map_stage<'p>(
         "partition has {} parts for {k} QPUs",
         partitioned.partition().k()
     );
-    // Per part: global nodes in placement order.
-    let mut part_nodes: Vec<Vec<NodeId>> = vec![Vec::new(); k];
-    for &u in &partitioned.transpiled.order {
-        part_nodes[partitioned.adaptive.partition.part_of(u)].push(u);
-    }
+    let part_nodes = partitioned.part_nodes();
     let subgraphs: Vec<Graph> = part_nodes
         .iter()
         .map(|nodes| graph.induced_subgraph(nodes).0)
@@ -564,7 +527,7 @@ pub fn schedule_stage(
         part_nodes,
         compiled,
     } = mapped;
-    let pattern = partitioned.transpiled.pattern;
+    let pattern = &*partitioned.transpiled.pattern;
     let graph = pattern.graph();
 
     // Global node → (qpu, storage-epoch layer).

@@ -1,17 +1,18 @@
 //! Mid-pipeline re-entry on degenerate inputs: the re-entry
-//! constructors ([`Transpiled::from_parts`],
-//! [`Partitioned::with_partition`], [`Partitioned::with_partition_cached`])
+//! constructors ([`Partitioned::with_partition`], [`Mapped::from_parts`])
 //! and the full pipeline must **error or compile cleanly — never
 //! panic** on the edge shapes a service meets in the wild: the empty
 //! pattern, a single-qubit pattern, a `k = 1` partition, and more QPUs
 //! than nodes. Contract *violations* (mismatched table sizes) stay
 //! documented panics — those are executor bugs, not inputs.
 
+use std::sync::Arc;
+
 use dc_mbqc::{
-    CompileSession, DcMbqcCompiler, DcMbqcConfig, DcMbqcError, DistributedSchedule, Partitioned,
-    Transpiled,
+    CompileSession, DcMbqcCompiler, DcMbqcConfig, DcMbqcError, DistributedSchedule, Mapped,
+    Partitioned, Transpiled,
 };
-use mbqc_graph::{Graph, NodeId};
+use mbqc_graph::Graph;
 use mbqc_hardware::{DistributedHardware, ResourceStateKind};
 use mbqc_partition::Partition;
 use mbqc_pattern::Pattern;
@@ -119,9 +120,10 @@ fn pipeline_compiles_degenerate_shapes() {
     }
 }
 
-/// Re-entry through `Transpiled::from_parts` +
-/// `Partitioned::with_partition` (+ the cached variant) reproduces the
-/// direct compilation bit for bit on every degenerate shape.
+/// Re-entry through `Partitioned::with_partition` (a stored partition)
+/// and `Mapped::from_parts` (stored per-QPU programs) reproduces the
+/// direct compilation bit for bit on every degenerate shape, with the
+/// pattern borrowed or shared.
 #[test]
 fn reentry_matches_direct_on_degenerate_shapes() {
     for (what, pattern, qpus) in degenerate_cases() {
@@ -129,31 +131,28 @@ fn reentry_matches_direct_on_degenerate_shapes() {
         let direct = DcMbqcCompiler::new(config.clone())
             .compile_pattern(&pattern)
             .unwrap_or_else(|e| panic!("{what}: direct: {e}"));
-        let order = Transpiled::new(&pattern)
-            .unwrap_or_else(|e| panic!("{what}: transpile: {e}"))
-            .placement_order()
-            .to_vec();
-
-        // Plain re-entry: retained order + stored partition.
         let mut session = CompileSession::new(config.clone());
-        let transpiled = Transpiled::from_parts(&pattern, order.clone());
+
+        // Stored partition, borrowed pattern.
+        let transpiled =
+            Transpiled::new(&pattern).unwrap_or_else(|e| panic!("{what}: transpile: {e}"));
         let partitioned = Partitioned::with_partition(transpiled, direct.partition().clone());
-        let cache = partitioned.cache();
         let mapped = session
             .map(partitioned)
             .unwrap_or_else(|e| panic!("{what}: map: {e}"));
+        let programs = mapped.programs().to_vec();
         let scheduled = session.schedule(mapped);
         assert_eq!(scheduled, direct, "{what}: with_partition re-entry");
 
-        // Cached re-entry: the executor's per-task rebuild path.
-        let transpiled = Transpiled::from_parts(&pattern, order);
-        let partitioned =
-            Partitioned::with_partition_cached(transpiled, direct.partition().clone(), cache);
-        let mapped = session
-            .map(partitioned)
-            .unwrap_or_else(|e| panic!("{what}: cached map: {e}"));
+        // Stored partition and programs, shared pattern: the service's
+        // `Mapped` cache re-entry.
+        let shared = Arc::new(pattern.clone());
+        let transpiled =
+            Transpiled::shared(shared).unwrap_or_else(|e| panic!("{what}: shared transpile: {e}"));
+        let partitioned = Partitioned::with_partition(transpiled, direct.partition().clone());
+        let mapped = Mapped::from_parts(partitioned, programs);
         let scheduled = session.schedule(mapped);
-        assert_eq!(scheduled, direct, "{what}: with_partition_cached re-entry");
+        assert_eq!(scheduled, direct, "{what}: Mapped::from_parts re-entry");
     }
 }
 
@@ -178,24 +177,36 @@ fn flowless_pattern_errors_cleanly() {
 #[test]
 fn reentry_contract_violations_panic() {
     let single = single_node_pattern();
-    // Placement order not covering the pattern.
-    assert!(std::panic::catch_unwind(|| {
-        Transpiled::from_parts(&single, vec![NodeId::new(0), NodeId::new(0)])
-    })
-    .is_err());
     // Partition not covering the pattern.
     assert!(std::panic::catch_unwind(|| {
         let t = Transpiled::new(&single).unwrap();
         Partitioned::with_partition(t, Partition::new(vec![0, 1], 2))
     })
     .is_err());
-    // Cache from a different pattern.
+
+    // Programs that do not match the partition's shape.
+    let two = two_node_pattern();
+    let config = DcMbqcConfig::new(hw(2, 4));
+    let split = Partition::new(vec![0, 1], 2);
+    let mapped = CompileSession::new(config)
+        .map(Partitioned::with_partition(
+            Transpiled::new(&two).unwrap(),
+            split.clone(),
+        ))
+        .expect("two nodes fit");
+    let programs = mapped.programs().to_vec();
+    // One program for two parts.
     assert!(std::panic::catch_unwind(|| {
-        let two = two_node_pattern();
-        let t2 = Transpiled::new(&two).unwrap();
-        let cache = Partitioned::with_partition(t2, Partition::new(vec![0, 1], 2)).cache();
-        let t1 = Transpiled::new(&single).unwrap();
-        Partitioned::with_partition_cached(t1, Partition::new(vec![0], 1), cache)
+        let p = Partitioned::with_partition(Transpiled::new(&two).unwrap(), split.clone());
+        Mapped::from_parts(p, programs[..1].to_vec())
+    })
+    .is_err());
+    // Right count, wrong sizes: both nodes on part 0, but part 0's
+    // program covers one node.
+    assert!(std::panic::catch_unwind(|| {
+        let both_on_0 = Partition::new(vec![0, 0], 2);
+        let p = Partitioned::with_partition(Transpiled::new(&two).unwrap(), both_on_0);
+        Mapped::from_parts(p, programs.clone())
     })
     .is_err());
 }

@@ -230,7 +230,9 @@ impl Client {
 
     /// Streams a job's events **from now on** (no replay — use
     /// [`submit_observed`](Self::submit_observed) for a complete
-    /// stream). Takes over the connection like `submit_observed`.
+    /// stream). Takes over the connection like `submit_observed`. The
+    /// stream ends after the job's terminal event, or at once for a job
+    /// that is already terminal or unknown.
     ///
     /// # Errors
     ///

@@ -223,7 +223,8 @@ pub enum Request {
     /// Stream a job's events from now on ([`KIND_EVENT`] frames until
     /// [`KIND_STREAM_END`]); replied with [`Response::Subscribed`]
     /// first. Unlike [`SubmitObserved`](Self::SubmitObserved) this
-    /// observes from the moment of the request.
+    /// observes from the moment of the request; for a job that is
+    /// already terminal or unknown the stream ends at once.
     SubscribeEvents {
         /// The job to observe.
         id: u64,

@@ -56,9 +56,6 @@ pub struct CoarsenWorkspace {
     order: Vec<usize>,
     key: Vec<i64>,
     mate: Vec<Option<NodeId>>,
-    /// Packed matched-state bitset for the word-parallel matching scan:
-    /// bit `i` set ⇔ node `i` is still unmatched.
-    unmatched: Vec<u64>,
     counts: Vec<u32>,
     sorted: Vec<usize>,
     /// Rebuild scratch: surviving coarse edges `(ca, cb, w)` in
@@ -161,7 +158,7 @@ fn coarsen_once(g: &CsrGraph, rng: &mut Rng, ws: &mut CoarsenWorkspace) -> Optio
         rng.shuffle(order);
         order.sort_by_key(|&i| std::cmp::Reverse(key[i]));
     }
-    let matched_any = heavy_edge_matching(g, &ws.order, &mut ws.mate, &mut ws.unmatched);
+    let matched_any = heavy_edge_matching(g, &ws.order, &mut ws.mate);
     let mate = &ws.mate;
     if !matched_any {
         return None;
@@ -193,41 +190,14 @@ fn coarsen_once(g: &CsrGraph, rng: &mut Rng, ws: &mut CoarsenWorkspace) -> Optio
     Some(CsrLevel { graph, map })
 }
 
-/// Node count at which [`heavy_edge_matching`] switches its liveness
-/// probes from the `Option<NodeId>` mate array to the packed bitset.
-/// Below it the mate array (8 bytes per node) is cache-resident and a
-/// direct load beats the bitset's shift–mask chain; above it shuffled
-/// visit orders turn every mate probe into a cache miss while the
-/// bitset (1 *bit* per node — ~12 KiB per 100k nodes) stays hot.
-/// Measured break-even on the tracked workloads: the bitset costs ~6%
-/// on the QFT-36 levels (~3k nodes) and wins 1.1–1.4× on a 360k-node
-/// grid (the spread is measurement-window load on the shared box).
-const WORD_PARALLEL_MIN_NODES: usize = 1 << 16;
-
 /// One round of heavy-edge matching over a frozen CSR graph, visiting
 /// nodes in `order`: each still-unmatched node pairs with its unmatched
 /// neighbor of maximum edge weight (smallest index on ties). Fills
 /// `mate` (resized to the node count) and returns whether any pair
-/// matched.
-///
-/// Adaptive probe strategy: levels below
-/// [`WORD_PARALLEL_MIN_NODES`](self) scan with direct mate-array
-/// probes (fastest when the array is cache-resident); larger levels
-/// take the word-parallel bitset pass ([`heavy_edge_matching_bitset`]).
-/// Both branches make identical max-weight-then-smallest-index
-/// decisions, so the output does not depend on the branch taken —
-/// pinned by proptest on both branches against a plain scalar oracle
-/// in this crate's tests.
-pub fn heavy_edge_matching(
-    g: &CsrGraph,
-    order: &[usize],
-    mate: &mut Vec<Option<NodeId>>,
-    unmatched: &mut Vec<u64>,
-) -> bool {
+/// matched. Pinned by proptest against a plain scalar oracle in this
+/// crate's tests.
+pub fn heavy_edge_matching(g: &CsrGraph, order: &[usize], mate: &mut Vec<Option<NodeId>>) -> bool {
     let n = g.node_count();
-    if n >= WORD_PARALLEL_MIN_NODES {
-        return heavy_edge_matching_bitset(g, order, mate, unmatched);
-    }
     mate.clear();
     mate.resize(n, None);
     let mut matched_any = false;
@@ -256,73 +226,6 @@ pub fn heavy_edge_matching(
         }
         mate[i] = Some(NodeId::new(bv));
         mate[bv] = Some(u);
-        matched_any = true;
-    }
-    matched_any
-}
-
-/// The word-parallel branch of [`heavy_edge_matching`]: the matched
-/// state lives in `unmatched`, a packed `u64` bitset (bit `i` set ⇔
-/// node `i` unmatched), so one cached word answers the liveness probe
-/// for 64 nodes — the whole matching state for a 100k-node level is
-/// ~12 KiB instead of the 800 KiB `Option<NodeId>` array the scalar
-/// pass probes, which keeps shuffled-order probes inside L1/L2 on
-/// levels where mate-array probes thrash. `mate` is write-only here;
-/// every liveness read is a bitset word.
-///
-/// Exposed (hidden) so the equivalence proptest can pin this branch
-/// directly on small random graphs, below the adaptive threshold.
-#[doc(hidden)]
-pub fn heavy_edge_matching_bitset(
-    g: &CsrGraph,
-    order: &[usize],
-    mate: &mut Vec<Option<NodeId>>,
-    unmatched: &mut Vec<u64>,
-) -> bool {
-    let n = g.node_count();
-    mate.clear();
-    mate.resize(n, None);
-    unmatched.clear();
-    unmatched.resize(n.div_ceil(64), !0u64);
-    if !n.is_multiple_of(64) {
-        // Clear the tail bits past node n-1 (never probed, kept zero so
-        // the bitset is exactly the unmatched set).
-        *unmatched.last_mut().unwrap() = (1u64 << (n % 64)) - 1;
-    }
-    let mut matched_any = false;
-    for &i in order {
-        if (unmatched[i >> 6] >> (i & 63)) & 1 == 0 {
-            continue;
-        }
-        let u = NodeId::new(i);
-        let neighbors = g.neighbors(u);
-        let weights = g.neighbor_weights(u);
-        // Same running (max weight, smallest index) scan as the scalar
-        // branch; only the liveness probe differs. `usize::MAX` marks
-        // "no live candidate yet"; any live index is smaller, so the
-        // first live lane always takes over through the tie-break
-        // compare.
-        let mut bw = i64::MIN;
-        let mut bv = usize::MAX;
-        for (j, &v) in neighbors.iter().enumerate() {
-            let vi = v.index();
-            if vi == i || (unmatched[vi >> 6] >> (vi & 63)) & 1 == 0 {
-                continue;
-            }
-            let w = weights[j];
-            if w > bw || (w == bw && vi < bv) {
-                bw = w;
-                bv = vi;
-            }
-        }
-        if bv == usize::MAX {
-            continue;
-        }
-        let vi = bv;
-        mate[i] = Some(NodeId::new(vi));
-        mate[vi] = Some(u);
-        unmatched[i >> 6] &= !(1u64 << (i & 63));
-        unmatched[vi >> 6] &= !(1u64 << (vi & 63));
         matched_any = true;
     }
     matched_any

@@ -31,27 +31,19 @@
 //!
 //! # Kernel design
 //!
-//! ## Adaptive word-parallel heavy-edge matching
+//! ## Heavy-edge matching
 //!
 //! The matching pass ([`coarsen::heavy_edge_matching`]) is the dominant
 //! fraction of `multilevel_kway` runtime — it touches every CSR row of
-//! every coarsening level. It picks one of two bit-identical strategies
-//! by level size. Below the threshold the mate array is L1-resident and
-//! a plain scalar `mate[v].is_none()` probe is already as fast as a
-//! load can be, so the pass runs the direct scalar scan with zero side
-//! structures. At or above the threshold (`2^16` nodes — measured
-//! break-even on grid graphs: parity at ~90k nodes, 1.1–1.4× at ~360k
-//! depending on measurement-window load)
-//! the mate array spills out of cache and the liveness probe switches
-//! to a packed `u64` bitset (bit `i` set ⇔ node `i` unmatched), so one
-//! cached word answers the probe for 64 nodes instead of one
-//! `Option<NodeId>` load per neighbor. Both branches make exactly the
-//! max-weight-then-smallest-index decisions of a plain scalar loop (the
-//! test oracle's) and are **pinned bit-identical** to it by a 256-case
-//! proptest over random graphs including wide-weight and isolated-node
-//! corners (the bitset branch is exercised directly via
-//! `coarsen::heavy_edge_matching_bitset`) — identical mates mean
-//! identical coarse graphs mean identical partitions.
+//! every coarsening level. It is one direct scalar scan with zero side
+//! structures: `mate[v].is_none()` is the liveness probe, and on the
+//! level sizes the pipeline meets (the largest benchmark pattern,
+//! QFT-36, has 3 692 nodes) the mate array stays cache-resident. It
+//! makes exactly the max-weight-then-smallest-index decisions of the
+//! test oracle's plain loop and is **pinned bit-identical** to it by a
+//! 256-case proptest over random graphs including wide-weight and
+//! isolated-node corners — identical mates mean identical coarse graphs
+//! mean identical partitions.
 //!
 //! ## Decision-invariant driver plumbing
 //!

@@ -310,14 +310,11 @@ proptest! {
         wide in 0u64..2,
         seed in 0u64..10_000,
     ) {
-        // The matching-pass pin, both adaptive branches: the
-        // word-parallel bitset pass (called directly — these graphs sit
-        // below the adaptive threshold) and the public entry (the
-        // scalar branch at these sizes) must make exactly the decisions
-        // of the scalar reference — including isolated tail nodes
-        // (never matched, bit stays set) and weights past the 4096
-        // counting-sort ceiling (the wide-key tie-break classes).
-        use mbqc_partition::coarsen::{heavy_edge_matching, heavy_edge_matching_bitset};
+        // The matching-pass pin: the public entry must make exactly the
+        // decisions of the scalar reference — including isolated tail
+        // nodes (never matched) and weights past the 4096 counting-sort
+        // ceiling (the wide-key tie-break classes).
+        use mbqc_partition::coarsen::heavy_edge_matching;
         use common::heavy_edge_matching_reference;
         let mut rng = Rng::seed_from_u64(seed);
         let total = n + isolated;
@@ -337,23 +334,11 @@ proptest! {
         let csr = CsrGraph::from_graph(&g);
         let mut order: Vec<usize> = (0..total).collect();
         rng.shuffle(&mut order);
-        let mut fast_mate = Vec::new();
-        let mut unmatched = Vec::new();
-        let fast_any = heavy_edge_matching_bitset(&csr, &order, &mut fast_mate, &mut unmatched);
+        let mut mate = Vec::new();
+        let any = heavy_edge_matching(&csr, &order, &mut mate);
         let mut ref_mate = Vec::new();
         let ref_any = heavy_edge_matching_reference(&csr, &order, &mut ref_mate);
-        prop_assert_eq!(fast_any, ref_any);
-        prop_assert_eq!(&fast_mate, &ref_mate);
-        // The bitset must finish as exactly the unmatched set.
-        for i in 0..total {
-            let bit = (unmatched[i >> 6] >> (i & 63)) & 1 == 1;
-            prop_assert_eq!(bit, ref_mate[i].is_none());
-        }
-        // The public adaptive entry (scalar branch at these sizes).
-        let mut adaptive_mate = Vec::new();
-        let mut scratch = Vec::new();
-        let adaptive_any = heavy_edge_matching(&csr, &order, &mut adaptive_mate, &mut scratch);
-        prop_assert_eq!(adaptive_any, ref_any);
-        prop_assert_eq!(&adaptive_mate, &ref_mate);
+        prop_assert_eq!(any, ref_any);
+        prop_assert_eq!(&mate, &ref_mate);
     }
 }

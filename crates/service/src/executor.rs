@@ -1,22 +1,22 @@
-//! The stage-graph executor: workers drain a shared priority queue of
+//! The stage-task executor: workers drain a shared priority queue of
 //! *stage tasks* instead of whole jobs.
 //!
-//! Every submitted job is decomposed into `Transpile` → `Partition` →
-//! `Map` → `Schedule` tasks with explicit data dependencies (tracked by
-//! the job's [`StageGraph`](dc_mbqc::StageGraph)). A worker pops the
-//! highest-priority ready task, executes exactly one stage on
-//! workspaces checked out of the shared
-//! [`WorkspacePool`], and returns the job to
-//! the queue with its next task ready — so stages of *different* jobs
-//! overlap across workers, and a long batch job never blocks an
-//! interactive job for more than one stage's duration.
+//! Every submitted job runs as `Transpile` → `Partition` → `Map` →
+//! `Schedule` tasks, each consuming the previous task's artifact. A job
+//! carries its latest artifact between tasks (`Carried`), and the
+//! artifact names the next task. A worker pops the highest-priority
+//! ready job, moves its artifact into exactly one stage function on
+//! workspaces checked out of the shared [`WorkspacePool`], stores the
+//! result on the job, and returns the job to the queue — so stages of
+//! *different* jobs overlap across workers, and a long batch job never
+//! blocks an interactive job for more than one stage's duration.
 //!
 //! Cache integration is per task:
 //!
 //! * the `Transpile` task doubles as the job's planning step — it
 //!   probes the [`ArtifactStore`](crate::ArtifactStore)
-//!   deepest-artifact-first and fast-forwards the job's stage graph
-//!   past every stage a cached artifact already answers (re-entry via
+//!   deepest-artifact-first and re-enters the pipeline past every stage
+//!   a cached artifact already answers (via
 //!   [`Partitioned::with_partition`] / [`Mapped::from_parts`]);
 //! * every later task re-consults the store for its own stage key
 //!   before computing, so an artifact published mid-flight (say by a
@@ -25,13 +25,12 @@
 //!   not at the end of the job — a duplicate job one stage behind can
 //!   hit it immediately.
 //!
-//! Between tasks a job carries only *owned* state (placement order,
-//! partition, compiled programs); the borrow-holding stage artifacts
-//! are rebuilt transiently inside each task through the same re-entry
-//! constructors the cache path uses, which is exactly why any task
-//! interleaving stays bit-identical to a direct `compile_pattern`
-//! (property-tested across worker counts × priority mixes × cache
-//! states).
+//! Artifacts are built on the job's shared pattern
+//! ([`Transpiled::shared`]), so they are `'static` and nothing is
+//! rebuilt or copied between tasks. Stage functions are pure in
+//! `(config, input artifact)`, which is why any task interleaving stays
+//! bit-identical to a direct `compile_pattern` (property-tested across
+//! worker counts × priority mixes × cache states).
 //!
 //! Job lifecycle hooks live at the task boundaries: queue pops drop
 //! cancelled/expired jobs before running anything (see
@@ -45,6 +44,8 @@
 
 use std::time::Instant;
 
+use std::sync::Arc;
+
 use dc_mbqc::{
     map_stage, partition_stage, schedule_stage, DcMbqcError, DistributedSchedule, Mapped,
     Partitioned, PipelineStage, StageKind, Transpiled, WorkspacePool,
@@ -53,20 +54,17 @@ use mbqc_partition::Partition;
 use mbqc_util::sync::lock;
 
 use crate::service::{
-    decode_mapped, encode_mapped, internal_error, part_nodes_of, partition_fits, probe_cache,
-    programs_fit, CacheEntry, JobId, JobState, ServiceError, Shared, StageKeys,
+    decode_mapped, encode_mapped, internal_error, partition_fits, probe_cache, programs_fit,
+    CacheEntry, Carried, JobId, JobState, ServiceError, Shared, StageKeys,
 };
 use crate::telemetry::EventKind;
 
-/// One stage-graph worker: pop ready stage tasks until shutdown *and*
+/// One stage-task worker: pop ready stage tasks until shutdown *and*
 /// the queue is drained. Every worker pops from the same ready queue
 /// in the same order.
 pub(crate) fn stage_loop(shared: &Shared) {
     while let Some((seq, mut state)) = shared.next_job() {
-        let kind = state
-            .stages
-            .ready()
-            .expect("queued job has a ready stage task");
+        let kind = state.carried.next_stage();
         let job = JobId(seq);
         let attempt = state.attempt;
         if shared.telemetry.armed() {
@@ -88,7 +86,7 @@ pub(crate) fn stage_loop(shared: &Shared) {
                 std::thread::sleep(delay);
             }
             shared.faults.maybe_panic(kind);
-            run_stage_task(shared, job, &mut state, kind)
+            run_stage_task(shared, job, &mut state)
         }));
         let elapsed_ns = start.elapsed().as_nanos() as u64;
         state.latency_ns += elapsed_ns;
@@ -149,24 +147,26 @@ impl Drop for DiscardOnUnwind<'_> {
     }
 }
 
-/// Executes one stage task of one job. `Ok(Some(..))` carries the
-/// job's final result; `Ok(None)` means the next stage task is ready.
+/// Executes one stage task of one job: the one that consumes the
+/// job's carried artifact. `Ok(Some(..))` carries the job's final
+/// result; `Ok(None)` means the task stored its artifact on the job and
+/// the next stage task is ready.
 fn run_stage_task(
     shared: &Shared,
     job: JobId,
     state: &mut JobState,
-    kind: StageKind,
 ) -> Result<Option<DistributedSchedule>, DcMbqcError> {
-    match kind {
-        StageKind::Transpile => transpile_task(shared, job, state),
-        StageKind::Partition => partition_task(shared, job, state),
-        StageKind::Map => map_task(shared, job, state),
-        StageKind::Schedule => schedule_task(shared, job, state),
+    match std::mem::take(&mut state.carried) {
+        Carried::NotStarted => transpile_task(shared, job, state),
+        Carried::Transpiled(t) => partition_task(shared, job, state, t),
+        Carried::Partitioned(p) => map_task(shared, job, state, p),
+        Carried::Mapped(m) => schedule_task(shared, job, state, m),
     }
 }
 
-/// The planning task: derives the placement order and probes the cache
-/// deepest-artifact-first, fast-forwarding past answered stages.
+/// The planning task: verifies flow, derives the placement order and
+/// probes the cache deepest-artifact-first, re-entering the pipeline
+/// past answered stages.
 fn transpile_task(
     shared: &Shared,
     job: JobId,
@@ -179,24 +179,19 @@ fn transpile_task(
         // Terminal hit: the job never runs another task (the flow
         // check is subsumed — a stored schedule proves the pattern
         // compiled before).
-        state.stages.finish();
         return Ok(Some(*s));
     }
-    let transpiled = Transpiled::new(&state.pattern)?;
-    state.order = Some(transpiled.placement_order().to_vec());
-    state.stages.complete(StageKind::Transpile);
-    match entry {
-        CacheEntry::Mapped(partition, programs) => {
-            state.partition = Some(partition);
-            state.programs = Some(programs);
-            state.stages.skip_to(StageKind::Schedule);
-        }
+    let transpiled = Transpiled::shared(Arc::clone(&state.pattern))?;
+    state.carried = match entry {
+        CacheEntry::Mapped(partition, programs) => Carried::Mapped(Mapped::from_parts(
+            Partitioned::with_partition(transpiled, partition),
+            programs,
+        )),
         CacheEntry::Partitioned(partition) => {
-            state.partition = Some(partition);
-            state.stages.skip_to(StageKind::Map);
+            Carried::Partitioned(Partitioned::with_partition(transpiled, partition))
         }
-        CacheEntry::Miss | CacheEntry::Scheduled(_) => {}
-    }
+        CacheEntry::Miss | CacheEntry::Scheduled(_) => Carried::Transpiled(transpiled),
+    };
     Ok(None)
 }
 
@@ -206,6 +201,7 @@ fn partition_task(
     shared: &Shared,
     job: JobId,
     state: &mut JobState,
+    transpiled: Transpiled<'static>,
 ) -> Result<Option<DistributedSchedule>, DcMbqcError> {
     let keys = state.keys.as_ref().expect("planning task ran first");
     // Re-consult the store: a concurrent duplicate job may have
@@ -222,8 +218,7 @@ fn partition_task(
                         },
                     );
                 }
-                state.partition = Some(p);
-                state.stages.complete(StageKind::Partition);
+                state.carried = Carried::Partitioned(Partitioned::with_partition(transpiled, p));
                 return Ok(None);
             }
         }
@@ -241,22 +236,18 @@ fn partition_task(
     // checked out, which is exactly what the guard (and the pool's
     // outstanding-count invariant) must survive.
     shared.faults.maybe_panic(StageKind::Partition);
-    let (partition, cache) = {
-        let transpiled = transpiled_of(state);
-        let partitioned = partition_stage(&config, transpiled, &mut ws);
-        (partitioned.partition().clone(), partitioned.cache())
-    };
+    let partitioned = partition_stage(&config, transpiled, &mut ws);
     std::mem::forget(unwind);
     shared.pool.checkin_kway(ws);
     // Publish gate: a task that observes its job's cancellation keeps
     // its (fully computed, deterministic) artifact out of the store —
     // the job terminates `Cancelled` at the requeue that follows.
     if !state.cancel.is_cancelled() {
-        shared.store.put(&keys.part, partition.to_bytes());
+        shared
+            .store
+            .put(&keys.part, partitioned.partition().to_bytes());
     }
-    state.partition = Some(partition);
-    state.part_cache = Some(cache);
-    state.stages.complete(StageKind::Partition);
+    state.carried = Carried::Partitioned(partitioned);
     Ok(None)
 }
 
@@ -266,6 +257,7 @@ fn map_task(
     shared: &Shared,
     job: JobId,
     state: &mut JobState,
+    partitioned: Partitioned<'static>,
 ) -> Result<Option<DistributedSchedule>, DcMbqcError> {
     let keys = state.keys.as_ref().expect("planning task ran first");
     if let Some(bytes) = shared.store.get(&keys.map) {
@@ -280,14 +272,10 @@ fn map_task(
                         },
                     );
                 }
-                // The adopted partition replaces whatever the partition
-                // task computed; the cached derivation belongs to the
-                // *old* partition, so drop it — the schedule task must
-                // re-derive metrics consistent with the adopted one.
-                state.partition = Some(p);
-                state.part_cache = None;
-                state.programs = Some(programs);
-                state.stages.complete(StageKind::Map);
+                // The stored programs were compiled for the stored
+                // partition, so it replaces the one this job computed.
+                let adopted = Partitioned::with_partition(partitioned.transpiled().clone(), p);
+                state.carried = Carried::Mapped(Mapped::from_parts(adopted, programs));
                 return Ok(None);
             }
         }
@@ -301,28 +289,14 @@ fn map_task(
     let mut ws = shared.pool.checkout_mapper();
     let unwind = DiscardOnUnwind(&shared.pool);
     shared.faults.maybe_panic(StageKind::Map);
-    let outcome = {
-        let transpiled = transpiled_of(state);
-        let partition = state.partition.clone().expect("partition stage ran");
-        let partitioned = partitioned_of(state, transpiled, partition);
-        // Fill the derivation cache for the schedule task if this is
-        // the first construction (a `Partitioned` cache-probe hit
-        // enters here without one).
-        let cache = state.part_cache.is_none().then(|| partitioned.cache());
-        map_stage(&state.config, partitioned, map_workers, &mut ws)
-            .map(|mapped| (encode_mapped(&mapped), mapped.programs().to_vec(), cache))
-    };
+    let mapped = map_stage(&state.config, partitioned, map_workers, &mut ws);
     std::mem::forget(unwind);
     shared.pool.checkin_mapper(ws);
-    let (artifact, programs, cache) = outcome?;
+    let mapped = mapped?;
     if !state.cancel.is_cancelled() {
-        shared.store.put(&keys.map, artifact);
+        shared.store.put(&keys.map, encode_mapped(&mapped));
     }
-    state.programs = Some(programs);
-    if cache.is_some() {
-        state.part_cache = cache;
-    }
-    state.stages.complete(StageKind::Map);
+    state.carried = Carried::Mapped(mapped);
     Ok(None)
 }
 
@@ -332,6 +306,7 @@ fn schedule_task(
     shared: &Shared,
     job: JobId,
     state: &mut JobState,
+    mapped: Mapped<'static>,
 ) -> Result<Option<DistributedSchedule>, DcMbqcError> {
     let keys = state.keys.as_ref().expect("planning task ran first");
     // Same warm-hit path as the planning probe: the store's shared
@@ -347,22 +322,13 @@ fn schedule_task(
                     },
                 );
             }
-            state.stages.complete(StageKind::Schedule);
             return Ok(Some(s));
         }
     }
     let mut ws = shared.pool.checkout_schedule();
     let unwind = DiscardOnUnwind(&shared.pool);
     shared.faults.maybe_panic(StageKind::Schedule);
-    let programs = state.programs.take().expect("map stage ran");
-    let scheduled = {
-        let transpiled = transpiled_of(state);
-        let partition = state.partition.clone().expect("partition stage ran");
-        let partitioned = partitioned_of(state, transpiled, partition);
-        let part_nodes = part_nodes_of(&partitioned);
-        let mapped = Mapped::from_parts(partitioned, part_nodes, programs);
-        schedule_stage(&state.config, mapped, &mut ws)
-    };
+    let scheduled = schedule_stage(&state.config, mapped, &mut ws);
     std::mem::forget(unwind);
     shared.pool.checkin_schedule(ws);
     // The job's result exists, so it terminates `Done` even under a
@@ -370,30 +336,5 @@ fn schedule_task(
     if !state.cancel.is_cancelled() {
         shared.store.put(&keys.sched, scheduled.to_bytes());
     }
-    state.stages.complete(StageKind::Schedule);
     Ok(Some(scheduled))
-}
-
-/// Rebuilds the stage-1 artifact from the job's retained placement
-/// order (no flow recomputation).
-fn transpiled_of(state: &JobState) -> Transpiled<'_> {
-    Transpiled::from_parts(
-        &state.pattern,
-        state.order.clone().expect("transpile task ran"),
-    )
-}
-
-/// Rebuilds the stage-2 artifact, reusing the job's cached derivation
-/// (workload CSR + metrics) when a previous task already computed it —
-/// one memcpy instead of a per-task CSR rebuild plus modularity/cut
-/// recomputation.
-fn partitioned_of<'p>(
-    state: &JobState,
-    transpiled: Transpiled<'p>,
-    partition: Partition,
-) -> Partitioned<'p> {
-    match &state.part_cache {
-        Some(cache) => Partitioned::with_partition_cached(transpiled, partition, cache.clone()),
-        None => Partitioned::with_partition(transpiled, partition),
-    }
 }

@@ -9,22 +9,26 @@
 //! ## Job → stage-task decomposition
 //!
 //! A submitted job `(pattern, config, priority)` is not executed as one
-//! monolithic pipeline run. The stage-graph executor — the service's
-//! only execution engine ([`executor`]) — decomposes it into four
-//! stage tasks with explicit data dependencies,
+//! monolithic pipeline run. The stage-task executor — the service's
+//! only execution engine ([`executor`]) — runs it as four stage tasks,
+//! each consuming the previous one's artifact,
 //!
 //! > `Transpile` → `Partition` → `Map` → `Schedule`
 //!
-//! tracked by a per-job [`dc_mbqc::StageGraph`]. All jobs' ready tasks
-//! sit in one shared priority queue that every worker drains: worker A
-//! can partition job 2 while worker B schedules job 1. Between tasks a
-//! job carries only owned state (placement order, partition, compiled
-//! programs); each task rebuilds the borrow-holding stage artifact it
-//! needs through the pipeline's re-entry constructors
-//! ([`dc_mbqc::Partitioned::with_partition`],
-//! [`dc_mbqc::Mapped::from_parts`]) and runs the matching stage
-//! function ([`dc_mbqc::partition_stage`] & co.) on workspaces checked
-//! out of a shared [`dc_mbqc::WorkspacePool`].
+//! All jobs' ready tasks sit in one shared priority queue that every
+//! worker drains: worker A can partition job 2 while worker B schedules
+//! job 1. The service wraps the submitted pattern in an `Arc` once, and
+//! between tasks a job carries exactly one thing: its latest stage
+//! artifact ([`dc_mbqc::Transpiled`], [`dc_mbqc::Partitioned`] or
+//! [`dc_mbqc::Mapped`], built with [`dc_mbqc::Transpiled::shared`] so it
+//! owns a reference to the pattern instead of a borrow). The artifact
+//! names the next task. That task moves it into the matching stage
+//! function ([`dc_mbqc::partition_stage`] & co.), runs on workspaces
+//! checked out of a shared [`dc_mbqc::WorkspacePool`], and stores the
+//! result. Nothing is rebuilt or copied between tasks; the re-entry
+//! constructors ([`dc_mbqc::Partitioned::with_partition`],
+//! [`dc_mbqc::Mapped::from_parts`]) run only when a stored artifact
+//! answers a stage.
 //!
 //! ## Priority semantics
 //!
@@ -51,8 +55,8 @@
 //! | `Partitioned` | partitioning (the α-search of Algorithm 2) |
 //!
 //! The store is consulted *per task*, not per job: the job's first
-//! task probes deepest-artifact-first and fast-forwards the stage
-//! graph, every later task re-checks its own stage key before
+//! task probes deepest-artifact-first and re-enters the pipeline at
+//! the deepest hit, every later task re-checks its own stage key before
 //! computing (catching artifacts published mid-flight by concurrent
 //! duplicate jobs), and every computed artifact is published the
 //! moment its task completes. Because configuration fingerprints are
@@ -241,9 +245,9 @@
 //! **Retries are opt-in and bounded.** [`JobOptions::retry`] carries a
 //! [`RetryPolicy`]: a maximum attempt count and an exponential backoff
 //! (doubling per retry, capped at [`RetryPolicy::max_backoff`]). A
-//! retried job is parked until its backoff elapses, then re-enqueued
-//! with a fresh stage graph — no state from the failed attempt leaks
-//! into the next one, and stage artifacts the failed attempt already
+//! retried job drops its carried artifact, is parked until its backoff
+//! elapses, then re-enqueued from `Transpile` — no state from the
+//! failed attempt leaks into the next one, and stage artifacts the failed attempt already
 //! published still short-circuit the redo. Every retry increments
 //! [`ServiceStats::retries`], and [`CompileService::attempts`] reports
 //! a job's attempt count (frozen at its terminal state) until the

@@ -1,12 +1,13 @@
 //! The compilation service: a priority-aware queue of jobs executed by
 //! a pool of workers.
 //!
-//! One execution engine runs every job: the stage-graph executor
-//! ([`crate::executor`]) decomposes each job into stage tasks
-//! (`Transpile` → `Partition` → `Map` → `Schedule`) tracked by a
-//! [`StageGraph`] and lets any worker run any ready task — stages of
-//! *different* jobs overlap, so worker A can partition job 2 while
-//! worker B schedules job 1.
+//! One execution engine runs every job: the stage-task executor
+//! ([`crate::executor`]) runs each job one stage task at a time
+//! (`Transpile` → `Partition` → `Map` → `Schedule`) and lets any worker
+//! run any job's next task — stages of *different* jobs overlap, so
+//! worker A can partition job 2 while worker B schedules job 1. Between
+//! tasks a job carries its latest stage artifact, which names the next
+//! task.
 //!
 //! Every job routes its stages through the shared [`ArtifactStore`]:
 //!
@@ -69,11 +70,10 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use dc_mbqc::{
-    DcMbqcConfig, DcMbqcError, DistributedSchedule, Mapped, Partitioned, PipelineStage, StageGraph,
-    StageKind, WorkspacePool,
+    DcMbqcConfig, DcMbqcError, DistributedSchedule, Mapped, Partitioned, PipelineStage, StageKind,
+    Transpiled, WorkspacePool,
 };
 use mbqc_compiler::CompiledProgram;
-use mbqc_graph::NodeId;
 use mbqc_partition::Partition;
 use mbqc_pattern::Pattern;
 use mbqc_util::codec::{CodecError, Decoder, Encoder};
@@ -741,33 +741,47 @@ impl StageKeys {
     }
 }
 
-/// Everything a queued job carries: its inputs plus the owned outputs
-/// of every completed stage task (the executor's inter-task state —
-/// the borrow-holding stage artifacts are rebuilt transiently inside
-/// each task via the re-entry constructors).
+/// A job's pipeline progress: the latest stage artifact it carries,
+/// built on the job's shared pattern. The variant names the next stage
+/// task; that task moves the artifact into its stage function and
+/// stores the result here.
+#[derive(Debug, Default)]
+pub(crate) enum Carried {
+    /// No task has run yet (or a retry reset the job).
+    #[default]
+    NotStarted,
+    Transpiled(Transpiled<'static>),
+    Partitioned(Partitioned<'static>),
+    Mapped(Mapped<'static>),
+}
+
+impl Carried {
+    /// The stage task that consumes the carried artifact.
+    pub(crate) fn next_stage(&self) -> StageKind {
+        match self {
+            Carried::NotStarted => StageKind::Transpile,
+            Carried::Transpiled(_) => StageKind::Partition,
+            Carried::Partitioned(_) => StageKind::Map,
+            Carried::Mapped(_) => StageKind::Schedule,
+        }
+    }
+}
+
+/// Everything a queued job carries: its inputs plus its latest stage
+/// artifact.
 #[derive(Debug)]
 pub(crate) struct JobState {
-    pub(crate) pattern: Pattern,
+    /// Shared with every artifact the job builds (never copied).
+    pub(crate) pattern: Arc<Pattern>,
     pub(crate) config: DcMbqcConfig,
     pub(crate) priority: Priority,
     /// The submitting tenant ([`JobOptions::tenant`]): routes the
     /// job's queue entries to its fair lane.
     pub(crate) tenant: u32,
-    /// Stage-task dependency tracker.
-    pub(crate) stages: StageGraph,
     /// Artifact keys, computed once by the first stage task.
     pub(crate) keys: Option<StageKeys>,
-    /// Placement order (after `Transpile`).
-    pub(crate) order: Option<Vec<NodeId>>,
-    /// Chosen partition (after `Partition`).
-    pub(crate) partition: Option<Partition>,
-    /// Per-QPU compiled programs (after `Map`).
-    pub(crate) programs: Option<Vec<CompiledProgram>>,
-    /// Derived partition state (workload CSR + metrics), computed once
-    /// by the first task that needs the `Partitioned` artifact and
-    /// reused by the rest — rebuilding it per task would redo the
-    /// workload CSR for every stage.
-    pub(crate) part_cache: Option<dc_mbqc::PartitionedCache>,
+    /// The latest stage artifact.
+    pub(crate) carried: Carried,
     /// Accumulated in-worker execution time of this job's tasks.
     pub(crate) latency_ns: u64,
     /// The job's cancellation flag (always present: service-created
@@ -792,7 +806,7 @@ pub(crate) struct JobState {
 impl JobState {
     #[allow(clippy::too_many_arguments)]
     fn new(
-        pattern: Pattern,
+        pattern: Arc<Pattern>,
         config: DcMbqcConfig,
         priority: Priority,
         tenant: u32,
@@ -806,12 +820,8 @@ impl JobState {
             config,
             priority,
             tenant,
-            stages: StageGraph::new(),
             keys: None,
-            order: None,
-            partition: None,
-            programs: None,
-            part_cache: None,
+            carried: Carried::NotStarted,
             latency_ns: 0,
             cancel,
             deadline,
@@ -821,18 +831,14 @@ impl JobState {
         }
     }
 
-    /// Resets the job to a fresh pipeline for a retry: a new stage
-    /// graph and no carried stage outputs (the failed attempt's state
-    /// may be mid-update). Identity (pattern, config, priority,
-    /// cancellation, deadline) and the accumulated in-worker latency
-    /// survive — latency spans attempts.
+    /// Resets the job to a fresh pipeline for a retry by dropping its
+    /// carried artifact (the failed attempt may have left it
+    /// mid-update). Identity (pattern, config, priority, cancellation,
+    /// deadline) and the accumulated in-worker latency survive —
+    /// latency spans attempts.
     fn reset_for_retry(&mut self) {
-        self.stages = StageGraph::new();
         self.keys = None;
-        self.order = None;
-        self.partition = None;
-        self.programs = None;
-        self.part_cache = None;
+        self.carried = Carried::NotStarted;
     }
 }
 
@@ -966,7 +972,7 @@ struct ResultState {
 #[derive(Debug)]
 struct Follower {
     seq: u64,
-    pattern: Pattern,
+    pattern: Arc<Pattern>,
     config: DcMbqcConfig,
     priority: Priority,
     tenant: u32,
@@ -1176,15 +1182,10 @@ impl Shared {
 
     /// Returns a job to the queue with its next stage task ready — or,
     /// when its cancellation fired during the task, terminates it
-    /// `Cancelled` right here (the task boundary). The decision is
-    /// recorded on (and read back from) the job's stage graph: an
-    /// abandoned graph has no ready task, which is exactly why the job
-    /// must not re-enter the queue.
-    pub(crate) fn requeue(&self, seq: u64, mut state: JobState) {
+    /// `Cancelled` right here (the task boundary): the job's carried
+    /// artifact is dropped with its remaining stages.
+    pub(crate) fn requeue(&self, seq: u64, state: JobState) {
         if state.cancel.is_cancelled() {
-            state.stages.abandon();
-        }
-        if state.stages.is_abandoned() {
             self.finish_job(seq, Err(ServiceError::Cancelled(JobId(seq))), 0);
             return;
         }
@@ -1323,9 +1324,12 @@ impl Shared {
                 }
             }
         }
-        // Emit the terminal event *before* publishing the result:
-        // once `wait` returns, the event is already in every
-        // subscriber's buffer (and the per-job stream is closed).
+        // Emit the terminal event *before* publishing the result, and
+        // under the results lock: once `wait` returns, the event is
+        // already in every subscriber's buffer (and the per-job stream
+        // is closed), and a concurrent `CompileService::subscribe`
+        // either registers before this emit or sees the job terminal.
+        let mut results = lock(&self.results);
         if self.telemetry.armed() {
             let state = match &result {
                 Ok(_) => TerminalState::Done,
@@ -1336,7 +1340,6 @@ impl Shared {
             self.telemetry
                 .emit(Some(JobId(seq)), EventKind::Terminal { state });
         }
-        let mut results = lock(&self.results);
         let id = JobId(seq);
         let attempts = results
             .pending
@@ -1614,6 +1617,9 @@ impl CompileService {
                 }
             }
         }
+        // Shared, never copied: every stage artifact of the job holds a
+        // reference count on this one pattern.
+        let pattern = Arc::new(pattern);
         let cancel = cancel.unwrap_or_default();
         let deadline = deadline.map(|d| Instant::now() + d);
         let attempts = Arc::new(AtomicU32::new(1));
@@ -1913,18 +1919,30 @@ impl CompileService {
     /// guaranteed-complete stream). `capacity` bounds the channel;
     /// `None` uses [`TelemetryConfig::channel_capacity`]. A per-job
     /// stream closes after delivering the job's
-    /// [`EventKind::Terminal`] event; a service-wide stream, or one for
-    /// a job already terminal, closes when the service is dropped. See
-    /// the crate-level "Observability" section.
+    /// [`EventKind::Terminal`] event; a stream for a job that is not
+    /// queued or running (already terminal, or an unknown id) is
+    /// closed on return and ends once it has delivered any buffered
+    /// events. A service-wide stream closes when the service is
+    /// dropped. See the crate-level "Observability" section.
     ///
-    /// Subscribing arms the telemetry hub: emit sites go from one
-    /// relaxed atomic check to actually constructing and delivering
+    /// An open subscription arms the telemetry hub: emit sites go from
+    /// one relaxed atomic check to actually constructing and delivering
     /// events. Delivery into the bounded channel never blocks a worker
     /// — on overflow, events are dropped and counted
     /// ([`EventStream::dropped`]).
     #[must_use]
     pub fn subscribe(&self, job: Option<JobId>, capacity: Option<usize>) -> EventStream {
-        self.shared.telemetry.subscribe(job, capacity)
+        let stream = self.shared.telemetry.subscribe(job, capacity);
+        // Register first, then check: a job whose terminal event was
+        // emitted before the registration is no longer pending here
+        // (`publish_terminal` emits and unpends under one lock), so
+        // the stream can never wait for an event that already passed.
+        if let Some(id) = job {
+            if !lock(&self.shared.results).pending.contains_key(&id) {
+                self.shared.telemetry.unsubscribe(&stream);
+            }
+        }
+        stream
     }
 
     /// Snapshot of the flight recorder: the most recent telemetry
@@ -2084,18 +2102,6 @@ pub(crate) fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
             std::any::Any::type_id(&**panic)
         )
     }
-}
-
-/// Per-QPU global node lists in placement order — exactly the
-/// assignment [`dc_mbqc::map_stage`] derives, recomputed for cache
-/// re-entry.
-pub(crate) fn part_nodes_of(partitioned: &Partitioned<'_>) -> Vec<Vec<NodeId>> {
-    let partition = partitioned.partition();
-    let mut part_nodes: Vec<Vec<NodeId>> = vec![Vec::new(); partition.k()];
-    for &u in partitioned.transpiled().placement_order() {
-        part_nodes[partition.part_of(u)].push(u);
-    }
-    part_nodes
 }
 
 /// Shape guard for decoded partitions: exact keys make mismatches

@@ -467,6 +467,15 @@ impl TelemetryHub {
         EventStream { chan }
     }
 
+    /// Closes one subscription and stops delivering to it: its stream
+    /// drains what is buffered, then ends.
+    pub(crate) fn unsubscribe(&self, stream: &EventStream) {
+        let mut inner = lock(&self.inner);
+        inner.subs.retain(|s| !Arc::ptr_eq(&s.chan, &stream.chan));
+        stream.chan.close();
+        self.refresh(&mut inner);
+    }
+
     /// Snapshot the flight recorder (oldest first). Empty when the
     /// recorder is disabled.
     pub(crate) fn recorder_dump(&self) -> Vec<TelemetryEvent> {

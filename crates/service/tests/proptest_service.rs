@@ -540,9 +540,9 @@ fn interactive_overtakes_batch_backlog() {
 /// Degenerate patterns — empty, single-node, two nodes on one or more
 /// QPUs than nodes — round-trip through the service twice: the cold
 /// round runs the stage tasks on edge shapes, the warm round re-enters
-/// mid-pipeline from their cached artifacts (`Transpiled::from_parts`,
-/// `Partitioned::with_partition(_cached)`, codec decodes of empty
-/// artifacts). Both must match the direct compilation; nothing may
+/// mid-pipeline from their cached artifacts
+/// (`Partitioned::with_partition`, `Mapped::from_parts`, codec decodes
+/// of empty artifacts). Both must match the direct compilation; nothing may
 /// panic a worker.
 #[test]
 fn degenerate_patterns_round_trip_through_the_service() {

@@ -23,8 +23,9 @@
 //! Deterministic companions pin the subscriber-robustness corners: a
 //! full (undrained) bounded subscription counts drops but never blocks
 //! or corrupts job results; a subscriber dropped mid-run never wedges
-//! the service; per-job streams close themselves after `Terminal`; and
-//! a dormant service (no subscribers, no recorder) emits nothing.
+//! the service; per-job streams close themselves after `Terminal`, or
+//! at once for a job that is already terminal or unknown; and a dormant
+//! service (no subscribers, no recorder) emits nothing.
 
 mod common;
 
@@ -280,6 +281,26 @@ fn observed_stream_is_complete_and_self_closing() {
         .filter(|e| matches!(e.kind, EventKind::TaskFinished { .. }))
         .count();
     assert_eq!(finished, 4, "{captured:?}");
+}
+
+/// A per-job subscription made after the job ended, or for an id that
+/// was never submitted, is closed on return: it can never see a
+/// `Terminal` event, so it must not wait for one.
+#[test]
+fn subscription_to_a_finished_or_unknown_job_is_closed() {
+    let service = CompileService::new(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    let id = service.submit(pattern_for(0, 7), DcMbqcConfig::new(hardware(2, 9)));
+    service.wait(id).expect("job completes");
+    let unknown = mbqc_service::JobId::from_raw(id.as_u64() + 1_000);
+    for job in [id, unknown] {
+        let stream = service.subscribe(Some(job), None);
+        assert!(stream.is_closed(), "{job:?}: stream left open");
+        assert!(stream.recv().is_none(), "{job:?}: events after the end");
+    }
 }
 
 /// An undrained capacity-1 subscriber counts drops but never blocks a
