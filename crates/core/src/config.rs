@@ -39,6 +39,52 @@ impl PipelineStage {
     }
 }
 
+/// One stage task of a job, in pipeline order. `Transpile` also acts
+/// as the job's planning step in executors: it probes the artifact
+/// cache deepest-first and re-enters the pipeline past every stage a
+/// cached artifact already answers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum StageKind {
+    /// Flow verification + placement-order derivation.
+    Transpile,
+    /// Adaptive graph partitioning (Algorithm 2).
+    Partition,
+    /// Per-QPU grid compilation.
+    Map,
+    /// Layer scheduling (list scheduling + BDIR).
+    Schedule,
+}
+
+impl StageKind {
+    /// All stages in pipeline order.
+    pub const ALL: [StageKind; 4] = [
+        StageKind::Transpile,
+        StageKind::Partition,
+        StageKind::Map,
+        StageKind::Schedule,
+    ];
+
+    /// Human-readable stage name, used by telemetry events, trace
+    /// export, and stats tables.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            StageKind::Transpile => "transpile",
+            StageKind::Partition => "partition",
+            StageKind::Map => "map",
+            StageKind::Schedule => "schedule",
+        }
+    }
+
+    /// Position of this stage in [`StageKind::ALL`] — the index used by
+    /// per-stage stats arrays (e.g. `ServiceStats::stage_latency` in
+    /// `mbqc-service`).
+    #[must_use]
+    pub fn index(self) -> usize {
+        self as usize
+    }
+}
+
 /// Configuration of the full DC-MBQC pipeline.
 ///
 /// Defaults follow the paper's evaluation setup (Section V-A):

@@ -91,13 +91,13 @@
 //! concurrently over the shared hardware configuration, one whole
 //! pipeline per pattern. Results are in input order and identical to a
 //! sequential `compile_pattern` loop for every worker count. For
-//! finer-grained scheduling, [`crate::stage_graph`] names the pipeline's
-//! *stage tasks* ([`StageKind`]) and a [`WorkspacePool`] lends out
-//! per-stage workspaces, so the free stage functions
-//! ([`partition_stage`], [`map_stage`], [`schedule_stage`]) can run any
-//! job's next stage on any worker. The `mbqc-service` crate builds its
-//! executor on these rather than on `compile_batch`: each job carries
-//! its latest shared-pattern artifact between tasks, and a
+//! finer-grained scheduling, [`StageKind`] names the pipeline's *stage
+//! tasks*, and the free stage functions ([`partition_stage`],
+//! [`map_stage`], [`schedule_stage`]) run one stage on workspaces the
+//! caller owns, so any worker can run any job's next stage. The
+//! `mbqc-service` crate builds its executor on these rather than on
+//! `compile_batch`: each worker owns one workspace per stage, each job
+//! carries its latest shared-pattern artifact between tasks, and a
 //! content-addressed stage-artifact cache keyed by
 //! [`Pattern::content_bytes`] and
 //! [`DcMbqcConfig::stage_fingerprint_bytes`] lets a job re-enter the
@@ -129,14 +129,12 @@ pub mod config;
 pub mod pipeline;
 pub mod report;
 pub mod session;
-pub mod stage_graph;
 
 pub use baseline::BaselineResult;
-pub use config::{DcMbqcConfig, DcMbqcError, PipelineStage};
+pub use config::{DcMbqcConfig, DcMbqcError, PipelineStage, StageKind};
 pub use pipeline::{DcMbqcCompiler, DistributedSchedule};
 pub use report::ComparisonReport;
 pub use session::{
     map_stage, partition_stage, schedule_stage, CompileSession, Mapped, Partitioned, Scheduled,
     Transpiled,
 };
-pub use stage_graph::{StageKind, WorkspacePool};

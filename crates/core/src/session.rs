@@ -388,9 +388,9 @@ impl CompileSession {
 //
 // Each stage of the pipeline is a pure function of `(config, input
 // artifact, workspace)`. `CompileSession` binds them to its owned
-// workspaces; executors that pool workspaces across many concurrent
-// jobs (`mbqc-service`'s stage-task executor) call them directly with
-// a checked-out workspace instead. Workspaces never influence results
+// workspaces; a stage-task executor that runs many jobs' stages
+// (`mbqc-service`) calls them directly with the running worker's own
+// workspace instead. Workspaces never influence results
 // (property-tested), so the two call styles are bit-identical.
 // ---------------------------------------------------------------------
 

@@ -17,7 +17,6 @@
 //! * [`generate`] — deterministic random and structured graph generators
 //!   (Erdős–Rényi, paths, cycles, grids, complete graphs) used by the
 //!   benchmark suite.
-//! * [`dot`] — Graphviz DOT export for debugging and documentation.
 //!
 //! # Examples
 //!
@@ -35,7 +34,6 @@
 pub mod algo;
 pub mod csr;
 pub mod digraph;
-pub mod dot;
 pub mod generate;
 pub mod graph;
 pub mod node;

@@ -12,7 +12,7 @@
 //! disconnects mid-job leaves the job running, and any later
 //! connection can `Wait`/`Poll`/`Cancel` it by id. The
 //! disconnect-storm test pins that a storm of mid-stream disconnects
-//! leaks neither jobs nor stage workspaces.
+//! leaks no job and leaves no stage task running.
 
 use crate::wire::{
     encode_event, Request, Response, WireOutcome, KIND_EVENT, KIND_REPLY, KIND_REQUEST,

@@ -1,6 +1,6 @@
 //! Disconnect-storm smoke: clients that vanish mid-stream, mid-frame,
-//! or mid-handshake must not leak jobs, stage workspaces, or server
-//! threads. Jobs are service-scoped — a storm of dead sockets leaves
+//! or mid-handshake must not leak jobs or server threads, or strand a
+//! stage task. Jobs are service-scoped — a storm of dead sockets leaves
 //! every submitted job reachable by id from a fresh connection.
 
 use dc_mbqc::DcMbqcConfig;
@@ -105,8 +105,8 @@ fn disconnect_storm_leaks_no_jobs_or_workspaces() {
         }
     }
 
-    // Nothing leaked: every job accounted for, zero workspaces out,
-    // queue empty, no tenant stuck in flight.
+    // Nothing leaked: every job accounted for, no task running, queue
+    // empty, no tenant stuck in flight.
     let stats = survivor.stats().expect("stats over the wire");
     assert_eq!(stats.submitted, storm_ids.len() as u64);
     assert_eq!(
@@ -114,7 +114,7 @@ fn disconnect_storm_leaks_no_jobs_or_workspaces() {
         stats.submitted,
         "storm left unaccounted jobs"
     );
-    assert_eq!(stats.pool_outstanding, 0, "storm leaked stage workspaces");
+    assert_eq!(stats.pool_outstanding, 0, "storm left a stage task running");
     assert_eq!(stats.queue_depth, 0);
     for t in &stats.tenants {
         assert_eq!(t.in_flight, 0, "tenant {} leaked in-flight", t.tenant);

@@ -5,22 +5,23 @@
 //! `Schedule` tasks, each consuming the previous task's artifact. A job
 //! carries its latest artifact between tasks (`Carried`), and the
 //! artifact names the next task. A worker pops the highest-priority
-//! ready job, moves its artifact into exactly one stage function on
-//! workspaces checked out of the shared [`WorkspacePool`], stores the
-//! result on the job, and returns the job to the queue — so stages of
+//! ready job, moves its artifact into exactly one stage function on the
+//! stage workspaces the worker owns (`Workspaces`), stores the result
+//! on the job, and returns the job to the queue — so stages of
 //! *different* jobs overlap across workers, and a long batch job never
 //! blocks an interactive job for more than one stage's duration.
 //!
-//! Cache integration is per task:
+//! Cache integration is per task, and every read goes through one
+//! `lookup` (store read, validating decode, shape guards — any
+//! failure is a miss):
 //!
-//! * the `Transpile` task doubles as the job's planning step — it
-//!   probes the [`ArtifactStore`](crate::ArtifactStore)
+//! * the `Transpile` task doubles as the job's planning step — it looks
+//!   up the [`ArtifactStore`](crate::ArtifactStore)
 //!   deepest-artifact-first and re-enters the pipeline past every stage
-//!   a cached artifact already answers (via
-//!   [`Partitioned::with_partition`] / [`Mapped::from_parts`]);
-//! * every later task re-consults the store for its own stage key
-//!   before computing, so an artifact published mid-flight (say by a
-//!   concurrent duplicate job) is still picked up;
+//!   a cached artifact already answers (via `resume`);
+//! * every later task looks up its own stage key before computing, so
+//!   an artifact published mid-flight (say by a concurrent duplicate
+//!   job) is still picked up;
 //! * every computed artifact is stored the moment its task completes,
 //!   not at the end of the job — a duplicate job one stage behind can
 //!   hit it immediately.
@@ -28,9 +29,10 @@
 //! Artifacts are built on the job's shared pattern
 //! ([`Transpiled::shared`]), so they are `'static` and nothing is
 //! rebuilt or copied between tasks. Stage functions are pure in
-//! `(config, input artifact)`, which is why any task interleaving stays
-//! bit-identical to a direct `compile_pattern` (property-tested across
-//! worker counts × priority mixes × cache states).
+//! `(config, input artifact)` and workspaces are scratch only, which is
+//! why any task interleaving over any worker stays bit-identical to a
+//! direct `compile_pattern` (property-tested across worker counts ×
+//! priority mixes × cache states).
 //!
 //! Job lifecycle hooks live at the task boundaries: queue pops drop
 //! cancelled/expired jobs before running anything (see
@@ -39,30 +41,48 @@
 //! [`CancelToken`](crate::CancelToken) *before publishing* its
 //! artifact — a cancelled job's task never stores its output. The
 //! running stage itself is never interrupted (stages stay
-//! deterministic), and its pooled workspace is always returned on the
-//! way out, cancelled or not.
-
-use std::time::Instant;
+//! deterministic). A task that panics may leave its worker's
+//! workspaces mid-update, so the worker replaces them with fresh ones
+//! before its next task.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use dc_mbqc::{
-    map_stage, partition_stage, schedule_stage, DcMbqcError, DistributedSchedule, Mapped,
-    Partitioned, PipelineStage, StageKind, Transpiled, WorkspacePool,
+    map_stage, partition_stage, schedule_stage, DcMbqcConfig, DcMbqcError, DistributedSchedule,
+    Mapped, Partitioned, PipelineStage, StageKind, Transpiled,
 };
-use mbqc_partition::Partition;
+use mbqc_compiler::{CompiledProgram, MapperWorkspace};
+use mbqc_partition::{KwayWorkspace, Partition};
+use mbqc_pattern::Pattern;
+use mbqc_schedule::ScheduleWorkspace;
+use mbqc_util::codec::{CodecError, Decoder, Encoder};
 use mbqc_util::sync::lock;
 
-use crate::service::{
-    decode_mapped, encode_mapped, internal_error, partition_fits, probe_cache, programs_fit,
-    CacheEntry, Carried, JobId, JobState, ServiceError, Shared, StageKeys,
-};
+use crate::service::{internal_error, Carried, JobId, JobState, ServiceError, Shared, StageKeys};
 use crate::telemetry::EventKind;
+
+/// What a stage task leaves behind: `Ok(Some(..))` is the job's final
+/// result; `Ok(None)` means the task stored an artifact on the job and
+/// the next stage task is ready.
+type TaskResult = Result<Option<DistributedSchedule>, DcMbqcError>;
+
+/// The stage workspaces one worker owns and lends to each task it
+/// runs. Scratch only: which worker runs a task never changes its
+/// result.
+#[derive(Debug, Default)]
+struct Workspaces {
+    kway: KwayWorkspace,
+    /// One entry per mapping thread, grown by `map_stage` on demand.
+    mapper: Vec<MapperWorkspace>,
+    schedule: ScheduleWorkspace,
+}
 
 /// One stage-task worker: pop ready stage tasks until shutdown *and*
 /// the queue is drained. Every worker pops from the same ready queue
 /// in the same order.
 pub(crate) fn stage_loop(shared: &Shared) {
+    let mut ws = Workspaces::default();
     while let Some((seq, mut state)) = shared.next_job() {
         let kind = state.carried.next_stage();
         let job = JobId(seq);
@@ -81,12 +101,12 @@ pub(crate) fn stage_loop(shared: &Shared) {
             // Fault-injection boundary (compiled out without the
             // `fault-inject` feature): a delay here widens the race
             // windows the chaos tests explore; a panic exercises the
-            // retry path before the task touches any pooled workspace.
+            // retry path before the task touches any workspace.
             if let Some(delay) = shared.faults.injected_delay() {
                 std::thread::sleep(delay);
             }
             shared.faults.maybe_panic(kind);
-            run_stage_task(shared, job, &mut state)
+            run_stage_task(shared, job, &mut state, &mut ws)
         }));
         let elapsed_ns = start.elapsed().as_nanos() as u64;
         state.latency_ns += elapsed_ns;
@@ -119,12 +139,12 @@ pub(crate) fn stage_loop(shared: &Shared) {
             Ok(Ok(Some(result))) => shared.finish_job(seq, Ok(result), state.latency_ns),
             Ok(Ok(None)) => shared.requeue(seq, state),
             Ok(Err(e)) => shared.finish_job(seq, Err(ServiceError::Compile(e)), state.latency_ns),
-            // A panicking task never returns its checked-out workspace
-            // to the pool — the buffers may be mid-update, so the
-            // task's `DiscardOnUnwind` guard dropped it and balanced
-            // the checkout count. Transient failure: the job goes to
-            // the retry decision point, not straight to `Failed`.
+            // The panicking task's workspaces may be mid-update: the
+            // worker replaces all of them rather than reuse one.
+            // Transient failure: the job goes to the retry decision
+            // point, not straight to `Failed`.
             Err(panic) => {
+                ws = Workspaces::default();
                 let err = internal_error(kind, &panic);
                 shared.retry_or_fail(seq, state, err);
             }
@@ -132,96 +152,71 @@ pub(crate) fn stage_loop(shared: &Shared) {
     }
 }
 
-/// Balances the pool's checkout accounting when a stage task unwinds
-/// mid-stage: the panicking task's workspace is dropped rather than
-/// checked back in (its buffers may be mid-update), and
-/// [`WorkspacePool::discard`] records the check-in it will never make —
-/// keeping `pool_outstanding` at 0 on a drained service even under
-/// injected panics. Forgotten (disarmed) on the normal path, where the
-/// real check-in runs.
-struct DiscardOnUnwind<'p>(&'p WorkspacePool);
-
-impl Drop for DiscardOnUnwind<'_> {
-    fn drop(&mut self) {
-        self.0.discard();
-    }
-}
-
 /// Executes one stage task of one job: the one that consumes the
-/// job's carried artifact. `Ok(Some(..))` carries the job's final
-/// result; `Ok(None)` means the task stored its artifact on the job and
-/// the next stage task is ready.
+/// job's carried artifact.
 fn run_stage_task(
     shared: &Shared,
     job: JobId,
     state: &mut JobState,
-) -> Result<Option<DistributedSchedule>, DcMbqcError> {
+    ws: &mut Workspaces,
+) -> TaskResult {
     match std::mem::take(&mut state.carried) {
         Carried::NotStarted => transpile_task(shared, job, state),
-        Carried::Transpiled(t) => partition_task(shared, job, state, t),
-        Carried::Partitioned(p) => map_task(shared, job, state, p),
-        Carried::Mapped(m) => schedule_task(shared, job, state, m),
+        Carried::Transpiled(t) => partition_task(shared, job, state, t, &mut ws.kway),
+        Carried::Partitioned(p) => map_task(shared, job, state, p, &mut ws.mapper),
+        Carried::Mapped(m) => schedule_task(shared, job, state, m, &mut ws.schedule),
     }
 }
 
-/// The planning task: verifies flow, derives the placement order and
-/// probes the cache deepest-artifact-first, re-entering the pipeline
-/// past answered stages.
-fn transpile_task(
-    shared: &Shared,
-    job: JobId,
-    state: &mut JobState,
-) -> Result<Option<DistributedSchedule>, DcMbqcError> {
+/// The planning task: looks up the job's artifacts deepest-first and
+/// re-enters the pipeline past answered stages; on a miss, verifies
+/// flow and derives the placement order.
+fn transpile_task(shared: &Shared, job: JobId, state: &mut JobState) -> TaskResult {
     let keys = StageKeys::new(&state.pattern, &state.config);
-    let entry = probe_cache(shared, job, &keys, &state.pattern, &state.config);
+    let hit = [
+        PipelineStage::Schedule,
+        PipelineStage::Map,
+        PipelineStage::Partition,
+    ]
+    .into_iter()
+    .find_map(|stage| lookup(shared, stage, &keys, &state.pattern, &state.config));
     state.keys = Some(keys);
-    if let CacheEntry::Scheduled(s) = entry {
-        // Terminal hit: the job never runs another task (the flow
-        // check is subsumed — a stored schedule proves the pattern
-        // compiled before).
-        return Ok(Some(*s));
-    }
-    let transpiled = Transpiled::shared(Arc::clone(&state.pattern))?;
-    state.carried = match entry {
-        CacheEntry::Mapped(partition, programs) => Carried::Mapped(Mapped::from_parts(
-            Partitioned::with_partition(transpiled, partition),
-            programs,
-        )),
-        CacheEntry::Partitioned(partition) => {
-            Carried::Partitioned(Partitioned::with_partition(transpiled, partition))
+    {
+        let mut c = lock(&shared.counters);
+        match hit.as_ref().map(CacheEntry::stage) {
+            Some(PipelineStage::Schedule) => c.hits_scheduled += 1,
+            Some(PipelineStage::Map) => c.hits_mapped += 1,
+            Some(PipelineStage::Partition) => c.hits_partitioned += 1,
+            None => c.full_compiles += 1,
         }
-        CacheEntry::Miss | CacheEntry::Scheduled(_) => Carried::Transpiled(transpiled),
-    };
-    Ok(None)
+    }
+    let pattern = Arc::clone(&state.pattern);
+    match hit {
+        Some(hit) => {
+            emit_cache_hit(shared, job, hit.stage());
+            // A `Scheduled` hit never transpiles: the flow check is
+            // subsumed (a stored schedule proves the pattern compiled
+            // before).
+            resume(state, hit, || Transpiled::shared(pattern))
+        }
+        None => {
+            state.carried = Carried::Transpiled(Transpiled::shared(pattern)?);
+            Ok(None)
+        }
+    }
 }
 
-/// Stage task 2: adaptive partitioning on a pooled coarsening
+/// Stage task 2: adaptive partitioning on the worker's coarsening
 /// workspace.
 fn partition_task(
     shared: &Shared,
     job: JobId,
     state: &mut JobState,
     transpiled: Transpiled<'static>,
-) -> Result<Option<DistributedSchedule>, DcMbqcError> {
-    let keys = state.keys.as_ref().expect("planning task ran first");
-    // Re-consult the store: a concurrent duplicate job may have
-    // published this stage since the probe.
-    if let Some(bytes) = shared.store.get(&keys.part) {
-        if let Ok(p) = Partition::from_bytes(&bytes) {
-            if partition_fits(&p, &state.pattern, &state.config) {
-                lock(&shared.counters).task_store_hits += 1;
-                if shared.telemetry.armed() {
-                    shared.telemetry.emit(
-                        Some(job),
-                        EventKind::CacheHit {
-                            stage: PipelineStage::Partition,
-                        },
-                    );
-                }
-                state.carried = Carried::Partitioned(Partitioned::with_partition(transpiled, p));
-                return Ok(None);
-            }
-        }
+    ws: &mut KwayWorkspace,
+) -> TaskResult {
+    if let Some(hit) = task_lookup(shared, job, state, PipelineStage::Partition) {
+        return resume(state, hit, || Ok(transpiled));
     }
     let mut config = state.config.clone();
     if shared.workers > 1 {
@@ -230,19 +225,15 @@ fn partition_task(
         // results, and the artifact keys ignore this knob.
         config.adaptive.probe_workers = 1;
     }
-    let mut ws = shared.pool.checkout_kway();
-    let unwind = DiscardOnUnwind(&shared.pool);
     // Mid-task injection: a panic *here* unwinds with the workspace
-    // checked out, which is exactly what the guard (and the pool's
-    // outstanding-count invariant) must survive.
+    // borrowed, which the worker must survive by replacing it.
     shared.faults.maybe_panic(StageKind::Partition);
-    let partitioned = partition_stage(&config, transpiled, &mut ws);
-    std::mem::forget(unwind);
-    shared.pool.checkin_kway(ws);
+    let partitioned = partition_stage(&config, transpiled, ws);
     // Publish gate: a task that observes its job's cancellation keeps
     // its (fully computed, deterministic) artifact out of the store —
     // the job terminates `Cancelled` at the requeue that follows.
     if !state.cancel.is_cancelled() {
+        let keys = state.keys.as_ref().expect("planning task ran first");
         shared
             .store
             .put(&keys.part, partitioned.partition().to_bytes());
@@ -251,34 +242,19 @@ fn partition_task(
     Ok(None)
 }
 
-/// Stage task 3: per-QPU grid mapping on a pooled mapper-workspace
+/// Stage task 3: per-QPU grid mapping on the worker's mapper-workspace
 /// bundle.
 fn map_task(
     shared: &Shared,
     job: JobId,
     state: &mut JobState,
     partitioned: Partitioned<'static>,
-) -> Result<Option<DistributedSchedule>, DcMbqcError> {
-    let keys = state.keys.as_ref().expect("planning task ran first");
-    if let Some(bytes) = shared.store.get(&keys.map) {
-        if let Ok((p, programs)) = decode_mapped(&bytes) {
-            if partition_fits(&p, &state.pattern, &state.config) && programs_fit(&p, &programs) {
-                lock(&shared.counters).task_store_hits += 1;
-                if shared.telemetry.armed() {
-                    shared.telemetry.emit(
-                        Some(job),
-                        EventKind::CacheHit {
-                            stage: PipelineStage::Map,
-                        },
-                    );
-                }
-                // The stored programs were compiled for the stored
-                // partition, so it replaces the one this job computed.
-                let adopted = Partitioned::with_partition(partitioned.transpiled().clone(), p);
-                state.carried = Carried::Mapped(Mapped::from_parts(adopted, programs));
-                return Ok(None);
-            }
-        }
+    ws: &mut Vec<MapperWorkspace>,
+) -> TaskResult {
+    if let Some(hit) = task_lookup(shared, job, state, PipelineStage::Map) {
+        // The stored programs were compiled for the stored partition,
+        // so it replaces the one this job computed.
+        return resume(state, hit, || Ok(partitioned.transpiled().clone()));
     }
     // A multi-worker service already saturates the cores, so each map
     // task runs on one thread; a lone worker maps on all of them. Either
@@ -286,55 +262,189 @@ fn map_task(
     // (`tests/golden_digests.rs` pins one digest across 1, 2 and 4
     // workers).
     let map_workers = if shared.workers > 1 { 1 } else { 0 };
-    let mut ws = shared.pool.checkout_mapper();
-    let unwind = DiscardOnUnwind(&shared.pool);
     shared.faults.maybe_panic(StageKind::Map);
-    let mapped = map_stage(&state.config, partitioned, map_workers, &mut ws);
-    std::mem::forget(unwind);
-    shared.pool.checkin_mapper(ws);
-    let mapped = mapped?;
+    let mapped = map_stage(&state.config, partitioned, map_workers, ws)?;
     if !state.cancel.is_cancelled() {
-        shared.store.put(&keys.map, encode_mapped(&mapped));
+        let keys = state.keys.as_ref().expect("planning task ran first");
+        shared.store.put(
+            &keys.map,
+            encode_mapped(mapped.partitioned().partition(), mapped.programs()),
+        );
     }
     state.carried = Carried::Mapped(mapped);
     Ok(None)
 }
 
-/// Stage task 4: layer scheduling on a pooled scheduler workspace;
+/// Stage task 4: layer scheduling on the worker's scheduler workspace;
 /// produces the job's result.
 fn schedule_task(
     shared: &Shared,
     job: JobId,
     state: &mut JobState,
     mapped: Mapped<'static>,
-) -> Result<Option<DistributedSchedule>, DcMbqcError> {
-    let keys = state.keys.as_ref().expect("planning task ran first");
-    // Same warm-hit path as the planning probe: the store's shared
-    // bytes, one validating decode.
-    if let Some(bytes) = shared.store.get(&keys.sched) {
-        if let Ok(s) = DistributedSchedule::from_bytes(&bytes) {
-            lock(&shared.counters).task_store_hits += 1;
-            if shared.telemetry.armed() {
-                shared.telemetry.emit(
-                    Some(job),
-                    EventKind::CacheHit {
-                        stage: PipelineStage::Schedule,
-                    },
-                );
-            }
-            return Ok(Some(s));
-        }
+    ws: &mut ScheduleWorkspace,
+) -> TaskResult {
+    if let Some(hit) = task_lookup(shared, job, state, PipelineStage::Schedule) {
+        // A `Schedule` lookup only ever finds the job's result, so the
+        // transpiled artifact is never rebuilt here.
+        return resume(state, hit, || Ok(mapped.partitioned().transpiled().clone()));
     }
-    let mut ws = shared.pool.checkout_schedule();
-    let unwind = DiscardOnUnwind(&shared.pool);
     shared.faults.maybe_panic(StageKind::Schedule);
-    let scheduled = schedule_stage(&state.config, mapped, &mut ws);
-    std::mem::forget(unwind);
-    shared.pool.checkin_schedule(ws);
+    let scheduled = schedule_stage(&state.config, mapped, ws);
     // The job's result exists, so it terminates `Done` even under a
     // late cancel — but the artifact publish is still gated.
     if !state.cancel.is_cancelled() {
+        let keys = state.keys.as_ref().expect("planning task ran first");
         shared.store.put(&keys.sched, scheduled.to_bytes());
     }
     Ok(Some(scheduled))
+}
+
+/// A later task's lookup of the artifact it is about to compute: a
+/// concurrent duplicate job may have published it since planning. A
+/// hit counts in [`ServiceStats::task_store_hits`](crate::ServiceStats::task_store_hits).
+fn task_lookup(
+    shared: &Shared,
+    job: JobId,
+    state: &JobState,
+    stage: PipelineStage,
+) -> Option<CacheEntry> {
+    let keys = state.keys.as_ref().expect("planning task ran first");
+    let hit = lookup(shared, stage, keys, &state.pattern, &state.config)?;
+    lock(&shared.counters).task_store_hits += 1;
+    emit_cache_hit(shared, job, stage);
+    Some(hit)
+}
+
+fn emit_cache_hit(shared: &Shared, job: JobId, stage: PipelineStage) {
+    if shared.telemetry.armed() {
+        shared
+            .telemetry
+            .emit(Some(job), EventKind::CacheHit { stage });
+    }
+}
+
+/// Applies a cache hit to the job. A `Scheduled` hit is the job's
+/// result. A `Partitioned` or `Mapped` hit re-enters the pipeline on
+/// the job's transpiled artifact, which `transpiled` makes only then,
+/// and becomes the job's carried artifact.
+fn resume(
+    state: &mut JobState,
+    hit: CacheEntry,
+    transpiled: impl FnOnce() -> Result<Transpiled<'static>, DcMbqcError>,
+) -> TaskResult {
+    state.carried = match hit {
+        CacheEntry::Scheduled(s) => return Ok(Some(*s)),
+        CacheEntry::Mapped(partition, programs) => Carried::Mapped(Mapped::from_parts(
+            Partitioned::with_partition(transpiled()?, partition),
+            programs,
+        )),
+        CacheEntry::Partitioned(partition) => {
+            Carried::Partitioned(Partitioned::with_partition(transpiled()?, partition))
+        }
+    };
+    Ok(None)
+}
+
+/// A decoded, shape-checked stage artifact. The `Scheduled` payload is
+/// boxed: it dwarfs the other variants.
+enum CacheEntry {
+    Scheduled(Box<DistributedSchedule>),
+    Mapped(Partition, Vec<CompiledProgram>),
+    Partitioned(Partition),
+}
+
+impl CacheEntry {
+    fn stage(&self) -> PipelineStage {
+        match self {
+            CacheEntry::Scheduled(_) => PipelineStage::Schedule,
+            CacheEntry::Mapped(..) => PipelineStage::Map,
+            CacheEntry::Partitioned(_) => PipelineStage::Partition,
+        }
+    }
+}
+
+/// Reads one stage's artifact for a job: the store read, one
+/// validating decode, and the shape guards. Every failure — absent,
+/// undecodable, or the wrong shape for this pattern and configuration —
+/// is a miss, never an error. Exact keys make a wrong shape impossible
+/// in practice, but a corrupt disk tier must degrade to a recompute
+/// rather than panic a worker.
+fn lookup(
+    shared: &Shared,
+    stage: PipelineStage,
+    keys: &StageKeys,
+    pattern: &Pattern,
+    config: &DcMbqcConfig,
+) -> Option<CacheEntry> {
+    let key = match stage {
+        PipelineStage::Partition => &keys.part,
+        PipelineStage::Map => &keys.map,
+        PipelineStage::Schedule => &keys.sched,
+    };
+    // A memory hit shares the store's bytes (no copy).
+    let bytes = shared.store.get(key)?;
+    match stage {
+        PipelineStage::Schedule => DistributedSchedule::from_bytes(&bytes)
+            .ok()
+            .map(|s| CacheEntry::Scheduled(Box::new(s))),
+        PipelineStage::Map => {
+            let (p, programs) = decode_mapped(&bytes).ok()?;
+            (partition_fits(&p, pattern, config) && programs_fit(&p, &programs))
+                .then_some(CacheEntry::Mapped(p, programs))
+        }
+        PipelineStage::Partition => {
+            let p = Partition::from_bytes(&bytes).ok()?;
+            partition_fits(&p, pattern, config).then_some(CacheEntry::Partitioned(p))
+        }
+    }
+}
+
+/// Shape guard for decoded partitions: one part per QPU, one entry per
+/// pattern node.
+fn partition_fits(p: &Partition, pattern: &Pattern, config: &DcMbqcConfig) -> bool {
+    p.len() == pattern.node_count() && p.k() == config.hardware.num_qpus()
+}
+
+/// Shape guard for decoded `Mapped` artifacts: every per-QPU program
+/// must cover exactly the nodes its part owns, or
+/// [`Mapped::from_parts`] would panic the worker.
+fn programs_fit(partition: &Partition, programs: &[CompiledProgram]) -> bool {
+    let mut counts = vec![0usize; partition.k()];
+    for &part in partition.assignment() {
+        counts[part] += 1;
+    }
+    programs.len() == partition.k()
+        && programs
+            .iter()
+            .zip(&counts)
+            .all(|(prog, &nodes)| prog.layer_of.len() == nodes)
+}
+
+/// Encodes the `Mapped` artifact: the partition plus every per-QPU
+/// compiled program (the node lists are re-derived from the partition
+/// and placement order on re-entry).
+pub(crate) fn encode_mapped(partition: &Partition, programs: &[CompiledProgram]) -> Vec<u8> {
+    let mut e = Encoder::new();
+    e.bytes(&partition.to_bytes());
+    e.usize(programs.len());
+    for p in programs {
+        e.bytes(&p.to_bytes());
+    }
+    e.into_bytes()
+}
+
+fn decode_mapped(bytes: &[u8]) -> Result<(Partition, Vec<CompiledProgram>), CodecError> {
+    let mut d = Decoder::new(bytes);
+    let partition = Partition::from_bytes(d.bytes()?)?;
+    let k = d.len_hint()?;
+    if k != partition.k() {
+        return Err(CodecError::Invalid("program count disagrees with k"));
+    }
+    let mut programs = Vec::with_capacity(k);
+    for _ in 0..k {
+        programs.push(CompiledProgram::from_bytes(d.bytes()?)?);
+    }
+    d.finish()?;
+    Ok((partition, programs))
 }

@@ -15,7 +15,7 @@
 //!   miss, never decode);
 //! * **task panics** — a stage task panics with an [`InjectedFault`]
 //!   payload at its boundary, exercising retry classification, the
-//!   workspace-discard accounting, and poison-free locking;
+//!   worker's workspace replacement, and poison-free locking;
 //! * **stage delays** — a task sleeps a few hundred microseconds
 //!   before running, perturbing worker interleavings without touching
 //!   results.

@@ -23,9 +23,10 @@
 //! [`dc_mbqc::Mapped`], built with [`dc_mbqc::Transpiled::shared`] so it
 //! owns a reference to the pattern instead of a borrow). The artifact
 //! names the next task. That task moves it into the matching stage
-//! function ([`dc_mbqc::partition_stage`] & co.), runs on workspaces
-//! checked out of a shared [`dc_mbqc::WorkspacePool`], and stores the
-//! result. Nothing is rebuilt or copied between tasks; the re-entry
+//! function ([`dc_mbqc::partition_stage`] & co.), runs on the stage
+//! workspace its worker owns (each worker thread owns one per stage,
+//! and replaces all of them after a panic), and stores the result.
+//! Nothing is rebuilt or copied between tasks; the re-entry
 //! constructors ([`dc_mbqc::Partitioned::with_partition`],
 //! [`dc_mbqc::Mapped::from_parts`]) run only when a stored artifact
 //! answers a stage.
@@ -218,7 +219,7 @@
 //!
 //! let stats = service.stats();
 //! assert_eq!((stats.completed, stats.cancelled), (1, 1));
-//! assert_eq!(stats.pool_outstanding, 0, "no workspace leaked");
+//! assert_eq!(stats.pool_outstanding, 0, "no stage task still running");
 //! ```
 //!
 //! **Determinism is the contract**: for any worker count,
@@ -226,7 +227,7 @@
 //! disk-restored — results are bit-identical to a direct
 //! [`dc_mbqc::DcMbqcCompiler::compile_pattern`] call, and lifecycle
 //! churn (cancellation/expiry at arbitrary points) never perturbs a
-//! surviving job, leaks a pooled workspace, or leaves a partial
+//! surviving job, strands a job in a running task, or leaves a partial
 //! artifact in the store (property-tested in
 //! `tests/proptest_lifecycle.rs`).
 //!
@@ -324,8 +325,8 @@
 //! feature: a seeded [`FaultPlan`] in [`ServiceConfig::faults`] /
 //! [`StoreConfig::faults`] drives the chaos determinism matrix in
 //! `tests/proptest_chaos.rs`, which demands exactly one terminal state
-//! per job, bit-identical surviving results, zero leaked workspaces,
-//! and no torn bytes under every plan. With the feature off (the
+//! per job, bit-identical surviving results, no task still running
+//! once drained, and no torn bytes under every plan. With the feature off (the
 //! default) the injection sites compile to nothing.
 //!
 //! ## Observability

@@ -71,12 +71,9 @@ use std::time::{Duration, Instant};
 
 use dc_mbqc::{
     DcMbqcConfig, DcMbqcError, DistributedSchedule, Mapped, Partitioned, PipelineStage, StageKind,
-    Transpiled, WorkspacePool,
+    Transpiled,
 };
-use mbqc_compiler::CompiledProgram;
-use mbqc_partition::Partition;
 use mbqc_pattern::Pattern;
-use mbqc_util::codec::{CodecError, Decoder, Encoder};
 use mbqc_util::sync::{lock, wait, wait_timeout};
 
 use mbqc_util::metrics::{Histogram, Summary};
@@ -648,10 +645,11 @@ pub struct ServiceStats {
     /// duration when it short-circuits). The cache's serving latency,
     /// as opposed to the compile latencies above.
     pub warm_hit: Summary,
-    /// Stage workspaces currently checked out of the shared pool. 0
-    /// whenever no task is running; a leak on the cancellation/abandon
-    /// path would show up here (property-tested to stay 0 on a drained
-    /// service).
+    /// Stage tasks running at snapshot time. 0 on a drained service:
+    /// every popped job went back to the queue, to the retry parking
+    /// list or to a terminal state (property-tested under cancellation,
+    /// expiry and injected panics). The field keeps its name for the
+    /// wire format and existing readers.
     pub pool_outstanding: usize,
     /// `true` while the store's disk tier is quarantined by its
     /// circuit breaker (memory-only degraded mode). Mirrors
@@ -918,6 +916,7 @@ pub(crate) struct QueueState {
     parked: Vec<ParkedJob>,
     /// Jobs currently executing a task on some worker (they will come
     /// back to the queue or finish — shutdown must wait for them).
+    /// Reported as [`ServiceStats::pool_outstanding`].
     running: usize,
     shutdown: bool,
     /// Tenant fair-share weights.
@@ -1089,8 +1088,6 @@ pub(crate) struct Shared {
     pub(crate) telemetry: Arc<TelemetryHub>,
     /// Always-on latency histograms.
     pub(crate) metrics: ServiceMetrics,
-    /// Stage workspaces checked out per task.
-    pub(crate) pool: WorkspacePool,
     /// `> 1` pins each job's inner stage parallelism to one thread
     /// (the worker fleet already saturates the cores).
     pub(crate) workers: usize,
@@ -1487,7 +1484,6 @@ impl CompileService {
             next_id: AtomicU64::new(0),
             telemetry,
             metrics: ServiceMetrics::default(),
-            pool: WorkspacePool::new(),
             workers,
             faults: config.faults,
             max_queue_depth: config.admission.max_queue_depth,
@@ -1858,10 +1854,12 @@ impl CompileService {
     /// counter lock every writer uses, so the snapshot is mutually
     /// consistent: `completed + cancelled + expired <= submitted`
     /// holds in any snapshot, with equality exactly when the service
-    /// is drained. The latency summaries, store counters, and pool
-    /// gauge are separate monotone instruments sampled alongside (a
-    /// histogram cannot be "torn" — each sample is atomic — but its
-    /// `count` may run slightly ahead of or behind the job counters).
+    /// is drained. The latency summaries and store counters are
+    /// separate monotone instruments sampled alongside (a histogram
+    /// cannot be "torn" — each sample is atomic — but its `count` may
+    /// run slightly ahead of or behind the job counters); the queue
+    /// depth and running-task gauge are read together under the queue
+    /// lock.
     #[must_use]
     pub fn stats(&self) -> ServiceStats {
         let store = self.shared.store.stats();
@@ -1869,9 +1867,9 @@ impl CompileService {
         let stage_latency = std::array::from_fn(|i| m.stage[i].summary());
         let queue_wait = m.queue_wait.summary();
         let warm_hit = m.warm_hit.summary();
-        let queue_depth = {
+        let (queue_depth, running) = {
             let q = lock(&self.shared.queue);
-            q.jobs.len() + q.parked.len()
+            (q.jobs.len() + q.parked.len(), q.running)
         };
         let c = lock(&self.shared.counters);
         let mut tenants: Vec<TenantStat> = c
@@ -1903,7 +1901,7 @@ impl CompileService {
             stage_latency,
             queue_wait,
             warm_hit,
-            pool_outstanding: self.shared.pool.outstanding(),
+            pool_outstanding: running,
             disk_quarantined: store.disk_quarantined,
             rejected: c.rejected,
             queue_depth,
@@ -1997,78 +1995,6 @@ impl Drop for CompileService {
     }
 }
 
-/// What the cache probe found for one job. The `Scheduled` payload is
-/// boxed: it dwarfs the other variants, and the enum lives on the hot
-/// path of every job.
-pub(crate) enum CacheEntry {
-    Scheduled(Box<DistributedSchedule>),
-    Mapped(Partition, Vec<CompiledProgram>),
-    Partitioned(Partition),
-    Miss,
-}
-
-/// Probes the store deepest-artifact-first for one job; every decode
-/// failure degrades to the next shallower tier (and ultimately to a
-/// full compile), never an error. Rolls the job-level hit counters and
-/// emits the job's [`EventKind::CacheHit`] event on a hit.
-pub(crate) fn probe_cache(
-    shared: &Shared,
-    job: JobId,
-    keys: &StageKeys,
-    pattern: &Pattern,
-    config: &DcMbqcConfig,
-) -> CacheEntry {
-    let mut entry = CacheEntry::Miss;
-    // Warm-hit path: a memory hit shares the store's bytes (no copy),
-    // and one validating decode turns them into the job's owned result.
-    if let Some(bytes) = shared.store.get(&keys.sched) {
-        if let Ok(s) = DistributedSchedule::from_bytes(&bytes) {
-            entry = CacheEntry::Scheduled(Box::new(s));
-        }
-    }
-    if matches!(entry, CacheEntry::Miss) {
-        if let Some(bytes) = shared.store.get(&keys.map) {
-            if let Ok((p, programs)) = decode_mapped(&bytes) {
-                if partition_fits(&p, pattern, config) && programs_fit(&p, &programs) {
-                    entry = CacheEntry::Mapped(p, programs);
-                }
-            }
-        }
-    }
-    if matches!(entry, CacheEntry::Miss) {
-        if let Some(bytes) = shared.store.get(&keys.part) {
-            if let Ok(p) = Partition::from_bytes(&bytes) {
-                if partition_fits(&p, pattern, config) {
-                    entry = CacheEntry::Partitioned(p);
-                }
-            }
-        }
-    }
-    {
-        let mut c = lock(&shared.counters);
-        match &entry {
-            CacheEntry::Scheduled(_) => c.hits_scheduled += 1,
-            CacheEntry::Mapped(..) => c.hits_mapped += 1,
-            CacheEntry::Partitioned(_) => c.hits_partitioned += 1,
-            CacheEntry::Miss => c.full_compiles += 1,
-        }
-    }
-    if shared.telemetry.armed() {
-        let stage = match &entry {
-            CacheEntry::Scheduled(_) => Some(PipelineStage::Schedule),
-            CacheEntry::Mapped(..) => Some(PipelineStage::Map),
-            CacheEntry::Partitioned(_) => Some(PipelineStage::Partition),
-            CacheEntry::Miss => None,
-        };
-        if let Some(stage) = stage {
-            shared
-                .telemetry
-                .emit(Some(job), EventKind::CacheHit { stage });
-        }
-    }
-    entry
-}
-
 /// Builds the [`ServiceError::Internal`] for a caught worker panic.
 pub(crate) fn internal_error(
     stage: StageKind,
@@ -2102,57 +2028,6 @@ pub(crate) fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
             std::any::Any::type_id(&**panic)
         )
     }
-}
-
-/// Shape guard for decoded partitions: exact keys make mismatches
-/// impossible in practice, but a corrupt disk tier must degrade to a
-/// miss rather than panic a worker.
-pub(crate) fn partition_fits(p: &Partition, pattern: &Pattern, config: &DcMbqcConfig) -> bool {
-    p.len() == pattern.node_count() && p.k() == config.hardware.num_qpus()
-}
-
-/// Shape guard for decoded `Mapped` artifacts: every per-QPU program
-/// must cover exactly the nodes its part owns, or
-/// [`Mapped::from_parts`] would panic the worker on a corrupt artifact
-/// instead of degrading to a recompute.
-pub(crate) fn programs_fit(partition: &Partition, programs: &[CompiledProgram]) -> bool {
-    let mut counts = vec![0usize; partition.k()];
-    for &part in partition.assignment() {
-        counts[part] += 1;
-    }
-    programs.len() == partition.k()
-        && programs
-            .iter()
-            .zip(&counts)
-            .all(|(prog, &nodes)| prog.layer_of.len() == nodes)
-}
-
-/// Encodes the `Mapped` artifact: the partition plus every per-QPU
-/// compiled program (the node lists are re-derived from the partition
-/// and placement order on re-entry).
-pub(crate) fn encode_mapped(mapped: &Mapped<'_>) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.bytes(&mapped.partitioned().partition().to_bytes());
-    e.usize(mapped.programs().len());
-    for p in mapped.programs() {
-        e.bytes(&p.to_bytes());
-    }
-    e.into_bytes()
-}
-
-pub(crate) fn decode_mapped(bytes: &[u8]) -> Result<(Partition, Vec<CompiledProgram>), CodecError> {
-    let mut d = Decoder::new(bytes);
-    let partition = Partition::from_bytes(d.bytes()?)?;
-    let k = d.len_hint()?;
-    if k != partition.k() {
-        return Err(CodecError::Invalid("program count disagrees with k"));
-    }
-    let mut programs = Vec::with_capacity(k);
-    for _ in 0..k {
-        programs.push(CompiledProgram::from_bytes(d.bytes()?)?);
-    }
-    d.finish()?;
-    Ok((partition, programs))
 }
 
 #[cfg(test)]
@@ -2316,6 +2191,79 @@ mod tests {
         let stats = service.stats();
         assert_eq!(stats.hits_scheduled, 0, "the lying artifact was served");
         assert_eq!(stats.full_compiles, 1);
+    }
+
+    /// Decodable artifacts of the wrong shape under a job's own keys —
+    /// a partition with the wrong `k`, and a `Mapped` artifact whose
+    /// per-QPU programs do not cover their parts — are misses, not
+    /// hits: the job compiles from scratch to the direct result.
+    #[test]
+    fn wrong_shaped_artifacts_are_misses() {
+        use dc_mbqc::CompileSession;
+        use mbqc_circuit::bench;
+        use mbqc_hardware::{DistributedHardware, ResourceStateKind};
+        use mbqc_pattern::transpile::transpile;
+
+        let config_for = |qpus| {
+            DcMbqcConfig::new(
+                DistributedHardware::builder()
+                    .num_qpus(qpus)
+                    .grid_width(bench::grid_size_for(6))
+                    .resource_state(ResourceStateKind::FIVE_STAR)
+                    .kmax(4)
+                    .build(),
+            )
+        };
+        let pattern = transpile(&bench::qft(6));
+        let config = config_for(2);
+        let expected = dc_mbqc::DcMbqcCompiler::new(config.clone())
+            .compile_pattern(&pattern)
+            .expect("compiles");
+
+        // Wrong `k`: a 3-part partition of the job's own pattern.
+        let three_parts = CompileSession::new(config_for(3))
+            .partition(Transpiled::new(&pattern).expect("flow"))
+            .partition()
+            .clone();
+        assert_eq!(three_parts.len(), pattern.node_count());
+        // Wrong program sizes: the job's own partition with the two
+        // programs of a smaller pattern.
+        let mut session = CompileSession::new(config.clone());
+        let partitioned = session.partition(Transpiled::new(&pattern).expect("flow"));
+        let own = session.map(partitioned).expect("maps");
+        let smaller = transpile(&bench::qft(5));
+        let partitioned = session.partition(Transpiled::new(&smaller).expect("flow"));
+        let foreign = session.map(partitioned).expect("maps").programs().to_vec();
+        let sizes = |programs: &[mbqc_compiler::CompiledProgram]| -> Vec<usize> {
+            programs.iter().map(|p| p.layer_of.len()).collect()
+        };
+        assert_eq!(foreign.len(), 2);
+        assert_ne!(sizes(&foreign), sizes(own.programs()));
+
+        let service = CompileService::new(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        })
+        .expect("service starts");
+        let keys = StageKeys::new(&pattern, &config);
+        service.shared.store.put(&keys.part, three_parts.to_bytes());
+        service.shared.store.put(
+            &keys.map,
+            crate::executor::encode_mapped(own.partitioned().partition(), &foreign),
+        );
+        let id = service.submit(pattern, config);
+        assert_eq!(service.wait(id).expect("job compiles"), expected);
+        let stats = service.stats();
+        assert_eq!(
+            (
+                stats.hits_partitioned,
+                stats.hits_mapped,
+                stats.full_compiles
+            ),
+            (0, 0, 1),
+            "{stats:?}"
+        );
+        assert_eq!(stats.task_store_hits, 0, "{stats:?}");
     }
 
     #[test]

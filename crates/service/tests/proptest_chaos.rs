@@ -14,9 +14,9 @@
 //!   exhausted — injected faults can never surface as anything else;
 //! * every successful job — first try or via retry — is
 //!   **bit-identical** to a direct `compile_pattern`;
-//! * zero leaked workspaces (`pool_outstanding == 0` on the drained
-//!   service, even though injected panics unwind tasks mid-stage with
-//!   workspaces checked out);
+//! * no task still running on the drained service
+//!   (`pool_outstanding == 0`, even though injected panics unwind tasks
+//!   mid-stage);
 //! * the store never serves torn or corrupt bytes: every resident
 //!   artifact decodes bit-exact for its key, and every injected
 //!   corruption was detected (counted, served as a miss);
@@ -281,7 +281,7 @@ proptest! {
                 prop_assert_eq!(
                     stats.pool_outstanding,
                     0,
-                    "{}: workspace leaked under injected panics: {:?}",
+                    "{}: task still running after drain under injected panics: {:?}",
                     &what,
                     stats
                 );

@@ -15,8 +15,8 @@
 //! * surviving (`Done`) jobs are **bit-identical** to a direct
 //!   `compile_pattern` — no cancellation interleaving, queue order, or
 //!   cache state can perturb a result;
-//! * the `WorkspacePool` is fully returned (no workspace leaks on the
-//!   abandon path);
+//! * no stage task is still running once the service drains
+//!   (`pool_outstanding == 0`, also on the abandon path);
 //! * every artifact resident in the store is bit-exact for its key —
 //!   cancelled jobs never published a torn or partial artifact.
 //!
@@ -402,7 +402,7 @@ proptest! {
                 prop_assert_eq!(
                     stats.pool_outstanding,
                     0,
-                    "{}: workspace leaked: {:?}",
+                    "{}: task still running after drain: {:?}",
                     &what,
                     stats
                 );

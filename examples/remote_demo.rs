@@ -265,7 +265,7 @@ fn main() {
     let stats = survivor.stats().expect("stats over the wire");
     println!(
         "server stats: submitted {} | completed {} | rejected {} | cache hits {} | \
-         dedup {} | pool outstanding {}",
+         dedup {} | tasks running {}",
         stats.submitted,
         stats.completed,
         stats.rejected,
@@ -280,5 +280,5 @@ fn main() {
             t.tenant, t.submitted, t.in_flight
         );
     }
-    assert_eq!(stats.pool_outstanding, 0, "drained server leaks nothing");
+    assert_eq!(stats.pool_outstanding, 0, "drained server runs no task");
 }

@@ -15,7 +15,7 @@
 //!   observed-submit streams;
 //! * every churned job reaches exactly one terminal state (the first
 //!   wait takes it; a second poll answers `UnknownJob`);
-//! * zero leaked stage workspaces after every cell
+//! * no stage task still running after every cell
 //!   (`pool_outstanding == 0`);
 //! * a proptest sweep over random workloads and churn masks.
 
@@ -131,7 +131,7 @@ fn remote_matrix_bit_identical_across_workers_policies_and_cache_states() {
             let stats = service.stats();
             assert_eq!(
                 stats.pool_outstanding, 0,
-                "{tag}: leaked workspaces after drain"
+                "{tag}: task still running after drain"
             );
             assert!(
                 stats.hits_scheduled >= workload().len() as u64,
@@ -146,7 +146,10 @@ fn remote_matrix_bit_identical_across_workers_policies_and_cache_states() {
             let server = Server::bind(Arc::clone(&service), "127.0.0.1:0").expect("bind");
             submit_round(server.local_addr(), &format!("{tag}-restored"));
             let stats = service.stats();
-            assert_eq!(stats.pool_outstanding, 0, "{tag}: restored leak");
+            assert_eq!(
+                stats.pool_outstanding, 0,
+                "{tag}: task still running after restored round"
+            );
             assert!(
                 stats.hits_scheduled >= workload().len() as u64,
                 "{tag}: restored round should hit the disk tier \
@@ -313,7 +316,7 @@ fn remote_churn_every_job_exactly_one_terminal_state() {
 
     // Drained service: counters consistent, nothing leaked.
     let stats = service.stats();
-    assert_eq!(stats.pool_outstanding, 0, "leaked workspaces");
+    assert_eq!(stats.pool_outstanding, 0, "task still running after drain");
     assert_eq!(
         stats.completed + stats.cancelled + stats.expired,
         stats.submitted,
