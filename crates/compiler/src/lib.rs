@@ -28,4 +28,4 @@ pub mod metrics;
 
 pub use config::{CompileError, CompilerConfig};
 pub use mapper::{CompiledProgram, GridMapper, MapperCounters, MapperWorkspace};
-pub use metrics::{required_photon_lifetime, required_photon_lifetime_in_order, LifetimeReport};
+pub use metrics::{required_photon_lifetime, LifetimeReport};

@@ -51,8 +51,7 @@ impl LifetimeReport {
 /// use mbqc_graph::{DiGraph, NodeId};
 ///
 /// // Two photons fused across 3 layers; a dependency chain 0 → 1.
-/// let mut deps = DiGraph::with_nodes(2);
-/// deps.add_edge(NodeId::new(0), NodeId::new(1));
+/// let deps = DiGraph::from_edges(2, &[(NodeId::new(0), NodeId::new(1))]);
 /// let r = required_photon_lifetime(&[0, 3], &[(0, 3)], &deps);
 /// assert_eq!(r.fusee, 3);
 /// assert_eq!(r.photon_lifetime(), 3);
@@ -67,10 +66,8 @@ pub fn required_photon_lifetime(
     required_photon_lifetime_in_order(times, fusee_pairs, deps, &order)
 }
 
-/// [`required_photon_lifetime`] over a caller-supplied topological order
-/// of `deps`, for callers that evaluate many time tables against one
-/// DAG (BDIR's annealing loop): the order is computed once instead of
-/// per evaluation.
+/// [`required_photon_lifetime`] over a given topological order of
+/// `deps`.
 ///
 /// `MTime` is a longest-path recurrence, so every topological order of
 /// `deps` yields the same report.
@@ -80,8 +77,7 @@ pub fn required_photon_lifetime(
 /// Panics if `deps` or `order` has a different node count than `times`.
 /// Debug builds also panic if `order` visits a node before one of its
 /// parents.
-#[must_use]
-pub fn required_photon_lifetime_in_order(
+fn required_photon_lifetime_in_order(
     times: &[usize],
     fusee_pairs: &[(usize, usize)],
     deps: &DiGraph,
@@ -123,11 +119,10 @@ mod tests {
     use super::*;
 
     fn chain_deps(n: usize) -> DiGraph {
-        let mut d = DiGraph::with_nodes(n);
-        for i in 1..n {
-            d.add_edge(NodeId::new(i - 1), NodeId::new(i));
-        }
-        d
+        let edges: Vec<(NodeId, NodeId)> = (1..n)
+            .map(|i| (NodeId::new(i - 1), NodeId::new(i)))
+            .collect();
+        DiGraph::from_edges(n, &edges)
     }
 
     #[test]
@@ -138,7 +133,7 @@ mod tests {
 
     #[test]
     fn fusee_is_max_span() {
-        let d = DiGraph::with_nodes(4);
+        let d = DiGraph::from_edges(4, &[]);
         let r = required_photon_lifetime(&[0, 1, 5, 9], &[(0, 1), (5, 9), (1, 5)], &d);
         assert_eq!(r.fusee, 4);
     }
@@ -147,7 +142,7 @@ mod tests {
     fn measuree_trivial_when_no_deps() {
         // Without parents every photon is measurable one cycle after
         // generation: τ_measuree = 1.
-        let d = DiGraph::with_nodes(3);
+        let d = DiGraph::from_edges(3, &[]);
         let r = required_photon_lifetime(&[0, 2, 7], &[], &d);
         assert_eq!(r.measuree, 1);
     }
@@ -175,8 +170,7 @@ mod tests {
     fn backward_dependency_is_expensive() {
         // Photon 1 generated at layer 0, but its basis depends on photon
         // 0 generated at layer 9: it waits ~10 cycles.
-        let mut d = DiGraph::with_nodes(2);
-        d.add_edge(NodeId::new(0), NodeId::new(1));
+        let d = chain_deps(2);
         let r = required_photon_lifetime(&[9, 0], &[], &d);
         assert_eq!(r.measuree, 11); // MTime[1] = max(1, 10+1) = 11
     }
@@ -221,7 +215,7 @@ mod tests {
 
     /// MTime is a longest-path recurrence, so Algorithm 1 must not depend
     /// on which topological order it sweeps — the invariant that lets
-    /// BDIR compute the order once and reuse it for every evaluation.
+    /// BDIR sort the DAG once and sweep that order every iteration.
     #[test]
     fn lifetime_is_independent_of_topological_order() {
         let mut rng = mbqc_util::Rng::seed_from_u64(7);
@@ -232,14 +226,15 @@ mod tests {
             // not already form a topological order.
             let mut rank: Vec<usize> = (0..n).collect();
             rng.shuffle(&mut rank);
-            let mut d = DiGraph::with_nodes(n);
+            let mut edges = Vec::new();
             for i in 0..n {
                 for j in i + 1..n {
                     if rng.bernoulli(0.15) {
-                        d.add_edge(NodeId::new(rank[i]), NodeId::new(rank[j]));
+                        edges.push((NodeId::new(rank[i]), NodeId::new(rank[j])));
                     }
                 }
             }
+            let d = DiGraph::from_edges(n, &edges);
             let times: Vec<usize> = (0..n).map(|_| rng.range(12)).collect();
             let pairs: Vec<(usize, usize)> = (0..rng.range(n + 1))
                 .map(|_| (times[rng.range(n)], times[rng.range(n)]))
@@ -266,16 +261,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "cyclic")]
     fn cyclic_deps_panic() {
-        let mut d = DiGraph::with_nodes(2);
-        d.add_edge(NodeId::new(0), NodeId::new(1));
-        d.add_edge(NodeId::new(1), NodeId::new(0));
+        let (a, b) = (NodeId::new(0), NodeId::new(1));
+        let d = DiGraph::from_edges(2, &[(a, b), (b, a)]);
         let _ = required_photon_lifetime(&[0, 0], &[], &d);
     }
 
     #[test]
     #[should_panic(expected = "disagree")]
     fn size_mismatch_panics() {
-        let d = DiGraph::with_nodes(3);
+        let d = DiGraph::from_edges(3, &[]);
         let _ = required_photon_lifetime(&[0, 1], &[], &d);
     }
 }

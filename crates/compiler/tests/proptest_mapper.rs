@@ -77,7 +77,7 @@ proptest! {
         let c = GridMapper::new(CompilerConfig::new(6, ResourceStateKind::FIVE_STAR))
             .compile(&g, &order)
             .unwrap();
-        let deps = DiGraph::with_nodes(g.node_count());
+        let deps = DiGraph::from_edges(g.node_count(), &[]);
         let report = c.lifetime(&deps);
         let max_span = c.fusee_pairs.iter().map(|p| p.time_b - p.time_a).max().unwrap_or(0);
         prop_assert_eq!(report.fusee, max_span);
@@ -108,14 +108,15 @@ proptest! {
         // the measuree term.
         let n = times.len();
         let mut rng = Rng::seed_from_u64(seed);
-        let mut deps = DiGraph::with_nodes(n);
+        let mut edges = Vec::new();
         for _ in 0..n {
             let a = rng.range(n);
             let b = rng.range(n);
             if a < b {
-                deps.add_edge(NodeId::new(a), NodeId::new(b));
+                edges.push((NodeId::new(a), NodeId::new(b)));
             }
         }
+        let deps = DiGraph::from_edges(n, &edges);
         let pairs: Vec<(usize, usize)> = (1..n).map(|i| (times[i - 1], times[i])).collect();
         let r1 = required_photon_lifetime(&times, &pairs, &deps);
         let doubled: Vec<usize> = times.iter().map(|&t| 2 * t).collect();

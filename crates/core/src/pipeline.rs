@@ -377,7 +377,7 @@ impl DcMbqcCompiler {
         let compiled = mapper
             .compile(pattern.graph(), &order)
             .map_err(|source| DcMbqcError::Compile { qpu: None, source })?;
-        let lifetime = compiled.lifetime(pattern.dependency_graph().real_time());
+        let lifetime = compiled.lifetime(&pattern.real_time_dependencies());
         Ok(BaselineResult::new(compiled, lifetime))
     }
 }

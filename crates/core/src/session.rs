@@ -560,7 +560,7 @@ pub fn schedule_stage(
         .collect();
     let cut_edges = sync_tasks.len();
     let main_counts: Vec<usize> = compiled.iter().map(|c| c.num_layers).collect();
-    let deps = pattern.dependency_graph().real_time().clone();
+    let deps = pattern.real_time_dependencies();
     let mut problem =
         LayerScheduleProblem::new(main_counts.clone(), sync_tasks, config.hardware.kmax())
             .with_local(LocalStructure {

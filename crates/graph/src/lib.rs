@@ -11,8 +11,9 @@
 //! * [`CsrGraph`] — a frozen compressed-sparse-row view of a [`Graph`];
 //!   the cache-friendly representation every partitioner hot path
 //!   iterates.
-//! * [`DiGraph`] — directed graph with topological sorting and longest-path
-//!   queries, the representation of measurement dependency graphs.
+//! * [`DiGraph`] — a frozen CSR directed graph, built once from an edge
+//!   list, with topological sorting and longest-path queries: the
+//!   representation of measurement dependency graphs.
 //! * [`algo`] — traversals, connected components, BFS distances.
 //! * [`generate`] — deterministic random and structured graph generators
 //!   (Erdős–Rényi, paths, cycles, grids, complete graphs) used by the

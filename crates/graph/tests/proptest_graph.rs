@@ -10,6 +10,29 @@ fn random_graph(n: usize, density_pct: u8, seed: u64) -> Graph {
     generate::erdos_renyi_gnp(n, f64::from(density_pct) / 100.0, &mut rng)
 }
 
+/// Min-index-first Kahn on a binary heap: the reference order
+/// `DiGraph::topological_sort` must reproduce exactly.
+fn heap_kahn(d: &DiGraph) -> Option<Vec<NodeId>> {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+    let mut in_deg: Vec<usize> = d.nodes().map(|u| d.in_degree(u)).collect();
+    let mut ready: BinaryHeap<Reverse<usize>> = (0..d.node_count())
+        .filter(|&i| in_deg[i] == 0)
+        .map(Reverse)
+        .collect();
+    let mut order = Vec::new();
+    while let Some(Reverse(i)) = ready.pop() {
+        order.push(NodeId::new(i));
+        for &s in d.successors(NodeId::new(i)) {
+            in_deg[s.index()] -= 1;
+            if in_deg[s.index()] == 0 {
+                ready.push(Reverse(s.index()));
+            }
+        }
+    }
+    (order.len() == d.node_count()).then_some(order)
+}
+
 proptest! {
     #[test]
     fn handshake_lemma(n in 1usize..40, d in 0u8..=100, seed in 0u64..1000) {
@@ -106,13 +129,19 @@ proptest! {
     fn random_dag_topo_sort_valid(n in 1usize..40, extra in 0usize..80, seed in 0u64..500) {
         // Random DAG: edges only from lower to higher index.
         let mut rng = Rng::seed_from_u64(seed);
-        let mut d = DiGraph::with_nodes(n);
+        let mut edges = Vec::new();
         for _ in 0..extra {
             let i = rng.range(n);
             let j = rng.range(n);
             if i < j {
-                d.add_edge(NodeId::new(i), NodeId::new(j));
+                edges.push((NodeId::new(i), NodeId::new(j)));
             }
+        }
+        let d = DiGraph::from_edges(n, &edges);
+        // Frozen CSR keeps insertion order through the codec.
+        prop_assert_eq!(&DiGraph::from_bytes(&d.to_bytes()).unwrap(), &d);
+        for &(i, j) in &edges {
+            prop_assert!(d.has_edge(i, j));
         }
         let order = d.topological_sort().expect("forward-edge DAG is acyclic");
         let mut pos = vec![0usize; n];
@@ -125,5 +154,30 @@ proptest! {
         // Longest path length is consistent with depths.
         let depths = d.depths();
         prop_assert_eq!(d.longest_path_len(), depths.iter().copied().max().unwrap_or(0));
+    }
+
+    #[test]
+    fn topo_sort_matches_min_index_heap_kahn(
+        n in 1usize..300,
+        extra in 0usize..600,
+        back in 0usize..3,
+        seed in 0u64..500,
+    ) {
+        // Edges follow a random rank permutation, so node indices are
+        // not a topological order; `back` extra edges against the ranks
+        // usually close a cycle.
+        let mut rng = Rng::seed_from_u64(seed);
+        let mut rank: Vec<usize> = (0..n).collect();
+        rng.shuffle(&mut rank);
+        let mut edges = Vec::new();
+        for k in 0..extra + back {
+            let (i, j) = (rng.range(n), rng.range(n));
+            if i < j {
+                let (a, b) = if k < extra { (i, j) } else { (j, i) };
+                edges.push((NodeId::new(rank[a]), NodeId::new(rank[b])));
+            }
+        }
+        let d = DiGraph::from_edges(n, &edges);
+        prop_assert_eq!(d.topological_sort(), heap_kahn(&d));
     }
 }

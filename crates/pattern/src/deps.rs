@@ -70,14 +70,8 @@ impl DependencyGraph {
     /// shifting).
     #[must_use]
     pub fn combined(&self) -> DiGraph {
-        let mut d = DiGraph::with_nodes(self.x.node_count());
-        for (u, v) in self.x.edges() {
-            d.add_edge(u, v);
-        }
-        for (u, v) in self.z.edges() {
-            d.add_edge(u, v);
-        }
-        d
+        let edges: Vec<(NodeId, NodeId)> = self.x.edges().chain(self.z.edges()).collect();
+        DiGraph::from_edges(self.x.node_count(), &edges)
     }
 
     /// Performs full signal shifting and returns, per node, the set of
@@ -147,11 +141,11 @@ mod tests {
     use super::*;
 
     fn di(n: usize, edges: &[(usize, usize)]) -> DiGraph {
-        let mut d = DiGraph::with_nodes(n);
-        for &(a, b) in edges {
-            d.add_edge(NodeId::new(a), NodeId::new(b));
-        }
-        d
+        let edges: Vec<(NodeId, NodeId)> = edges
+            .iter()
+            .map(|&(a, b)| (NodeId::new(a), NodeId::new(b)))
+            .collect();
+        DiGraph::from_edges(n, &edges)
     }
 
     #[test]

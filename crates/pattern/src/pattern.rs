@@ -35,7 +35,8 @@ pub struct PatternStats {
 ///
 /// Instances are produced by [`transpile`](crate::transpile::transpile);
 /// the compiler crates consume [`Pattern::graph`] as the computation
-/// graph and [`Pattern::dependency_graph`] for lifetime accounting.
+/// graph and [`Pattern::real_time_dependencies`] for lifetime
+/// accounting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Pattern {
     graph: Graph,
@@ -158,20 +159,14 @@ impl Pattern {
     /// byproduct lands on a still-alive photon.
     #[must_use]
     pub fn flow_constraints(&self) -> DiGraph {
-        let mut d = DiGraph::with_nodes(self.node_count());
-        for u in self.graph.nodes() {
-            if !self.measured[u.index()] {
-                continue;
-            }
-            let f = self.wire_succ[u.index()].expect("measured node has successor");
-            d.add_edge(u, f);
-            for w in self.graph.neighbors(f) {
-                if w != u {
-                    d.add_edge(u, w);
-                }
-            }
+        // The flow successor is injective and `u ∼ f(u)`, so the edges
+        // number at most the degree sum: one allocation.
+        let mut edges = Vec::with_capacity(2 * self.graph.edge_count());
+        for (u, f) in self.flow_pairs() {
+            edges.push((u, f));
+            edges.extend(self.graph.neighbors(f).filter(|&w| w != u).map(|w| (u, w)));
         }
-        d
+        DiGraph::from_edges(self.node_count(), &edges)
     }
 
     /// A valid measurement order: measured nodes in a topological order
@@ -207,30 +202,50 @@ impl Pattern {
     /// Clifford fragments of MBQC programs run without feed-forward.
     #[must_use]
     pub fn dependency_graph(&self) -> DependencyGraph {
-        let n = self.node_count();
-        let mut x = DiGraph::with_nodes(n);
-        let mut z = DiGraph::with_nodes(n);
+        let mut z = Vec::with_capacity(2 * self.graph.edge_count());
+        for (u, f) in self.flow_pairs() {
+            z.extend(
+                self.graph
+                    .neighbors(f)
+                    .filter(|&w| w != u && self.measured[w.index()])
+                    .map(|w| (u, w)),
+            );
+        }
+        DependencyGraph::new(
+            self.real_time_dependencies(),
+            DiGraph::from_edges(self.node_count(), &z),
+        )
+    }
+
+    /// The real-time dependency DAG `G` of Algorithm 1 — the
+    /// X-dependencies of [`Pattern::dependency_graph`], equal to its
+    /// [`real_time`](DependencyGraph::real_time) half — built without
+    /// the Z half. Every node has at most one parent: its flow
+    /// predecessor.
+    #[must_use]
+    pub fn real_time_dependencies(&self) -> DiGraph {
         // α is sign-insensitive (up to outcome relabeling) iff
         // 2α ≡ 0 (mod π).
         let clifford = |a: f64| {
             let r = (2.0 * a / std::f64::consts::PI).rem_euclid(1.0);
             !(1e-9..=1.0 - 1e-9).contains(&r)
         };
-        for u in self.graph.nodes() {
-            if !self.measured[u.index()] {
-                continue;
-            }
-            let f = self.wire_succ[u.index()].expect("measured node has successor");
-            if self.measured[f.index()] && !clifford(self.angles[f.index()]) {
-                x.add_edge(u, f);
-            }
-            for w in self.graph.neighbors(f) {
-                if w != u && self.measured[w.index()] {
-                    z.add_edge(u, w);
-                }
-            }
-        }
-        DependencyGraph::new(x, z)
+        let x: Vec<(NodeId, NodeId)> = self
+            .flow_pairs()
+            .filter(|&(_, f)| self.measured[f.index()] && !clifford(self.angles[f.index()]))
+            .collect();
+        DiGraph::from_edges(self.node_count(), &x)
+    }
+
+    /// `(u, f(u))` for every measured node `u`, in node order.
+    fn flow_pairs(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+        self.graph
+            .nodes()
+            .filter(|u| self.measured[u.index()])
+            .map(|u| {
+                let f = self.wire_succ[u.index()].expect("measured node has successor");
+                (u, f)
+            })
     }
 
     /// A stable, canonical byte rendering of the pattern's full content
@@ -401,13 +416,12 @@ impl Pattern {
     /// Summary statistics.
     #[must_use]
     pub fn stats(&self) -> PatternStats {
-        let deps = self.dependency_graph();
         PatternStats {
             nodes: self.node_count(),
             edges: self.graph.edge_count(),
             measured: self.measured.iter().filter(|&&m| m).count(),
             qubits: self.inputs.len(),
-            dependency_depth: deps.real_time().longest_path_len(),
+            dependency_depth: self.real_time_dependencies().longest_path_len(),
         }
     }
 }

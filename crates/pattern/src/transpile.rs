@@ -452,6 +452,11 @@ mod tests {
             );
             let deps = p.dependency_graph();
             assert!(deps.real_time().is_acyclic(), "{name}");
+            assert_eq!(&p.real_time_dependencies(), deps.real_time(), "{name}");
+            assert!(deps
+                .real_time()
+                .nodes()
+                .all(|u| deps.real_time().in_degree(u) <= 1));
             assert!(deps.combined().is_acyclic(), "{name}");
             // Every measured node appears exactly once in the order.
             let order = p.measurement_order();

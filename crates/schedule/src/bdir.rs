@@ -8,12 +8,26 @@
 //! and `PinAndReschedule` pins the task there and rebuilds the rest of
 //! the schedule with start-time-preserving priorities.
 //!
-//! Cost per iteration: one list schedule and one evaluation of the
-//! neighbour (the current schedule's cost carries over). The dependency
-//! DAG's topological order is computed once per [`bdir`] call and shared
-//! by `FindBottleneckTask` and every evaluation.
+//! Cost per iteration: one list schedule (`PinAndReschedule`) and one
+//! analysis pass over the neighbour, which yields its objective and its
+//! bottleneck task together. A rejected neighbour leaves the current
+//! schedule's analysis in place, so no schedule is swept twice. The
+//! pass reads a `Sweep` built once per [`bdir`] call:
+//!
+//! * main tasks are numbered into one flat slot table, so a schedule's
+//!   start times are one contiguous array;
+//! * fusee pairs collapse to distinct ordered slot pairs — a pair's
+//!   span depends only on its two layers (4 800 pairs become 337 for
+//!   table III's QFT-36);
+//! * the dependency DAG is sorted once and relabelled by topological
+//!   position, so the MTime sweep (Algorithm 1, part 2) walks its
+//!   arrays front to back.
+//!
+//! The collapse and the relabelling keep every tie-break of the
+//! per-node formulation, so the refined schedules are unchanged.
 
-use mbqc_graph::NodeId;
+use std::collections::HashSet;
+
 use mbqc_util::Rng;
 
 use crate::list::{list_schedule_with, priorities_from_schedule, ScheduleWorkspace};
@@ -48,12 +62,13 @@ impl Default for BdirConfig {
 /// the best feasible schedule found.
 ///
 /// Each iteration costs one list schedule (`PinAndReschedule`) and one
-/// evaluation of the neighbour; the dependency DAG is sorted once per
-/// call.
+/// analysis pass over the neighbour; the problem is flattened and the
+/// dependency DAG sorted once per call.
 ///
 /// # Panics
 ///
-/// Panics if `init` does not match the problem shape.
+/// Panics if `init` does not match the problem shape, or the
+/// dependency graph is cyclic.
 #[must_use]
 pub fn bdir(p: &LayerScheduleProblem, init: &Schedule, config: &BdirConfig) -> Schedule {
     bdir_with(p, init, config, &mut ScheduleWorkspace::new())
@@ -65,7 +80,8 @@ pub fn bdir(p: &LayerScheduleProblem, init: &Schedule, config: &BdirConfig) -> S
 ///
 /// # Panics
 ///
-/// Panics if `init` does not match the problem shape.
+/// Panics if `init` does not match the problem shape, or the
+/// dependency graph is cyclic.
 #[must_use]
 pub fn bdir_with(
     p: &LayerScheduleProblem,
@@ -73,180 +89,267 @@ pub fn bdir_with(
     config: &BdirConfig,
     ws: &mut ScheduleWorkspace,
 ) -> Schedule {
-    // The DAG never changes within a call, and MTime is a longest-path
-    // recurrence: any topological order gives the same costs.
-    let order = p.dep_order();
+    let mut sweep = Sweep::new(p);
     let mut rng = Rng::seed_from_u64(config.seed);
     let mut current = init.clone();
-    let mut c_current = p.evaluate_in_order(&current, &order).objective();
+    let mut analysis = sweep.analyze(&current);
     let mut best = init.clone();
-    let mut c_best = c_current;
+    let mut c_best = analysis.objective;
     let mut temp = config.t0;
 
     for _ in 0..config.max_iters {
-        let Some(neighbor) = generate_neighbor(p, &current, &order, ws) else {
+        let Some(pin) = analysis.pin else {
             break; // no bottleneck to move (objective already 0)
         };
-        let c_new = p.evaluate_in_order(&neighbor, &order).objective();
-        let delta = c_new as f64 - c_current as f64;
+        let neighbor = list_schedule_with(p, &priorities_from_schedule(&current), Some(pin), ws);
+        let next = sweep.analyze(&neighbor);
+        let delta = next.objective as f64 - analysis.objective as f64;
         if delta <= 0.0 || rng.next_f64() < (-delta / temp.max(1e-9)).exp() {
             current = neighbor;
-            c_current = c_new;
+            analysis = next;
         }
-        if c_current < c_best {
+        if analysis.objective < c_best {
             best = current.clone();
-            c_best = c_current;
+            c_best = analysis.objective;
         }
         temp *= config.cooling;
     }
     best
 }
 
-/// The "smart" neighborhood generator: pin the bottleneck task at its
-/// balance point and reschedule. Returns `None` when no cost term
-/// exists.
-fn generate_neighbor(
-    p: &LayerScheduleProblem,
-    current: &Schedule,
-    order: &[NodeId],
-    ws: &mut ScheduleWorkspace,
-) -> Option<Schedule> {
-    let (task, anchors) = find_bottleneck_task(p, current, order)?;
-    let t = calculate_balance_point(&task, &anchors);
-    Some(list_schedule_with(
-        p,
-        &priorities_from_schedule(current),
-        Some((task, t)),
-        ws,
-    ))
+/// What one analysis pass learns about a schedule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Analysis {
+    /// The Definition IV.1 objective, as
+    /// [`LayerScheduleProblem::evaluate`] computes it.
+    objective: usize,
+    /// The neighbourhood move: the bottleneck task pinned at its
+    /// balance point (`FindBottleneckTask` + `CalculateBalancePoint`).
+    /// `None` when every lifetime term is zero.
+    pin: Option<(TaskRef, usize)>,
 }
 
-/// `FindBottleneckTask`: identifies the task behind the current maximum
-/// lifetime term, together with the anchor times that pull on it.
-/// `order` is a topological order of the dependency DAG
-/// ([`LayerScheduleProblem::dep_order`]).
-///
-/// Two passes: a cheap scan finds the maximum cost term; anchors are
-/// then gathered only for the single winning task (keeping each BDIR
-/// iteration linear in the problem size).
-fn find_bottleneck_task(
-    p: &LayerScheduleProblem,
-    s: &Schedule,
-    order: &[NodeId],
-) -> Option<(TaskRef, Vec<usize>)> {
-    // (cost, task, fallback anchor)
-    let mut best: Option<(usize, TaskRef, usize)> = None;
-    let mut consider = |cost: usize, task: TaskRef, fallback: usize| {
-        if cost > 0 && best.as_ref().is_none_or(|(c, _, _)| cost > *c) {
-            best = Some((cost, task, fallback));
-        }
-    };
+/// A layer scheduling problem flattened for [`Sweep::analyze`], plus
+/// the pass's scratch buffers.
+#[derive(Debug)]
+struct Sweep {
+    /// First flat slot of each QPU: `J_{q,j}` is slot `base[q] + j`.
+    base: Vec<usize>,
+    /// `(qpu, index)` of each flat slot.
+    slot_task: Vec<(usize, usize)>,
+    /// Each sync task's endpoints as flat slots.
+    syncs: Vec<(usize, usize)>,
+    /// The fusee pairs as distinct ordered slot pairs, in order of
+    /// first occurrence. Pairs within one slot (span 0) are dropped.
+    fusees: Vec<(usize, usize)>,
+    /// Nodes in topological order, as `(node index, flat slot)`.
+    nodes: Vec<(u32, u32)>,
+    /// `parents[parent_off[i]..parent_off[i + 1]]`: the positions in
+    /// `nodes` of the dependency parents of the node at position `i` —
+    /// the DAG's predecessor lists, renamed and reordered once so the
+    /// sweep reads them front to back.
+    parent_off: Vec<u32>,
+    parents: Vec<u32>,
+    refresh_bound: Option<usize>,
+    /// Scratch: start time per flat slot.
+    slot_time: Vec<usize>,
+    /// Scratch: `MTime` per topological position.
+    mtime: Vec<usize>,
+}
 
-    // Remote terms: sync task vs its two endpoints.
-    for (k, sync) in p.sync_tasks.iter().enumerate() {
-        let t = s.sync_start[k];
-        let ta = s.main_start[sync.a.0][sync.a.1];
-        let tb = s.main_start[sync.b.0][sync.b.1];
-        consider(
-            t.abs_diff(ta).max(t.abs_diff(tb)),
-            TaskRef::Sync(k),
-            ta.midpoint(tb),
-        );
+impl Sweep {
+    fn new(p: &LayerScheduleProblem) -> Self {
+        let mut base = Vec::with_capacity(p.num_qpus);
+        let mut slot_task = Vec::new();
+        for (q, &m) in p.main_counts.iter().enumerate() {
+            base.push(slot_task.len());
+            slot_task.extend((0..m).map(|j| (q, j)));
+        }
+        let flat = |(q, j): (usize, usize)| base[q] + j;
+        let syncs = p
+            .sync_tasks
+            .iter()
+            .map(|s| (flat(s.a), flat(s.b)))
+            .collect();
+        let node_slot: Vec<u32> = p.local.as_ref().map_or_else(Vec::new, |local| {
+            local
+                .node_slot
+                .iter()
+                .map(|&slot| flat(slot) as u32)
+                .collect()
+        });
+        let mut sweep = Self {
+            base,
+            slot_task,
+            syncs,
+            fusees: Vec::new(),
+            nodes: Vec::new(),
+            parent_off: Vec::new(),
+            parents: Vec::new(),
+            refresh_bound: p.refresh_bound,
+            slot_time: Vec::new(),
+            mtime: Vec::new(),
+        };
+        let Some(local) = &p.local else {
+            return sweep;
+        };
+        let mut seen = HashSet::new();
+        sweep.fusees = local
+            .fusee_pairs
+            .iter()
+            .map(|&(u, v)| (node_slot[u] as usize, node_slot[v] as usize))
+            .filter(|&(a, b)| a != b && seen.insert((a, b)))
+            .collect();
+        // MTime is a longest-path recurrence: any topological order
+        // gives the same values.
+        let order = local
+            .deps
+            .topological_sort()
+            .expect("dependency graph is cyclic");
+        let mut position = vec![0u32; order.len()];
+        for (i, u) in order.iter().enumerate() {
+            position[u.index()] = i as u32;
+        }
+        sweep.nodes = order
+            .iter()
+            .map(|u| (u.index() as u32, node_slot[u.index()]))
+            .collect();
+        sweep.parent_off.reserve(order.len() + 1);
+        sweep.parent_off.push(0);
+        sweep.parents.reserve(local.deps.edge_count());
+        for &u in &order {
+            let parents = local.deps.predecessors(u);
+            sweep
+                .parents
+                .extend(parents.iter().map(|q| position[q.index()]));
+            sweep.parent_off.push(sweep.parents.len() as u32);
+        }
+        sweep.mtime.resize(order.len(), 0);
+        sweep
     }
 
-    // Local terms need node-level structure.
-    let times: Vec<usize> = p.local.as_ref().map_or_else(Vec::new, |local| {
-        local
-            .node_slot
-            .iter()
-            .map(|&(q, j)| s.main_start[q][j])
-            .collect()
-    });
-    if let Some(local) = &p.local {
-        // Fusee spans: bottleneck is the later endpoint's main task.
-        for &(u, v) in &local.fusee_pairs {
-            let span = times[u].abs_diff(times[v]);
-            let (mover, other) = if times[u] >= times[v] { (u, v) } else { (v, u) };
-            let slot = local.node_slot[mover];
-            consider(span, TaskRef::Main(slot.0, slot.1), times[other]);
+    /// One pass over `s`: its objective and its bottleneck move.
+    ///
+    /// The bottleneck is the first term, in the order remote syncs,
+    /// fusee spans, measuree waits, that reaches the largest positive
+    /// uncapped cost; measuree waits of one cycle never count, and tied
+    /// waits go to the lowest node index.
+    fn analyze(&mut self, s: &Schedule) -> Analysis {
+        self.slot_time.clear();
+        for starts in &s.main_start {
+            self.slot_time.extend_from_slice(starts);
         }
-        // Measuree waits: MTime sweep (Algorithm 1 Part 2).
-        let mut mtime = vec![0usize; times.len()];
-        for &u in order {
-            let mut m = times[u.index()] + 1;
-            for &q in local.deps.predecessors(u) {
-                m = m.max(mtime[q.index()] + 1);
+        let time = &self.slot_time;
+        // (cost, task, fallback anchor)
+        let mut best: Option<(usize, TaskRef, usize)> = None;
+        let mut consider = |cost: usize, task: TaskRef, fallback: usize| {
+            if cost > 0 && best.as_ref().is_none_or(|(c, _, _)| cost > *c) {
+                best = Some((cost, task, fallback));
             }
-            mtime[u.index()] = m;
+        };
+        let main = |slot: usize| {
+            let (q, j) = self.slot_task[slot];
+            TaskRef::Main(q, j)
+        };
+
+        // Remote terms: sync task vs its two endpoints.
+        let mut tau_remote = 0;
+        for (k, &(a, b)) in self.syncs.iter().enumerate() {
+            let (t, ta, tb) = (s.sync_start[k], time[a], time[b]);
+            let cost = t.abs_diff(ta).max(t.abs_diff(tb));
+            tau_remote = tau_remote.max(cost);
+            consider(cost, TaskRef::Sync(k), ta.midpoint(tb));
         }
-        for u in 0..times.len() {
-            let wait = mtime[u] - times[u];
-            if wait <= 1 {
-                continue;
+        // Fusee spans: the bottleneck is the later endpoint's task.
+        let mut fusee = 0;
+        for &(a, b) in &self.fusees {
+            let (ta, tb) = (time[a], time[b]);
+            let span = ta.abs_diff(tb);
+            fusee = fusee.max(span);
+            let (mover, other) = if ta >= tb { (a, tb) } else { (b, ta) };
+            consider(span, main(mover), other);
+        }
+        // Measuree waits: the MTime sweep, in topological position.
+        let mut measuree = 0;
+        // (wait, node index, position) of the worst wait above one.
+        let mut worst: Option<(usize, u32, usize)> = None;
+        for (i, &(node, slot)) in self.nodes.iter().enumerate() {
+            let t = time[slot as usize];
+            let mut m = t + 1;
+            for &q in self.parents_of(i) {
+                m = m.max(self.mtime[q as usize] + 1);
             }
-            let slot = local.node_slot[u];
+            self.mtime[i] = m;
+            let wait = m - t;
+            measuree = measuree.max(wait);
+            if wait > 1 && worst.is_none_or(|(w, u, _)| wait > w || (wait == w && node < u)) {
+                worst = Some((wait, node, i));
+            }
+        }
+        if let Some((wait, _, i)) = worst {
             // Moving the layer later (towards the resolving signal)
             // shrinks the wait: anchor at the latest parent MTime.
-            let parent_anchor = local
-                .deps
-                .predecessors(NodeId::new(u))
+            let slot = self.nodes[i].1 as usize;
+            let parent_anchor = self
+                .parents_of(i)
                 .iter()
-                .map(|&q| mtime[q.index()])
+                .map(|&q| self.mtime[q as usize])
                 .max()
-                .unwrap_or(times[u]);
-            consider(wait, TaskRef::Main(slot.0, slot.1), parent_anchor);
+                .unwrap_or(time[slot]);
+            consider(wait, main(slot), parent_anchor);
         }
+
+        // With dynamic refresh, no lifetime term exceeds the bound.
+        let cap = |t: usize| self.refresh_bound.map_or(t, |d| t.min(d));
+        let objective = cap(tau_remote).max(cap(fusee)).max(cap(measuree));
+        let pin = best.map(|(_, task, fallback)| {
+            let (lo, hi) = match task {
+                TaskRef::Main(q, j) => self.anchor_range(s, q, j).unwrap_or((fallback, fallback)),
+                TaskRef::Sync(_) => (fallback, fallback),
+            };
+            (task, calculate_balance_point(task, lo, hi))
+        });
+        Analysis { objective, pin }
     }
 
-    let (_, task, fallback) = best?;
-    let anchors = match (task, &p.local) {
-        (TaskRef::Main(i, j), Some(local)) => {
-            anchors_or(anchors_of_main(p, local, &times, (i, j), s), fallback)
-        }
-        _ => vec![fallback],
-    };
-    Some((task, anchors))
-}
+    /// Positions of the parents of the node at position `i`.
+    fn parents_of(&self, i: usize) -> &[u32] {
+        &self.parents[self.parent_off[i] as usize..self.parent_off[i + 1] as usize]
+    }
 
-/// All anchor times pulling on main task `slot`: partner times of fusee
-/// pairs with exactly one endpoint inside, plus attached sync starts.
-fn anchors_of_main(
-    p: &LayerScheduleProblem,
-    local: &crate::problem::LocalStructure,
-    times: &[usize],
-    slot: (usize, usize),
-    s: &Schedule,
-) -> Vec<usize> {
-    let mut anchors = Vec::new();
-    for &(u, v) in &local.fusee_pairs {
-        let (su, sv) = (local.node_slot[u], local.node_slot[v]);
-        if (su == slot) ^ (sv == slot) {
-            anchors.push(if su == slot { times[v] } else { times[u] });
-        }
+    /// The range of anchor times pulling on main task `J_{q,j}`:
+    /// partner times of fusee pairs with one endpoint in its slot, and
+    /// the starts of attached sync tasks. `None` without anchors.
+    fn anchor_range(&self, s: &Schedule, q: usize, j: usize) -> Option<(usize, usize)> {
+        let slot = self.base[q] + j;
+        let partners = self.fusees.iter().filter_map(|&(a, b)| {
+            if a == slot {
+                Some(self.slot_time[b])
+            } else if b == slot {
+                Some(self.slot_time[a])
+            } else {
+                None
+            }
+        });
+        let syncs = self
+            .syncs
+            .iter()
+            .zip(&s.sync_start)
+            .filter(|&(&(a, b), _)| a == slot || b == slot)
+            .map(|(_, &t)| t);
+        partners.chain(syncs).fold(None, |range, t| match range {
+            None => Some((t, t)),
+            Some((lo, hi)) => Some((t.min(lo), t.max(hi))),
+        })
     }
-    for (k, sync) in p.sync_tasks.iter().enumerate() {
-        if sync.a == slot || sync.b == slot {
-            anchors.push(s.sync_start[k]);
-        }
-    }
-    anchors
-}
-
-fn anchors_or(mut anchors: Vec<usize>, fallback: usize) -> Vec<usize> {
-    if anchors.is_empty() {
-        anchors.push(fallback);
-    }
-    anchors
 }
 
 /// `CalculateBalancePoint`: the time minimizing the maximum distance to
-/// the anchors — the midpoint of their range — clamped to the earliest
-/// feasible slot of the task.
-fn calculate_balance_point(task: &TaskRef, anchors: &[usize]) -> usize {
-    let lo = anchors.iter().copied().min().unwrap_or(0);
-    let hi = anchors.iter().copied().max().unwrap_or(0);
+/// anchors spanning `lo..=hi` — the midpoint of the range — clamped to
+/// the earliest feasible slot of the task.
+fn calculate_balance_point(task: TaskRef, lo: usize, hi: usize) -> usize {
     let mid = usize::midpoint(lo, hi);
-    match *task {
+    match task {
         // J_{i,j} needs j predecessors scheduled first.
         TaskRef::Main(_, j) => mid.max(j),
         TaskRef::Sync(_) => mid,
@@ -258,7 +361,7 @@ mod tests {
     use super::*;
     use crate::list::{default_priorities, list_schedule};
     use crate::problem::{LocalStructure, SyncTask};
-    use mbqc_graph::DiGraph;
+    use mbqc_graph::{DiGraph, NodeId};
 
     /// Two QPUs, 6 main layers each; one sync ties the *first* layer of
     /// QPU 0 to the *last* layer of QPU 1 — list scheduling leaves a
@@ -307,8 +410,7 @@ mod tests {
     fn bdir_improves_backward_dependency() {
         // Node on QPU 0 layer 0 depends on a node generated late on
         // QPU 1: the bottleneck layer should move later.
-        let mut deps = DiGraph::with_nodes(2);
-        deps.add_edge(NodeId::new(1), NodeId::new(0));
+        let deps = DiGraph::from_edges(2, &[(NodeId::new(1), NodeId::new(0))]);
         let p = LayerScheduleProblem::new(vec![4, 8], vec![], 4).with_local(LocalStructure {
             node_slot: vec![(0, 0), (1, 7)],
             fusee_pairs: vec![],
@@ -366,14 +468,15 @@ mod tests {
             .collect();
         let mut rank: Vec<usize> = (0..n).collect();
         rng.shuffle(&mut rank);
-        let mut deps = DiGraph::with_nodes(n);
+        let mut edges = Vec::new();
         for i in 0..n {
             for j in i + 1..n {
                 if rng.bernoulli(0.1) {
-                    deps.add_edge(NodeId::new(rank[i]), NodeId::new(rank[j]));
+                    edges.push((NodeId::new(rank[i]), NodeId::new(rank[j])));
                 }
             }
         }
+        let deps = DiGraph::from_edges(n, &edges);
         let kmax = rng.range_between(1, 5);
         LayerScheduleProblem::new(main_counts, sync_tasks, kmax).with_local(LocalStructure {
             node_slot,
@@ -402,26 +505,97 @@ mod tests {
         }
     }
 
+    /// FNV-1a, 64-bit, continued from `h`.
+    fn fnv1a64(h: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(h, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Pins BDIR's outputs on general DAGs — in-degrees above one, node
+    /// indices out of topological order, with and without a refresh
+    /// bound — which the pipeline's X-DAGs (in-degree at most one, no
+    /// refresh bound) never exercise: the FNV-1a-64 of every refined
+    /// schedule over the 150 cases above.
+    #[test]
+    fn bdir_outputs_on_random_local_problems_are_pinned() {
+        for (refresh, pinned) in [
+            (None, 0x7a52_8930_94c7_604a),
+            (Some(3), 0x9403_32fa_1ef8_63a9),
+        ] {
+            let mut rng = Rng::seed_from_u64(11);
+            let mut h = 0xcbf2_9ce4_8422_2325;
+            for _ in 0..150 {
+                let mut p = random_local_problem(&mut rng);
+                if let Some(d) = refresh {
+                    p = p.with_refresh_bound(d);
+                }
+                let init = list_schedule(&p, &default_priorities(&p), None);
+                let config = BdirConfig {
+                    seed: rng.next_u64(),
+                    ..BdirConfig::default()
+                };
+                h = fnv1a64(h, &bdir(&p, &init, &config).to_bytes());
+            }
+            assert_eq!(h, pinned, "refresh bound {refresh:?}");
+        }
+    }
+
+    /// The analysis pass's objective is the one
+    /// [`LayerScheduleProblem::evaluate`] computes, with and without a
+    /// refresh bound, on the initial schedule and on pinned reschedules.
+    #[test]
+    fn analysis_objective_matches_evaluate() {
+        let mut rng = Rng::seed_from_u64(5);
+        for case in 0..100 {
+            let mut p = random_local_problem(&mut rng);
+            if case % 2 == 1 {
+                p = p.with_refresh_bound(rng.range_between(1, 6));
+            }
+            let mut sweep = Sweep::new(&p);
+            let mut s = list_schedule(&p, &default_priorities(&p), None);
+            for _ in 0..3 {
+                let a = sweep.analyze(&s);
+                assert_eq!(a.objective, p.evaluate(&s).objective(), "case {case}");
+                let Some(pin) = a.pin else { break };
+                s = list_schedule(&p, &priorities_from_schedule(&s), Some(pin));
+            }
+        }
+    }
+
     #[test]
     fn balance_point_midpoint_and_clamp() {
-        assert_eq!(calculate_balance_point(&TaskRef::Sync(0), &[2, 10]), 6);
-        assert_eq!(calculate_balance_point(&TaskRef::Main(0, 8), &[0, 2]), 8);
-        assert_eq!(calculate_balance_point(&TaskRef::Main(0, 0), &[5]), 5);
+        assert_eq!(calculate_balance_point(TaskRef::Sync(0), 2, 10), 6);
+        assert_eq!(calculate_balance_point(TaskRef::Main(0, 8), 0, 2), 8);
+        assert_eq!(calculate_balance_point(TaskRef::Main(0, 0), 5, 5), 5);
     }
 
     #[test]
     fn fusee_bottleneck_detected() {
         // Local fusee pair spanning 9 slots dominates; bottleneck must
-        // be a main task.
-        let deps = DiGraph::with_nodes(2);
+        // be a main task, pinned midway between its partner and itself.
+        let deps = DiGraph::from_edges(2, &[]);
         let p = LayerScheduleProblem::new(vec![1, 10], vec![], 4).with_local(LocalStructure {
             node_slot: vec![(0, 0), (1, 9)],
             fusee_pairs: vec![(0, 1)],
             deps,
         });
         let s = list_schedule(&p, &default_priorities(&p), None);
-        let (task, anchors) = find_bottleneck_task(&p, &s, &p.dep_order()).unwrap();
-        assert!(matches!(task, TaskRef::Main(1, 9)));
-        assert!(!anchors.is_empty());
+        let a = Sweep::new(&p).analyze(&s);
+        assert_eq!(a.objective, 9);
+        assert_eq!(a.pin, Some((TaskRef::Main(1, 9), 9)));
+    }
+
+    #[test]
+    fn fusee_pairs_collapse_to_distinct_slot_pairs() {
+        // Four nodes on two layers: the two cross pairs in one
+        // orientation collapse, the reversed one stays, the same-layer
+        // pair drops.
+        let p = LayerScheduleProblem::new(vec![2], vec![], 4).with_local(LocalStructure {
+            node_slot: vec![(0, 0), (0, 0), (0, 1), (0, 1)],
+            fusee_pairs: vec![(0, 2), (1, 3), (0, 1), (3, 0)],
+            deps: DiGraph::from_edges(4, &[]),
+        });
+        assert_eq!(Sweep::new(&p).fusees, vec![(0, 1), (1, 0)]);
     }
 }

@@ -1,6 +1,6 @@
 //! Problem and schedule types, feasibility checking, and the objective.
 
-use mbqc_graph::{DiGraph, NodeId};
+use mbqc_graph::DiGraph;
 use mbqc_util::codec::{CodecError, Decoder, Encoder};
 
 /// A synchronization task `S_k`: one inter-QPU connection event,
@@ -228,28 +228,6 @@ impl LayerScheduleProblem {
     /// dependency graph is cyclic.
     #[must_use]
     pub fn evaluate(&self, s: &Schedule) -> ScheduleCost {
-        self.evaluate_in_order(s, &self.dep_order())
-    }
-
-    /// A topological order of the node-level dependency DAG (empty
-    /// without local structure), for [`Self::evaluate_in_order`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dependency graph is cyclic.
-    pub(crate) fn dep_order(&self) -> Vec<NodeId> {
-        self.local.as_ref().map_or_else(Vec::new, |local| {
-            local
-                .deps
-                .topological_sort()
-                .expect("dependency graph is cyclic")
-        })
-    }
-
-    /// [`Self::evaluate`] with the dependency order precomputed by
-    /// [`Self::dep_order`], so loops that evaluate many schedules of one
-    /// problem sort the DAG once.
-    pub(crate) fn evaluate_in_order(&self, s: &Schedule, order: &[NodeId]) -> ScheduleCost {
         assert_eq!(s.main_start.len(), self.num_qpus, "schedule shape mismatch");
         assert_eq!(s.sync_start.len(), self.sync_tasks.len());
         // With dynamic refresh, any photon stored beyond the bound is
@@ -285,12 +263,7 @@ impl LayerScheduleProblem {
                     .iter()
                     .map(|&(u, v)| (times[u], times[v]))
                     .collect();
-                let report = mbqc_compiler::required_photon_lifetime_in_order(
-                    &times,
-                    &pairs,
-                    &local.deps,
-                    order,
-                );
+                let report = mbqc_compiler::required_photon_lifetime(&times, &pairs, &local.deps);
                 cap(report.fusee).max(cap(report.measuree))
             }
         };
@@ -455,6 +428,7 @@ impl LayerScheduleProblem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mbqc_graph::NodeId;
 
     fn tiny_problem() -> LayerScheduleProblem {
         // 2 QPUs with 2 main tasks each, one sync joining J_{0,1} and
@@ -547,8 +521,7 @@ mod tests {
     #[test]
     fn tau_local_uses_start_times() {
         // Two nodes fused across QPUs' layers scheduled 7 slots apart.
-        let mut deps = DiGraph::with_nodes(2);
-        deps.add_edge(NodeId::new(0), NodeId::new(1));
+        let deps = DiGraph::from_edges(2, &[(NodeId::new(0), NodeId::new(1))]);
         let p = LayerScheduleProblem::new(vec![1, 1], vec![], 4).with_local(LocalStructure {
             node_slot: vec![(0, 0), (1, 0)],
             fusee_pairs: vec![(0, 1)],
@@ -564,8 +537,7 @@ mod tests {
 
     #[test]
     fn codec_round_trips_problem_and_schedule() {
-        let mut deps = DiGraph::with_nodes(2);
-        deps.add_edge(NodeId::new(0), NodeId::new(1));
+        let deps = DiGraph::from_edges(2, &[(NodeId::new(0), NodeId::new(1))]);
         let p = tiny_problem()
             .with_local(LocalStructure {
                 node_slot: vec![(0, 1), (1, 0)],

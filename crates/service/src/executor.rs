@@ -172,15 +172,13 @@ fn run_stage_task(
 /// re-enters the pipeline past answered stages; on a miss, verifies
 /// flow and derives the placement order.
 fn transpile_task(shared: &Shared, job: JobId, state: &mut JobState) -> TaskResult {
-    let keys = StageKeys::new(&state.pattern, &state.config);
     let hit = [
         PipelineStage::Schedule,
         PipelineStage::Map,
         PipelineStage::Partition,
     ]
     .into_iter()
-    .find_map(|stage| lookup(shared, stage, &keys, &state.pattern, &state.config));
-    state.keys = Some(keys);
+    .find_map(|stage| lookup(shared, stage, &state.keys, &state.pattern, &state.config));
     {
         let mut c = lock(&shared.counters);
         match hit.as_ref().map(CacheEntry::stage) {
@@ -233,10 +231,9 @@ fn partition_task(
     // its (fully computed, deterministic) artifact out of the store —
     // the job terminates `Cancelled` at the requeue that follows.
     if !state.cancel.is_cancelled() {
-        let keys = state.keys.as_ref().expect("planning task ran first");
         shared
             .store
-            .put(&keys.part, partitioned.partition().to_bytes());
+            .put(&state.keys.part, partitioned.partition().to_bytes());
     }
     state.carried = Carried::Partitioned(partitioned);
     Ok(None)
@@ -265,9 +262,8 @@ fn map_task(
     shared.faults.maybe_panic(StageKind::Map);
     let mapped = map_stage(&state.config, partitioned, map_workers, ws)?;
     if !state.cancel.is_cancelled() {
-        let keys = state.keys.as_ref().expect("planning task ran first");
         shared.store.put(
-            &keys.map,
+            &state.keys.map,
             encode_mapped(mapped.partitioned().partition(), mapped.programs()),
         );
     }
@@ -294,8 +290,7 @@ fn schedule_task(
     // The job's result exists, so it terminates `Done` even under a
     // late cancel — but the artifact publish is still gated.
     if !state.cancel.is_cancelled() {
-        let keys = state.keys.as_ref().expect("planning task ran first");
-        shared.store.put(&keys.sched, scheduled.to_bytes());
+        shared.store.put(&state.keys.sched, scheduled.to_bytes());
     }
     Ok(Some(scheduled))
 }
@@ -309,8 +304,7 @@ fn task_lookup(
     state: &JobState,
     stage: PipelineStage,
 ) -> Option<CacheEntry> {
-    let keys = state.keys.as_ref().expect("planning task ran first");
-    let hit = lookup(shared, stage, keys, &state.pattern, &state.config)?;
+    let hit = lookup(shared, stage, &state.keys, &state.pattern, &state.config)?;
     lock(&shared.counters).task_store_hits += 1;
     emit_cache_hit(shared, job, stage);
     Some(hit)

@@ -713,7 +713,9 @@ impl ServiceStats {
     }
 }
 
-/// The three content-addressed keys of one job's stage artifacts.
+/// The three content-addressed keys of one job's stage artifacts,
+/// built once at submit: they depend only on the pattern and the
+/// configuration.
 #[derive(Debug)]
 pub(crate) struct StageKeys {
     pub(crate) part: ArtifactKey,
@@ -724,11 +726,13 @@ pub(crate) struct StageKeys {
 impl StageKeys {
     pub(crate) fn new(pattern: &Pattern, config: &DcMbqcConfig) -> Self {
         let pattern_bytes = pattern.content_bytes();
+        let pattern_hash = ArtifactKey::pattern_hash(&pattern_bytes);
         let key_of = |stage: PipelineStage| {
-            ArtifactKey::new(
+            ArtifactKey::with_pattern_hash(
                 stage,
                 &config.stage_fingerprint_bytes(stage),
                 &pattern_bytes,
+                pattern_hash,
             )
         };
         Self {
@@ -776,8 +780,9 @@ pub(crate) struct JobState {
     /// The submitting tenant ([`JobOptions::tenant`]): routes the
     /// job's queue entries to its fair lane.
     pub(crate) tenant: u32,
-    /// Artifact keys, computed once by the first stage task.
-    pub(crate) keys: Option<StageKeys>,
+    /// Artifact keys (also the dedup key's source), built at submit
+    /// and kept across retries.
+    pub(crate) keys: StageKeys,
     /// The latest stage artifact.
     pub(crate) carried: Carried,
     /// Accumulated in-worker execution time of this job's tasks.
@@ -806,6 +811,7 @@ impl JobState {
     fn new(
         pattern: Arc<Pattern>,
         config: DcMbqcConfig,
+        keys: StageKeys,
         priority: Priority,
         tenant: u32,
         cancel: CancelToken,
@@ -818,7 +824,7 @@ impl JobState {
             config,
             priority,
             tenant,
-            keys: None,
+            keys,
             carried: Carried::NotStarted,
             latency_ns: 0,
             cancel,
@@ -831,11 +837,10 @@ impl JobState {
 
     /// Resets the job to a fresh pipeline for a retry by dropping its
     /// carried artifact (the failed attempt may have left it
-    /// mid-update). Identity (pattern, config, priority, cancellation,
-    /// deadline) and the accumulated in-worker latency survive —
-    /// latency spans attempts.
+    /// mid-update). Identity (pattern, config, artifact keys, priority,
+    /// cancellation, deadline) and the accumulated in-worker latency
+    /// survive — latency spans attempts.
     fn reset_for_retry(&mut self) {
-        self.keys = None;
         self.carried = Carried::NotStarted;
     }
 }
@@ -973,6 +978,7 @@ struct Follower {
     seq: u64,
     pattern: Arc<Pattern>,
     config: DcMbqcConfig,
+    keys: StageKeys,
     priority: Priority,
     tenant: u32,
     cancel: CancelToken,
@@ -999,9 +1005,9 @@ impl Follower {
 /// awaiting its result.
 #[derive(Debug)]
 struct InflightGroup {
-    /// The dedup key (the `Schedule`-stage artifact fingerprint), kept
-    /// here so the leader's terminal hook can clear `by_key`.
-    key: u128,
+    /// The dedup key (the `Schedule`-stage artifact key), kept here so
+    /// the leader's terminal hook can clear `by_key`.
+    key: ArtifactKey,
     followers: Vec<Follower>,
 }
 
@@ -1011,7 +1017,7 @@ struct InflightGroup {
 #[derive(Debug, Default)]
 struct InflightState {
     /// Dedup key → leader seq.
-    by_key: HashMap<u128, u64>,
+    by_key: HashMap<ArtifactKey, u64>,
     /// Leader seq → its group.
     groups: HashMap<u64, InflightGroup>,
 }
@@ -1245,7 +1251,7 @@ impl Shared {
         } else {
             let rest = live.split_off(1);
             let f = live.pop().expect("live is non-empty");
-            inflight.by_key.insert(key, f.seq);
+            inflight.by_key.insert(key.clone(), f.seq);
             inflight.groups.insert(
                 f.seq,
                 InflightGroup {
@@ -1261,7 +1267,7 @@ impl Shared {
         }
         if let Some(f) = promoted {
             let state = JobState::new(
-                f.pattern, f.config, f.priority, f.tenant, f.cancel, f.deadline, f.retry,
+                f.pattern, f.config, f.keys, f.priority, f.tenant, f.cancel, f.deadline, f.retry,
                 f.attempts,
             );
             let entry = ReadyJob::new(f.seq, &state);
@@ -1664,8 +1670,9 @@ impl CompileService {
         // and the registration are one critical section, so a submit
         // either joins a group that settlement will still observe, or
         // finds the group gone and becomes a fresh leader.
+        let keys = StageKeys::new(&pattern, &config);
         if self.shared.dedup {
-            let key = StageKeys::new(&pattern, &config).sched.fingerprint().0;
+            let key = keys.sched.clone();
             let mut inflight = lock(&self.shared.inflight);
             if let Some(&leader) = inflight.by_key.get(&key) {
                 inflight
@@ -1677,6 +1684,7 @@ impl CompileService {
                         seq: id.0,
                         pattern,
                         config,
+                        keys,
                         priority,
                         tenant,
                         cancel,
@@ -1696,7 +1704,7 @@ impl CompileService {
                 }
                 return Ok(JobHandle { id, events });
             }
-            inflight.by_key.insert(key, id.0);
+            inflight.by_key.insert(key.clone(), id.0);
             inflight.groups.insert(
                 id.0,
                 InflightGroup {
@@ -1706,7 +1714,7 @@ impl CompileService {
             );
         }
         let state = JobState::new(
-            pattern, config, priority, tenant, cancel, deadline, retry, attempts,
+            pattern, config, keys, priority, tenant, cancel, deadline, retry, attempts,
         );
         let entry = ReadyJob::new(id.0, &state);
         let mut q = lock(&self.shared.queue);

@@ -4,8 +4,9 @@
 //! canonical bytes of `(stage, stage-scoped config fingerprint, pattern
 //! content)`. Lookups compare the *full key bytes*, never just a hash,
 //! so a hit is guaranteed to be the artifact of exactly this input —
-//! the 128-bit [`Fingerprint`] only names disk files and buckets the
-//! in-memory map.
+//! the 128-bit [`Fingerprint`] only names disk files, and a 64-bit
+//! hash computed once when the key is built buckets the in-memory map
+//! (which never rehashes the key bytes).
 //!
 //! Two tiers:
 //!
@@ -56,6 +57,7 @@
 //! [`crate::executor`]), so a cancelled job contributes nothing.
 
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher, RandomState};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -74,33 +76,108 @@ use crate::telemetry::{EventKind, TelemetryHub};
 /// pipeline's own [`PipelineStage`] — the artifact stored under
 /// `Partition` is a `Partition`, under `Map` a partition plus per-QPU
 /// programs, under `Schedule` a full `DistributedSchedule`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ArtifactKey(Vec<u8>);
+///
+/// A key is built once per job and stage. Its bytes sit behind an
+/// [`Arc`], so clones (and the memory tier's copy) share them, and its
+/// in-memory hash is computed at construction: [`Hash`] writes only
+/// that hash, while equality compares the full bytes.
+#[derive(Debug, Clone)]
+pub struct ArtifactKey {
+    bytes: Arc<[u8]>,
+    /// SipHash, under per-process random keys (see
+    /// [`key_hash_state`]), of the stage, the configuration bytes and
+    /// the pattern bytes' own hash.
+    hash: u64,
+}
+
+/// The SipHash keys of every [`ArtifactKey`] hash, drawn once per
+/// process: patterns arrive over the network, and fixed keys would let
+/// a client craft keys that collide in the memory tier's map.
+fn key_hash_state() -> &'static RandomState {
+    static STATE: OnceLock<RandomState> = OnceLock::new();
+    STATE.get_or_init(RandomState::new)
+}
+
+impl PartialEq for ArtifactKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.bytes == other.bytes
+    }
+}
+
+impl Eq for ArtifactKey {}
+
+impl Hash for ArtifactKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
 
 impl ArtifactKey {
     /// Builds the key for `stage` from the stage-scoped configuration
     /// fingerprint bytes and the pattern's content bytes.
     #[must_use]
     pub fn new(stage: PipelineStage, config_bytes: &[u8], pattern_bytes: &[u8]) -> Self {
-        let mut e = Encoder::new();
-        e.u8(match stage {
+        let pattern_hash = Self::pattern_hash(pattern_bytes);
+        Self::with_pattern_hash(stage, config_bytes, pattern_bytes, pattern_hash)
+    }
+
+    /// The hash of a pattern's content bytes that
+    /// [`ArtifactKey::with_pattern_hash`] takes.
+    pub(crate) fn pattern_hash(pattern_bytes: &[u8]) -> u64 {
+        key_hash_state().hash_one(pattern_bytes)
+    }
+
+    /// [`ArtifactKey::new`] with the pattern's hash supplied, so the
+    /// keys of one pattern's stages pass over its bytes once. Equal
+    /// keys have equal `(stage, config, pattern)` and so equal hashes.
+    pub(crate) fn with_pattern_hash(
+        stage: PipelineStage,
+        config_bytes: &[u8],
+        pattern_bytes: &[u8],
+        pattern_hash: u64,
+    ) -> Self {
+        let tag = match stage {
             PipelineStage::Partition => 0,
             PipelineStage::Map => 1,
             PipelineStage::Schedule => 2,
-        });
+        };
+        let mut e = Encoder::with_capacity(17 + config_bytes.len() + pattern_bytes.len());
+        e.u8(tag);
         e.bytes(config_bytes);
         e.bytes(pattern_bytes);
-        Self(e.into_bytes())
+        Self {
+            bytes: e.into_bytes().into(),
+            hash: key_hash_state().hash_one((tag, config_bytes, pattern_hash)),
+        }
     }
 
     /// The 128-bit fingerprint naming this key's disk file.
     #[must_use]
     pub fn fingerprint(&self) -> Fingerprint {
-        Fingerprint::of(&self.0)
+        Fingerprint::of(&self.bytes)
     }
 
     fn bytes(&self) -> &[u8] {
-        &self.0
+        &self.bytes
+    }
+}
+
+/// The memory tier's hasher: passes an [`ArtifactKey`]'s precomputed
+/// hash through, so a lookup costs no pass over the key bytes.
+#[derive(Debug, Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("artifact keys hash through write_u64");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
     }
 }
 
@@ -191,9 +268,10 @@ const NONE: usize = usize::MAX;
 
 #[derive(Debug)]
 struct Slot {
-    /// Shared with the map key, so the (pattern-sized) key bytes exist
-    /// once and the byte accounting below stays honest.
-    key: Arc<[u8]>,
+    /// Shares its bytes with the map key and the caller's key, so the
+    /// (pattern-sized) key bytes exist once and the byte accounting
+    /// below stays honest. `None` once evicted.
+    key: Option<ArtifactKey>,
     /// Shared with in-flight readers: a memory hit clones the `Arc`,
     /// never the bytes.
     value: Arc<Vec<u8>>,
@@ -204,7 +282,7 @@ struct Slot {
 /// Intrusive-list LRU over a slab, bounded by a byte budget.
 #[derive(Debug)]
 struct Lru {
-    map: HashMap<Arc<[u8]>, usize>,
+    map: HashMap<ArtifactKey, usize, BuildHasherDefault<KeyHasher>>,
     slots: Vec<Slot>,
     free: Vec<usize>,
     head: usize,
@@ -216,7 +294,7 @@ struct Lru {
 impl Lru {
     fn new(capacity: usize) -> Self {
         Self {
-            map: HashMap::new(),
+            map: HashMap::default(),
             slots: Vec::new(),
             free: Vec::new(),
             head: NONE,
@@ -249,7 +327,7 @@ impl Lru {
     }
 
     #[cfg(test)]
-    fn get(&mut self, key: &[u8]) -> Option<&[u8]> {
+    fn get(&mut self, key: &ArtifactKey) -> Option<&[u8]> {
         let &i = self.map.get(key)?;
         self.unlink(i);
         self.push_front(i);
@@ -258,7 +336,7 @@ impl Lru {
 
     /// Looks up `key`, marks it most recently used, and returns the
     /// shared value handle (an `Arc` clone, no byte copy).
-    fn get_arc(&mut self, key: &[u8]) -> Option<Arc<Vec<u8>>> {
+    fn get_arc(&mut self, key: &ArtifactKey) -> Option<Arc<Vec<u8>>> {
         let &i = self.map.get(key)?;
         self.unlink(i);
         self.push_front(i);
@@ -269,8 +347,8 @@ impl Lru {
     /// budget holds. Oversized artifacts are not cached (a replace with
     /// an oversized value keeps the existing entry rather than flushing
     /// the whole tier). Returns the number of evictions.
-    fn insert(&mut self, key: &[u8], value: Arc<Vec<u8>>) -> u64 {
-        let cost = key.len() + value.len();
+    fn insert(&mut self, key: &ArtifactKey, value: Arc<Vec<u8>>) -> u64 {
+        let cost = key.bytes().len() + value.len();
         if cost > self.capacity {
             return 0;
         }
@@ -280,9 +358,8 @@ impl Lru {
             self.unlink(i);
             self.push_front(i);
         } else {
-            let key: Arc<[u8]> = key.into();
             let slot = Slot {
-                key: Arc::clone(&key),
+                key: Some(key.clone()),
                 value,
                 prev: NONE,
                 next: NONE,
@@ -297,7 +374,7 @@ impl Lru {
                     self.slots.len() - 1
                 }
             };
-            self.map.insert(key, i);
+            self.map.insert(key.clone(), i);
             self.bytes += cost;
             self.push_front(i);
         }
@@ -306,8 +383,8 @@ impl Lru {
             let t = self.tail;
             debug_assert_ne!(t, NONE, "over budget with no evictable entry");
             self.unlink(t);
-            self.bytes -= self.slots[t].key.len() + self.slots[t].value.len();
-            let key = std::mem::replace(&mut self.slots[t].key, Arc::from(&[][..]));
+            let key = self.slots[t].key.take().expect("listed slots are live");
+            self.bytes -= key.bytes().len() + self.slots[t].value.len();
             self.map.remove(&key);
             self.slots[t].value = Arc::new(Vec::new());
             self.free.push(t);
@@ -698,7 +775,7 @@ impl ArtifactStore {
     pub fn get(&self, key: &ArtifactKey) -> Option<Arc<Vec<u8>>> {
         {
             let mut inner = lock(&self.inner);
-            if let Some(v) = inner.lru.get_arc(key.bytes()) {
+            if let Some(v) = inner.lru.get_arc(key) {
                 inner.stats.memory_hits += 1;
                 return Some(v);
             }
@@ -769,7 +846,7 @@ impl ArtifactStore {
         }
         if let Some(value) = hit {
             inner.stats.disk_hits += 1;
-            inner.stats.evictions += inner.lru.insert(key.bytes(), Arc::clone(&value));
+            inner.stats.evictions += inner.lru.insert(key, Arc::clone(&value));
             return Some(value);
         }
         inner.stats.misses += 1;
@@ -820,7 +897,7 @@ impl ArtifactStore {
         if disk_error {
             inner.stats.disk_errors += 1;
         }
-        inner.stats.evictions += inner.lru.insert(key.bytes(), value);
+        inner.stats.evictions += inner.lru.insert(key, value);
     }
 
     /// A snapshot of the store counters.
@@ -951,19 +1028,52 @@ mod tests {
         }
     }
 
+    /// Distinct keys forced onto one in-memory hash: the full-byte
+    /// comparison keeps them apart through puts, gets, replacement and
+    /// eviction.
+    #[test]
+    fn colliding_hashes_never_cross_values() {
+        let collide = |n: u8| ArtifactKey { hash: 7, ..key(n) };
+        let (a, b, c) = (collide(1), collide(2), collide(3));
+        assert_ne!(a, b);
+
+        let store = ArtifactStore::new(StoreConfig::default()).unwrap();
+        store.put(&a, vec![1]);
+        assert!(store.get(&b).is_none());
+        store.put(&b, vec![2]);
+        store.put(&a, vec![3]);
+        assert_eq!(store.get(&a).as_deref(), Some(&vec![3]));
+        assert_eq!(store.get(&b).as_deref(), Some(&vec![2]));
+        assert_eq!(store.stats().entries, 2);
+
+        // Room for two entries: the third evicts the least recently
+        // used one, and only that one.
+        let mut lru = Lru::new(2 * (a.bytes().len() + 1));
+        lru.insert(&a, Arc::new(vec![1]));
+        lru.insert(&b, Arc::new(vec![2]));
+        assert_eq!(lru.insert(&c, Arc::new(vec![3])), 1);
+        assert!(lru.get(&a).is_none());
+        assert_eq!(lru.get(&b), Some(&[2][..]));
+        assert_eq!(lru.get(&c), Some(&[3][..]));
+        assert_eq!(lru.insert(&a, Arc::new(vec![4])), 1);
+        assert!(lru.get(&b).is_none());
+        assert_eq!(lru.get(&a), Some(&[4][..]));
+        assert_eq!(lru.get(&c), Some(&[3][..]));
+    }
+
     #[test]
     fn lru_evicts_least_recently_used_first() {
         let mut lru = Lru::new(3 * (key(0).bytes().len() + 8));
         for n in 0..3 {
-            assert_eq!(lru.insert(key(n).bytes(), Arc::new(vec![n; 8])), 0);
+            assert_eq!(lru.insert(&key(n), Arc::new(vec![n; 8])), 0);
         }
         // Touch 0 so 1 becomes the eviction victim.
-        assert!(lru.get(key(0).bytes()).is_some());
-        assert_eq!(lru.insert(key(3).bytes(), Arc::new(vec![3; 8])), 1);
-        assert!(lru.get(key(1).bytes()).is_none());
-        assert!(lru.get(key(0).bytes()).is_some());
-        assert!(lru.get(key(2).bytes()).is_some());
-        assert!(lru.get(key(3).bytes()).is_some());
+        assert!(lru.get(&key(0)).is_some());
+        assert_eq!(lru.insert(&key(3), Arc::new(vec![3; 8])), 1);
+        assert!(lru.get(&key(1)).is_none());
+        assert!(lru.get(&key(0)).is_some());
+        assert!(lru.get(&key(2)).is_some());
+        assert!(lru.get(&key(3)).is_some());
         assert_eq!(lru.len(), 3);
     }
 
@@ -971,19 +1081,19 @@ mod tests {
     fn lru_replaces_in_place_and_skips_oversized() {
         let budget = key(0).bytes().len() + 16;
         let mut lru = Lru::new(budget);
-        lru.insert(key(0).bytes(), Arc::new(vec![1; 8]));
-        lru.insert(key(0).bytes(), Arc::new(vec![2; 16]));
-        assert_eq!(lru.get(key(0).bytes()), Some(&vec![2u8; 16][..]));
+        lru.insert(&key(0), Arc::new(vec![1; 8]));
+        lru.insert(&key(0), Arc::new(vec![2; 16]));
+        assert_eq!(lru.get(&key(0)), Some(&vec![2u8; 16][..]));
         assert_eq!(lru.len(), 1);
         // An artifact larger than the whole budget is not cached (and
         // does not flush everything else out).
-        assert_eq!(lru.insert(key(1).bytes(), Arc::new(vec![0; budget + 1])), 0);
-        assert!(lru.get(key(1).bytes()).is_none());
-        assert!(lru.get(key(0).bytes()).is_some());
+        assert_eq!(lru.insert(&key(1), Arc::new(vec![0; budget + 1])), 0);
+        assert!(lru.get(&key(1)).is_none());
+        assert!(lru.get(&key(0)).is_some());
         // Same for an oversized *replacement*: the existing entry
         // survives untouched instead of the tier being flushed.
-        assert_eq!(lru.insert(key(0).bytes(), Arc::new(vec![9; budget + 1])), 0);
-        assert_eq!(lru.get(key(0).bytes()), Some(&vec![2u8; 16][..]));
+        assert_eq!(lru.insert(&key(0), Arc::new(vec![9; budget + 1])), 0);
+        assert_eq!(lru.get(&key(0)), Some(&vec![2u8; 16][..]));
     }
 
     /// A unique scratch directory per call (tests run concurrently).
