@@ -22,7 +22,7 @@
 //! paper's **required photon lifetime** (Algorithm 1).
 
 pub mod config;
-pub mod grid;
+mod grid;
 pub mod mapper;
 pub mod metrics;
 

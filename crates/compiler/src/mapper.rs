@@ -8,6 +8,20 @@
 //! *wire* (a chain of inter-layer fusions at its site). Edges that
 //! cannot be routed through a congested layer are deferred: both wires
 //! stay alive and the edge retries on later layers.
+//!
+//! The open layer lives in one reused `LayerGrid` (the private `grid`
+//! module): a padded grid whose blocked border lets the routing BFS
+//! step to a neighbour without a bounds check, one pass-through
+//! capacity per site that placements and committed paths update and
+//! routing searches read, and per-row free-site bitmasks from which
+//! placement picks its site. Opening a layer refills these in place.
+//! Sites are padded indices throughout; [`CompiledProgram::site_of`]
+//! reports them unpadded.
+//!
+//! Each edge is considered exactly once, when its later endpoint is
+//! placed: it is realized then, or deferred to `pending_edges` until a
+//! retry realizes it. So no edge is looked up in a realized set; the
+//! graph's own adjacency lists say which neighbours are placed.
 
 use std::collections::VecDeque;
 
@@ -263,16 +277,16 @@ impl GridMapper {
         }
 
         let kind = self.config.resource_state;
-        let route_cap = kind.routing_capacity();
-        // Spare photons a wire's fresh per-layer state offers for
-        // lateral attachments (two photons maintain the chain itself).
-        let wire_attach_cap = kind.photons().saturating_sub(2).max(1);
+        let budgets = Budgets {
+            // Spare photons a wire's fresh per-layer state offers for
+            // lateral attachments (two photons maintain the chain).
+            wire_attach: kind.photons().saturating_sub(2).max(1),
+            // Fusion arms on a freshly placed node's state.
+            node_arms: kind.degree_capacity(),
+        };
         // Pass-throughs a wire site can bridge per layer (two spare
         // photons each); prevents enclosed wires from deadlocking.
         let wire_pass_cap = (kind.photons().saturating_sub(2) / 2).max(1);
-        // Fusion arms on a freshly placed node's state.
-        let node_arms = kind.degree_capacity();
-        let caps = (wire_attach_cap, wire_pass_cap, node_arms, route_cap);
 
         let mut rng = Rng::seed_from_u64(self.config.seed);
         let MapperWorkspace {
@@ -284,7 +298,7 @@ impl GridMapper {
             ..
         } = ws;
         st.reset(n, graph);
-        layer.reset(n, width * width);
+        layer.reset(n, width, kind.routing_capacity(), wire_pass_cap);
         pending.clear();
         pending.extend(order.iter().copied());
         pending_edges.clear();
@@ -293,21 +307,19 @@ impl GridMapper {
 
         while !pending.is_empty() || !pending_edges.is_empty() {
             // --- open layer t: wires occupy their sites -----------------
-            let mut grid = LayerGrid::new(width);
+            layer.open();
             for &u in &st.live_wires {
-                grid.set(st.site_of[u.index()], SiteState::Wire(u));
+                layer.grid.set(st.site_of[u.index()], SiteState::Wire);
                 st.wire_fusions += 1;
             }
-            layer.open();
             st.counters.layers += 1;
-            layer.route.reset_labels(grid.len());
             let mut progressed = false;
 
             // --- 1. retry deferred edges --------------------------------
             st.counters.edge_retries += pending_edges.len() as u64;
             still_pending.clear();
             for (u, v) in pending_edges.drain(..) {
-                if Self::try_realize_edge(u, v, &mut grid, st, layer, caps, t) {
+                if Self::try_realize_edge(u, v, st, layer, budgets, t) {
                     progressed = true;
                 } else {
                     still_pending.push((u, v));
@@ -318,11 +330,11 @@ impl GridMapper {
             // --- 2. place new nodes in order -----------------------------
             // A placement needs only a free site: edges it cannot route
             // are deferred, never the node.
-            while grid.free_count() > 0 {
+            while layer.grid.free_count() > 0 {
                 let Some(u) = pending.pop_front() else {
                     break;
                 };
-                Self::place(u, &mut grid, st, layer, pending_edges, caps, t, &mut rng);
+                Self::place(u, graph, st, layer, pending_edges, budgets, t, &mut rng);
                 // `u` routed its own edges above on the wire budget; from
                 // here on it is a fresh node.
                 layer.mark_placed(u);
@@ -366,6 +378,10 @@ impl GridMapper {
             t += 1;
         }
 
+        debug_assert_eq!(st.fusee_pairs.len(), graph.edge_count());
+        for site in &mut st.site_of {
+            *site = layer.grid.unpad(*site);
+        }
         Ok(CompiledProgram {
             num_layers: t,
             layer_of: std::mem::take(&mut st.layer_of),
@@ -382,29 +398,28 @@ impl GridMapper {
     /// Places node `u` on a free site of the open layer (the caller
     /// guarantees one), routing as many edges to already-placed
     /// neighbors as budgets allow; the rest are deferred.
-    ///
-    /// `caps = (wire_attach_cap, wire_pass_cap, node_arms, route_cap)`.
     #[allow(clippy::too_many_arguments)]
     fn place(
         u: NodeId,
-        grid: &mut LayerGrid,
+        graph: &Graph,
         st: &mut MapperState,
         layer: &mut LayerScratch,
         pending_edges: &mut Vec<(NodeId, NodeId)>,
-        caps: (usize, usize, usize, usize),
+        budgets: Budgets,
         t: usize,
         rng: &mut Rng,
     ) {
-        let node_arms = caps.2;
-        // Placed neighbors whose edge to u is still unrealized.
+        // Placed neighbors: `u` is not placed yet, so none of their
+        // edges to it is realized.
         let mut nbrs = std::mem::take(&mut layer.nbrs);
         nbrs.clear();
         nbrs.extend(
-            st.graph_neighbors(u)
-                .iter()
-                .filter(|v| st.placed[v.index()] && !st.edge_realized(u, **v))
-                .map(|&v| (v, st.site_of[v.index()])),
+            graph
+                .neighbors(u)
+                .filter(|v| st.placed[v.index()])
+                .map(|v| (v, st.site_of[v.index()])),
         );
+        let grid = &mut layer.grid;
 
         // The site nearest the neighbor endpoints, or a spread-out pick
         // for isolated placements.
@@ -413,11 +428,11 @@ impl GridMapper {
                 (st.spread_cursor + 7 + (rng.next_u64() % 3) as usize) % grid.free_count();
             grid.nth_free(st.spread_cursor)
         } else {
-            grid.nearest_free(nbrs.iter().map(|&(_, e)| e), &mut layer.axis_cost)
+            grid.nearest_free(nbrs.iter().map(|&(_, e)| e), &mut layer.axis)
         }
         .expect("placement needs a free site");
 
-        grid.set(site, SiteState::Node(u));
+        grid.set(site, SiteState::Node);
         st.placed[u.index()] = true;
         st.site_of[u.index()] = site;
         st.layer_of[u.index()] = t;
@@ -427,9 +442,9 @@ impl GridMapper {
         nbrs.sort_by_key(|&(_, e)| grid.distance(site, e));
         for &(v, _) in &nbrs {
             let arms_for_wire = usize::from(st.open_edges[u.index()] > 1);
-            let budget = node_arms.saturating_sub(arms_for_wire);
+            let budget = budgets.node_arms.saturating_sub(arms_for_wire);
             if layer.attach.get(u.index(), layer.epoch) >= budget
-                || !Self::try_realize_edge(v, u, grid, st, layer, caps, t)
+                || !Self::try_realize_edge(v, u, st, layer, budgets, t)
             {
                 pending_edges.push((u, v));
             }
@@ -437,30 +452,25 @@ impl GridMapper {
         layer.nbrs = nbrs;
     }
 
-    /// Attempts to realize edge `(a, b)` (both placed) by routing between
-    /// their current sites in the open layer. Returns `true` on success.
-    ///
-    /// `caps = (wire_attach_cap, wire_pass_cap, node_arms, route_cap)`.
+    /// Attempts to realize the unrealized edge `(a, b)` (both placed) by
+    /// routing between their current sites in the open layer. Returns
+    /// `true` on success.
     fn try_realize_edge(
         a: NodeId,
         b: NodeId,
-        grid: &mut LayerGrid,
         st: &mut MapperState,
         layer: &mut LayerScratch,
-        caps: (usize, usize, usize, usize),
+        budgets: Budgets,
         t: usize,
     ) -> bool {
-        let (wire_attach_cap, wire_pass_cap, node_arms, route_cap) = caps;
-        if !st.placed[a.index()] || !st.placed[b.index()] || st.edge_realized(a, b) {
-            return false;
-        }
+        debug_assert!(st.placed[a.index()] && st.placed[b.index()]);
         // Per-endpoint attachment budget: fresh nodes use their state's
         // arms; wires use the spare photons of this layer's chain state.
         for x in [a, b] {
             let budget = if layer.placed_now(x) {
-                node_arms
+                budgets.node_arms
             } else {
-                wire_attach_cap
+                budgets.wire_attach
             };
             if layer.attach.get(x.index(), layer.epoch) >= budget {
                 return false;
@@ -468,57 +478,25 @@ impl GridMapper {
         }
         let sa = st.site_of[a.index()];
         let sb = st.site_of[b.index()];
-        let path = {
-            let capacity_of = |s: usize| -> usize {
-                match grid.state(s) {
-                    SiteState::Free => route_cap,
-                    SiteState::Route { remaining } => remaining,
-                    // A wire's spare photons can bridge routes through
-                    // its site (two spare photons per pass-through).
-                    SiteState::Wire(_) => {
-                        wire_pass_cap.saturating_sub(layer.wire_pass.get(s, layer.epoch))
-                    }
-                    SiteState::Node(_) => 0,
-                }
-            };
-            // Capacities only shrink within a layer, so the labels can
-            // refute a search before it floods a component.
-            if !grid.may_route(sa, sb, capacity_of, &layer.route) {
-                st.counters.searches_skipped += 1;
-                return false;
-            }
-            grid.route(sa, sb, capacity_of, &mut layer.route)
-        };
-        let Some(path) = path else {
+        // Capacities only shrink within a layer, so the labels can
+        // refute a search before it floods a component.
+        if !layer.grid.may_route(sa, sb, &layer.route) {
+            st.counters.searches_skipped += 1;
+            return false;
+        }
+        let Some(path) = layer.grid.route(sa, sb, &mut layer.route) else {
             st.counters.searches_failed += 1;
             st.counters.sites_visited_failed += layer.route.visited() as u64;
             return false;
         };
-        // Commit the path.
-        for &s in path {
-            match grid.state(s) {
-                SiteState::Free => grid.set(
-                    s,
-                    SiteState::Route {
-                        remaining: route_cap - 1,
-                    },
-                ),
-                SiteState::Route { remaining } => grid.set(
-                    s,
-                    SiteState::Route {
-                        remaining: remaining - 1,
-                    },
-                ),
-                SiteState::Wire(_) => layer.wire_pass.bump(s, layer.epoch),
-                SiteState::Node(_) => unreachable!("route traverses only passable sites"),
-            }
-        }
+        layer.grid.commit(path);
         st.routing_fusions += path.len();
         st.counters.searches_found += 1;
         st.counters.sites_visited_found += layer.route.visited() as u64;
         layer.attach.bump(a.index(), layer.epoch);
         layer.attach.bump(b.index(), layer.epoch);
-        st.mark_edge_realized(a, b);
+        st.open_edges[a.index()] -= 1;
+        st.open_edges[b.index()] -= 1;
         st.edge_fusions += 1;
         let (first, second) = if st.layer_of[a.index()] <= st.layer_of[b.index()] {
             (a, b)
@@ -533,6 +511,15 @@ impl GridMapper {
         });
         true
     }
+}
+
+/// Per-layer attachment budgets of one resource-state kind.
+#[derive(Debug, Clone, Copy)]
+struct Budgets {
+    /// Lateral attachments a wire's per-layer state offers.
+    wire_attach: usize,
+    /// Fusion arms of a freshly placed node's state.
+    node_arms: usize,
 }
 
 /// Deterministic work counts of one [`GridMapper::compile_with`] call,
@@ -584,18 +571,17 @@ impl MapperWorkspace {
     }
 }
 
-/// Scratch of the open layer: per-node and per-site budgets in dense
-/// tables, valid only when stamped with the layer's epoch, so opening a
-/// layer clears nothing; plus the routing search buffers.
+/// The open layer: its grid, per-node budgets in a dense table valid
+/// only when stamped with the layer's epoch (so opening a layer clears
+/// no per-node state), and the routing search buffers.
 #[derive(Debug, Default)]
 struct LayerScratch {
+    grid: LayerGrid,
     /// Epoch of the open layer; grows over the workspace's whole life,
     /// so stamps left by earlier layers and compilations are stale.
     epoch: u64,
     /// Per node: attachments used this layer.
     attach: LayerCounts,
-    /// Per site: wire pass-throughs used this layer.
-    wire_pass: LayerCounts,
     /// Per node: epoch of the layer it was committed to as a fresh node.
     placed_at: Vec<u64>,
     /// Nodes committed to this layer, in placement order.
@@ -603,20 +589,25 @@ struct LayerScratch {
     route: RouteScratch,
     /// The placing node's unrealized placed neighbors and their sites.
     nbrs: Vec<(NodeId, usize)>,
-    /// Per-row then per-column placement costs.
-    axis_cost: Vec<usize>,
+    /// Placement targets, then their sorted rows and columns.
+    axis: Vec<usize>,
 }
 
 impl LayerScratch {
-    fn reset(&mut self, nodes: usize, sites: usize) {
+    /// Sizes the tables for `nodes` nodes and the grid for `width` and
+    /// the per-layer pass-through capacities of free and wire sites.
+    fn reset(&mut self, nodes: usize, width: usize, route_cap: usize, wire_cap: usize) {
         self.attach.resize(nodes);
-        self.wire_pass.resize(sites);
         self.placed_at.resize(nodes, 0);
+        self.grid.reset(width, route_cap, wire_cap);
     }
 
+    /// Opens the next layer: an all-free grid in one component.
     fn open(&mut self) {
         self.epoch += 1;
         self.placed.clear();
+        self.grid.open();
+        self.route.reset_labels(self.grid.len());
     }
 
     fn mark_placed(&mut self, u: NodeId) {
@@ -656,13 +647,12 @@ impl LayerCounts {
 #[derive(Debug, Default)]
 struct MapperState {
     placed: Vec<bool>,
+    /// Per node: padded site index (unpadded on output).
     site_of: Vec<usize>,
     layer_of: Vec<usize>,
     effective_layer: Vec<usize>,
     open_edges: Vec<usize>,
     live_wires: Vec<NodeId>,
-    realized: std::collections::HashSet<(u32, u32)>,
-    adjacency: Vec<Vec<NodeId>>,
     fusee_pairs: Vec<FuseePair>,
     edge_fusions: usize,
     routing_fusions: usize,
@@ -688,15 +678,6 @@ impl MapperState {
         self.open_edges
             .extend((0..n).map(|i| graph.degree(NodeId::new(i))));
         self.live_wires.clear();
-        self.realized.clear();
-        self.adjacency.truncate(n);
-        for list in &mut self.adjacency {
-            list.clear();
-        }
-        self.adjacency.resize_with(n, Vec::new);
-        for (i, list) in self.adjacency.iter_mut().enumerate() {
-            list.extend(graph.neighbors(NodeId::new(i)));
-        }
         self.fusee_pairs.clear();
         self.edge_fusions = 0;
         self.routing_fusions = 0;
@@ -704,30 +685,6 @@ impl MapperState {
         self.refresh_events = 0;
         self.spread_cursor = 0;
         self.counters = MapperCounters::default();
-    }
-
-    fn graph_neighbors(&self, u: NodeId) -> &[NodeId] {
-        &self.adjacency[u.index()]
-    }
-
-    fn edge_key(a: NodeId, b: NodeId) -> (u32, u32) {
-        let (x, y) = (a.index() as u32, b.index() as u32);
-        if x < y {
-            (x, y)
-        } else {
-            (y, x)
-        }
-    }
-
-    fn edge_realized(&self, a: NodeId, b: NodeId) -> bool {
-        self.realized.contains(&Self::edge_key(a, b))
-    }
-
-    fn mark_edge_realized(&mut self, a: NodeId, b: NodeId) {
-        let inserted = self.realized.insert(Self::edge_key(a, b));
-        debug_assert!(inserted, "edge realized twice");
-        self.open_edges[a.index()] -= 1;
-        self.open_edges[b.index()] -= 1;
     }
 }
 

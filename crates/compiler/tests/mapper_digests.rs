@@ -7,9 +7,11 @@
 //! pins cover the mapper directly: every resource-state kind (the
 //! 6-ring's route capacity 2 included), boundary reservation and
 //! dynamic refresh, on grids small enough that routing congests and
-//! edges defer across layers. A performance change to the mapper must
-//! leave every digest as it is; a deliberate output change re-baselines
-//! them in the same commit.
+//! edges defer across layers. A second set maps a few of the graphs onto
+//! grids 63 to 130 sites wide, where the free-site row masks span more
+//! than one 64-bit word. A performance change to the mapper must leave
+//! every digest as it is; a deliberate output change re-baselines them
+//! in the same commit.
 
 use mbqc_compiler::{CompilerConfig, GridMapper, MapperWorkspace};
 use mbqc_graph::{generate, Graph, NodeId};
@@ -57,6 +59,14 @@ const KINDS: [(&str, ResourceStateKind); 3] = [
     ("six_ring", ResourceStateKind::SIX_RING),
 ];
 
+/// The digest of one compilation, or its error.
+fn digest(cfg: CompilerConfig, g: &Graph, order: &[NodeId], ws: &mut MapperWorkspace) -> String {
+    match GridMapper::new(cfg).compile_with(g, order, ws) {
+        Ok(c) => format!("{:016x}", fnv1a64(&c.to_bytes())),
+        Err(e) => format!("error: {e}"),
+    }
+}
+
 /// `graph/kind/setting digest` for every corpus entry, compiled through
 /// one reused workspace (so workspace reuse is pinned as well).
 fn corpus_digests() -> Vec<String> {
@@ -66,11 +76,7 @@ fn corpus_digests() -> Vec<String> {
         let order: Vec<NodeId> = g.nodes().collect();
         for (kname, kind) in KINDS {
             for (sname, cfg) in settings(width, kind) {
-                let result = GridMapper::new(cfg).compile_with(&g, &order, &mut ws);
-                let digest = match result {
-                    Ok(c) => format!("{:016x}", fnv1a64(&c.to_bytes())),
-                    Err(e) => format!("error: {e}"),
-                };
+                let digest = digest(cfg, &g, &order, &mut ws);
                 out.push(format!("{gname}/{kname}/{sname} {digest}"));
             }
         }
@@ -152,6 +158,116 @@ const PINNED: &[&str] = &[
     "gnm150/six_ring/reserved d1bfc0349687fc93",
     "gnm150/six_ring/refresh3 5f898af4f7cfec0e",
 ];
+
+/// Corpus graphs on grids wider than one 64-bit word of free-site
+/// bits: widths 63, 64 and 65 straddle the word edge, 130 spans three
+/// words per row. The corpus above never exceeds width 12.
+fn wide_digests() -> Vec<String> {
+    let mut ws = MapperWorkspace::new();
+    let mut out = Vec::new();
+    let wide: Vec<_> = graphs()
+        .into_iter()
+        .filter(|(name, ..)| ["grid10x10", "complete14", "gnm150"].contains(name))
+        .collect();
+    for (gname, g, _) in wide {
+        let order: Vec<NodeId> = g.nodes().collect();
+        for width in [63, 64, 65, 130] {
+            for (kname, kind) in KINDS {
+                let [plain, _, refresh3] = settings(width, kind);
+                for (sname, cfg) in [plain, refresh3] {
+                    let digest = digest(cfg, &g, &order, &mut ws);
+                    out.push(format!("{gname}@{width}/{kname}/{sname} {digest}"));
+                }
+            }
+        }
+    }
+    out
+}
+
+const PINNED_WIDE: &[&str] = &[
+    "grid10x10@63/four_ring/plain 32eefc76bd57c16b",
+    "grid10x10@63/four_ring/refresh3 b361755cb276dd27",
+    "grid10x10@63/five_star/plain 1c4a7b6a278bc6a8",
+    "grid10x10@63/five_star/refresh3 8dcc6105f4a78364",
+    "grid10x10@63/six_ring/plain f967fdb381b80582",
+    "grid10x10@63/six_ring/refresh3 f967fdb381b80582",
+    "grid10x10@64/four_ring/plain b77b68eec9aa2d64",
+    "grid10x10@64/four_ring/refresh3 fd016cafa6893ca8",
+    "grid10x10@64/five_star/plain 01db2de7399170db",
+    "grid10x10@64/five_star/refresh3 6595a184be52ac17",
+    "grid10x10@64/six_ring/plain 59500145548e01ff",
+    "grid10x10@64/six_ring/refresh3 59500145548e01ff",
+    "grid10x10@65/four_ring/plain f8f1aa2b62f3b46b",
+    "grid10x10@65/four_ring/refresh3 2e13fdf9082cd127",
+    "grid10x10@65/five_star/plain e24d291ecd27b9a8",
+    "grid10x10@65/five_star/refresh3 087ee9a24a5d7764",
+    "grid10x10@65/six_ring/plain b4cd91a53bc11b7b",
+    "grid10x10@65/six_ring/refresh3 b4cd91a53bc11b7b",
+    "grid10x10@130/four_ring/plain 2888477136aee8b7",
+    "grid10x10@130/four_ring/refresh3 7d7f82c9a7abd37b",
+    "grid10x10@130/five_star/plain c3ee07bf9d9896fc",
+    "grid10x10@130/five_star/refresh3 3f185f511860c2b0",
+    "grid10x10@130/six_ring/plain f6e0f88476e876ee",
+    "grid10x10@130/six_ring/refresh3 f6e0f88476e876ee",
+    "complete14@63/four_ring/plain 018d9d7b4b9d6187",
+    "complete14@63/four_ring/refresh3 6197b8b857711a88",
+    "complete14@63/five_star/plain eded4efa7974d493",
+    "complete14@63/five_star/refresh3 6f4344166ae910ed",
+    "complete14@63/six_ring/plain 77587f0e50c69777",
+    "complete14@63/six_ring/refresh3 76c731faad5130a7",
+    "complete14@64/four_ring/plain 25662884451ca5e1",
+    "complete14@64/four_ring/refresh3 9a187f92ba964c86",
+    "complete14@64/five_star/plain b7480cc16cec7b45",
+    "complete14@64/five_star/refresh3 e40c94f832ee2b03",
+    "complete14@64/six_ring/plain b1e27e706b32bee3",
+    "complete14@64/six_ring/refresh3 25d567c2fd246f8b",
+    "complete14@65/four_ring/plain 3549470075be01ef",
+    "complete14@65/four_ring/refresh3 7b8427afe2828970",
+    "complete14@65/five_star/plain 9b4a5ca290d852bb",
+    "complete14@65/five_star/refresh3 0e1264a7755ed4f5",
+    "complete14@65/six_ring/plain 21e196cc042a730b",
+    "complete14@65/six_ring/refresh3 095acc22a6f4f553",
+    "complete14@130/four_ring/plain a0479092dc6e0d01",
+    "complete14@130/four_ring/refresh3 7441dde9ecd479e6",
+    "complete14@130/five_star/plain f0f8b5572e131705",
+    "complete14@130/five_star/refresh3 922da064921244a3",
+    "complete14@130/six_ring/plain cade6609f5e49ba5",
+    "complete14@130/six_ring/refresh3 e53aa5428b9aa135",
+    "gnm150@63/four_ring/plain fa25fdb5c4ef364a",
+    "gnm150@63/four_ring/refresh3 0d9c6bdc8fcb356b",
+    "gnm150@63/five_star/plain bf832a4e8093eb9f",
+    "gnm150@63/five_star/refresh3 80e780efe3b42de5",
+    "gnm150@63/six_ring/plain b4079909460eaad0",
+    "gnm150@63/six_ring/refresh3 6106862286107084",
+    "gnm150@64/four_ring/plain 6179a423b2bdc6d3",
+    "gnm150@64/four_ring/refresh3 d595d11213a87641",
+    "gnm150@64/five_star/plain 586d24c66b912ed5",
+    "gnm150@64/five_star/refresh3 ec4dc7f5bd66f2bf",
+    "gnm150@64/six_ring/plain 5f6865fed0253e23",
+    "gnm150@64/six_ring/refresh3 cfce1b4a9c6728c7",
+    "gnm150@65/four_ring/plain 2be23f6465777eda",
+    "gnm150@65/four_ring/refresh3 afa44b9a155f8277",
+    "gnm150@65/five_star/plain a49ad452575e3dc2",
+    "gnm150@65/five_star/refresh3 645a4526c4e281fa",
+    "gnm150@65/six_ring/plain b5c6ac1adb57006c",
+    "gnm150@65/six_ring/refresh3 b9a7c00ca3502b6b",
+    "gnm150@130/four_ring/plain bb1d4afe5068ec4b",
+    "gnm150@130/four_ring/refresh3 67e2a7b5d13fb8b0",
+    "gnm150@130/five_star/plain b8b0ef67c9da8fe3",
+    "gnm150@130/five_star/refresh3 5ac631746b774eb1",
+    "gnm150@130/six_ring/plain 0c7bb90379947a90",
+    "gnm150@130/six_ring/refresh3 ef03cee94ac8a8cc",
+];
+
+#[test]
+fn wide_grid_outputs_match_pinned_digests() {
+    let got = wide_digests();
+    assert!(
+        got == PINNED_WIDE,
+        "wide-grid mapper output changed; got:\n{}",
+        got.join("\n")
+    );
+}
 
 #[test]
 fn mapper_outputs_match_pinned_digests() {

@@ -6,9 +6,6 @@
 //!   5-star, 6-ring, 7-star) produced by resource-state generators
 //!   (RSGs) every clock cycle, with their fusion-degree and routing
 //!   capacities.
-//! * [`fusion`] — fusion as a graph transformation (consume one photon
-//!   from each of two states, entangle the neighbors) and the routing
-//!   chains of Figure 4(c).
 //! * [`loss`] — the fiber-delay-line photon-loss model behind Figure 1
 //!   (0.2 dB/km attenuation, photons at 2/3·c), which motivates the
 //!   required-photon-lifetime metric.
@@ -29,7 +26,6 @@
 //! assert!((p10 - 0.369).abs() < 0.005);
 //! ```
 
-pub mod fusion;
 pub mod loss;
 pub mod qpu;
 pub mod resource;
