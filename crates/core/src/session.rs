@@ -28,7 +28,7 @@ use std::sync::Arc;
 use mbqc_compiler::{CompiledProgram, GridMapper, MapperWorkspace};
 use mbqc_graph::{CsrGraph, Graph, NodeId};
 use mbqc_partition::adaptive::AdaptiveResult;
-use mbqc_partition::modularity::modularity_csr;
+use mbqc_partition::modularity::cut_and_modularity_csr;
 use mbqc_partition::{adaptive_partition_csr_with, resolve_workers, KwayWorkspace, Partition};
 use mbqc_pattern::Pattern;
 use mbqc_schedule::{
@@ -126,7 +126,6 @@ pub struct Partitioned<'p> {
     /// Workload-weighted frozen view (node weight = 2 + degree).
     csr: CsrGraph,
     adaptive: AdaptiveResult,
-    modularity: f64,
 }
 
 impl<'p> Partitioned<'p> {
@@ -141,8 +140,7 @@ impl<'p> Partitioned<'p> {
     pub fn with_partition(transpiled: Transpiled<'p>, partition: Partition) -> Self {
         let csr = workload_csr(transpiled.pattern.graph());
         assert_eq!(partition.len(), csr.node_count(), "partition size mismatch");
-        let q = modularity_csr(&csr, &partition);
-        let cut = partition.cut_weight_csr(&csr);
+        let (cut, q) = cut_and_modularity_csr(&csr, &partition);
         let alpha = partition.imbalance_csr(&csr);
         Self {
             transpiled,
@@ -154,7 +152,6 @@ impl<'p> Partitioned<'p> {
                 alpha,
                 history: Vec::new(),
             },
-            modularity: q,
         }
     }
 
@@ -179,7 +176,7 @@ impl<'p> Partitioned<'p> {
     /// Modularity `Q` of the chosen partition.
     #[must_use]
     pub fn modularity(&self) -> f64 {
-        self.modularity
+        self.adaptive.modularity
     }
 
     /// The workload-weighted CSR view the partitioner ran on.
@@ -410,12 +407,10 @@ pub fn partition_stage<'p>(
     adaptive_cfg.k = config.hardware.num_qpus();
     adaptive_cfg.seed = config.seed;
     let adaptive = adaptive_partition_csr_with(&csr, &adaptive_cfg, ws);
-    let modularity = modularity_csr(&csr, &adaptive.partition);
     Partitioned {
         transpiled,
         csr,
         adaptive,
-        modularity,
     }
 }
 
@@ -593,7 +588,7 @@ pub fn schedule_stage(
         schedule,
         problem,
         partitioned.adaptive.partition,
-        partitioned.modularity,
+        partitioned.adaptive.modularity,
         cut_edges,
         main_counts,
         refresh_events,

@@ -10,7 +10,7 @@
 use mbqc_graph::{CsrGraph, Graph};
 
 use crate::kway::{coarsen_levels, uncoarsen, KwayConfig, KwayWorkspace};
-use crate::modularity::modularity_csr;
+use crate::modularity::cut_and_modularity_csr;
 use crate::refine::RefineWorkspace;
 use crate::Partition;
 
@@ -163,13 +163,14 @@ pub fn adaptive_partition_csr_with(
     assert!(config.alpha_max >= 1.0, "alpha_max must be at least 1");
 
     let mut alpha = 1.0f64;
-    let mut best: Option<(Partition, f64, f64)> = None; // (partition, Q, alpha)
+    let mut best: Option<(Partition, f64, i64, f64)> = None; // (partition, Q, cut, alpha)
     let mut prev_q = -1.0f64;
     let mut history = Vec::new();
     // The partitioner is deterministic per (α, seed): memoize probes so
     // an oscillating α·γ / α/γ walk terminates via ΔQ = 0 instead of
-    // re-partitioning until the iteration cap.
-    let mut memo: std::collections::HashMap<u64, (Partition, f64)> =
+    // re-partitioning until the iteration cap. Each probe's cut and
+    // modularity are computed once, with its partition.
+    let mut memo: std::collections::HashMap<u64, (Partition, f64, i64)> =
         std::collections::HashMap::new();
     // Speculative α-probing: with a second worker available, each
     // iteration probes both candidate successors (α·γ capped at α_max,
@@ -202,8 +203,8 @@ pub fn adaptive_partition_csr_with(
             .with_seed(config.seed)
             .with_probe_workers(config.probe_workers);
         let p = uncoarsen(g, &levels, &kcfg, rng.clone(), ws);
-        let q = modularity_csr(g, &p);
-        (p, q)
+        let (cut, q) = cut_and_modularity_csr(g, &p);
+        (p, q, cut)
     };
 
     for _ in 0..config.max_iters {
@@ -240,14 +241,15 @@ pub fn adaptive_partition_csr_with(
             }
             _ => unreachable!("targets capped at two"),
         }
-        let (p, q) = memo[&alpha.to_bits()].clone();
+        let (p, q, cut) = &memo[&alpha.to_bits()];
+        let (q, cut) = (*q, *cut);
         history.push(AdaptiveStep {
             alpha,
             modularity: q,
-            cut: p.cut_weight_csr(g),
+            cut,
         });
-        if best.as_ref().is_none_or(|(_, bq, _)| q > *bq) {
-            best = Some((p, q, alpha));
+        if best.as_ref().is_none_or(|(_, bq, _, _)| q > *bq) {
+            best = Some((p.clone(), q, cut, alpha));
         }
         let delta = q - prev_q;
         prev_q = q;
@@ -260,8 +262,7 @@ pub fn adaptive_partition_csr_with(
         }
     }
 
-    let (partition, q, alpha) = best.expect("at least one probe ran");
-    let cut = partition.cut_weight_csr(g);
+    let (partition, q, cut, alpha) = best.expect("at least one probe ran");
     AdaptiveResult {
         partition,
         modularity: q,

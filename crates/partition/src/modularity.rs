@@ -70,12 +70,22 @@ pub fn modularity(g: &Graph, p: &Partition) -> f64 {
 /// Panics if the partition size disagrees with the graph.
 #[must_use]
 pub fn modularity_csr(g: &CsrGraph, p: &Partition) -> f64 {
+    cut_and_modularity_csr(g, p).1
+}
+
+/// The cut weight ([`Partition::cut_weight_csr`]) and the modularity
+/// ([`modularity_csr`]) of a partition, from one pass over the CSR
+/// arrays: the half-edges that stay inside a part feed the modularity,
+/// the others the cut.
+///
+/// # Panics
+///
+/// Panics if the partition size disagrees with the graph.
+#[must_use]
+pub fn cut_and_modularity_csr(g: &CsrGraph, p: &Partition) -> (i64, f64) {
     assert_eq!(g.node_count(), p.len(), "graph size mismatch");
-    let m = g.total_edge_weight() as f64;
-    if m == 0.0 {
-        return 0.0;
-    }
     let k = p.k();
+    let mut cut2 = 0i64; // counts each cut edge twice
     let mut intra2 = vec![0.0f64; k]; // counts each intra edge twice
     let mut degree = vec![0.0f64; k];
     for u in g.nodes() {
@@ -86,13 +96,20 @@ pub fn modularity_csr(g: &CsrGraph, p: &Partition) -> f64 {
             wd += weights[i];
             if p.part_of(*v) == pu {
                 intra2[pu] += weights[i] as f64;
+            } else {
+                cut2 += weights[i];
             }
         }
         degree[pu] += wd as f64;
     }
-    (0..k)
+    let m = g.total_edge_weight() as f64;
+    if m == 0.0 {
+        return (cut2 / 2, 0.0);
+    }
+    let q = (0..k)
         .map(|c| intra2[c] / (2.0 * m) - (degree[c] / (2.0 * m)).powi(2))
-        .sum()
+        .sum();
+    (cut2 / 2, q)
 }
 
 #[cfg(test)]
@@ -159,6 +176,11 @@ mod tests {
             let a = modularity(&g, &p);
             let b = modularity_csr(&csr, &p);
             assert!((a - b).abs() < 1e-12, "k={k}: {a} vs {b}");
+            assert_eq!(
+                cut_and_modularity_csr(&csr, &p),
+                (p.cut_weight_csr(&csr), b),
+                "k={k}"
+            );
         }
     }
 

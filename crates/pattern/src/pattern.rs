@@ -258,10 +258,28 @@ impl Pattern {
     /// partitioner both visit neighbors in that order, so two patterns
     /// with the same edge set but different insertion histories are
     /// deliberately distinct). Angles are encoded by `f64` bit pattern.
+    ///
+    /// The buffer is sized exactly up front, so encoding never
+    /// reallocates: this runs on every service submit, and a QFT-36
+    /// pattern's bytes run to 312 KB.
     #[must_use]
     pub fn content_bytes(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
         let n = self.node_count();
+        // Per node: weight and adjacency length (16), 16 per incident
+        // edge, angle (8), measured flag (1), wire successor (1, or 9
+        // when present) and qubit (8); then both framed node lists.
+        let incidences: usize = self
+            .graph
+            .nodes()
+            .map(|u| self.graph.neighbors_weighted(u).len())
+            .sum();
+        let successors = self.wire_succ.iter().filter(|s| s.is_some()).count();
+        let cap = 8
+            + 34 * n
+            + 16 * incidences
+            + 8 * successors
+            + 8 * (2 + self.inputs.len() + self.outputs.len());
+        let mut e = Encoder::with_capacity(cap);
         e.usize(n);
         for u in self.graph.nodes() {
             e.i64(self.graph.node_weight(u));
@@ -280,6 +298,7 @@ impl Pattern {
         }
         e.usize_slice(&self.inputs.iter().map(|n| n.index()).collect::<Vec<_>>());
         e.usize_slice(&self.outputs.iter().map(|n| n.index()).collect::<Vec<_>>());
+        debug_assert_eq!(e.len(), cap, "content_bytes capacity");
         e.into_bytes()
     }
 
@@ -539,6 +558,27 @@ mod tests {
             vec![n[2]],
         );
         assert_ne!(a.content_bytes(), angle_changed.content_bytes());
+    }
+
+    /// The content bytes key every cached stage artifact, so they are
+    /// frozen: a shift would orphan every existing disk artifact.
+    #[test]
+    fn content_bytes_are_pinned() {
+        let qft = crate::transpile::transpile(&mbqc_circuit::bench::qft(4));
+        for (name, p, len, want) in [
+            (
+                "chain",
+                chain_pattern(),
+                222,
+                0x48d8b9c94d1d25490a1ba1c08c910c1f,
+            ),
+            ("qft4", qft, 3124, 0xa457b9c546376077f9e7763694ef7aec),
+        ] {
+            let bytes = p.content_bytes();
+            assert_eq!(bytes.capacity(), bytes.len(), "{name}: sized up front");
+            let got = mbqc_util::Fingerprint::of(&bytes).0;
+            assert_eq!((bytes.len(), got), (len, want), "{name}: got {got:#034x}");
+        }
     }
 
     #[test]

@@ -715,7 +715,8 @@ impl ServiceStats {
 
 /// The three content-addressed keys of one job's stage artifacts,
 /// built once at submit: they depend only on the pattern and the
-/// configuration.
+/// configuration. The pattern's content bytes are encoded once, and
+/// the three keys share that one buffer.
 #[derive(Debug)]
 pub(crate) struct StageKeys {
     pub(crate) part: ArtifactKey,
@@ -725,13 +726,13 @@ pub(crate) struct StageKeys {
 
 impl StageKeys {
     pub(crate) fn new(pattern: &Pattern, config: &DcMbqcConfig) -> Self {
-        let pattern_bytes = pattern.content_bytes();
+        let pattern_bytes = Arc::new(pattern.content_bytes());
         let pattern_hash = ArtifactKey::pattern_hash(&pattern_bytes);
         let key_of = |stage: PipelineStage| {
-            ArtifactKey::with_pattern_hash(
+            ArtifactKey::with_pattern(
                 stage,
                 &config.stage_fingerprint_bytes(stage),
-                &pattern_bytes,
+                Arc::clone(&pattern_bytes),
                 pattern_hash,
             )
         };
@@ -2158,6 +2159,87 @@ mod tests {
         };
         let msg = e.to_string();
         assert!(msg.contains('5') && msg.contains('9'), "{msg}");
+    }
+
+    /// A job's three stage keys share one pattern buffer; equal inputs
+    /// give equal keys and hashes, a one-byte change in the pattern or
+    /// the configuration gives unequal ones, and each key is the key
+    /// [`ArtifactKey::new`] builds from the same bytes.
+    #[test]
+    fn stage_keys_share_one_pattern_buffer() {
+        use std::hash::BuildHasher;
+
+        use mbqc_circuit::bench;
+        use mbqc_hardware::DistributedHardware;
+        use mbqc_pattern::transpile::transpile;
+
+        let pattern = transpile(&bench::qft(4));
+        let config = DcMbqcConfig::new(DistributedHardware::builder().num_qpus(2).build());
+        let keys = StageKeys::new(&pattern, &config);
+        let all = |k: &StageKeys| [k.part.clone(), k.map.clone(), k.sched.clone()];
+        let [part, map, sched] = all(&keys);
+        assert!(Arc::ptr_eq(part.pattern_buffer(), map.pattern_buffer()));
+        assert!(Arc::ptr_eq(part.pattern_buffer(), sched.pattern_buffer()));
+
+        let hasher = std::collections::hash_map::RandomState::new();
+        let again = StageKeys::new(&pattern.clone(), &config.clone());
+        for (a, b) in all(&keys).iter().zip(&all(&again)) {
+            assert!(!Arc::ptr_eq(a.pattern_buffer(), b.pattern_buffer()));
+            assert_eq!(a, b);
+            assert_eq!(hasher.hash_one(a), hasher.hash_one(b));
+        }
+
+        let pattern_bytes = pattern.content_bytes();
+        let stages = [
+            PipelineStage::Partition,
+            PipelineStage::Map,
+            PipelineStage::Schedule,
+        ];
+        for (key, stage) in all(&keys).iter().zip(stages) {
+            let config_bytes = config.stage_fingerprint_bytes(stage);
+            let direct = ArtifactKey::new(stage, &config_bytes, &pattern_bytes);
+            assert_eq!(*key, direct, "{stage:?}");
+            assert_eq!(key.fingerprint(), direct.fingerprint(), "{stage:?}");
+            assert_eq!(hasher.hash_one(key), hasher.hash_one(&direct));
+            // One byte off in the pattern or the configuration.
+            for i in [0, pattern_bytes.len() / 2, pattern_bytes.len() - 1] {
+                let mut bytes = pattern_bytes.clone();
+                bytes[i] ^= 1;
+                assert_ne!(*key, ArtifactKey::new(stage, &config_bytes, &bytes));
+            }
+            for i in 0..config_bytes.len() {
+                let mut bytes = config_bytes.clone();
+                bytes[i] ^= 1;
+                assert_ne!(*key, ArtifactKey::new(stage, &bytes, &pattern_bytes));
+            }
+        }
+        // A real one-field change: another seed keys every stage anew.
+        let reseeded = StageKeys::new(&pattern, &config.clone().with_seed(config.seed + 1));
+        for (a, b) in all(&keys).iter().zip(&all(&reseeded)) {
+            assert_ne!(a, b);
+        }
+    }
+
+    /// The disk files a real job's keys name: a shift here would orphan
+    /// every existing artifact directory.
+    #[test]
+    fn stage_keys_name_pinned_disk_files() {
+        use mbqc_circuit::bench;
+        use mbqc_hardware::DistributedHardware;
+        use mbqc_pattern::transpile::transpile;
+
+        let pattern = transpile(&bench::qft(4));
+        let config = DcMbqcConfig::new(DistributedHardware::builder().num_qpus(2).build());
+        let keys = StageKeys::new(&pattern, &config);
+        let names = [&keys.part, &keys.map, &keys.sched].map(|k| k.fingerprint().to_hex());
+        assert_eq!(
+            names,
+            [
+                "b2c17f608c4f405b485058b232442c41",
+                "095a40c9bd22cb1af09fa90f3773ae98",
+                "9beedd8b3dc7a96df0f97cce5e5b73e4",
+            ]
+        );
     }
 
     /// A `Scheduled` artifact whose stored cost lies (structurally

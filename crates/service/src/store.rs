@@ -6,12 +6,15 @@
 //! so a hit is guaranteed to be the artifact of exactly this input —
 //! the 128-bit [`Fingerprint`] only names disk files, and a 64-bit
 //! hash computed once when the key is built buckets the in-memory map
-//! (which never rehashes the key bytes).
+//! (which never rehashes the key bytes). A job's three stage keys share
+//! one buffer of the pattern's content bytes.
 //!
 //! Two tiers:
 //!
 //! * an in-memory LRU bounded by a byte budget (intrusive list over a
-//!   slab; O(1) get/insert/evict), and
+//!   slab; O(1) get/insert/evict). The budget charges each entry its
+//!   value plus its full key length, as if no key shared its pattern
+//!   buffer, so resident memory stays below the budget; and
 //! * an optional on-disk tier — one `<fingerprint>.art` file per
 //!   artifact, written via temp-file + fsync + rename — giving
 //!   persistence and warm restarts. Disk reads verify the embedded key
@@ -77,13 +80,17 @@ use crate::telemetry::{EventKind, TelemetryHub};
 /// `Partition` is a `Partition`, under `Map` a partition plus per-QPU
 /// programs, under `Schedule` a full `DistributedSchedule`.
 ///
-/// A key is built once per job and stage. Its bytes sit behind an
-/// [`Arc`], so clones (and the memory tier's copy) share them, and its
+/// The canonical bytes are `head ++ pattern`: a small head (the stage
+/// tag, the length-framed configuration bytes and the pattern's length
+/// prefix) and the pattern's content bytes. Both parts sit behind an
+/// [`Arc`], so clones (and the memory tier's copy) share them, and the
+/// three stage keys of one job share a single pattern buffer. The
 /// in-memory hash is computed at construction: [`Hash`] writes only
-/// that hash, while equality compares the full bytes.
+/// that hash, while equality compares every byte.
 #[derive(Debug, Clone)]
 pub struct ArtifactKey {
-    bytes: Arc<[u8]>,
+    head: Arc<[u8]>,
+    pattern: Arc<Vec<u8>>,
     /// SipHash, under per-process random keys (see
     /// [`key_hash_state`]), of the stage, the configuration bytes and
     /// the pattern bytes' own hash.
@@ -100,7 +107,9 @@ fn key_hash_state() -> &'static RandomState {
 
 impl PartialEq for ArtifactKey {
     fn eq(&self, other: &Self) -> bool {
-        self.hash == other.hash && self.bytes == other.bytes
+        self.hash == other.hash
+            && self.head == other.head
+            && (Arc::ptr_eq(&self.pattern, &other.pattern) || self.pattern == other.pattern)
     }
 }
 
@@ -118,22 +127,28 @@ impl ArtifactKey {
     #[must_use]
     pub fn new(stage: PipelineStage, config_bytes: &[u8], pattern_bytes: &[u8]) -> Self {
         let pattern_hash = Self::pattern_hash(pattern_bytes);
-        Self::with_pattern_hash(stage, config_bytes, pattern_bytes, pattern_hash)
+        Self::with_pattern(
+            stage,
+            config_bytes,
+            Arc::new(pattern_bytes.to_vec()),
+            pattern_hash,
+        )
     }
 
     /// The hash of a pattern's content bytes that
-    /// [`ArtifactKey::with_pattern_hash`] takes.
+    /// [`ArtifactKey::with_pattern`] takes.
     pub(crate) fn pattern_hash(pattern_bytes: &[u8]) -> u64 {
         key_hash_state().hash_one(pattern_bytes)
     }
 
-    /// [`ArtifactKey::new`] with the pattern's hash supplied, so the
-    /// keys of one pattern's stages pass over its bytes once. Equal
-    /// keys have equal `(stage, config, pattern)` and so equal hashes.
-    pub(crate) fn with_pattern_hash(
+    /// [`ArtifactKey::new`] over a shared pattern buffer and its hash,
+    /// so the keys of one pattern's stages share its bytes and pass
+    /// over them once. Equal keys have equal `(stage, config, pattern)`
+    /// and so equal hashes.
+    pub(crate) fn with_pattern(
         stage: PipelineStage,
         config_bytes: &[u8],
-        pattern_bytes: &[u8],
+        pattern: Arc<Vec<u8>>,
         pattern_hash: u64,
     ) -> Self {
         let tag = match stage {
@@ -141,24 +156,41 @@ impl ArtifactKey {
             PipelineStage::Map => 1,
             PipelineStage::Schedule => 2,
         };
-        let mut e = Encoder::with_capacity(17 + config_bytes.len() + pattern_bytes.len());
+        let mut e = Encoder::with_capacity(17 + config_bytes.len());
         e.u8(tag);
         e.bytes(config_bytes);
-        e.bytes(pattern_bytes);
+        e.usize(pattern.len());
         Self {
-            bytes: e.into_bytes().into(),
+            head: e.into_bytes().into(),
+            pattern,
             hash: key_hash_state().hash_one((tag, config_bytes, pattern_hash)),
         }
     }
 
-    /// The 128-bit fingerprint naming this key's disk file.
+    /// The 128-bit fingerprint naming this key's disk file: the
+    /// fingerprint of the canonical bytes, hashed from the two parts.
     #[must_use]
     pub fn fingerprint(&self) -> Fingerprint {
-        Fingerprint::of(&self.bytes)
+        Fingerprint::of_parts(&[&self.head, &self.pattern])
     }
 
-    fn bytes(&self) -> &[u8] {
-        &self.bytes
+    /// Length of the canonical bytes: what the memory tier charges for
+    /// the key, although the pattern part may be shared.
+    fn len(&self) -> usize {
+        self.head.len() + self.pattern.len()
+    }
+
+    /// The pattern buffer, to check that a job's keys share it.
+    #[cfg(test)]
+    pub(crate) fn pattern_buffer(&self) -> &Arc<Vec<u8>> {
+        &self.pattern
+    }
+
+    /// `true` when `bytes` are exactly this key's canonical bytes.
+    fn matches(&self, bytes: &[u8]) -> bool {
+        bytes
+            .split_at_checked(self.head.len())
+            .is_some_and(|(head, pattern)| head == &self.head[..] && pattern == &self.pattern[..])
     }
 }
 
@@ -184,7 +216,10 @@ impl Hasher for KeyHasher {
 /// Store configuration.
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
-    /// Byte budget of the in-memory LRU tier (keys + values).
+    /// Byte budget of the in-memory LRU tier (keys + values). Each
+    /// entry is charged its full key length, although a job's keys
+    /// share one pattern buffer, so resident memory stays below this
+    /// budget.
     pub memory_capacity: usize,
     /// Directory of the on-disk tier; `None` disables it.
     pub disk_dir: Option<PathBuf>,
@@ -269,8 +304,9 @@ const NONE: usize = usize::MAX;
 #[derive(Debug)]
 struct Slot {
     /// Shares its bytes with the map key and the caller's key, so the
-    /// (pattern-sized) key bytes exist once and the byte accounting
-    /// below stays honest. `None` once evicted.
+    /// (pattern-sized) key bytes exist once; the byte accounting below
+    /// charges them to every entry that holds them. `None` once
+    /// evicted.
     key: Option<ArtifactKey>,
     /// Shared with in-flight readers: a memory hit clones the `Arc`,
     /// never the bytes.
@@ -348,7 +384,7 @@ impl Lru {
     /// an oversized value keeps the existing entry rather than flushing
     /// the whole tier). Returns the number of evictions.
     fn insert(&mut self, key: &ArtifactKey, value: Arc<Vec<u8>>) -> u64 {
-        let cost = key.bytes().len() + value.len();
+        let cost = key.len() + value.len();
         if cost > self.capacity {
             return 0;
         }
@@ -384,7 +420,7 @@ impl Lru {
             debug_assert_ne!(t, NONE, "over budget with no evictable entry");
             self.unlink(t);
             let key = self.slots[t].key.take().expect("listed slots are live");
-            self.bytes -= key.bytes().len() + self.slots[t].value.len();
+            self.bytes -= key.len() + self.slots[t].value.len();
             self.map.remove(&key);
             self.slots[t].value = Arc::new(Vec::new());
             self.free.push(t);
@@ -931,15 +967,15 @@ impl ArtifactStore {
 /// resident artifact always reads as a miss and is never decoded into
 /// a stage re-entry.
 fn encode_disk_artifact(key: &ArtifactKey, value: &[u8]) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.bytes(key.bytes());
+    let mut e = Encoder::with_capacity(8 + key.len() + 8 + value.len() + 16);
+    e.usize(key.len());
+    e.raw(&key.head);
+    e.raw(&key.pattern);
     e.bytes(value);
     let mut contents = e.into_bytes();
     let check = Fingerprint::of(&contents).0;
-    let mut tail = Encoder::new();
-    tail.u64((check >> 64) as u64);
-    tail.u64(check as u64);
-    contents.extend_from_slice(&tail.into_bytes());
+    contents.extend_from_slice(&((check >> 64) as u64).to_le_bytes());
+    contents.extend_from_slice(&(check as u64).to_le_bytes());
     contents
 }
 
@@ -953,7 +989,7 @@ fn verify_disk_artifact<'a>(file: &'a [u8], key: &ArtifactKey) -> Option<&'a [u8
     let framed_len = file.len() - d.remaining();
     let check = (u128::from(d.u64().ok()?) << 64) | u128::from(d.u64().ok()?);
     d.finish().ok()?;
-    if Fingerprint::of(&file[..framed_len]).0 != check || stored_key != key.bytes() {
+    if Fingerprint::of(&file[..framed_len]).0 != check || !key.matches(stored_key) {
         return None;
     }
     Some(value)
@@ -1028,6 +1064,65 @@ mod tests {
         }
     }
 
+    /// Equality compares every byte of both parts: a one-byte change
+    /// anywhere in the head or the pattern makes keys unequal even when
+    /// their hashes are forced equal. A key also matches only its own
+    /// disk-frame bytes.
+    #[test]
+    fn equality_compares_every_byte() {
+        let k = ArtifactKey::new(PipelineStage::Map, b"config", b"pattern bytes");
+        let canonical = [&k.head[..], &k.pattern[..]].concat();
+        assert!(k.matches(&canonical));
+        assert!(!k.matches(&canonical[..canonical.len() - 1]));
+        assert!(!k.matches(&[&canonical[..], b"x"].concat()));
+        for i in 0..canonical.len() {
+            let mut bytes = canonical.clone();
+            bytes[i] ^= 1;
+            assert!(!k.matches(&bytes), "byte {i}");
+            let (head, pattern) = bytes.split_at(k.head.len());
+            let other = ArtifactKey {
+                head: head.into(),
+                pattern: Arc::new(pattern.to_vec()),
+                hash: k.hash,
+            };
+            assert_ne!(k, other, "byte {i}");
+        }
+        // The same bytes in separate buffers, and a shared buffer.
+        let copy = ArtifactKey::new(PipelineStage::Map, b"config", b"pattern bytes");
+        assert!(!Arc::ptr_eq(&k.pattern, &copy.pattern));
+        assert_eq!(k, copy);
+        assert_eq!(k, k.clone());
+    }
+
+    /// Keys sharing one pattern buffer are each charged their full
+    /// canonical length: sharing never changes an eviction decision.
+    #[test]
+    fn memory_budget_charges_the_full_key_length() {
+        let pattern = Arc::new(vec![7u8; 100]);
+        let hash = ArtifactKey::pattern_hash(&pattern);
+        let keys = [
+            PipelineStage::Partition,
+            PipelineStage::Map,
+            PipelineStage::Schedule,
+        ]
+        .map(|stage| ArtifactKey::with_pattern(stage, b"cfg", Arc::clone(&pattern), hash));
+        // Head: tag (1), framed config (8 + 3), pattern length (8).
+        let key_len = 20 + 100;
+        let store = ArtifactStore::new(StoreConfig::default()).unwrap();
+        for key in &keys {
+            assert_eq!(key.len(), key_len);
+            store.put(key, vec![0; 10]);
+        }
+        assert_eq!(store.stats().bytes, 3 * (key_len + 10));
+        // A budget one byte short of three entries evicts the oldest.
+        let mut lru = Lru::new(3 * (key_len + 10) - 1);
+        for key in &keys {
+            lru.insert(key, Arc::new(vec![0; 10]));
+        }
+        assert_eq!((lru.len(), lru.bytes), (2, 2 * (key_len + 10)));
+        assert!(lru.get(&keys[0]).is_none());
+    }
+
     /// Distinct keys forced onto one in-memory hash: the full-byte
     /// comparison keeps them apart through puts, gets, replacement and
     /// eviction.
@@ -1048,7 +1143,7 @@ mod tests {
 
         // Room for two entries: the third evicts the least recently
         // used one, and only that one.
-        let mut lru = Lru::new(2 * (a.bytes().len() + 1));
+        let mut lru = Lru::new(2 * (a.len() + 1));
         lru.insert(&a, Arc::new(vec![1]));
         lru.insert(&b, Arc::new(vec![2]));
         assert_eq!(lru.insert(&c, Arc::new(vec![3])), 1);
@@ -1063,7 +1158,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recently_used_first() {
-        let mut lru = Lru::new(3 * (key(0).bytes().len() + 8));
+        let mut lru = Lru::new(3 * (key(0).len() + 8));
         for n in 0..3 {
             assert_eq!(lru.insert(&key(n), Arc::new(vec![n; 8])), 0);
         }
@@ -1079,7 +1174,7 @@ mod tests {
 
     #[test]
     fn lru_replaces_in_place_and_skips_oversized() {
-        let budget = key(0).bytes().len() + 16;
+        let budget = key(0).len() + 16;
         let mut lru = Lru::new(budget);
         lru.insert(&key(0), Arc::new(vec![1; 8]));
         lru.insert(&key(0), Arc::new(vec![2; 16]));
@@ -1094,6 +1189,37 @@ mod tests {
         // survives untouched instead of the tier being flushed.
         assert_eq!(lru.insert(&key(0), Arc::new(vec![9; budget + 1])), 0);
         assert_eq!(lru.get(&key(0)), Some(&vec![2u8; 16][..]));
+    }
+
+    /// The disk tier's file names and frames must never shift, or
+    /// existing artifact directories stop hitting. The config length
+    /// (3) and pattern length (14) keep the key's parts off the 8-byte
+    /// chunk edges of the fingerprint.
+    #[test]
+    fn disk_format_is_pinned() {
+        let key = ArtifactKey::new(PipelineStage::Map, b"cfg", b"pattern bytes!");
+        assert_eq!(
+            key.fingerprint().to_hex(),
+            "3317b454f716e2c750bbd8975ac4c17e"
+        );
+        let frame: String = encode_disk_artifact(&key, &[1, 2, 3, 4, 5])
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            frame,
+            concat!(
+                "2200000000000000", // key length 34
+                "01",               // stage tag: map
+                "0300000000000000",
+                "636667", // config
+                "0e00000000000000",
+                "7061747465726e20627974657321", // pattern
+                "0500000000000000",
+                "0102030405",                       // value
+                "734d71f7a667fa84656e0b724d72a8e5", // checksum
+            )
+        );
     }
 
     /// A unique scratch directory per call (tests run concurrently).

@@ -128,6 +128,12 @@ impl Encoder {
     /// Writes a length-prefixed byte string.
     pub fn bytes(&mut self, v: &[u8]) {
         self.usize(v.len());
+        self.raw(v);
+    }
+
+    /// Writes bytes as they are, with no length prefix (the inverse of
+    /// [`Decoder::raw`]).
+    pub fn raw(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
     }
 

@@ -35,32 +35,64 @@ pub(crate) fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Absorbs one 8-byte chunk into both lanes.
+#[inline]
+fn absorb(a: &mut u64, b: &mut u64, v: u64) {
+    *a = mix(*a ^ v.wrapping_mul(0xA076_1D64_78BD_642F));
+    *b = mix(b.rotate_left(23) ^ v.wrapping_mul(0xE703_7ED1_A0B4_28DB));
+}
+
 impl Fingerprint {
     /// Hashes `bytes` into a 128-bit fingerprint.
     #[must_use]
     pub fn of(bytes: &[u8]) -> Self {
+        Self::of_parts(&[bytes])
+    }
+
+    /// The fingerprint of the concatenation of `parts`, without
+    /// building it: `of_parts(&[x, y]) == of(&[x, y].concat())` for
+    /// every split of the same bytes.
+    #[must_use]
+    pub fn of_parts(parts: &[&[u8]]) -> Self {
         // Two independent lanes over 8-byte chunks, each absorbing the
         // chunk with a distinct odd multiplier before re-mixing; the
         // length is folded in at the end so prefixes don't collide with
-        // their zero-padded extensions.
+        // their zero-padded extensions. A chunk may straddle two parts:
+        // `tail` holds its first `held` bytes until the next part
+        // completes it.
         let mut a = 0x9E37_79B9_7F4A_7C15u64;
         let mut b = 0xC2B2_AE3D_27D4_EB4Fu64;
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            let v = u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
-            a = mix(a ^ v.wrapping_mul(0xA076_1D64_78BD_642F));
-            b = mix(b.rotate_left(23) ^ v.wrapping_mul(0xE703_7ED1_A0B4_28DB));
-        }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            let mut tail = [0u8; 8];
+        let mut len = 0u64;
+        let mut tail = [0u8; 8];
+        let mut held = 0usize;
+        for &part in parts {
+            len += part.len() as u64;
+            let mut bytes = part;
+            if held > 0 {
+                let take = (8 - held).min(bytes.len());
+                tail[held..held + take].copy_from_slice(&bytes[..take]);
+                held += take;
+                bytes = &bytes[take..];
+                if held < 8 {
+                    continue;
+                }
+                absorb(&mut a, &mut b, u64::from_le_bytes(tail));
+            }
+            let mut chunks = bytes.chunks_exact(8);
+            for c in &mut chunks {
+                let v = u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
+                absorb(&mut a, &mut b, v);
+            }
+            let rest = chunks.remainder();
             tail[..rest.len()].copy_from_slice(rest);
-            let v = u64::from_le_bytes(tail);
-            a = mix(a ^ v.wrapping_mul(0xA076_1D64_78BD_642F));
-            b = mix(b.rotate_left(23) ^ v.wrapping_mul(0xE703_7ED1_A0B4_28DB));
+            held = rest.len();
         }
-        a = mix(a ^ bytes.len() as u64);
-        b = mix(b ^ (bytes.len() as u64).rotate_left(32));
+        if held > 0 {
+            tail[held..].fill(0);
+            absorb(&mut a, &mut b, u64::from_le_bytes(tail));
+        }
+        a = mix(a ^ len);
+        b = mix(b ^ len.rotate_left(32));
         Self((u128::from(a) << 64) | u128::from(b))
     }
 
@@ -114,6 +146,30 @@ mod tests {
                     "collision at {len}/{fill}"
                 );
             }
+        }
+    }
+
+    /// `Fingerprint::of` names every disk artifact, so its output must
+    /// never shift. Lengths around the 8-byte chunk edge cover the
+    /// empty input, a lone tail, an exact chunk, and chunk plus tail.
+    #[test]
+    fn fingerprints_are_pinned() {
+        let input = |len: usize| -> Vec<u8> {
+            (0..len)
+                .map(|i| (i as u8).wrapping_mul(37).wrapping_add(11))
+                .collect()
+        };
+        let pinned: [(usize, u128); 6] = [
+            (0, 0xe220a8397b1dcdaf68850ac74e2e5a26),
+            (1, 0xafbcc187f38452052d2a3953e46893ef),
+            (7, 0x3ffffb8c4d4ce14755f5c79a8a74d466),
+            (8, 0x39d3e0cef9b074eadf9ed7fc9c683ad5),
+            (9, 0x8e5dad4570d1abfb8fbf1ac8cb7ebf2a),
+            (17, 0x3b08895c26481f290f2c1ce450b56bdf),
+        ];
+        for (len, want) in pinned {
+            let got = Fingerprint::of(&input(len)).0;
+            assert_eq!(got, want, "len {len}: got {got:#034x}");
         }
     }
 

@@ -10,8 +10,6 @@
 //!   paper reproduction is bit-for-bit repeatable from a seed.
 //! * [`table`] — plain-text / markdown / CSV table rendering used by the
 //!   `repro` binary to print the paper's tables and figure series.
-//! * [`stats`] — small summary-statistics helpers (mean, geometric mean,
-//!   min/max, linear fit) used by the evaluation harness.
 //! * [`codec`] — the hand-rolled binary encoder/decoder behind every
 //!   stage-artifact `to_bytes`/`from_bytes` pair (the build box is
 //!   offline, so there is no serde).
@@ -44,7 +42,6 @@ pub mod fingerprint;
 pub mod frame;
 pub mod metrics;
 pub mod rng;
-pub mod stats;
 pub mod sync;
 pub mod table;
 
