@@ -9,9 +9,9 @@
 
 use mbqc_graph::{CsrGraph, Graph};
 
-use crate::kway::{coarsen_levels, uncoarsen, KwayConfig, KwayWorkspace};
+use crate::kway::{uncoarsen, Hierarchy, KwayConfig, KwayWorkspace};
 use crate::modularity::cut_and_modularity_csr;
-use crate::refine::RefineWorkspace;
+use crate::refine::{FmCounters, RefineWorkspace};
 use crate::Partition;
 
 /// Parameters of Algorithm 2. Paper defaults: `ε_Q = 0.01`, `γ = 1.02`,
@@ -108,7 +108,10 @@ pub struct AdaptiveResult {
 ///
 /// # Panics
 ///
-/// Panics if `k == 0`, `γ ≤ 1`, or `α_max < 1`.
+/// Panics if `k == 0`, `γ ≤ 1`, or `α_max < 1`, or if FM meets a node
+/// whose weighted degree exceeds `i32::MAX` (see
+/// [`fm_refine_csr`](crate::refine::fm_refine_csr)). No level has one
+/// while `g`'s edge weight magnitudes sum to at most `i32::MAX`.
 ///
 /// # Examples
 ///
@@ -133,7 +136,10 @@ pub fn adaptive_partition(g: &Graph, config: &AdaptiveConfig) -> AdaptiveResult 
 ///
 /// # Panics
 ///
-/// Panics if `k == 0`, `γ ≤ 1`, or `α_max < 1`.
+/// Panics if `k == 0`, `γ ≤ 1`, or `α_max < 1`, or if FM meets a node
+/// whose weighted degree exceeds `i32::MAX` (see
+/// [`fm_refine_csr`](crate::refine::fm_refine_csr)). No level has one
+/// while `g`'s edge weight magnitudes sum to at most `i32::MAX`.
 #[must_use]
 pub fn adaptive_partition_csr(g: &CsrGraph, config: &AdaptiveConfig) -> AdaptiveResult {
     adaptive_partition_csr_with(g, config, &mut KwayWorkspace::new())
@@ -151,7 +157,10 @@ pub fn adaptive_partition_csr(g: &CsrGraph, config: &AdaptiveConfig) -> Adaptive
 ///
 /// # Panics
 ///
-/// Panics if `k == 0`, `γ ≤ 1`, or `α_max < 1`.
+/// Panics if `k == 0`, `γ ≤ 1`, or `α_max < 1`, or if FM meets a node
+/// whose weighted degree exceeds `i32::MAX` (see
+/// [`fm_refine_csr`](crate::refine::fm_refine_csr)). No level has one
+/// while `g`'s edge weight magnitudes sum to at most `i32::MAX`.
 #[must_use]
 pub fn adaptive_partition_csr_with(
     g: &CsrGraph,
@@ -194,7 +203,8 @@ pub fn adaptive_partition_csr_with(
     // signs. At α = 1 the clamped candidate is α itself, already
     // probed.
     let down = |a: f64| (a / config.gamma).max(1.0);
-    let (levels, rng) = coarsen_levels(g, config.k, config.seed, &mut ws.coarsen);
+    ws.refine.counters = FmCounters::default();
+    let hierarchy = Hierarchy::build(g, config.k, config.seed, ws);
     let ws = &mut ws.refine;
     let mut spec_ws: Option<RefineWorkspace> = None;
     let probe = |a: f64, ws: &mut RefineWorkspace| {
@@ -202,7 +212,7 @@ pub fn adaptive_partition_csr_with(
             .with_alpha(a)
             .with_seed(config.seed)
             .with_probe_workers(config.probe_workers);
-        let p = uncoarsen(g, &levels, &kcfg, rng.clone(), ws);
+        let p = uncoarsen(g, &hierarchy, &kcfg, ws);
         let (cut, q) = cut_and_modularity_csr(g, &p);
         (p, q, cut)
     };
@@ -262,6 +272,9 @@ pub fn adaptive_partition_csr_with(
         }
     }
 
+    if let Some(sw) = spec_ws {
+        ws.counters += sw.counters;
+    }
     let (partition, q, cut, alpha) = best.expect("at least one probe ran");
     AdaptiveResult {
         partition,
@@ -412,5 +425,26 @@ mod tests {
             ..AdaptiveConfig::new(2)
         };
         let _ = adaptive_partition(&g, &cfg);
+    }
+
+    #[test]
+    fn fm_layouts_are_shared_by_every_probe() {
+        // The layouts depend only on the hierarchy, so a walk of many
+        // probes, speculative ones included, builds exactly as many as
+        // one k-way call.
+        use crate::kway::multilevel_kway_csr_with;
+        let g = CsrGraph::from_graph(&generate::grid_graph(30, 30));
+        for workers in [1, 2] {
+            let mut ws = KwayWorkspace::new();
+            let cfg = AdaptiveConfig::new(4).with_probe_workers(workers);
+            let r = adaptive_partition_csr_with(&g, &cfg, &mut ws);
+            let walk = ws.counters();
+            let kcfg = KwayConfig::new(4).with_probe_workers(workers);
+            let _ = multilevel_kway_csr_with(&g, &kcfg, &mut ws);
+            let one = ws.counters();
+            assert!(r.history.len() > 1, "the walk probed one α");
+            assert!(walk.calls > one.calls, "{walk:?} vs {one:?}");
+            assert_eq!(walk.layouts, one.layouts);
+        }
     }
 }

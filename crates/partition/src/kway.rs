@@ -3,7 +3,7 @@
 //! The driver is CSR-native: the input [`Graph`] is frozen once into a
 //! [`CsrGraph`], the coarsening hierarchy is built as CSR levels, and
 //! every refinement pass iterates flat CSR slices with incremental gain
-//! state ([`crate::refine::GainTable`]). The pre-optimization adjacency
+//! state (see [`crate::refine`]). The pre-optimization adjacency
 //! implementation survives as an oracle in this crate's tests and is
 //! property-tested to produce bit-identical partitions.
 
@@ -11,7 +11,9 @@ use mbqc_graph::{CsrGraph, Graph, NodeId};
 use mbqc_util::Rng;
 
 use crate::coarsen::{coarsen_to_csr_with, CoarsenWorkspace, CsrLevel};
-use crate::refine::{fm_refine_built, rebalance_csr_with, refine_csr_with, RefineWorkspace};
+use crate::refine::{
+    fm_refine_built, rebalance_csr_with, refine_csr_with, FmCounters, LeafLayout, RefineWorkspace,
+};
 use crate::Partition;
 
 /// Node-count bound under which the FM hill-climbing pass runs at a
@@ -178,7 +180,10 @@ fn initial_partition(g: &CsrGraph, k: usize, max_w: i64, rng: &mut Rng) -> Parti
 ///
 /// # Panics
 ///
-/// Panics if `k == 0` or `alpha < 1`.
+/// Panics if `k == 0` or `alpha < 1`, or if FM meets a node whose
+/// weighted degree exceeds `i32::MAX` (see
+/// [`fm_refine_csr`](crate::refine::fm_refine_csr)). No level has one
+/// while `g`'s edge weight magnitudes sum to at most `i32::MAX`.
 ///
 /// # Examples
 ///
@@ -216,12 +221,23 @@ impl KwayWorkspace {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// FM work of the last partition call run in this workspace
+    /// ([`multilevel_kway_csr_with`] or
+    /// [`adaptive_partition_csr_with`](crate::adaptive_partition_csr_with)),
+    /// restart probes and speculative α probes on other threads
+    /// included.
+    #[must_use]
+    pub fn counters(&self) -> FmCounters {
+        self.refine.counters
+    }
 }
 
 /// One restart probe on the coarsest graph: greedy growing + greedy
 /// refinement + FM hill climbing, from the probe's own RNG stream.
 fn restart_probe(
     g: &CsrGraph,
+    layout: &LeafLayout,
     config: &KwayConfig,
     max_w: i64,
     rng: &mut Rng,
@@ -229,7 +245,7 @@ fn restart_probe(
 ) -> (i64, Partition) {
     let mut p = initial_partition(g, config.k, max_w, rng);
     let _ = refine_csr_with(g, &mut p, max_w, config.refine_passes, rng, ws);
-    let _ = fm_refine_built(g, &mut p, max_w, 3, ws);
+    let _ = fm_refine_built(g, layout, &mut p, max_w, 3, ws);
     (p.cut_weight_csr(g), p)
 }
 
@@ -239,6 +255,7 @@ fn restart_probe(
 /// wins, so the result is bit-identical for every worker count.
 fn run_restarts(
     coarsest: &CsrGraph,
+    layout: &LeafLayout,
     config: &KwayConfig,
     max_w: i64,
     rng: &mut Rng,
@@ -250,7 +267,7 @@ fn run_restarts(
     let mut results: Vec<(i64, usize, Partition)> = Vec::with_capacity(restarts);
     if workers <= 1 {
         for (idx, probe_rng) in probe_rngs.iter_mut().enumerate() {
-            let (cut, p) = restart_probe(coarsest, config, max_w, probe_rng, ws);
+            let (cut, p) = restart_probe(coarsest, layout, config, max_w, probe_rng, ws);
             results.push((cut, idx, p));
         }
     } else {
@@ -265,19 +282,22 @@ fn run_restarts(
             {
                 handles.push(scope.spawn(move || {
                     let mut ws = RefineWorkspace::new();
-                    chunk
+                    let probes = chunk
                         .into_iter()
                         .enumerate()
                         .map(|(j, probe_rng)| {
                             let (cut, p) =
-                                restart_probe(coarsest, config, max_w, probe_rng, &mut ws);
+                                restart_probe(coarsest, layout, config, max_w, probe_rng, &mut ws);
                             (cut, w + j * workers, p)
                         })
-                        .collect::<Vec<_>>()
+                        .collect::<Vec<_>>();
+                    (probes, ws.counters)
                 }));
             }
             for h in handles {
-                results.extend(h.join().expect("restart probe panicked"));
+                let (probes, counters) = h.join().expect("restart probe panicked");
+                results.extend(probes);
+                ws.counters += counters;
             }
         });
     }
@@ -304,7 +324,10 @@ fn split_strided<T>(items: &mut [T], workers: usize) -> Vec<Vec<&mut T>> {
 ///
 /// # Panics
 ///
-/// Panics if `k == 0` or `alpha < 1`.
+/// Panics if `k == 0` or `alpha < 1`, or if FM meets a node whose
+/// weighted degree exceeds `i32::MAX` (see
+/// [`fm_refine_csr`](crate::refine::fm_refine_csr)). No level has one
+/// while `g`'s edge weight magnitudes sum to at most `i32::MAX`.
 #[must_use]
 pub fn multilevel_kway_csr(g: &CsrGraph, config: &KwayConfig) -> Partition {
     multilevel_kway_csr_with(g, config, &mut KwayWorkspace::new())
@@ -315,7 +338,10 @@ pub fn multilevel_kway_csr(g: &CsrGraph, config: &KwayConfig) -> Partition {
 ///
 /// # Panics
 ///
-/// Panics if `k == 0` or `alpha < 1`.
+/// Panics if `k == 0` or `alpha < 1`, or if FM meets a node whose
+/// weighted degree exceeds `i32::MAX` (see
+/// [`fm_refine_csr`](crate::refine::fm_refine_csr)). No level has one
+/// while `g`'s edge weight magnitudes sum to at most `i32::MAX`.
 #[must_use]
 pub fn multilevel_kway_csr_with(
     g: &CsrGraph,
@@ -324,8 +350,9 @@ pub fn multilevel_kway_csr_with(
 ) -> Partition {
     assert!(config.k >= 1, "k must be positive");
     assert!(config.alpha >= 1.0, "alpha must be at least 1");
-    let (levels, rng) = coarsen_levels(g, config.k, config.seed, &mut ws.coarsen);
-    uncoarsen(g, &levels, config, rng, &mut ws.refine)
+    ws.refine.counters = FmCounters::default();
+    let hierarchy = Hierarchy::build(g, config.k, config.seed, ws);
+    uncoarsen(g, &hierarchy, config, &mut ws.refine)
 }
 
 /// `true` when a `k`-way partition of `g` needs no search: one part, or
@@ -335,49 +362,96 @@ fn is_trivial(g: &CsrGraph, k: usize) -> bool {
 }
 
 /// The coarsening half of a k-way partition: the hierarchy from finest
-/// to coarsest and the RNG state it leaves for [`uncoarsen`]. Both
-/// depend only on `(g, k, seed)`, never on `α`, so Algorithm 2 builds
-/// them once and hands every probe the same levels and a clone of the
-/// RNG.
-pub(crate) fn coarsen_levels(
-    g: &CsrGraph,
-    k: usize,
-    seed: u64,
-    ws: &mut CoarsenWorkspace,
-) -> (Vec<CsrLevel>, Rng) {
-    let mut rng = Rng::seed_from_u64(seed);
-    let levels = if is_trivial(g, k) {
-        Vec::new()
-    } else {
-        coarsen_to_csr_with(g, (k * 16).max(48), &mut rng, ws)
-    };
-    (levels, rng)
+/// to coarsest, the leaf layouts of the levels FM refines, and the RNG
+/// state coarsening leaves for [`uncoarsen`]. All three depend only on
+/// `(g, k, seed)`, never on `α`, so Algorithm 2 builds them once and
+/// hands every probe the same hierarchy, which clones the RNG.
+#[derive(Debug)]
+pub(crate) struct Hierarchy {
+    /// Coarser and coarser levels; empty for a trivial partition.
+    levels: Vec<CsrLevel>,
+    /// FM leaf layouts by depth (depth 0 is the input graph, depth `i`
+    /// the graph of `levels[i - 1]`): the coarsest graph, which every
+    /// restart probe refines, and the first `FM_LEVELS` finer graphs
+    /// of at most `FM_LIMIT` nodes on the way back up.
+    layouts: Vec<Option<LeafLayout>>,
+    /// The RNG state coarsening left; every probe starts from a clone.
+    rng: Rng,
 }
 
-/// The rest of a k-way partition after [`coarsen_levels`]: restart
-/// probes on the coarsest level, projection back through `levels` with
-/// refinement at every level, and a final rebalance when the finest
-/// level ends over the bound.
+impl Hierarchy {
+    /// Coarsens `g` for `k` parts from `seed` and lays out the levels FM
+    /// will refine, counting the layouts in `ws`'s FM counters.
+    pub(crate) fn build(g: &CsrGraph, k: usize, seed: u64, ws: &mut KwayWorkspace) -> Self {
+        /// Levels below the coarsest that FM refines, at most.
+        const FM_LEVELS: usize = 4;
+        let mut rng = Rng::seed_from_u64(seed);
+        if is_trivial(g, k) {
+            return Self {
+                levels: Vec::new(),
+                layouts: Vec::new(),
+                rng,
+            };
+        }
+        let levels = coarsen_to_csr_with(g, (k * 16).max(48), &mut rng, &mut ws.coarsen);
+        let graph = |depth: usize| {
+            if depth == 0 {
+                g
+            } else {
+                &levels[depth - 1].graph
+            }
+        };
+        let fm_depths = std::iter::once(levels.len()).chain(
+            (0..levels.len())
+                .rev()
+                .filter(|&d| graph(d).node_count() <= FM_LIMIT)
+                .take(FM_LEVELS),
+        );
+        let mut layouts: Vec<Option<LeafLayout>> = (0..=levels.len()).map(|_| None).collect();
+        for depth in fm_depths {
+            layouts[depth] = Some(LeafLayout::build(graph(depth)));
+            ws.refine.counters.layouts += 1;
+        }
+        Self {
+            levels,
+            layouts,
+            rng,
+        }
+    }
+}
+
+/// The rest of a k-way partition after [`Hierarchy::build`]: restart
+/// probes on the coarsest level, projection back through the levels
+/// with refinement at every level, and a final rebalance when the
+/// finest level ends over the bound.
 pub(crate) fn uncoarsen(
     g: &CsrGraph,
-    levels: &[CsrLevel],
+    hierarchy: &Hierarchy,
     config: &KwayConfig,
-    mut rng: Rng,
     ws: &mut RefineWorkspace,
 ) -> Partition {
     if is_trivial(g, config.k) {
         let assignment = (0..g.node_count()).map(|i| i % config.k).collect();
         return Partition::new(assignment, config.k);
     }
+    let Hierarchy {
+        levels,
+        layouts,
+        rng,
+    } = hierarchy;
+    let mut rng = rng.clone();
     let max_w = weight_bound(g, config.k, config.alpha);
     let coarsest: &CsrGraph = levels.last().map_or(g, |l| &l.graph);
-    let mut part = run_restarts(coarsest, config, max_w, &mut rng, ws);
+    let coarsest_layout = layouts[levels.len()]
+        .as_ref()
+        .expect("the coarsest level is laid out");
+    let mut part = run_restarts(coarsest, coarsest_layout, config, max_w, &mut rng, ws);
 
     // Project back through the hierarchy, refining at each level
     // (hill-climbing FM on the few coarsest levels small enough to
-    // afford it — that is where the structural decisions are made;
-    // greedy refinement polishes the finer projections).
-    let mut fm_runs = 0usize;
+    // afford it — that is where the structural decisions are made, and
+    // those are the levels with a layout; greedy refinement polishes
+    // the finer projections).
     for level_idx in (0..levels.len()).rev() {
         let finer: &CsrGraph = if level_idx == 0 {
             g
@@ -390,9 +464,8 @@ pub(crate) fn uncoarsen(
             .collect();
         part = Partition::new(assignment, config.k);
         let _ = refine_csr_with(finer, &mut part, max_w, config.refine_passes, &mut rng, ws);
-        if finer.node_count() <= FM_LIMIT && fm_runs < 4 {
-            let _ = fm_refine_built(finer, &mut part, max_w, 2, ws);
-            fm_runs += 1;
+        if let Some(layout) = &layouts[level_idx] {
+            let _ = fm_refine_built(finer, layout, &mut part, max_w, 2, ws);
         }
     }
     if !part.is_balanced_csr(g, config.alpha) {
@@ -563,5 +636,31 @@ mod tests {
         // total = 14, bound = ceil(1.2*7) = 9 ≥ every part.
         let w = p.part_weights(&g);
         assert!(w.iter().all(|&x| x <= 9), "{w:?}");
+    }
+
+    #[test]
+    fn one_fm_layout_per_fm_refined_level() {
+        // FM refines the coarsest level in every restart probe and then
+        // up to four finer levels of at most FM_LIMIT nodes, once each:
+        // every layout is built once and used, the coarsest one by every
+        // restart. 70×70 has levels above FM_LIMIT; a 5×5 grid with
+        // k = 8 coarsens to nothing, leaving one level.
+        for (dim, k, restarts) in [(70, 4, 4), (30, 8, 3), (12, 2, 1), (5, 8, 2)] {
+            let g = CsrGraph::from_graph(&generate::grid_graph(dim, dim));
+            let cfg = KwayConfig::new(k)
+                .with_initial_restarts(restarts)
+                .with_probe_workers(1);
+            let mut ws = KwayWorkspace::new();
+            for _ in 0..2 {
+                let _ = multilevel_kway_csr_with(&g, &cfg, &mut ws);
+                let c = ws.counters();
+                assert!((1..=5).contains(&c.layouts), "{dim}×{dim}: {c:?}");
+                assert_eq!(
+                    c.calls,
+                    restarts as u64 + c.layouts - 1,
+                    "{dim}×{dim}: {c:?}"
+                );
+            }
+        }
     }
 }

@@ -17,8 +17,8 @@
 //!   partitioner in the Karypis–Kumar style (heavy-edge matching,
 //!   greedy graph growing, boundary refinement) standing in for METIS.
 //!   The hot paths iterate frozen [`CsrGraph`](mbqc_graph::CsrGraph)
-//!   slices and maintain per-node gain state incrementally
-//!   ([`refine::GainTable`]).
+//!   slices and maintain per-node gain state incrementally (the
+//!   crate-private `GainTable` of [`refine`]).
 //! * [`louvain`] — Louvain community detection (the modularity-first
 //!   extreme of the trade-off, used for comparison).
 //! * [`adaptive`] — the paper's Algorithm 2.
@@ -66,13 +66,18 @@
 //!   every probe (the speculative one included) as the uncoarsening
 //!   half of [`kway::multilevel_kway_csr_with`] on the shared levels,
 //!   from a clone of the RNG state coarsening left.
-//! * **Indexed FM selection** — FM keeps every candidate move in one
-//!   max tournament tree per target part, keyed by the oracle's
-//!   (gain, lowest index) order, with the leaves sorted by node weight
-//!   so the moves that fit a part's room are a prefix. A step is `k`
-//!   prefix maxima plus the re-keying of the mover's neighbors, instead
-//!   of a scan of the boundary; the oracle's lowest-part tie-break
-//!   falls out of comparing the `k` answers in part order.
+//! * **Indexed FM selection** — FM keeps every candidate move in a
+//!   flat block-max index: per target part, one 64-bit key per node
+//!   (gain above the complement of the node index, the oracle's
+//!   (gain, lowest index) order) in ascending (weight, index) order, so
+//!   the moves that fit a part's room are a prefix, plus the maximum of
+//!   each block of 16 keys. A step reads each part's cached fitting
+//!   prefix (whole-block maxima and one partial block) and re-keys the
+//!   mover's neighbors, instead of scanning the boundary; the oracle's
+//!   lowest-part tie-break falls out of comparing the `k` answers in
+//!   part order. The (weight, index) sort of each FM-refined level is
+//!   built once per partition call and shared by every α probe and
+//!   restart.
 //! * **Indexed rebalance** — rebalancing keeps each overloaded-part
 //!   node's best fitting move in a lazily invalidated heap keyed by
 //!   (gain, shuffled position, part). It is exact because a part
@@ -80,7 +85,7 @@
 //!   parts only gain weight while one part drains, so a move is
 //!   re-keyed only when a neighbor moves or its target fills up.
 //! * **Workspace reuse everywhere** — coarsening scratch, the
-//!   connectivity [`refine::GainTable`], and the FM and rebalance
+//!   connectivity table, and the FM and rebalance
 //!   buffers live in [`kway::KwayWorkspace`] and survive across levels
 //!   and calls.
 //!
@@ -113,3 +118,4 @@ pub use kway::{
     KwayWorkspace,
 };
 pub use partition::Partition;
+pub use refine::FmCounters;

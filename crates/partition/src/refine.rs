@@ -5,8 +5,21 @@
 //! implementation recomputed a `Vec<i64>` connectivity vector per visit
 //! (one heap allocation and one full adjacency scan each); this version
 //! iterates CSR slices and maintains the node→part connectivity table
-//! *incrementally* in a [`GainTable`] — built once in O(E), updated in
+//! *incrementally* in a `GainTable` — built once in O(E), updated in
 //! O(deg) per applied move, with zero allocation per visit.
+//!
+//! FM hill climbing ([`fm_refine_csr`]) picks each tentative move from a
+//! flat index. A level's *leaf layout* sorts its nodes by (weight,
+//! index), so the nodes that fit a part's room are a prefix of it; the
+//! multilevel driver builds one per FM-refined level and shares it with
+//! every α probe and restart. Per target part, the index holds one
+//! 64-bit key per leaf, lane-major, and the maximum of every block of
+//! 16 keys. A key packs the move's gain into its high 32 bits above the
+//! complement of the node index, so the largest key is the highest
+//! gain, then the lowest node. The best fitting move of a part is the
+//! maximum of its cached fitting prefix: whole-block maxima, then one
+//! partial block. Re-keying a node writes its `k` keys and rescans a
+//! block only when the write lowered that block's maximum.
 //!
 //! Move semantics are bit-identical to the recompute-from-scratch
 //! adjacency-list oracle in this crate's tests, which the equivalence
@@ -27,24 +40,13 @@ use crate::Partition;
 /// connectivity row only changes when a *neighbor* moves, the table stays
 /// exact under any sequence of [`GainTable::apply_move`] calls.
 #[derive(Debug, Default)]
-pub struct GainTable {
+pub(crate) struct GainTable {
     k: usize,
     /// Row-major `n × k` connectivity matrix.
     conn: Vec<i64>,
 }
 
 impl GainTable {
-    /// Builds the table for `p` on `g`.
-    #[must_use]
-    pub fn build(g: &CsrGraph, p: &Partition) -> Self {
-        let mut table = Self {
-            k: p.k(),
-            conn: Vec::new(),
-        };
-        table.rebuild(g, p);
-        table
-    }
-
     /// Rebuilds in place for a new partition (reuses the buffer, and
     /// re-shapes it when the graph or `k` changed since the last
     /// build — the multilevel driver moves one table through every
@@ -84,8 +86,8 @@ impl GainTable {
     }
 }
 
-/// Reusable buffers for [`refine_csr_with`], [`fm_refine_csr_with`]
-/// and the multilevel partitioner's rebalance: the connectivity table,
+/// Reusable buffers for [`refine_csr_with`] and the multilevel
+/// partitioner's FM refinement and rebalance: the connectivity table,
 /// visit-order buffer, part-weight vector and move indexes survive
 /// across calls, so the multilevel partitioner stops re-allocating them
 /// at every hierarchy level. Results are bit-identical to the
@@ -103,7 +105,7 @@ pub struct RefineWorkspace {
     /// FM scratch: per-node moved-this-round flag.
     locked: Vec<bool>,
     /// FM: the per-target-part move index.
-    trees: MoveTrees,
+    index: MoveIndex,
     /// FM scratch: tentative `(node, from, to, gain)` move log.
     moves: Vec<(NodeId, usize, usize, i64)>,
     /// Rebalance: node → position in the shuffled order.
@@ -111,6 +113,9 @@ pub struct RefineWorkspace {
     /// Rebalance: lazily invalidated
     /// `(gain, Reverse(rank), Reverse(to))` max-heap of best moves.
     queue: BinaryHeap<(i64, Reverse<u32>, Reverse<u32>)>,
+    /// FM work done since the partition call that owns the workspace
+    /// started.
+    pub(crate) counters: FmCounters,
 }
 
 impl RefineWorkspace {
@@ -121,25 +126,62 @@ impl RefineWorkspace {
     }
 }
 
-/// An FM move's selection key within one target part: the gain above
-/// the complement of the node index, so a larger key is a higher gain,
-/// then a lower node index.
-type MoveKey = i128;
+/// Deterministic work counts of the FM refinement one partition call
+/// ran, read through
+/// [`KwayWorkspace::counters`](crate::kway::KwayWorkspace::counters).
+/// They depend only on the graph and the configuration, never on the
+/// host's timing. The probe worker count is part of the configuration:
+/// speculative α probes are work too, so with `probe_workers = 0` the
+/// counts depend on the host's core count.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FmCounters {
+    /// FM refinement calls.
+    pub calls: u64,
+    /// FM rounds run.
+    pub rounds: u64,
+    /// Tentative moves applied.
+    pub moves: u64,
+    /// Tentative moves undone because they lay past their round's best
+    /// prefix.
+    pub rollbacks: u64,
+    /// Leaf layouts built: a level's nodes sorted by (weight, index).
+    pub layouts: u64,
+}
 
-/// The key of "no candidate move", below every real key.
-const NO_MOVE: MoveKey = i128::MIN;
+impl std::ops::AddAssign for FmCounters {
+    fn add_assign(&mut self, other: Self) {
+        self.calls += other.calls;
+        self.rounds += other.rounds;
+        self.moves += other.moves;
+        self.rollbacks += other.rollbacks;
+        self.layouts += other.layouts;
+    }
+}
+
+/// An FM move's selection key within one target part, packed in 64
+/// bits: the gain in the high 32 bits above the complement of the node
+/// index in the low 32, so a larger key is a higher gain, then a lower
+/// node index. Exact while every gain fits the gain field, which
+/// [`LeafLayout::build`] checks.
+type MoveKey = i64;
+
+/// The key of "no candidate move", below every real key: the gain field
+/// reaches `−MAX_GAIN` at least, and `−MAX_GAIN << 32` lies above
+/// `i64::MIN`.
+const NO_MOVE: MoveKey = i64::MIN;
+
+/// The largest gain magnitude a [`MoveKey`] holds. A move's gain is at
+/// most its node's weighted degree in magnitude.
+const MAX_GAIN: i64 = i32::MAX as i64;
 
 /// The key of moving `u` with `gain`.
 fn move_key(gain: i64, u: NodeId) -> MoveKey {
-    (i128::from(gain) << 32) | i128::from(u32::MAX - u.index() as u32)
+    (gain << 32) | i64::from(u32::MAX - u.index() as u32)
 }
 
 /// The `(gain, node)` a [`move_key`] was made from.
 fn key_move(key: MoveKey) -> (i64, NodeId) {
-    (
-        (key >> 32) as i64,
-        NodeId::new((u32::MAX - key as u32) as usize),
-    )
+    (key >> 32, NodeId::new((u32::MAX - key as u32) as usize))
 }
 
 /// `u`'s move keys by target part: [`NO_MOVE`] into its own part.
@@ -155,122 +197,154 @@ fn move_keys<'a>(gains: &'a GainTable, p: &Partition, u: NodeId) -> impl Fn(usiz
     }
 }
 
-/// FM's move index: per target part, a max tournament tree whose leaves
-/// are the level's nodes in ascending (weight, index) order, each
-/// holding the key of that node's move into the part ([`NO_MOVE`] for
-/// a non-candidate). The nodes that fit a part's room are a prefix of
-/// that order, so the best move that fits is one prefix maximum, and
-/// re-keying a node is one leaf-to-root walk. The `k` trees share one
-/// slot layout, stored slot-major, so re-keying a node in every part
-/// walks its path once.
-#[derive(Debug, Default)]
-struct MoveTrees {
-    k: usize,
-    /// Leaves per tree: a power of two, at least the node count.
-    width: usize,
-    /// Slot `i` of part `t`'s tree at `i · k + t`; the roots are slot 1
-    /// and the leaves slots `width..2 · width`.
-    slots: Vec<MoveKey>,
-    /// Sort buffer: `(weight, node)` packed so that integer order is
-    /// leaf order.
-    order: Vec<u128>,
-    /// Node → leaf slot.
+/// FM's leaf layout of one graph: its nodes in ascending (weight,
+/// index) order, so the nodes that fit a part's room are a prefix. It
+/// depends only on the graph, so the multilevel driver builds one per
+/// FM-refined level and every α probe and restart shares it.
+#[derive(Debug)]
+pub(crate) struct LeafLayout {
+    /// Node → leaf position.
     leaf: Vec<u32>,
     /// Node weights in leaf order (ascending).
-    leaf_weight: Vec<i64>,
+    weight: Vec<i64>,
 }
 
-impl MoveTrees {
-    /// Lays out the leaves for `g`'s nodes and `k` parts.
-    fn reset(&mut self, g: &CsrGraph, k: usize) {
-        let n = g.node_count();
-        self.k = k;
-        self.width = n.next_power_of_two();
+impl LeafLayout {
+    /// Sorts `g`'s nodes into leaf order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if some node's weighted degree exceeds `i32::MAX`: its
+    /// gains would not fit a [`MoveKey`].
+    pub(crate) fn build(g: &CsrGraph) -> Self {
+        let max_degree = g
+            .nodes()
+            .map(|u| {
+                g.neighbor_weights(u)
+                    .iter()
+                    .fold(0u64, |d, w| d.saturating_add(w.unsigned_abs()))
+            })
+            .max()
+            .unwrap_or(0);
+        assert!(
+            max_degree <= MAX_GAIN as u64,
+            "FM refinement needs every node's weighted degree to be at most \
+             {MAX_GAIN} (i32::MAX), so that its move gains fit a 64-bit key; \
+             the graph has a node of weighted degree {max_degree}"
+        );
         // Flipping the sign bit maps i64 order onto u64 order.
-        self.order.clear();
-        self.order.extend(g.nodes().map(|u| {
-            let w = (g.node_weight(u) as u64) ^ (1 << 63);
-            (u128::from(w) << 32) | u.index() as u128
-        }));
-        self.order.sort_unstable();
-        self.leaf.clear();
-        self.leaf.resize(n, 0);
-        self.leaf_weight.clear();
-        for (pos, &packed) in self.order.iter().enumerate() {
+        let mut order: Vec<u128> = g
+            .nodes()
+            .map(|u| {
+                let w = (g.node_weight(u) as u64) ^ (1 << 63);
+                (u128::from(w) << 32) | u.index() as u128
+            })
+            .collect();
+        order.sort_unstable();
+        let mut leaf = vec![0u32; order.len()];
+        let mut weight = Vec::with_capacity(order.len());
+        for (pos, &packed) in order.iter().enumerate() {
             let u = NodeId::new(packed as u32 as usize);
-            self.leaf[u.index()] = (self.width + pos) as u32;
-            self.leaf_weight.push(g.node_weight(u));
+            leaf[u.index()] = pos as u32;
+            weight.push(g.node_weight(u));
         }
-        // Every round writes the real leaves and rebuilds the inner
-        // slots, so only the padding leaves need a value here.
-        self.slots.resize(2 * self.width * k, NO_MOVE);
-        self.slots[(self.width + n) * k..].fill(NO_MOVE);
+        Self { leaf, weight }
+    }
+}
+
+/// Keys per block of a [`MoveIndex`] part.
+const BLOCK: usize = 16;
+
+/// FM's move index. For every target part it holds one key per leaf of
+/// a [`LeafLayout`] (the key of moving that leaf's node into the part,
+/// [`NO_MOVE`] for a non-candidate), lane-major, plus the maximum of
+/// each block of [`BLOCK`] keys. The best move that fits a part is the
+/// maximum over its fitting prefix: whole blocks read from the block
+/// maxima, then the keys of the one partial block. The prefix length is
+/// cached per part and recomputed only when that part's room changes.
+#[derive(Debug, Default)]
+struct MoveIndex {
+    k: usize,
+    /// Keys per part: the leaf count rounded up to whole blocks.
+    stride: usize,
+    /// Part `t`'s key of leaf `i` at `t · stride + i`.
+    keys: Vec<MoveKey>,
+    /// Part `t`'s block `b` maximum at `t · (stride / BLOCK) + b`.
+    block_max: Vec<MoveKey>,
+    /// Per part, the length of the leaf prefix that fits its room.
+    fit: Vec<usize>,
+}
+
+impl MoveIndex {
+    /// Shapes the index for `leaves` leaves and `k` parts.
+    fn reset(&mut self, leaves: usize, k: usize) {
+        self.k = k;
+        self.stride = leaves.div_ceil(BLOCK) * BLOCK;
+        // Every round writes the real leaves and rebuilds the block
+        // maxima. Padding keys are never read: a fitting prefix ends at
+        // the last leaf at the latest, so a partial last block is read
+        // key by key, never through its maximum.
+        self.keys.resize(self.stride * k, NO_MOVE);
+        self.block_max.resize(self.stride / BLOCK * k, NO_MOVE);
+        self.fit.resize(k, 0);
     }
 
-    /// Writes `u`'s key into every part's leaf, `keys(t)` for part `t`,
-    /// without updating the trees above; [`MoveTrees::build`] follows.
-    fn write(&mut self, u: NodeId, keys: impl Fn(usize) -> MoveKey) {
-        let row = self.leaf[u.index()] as usize * self.k;
-        for (t, slot) in self.slots[row..row + self.k].iter_mut().enumerate() {
-            *slot = keys(t);
+    /// Writes the keys of leaf `i`, `keys(t)` for part `t`, without
+    /// updating the block maxima; [`MoveIndex::build`] follows.
+    fn write(&mut self, i: usize, keys: impl Fn(usize) -> MoveKey) {
+        for t in 0..self.k {
+            self.keys[t * self.stride + i] = keys(t);
         }
     }
 
-    /// Recomputes every inner slot from the leaves.
+    /// Recomputes every block maximum from the keys.
     fn build(&mut self) {
-        let k = self.k;
-        for i in (k..self.width * k).rev() {
-            let c = (i / k) * 2 * k + i % k;
-            self.slots[i] = self.slots[c].max(self.slots[c + k]);
+        for (max, block) in self.block_max.iter_mut().zip(self.keys.chunks_exact(BLOCK)) {
+            *max = block_max(block);
         }
     }
 
-    /// Writes `u`'s keys as [`MoveTrees::write`] does and updates the
-    /// trees, up to the first ancestor where no maximum changes.
-    fn set(&mut self, u: NodeId, keys: impl Fn(usize) -> MoveKey) {
-        let k = self.k;
-        let mut i = self.leaf[u.index()] as usize;
-        let mut changed = false;
-        for (t, slot) in self.slots[i * k..i * k + k].iter_mut().enumerate() {
-            let key = keys(t);
-            changed |= *slot != key;
-            *slot = key;
-        }
-        while changed && i > 1 {
-            i /= 2;
-            changed = false;
-            for t in 0..k {
-                let max = self.slots[2 * i * k + t].max(self.slots[(2 * i + 1) * k + t]);
-                changed |= self.slots[i * k + t] != max;
-                self.slots[i * k + t] = max;
+    /// Writes leaf `i`'s keys as [`MoveIndex::write`] does and keeps the
+    /// block maxima exact, rescanning a block only when a write lowered
+    /// its maximum.
+    fn set(&mut self, i: usize, keys: impl Fn(usize) -> MoveKey) {
+        let blocks = self.stride / BLOCK;
+        for t in 0..self.k {
+            let slot = t * self.stride + i;
+            let (old, new) = (self.keys[slot], keys(t));
+            if old == new {
+                continue;
+            }
+            self.keys[slot] = new;
+            let max = &mut self.block_max[t * blocks + i / BLOCK];
+            if new > *max {
+                *max = new;
+            } else if old == *max {
+                let start = slot - slot % BLOCK;
+                *max = block_max(&self.keys[start..start + BLOCK]);
             }
         }
     }
 
-    /// The best key in part `t`'s tree among the nodes no heavier than
-    /// `room`.
-    fn best_fitting(&self, t: usize, room: i64) -> MoveKey {
-        let k = self.k;
-        if self.leaf_weight.last().is_none_or(|&w| w <= room) {
-            return self.slots[k + t];
-        }
-        let len = self.leaf_weight.partition_point(|&w| w <= room);
-        let (mut lo, mut hi) = (self.width, self.width + len);
-        let mut best = NO_MOVE;
-        while lo < hi {
-            if lo % 2 == 1 {
-                best = best.max(self.slots[lo * k + t]);
-                lo += 1;
-            }
-            if hi % 2 == 1 {
-                hi -= 1;
-                best = best.max(self.slots[hi * k + t]);
-            }
-            lo /= 2;
-            hi /= 2;
-        }
-        best
+    /// Recomputes part `t`'s fitting prefix for a new `room`: the
+    /// leaves that weigh at most `room`.
+    fn set_room(&mut self, layout: &LeafLayout, t: usize, room: i64) {
+        self.fit[t] = layout.weight.partition_point(|&w| w <= room);
     }
+
+    /// The best key of part `t` among the leaves that fit its room.
+    fn best_fitting(&self, t: usize) -> MoveKey {
+        let blocks = self.stride / BLOCK;
+        let (full, len) = (self.fit[t] / BLOCK, self.fit[t]);
+        let whole = block_max(&self.block_max[t * blocks..t * blocks + full]);
+        let lane = t * self.stride;
+        whole.max(block_max(&self.keys[lane + full * BLOCK..lane + len]))
+    }
+}
+
+/// The largest key of `keys`, [`NO_MOVE`] for none.
+fn block_max(keys: &[MoveKey]) -> MoveKey {
+    keys.iter().fold(NO_MOVE, |m, &key| m.max(key))
 }
 
 /// Refines `p` in place with greedy boundary moves: each pass visits
@@ -399,45 +473,38 @@ pub fn refine_csr_with(
 /// fully-entangled VQE graphs).
 ///
 /// Each step takes the best move that fits from an index of every
-/// candidate move, one tournament tree per target part, so a step costs
-/// `O(k log n)` plus the re-keying of the mover's neighbors rather than
-/// a scan of the boundary. Callers gate it to small graphs/coarse
-/// levels, and each round caps its tentative-move sequence at
-/// `MAX_FM_MOVES` (long sequences almost never recover past the best
-/// prefix). Returns the total cut improvement.
+/// candidate move: per target part, the keys of the nodes in ascending
+/// weight order with the maximum of each block of 16, so a step reads
+/// `k` cached fitting prefixes' block maxima plus one partial block
+/// each, and re-keys the mover's neighbors, rather than scanning the
+/// boundary. A key packs the gain and the node index into 64 bits.
+/// Callers gate FM to small graphs/coarse levels, and each round caps
+/// its tentative-move sequence at `MAX_FM_MOVES` (long sequences almost
+/// never recover past the best prefix). Returns the total cut
+/// improvement.
 ///
 /// # Panics
 ///
-/// Panics if graph and partition sizes disagree.
+/// Panics if graph and partition sizes disagree, or if some node's
+/// weighted degree (the sum of its edge weights' magnitudes) exceeds
+/// `i32::MAX`: a move's gain is bounded by its node's weighted degree,
+/// and must fit the 32-bit gain field of a move key. Graphs with unit
+/// edge weights, and every coarsening of one, stay within this bound
+/// while they have fewer than 2³¹ edges.
 pub fn fm_refine_csr(g: &CsrGraph, p: &mut Partition, max_part_weight: i64, rounds: usize) -> i64 {
-    fm_refine_csr_with(g, p, max_part_weight, rounds, &mut RefineWorkspace::new())
-}
-
-/// [`fm_refine_csr`] with caller-owned scratch — identical moves, zero
-/// steady-state allocation. Shares the [`RefineWorkspace`] with
-/// [`refine_csr_with`], so the multilevel driver threads one workspace
-/// through both refinement styles.
-///
-/// # Panics
-///
-/// Panics if graph and partition sizes disagree.
-pub fn fm_refine_csr_with(
-    g: &CsrGraph,
-    p: &mut Partition,
-    max_part_weight: i64,
-    rounds: usize,
-    ws: &mut RefineWorkspace,
-) -> i64 {
     assert_eq!(g.node_count(), p.len(), "graph size mismatch");
+    let ws = &mut RefineWorkspace::new();
     ws.gains.rebuild(g, p);
-    fm_refine_built(g, p, max_part_weight, rounds, ws)
+    fm_refine_built(g, &LeafLayout::build(g), p, max_part_weight, rounds, ws)
 }
 
-/// [`fm_refine_csr_with`] for a caller whose workspace connectivity
-/// table already holds `p` on `g`, as [`refine_csr_with`] leaves it.
-/// The table holds the refined partition on return.
+/// [`fm_refine_csr`] on `g`'s leaf `layout`, for a caller whose
+/// workspace connectivity table already holds `p` on `g`, as
+/// [`refine_csr_with`] leaves it. The table holds the refined partition
+/// on return.
 pub(crate) fn fm_refine_built(
     g: &CsrGraph,
+    layout: &LeafLayout,
     p: &mut Partition,
     max_part_weight: i64,
     rounds: usize,
@@ -445,6 +512,7 @@ pub(crate) fn fm_refine_built(
 ) -> i64 {
     /// Tentative moves per FM round.
     const MAX_FM_MOVES: usize = 384;
+    debug_assert_eq!(layout.leaf.len(), g.node_count(), "layout of another graph");
     let k = p.k();
     let mut total_gain = 0i64;
     let RefineWorkspace {
@@ -454,27 +522,34 @@ pub(crate) fn fm_refine_built(
         // Every move of an unlocked boundary node, keyed by its current
         // gain: a candidate's keys are re-set whenever its connectivity
         // changes, and a node's keys are cleared when it locks.
-        trees,
+        index,
         moves,
+        counters,
         ..
     } = ws;
-    trees.reset(g, k);
+    counters.calls += 1;
+    index.reset(g.node_count(), k);
     locked.clear();
     locked.resize(g.node_count(), false);
+    let leaf = |u: NodeId| layout.leaf[u.index()] as usize;
     for _ in 0..rounds {
+        counters.rounds += 1;
         p.part_weights_csr_into(g, weights);
+        for (t, &w) in weights.iter().enumerate() {
+            index.set_room(layout, t, max_part_weight - w);
+        }
         locked.iter_mut().for_each(|l| *l = false);
         // Only boundary nodes (≥ 1 cross-part edge) are candidates; a
         // neighbor of a moved node joins them.
         for u in g.nodes() {
             let home = p.part_of(u);
             if g.neighbors(u).iter().any(|&v| p.part_of(v) != home) {
-                trees.write(u, move_keys(gains, p, u));
+                index.write(leaf(u), move_keys(gains, p, u));
             } else {
-                trees.write(u, |_| NO_MOVE);
+                index.write(leaf(u), |_| NO_MOVE);
             }
         }
-        trees.build();
+        index.build();
         // (node, from, to, gain) in application order.
         moves.clear();
         let mut cum = 0i64;
@@ -485,12 +560,7 @@ pub(crate) fn fm_refine_built(
             // index, then the lowest target part — what an ascending
             // scan with a strict `>` yields.
             let best = (0..k)
-                .map(|t| {
-                    (
-                        trees.best_fitting(t, max_part_weight - weights[t]),
-                        Reverse(t),
-                    )
-                })
+                .map(|t| (index.best_fitting(t), Reverse(t)))
                 .max()
                 .filter(|&(key, _)| key != NO_MOVE);
             let Some((key, Reverse(to))) = best else {
@@ -503,13 +573,15 @@ pub(crate) fn fm_refine_built(
             gains.apply_move(g, u, from, to);
             weights[from] -= wu;
             weights[to] += wu;
+            index.set_room(layout, from, max_part_weight - weights[from]);
+            index.set_room(layout, to, max_part_weight - weights[to]);
             locked[u.index()] = true;
-            trees.set(u, |_| NO_MOVE);
+            index.set(leaf(u), |_| NO_MOVE);
             // The move changed the neighbors' connectivity and made
             // them all candidates.
             for &v in g.neighbors(u) {
                 if !locked[v.index()] {
-                    trees.set(v, move_keys(gains, p, v));
+                    index.set(leaf(v), move_keys(gains, p, v));
                 }
             }
             cum += gain;
@@ -524,6 +596,8 @@ pub(crate) fn fm_refine_built(
             }
         }
         // Roll back past the best prefix, connectivity included.
+        counters.moves += moves.len() as u64;
+        counters.rollbacks += (moves.len() - best_prefix) as u64;
         for &(u, from, to, _) in moves.iter().skip(best_prefix).rev() {
             p.assign(u, from);
             gains.apply_move(g, u, to, from);
@@ -729,7 +803,8 @@ mod tests {
         let mut rng = Rng::seed_from_u64(6);
         let assignment: Vec<usize> = (0..25).map(|_| rng.range(3)).collect();
         let mut p = Partition::new(assignment, 3);
-        let mut gains = GainTable::build(&csr, &p);
+        let mut gains = GainTable::default();
+        gains.rebuild(&csr, &p);
         // Apply a few arbitrary moves, tracking through the table.
         for step in 0..10 {
             let u = NodeId::new((step * 7) % 25);
@@ -739,9 +814,80 @@ mod tests {
             gains.apply_move(&csr, u, from, to);
         }
         // The incrementally maintained table must equal a fresh build.
-        let fresh = GainTable::build(&csr, &p);
+        let mut fresh = GainTable::default();
+        fresh.rebuild(&csr, &p);
         for u in csr.nodes() {
             assert_eq!(gains.conn(u), fresh.conn(u), "node {u}");
+        }
+    }
+
+    #[test]
+    fn move_keys_are_exact_at_the_gain_bound() {
+        let nodes = [0, 1, u32::MAX as usize - 1, u32::MAX as usize].map(NodeId::new);
+        let gains = [-MAX_GAIN, 1 - MAX_GAIN, -1, 0, 1, MAX_GAIN - 1, MAX_GAIN];
+        let mut keys = Vec::new();
+        for &gain in &gains {
+            for &u in &nodes {
+                let key = move_key(gain, u);
+                assert_eq!(key_move(key), (gain, u));
+                assert!(key > NO_MOVE, "gain {gain}, node {u}");
+                keys.push(((gain, Reverse(u)), key));
+            }
+        }
+        // Key order is (highest gain, then lowest node) order.
+        for (a, ka) in &keys {
+            for (b, kb) in &keys {
+                assert_eq!(ka.cmp(kb), a.cmp(b));
+            }
+        }
+    }
+
+    #[test]
+    fn move_index_matches_a_scan() {
+        // Random re-keys and rooms against a scan of the same keys. One
+        // index is reused across sizes (whole blocks, a partial block,
+        // one leaf), so stale keys past a smaller layout must not leak.
+        let mut rng = Rng::seed_from_u64(8);
+        let mut index = MoveIndex::default();
+        for (n, k) in [(50, 3), (37, 4), (16, 2), (1, 3), (40, 2)] {
+            let mut weight: Vec<i64> = (0..n).map(|_| 1 + rng.range(4) as i64).collect();
+            weight.sort_unstable();
+            let layout = LeafLayout {
+                leaf: (0..n as u32).collect(),
+                weight,
+            };
+            index.reset(n, k);
+            let mut keys = vec![NO_MOVE; n * k];
+            let key = |rng: &mut Rng, i: usize| {
+                if rng.bernoulli(0.3) {
+                    NO_MOVE
+                } else {
+                    move_key(rng.range(9) as i64 - 4, NodeId::new(i))
+                }
+            };
+            for i in 0..n {
+                for t in 0..k {
+                    keys[t * n + i] = key(&mut rng, i);
+                }
+                index.write(i, |t| keys[t * n + i]);
+            }
+            index.build();
+            for _ in 0..400 {
+                let i = rng.range(n);
+                let new: Vec<MoveKey> = (0..k).map(|_| key(&mut rng, i)).collect();
+                index.set(i, |t| new[t]);
+                for (t, &key) in new.iter().enumerate() {
+                    keys[t * n + i] = key;
+                }
+                let t = rng.range(k);
+                let room = rng.range(7) as i64 - 1;
+                index.set_room(&layout, t, room);
+                let want = (0..n)
+                    .filter(|&j| layout.weight[j] <= room)
+                    .map(|j| keys[t * n + j])
+                    .fold(NO_MOVE, MoveKey::max);
+                assert_eq!(index.best_fitting(t), want, "n {n}, part {t}, room {room}");
+            }
         }
     }
 }

@@ -81,3 +81,48 @@ fn fm_refine_csr_matches_reference() {
     assert_eq!(g_ref, g_csr);
     assert_eq!(p_ref, p_csr);
 }
+
+/// Two triangles of edge weight 2³⁰ − 1 joined by a unit bridge, so the
+/// bridge ends have weighted degree exactly `i32::MAX`, the largest FM's
+/// 64-bit move keys hold; one node of each triangle starts on the wrong
+/// side.
+fn heaviest_fm_instance() -> (Graph, Partition) {
+    let heavy = (1i64 << 30) - 1;
+    let mut g = Graph::with_nodes(6);
+    let n: Vec<_> = g.nodes().collect();
+    for (a, b) in [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)] {
+        g.add_edge_weighted(n[a], n[b], heavy);
+    }
+    g.add_edge_weighted(n[2], n[3], 1);
+    assert_eq!(g.weighted_degree(n[2]), i64::from(i32::MAX));
+    (g, Partition::new(vec![0, 0, 1, 1, 1, 0], 2))
+}
+
+#[test]
+fn fm_refine_exact_at_the_gain_bound() {
+    let (g, start) = heaviest_fm_instance();
+    let (mut p_ref, mut p_csr) = (start.clone(), start);
+    let g_ref = common::fm_refine(&g, &mut p_ref, 4, 3);
+    let g_csr = fm_refine_csr(&CsrGraph::from_graph(&g), &mut p_csr, 4, 3);
+    assert_eq!(g_ref, g_csr);
+    assert_eq!(p_ref, p_csr);
+    assert_eq!(p_csr.cut_weight(&g), 1, "only the bridge stays cut");
+}
+
+#[test]
+#[should_panic(expected = "weighted degree to be at most 2147483647")]
+fn fm_refine_rejects_gains_past_the_bound() {
+    let (mut g, start) = heaviest_fm_instance();
+    let n: Vec<_> = g.nodes().collect();
+    g.add_edge_weighted(n[2], n[5], 1);
+    let _ = fm_refine_csr(&CsrGraph::from_graph(&g), &mut start.clone(), 4, 3);
+}
+
+#[test]
+#[should_panic(expected = "weighted degree to be at most 2147483647")]
+fn multilevel_kway_rejects_gains_past_the_bound() {
+    let mut g = generate::grid_graph(8, 8);
+    let n: Vec<_> = g.nodes().collect();
+    g.add_edge_weighted(n[0], n[9], 1 << 31);
+    let _ = mbqc_partition::multilevel_kway(&g, &KwayConfig::new(2));
+}

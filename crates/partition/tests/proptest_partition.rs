@@ -62,6 +62,57 @@ fn weighted_instance(
     (g, Partition::new(assignment, k))
 }
 
+/// An FM instance whose node weights make a part's fitting prefix end
+/// at chosen positions of FM's move index, which lays nodes out in
+/// ascending weight order in blocks of 16: `light` nodes weigh 1, the
+/// next `medium` weigh 2 and the rest 3–5, with `light` and `light +
+/// medium` multiples of 16 plus `offset` (0 ends the prefix on a block
+/// edge, 1–15 inside a block) whenever a room is 1 or 2. Node weights
+/// go to shuffled nodes; edges, extra edge weights and the starting
+/// partition are as in [`weighted_instance`].
+fn blocked_instance(
+    n: usize,
+    k: usize,
+    offset: usize,
+    spread: usize,
+    seed: u64,
+) -> (Graph, Partition) {
+    let (mut g, start) = weighted_instance(n, n, k, spread, seed);
+    let mut rng = Rng::seed_from_u64(seed ^ 0xb10c);
+    let blocks = (n - offset) / 16;
+    let light = 16 * (1 + rng.range(blocks / 2)) + offset;
+    let medium = 16 * rng.range((n - light) / 16 + 1);
+    let mut nodes: Vec<usize> = (0..n).collect();
+    rng.shuffle(&mut nodes);
+    for (rank, &u) in nodes.iter().enumerate() {
+        let w = match rank {
+            r if r < light => 1,
+            r if r < light + medium => 2,
+            _ => 3 + rng.range(3) as i64,
+        };
+        g.set_node_weight(NodeId::new(u), w);
+    }
+    (g, start)
+}
+
+/// FM against the full-scan oracle on [`blocked_instance`]: the same
+/// partition and the same reported gain.
+fn check_fm_against_oracle(
+    g: &Graph,
+    start: Partition,
+    slack: i64,
+    rounds: usize,
+) -> Result<(), TestCaseError> {
+    let k = start.k() as i64;
+    let max_w = (g.total_node_weight() + k - 1) / k + slack;
+    let (mut p_ref, mut p_csr) = (start.clone(), start);
+    let gain_ref = common::fm_refine(g, &mut p_ref, max_w, rounds);
+    let gain_csr = fm_refine_csr(&CsrGraph::from_graph(g), &mut p_csr, max_w, rounds);
+    prop_assert_eq!(gain_ref, gain_csr);
+    prop_assert_eq!(p_ref.assignment(), p_csr.assignment());
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -340,5 +391,46 @@ proptest! {
         let ref_any = heavy_edge_matching_reference(&csr, &order, &mut ref_mate);
         prop_assert_eq!(any, ref_any);
         prop_assert_eq!(&mate, &ref_mate);
+    }
+}
+
+proptest! {
+    // Several index blocks per part: FM on 90–600 nodes, with weight
+    // classes that end fitting prefixes on a block edge or inside a
+    // block, must stay identical to the oracle's full scan.
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn fm_refine_across_index_blocks_identical_to_oracle(
+        n in 90usize..600,
+        k in 2usize..=8,
+        on_edge in 0usize..2,
+        offset in 1usize..16,
+        spread in 0usize..4,
+        slack in 0i64..6,
+        rounds in 1usize..4,
+        seed in 0u64..1000,
+    ) {
+        let offset = if on_edge == 1 { 0 } else { offset };
+        let (g, start) = blocked_instance(n, k, offset, spread, seed);
+        check_fm_against_oracle(&g, start, slack, rounds)?;
+    }
+}
+
+/// The same check up to the largest level FM refines inside the k-way
+/// partitioner (`FM_LIMIT`, 2000 nodes), at k = 8.
+#[test]
+#[ignore = "slow in a debug build; the release CI step runs ignored tests"]
+fn fm_refine_up_to_fm_limit_identical_to_oracle() {
+    for n in [600, 1000, 1500, 2000] {
+        for offset in [0, 7] {
+            for seed in 0..3 {
+                let (g, start) = blocked_instance(n, 8, offset, 1 + seed as usize % 3, seed);
+                let slack = seed as i64 * 2;
+                if let Err(e) = check_fm_against_oracle(&g, start, slack, 3) {
+                    panic!("n {n}, offset {offset}, seed {seed}: {e}");
+                }
+            }
+        }
     }
 }
