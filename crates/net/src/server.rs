@@ -240,7 +240,7 @@ fn serve_connection(
             }
             Request::Poll { id } => {
                 let resp = match service.try_poll(JobId::from_raw(id)) {
-                    Some(result) => Response::Outcome(WireOutcome::from_result(&result)),
+                    Some(result) => Response::Outcome(WireOutcome::from_result(result)),
                     None => Response::Pending,
                 };
                 reply(&mut stream, &resp)?;
@@ -292,7 +292,7 @@ fn serve_wait(
             None => POLL_SLICE,
         };
         if let Some(result) = service.wait_timeout(id, slice) {
-            return Response::Outcome(WireOutcome::from_result(&result));
+            return Response::Outcome(WireOutcome::from_result(result));
         }
     }
 }

@@ -369,18 +369,18 @@ pub enum WireOutcome {
 }
 
 impl WireOutcome {
-    /// Wire form of an in-process result.
+    /// Wire form of an in-process result. Takes the result by value: a
+    /// served schedule moves into the outcome instead of being cloned.
     #[must_use]
-    pub fn from_result(result: &Result<DistributedSchedule, ServiceError>) -> Self {
+    pub fn from_result(result: Result<DistributedSchedule, ServiceError>) -> Self {
         match result {
-            Ok(s) => WireOutcome::Ok(Box::new(s.clone())),
+            Ok(s) => WireOutcome::Ok(Box::new(s)),
             Err(ServiceError::Compile(e)) => WireOutcome::Compile(e.to_string()),
             Err(ServiceError::Cancelled(id)) => WireOutcome::Cancelled(id.as_u64()),
             Err(ServiceError::Expired(id)) => WireOutcome::Expired(id.as_u64()),
-            Err(ServiceError::Internal { stage, message }) => WireOutcome::Internal {
-                stage: *stage,
-                message: message.clone(),
-            },
+            Err(ServiceError::Internal { stage, message }) => {
+                WireOutcome::Internal { stage, message }
+            }
             Err(ServiceError::UnknownJob(id)) => WireOutcome::UnknownJob(id.as_u64()),
         }
     }

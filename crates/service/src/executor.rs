@@ -11,14 +11,21 @@
 //! *different* jobs overlap across workers, and a long batch job never
 //! blocks an interactive job for more than one stage's duration.
 //!
-//! Cache integration is per task, and every read goes through one
-//! `lookup` (store read, validating decode, shape guards — any
-//! failure is a miss):
+//! Cache integration starts at submit and continues per task. Every
+//! `Scheduled` read runs the same validating decode, and every task's
+//! read goes through one `lookup` (store read, validating decode, shape
+//! guards — any failure is a miss):
 //!
+//! * a job whose `Scheduled` artifact is resident in the store's memory
+//!   tier never reaches this executor: `resident_schedule` answers it
+//!   inside the submit call, on the submitting thread, with no queue
+//!   entry, no worker hand-off and no stage task;
 //! * the `Transpile` task doubles as the job's planning step — it looks
 //!   up the [`ArtifactStore`](crate::ArtifactStore)
 //!   deepest-artifact-first and re-enters the pipeline past every stage
-//!   a cached artifact already answers (via `resume`);
+//!   a cached artifact already answers (via `resume`). Its `Scheduled`
+//!   hits are the artifacts the submit-time probe could not see: those
+//!   on the disk tier and those published after submit;
 //! * every later task looks up its own stage key before computing, so
 //!   an artifact published mid-flight (say by a concurrent duplicate
 //!   job) is still picked up;
@@ -120,8 +127,8 @@ pub(crate) fn stage_loop(shared: &Shared) {
             shared.metrics.stage[kind.index()].record(elapsed_ns);
             if kind == StageKind::Transpile && matches!(outcome, Ok(Ok(Some(_)))) {
                 // The planning task short-circuited on a `Scheduled`
-                // artifact: its duration *is* the warm-hit serving
-                // latency.
+                // artifact the submit-time probe did not find resident:
+                // its duration *is* the warm-hit serving latency.
                 shared.metrics.warm_hit.record(elapsed_ns);
             }
             if shared.telemetry.armed() {
@@ -310,7 +317,7 @@ fn task_lookup(
     Some(hit)
 }
 
-fn emit_cache_hit(shared: &Shared, job: JobId, stage: PipelineStage) {
+pub(crate) fn emit_cache_hit(shared: &Shared, job: JobId, stage: PipelineStage) {
     if shared.telemetry.armed() {
         shared
             .telemetry
@@ -392,6 +399,16 @@ fn lookup(
             partition_fits(&p, pattern, config).then_some(CacheEntry::Partitioned(p))
         }
     }
+}
+
+/// The submit-time probe: the job's `Scheduled` artifact, if it is
+/// resident in the store's memory tier and passes the validating decode
+/// `lookup` runs. It reads no disk and counts no store miss; a resident
+/// artifact that fails the decode is left to the planning task, whose
+/// `lookup` rejects it too and recompiles.
+pub(crate) fn resident_schedule(shared: &Shared, keys: &StageKeys) -> Option<DistributedSchedule> {
+    let bytes = shared.store.get_resident(&keys.sched)?;
+    DistributedSchedule::from_bytes(&bytes).ok()
 }
 
 /// Shape guard for decoded partitions: one part per QPU, one entry per

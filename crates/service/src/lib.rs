@@ -15,7 +15,8 @@
 //!
 //! > `Transpile` → `Partition` → `Map` → `Schedule`
 //!
-//! All jobs' ready tasks sit in one shared priority queue that every
+//! unless its finished schedule is resident in the store, which
+//! answers it at submit (see "Cache re-entry points"). All jobs' ready tasks sit in one shared priority queue that every
 //! worker drains: worker A can partition job 2 while worker B schedules
 //! job 1. The service wraps the submitted pattern in an `Arc` once, and
 //! between tasks a job carries exactly one thing: its latest stage
@@ -55,12 +56,16 @@
 //! | `Mapped` | partitioning *and* per-QPU grid mapping |
 //! | `Partitioned` | partitioning (the α-search of Algorithm 2) |
 //!
-//! The store is consulted *per task*, not per job: the job's first
-//! task probes deepest-artifact-first and re-enters the pipeline at
-//! the deepest hit, every later task re-checks its own stage key before
-//! computing (catching artifacts published mid-flight by concurrent
-//! duplicate jobs), and every computed artifact is published the
-//! moment its task completes. Because configuration fingerprints are
+//! The store is consulted at submit and then *per task*. A submit
+//! whose `Scheduled` artifact is resident in the memory tier is a
+//! *resident hit*: the submit call decodes it on the caller's thread
+//! and publishes the job `Done`, so the job never queues, wakes no
+//! worker and runs no stage task. Any other job's first task probes
+//! deepest-artifact-first, disk tier included, and re-enters the
+//! pipeline at the deepest hit. Every later task re-checks its own
+//! stage key before computing (catching artifacts published mid-flight
+//! by concurrent duplicate jobs), and every computed artifact is
+//! published the moment its task completes. Because configuration fingerprints are
 //! *stage-scoped*, changing a late-stage knob (say the BDIR budget)
 //! still hits the `Partitioned` and `Mapped` artifacts computed under
 //! the old configuration.
@@ -79,14 +84,18 @@
 //! ([`StoreConfig::disk_capacity`]). Every artifact is recomputable, so
 //! the disk tier is only a cache and the directory is its only index.
 //!
-//! **One read path.** [`ArtifactStore::get`] is the store's only read.
-//! A memory-tier hit hands out the LRU's `Arc`-shared bytes without
-//! copying them. A disk-tier hit reads the file, verifies the embedded
-//! key and the checksum, and promotes the value into the memory tier,
-//! so the next read of the same artifact is a memory hit. The
-//! `Scheduled` warm-hit probe decodes the bytes once with
-//! [`dc_mbqc::DistributedSchedule::from_bytes`], which runs every
-//! structural and semantic check and produces the job's owned result.
+//! **One read path.** [`ArtifactStore::get`] is the store's only
+//! public read. A memory-tier hit hands out the LRU's `Arc`-shared
+//! bytes without copying them. A disk-tier hit reads the file, verifies
+//! the embedded key and the checksum, and promotes the value into the
+//! memory tier, so the next read of the same artifact is a memory hit.
+//! The submit-time probe reads through `get`'s memory half alone: it
+//! counts a memory hit, never a miss, and never touches the disk, so
+//! disk reads and their key fingerprinting stay on workers. Both
+//! `Scheduled` probes — at submit and in the planning task — decode the
+//! bytes once with [`dc_mbqc::DistributedSchedule::from_bytes`], which
+//! runs every structural and semantic check and produces the job's
+//! owned result; bytes that fail it are never served.
 //!
 //! **In-flight dedup** ([`ServiceConfig::dedup`], on by default).
 //! Concurrent submits of an identical `(pattern, config)` collapse
@@ -337,7 +346,10 @@
 //!   [`TelemetryEvent`] — submitted, stage task started/finished,
 //!   cache hit, retry scheduled, quarantine opened/closed, terminal —
 //!   with a monotonic timestamp and a gap-free per-job sequence
-//!   number. [`CompileService::subscribe`] observes from now on,
+//!   number. An observed resident hit's stream is exactly
+//!   `Submitted`, `CacheHit { stage: Schedule }`, `Terminal { Done }`,
+//!   all emitted before its submit returns.
+//!   [`CompileService::subscribe`] observes from now on,
 //!   service-wide or for one job; a submit with
 //!   [`JobOptions::observe`] set registers a guaranteed-complete
 //!   per-job stream ([`JobHandle::take_events`]). Streams are bounded
@@ -349,7 +361,9 @@
 //! * **Latency histograms.** Always-on `mbqc_util::metrics` log-bucketed
 //!   histograms (relaxed atomics, ≤12.5% relative quantile error)
 //!   record per-stage execution latency, queue wait, and warm-hit
-//!   serving latency; [`CompileService::stats`] exports them as
+//!   serving latency. A resident hit is timed by its submit-time probe
+//!   and adds no stage or queue-wait sample, since it runs no task and
+//!   never queues. [`CompileService::stats`] exports them as
 //!   p50/p95/p99 [`ServiceStats::stage_latency`] /
 //!   [`ServiceStats::queue_wait`] / [`ServiceStats::warm_hit`]
 //!   summaries.

@@ -12,7 +12,10 @@
 //! Every job routes its stages through the shared [`ArtifactStore`]:
 //!
 //! * a `Scheduled` hit returns the decoded [`DistributedSchedule`]
-//!   directly — partitioning, mapping, and scheduling are all skipped;
+//!   directly — partitioning, mapping, and scheduling are all skipped.
+//!   When the artifact is resident in the memory tier, the submit call
+//!   itself answers the job: it never enters the queue and no worker
+//!   or stage task touches it;
 //! * a `Mapped` hit re-enters the pipeline at scheduling via
 //!   [`Partitioned::with_partition`] + [`Mapped::from_parts`];
 //! * a `Partitioned` hit re-enters at mapping via
@@ -604,7 +607,9 @@ pub struct ServiceStats {
     pub cancelled: u64,
     /// Jobs whose deadline lapsed before their next task was popped.
     pub expired: u64,
-    /// Stage tasks executed (cache-skipped stages excluded).
+    /// Stage tasks executed (cache-skipped stages excluded). A job
+    /// answered at submit by a resident `Scheduled` artifact runs none;
+    /// a full miss runs four.
     pub tasks_executed: u64,
     /// Stage tasks answered by an artifact that appeared *after* the
     /// job's initial cache probe (e.g. published by a concurrent
@@ -615,7 +620,10 @@ pub struct ServiceStats {
     /// received a clone of the leader's result. Not counted in the
     /// `hits_*`/`full_compiles` buckets — the leader's execution is.
     pub dedup_hits: u64,
-    /// Jobs answered by a `Scheduled` artifact (nothing recomputed).
+    /// Jobs answered by a `Scheduled` artifact (nothing recomputed):
+    /// at submit when the artifact is resident in the store's memory
+    /// tier, otherwise by the job's planning task (an artifact on the
+    /// disk tier, or one published after the submit).
     pub hits_scheduled: u64,
     /// Jobs re-entered at scheduling from a `Mapped` artifact.
     pub hits_mapped: u64,
@@ -623,27 +631,35 @@ pub struct ServiceStats {
     pub hits_partitioned: u64,
     /// Jobs that ran the full pipeline.
     pub full_compiles: u64,
-    /// Total in-worker latency across *successful* jobs, nanoseconds —
-    /// the sum of each job's stage-task execution times. Queue wait is
-    /// excluded; failed, cancelled, and expired jobs contribute nothing
-    /// (a failed job's partial latency is not a meaningful service
-    /// time).
+    /// Total service latency across *successful* jobs, nanoseconds —
+    /// the sum of each job's stage-task execution times, or, for a job
+    /// answered at submit by a resident `Scheduled` artifact, of its
+    /// submit-time probe (memory-tier read plus validating decode).
+    /// Queue wait is excluded; failed, cancelled, and expired jobs
+    /// contribute nothing (a failed job's partial latency is not a
+    /// meaningful service time).
     pub total_latency_ns: u64,
     /// Per-stage execution-latency summaries (p50/p95/p99, ns),
     /// indexed like [`StageKind::ALL`]: one sample per executed stage
     /// task, including the task's cache re-check and artifact publish.
     /// Recorded for every executed stage, whatever the job's eventual
-    /// terminal state; panicked executions record nothing.
+    /// terminal state; panicked executions record nothing. A resident
+    /// warm hit runs no task, so the `Transpile` summary times planning
+    /// tasks only: misses, partial hits, and `Scheduled` hits the
+    /// submit-time probe could not see.
     pub stage_latency: [Summary; 4],
     /// Queue-wait summary (ns): time from a job's (re-)enqueue to the
     /// pop that ran its next task. One sample per task pop; a parked
     /// retry's wait counts from its promotion back into the ready
-    /// queue, not from first submit.
+    /// queue, not from first submit. A job answered at submit by a
+    /// resident `Scheduled` artifact never queues and records none.
     pub queue_wait: Summary,
     /// Warm-hit latency summary (ns): time to answer a job entirely
-    /// from a cached `Scheduled` artifact (the planning stage's
-    /// duration when it short-circuits). The cache's serving latency,
-    /// as opposed to the compile latencies above.
+    /// from a cached `Scheduled` artifact — the submit-time probe
+    /// (memory-tier read plus validating decode) for a resident
+    /// artifact, otherwise the planning task's duration when it
+    /// short-circuits. The cache's serving latency, as opposed to the
+    /// compile latencies above.
     pub warm_hit: Summary,
     /// Stage tasks running at snapshot time. 0 on a drained service:
     /// every popped job went back to the queue, to the retry parking
@@ -992,13 +1008,20 @@ impl Follower {
     /// The follower's own terminal verdict at delivery time, if its
     /// lifecycle ended independently of the leader's result.
     fn dead_verdict(&self) -> Option<ServiceError> {
-        if self.cancel.is_cancelled() {
-            Some(ServiceError::Cancelled(JobId(self.seq)))
-        } else if self.deadline.is_some_and(|d| Instant::now() >= d) {
-            Some(ServiceError::Expired(JobId(self.seq)))
-        } else {
-            None
-        }
+        lapsed(self.seq, &self.cancel, self.deadline)
+    }
+}
+
+/// A job's own terminal verdict, if its lifecycle already ended:
+/// `Cancelled` once its token fired, else `Expired` once its deadline
+/// passed.
+fn lapsed(seq: u64, cancel: &CancelToken, deadline: Option<Instant>) -> Option<ServiceError> {
+    if cancel.is_cancelled() {
+        Some(ServiceError::Cancelled(JobId(seq)))
+    } else if deadline.is_some_and(|d| Instant::now() >= d) {
+        Some(ServiceError::Expired(JobId(seq)))
+    } else {
+        None
     }
 }
 
@@ -1141,14 +1164,7 @@ impl Shared {
                 let Some(state) = q.jobs.remove(&r.seq) else {
                     continue;
                 };
-                let verdict = if state.cancel.is_cancelled() {
-                    Some(ServiceError::Cancelled(JobId(r.seq)))
-                } else if state.deadline.is_some_and(|d| Instant::now() >= d) {
-                    Some(ServiceError::Expired(JobId(r.seq)))
-                } else {
-                    None
-                };
-                match verdict {
+                match lapsed(r.seq, &state.cancel, state.deadline) {
                     None => {
                         q.running += 1;
                         drop(q);
@@ -1519,6 +1535,11 @@ impl CompileService {
 
     /// Enqueues one compilation job with default [`JobOptions`]
     /// ([`Priority::Normal`], no deadline, no retries, tenant 0).
+    ///
+    /// A job whose `Scheduled` artifact is resident in the store's
+    /// memory tier is answered inside this call: the artifact is
+    /// decoded, with full validation, on the caller's thread, and the
+    /// job is already `Done` when the id is returned.
     pub fn submit(&self, pattern: Pattern, config: DcMbqcConfig) -> JobId {
         self.submit_with(pattern, config, JobOptions::default())
             .id()
@@ -1534,6 +1555,15 @@ impl CompileService {
     /// queue pops, never by a timer — so an expired job costs one pop,
     /// not a stage execution; a job whose *last* task is already
     /// running when the deadline passes still completes.
+    ///
+    /// A job whose `Scheduled` artifact is resident in the store's
+    /// memory tier is answered inside this call, as with
+    /// [`submit`](Self::submit): the artifact is decoded on the
+    /// caller's thread, and any observed stream already holds
+    /// `Submitted`, `CacheHit` and `Terminal` when the handle is
+    /// returned. A job whose token already fired or whose deadline
+    /// already lapsed is not answered this way; it still ends
+    /// `Cancelled` or `Expired`.
     pub fn submit_with(
         &self,
         pattern: Pattern,
@@ -1552,6 +1582,13 @@ impl CompileService {
     /// the `mbqc-net` front door routes through; the unchecked
     /// [`submit_with`](Self::submit_with) stays infallible for
     /// in-process callers.
+    ///
+    /// Admission runs before any store read. An admitted job whose
+    /// `Scheduled` artifact is resident in the store's memory tier is
+    /// then answered inside this call, as with
+    /// [`submit_with`](Self::submit_with): the artifact is decoded on
+    /// the caller's thread — for the network front door, the
+    /// connection's thread.
     ///
     /// # Errors
     ///
@@ -1664,6 +1701,24 @@ impl CompileService {
                 .telemetry
                 .emit(Some(id), EventKind::Submitted { priority });
         }
+        let keys = StageKeys::new(&pattern, &config);
+        // Resident warm hit: a `Scheduled` artifact in the memory tier
+        // is the whole answer, so the job ends `Done` here, on the
+        // submitting thread — no queue entry, worker hand-off or stage
+        // task. A job whose token already fired or whose deadline
+        // already lapsed skips the probe and meets that verdict at its
+        // queue pop, as it would without a stored artifact.
+        if lapsed(id.0, &cancel, deadline).is_none() {
+            let start = Instant::now();
+            if let Some(schedule) = executor::resident_schedule(&self.shared, &keys) {
+                let elapsed_ns = start.elapsed().as_nanos() as u64;
+                self.shared.metrics.warm_hit.record(elapsed_ns);
+                lock(&self.shared.counters).hits_scheduled += 1;
+                executor::emit_cache_hit(&self.shared, id, PipelineStage::Schedule);
+                self.shared.publish_terminal(id.0, Ok(schedule), elapsed_ns);
+                return Ok(JobHandle { id, events });
+            }
+        }
         // In-flight dedup: an identical submit still in flight makes
         // this job a *follower* — it registers in the leader's group
         // and never enters the queue; the leader's terminal settlement
@@ -1671,7 +1726,6 @@ impl CompileService {
         // and the registration are one critical section, so a submit
         // either joins a group that settlement will still observe, or
         // finds the group gone and becomes a fresh leader.
-        let keys = StageKeys::new(&pattern, &config);
         if self.shared.dedup {
             let key = keys.sched.clone();
             let mut inflight = lock(&self.shared.inflight);
@@ -1731,9 +1785,10 @@ impl CompileService {
     /// will terminate [`Cancelled`](ServiceError::Cancelled) — dropped
     /// from the queue immediately if it was waiting, stopped at its
     /// next task boundary if a worker holds it — unless a concurrent
-    /// terminal event wins the race: its final task completing (the
-    /// job is then `Done` and its result stays available) or, for a
-    /// deadline job, a pop observing the lapsed deadline first (then
+    /// terminal event wins the race: its final task completing, or
+    /// its submit answering it from a resident artifact (the job is
+    /// then `Done` and its result stays available), or, for a deadline
+    /// job, a pop observing the lapsed deadline first (then
     /// [`Expired`](ServiceError::Expired)). Returns `false` for
     /// unknown ids and jobs already in a terminal state: cancelling
     /// those is a no-op, never an error.

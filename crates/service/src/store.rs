@@ -809,12 +809,8 @@ impl ArtifactStore {
     /// stalls the others' memory-tier traffic.
     #[must_use]
     pub fn get(&self, key: &ArtifactKey) -> Option<Arc<Vec<u8>>> {
-        {
-            let mut inner = lock(&self.inner);
-            if let Some(v) = inner.lru.get_arc(key) {
-                inner.stats.memory_hits += 1;
-                return Some(v);
-            }
+        if let Some(v) = self.get_resident(key) {
+            return Some(v);
         }
         let mut disk_error = false;
         let mut corrupt = false;
@@ -887,6 +883,18 @@ impl ArtifactStore {
         }
         inner.stats.misses += 1;
         None
+    }
+
+    /// The memory tier's half of [`get`](Self::get): a hit counts in
+    /// [`StoreStats::memory_hits`] and refreshes the entry's recency;
+    /// an absent key counts nothing and never touches the disk tier.
+    /// The service's submit-time probe reads through this, so disk
+    /// reads stay on workers.
+    pub(crate) fn get_resident(&self, key: &ArtifactKey) -> Option<Arc<Vec<u8>>> {
+        let mut inner = lock(&self.inner);
+        let v = inner.lru.get_arc(key)?;
+        inner.stats.memory_hits += 1;
+        Some(v)
     }
 
     /// Stores an artifact in both tiers. Disk failures are counted,
