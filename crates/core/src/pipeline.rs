@@ -180,20 +180,20 @@ impl DistributedSchedule {
     }
 
     /// Decodes an artifact from a *trusted, integrity-checked* source:
-    /// bytes produced by [`DistributedSchedule::to_bytes`] on the far
-    /// side of a checksummed transport whose producer already ran the
-    /// full validation — concretely, the framed wire replies of the
-    /// network front door, where the frame checksum covers transport
-    /// corruption and the server materialized (and thereby validated)
-    /// the artifact before encoding it. Skips the semantic
-    /// cross-checks of [`DistributedSchedule::from_bytes`]
-    /// (feasibility, cost re-evaluation, metric agreement, dependency
-    /// mirror audit) but none of the structural or range checks, so
-    /// arbitrary bytes still decode to a typed [`CodecError`] rather
-    /// than a panic. The artifact store and anything reading durable
-    /// bytes must keep using `from_bytes`: a lying producer is exactly
-    /// what bit-rot looks like. This twin exists only for the wire
-    /// client, which decodes every served reply with it.
+    /// bytes produced by [`DistributedSchedule::to_bytes`], or bytes
+    /// that already passed [`DistributedSchedule::from_bytes`], with
+    /// nothing in between that could have changed them. Two callers
+    /// rely on this: the compilation service, when it decodes a
+    /// finished job's schedule bytes for an in-process caller (bytes it
+    /// encoded itself or validated once); and the network client, which
+    /// decodes every served reply with it (the server sends only such
+    /// bytes, and the frame checksum covers transport corruption).
+    /// Skips the semantic cross-checks of `from_bytes` (feasibility,
+    /// cost re-evaluation, metric agreement, dependency mirror audit)
+    /// but none of the structural or range checks, so arbitrary bytes
+    /// still decode to a typed [`CodecError`] rather than a panic.
+    /// Bytes read from durable storage must pass `from_bytes` first: a
+    /// lying producer is exactly what bit-rot looks like.
     ///
     /// # Errors
     ///

@@ -102,6 +102,12 @@
 //! * **Results are take-once**, exactly like the in-process API: the
 //!   first `Wait`/`Poll` that sees a terminal state consumes the
 //!   result, and later calls answer `UnknownJob`.
+//! * **A served schedule is a byte copy.** The server writes the
+//!   schedule bytes the service holds for the job
+//!   ([`ScheduleBytes`](mbqc_service::ScheduleBytes), shared with its
+//!   artifact store) into the `Outcome` reply as they are. It never
+//!   decodes or re-encodes them, and the reply is byte-identical to
+//!   encoding the decoded schedule.
 //! * **`SubmitObserved` streams are gap-free**: the subscription is
 //!   registered before the job's first event, so the remote stream is
 //!   (seq, kind)-identical to the stream of an in-process submit with

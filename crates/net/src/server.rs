@@ -15,10 +15,10 @@
 //! leaks no job and leaves no stage task running.
 
 use crate::wire::{
-    encode_event, Request, Response, WireOutcome, KIND_EVENT, KIND_REPLY, KIND_REQUEST,
+    encode_event, outcome_reply, Request, Response, KIND_EVENT, KIND_REPLY, KIND_REQUEST,
     KIND_STREAM_END,
 };
-use mbqc_service::{CompileService, EventStream, JobId, JobOptions};
+use mbqc_service::{CompileService, EventStream, JobId, JobOptions, ScheduleBytes, ServiceError};
 use mbqc_util::frame::{read_frame, write_frame, FrameError, MAX_FRAME_PAYLOAD};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -239,15 +239,12 @@ fn serve_connection(
                 reply(&mut stream, &Response::CancelAck { acknowledged })?;
             }
             Request::Poll { id } => {
-                let resp = match service.try_poll(JobId::from_raw(id)) {
-                    Some(result) => Response::Outcome(WireOutcome::from_result(result)),
-                    None => Response::Pending,
-                };
-                reply(&mut stream, &resp)?;
+                let result = service.wait_bytes_timeout(JobId::from_raw(id), Duration::ZERO);
+                reply_outcome(&mut stream, result)?;
             }
             Request::Wait { id, timeout_ns } => {
-                let resp = serve_wait(service, JobId::from_raw(id), timeout_ns, shutdown);
-                reply(&mut stream, &resp)?;
+                let result = serve_wait(service, JobId::from_raw(id), timeout_ns, shutdown);
+                reply_outcome(&mut stream, result)?;
             }
             Request::Stats => {
                 let resp = Response::Stats(Box::new(service.stats()));
@@ -266,33 +263,47 @@ fn reply(stream: &mut TcpStream, resp: &Response) -> Result<(), FrameError> {
     write_frame(stream, KIND_REPLY, &resp.to_bytes())
 }
 
+/// Replies to a `Poll` or `Wait`: the job's taken result as a
+/// [`Response::Outcome`], its schedule bytes spliced in as the service
+/// holds them, or [`Response::Pending`] for `None`.
+fn reply_outcome(
+    stream: &mut TcpStream,
+    result: Option<Result<ScheduleBytes, ServiceError>>,
+) -> Result<(), FrameError> {
+    match result {
+        Some(result) => write_frame(stream, KIND_REPLY, &outcome_reply(result)),
+        None => reply(stream, &Response::Pending),
+    }
+}
+
 /// Serves a `Wait`: blocks in [`POLL_SLICE`] increments so shutdown
 /// interrupts it, bounded by the client's timeout when given. A
-/// timeout (or shutdown) answers [`Response::Pending`] — the result
-/// stays available for a later `Wait`/`Poll`.
+/// timeout (or shutdown) answers `None`, replied as
+/// [`Response::Pending`] — the result stays available for a later
+/// `Wait`/`Poll`.
 fn serve_wait(
     service: &CompileService,
     id: JobId,
     timeout_ns: Option<u64>,
     shutdown: &AtomicBool,
-) -> Response {
+) -> Option<Result<ScheduleBytes, ServiceError>> {
     let deadline = timeout_ns.map(|ns| Instant::now() + Duration::from_nanos(ns));
     loop {
         if shutdown.load(Ordering::SeqCst) {
-            return Response::Pending;
+            return None;
         }
         let slice = match deadline {
             Some(d) => {
                 let remaining = d.saturating_duration_since(Instant::now());
                 if remaining.is_zero() {
-                    return Response::Pending;
+                    return None;
                 }
                 remaining.min(POLL_SLICE)
             }
             None => POLL_SLICE,
         };
-        if let Some(result) = service.wait_timeout(id, slice) {
-            return Response::Outcome(WireOutcome::from_result(result));
+        if let Some(result) = service.wait_bytes_timeout(id, slice) {
+            return Some(result);
         }
     }
 }

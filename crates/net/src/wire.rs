@@ -11,8 +11,8 @@
 use dc_mbqc::{DcMbqcConfig, DistributedSchedule, PipelineStage, StageKind};
 use mbqc_pattern::Pattern;
 use mbqc_service::{
-    AdmissionError, EventKind, JobId, JobOptions, Priority, RetryPolicy, ServiceError,
-    ServiceStats, StoreStats, TelemetryEvent, TenantStat, TerminalState,
+    AdmissionError, EventKind, JobId, JobOptions, Priority, RetryPolicy, ScheduleBytes,
+    ServiceError, ServiceStats, StoreStats, TelemetryEvent, TenantStat, TerminalState,
 };
 use mbqc_util::codec::{CodecError, Decoder, Encoder};
 use mbqc_util::metrics::Summary;
@@ -368,20 +368,18 @@ pub enum WireOutcome {
     UnknownJob(u64),
 }
 
+/// Outcome status 0: terminal `Done`, followed by the schedule bytes.
+const STATUS_OK: u8 = 0;
+
 impl WireOutcome {
-    /// Wire form of an in-process result. Takes the result by value: a
-    /// served schedule moves into the outcome instead of being cloned.
-    #[must_use]
-    pub fn from_result(result: Result<DistributedSchedule, ServiceError>) -> Self {
-        match result {
-            Ok(s) => WireOutcome::Ok(Box::new(s)),
-            Err(ServiceError::Compile(e)) => WireOutcome::Compile(e.to_string()),
-            Err(ServiceError::Cancelled(id)) => WireOutcome::Cancelled(id.as_u64()),
-            Err(ServiceError::Expired(id)) => WireOutcome::Expired(id.as_u64()),
-            Err(ServiceError::Internal { stage, message }) => {
-                WireOutcome::Internal { stage, message }
-            }
-            Err(ServiceError::UnknownJob(id)) => WireOutcome::UnknownJob(id.as_u64()),
+    /// Wire form of an in-process failure.
+    fn from_error(err: ServiceError) -> Self {
+        match err {
+            ServiceError::Compile(e) => WireOutcome::Compile(e.to_string()),
+            ServiceError::Cancelled(id) => WireOutcome::Cancelled(id.as_u64()),
+            ServiceError::Expired(id) => WireOutcome::Expired(id.as_u64()),
+            ServiceError::Internal { stage, message } => WireOutcome::Internal { stage, message },
+            ServiceError::UnknownJob(id) => WireOutcome::UnknownJob(id.as_u64()),
         }
     }
 
@@ -402,7 +400,7 @@ impl WireOutcome {
     fn encode(&self, e: &mut Encoder) {
         match self {
             WireOutcome::Ok(s) => {
-                e.u8(0);
+                e.u8(STATUS_OK);
                 e.bytes(&s.to_bytes());
             }
             WireOutcome::Compile(msg) => {
@@ -434,12 +432,13 @@ impl WireOutcome {
 
     fn decode(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
         Ok(match d.u8()? {
-            // The server materialized (and thereby fully validated) the
-            // schedule before encoding it, and the frame checksum covers
-            // transport corruption — so the client skips the semantic
+            // The server sends only schedule bytes its service vouches
+            // for (computed by a stage task, or validated once by
+            // `from_bytes`), and the frame checksum covers transport
+            // corruption — so the client skips the semantic
             // cross-checks and pays only the structural decode. All
             // range checks stay: hostile bytes still get a typed error.
-            0 => WireOutcome::Ok(Box::new(DistributedSchedule::from_bytes_trusted(
+            STATUS_OK => WireOutcome::Ok(Box::new(DistributedSchedule::from_bytes_trusted(
                 d.bytes()?,
             )?)),
             1 => WireOutcome::Compile(string_from(d)?),
@@ -457,6 +456,25 @@ impl WireOutcome {
             5 => WireOutcome::UnknownJob(d.u64()?),
             _ => return Err(CodecError::Invalid("unknown outcome status")),
         })
+    }
+}
+
+/// The payload of the [`Response::Outcome`] reply to a `Poll` or
+/// `Wait`, written straight from a job's taken result. A schedule's
+/// bytes are spliced in as the service holds them, with no decode or
+/// re-encode; the payload is byte-identical to
+/// `Response::Outcome(WireOutcome::Ok(schedule)).to_bytes()`.
+pub(crate) fn outcome_reply(result: Result<ScheduleBytes, ServiceError>) -> Vec<u8> {
+    match result {
+        Ok(schedule) => {
+            let bytes = schedule.as_bytes();
+            let mut e = Encoder::with_capacity(bytes.len() + 10);
+            e.u8(RESP_OUTCOME);
+            e.u8(STATUS_OK);
+            e.bytes(bytes);
+            e.into_bytes()
+        }
+        Err(err) => Response::Outcome(WireOutcome::from_error(err)).to_bytes(),
     }
 }
 
@@ -1053,6 +1071,81 @@ mod tests {
         for resp in &resps {
             let back = Response::from_bytes(&resp.to_bytes()).expect("round trip");
             assert_eq!(&back, resp);
+        }
+    }
+
+    /// The `Poll`/`Wait` reply spliced from a job's result is
+    /// byte-identical to encoding the decoded outcome: for a computed
+    /// schedule, for a resident hit on its stored bytes, and for every
+    /// error variant.
+    #[test]
+    fn spliced_outcome_replies_match_the_encoded_outcome() {
+        use dc_mbqc::{DcMbqcCompiler, DcMbqcError};
+        use mbqc_circuit::bench;
+        use mbqc_hardware::{DistributedHardware, ResourceStateKind};
+        use mbqc_pattern::transpile::transpile;
+        use mbqc_service::{CompileService, ServiceConfig};
+
+        let hw = DistributedHardware::builder()
+            .num_qpus(2)
+            .grid_width(bench::grid_size_for(5))
+            .resource_state(ResourceStateKind::FIVE_STAR)
+            .kmax(4)
+            .build();
+        let config = DcMbqcConfig::new(hw);
+        let pattern = transpile(&bench::qft(5));
+        let direct = DcMbqcCompiler::new(config.clone())
+            .compile_pattern(&pattern)
+            .expect("compiles");
+        let encoded = Response::Outcome(WireOutcome::Ok(Box::new(direct))).to_bytes();
+        let service = CompileService::new(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        })
+        .expect("service starts");
+        for hits in 0..2 {
+            let id = service.submit(pattern.clone(), config.clone());
+            let result = service
+                .wait_bytes_timeout(id, Duration::from_secs(300))
+                .expect("terminal");
+            assert_eq!(service.stats().hits_scheduled, hits);
+            assert_eq!(outcome_reply(result), encoded, "hits {hits}");
+        }
+
+        let errors = [
+            (
+                ServiceError::Compile(DcMbqcError::NoFlow),
+                WireOutcome::Compile(DcMbqcError::NoFlow.to_string()),
+            ),
+            (
+                ServiceError::Cancelled(JobId::from_raw(3)),
+                WireOutcome::Cancelled(3),
+            ),
+            (
+                ServiceError::Expired(JobId::from_raw(4)),
+                WireOutcome::Expired(4),
+            ),
+            (
+                ServiceError::Internal {
+                    stage: StageKind::Map,
+                    message: "boom".into(),
+                },
+                WireOutcome::Internal {
+                    stage: StageKind::Map,
+                    message: "boom".into(),
+                },
+            ),
+            (
+                ServiceError::UnknownJob(JobId::from_raw(5)),
+                WireOutcome::UnknownJob(5),
+            ),
+        ];
+        for (err, outcome) in errors {
+            let what = format!("{err:?}");
+            let expected = Response::Outcome(outcome);
+            let spliced = outcome_reply(Err(err));
+            assert_eq!(spliced, expected.to_bytes(), "{what}");
+            assert_eq!(Response::from_bytes(&spliced).unwrap(), expected, "{what}");
         }
     }
 

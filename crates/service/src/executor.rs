@@ -12,9 +12,13 @@
 //! blocks an interactive job for more than one stage's duration.
 //!
 //! Cache integration starts at submit and continues per task. Every
-//! `Scheduled` read runs the same validating decode, and every task's
-//! read goes through one `lookup` (store read, validating decode, shape
-//! guards — any failure is a miss):
+//! task's read goes through one `lookup` (store read, validating
+//! decode, shape guards — any failure is a miss), and every `Scheduled`
+//! read follows one rule (`vouch`): an entry the store trusts is the
+//! result as it is, with no decode at all; any other entry must pass
+//! the validating `DistributedSchedule::from_bytes`, and is then marked
+//! trusted, so each stored schedule is validated at most once. A job's
+//! result is the stored bytes themselves ([`ScheduleBytes`]):
 //!
 //! * a job whose `Scheduled` artifact is resident in the store's memory
 //!   tier never reaches this executor: `resident_schedule` answers it
@@ -31,7 +35,9 @@
 //!   job) is still picked up;
 //! * every computed artifact is stored the moment its task completes,
 //!   not at the end of the job — a duplicate job one stage behind can
-//!   hit it immediately.
+//!   hit it immediately. The schedule task encodes its schedule once;
+//!   those bytes are both the job's result and the stored artifact,
+//!   stored trusted (`ArtifactStore::put_trusted`).
 //!
 //! Artifacts are built on the job's shared pattern
 //! ([`Transpiled::shared`]), so they are `'static` and nothing is
@@ -66,13 +72,16 @@ use mbqc_schedule::ScheduleWorkspace;
 use mbqc_util::codec::{CodecError, Decoder, Encoder};
 use mbqc_util::sync::lock;
 
-use crate::service::{internal_error, Carried, JobId, JobState, ServiceError, Shared, StageKeys};
+use crate::service::{
+    internal_error, Carried, JobId, JobState, ScheduleBytes, ServiceError, Shared, StageKeys,
+};
+use crate::store::ArtifactKey;
 use crate::telemetry::EventKind;
 
 /// What a stage task leaves behind: `Ok(Some(..))` is the job's final
 /// result; `Ok(None)` means the task stored an artifact on the job and
 /// the next stage task is ready.
-type TaskResult = Result<Option<DistributedSchedule>, DcMbqcError>;
+type TaskResult = Result<Option<ScheduleBytes>, DcMbqcError>;
 
 /// The stage workspaces one worker owns and lends to each task it
 /// runs. Scratch only: which worker runs a task never changes its
@@ -293,13 +302,17 @@ fn schedule_task(
         return resume(state, hit, || Ok(mapped.partitioned().transpiled().clone()));
     }
     shared.faults.maybe_panic(StageKind::Schedule);
-    let scheduled = schedule_stage(&state.config, mapped, ws);
+    // Encoded once: the bytes are both the job's result and the stored
+    // artifact, trusted because this task computed the schedule.
+    let bytes = Arc::new(schedule_stage(&state.config, mapped, ws).to_bytes());
     // The job's result exists, so it terminates `Done` even under a
     // late cancel — but the artifact publish is still gated.
     if !state.cancel.is_cancelled() {
-        shared.store.put(&state.keys.sched, scheduled.to_bytes());
+        shared
+            .store
+            .put_trusted(&state.keys.sched, Arc::clone(&bytes));
     }
-    Ok(Some(scheduled))
+    Ok(Some(ScheduleBytes::new(bytes)))
 }
 
 /// A later task's lookup of the artifact it is about to compute: a
@@ -335,7 +348,7 @@ fn resume(
     transpiled: impl FnOnce() -> Result<Transpiled<'static>, DcMbqcError>,
 ) -> TaskResult {
     state.carried = match hit {
-        CacheEntry::Scheduled(s) => return Ok(Some(*s)),
+        CacheEntry::Scheduled(bytes) => return Ok(Some(bytes)),
         CacheEntry::Mapped(partition, programs) => Carried::Mapped(Mapped::from_parts(
             Partitioned::with_partition(transpiled()?, partition),
             programs,
@@ -347,10 +360,10 @@ fn resume(
     Ok(None)
 }
 
-/// A decoded, shape-checked stage artifact. The `Scheduled` payload is
-/// boxed: it dwarfs the other variants.
+/// A stage artifact fit to re-enter the pipeline: a vouched-for
+/// schedule, or a decoded, shape-checked partial artifact.
 enum CacheEntry {
-    Scheduled(Box<DistributedSchedule>),
+    Scheduled(ScheduleBytes),
     Mapped(Partition, Vec<CompiledProgram>),
     Partitioned(Partition),
 }
@@ -365,12 +378,13 @@ impl CacheEntry {
     }
 }
 
-/// Reads one stage's artifact for a job: the store read, one
-/// validating decode, and the shape guards. Every failure — absent,
-/// undecodable, or the wrong shape for this pattern and configuration —
-/// is a miss, never an error. Exact keys make a wrong shape impossible
-/// in practice, but a corrupt disk tier must degrade to a recompute
-/// rather than panic a worker.
+/// Reads one stage's artifact for a job: the store read, then `vouch`
+/// for a schedule, or one validating decode and the shape guards for a
+/// partial artifact. Every failure — absent, undecodable, or the wrong
+/// shape for this pattern and configuration — is a miss, never an
+/// error. Exact keys make a wrong shape impossible in practice, but a
+/// corrupt disk tier must degrade to a recompute rather than panic a
+/// worker.
 fn lookup(
     shared: &Shared,
     stage: PipelineStage,
@@ -378,37 +392,51 @@ fn lookup(
     pattern: &Pattern,
     config: &DcMbqcConfig,
 ) -> Option<CacheEntry> {
-    let key = match stage {
-        PipelineStage::Partition => &keys.part,
-        PipelineStage::Map => &keys.map,
-        PipelineStage::Schedule => &keys.sched,
-    };
     // A memory hit shares the store's bytes (no copy).
-    let bytes = shared.store.get(key)?;
     match stage {
-        PipelineStage::Schedule => DistributedSchedule::from_bytes(&bytes)
-            .ok()
-            .map(|s| CacheEntry::Scheduled(Box::new(s))),
+        PipelineStage::Schedule => {
+            let (bytes, trusted) = shared.store.get_entry(&keys.sched)?;
+            vouch(shared, &keys.sched, bytes, trusted).map(CacheEntry::Scheduled)
+        }
         PipelineStage::Map => {
-            let (p, programs) = decode_mapped(&bytes).ok()?;
+            let (p, programs) = decode_mapped(&shared.store.get(&keys.map)?).ok()?;
             (partition_fits(&p, pattern, config) && programs_fit(&p, &programs))
                 .then_some(CacheEntry::Mapped(p, programs))
         }
         PipelineStage::Partition => {
-            let p = Partition::from_bytes(&bytes).ok()?;
+            let p = Partition::from_bytes(&shared.store.get(&keys.part)?).ok()?;
             partition_fits(&p, pattern, config).then_some(CacheEntry::Partitioned(p))
         }
     }
 }
 
 /// The submit-time probe: the job's `Scheduled` artifact, if it is
-/// resident in the store's memory tier and passes the validating decode
-/// `lookup` runs. It reads no disk and counts no store miss; a resident
-/// artifact that fails the decode is left to the planning task, whose
-/// `lookup` rejects it too and recompiles.
-pub(crate) fn resident_schedule(shared: &Shared, keys: &StageKeys) -> Option<DistributedSchedule> {
-    let bytes = shared.store.get_resident(&keys.sched)?;
-    DistributedSchedule::from_bytes(&bytes).ok()
+/// resident in the store's memory tier and `vouch` accepts it. It reads
+/// no disk and counts no store miss; a resident artifact that fails the
+/// validating decode is left to the planning task, whose `lookup`
+/// rejects it too and recompiles.
+pub(crate) fn resident_schedule(shared: &Shared, keys: &StageKeys) -> Option<ScheduleBytes> {
+    let (bytes, trusted) = shared.store.get_resident(&keys.sched)?;
+    vouch(shared, &keys.sched, bytes, trusted)
+}
+
+/// The one rule of both `Scheduled` probes. A trusted entry is served
+/// as it is, with no decode. An untrusted one (written through the
+/// public `put`, or promoted from disk) must pass the validating
+/// [`DistributedSchedule::from_bytes`] — which re-derives every
+/// checkable field, so lying bytes are a miss — and is then marked
+/// trusted in the store, so later hits on it skip the decode.
+fn vouch(
+    shared: &Shared,
+    key: &ArtifactKey,
+    bytes: Arc<Vec<u8>>,
+    trusted: bool,
+) -> Option<ScheduleBytes> {
+    if !trusted {
+        DistributedSchedule::from_bytes(&bytes).ok()?;
+        shared.store.mark_trusted(key, &bytes);
+    }
+    Some(ScheduleBytes::new(bytes))
 }
 
 /// Shape guard for decoded partitions: one part per QPU, one entry per

@@ -52,15 +52,15 @@
 //!
 //! | cache hit at | work skipped |
 //! |---|---|
-//! | `Scheduled` | everything — the artifact decodes straight back |
+//! | `Scheduled` | everything — the stored bytes are the result |
 //! | `Mapped` | partitioning *and* per-QPU grid mapping |
 //! | `Partitioned` | partitioning (the α-search of Algorithm 2) |
 //!
 //! The store is consulted at submit and then *per task*. A submit
 //! whose `Scheduled` artifact is resident in the memory tier is a
-//! *resident hit*: the submit call decodes it on the caller's thread
-//! and publishes the job `Done`, so the job never queues, wakes no
-//! worker and runs no stage task. Any other job's first task probes
+//! *resident hit*: the submit call takes its bytes as the job's result
+//! on the caller's thread and publishes the job `Done`, so the job
+//! never queues, wakes no worker and runs no stage task. Any other job's first task probes
 //! deepest-artifact-first, disk tier included, and re-enters the
 //! pipeline at the deepest hit. Every later task re-checks its own
 //! stage key before computing (catching artifacts published mid-flight
@@ -91,11 +91,22 @@
 //! memory tier, so the next read of the same artifact is a memory hit.
 //! The submit-time probe reads through `get`'s memory half alone: it
 //! counts a memory hit, never a miss, and never touches the disk, so
-//! disk reads and their key fingerprinting stay on workers. Both
-//! `Scheduled` probes — at submit and in the planning task — decode the
-//! bytes once with [`dc_mbqc::DistributedSchedule::from_bytes`], which
-//! runs every structural and semantic check and produces the job's
-//! owned result; bytes that fail it are never served.
+//! disk reads and their key fingerprinting stay on workers.
+//!
+//! **Each stored schedule is validated once.** Every memory-tier entry
+//! carries a trust bit. Only two kinds of entry are trusted: the bytes
+//! a schedule task encoded from the schedule it just computed, and
+//! bytes that passed [`dc_mbqc::DistributedSchedule::from_bytes`],
+//! which runs every structural and semantic check. Bytes written
+//! through [`ArtifactStore::put`], disk-tier promotions and replaced
+//! entries are untrusted. Both `Scheduled` probes — at submit and in
+//! the planning task — serve a trusted entry with no decode at all,
+//! and validate an untrusted one first (then mark it trusted); bytes
+//! that fail the check are never served. A finished job holds those
+//! bytes as its result ([`ScheduleBytes`], shared with the store):
+//! `wait` decodes them with the structural checks only, and the
+//! `mbqc-net` server writes them into its reply without decoding
+//! them at all.
 //!
 //! **In-flight dedup** ([`ServiceConfig::dedup`], on by default).
 //! Concurrent submits of an identical `(pattern, config)` collapse
@@ -371,10 +382,10 @@
 //!   keeps the last N events in a ring ([`CompileService::flight_recorder`])
 //!   — the lifecycle/chaos proptests dump it on failure. Any captured
 //!   event slice renders to Chrome trace-event JSON
-//!   ([`chrome_trace_json`], schema-checked by
-//!   [`validate_chrome_trace`]) as a job → attempt → stage-task span
-//!   tree for `chrome://tracing` / Perfetto; the `service_demo`
-//!   example's `--trace <path>` flag writes one.
+//!   ([`chrome_trace_json`]; the telemetry tests check its schema) as
+//!   a job → attempt → stage-task span tree for `chrome://tracing` /
+//!   Perfetto; the `service_demo` example's `--trace <path>` flag
+//!   writes one.
 //!
 //! A complete per-job stream, and the quantile summaries:
 //!
@@ -498,10 +509,8 @@ pub use dc_mbqc::{PipelineStage, StageKind};
 pub use fault::{FaultConfig, FaultPlan, InjectedFault};
 pub use service::{
     AdmissionConfig, AdmissionError, CancelToken, CompileService, JobHandle, JobId, JobOptions,
-    Priority, RetryPolicy, ServiceConfig, ServiceError, ServiceStats, TelemetryConfig, TenantQuota,
-    TenantStat,
+    Priority, RetryPolicy, ScheduleBytes, ServiceConfig, ServiceError, ServiceStats,
+    TelemetryConfig, TenantQuota, TenantStat,
 };
 pub use store::{ArtifactKey, ArtifactStore, StoreConfig, StoreStats};
-pub use telemetry::{
-    chrome_trace_json, validate_chrome_trace, EventKind, EventStream, TelemetryEvent, TerminalState,
-};
+pub use telemetry::{chrome_trace_json, EventKind, EventStream, TelemetryEvent, TerminalState};

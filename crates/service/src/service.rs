@@ -11,11 +11,14 @@
 //!
 //! Every job routes its stages through the shared [`ArtifactStore`]:
 //!
-//! * a `Scheduled` hit returns the decoded [`DistributedSchedule`]
-//!   directly — partitioning, mapping, and scheduling are all skipped.
-//!   When the artifact is resident in the memory tier, the submit call
-//!   itself answers the job: it never enters the queue and no worker
-//!   or stage task touches it;
+//! * a `Scheduled` hit is the job's result — partitioning, mapping,
+//!   and scheduling are all skipped. The job finishes holding the
+//!   stored bytes themselves ([`ScheduleBytes`], shared with the
+//!   store), validated once per stored artifact and decoded only when
+//!   an in-process caller takes the result. When the artifact is
+//!   resident in the memory tier, the submit call itself answers the
+//!   job: it never enters the queue and no worker or stage task
+//!   touches it;
 //! * a `Mapped` hit re-enters the pipeline at scheduling via
 //!   [`Partitioned::with_partition`] + [`Mapped::from_parts`];
 //! * a `Partitioned` hit re-enters at mapping via
@@ -176,6 +179,52 @@ impl std::error::Error for ServiceError {
             ServiceError::Compile(e) => Some(e),
             _ => None,
         }
+    }
+}
+
+/// A finished job's schedule as the bytes of
+/// [`DistributedSchedule::to_bytes`], vouched for by the service: a
+/// stage task encoded them from a schedule it computed, or they passed
+/// the validating [`DistributedSchedule::from_bytes`] in this process.
+/// The buffer is shared with the artifact store's memory tier, so a
+/// clone is a reference-count bump. There is no public constructor:
+/// only the service hands these out.
+#[derive(Clone)]
+pub struct ScheduleBytes(Arc<Vec<u8>>);
+
+impl ScheduleBytes {
+    pub(crate) fn new(bytes: Arc<Vec<u8>>) -> Self {
+        Self(bytes)
+    }
+
+    /// The encoded schedule: what [`DistributedSchedule::to_bytes`]
+    /// returns for [`decode`](Self::decode)'s result.
+    #[must_use]
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.0
+    }
+
+    /// Decodes the schedule with
+    /// [`DistributedSchedule::from_bytes_trusted`]: the structural checks
+    /// only, since the semantic ones already passed (or the service
+    /// computed the schedule itself).
+    ///
+    /// # Panics
+    ///
+    /// Never for bytes the service handed out: `to_bytes` output and
+    /// bytes that passed `from_bytes` both pass `from_bytes_trusted`'s
+    /// subset of its checks.
+    #[must_use]
+    pub fn decode(&self) -> DistributedSchedule {
+        DistributedSchedule::from_bytes_trusted(&self.0).expect("vouched schedule bytes decode")
+    }
+}
+
+impl std::fmt::Debug for ScheduleBytes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ScheduleBytes")
+            .field("len", &self.0.len())
+            .finish()
     }
 }
 
@@ -634,7 +683,8 @@ pub struct ServiceStats {
     /// Total service latency across *successful* jobs, nanoseconds —
     /// the sum of each job's stage-task execution times, or, for a job
     /// answered at submit by a resident `Scheduled` artifact, of its
-    /// submit-time probe (memory-tier read plus validating decode).
+    /// submit-time probe (memory-tier read, plus a validating decode
+    /// unless the entry is trusted, see [`warm_hit`](Self::warm_hit)).
     /// Queue wait is excluded; failed, cancelled, and expired jobs
     /// contribute nothing (a failed job's partial latency is not a
     /// meaningful service time).
@@ -655,11 +705,16 @@ pub struct ServiceStats {
     /// resident `Scheduled` artifact never queues and records none.
     pub queue_wait: Summary,
     /// Warm-hit latency summary (ns): time to answer a job entirely
-    /// from a cached `Scheduled` artifact — the submit-time probe
-    /// (memory-tier read plus validating decode) for a resident
-    /// artifact, otherwise the planning task's duration when it
-    /// short-circuits. The cache's serving latency, as opposed to the
-    /// compile latencies above.
+    /// from a cached `Scheduled` artifact — the submit-time probe for a
+    /// resident artifact, otherwise the planning task's duration when
+    /// it short-circuits. The cache's serving latency, as opposed to
+    /// the compile latencies above. A hit on a trusted memory-tier
+    /// entry (written by a stage task, or validated by an earlier hit)
+    /// is timed without any decode: the stored bytes are the result.
+    /// Only the first hit on an untrusted entry (written through
+    /// [`ArtifactStore::put`], or promoted from disk) includes the
+    /// validating decode. The result's own decode, on the caller's
+    /// `wait`, is not part of the sample.
     pub warm_hit: Summary,
     /// Stage tasks running at snapshot time. 0 on a drained service:
     /// every popped job went back to the queue, to the retry parking
@@ -974,7 +1029,7 @@ struct PendingJob {
 /// A terminal job's result, held until the client takes it.
 #[derive(Debug)]
 struct DoneJob {
-    result: Result<DistributedSchedule, ServiceError>,
+    result: Result<ScheduleBytes, ServiceError>,
     /// Attempts frozen at terminal time.
     attempts: u32,
 }
@@ -1221,14 +1276,15 @@ impl Shared {
     /// The dedup settlement hook, run on every terminal publish. A
     /// *deliverable* result — `Ok`, or the deterministic
     /// [`ServiceError::Compile`] rejection — is cloned to every
-    /// follower of the ending leader (each follower's own fired cancel
-    /// or lapsed deadline wins over the shared result at delivery). A
+    /// follower of the ending leader; an `Ok` clone shares the leader's
+    /// schedule bytes. Each follower's own fired cancel or lapsed
+    /// deadline wins over the shared result at delivery. A
     /// non-deliverable terminal (`Cancelled`/`Expired`/`Internal` —
     /// artifacts of the *leader's* lifecycle, not of the computation)
     /// instead promotes the first still-live follower to a fresh
     /// leader carrying the remaining followers; a leader's
     /// cancellation therefore never cancels its followers.
-    fn settle_inflight(&self, seq: u64, result: &Result<DistributedSchedule, ServiceError>) {
+    fn settle_inflight(&self, seq: u64, result: &Result<ScheduleBytes, ServiceError>) {
         // All table surgery in one critical section; follower
         // publishing and leader re-enqueue happen after the lock
         // drops (lock order: `inflight` before everything else).
@@ -1309,7 +1365,7 @@ impl Shared {
     fn publish_terminal(
         &self,
         seq: u64,
-        result: Result<DistributedSchedule, ServiceError>,
+        result: Result<ScheduleBytes, ServiceError>,
         latency_ns: u64,
     ) {
         self.settle_inflight(seq, &result);
@@ -1377,7 +1433,7 @@ impl Shared {
     pub(crate) fn finish_job(
         &self,
         seq: u64,
-        result: Result<DistributedSchedule, ServiceError>,
+        result: Result<ScheduleBytes, ServiceError>,
         latency_ns: u64,
     ) {
         {
@@ -1537,9 +1593,10 @@ impl CompileService {
     /// ([`Priority::Normal`], no deadline, no retries, tenant 0).
     ///
     /// A job whose `Scheduled` artifact is resident in the store's
-    /// memory tier is answered inside this call: the artifact is
-    /// decoded, with full validation, on the caller's thread, and the
-    /// job is already `Done` when the id is returned.
+    /// memory tier is answered inside this call, on the caller's
+    /// thread: the stored bytes become the job's result (validated
+    /// first if nothing has vouched for them yet), and the job is
+    /// already `Done` when the id is returned.
     pub fn submit(&self, pattern: Pattern, config: DcMbqcConfig) -> JobId {
         self.submit_with(pattern, config, JobOptions::default())
             .id()
@@ -1558,12 +1615,11 @@ impl CompileService {
     ///
     /// A job whose `Scheduled` artifact is resident in the store's
     /// memory tier is answered inside this call, as with
-    /// [`submit`](Self::submit): the artifact is decoded on the
-    /// caller's thread, and any observed stream already holds
-    /// `Submitted`, `CacheHit` and `Terminal` when the handle is
-    /// returned. A job whose token already fired or whose deadline
-    /// already lapsed is not answered this way; it still ends
-    /// `Cancelled` or `Expired`.
+    /// [`submit`](Self::submit), on the caller's thread, and any
+    /// observed stream already holds `Submitted`, `CacheHit` and
+    /// `Terminal` when the handle is returned. A job whose token
+    /// already fired or whose deadline already lapsed is not answered
+    /// this way; it still ends `Cancelled` or `Expired`.
     pub fn submit_with(
         &self,
         pattern: Pattern,
@@ -1586,9 +1642,8 @@ impl CompileService {
     /// Admission runs before any store read. An admitted job whose
     /// `Scheduled` artifact is resident in the store's memory tier is
     /// then answered inside this call, as with
-    /// [`submit_with`](Self::submit_with): the artifact is decoded on
-    /// the caller's thread — for the network front door, the
-    /// connection's thread.
+    /// [`submit_with`](Self::submit_with), on the caller's thread — for
+    /// the network front door, the connection's thread.
     ///
     /// # Errors
     ///
@@ -1710,12 +1765,12 @@ impl CompileService {
         // queue pop, as it would without a stored artifact.
         if lapsed(id.0, &cancel, deadline).is_none() {
             let start = Instant::now();
-            if let Some(schedule) = executor::resident_schedule(&self.shared, &keys) {
+            if let Some(bytes) = executor::resident_schedule(&self.shared, &keys) {
                 let elapsed_ns = start.elapsed().as_nanos() as u64;
                 self.shared.metrics.warm_hit.record(elapsed_ns);
                 lock(&self.shared.counters).hits_scheduled += 1;
                 executor::emit_cache_hit(&self.shared, id, PipelineStage::Schedule);
-                self.shared.publish_terminal(id.0, Ok(schedule), elapsed_ns);
+                self.shared.publish_terminal(id.0, Ok(bytes), elapsed_ns);
                 return Ok(JobHandle { id, events });
             }
         }
@@ -1823,7 +1878,8 @@ impl CompileService {
 
     /// Blocks until the job reaches a terminal state and takes its
     /// result. A second `wait` on the same id returns
-    /// [`ServiceError::UnknownJob`].
+    /// [`ServiceError::UnknownJob`]. The schedule is decoded here, from
+    /// the bytes the job finished with ([`ScheduleBytes::decode`]).
     ///
     /// # Errors
     ///
@@ -1832,45 +1888,38 @@ impl CompileService {
     /// dropped jobs, or [`ServiceError::UnknownJob`] for ids never
     /// submitted or already taken.
     pub fn wait(&self, id: JobId) -> Result<DistributedSchedule, ServiceError> {
-        let mut results = lock(&self.shared.results);
-        loop {
-            if let Some(r) = results.done.remove(&id) {
-                return r.result;
-            }
-            if !results.pending.contains_key(&id) {
-                return Err(ServiceError::UnknownJob(id));
-            }
-            results = wait(&self.shared.results_cv, results);
-        }
+        decoded(
+            self.take(id, None)
+                .expect("an unbounded wait ends terminal"),
+        )
     }
 
     /// [`wait`](Self::wait) with a timeout: blocks until the job
     /// reaches a terminal state or `timeout` elapses. `None` means the
     /// job is still queued or running — its result is untouched and a
-    /// later `wait`/`wait_timeout`/`try_poll` can still take it. This
-    /// is how the network server implements bounded `Wait` requests
-    /// without parking a connection thread forever.
+    /// later `wait`/`wait_timeout`/`try_poll` can still take it.
     #[must_use]
     pub fn wait_timeout(
         &self,
         id: JobId,
         timeout: Duration,
     ) -> Option<Result<DistributedSchedule, ServiceError>> {
-        let deadline = Instant::now() + timeout;
-        let mut results = lock(&self.shared.results);
-        loop {
-            if let Some(r) = results.done.remove(&id) {
-                return Some(r.result);
-            }
-            if !results.pending.contains_key(&id) {
-                return Some(Err(ServiceError::UnknownJob(id)));
-            }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return None;
-            }
-            results = wait_timeout(&self.shared.results_cv, results, remaining).0;
-        }
+        self.take(id, Some(timeout)).map(decoded)
+    }
+
+    /// [`wait_timeout`](Self::wait_timeout) without the decode: the
+    /// job's schedule as the [`ScheduleBytes`] the service vouches for,
+    /// shared with its store. A zero `timeout` polls, like
+    /// [`try_poll`](Self::try_poll). This is how the network server
+    /// answers `Poll` and `Wait` requests: it writes the bytes into its
+    /// reply as they are, without decoding or re-encoding them.
+    #[must_use]
+    pub fn wait_bytes_timeout(
+        &self,
+        id: JobId,
+        timeout: Duration,
+    ) -> Option<Result<ScheduleBytes, ServiceError>> {
+        self.take(id, Some(timeout))
     }
 
     /// Attempts the job has used so far: 1 until its first retry,
@@ -1890,14 +1939,37 @@ impl CompileService {
     /// (`None` while it is still queued or running).
     #[must_use]
     pub fn try_poll(&self, id: JobId) -> Option<Result<DistributedSchedule, ServiceError>> {
+        self.take(id, Some(Duration::ZERO)).map(decoded)
+    }
+
+    /// Takes the job's result once it is terminal, waiting at most
+    /// `timeout` (`None`: without bound). `None` means the job is still
+    /// queued or running; an id that is neither pending nor done is
+    /// [`ServiceError::UnknownJob`].
+    fn take(
+        &self,
+        id: JobId,
+        timeout: Option<Duration>,
+    ) -> Option<Result<ScheduleBytes, ServiceError>> {
+        let deadline = timeout.map(|t| Instant::now() + t);
         let mut results = lock(&self.shared.results);
-        if let Some(r) = results.done.remove(&id) {
-            return Some(r.result);
-        }
-        if results.pending.contains_key(&id) {
-            None
-        } else {
-            Some(Err(ServiceError::UnknownJob(id)))
+        loop {
+            if let Some(r) = results.done.remove(&id) {
+                return Some(r.result);
+            }
+            if !results.pending.contains_key(&id) {
+                return Some(Err(ServiceError::UnknownJob(id)));
+            }
+            results = match deadline {
+                None => wait(&self.shared.results_cv, results),
+                Some(deadline) => {
+                    let remaining = deadline.saturating_duration_since(Instant::now());
+                    if remaining.is_zero() {
+                        return None;
+                    }
+                    wait_timeout(&self.shared.results_cv, results, remaining).0
+                }
+            };
         }
     }
 
@@ -2057,6 +2129,13 @@ impl Drop for CompileService {
         // iterators terminate.
         self.shared.telemetry.close();
     }
+}
+
+/// A taken result with its schedule decoded, for the in-process API.
+fn decoded(
+    result: Result<ScheduleBytes, ServiceError>,
+) -> Result<DistributedSchedule, ServiceError> {
+    result.map(|bytes| bytes.decode())
 }
 
 /// Builds the [`ServiceError::Internal`] for a caught worker panic.
@@ -2336,6 +2415,140 @@ mod tests {
         let stats = service.stats();
         assert_eq!(stats.hits_scheduled, 0, "the lying artifact was served");
         assert_eq!(stats.full_compiles, 1);
+    }
+
+    /// A QFT-6 job on two QPUs and its direct compile.
+    fn qft6_job() -> (Pattern, DcMbqcConfig, DistributedSchedule) {
+        use mbqc_circuit::bench;
+        use mbqc_hardware::{DistributedHardware, ResourceStateKind};
+        use mbqc_pattern::transpile::transpile;
+
+        let pattern = transpile(&bench::qft(6));
+        let hw = DistributedHardware::builder()
+            .num_qpus(2)
+            .grid_width(bench::grid_size_for(6))
+            .resource_state(ResourceStateKind::FIVE_STAR)
+            .kmax(4)
+            .build();
+        let config = DcMbqcConfig::new(hw);
+        let expected = dc_mbqc::DcMbqcCompiler::new(config.clone())
+            .compile_pattern(&pattern)
+            .expect("compiles");
+        (pattern, config, expected)
+    }
+
+    /// `schedule`'s bytes with the stored makespan (the third cost word)
+    /// off by one: structurally valid, semantically a lie.
+    fn cost_tampered(schedule: &DistributedSchedule) -> Vec<u8> {
+        let mut bytes = schedule.to_bytes();
+        let makespan = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
+        bytes[16..24].copy_from_slice(&(makespan + 1).to_le_bytes());
+        assert!(DistributedSchedule::from_bytes_trusted(&bytes).is_ok());
+        assert!(DistributedSchedule::from_bytes(&bytes).is_err());
+        bytes
+    }
+
+    /// The schedule task stores its bytes trusted, and a hit on them is
+    /// served without a decode. A public `put` over the same key drops
+    /// that trust: the lying bytes it writes are validated, rejected,
+    /// and replaced by a recompile from the stored `Mapped` artifact.
+    #[test]
+    fn put_over_a_trusted_schedule_is_validated_again() {
+        let (pattern, config, expected) = qft6_job();
+        let service = CompileService::new(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        })
+        .expect("service starts");
+        let keys = StageKeys::new(&pattern, &config);
+        let resident = || service.shared.store.get_resident(&keys.sched).unwrap();
+        for round in 0..2 {
+            let id = service.submit(pattern.clone(), config.clone());
+            assert_eq!(service.wait(id).expect("served"), expected);
+            assert_eq!(service.stats().hits_scheduled, round);
+            let (bytes, trusted) = resident();
+            assert!(trusted, "round {round}");
+            assert_eq!(*bytes, expected.to_bytes());
+        }
+
+        service
+            .shared
+            .store
+            .put(&keys.sched, cost_tampered(&expected));
+        assert!(!resident().1, "put is untrusted");
+        let id = service.submit(pattern.clone(), config.clone());
+        assert_eq!(service.wait(id).expect("recompiles"), expected);
+        let stats = service.stats();
+        assert_eq!(stats.hits_scheduled, 1, "the lying artifact was served");
+        assert_eq!(
+            (stats.hits_mapped, stats.tasks_executed),
+            (1, 6),
+            "{stats:?}"
+        );
+        let (bytes, trusted) = resident();
+        assert!(trusted, "the recompile stored its own bytes");
+        assert_eq!(*bytes, expected.to_bytes());
+    }
+
+    /// A cost-tampered `Scheduled` artifact on the disk tier (written
+    /// through `put`, so its frame checksum holds) is promoted untrusted
+    /// and served by no probe: not by the planning task that reads it
+    /// off the disk, and not by a submit-time probe that finds it
+    /// resident after a disk read promoted it. Each job recompiles from
+    /// the stored `Mapped` artifact, and the recompiled schedule is then
+    /// served from memory.
+    #[test]
+    fn restart_serves_no_cost_tampered_disk_schedule() {
+        let (pattern, config, expected) = qft6_job();
+        let dir =
+            std::env::temp_dir().join(format!("mbqc-service-test-tampered-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store_config = StoreConfig {
+            disk_dir: Some(dir.clone()),
+            ..StoreConfig::default()
+        };
+        let service_config = || ServiceConfig {
+            workers: 1,
+            store: store_config.clone(),
+            ..ServiceConfig::default()
+        };
+        {
+            let cold = CompileService::new(service_config()).expect("service starts");
+            let id = cold.submit(pattern.clone(), config.clone());
+            assert_eq!(cold.wait(id).expect("compiles"), expected);
+        }
+        let keys = StageKeys::new(&pattern, &config);
+        let plant_lie = || {
+            ArtifactStore::new(store_config.clone())
+                .expect("store opens")
+                .put(&keys.sched, cost_tampered(&expected));
+        };
+        for promote_first in [false, true] {
+            plant_lie();
+            let warm = CompileService::new(service_config()).expect("service reopens");
+            if promote_first {
+                // A disk read promotes the lie into the memory tier, where
+                // the submit-time probe finds it.
+                assert!(warm.shared.store.get(&keys.sched).is_some());
+                assert!(!warm.shared.store.get_resident(&keys.sched).unwrap().1);
+            }
+            let id = warm.submit(pattern.clone(), config.clone());
+            assert_eq!(warm.wait(id).expect("recompiles"), expected);
+            let stats = warm.stats();
+            assert_eq!(
+                (
+                    stats.hits_scheduled,
+                    stats.hits_mapped,
+                    stats.tasks_executed
+                ),
+                (0, 1, 2),
+                "promote_first {promote_first}: {stats:?}"
+            );
+            let id = warm.submit(pattern.clone(), config.clone());
+            assert_eq!(warm.wait(id).expect("served"), expected);
+            assert_eq!(warm.stats().hits_scheduled, 1);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Decodable artifacts of the wrong shape under a job's own keys —

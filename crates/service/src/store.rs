@@ -27,6 +27,19 @@
 //!   ([`StoreConfig::disk_capacity`]) evicts least-recently-accessed
 //!   artifacts.
 //!
+//! Each memory-tier entry also carries a **trust bit**, read only by the
+//! service's `Schedule`-stage lookups. An entry is trusted when its
+//! bytes are known to decode to a valid schedule: the schedule task
+//! encoded them from a schedule it computed itself
+//! (`ArtifactStore::put_trusted`), or they passed
+//! `DistributedSchedule::from_bytes` since they were stored
+//! (`ArtifactStore::mark_trusted`, which trusts only the exact `Arc` it
+//! was shown, so a concurrent replace is never trusted). Everything else
+//! is untrusted: bytes written through the public [`ArtifactStore::put`],
+//! a disk-tier promotion, and any slot whose value was replaced by
+//! either. A trusted hit is served without a decode; an untrusted one is
+//! validated first.
+//!
 //! **The directory is the index.** Compilation is a pure function of
 //! `(pattern, config)`, so every artifact is recomputable and the disk
 //! tier is only a cache. Each `.art` file is the latest atomic rename
@@ -55,8 +68,8 @@
 //! partial/abandoned write (a cancelled or killed writer's stale temp
 //! file, a truncated artifact) into a miss, and restarts sweep the
 //! leftovers — and the store only ever holds artifacts a non-cancelled
-//! job's task published: the executor gates every [`ArtifactStore::put`]
-//! on the job's cancellation flag at the task boundary (see
+//! job's task published: the executor gates every store write on the
+//! job's cancellation flag at the task boundary (see
 //! [`crate::executor`]), so a cancelled job contributes nothing.
 
 use std::collections::{BTreeMap, HashMap};
@@ -311,6 +324,9 @@ struct Slot {
     /// Shared with in-flight readers: a memory hit clones the `Arc`,
     /// never the bytes.
     value: Arc<Vec<u8>>,
+    /// The trust bit (see the module docs): set by `put_trusted` and
+    /// `mark_trusted`, cleared by every other write of the slot.
+    trusted: bool,
     prev: usize,
     next: usize,
 }
@@ -371,19 +387,22 @@ impl Lru {
     }
 
     /// Looks up `key`, marks it most recently used, and returns the
-    /// shared value handle (an `Arc` clone, no byte copy).
-    fn get_arc(&mut self, key: &ArtifactKey) -> Option<Arc<Vec<u8>>> {
+    /// shared value handle (an `Arc` clone, no byte copy) and the
+    /// entry's trust bit.
+    fn get_arc(&mut self, key: &ArtifactKey) -> Option<(Arc<Vec<u8>>, bool)> {
         let &i = self.map.get(key)?;
         self.unlink(i);
         self.push_front(i);
-        Some(Arc::clone(&self.slots[i].value))
+        let slot = &self.slots[i];
+        Some((Arc::clone(&slot.value), slot.trusted))
     }
 
-    /// Inserts (or replaces) an entry, evicting from the tail until the
-    /// budget holds. Oversized artifacts are not cached (a replace with
-    /// an oversized value keeps the existing entry rather than flushing
-    /// the whole tier). Returns the number of evictions.
-    fn insert(&mut self, key: &ArtifactKey, value: Arc<Vec<u8>>) -> u64 {
+    /// Inserts (or replaces) an entry with the given trust bit, evicting
+    /// from the tail until the budget holds. Oversized artifacts are not
+    /// cached (a replace with an oversized value keeps the existing
+    /// entry, trust bit included, rather than flushing the whole tier).
+    /// Returns the number of evictions.
+    fn insert(&mut self, key: &ArtifactKey, value: Arc<Vec<u8>>, trusted: bool) -> u64 {
         let cost = key.len() + value.len();
         if cost > self.capacity {
             return 0;
@@ -391,12 +410,14 @@ impl Lru {
         if let Some(&i) = self.map.get(key) {
             self.bytes = self.bytes - self.slots[i].value.len() + value.len();
             self.slots[i].value = value;
+            self.slots[i].trusted = trusted;
             self.unlink(i);
             self.push_front(i);
         } else {
             let slot = Slot {
                 key: Some(key.clone()),
                 value,
+                trusted,
                 prev: NONE,
                 next: NONE,
             };
@@ -423,10 +444,22 @@ impl Lru {
             self.bytes -= key.len() + self.slots[t].value.len();
             self.map.remove(&key);
             self.slots[t].value = Arc::new(Vec::new());
+            self.slots[t].trusted = false;
             self.free.push(t);
             evictions += 1;
         }
         evictions
+    }
+
+    /// Sets `key`'s trust bit if its slot still holds `value` (the
+    /// same allocation, not equal bytes). Leaves recency alone.
+    fn mark_trusted(&mut self, key: &ArtifactKey, value: &Arc<Vec<u8>>) {
+        if let Some(&i) = self.map.get(key) {
+            let slot = &mut self.slots[i];
+            if Arc::ptr_eq(&slot.value, value) {
+                slot.trusted = true;
+            }
+        }
     }
 
     fn len(&self) -> usize {
@@ -809,8 +842,14 @@ impl ArtifactStore {
     /// stalls the others' memory-tier traffic.
     #[must_use]
     pub fn get(&self, key: &ArtifactKey) -> Option<Arc<Vec<u8>>> {
-        if let Some(v) = self.get_resident(key) {
-            return Some(v);
+        self.get_entry(key).map(|(value, _)| value)
+    }
+
+    /// [`get`](Self::get) plus the entry's trust bit (see the module
+    /// docs). A disk-tier hit is promoted untrusted.
+    pub(crate) fn get_entry(&self, key: &ArtifactKey) -> Option<(Arc<Vec<u8>>, bool)> {
+        if let Some(entry) = self.get_resident(key) {
+            return Some(entry);
         }
         let mut disk_error = false;
         let mut corrupt = false;
@@ -878,30 +917,48 @@ impl ArtifactStore {
         }
         if let Some(value) = hit {
             inner.stats.disk_hits += 1;
-            inner.stats.evictions += inner.lru.insert(key, Arc::clone(&value));
-            return Some(value);
+            inner.stats.evictions += inner.lru.insert(key, Arc::clone(&value), false);
+            return Some((value, false));
         }
         inner.stats.misses += 1;
         None
     }
 
-    /// The memory tier's half of [`get`](Self::get): a hit counts in
-    /// [`StoreStats::memory_hits`] and refreshes the entry's recency;
-    /// an absent key counts nothing and never touches the disk tier.
-    /// The service's submit-time probe reads through this, so disk
-    /// reads stay on workers.
-    pub(crate) fn get_resident(&self, key: &ArtifactKey) -> Option<Arc<Vec<u8>>> {
+    /// The memory tier's half of [`get_entry`](Self::get_entry): a hit
+    /// counts in [`StoreStats::memory_hits`] and refreshes the entry's
+    /// recency; an absent key counts nothing and never touches the disk
+    /// tier. The service's submit-time probe reads through this, so
+    /// disk reads stay on workers.
+    pub(crate) fn get_resident(&self, key: &ArtifactKey) -> Option<(Arc<Vec<u8>>, bool)> {
         let mut inner = lock(&self.inner);
-        let v = inner.lru.get_arc(key)?;
+        let entry = inner.lru.get_arc(key)?;
         inner.stats.memory_hits += 1;
-        Some(v)
+        Some(entry)
     }
 
-    /// Stores an artifact in both tiers. Disk failures are counted,
-    /// fed to the circuit breaker, and otherwise ignored — the cache
-    /// stays best-effort.
+    /// Stores an artifact in both tiers, untrusted in memory. Disk
+    /// failures are counted, fed to the circuit breaker, and otherwise
+    /// ignored — the cache stays best-effort.
     pub fn put(&self, key: &ArtifactKey, value: Vec<u8>) {
-        let value = Arc::new(value);
+        self.put_shared(key, Arc::new(value), false);
+    }
+
+    /// [`put`](Self::put) for bytes the caller encoded from a schedule
+    /// it computed itself: the memory-tier entry is trusted, and shares
+    /// `value` with the caller.
+    pub(crate) fn put_trusted(&self, key: &ArtifactKey, value: Arc<Vec<u8>>) {
+        self.put_shared(key, value, true);
+    }
+
+    /// Trusts `key`'s memory-tier entry once its bytes passed the
+    /// validating decode — but only if the slot still holds `value`, the
+    /// allocation that was decoded. A slot replaced in the meantime (or
+    /// evicted) stays as it is.
+    pub(crate) fn mark_trusted(&self, key: &ArtifactKey, value: &Arc<Vec<u8>>) {
+        lock(&self.inner).lru.mark_trusted(key, value);
+    }
+
+    fn put_shared(&self, key: &ArtifactKey, value: Arc<Vec<u8>>, trusted: bool) {
         let mut disk_error = false;
         if let Some(disk) = &self.disk {
             let name = Self::name_of(key);
@@ -941,7 +998,7 @@ impl ArtifactStore {
         if disk_error {
             inner.stats.disk_errors += 1;
         }
-        inner.stats.evictions += inner.lru.insert(key, value);
+        inner.stats.evictions += inner.lru.insert(key, value, trusted);
     }
 
     /// A snapshot of the store counters.
@@ -1057,6 +1114,51 @@ mod tests {
         assert_eq!(*a, value);
     }
 
+    /// The trust bit: `put` writes untrusted entries and `put_trusted`
+    /// trusted ones; `mark_trusted` trusts only the allocation it was
+    /// shown, still in its slot; a replace through `put` drops trust.
+    #[test]
+    fn only_put_trusted_and_marked_allocations_are_trusted() {
+        let budget = 1 << 12;
+        let store = ArtifactStore::new(StoreConfig {
+            memory_capacity: budget,
+            ..StoreConfig::default()
+        })
+        .unwrap();
+        let trust = |n| store.get_resident(&key(n)).map(|(_, trusted)| trusted);
+        store.put(&key(1), vec![1; 8]);
+        assert_eq!(trust(1), Some(false), "put is untrusted");
+        let computed = Arc::new(vec![2; 8]);
+        store.put_trusted(&key(2), Arc::clone(&computed));
+        let (resident, trusted) = store.get_resident(&key(2)).unwrap();
+        assert!(trusted, "put_trusted is trusted");
+        assert!(Arc::ptr_eq(&resident, &computed), "and shares the bytes");
+
+        // Stale `Arc`s are no-ops: equal bytes in another allocation,
+        // and a decoded value that a concurrent `put` replaced.
+        let (decoded, _) = store.get_resident(&key(1)).unwrap();
+        store.mark_trusted(&key(1), &Arc::new(vec![1; 8]));
+        assert_eq!(trust(1), Some(false), "equal bytes, other allocation");
+        store.put(&key(1), vec![1; 8]);
+        store.mark_trusted(&key(1), &decoded);
+        assert_eq!(trust(1), Some(false), "the decoded value was replaced");
+        let (decoded, _) = store.get_resident(&key(1)).unwrap();
+        store.mark_trusted(&key(1), &decoded);
+        assert_eq!(trust(1), Some(true), "the resident value passed");
+        store.mark_trusted(&key(3), &decoded);
+        assert_eq!(trust(3), None, "marking an absent key stores nothing");
+
+        // A replace drops trust, whichever way the entry earned it.
+        store.put(&key(1), vec![1; 8]);
+        store.put(&key(2), vec![2; 8]);
+        assert_eq!((trust(1), trust(2)), (Some(false), Some(false)));
+        // An oversized replace leaves the entry, and its bit, alone.
+        let (decoded, _) = store.get_resident(&key(1)).unwrap();
+        store.mark_trusted(&key(1), &decoded);
+        store.put(&key(1), vec![0; budget]);
+        assert_eq!(trust(1), Some(true));
+    }
+
     #[test]
     fn keys_distinguish_stage_config_and_pattern() {
         let k = ArtifactKey::new(PipelineStage::Map, b"cfg", b"pat");
@@ -1125,7 +1227,7 @@ mod tests {
         // A budget one byte short of three entries evicts the oldest.
         let mut lru = Lru::new(3 * (key_len + 10) - 1);
         for key in &keys {
-            lru.insert(key, Arc::new(vec![0; 10]));
+            lru.insert(key, Arc::new(vec![0; 10]), false);
         }
         assert_eq!((lru.len(), lru.bytes), (2, 2 * (key_len + 10)));
         assert!(lru.get(&keys[0]).is_none());
@@ -1152,13 +1254,13 @@ mod tests {
         // Room for two entries: the third evicts the least recently
         // used one, and only that one.
         let mut lru = Lru::new(2 * (a.len() + 1));
-        lru.insert(&a, Arc::new(vec![1]));
-        lru.insert(&b, Arc::new(vec![2]));
-        assert_eq!(lru.insert(&c, Arc::new(vec![3])), 1);
+        lru.insert(&a, Arc::new(vec![1]), false);
+        lru.insert(&b, Arc::new(vec![2]), false);
+        assert_eq!(lru.insert(&c, Arc::new(vec![3]), false), 1);
         assert!(lru.get(&a).is_none());
         assert_eq!(lru.get(&b), Some(&[2][..]));
         assert_eq!(lru.get(&c), Some(&[3][..]));
-        assert_eq!(lru.insert(&a, Arc::new(vec![4])), 1);
+        assert_eq!(lru.insert(&a, Arc::new(vec![4]), false), 1);
         assert!(lru.get(&b).is_none());
         assert_eq!(lru.get(&a), Some(&[4][..]));
         assert_eq!(lru.get(&c), Some(&[3][..]));
@@ -1168,11 +1270,11 @@ mod tests {
     fn lru_evicts_least_recently_used_first() {
         let mut lru = Lru::new(3 * (key(0).len() + 8));
         for n in 0..3 {
-            assert_eq!(lru.insert(&key(n), Arc::new(vec![n; 8])), 0);
+            assert_eq!(lru.insert(&key(n), Arc::new(vec![n; 8]), false), 0);
         }
         // Touch 0 so 1 becomes the eviction victim.
         assert!(lru.get(&key(0)).is_some());
-        assert_eq!(lru.insert(&key(3), Arc::new(vec![3; 8])), 1);
+        assert_eq!(lru.insert(&key(3), Arc::new(vec![3; 8]), false), 1);
         assert!(lru.get(&key(1)).is_none());
         assert!(lru.get(&key(0)).is_some());
         assert!(lru.get(&key(2)).is_some());
@@ -1184,18 +1286,18 @@ mod tests {
     fn lru_replaces_in_place_and_skips_oversized() {
         let budget = key(0).len() + 16;
         let mut lru = Lru::new(budget);
-        lru.insert(&key(0), Arc::new(vec![1; 8]));
-        lru.insert(&key(0), Arc::new(vec![2; 16]));
+        lru.insert(&key(0), Arc::new(vec![1; 8]), false);
+        lru.insert(&key(0), Arc::new(vec![2; 16]), false);
         assert_eq!(lru.get(&key(0)), Some(&vec![2u8; 16][..]));
         assert_eq!(lru.len(), 1);
         // An artifact larger than the whole budget is not cached (and
         // does not flush everything else out).
-        assert_eq!(lru.insert(&key(1), Arc::new(vec![0; budget + 1])), 0);
+        assert_eq!(lru.insert(&key(1), Arc::new(vec![0; budget + 1]), false), 0);
         assert!(lru.get(&key(1)).is_none());
         assert!(lru.get(&key(0)).is_some());
         // Same for an oversized *replacement*: the existing entry
         // survives untouched instead of the tier being flushed.
-        assert_eq!(lru.insert(&key(0), Arc::new(vec![9; budget + 1])), 0);
+        assert_eq!(lru.insert(&key(0), Arc::new(vec![9; budget + 1]), false), 0);
         assert_eq!(lru.get(&key(0)), Some(&vec![2u8; 16][..]));
     }
 
@@ -1283,6 +1385,32 @@ mod tests {
         let store = ArtifactStore::new(cfg).unwrap();
         assert_eq!(store.get(&key(5)), None);
         assert_eq!(store.stats().disk_errors, 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A disk-tier read promotes its value untrusted, whatever the
+    /// entry's trust was before the restart; the memory hit after it
+    /// reports the same bit.
+    #[test]
+    fn disk_promotions_are_untrusted() {
+        let dir = scratch_dir("promote-trust");
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = StoreConfig {
+            disk_dir: Some(dir.clone()),
+            ..StoreConfig::default()
+        };
+        {
+            let store = ArtifactStore::new(cfg.clone()).unwrap();
+            store.put_trusted(&key(4), Arc::new(vec![4; 50]));
+            assert_eq!(store.get_entry(&key(4)).map(|(_, t)| t), Some(true));
+        }
+        let store = ArtifactStore::new(cfg).unwrap();
+        assert!(store.get_resident(&key(4)).is_none(), "cold memory tier");
+        let (value, trusted) = store.get_entry(&key(4)).unwrap();
+        assert_eq!((value.as_slice(), trusted), (&[4; 50][..], false));
+        assert_eq!(store.stats().disk_hits, 1);
+        let (resident, trusted) = store.get_resident(&key(4)).unwrap();
+        assert!(Arc::ptr_eq(&resident, &value) && !trusted);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,6 +1,6 @@
 //! Shared telemetry plumbing for the service test targets.
 //!
-//! Two roles:
+//! Three roles:
 //!
 //! * **Live subscriber** — `MBQC_LIVE_SUBSCRIBER=1` attaches a
 //!   service-wide event subscriber to every matrix service and drains
@@ -12,8 +12,12 @@
 //!   events of the service's flight recorder are printed, giving the
 //!   shrunk counterexample a causal event history instead of a bare
 //!   assertion message.
+//! * **Trace schema check** — [`chrome_trace::validate_chrome_trace`]
+//!   parses exported Chrome trace JSON and checks its event schema.
 
 #![allow(dead_code)]
+
+pub mod chrome_trace;
 
 use mbqc_service::{CompileService, EventStream};
 use std::thread::JoinHandle;

@@ -32,13 +32,14 @@ mod common;
 use std::collections::HashMap;
 use std::time::Duration;
 
+use common::chrome_trace::validate_chrome_trace;
 use dc_mbqc::DcMbqcConfig;
 use mbqc_circuit::bench::{self, BenchmarkKind};
 use mbqc_hardware::{DistributedHardware, ResourceStateKind};
 use mbqc_pattern::{transpile::transpile, Pattern};
 use mbqc_service::{
-    chrome_trace_json, validate_chrome_trace, CompileService, EventKind, JobId, JobOptions,
-    Priority, ServiceConfig, ServiceError, TelemetryConfig, TelemetryEvent, TerminalState,
+    chrome_trace_json, CompileService, EventKind, JobId, JobOptions, PipelineStage, Priority,
+    ServiceConfig, ServiceError, StageKind, TelemetryConfig, TelemetryEvent, TerminalState,
 };
 use mbqc_util::Rng;
 use proptest::prelude::*;
@@ -418,4 +419,109 @@ fn subscriber_outliving_service_sees_close() {
             .any(|e| matches!(e.kind, EventKind::Terminal { .. })),
         "{captured:?}"
     );
+}
+
+/// A job-scoped event for the trace-exporter tests.
+fn trace_event(job: u64, seq: u32, at_ns: u64, kind: EventKind) -> TelemetryEvent {
+    TelemetryEvent {
+        job: Some(JobId::from_raw(job)),
+        seq,
+        at_ns,
+        kind,
+    }
+}
+
+#[test]
+fn trace_export_round_trips_schema_validation() {
+    let events = vec![
+        trace_event(
+            3,
+            0,
+            1_000,
+            EventKind::Submitted {
+                priority: Priority::Interactive,
+            },
+        ),
+        trace_event(
+            3,
+            1,
+            2_000,
+            EventKind::TaskStarted {
+                stage: StageKind::Transpile,
+                attempt: 0,
+            },
+        ),
+        trace_event(
+            3,
+            2,
+            9_000,
+            EventKind::TaskFinished {
+                stage: StageKind::Transpile,
+                attempt: 0,
+                duration_ns: 7_000,
+            },
+        ),
+        trace_event(
+            3,
+            3,
+            9_500,
+            EventKind::CacheHit {
+                stage: PipelineStage::Schedule,
+            },
+        ),
+        trace_event(
+            3,
+            4,
+            10_000,
+            EventKind::RetryScheduled {
+                attempt: 1,
+                delay_ns: 500,
+            },
+        ),
+        trace_event(
+            3,
+            5,
+            20_000,
+            EventKind::Terminal {
+                state: TerminalState::Done,
+            },
+        ),
+        TelemetryEvent {
+            job: None,
+            seq: 0,
+            at_ns: 5_000,
+            kind: EventKind::QuarantineOpened,
+        },
+    ];
+    let json = chrome_trace_json(&events);
+    let n = validate_chrome_trace(&json).expect("exporter output must validate");
+    // job span + attempt span + stage span + 2 instants + quarantine.
+    assert_eq!(n, 6);
+    assert!(json.contains("\"terminal\":\"done\""));
+    assert!(json.contains("\"priority\":\"Interactive\""));
+}
+
+#[test]
+fn validator_rejects_malformed_documents() {
+    assert!(validate_chrome_trace("").is_err());
+    assert!(validate_chrome_trace("{}").is_err());
+    assert!(validate_chrome_trace("{\"traceEvents\":{}}").is_err());
+    assert!(validate_chrome_trace("{\"traceEvents\":[{\"ph\":\"X\"}]}").is_err());
+    assert!(validate_chrome_trace(
+        "{\"traceEvents\":[{\"name\":\"a\",\"ph\":\"Z\",\"ts\":0,\"pid\":1,\"tid\":1}]}"
+    )
+    .is_err());
+    assert!(validate_chrome_trace("{\"traceEvents\":[]} trailing").is_err());
+    assert_eq!(
+        validate_chrome_trace(
+            "{\"traceEvents\":[{\"name\":\"a\",\"ph\":\"i\",\"ts\":0.5,\"pid\":1,\"tid\":7}]}"
+        ),
+        Ok(1)
+    );
+}
+
+#[test]
+fn json_parser_handles_escapes_and_unicode() {
+    let doc = "{\"traceEvents\":[{\"name\":\"caf\\u00e9 \\\"x\\\" \\n µs\",\"ph\":\"i\",\"ts\":1e3,\"pid\":1,\"tid\":2}]}";
+    assert_eq!(validate_chrome_trace(doc), Ok(1));
 }
