@@ -118,11 +118,6 @@ pub struct DcMbqcConfig {
     pub boundary_reservation: bool,
     /// Master seed: derives partitioning, mapping, and scheduling seeds.
     pub seed: u64,
-    /// Worker threads for [`compile_batch`] (`0` = one per available
-    /// core). Results are identical for every worker count.
-    ///
-    /// [`compile_batch`]: crate::DcMbqcCompiler::compile_batch
-    pub batch_workers: usize,
 }
 
 impl DcMbqcConfig {
@@ -136,7 +131,6 @@ impl DcMbqcConfig {
             refresh_interval: None,
             boundary_reservation: false,
             seed: 42,
-            batch_workers: 0,
         }
     }
 
@@ -190,19 +184,19 @@ impl DcMbqcConfig {
         self
     }
 
-    /// Sets the partitioner's restart-probe worker count (`0` = auto).
-    /// Worker count never changes results — only wall-clock time.
+    /// No-op, kept for callers that still name it: the partitioner runs
+    /// on its caller's thread, so there is no restart-probe worker count
+    /// to set.
     #[must_use]
-    pub fn with_probe_workers(mut self, workers: usize) -> Self {
-        self.adaptive.probe_workers = workers;
+    pub fn with_probe_workers(self, _workers: usize) -> Self {
         self
     }
 
-    /// Sets the batch-compilation worker count (`0` = auto). Worker
-    /// count never changes results — only wall-clock time.
+    /// No-op, kept for callers that still name it: batches compile on
+    /// `mbqc-service`'s `CompileService`, so there is no batch worker
+    /// count to set.
     #[must_use]
-    pub fn with_batch_workers(mut self, workers: usize) -> Self {
-        self.batch_workers = workers;
+    pub fn with_batch_workers(self, _workers: usize) -> Self {
         self
     }
 
@@ -211,14 +205,10 @@ impl DcMbqcConfig {
     /// configuration half of the content-addressed artifact keys in
     /// `mbqc-service`.
     ///
-    /// Worker-count knobs (`batch_workers`, `adaptive.probe_workers`)
-    /// are deliberately *excluded*: they never change results
-    /// (property-tested), so artifacts cached under one worker count
-    /// must be hits under every other. `adaptive.k` and `adaptive.seed`
-    /// are excluded too — the pipeline overrides them with the
-    /// hardware's QPU count and the master seed. Everything else is
-    /// included so a future stage change cannot silently serve stale
-    /// artifacts.
+    /// `adaptive.k` and `adaptive.seed` are excluded: the pipeline
+    /// overrides them with the hardware's QPU count and the master
+    /// seed. Everything else is included so a future stage change
+    /// cannot silently serve stale artifacts.
     #[must_use]
     pub fn stage_fingerprint_bytes(&self, stage: PipelineStage) -> Vec<u8> {
         let mut e = Encoder::new();
@@ -265,9 +255,11 @@ impl DcMbqcConfig {
     }
 
     /// Serializes the complete configuration for the wire (see
-    /// `mbqc-net`), covering *every* field — worker-count knobs
-    /// included, because a remote client's request must reproduce the
-    /// exact config an in-process caller would have passed.
+    /// `mbqc-net`), covering *every* field, because a remote client's
+    /// request must reproduce the exact config an in-process caller
+    /// would have passed. Two reserved `u64` slots, always written as
+    /// `0`, held the old restart-probe and batch worker counts; they
+    /// keep the wire layout unchanged.
     ///
     /// This is distinct from [`DcMbqcConfig::stage_fingerprint_bytes`],
     /// which deliberately omits result-neutral fields and stays frozen
@@ -294,7 +286,8 @@ impl DcMbqcConfig {
         e.f64(self.adaptive.alpha_max);
         e.u64(self.adaptive.seed);
         e.usize(self.adaptive.max_iters);
-        e.usize(self.adaptive.probe_workers);
+        // Reserved slot (the old restart-probe worker count), always 0.
+        e.u64(0);
         // BDIR.
         match &self.bdir {
             Some(b) => {
@@ -310,7 +303,8 @@ impl DcMbqcConfig {
         e.opt_usize(self.refresh_interval);
         e.bool(self.boundary_reservation);
         e.u64(self.seed);
-        e.usize(self.batch_workers);
+        // Reserved slot (the old batch worker count), always 0.
+        e.u64(0);
         e.into_bytes()
     }
 
@@ -321,7 +315,9 @@ impl DcMbqcConfig {
     /// Returns [`CodecError`] on truncation or an unknown enum tag.
     /// Decoded values round-trip exactly: f64 fields by bit pattern,
     /// so stage fingerprints — and therefore cache keys — agree with
-    /// the sender's.
+    /// the sender's. The two reserved worker-count slots are read and
+    /// ignored: worker counts never changed results, so a peer that
+    /// still sends one decodes to the same configuration.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
         let mut d = Decoder::new(bytes);
         let num_qpus = d.usize()?;
@@ -357,8 +353,8 @@ impl DcMbqcConfig {
             alpha_max: d.f64()?,
             seed: d.u64()?,
             max_iters: d.usize()?,
-            probe_workers: d.usize()?,
         };
+        let _reserved_probe_workers = d.u64()?;
         let bdir = if d.bool()? {
             Some(BdirConfig {
                 t0: d.f64()?,
@@ -372,7 +368,7 @@ impl DcMbqcConfig {
         let refresh_interval = d.opt_usize()?;
         let boundary_reservation = d.bool()?;
         let seed = d.u64()?;
-        let batch_workers = d.usize()?;
+        let _reserved_batch_workers = d.u64()?;
         d.finish()?;
         Ok(Self {
             hardware,
@@ -381,7 +377,6 @@ impl DcMbqcConfig {
             refresh_interval,
             boundary_reservation,
             seed,
-            batch_workers,
         })
     }
 }
@@ -462,19 +457,6 @@ mod tests {
     fn stage_fingerprints_scope_config_fields() {
         let hw = DistributedHardware::builder().num_qpus(4).build();
         let base = DcMbqcConfig::new(hw);
-        // Worker counts never affect any stage's fingerprint.
-        let workers = base.clone().with_batch_workers(7).with_probe_workers(3);
-        for stage in [
-            PipelineStage::Partition,
-            PipelineStage::Map,
-            PipelineStage::Schedule,
-        ] {
-            assert_eq!(
-                base.stage_fingerprint_bytes(stage),
-                workers.stage_fingerprint_bytes(stage),
-                "{stage:?}"
-            );
-        }
         // BDIR only affects the scheduling stage.
         let no_bdir = base.clone().without_bdir();
         assert_eq!(
@@ -577,14 +559,13 @@ mod tests {
             .with_seed(99)
             .with_refresh(5)
             .with_boundary_reservation(true)
-            .with_alpha_max(2.5)
-            .with_probe_workers(3)
-            .with_batch_workers(2);
+            .with_alpha_max(2.5);
         let back = DcMbqcConfig::from_bytes(&cfg.to_bytes()).unwrap();
         assert_eq!(back.seed, cfg.seed);
         assert_eq!(back.refresh_interval, cfg.refresh_interval);
         assert_eq!(back.boundary_reservation, cfg.boundary_reservation);
-        assert_eq!(back.batch_workers, cfg.batch_workers);
+        assert_eq!(back.adaptive, cfg.adaptive);
+        assert_eq!(back.to_bytes(), cfg.to_bytes());
         assert_eq!(back.hardware.num_qpus(), 3);
         assert_eq!(back.hardware.grid_width(), 9);
         assert_eq!(back.hardware.resource_state(), ResourceStateKind::Ring(6));
@@ -607,6 +588,66 @@ mod tests {
             .unwrap()
             .bdir
             .is_none());
+    }
+
+    /// The wire layout of a peer that still sends worker counts: the
+    /// restart-probe count after `adaptive.max_iters`, the batch count
+    /// last.
+    fn bytes_with_worker_counts(cfg: &DcMbqcConfig, probe: u64, batch: u64) -> Vec<u8> {
+        let mut e = Encoder::new();
+        e.usize(cfg.hardware.num_qpus());
+        e.usize(cfg.hardware.grid_width());
+        let ResourceStateKind::Ring(photons) = cfg.hardware.resource_state() else {
+            panic!("test config uses a ring resource state");
+        };
+        e.u8(0);
+        e.usize(photons);
+        e.usize(cfg.hardware.kmax());
+        e.u8(0);
+        e.usize(cfg.adaptive.k);
+        e.f64(cfg.adaptive.epsilon_q);
+        e.f64(cfg.adaptive.gamma);
+        e.f64(cfg.adaptive.alpha_max);
+        e.u64(cfg.adaptive.seed);
+        e.usize(cfg.adaptive.max_iters);
+        e.u64(probe);
+        let b = cfg.bdir.as_ref().expect("test config runs BDIR");
+        e.bool(true);
+        e.f64(b.t0);
+        e.f64(b.cooling);
+        e.usize(b.max_iters);
+        e.u64(b.seed);
+        e.opt_usize(cfg.refresh_interval);
+        e.bool(cfg.boundary_reservation);
+        e.u64(cfg.seed);
+        e.u64(batch);
+        e.into_bytes()
+    }
+
+    #[test]
+    fn wire_codec_ignores_reserved_worker_count_slots() {
+        let hw = DistributedHardware::builder()
+            .num_qpus(3)
+            .grid_width(9)
+            .resource_state(ResourceStateKind::Ring(6))
+            .kmax(2)
+            .build();
+        let cfg = DcMbqcConfig::new(hw).with_seed(99).with_refresh(5);
+        // The reserved slots are written as 0 and the layout is unchanged.
+        assert_eq!(cfg.to_bytes(), bytes_with_worker_counts(&cfg, 0, 0));
+        let back = DcMbqcConfig::from_bytes(&bytes_with_worker_counts(&cfg, 3, 2)).unwrap();
+        for stage in [
+            PipelineStage::Partition,
+            PipelineStage::Map,
+            PipelineStage::Schedule,
+        ] {
+            assert_eq!(
+                back.stage_fingerprint_bytes(stage),
+                cfg.stage_fingerprint_bytes(stage),
+                "{stage:?}"
+            );
+        }
+        assert_eq!(back.to_bytes(), cfg.to_bytes());
     }
 
     #[test]

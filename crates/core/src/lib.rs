@@ -85,31 +85,33 @@
 //! assert!(scheduled.problem().is_feasible(scheduled.schedule()));
 //! ```
 //!
-//! # Batch compilation and stage tasks
+//! # Stage tasks
 //!
-//! [`DcMbqcCompiler::compile_batch`] compiles many patterns
-//! concurrently over the shared hardware configuration, one whole
-//! pipeline per pattern. Results are in input order and identical to a
-//! sequential `compile_pattern` loop for every worker count. For
-//! finer-grained scheduling, [`StageKind`] names the pipeline's *stage
-//! tasks*, and the free stage functions ([`partition_stage`],
-//! [`map_stage`], [`schedule_stage`]) run one stage on workspaces the
-//! caller owns, so any worker can run any job's next stage. The
-//! `mbqc-service` crate builds its executor on these rather than on
-//! `compile_batch`: each worker owns one workspace per stage, each job
-//! carries its latest shared-pattern artifact between tasks, and a
-//! content-addressed stage-artifact cache keyed by
-//! [`Pattern::content_bytes`] and
+//! [`StageKind`] names the pipeline's *stage tasks*, and the free stage
+//! functions ([`partition_stage`], [`map_stage`], [`schedule_stage`])
+//! run one stage on workspaces the caller owns, so any worker can run
+//! any job's next stage. The batch engine is `mbqc-service`'s
+//! `CompileService`, built on these functions: each worker owns one
+//! workspace per stage, each job carries its latest shared-pattern
+//! artifact between tasks, and a content-addressed stage-artifact cache
+//! keyed by [`Pattern::content_bytes`] and
 //! [`DcMbqcConfig::stage_fingerprint_bytes`] lets a job re-enter the
-//! chain at any stage.
+//! chain at any stage. The stage functions compute exactly what a
+//! [`CompileSession`] does:
 //!
 //! [`Pattern::content_bytes`]: mbqc_pattern::Pattern::content_bytes
 //!
 //! ```
-//! use dc_mbqc::{DcMbqcCompiler, DcMbqcConfig};
+//! use std::sync::Arc;
+//!
+//! use dc_mbqc::{
+//!     map_stage, partition_stage, schedule_stage, CompileSession, DcMbqcConfig, Transpiled,
+//! };
 //! use mbqc_circuit::bench;
 //! use mbqc_hardware::{DistributedHardware, ResourceStateKind};
+//! use mbqc_partition::KwayWorkspace;
 //! use mbqc_pattern::transpile::transpile;
+//! use mbqc_schedule::ScheduleWorkspace;
 //!
 //! let hw = DistributedHardware::builder()
 //!     .num_qpus(2)
@@ -117,11 +119,17 @@
 //!     .resource_state(ResourceStateKind::FIVE_STAR)
 //!     .kmax(4)
 //!     .build();
-//! let compiler = DcMbqcCompiler::new(DcMbqcConfig::new(hw));
-//! let patterns: Vec<_> = [8, 9, 10].map(|n| transpile(&bench::qft(n))).into_iter().collect();
-//! let results = compiler.compile_batch(&patterns);
-//! assert_eq!(results.len(), 3);
-//! assert!(results.iter().all(Result::is_ok));
+//! let config = DcMbqcConfig::new(hw);
+//! let pattern = Arc::new(transpile(&bench::qft(10)));
+//!
+//! // One stage task at a time, on workspaces a worker owns.
+//! let transpiled = Transpiled::shared(Arc::clone(&pattern)).expect("has causal flow");
+//! let partitioned = partition_stage(&config, transpiled, &mut KwayWorkspace::new());
+//! let mapped = map_stage(&config, partitioned, 1, &mut Vec::new()).expect("QPU grids fit");
+//! let staged = schedule_stage(&config, mapped, &mut ScheduleWorkspace::new());
+//!
+//! let whole = CompileSession::new(config).compile_pattern(&pattern).expect("compiles");
+//! assert_eq!(staged, whole);
 //! ```
 
 pub mod baseline;

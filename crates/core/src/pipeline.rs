@@ -3,9 +3,9 @@
 //! [`DcMbqcCompiler`] is the single-call façade: every compilation is
 //! driven through the staged pipeline of [`crate::session`]
 //! ([`Transpiled`] → [`Partitioned`] → [`Mapped`] → [`Scheduled`]) and
-//! the two paths are pinned bit-identical by property tests.
-//! [`DcMbqcCompiler::compile_batch`] compiles many patterns
-//! concurrently over the shared hardware configuration.
+//! the two paths are pinned bit-identical by property tests. It
+//! compiles one pattern per call; the batch engine is `mbqc-service`'s
+//! `CompileService`.
 //!
 //! [`Transpiled`]: crate::session::Transpiled
 //! [`Partitioned`]: crate::session::Partitioned
@@ -13,7 +13,7 @@
 //! [`Scheduled`]: crate::session::Scheduled
 
 use mbqc_circuit::Circuit;
-use mbqc_partition::{resolve_workers, Partition};
+use mbqc_partition::Partition;
 use mbqc_pattern::{transpile::transpile, Pattern};
 use mbqc_schedule::{LayerScheduleProblem, Schedule, ScheduleCost};
 use mbqc_util::codec::{CodecError, Decoder, Encoder};
@@ -290,64 +290,6 @@ impl DcMbqcCompiler {
     /// subprogram.
     pub fn compile_pattern(&self, pattern: &Pattern) -> Result<DistributedSchedule, DcMbqcError> {
         CompileSession::new(self.config.clone()).compile_pattern(pattern)
-    }
-
-    /// Compiles a batch of patterns concurrently over the shared
-    /// hardware configuration, one whole pipeline per pattern. (The
-    /// `mbqc-service` crate does not use it: its executor runs jobs one
-    /// stage task at a time.) Results are returned in input order and are
-    /// identical to a sequential loop of
-    /// [`compile_pattern`](Self::compile_pattern) per element, for
-    /// every worker count (`config.batch_workers`; `0` = one per
-    /// available core): each worker owns a [`CompileSession`] and
-    /// patterns are assigned statically.
-    #[must_use]
-    pub fn compile_batch(
-        &self,
-        patterns: &[Pattern],
-    ) -> Vec<Result<DistributedSchedule, DcMbqcError>> {
-        let workers = resolve_workers(self.config.batch_workers, patterns.len());
-        if workers <= 1 {
-            let mut session = CompileSession::new(self.config.clone());
-            return patterns
-                .iter()
-                .map(|p| session.compile_pattern(p))
-                .collect();
-        }
-        let mut results: Vec<Option<Result<DistributedSchedule, DcMbqcError>>> =
-            (0..patterns.len()).map(|_| None).collect();
-        // Strided ownership: worker w compiles patterns w, w + W, …
-        // with its own reusable session. Inner stage parallelism
-        // (mapping workers, restart probes) is pinned to 1 — the batch
-        // already saturates the cores, and nesting per-core pools per
-        // worker would oversubscribe the machine. Worker counts never
-        // change results, so this is a pure scheduling choice.
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for w in 0..workers {
-                let mut config = self.config.clone();
-                config.adaptive.probe_workers = 1;
-                handles.push(scope.spawn(move || {
-                    let mut session = CompileSession::new(config).with_map_workers(1);
-                    patterns
-                        .iter()
-                        .enumerate()
-                        .skip(w)
-                        .step_by(workers)
-                        .map(|(i, p)| (i, session.compile_pattern(p)))
-                        .collect::<Vec<_>>()
-                }));
-            }
-            for h in handles {
-                for (i, r) in h.join().expect("batch worker panicked") {
-                    results[i] = Some(r);
-                }
-            }
-        });
-        results
-            .into_iter()
-            .map(|r| r.expect("every pattern compiled"))
-            .collect()
     }
 
     /// Compiles the whole circuit on a single QPU (the OneQ-style

@@ -29,7 +29,7 @@ use mbqc_compiler::{CompiledProgram, GridMapper, MapperWorkspace};
 use mbqc_graph::{CsrGraph, Graph, NodeId};
 use mbqc_partition::adaptive::AdaptiveResult;
 use mbqc_partition::modularity::cut_and_modularity_csr;
-use mbqc_partition::{adaptive_partition_csr_with, resolve_workers, KwayWorkspace, Partition};
+use mbqc_partition::{adaptive_partition_csr_with, KwayWorkspace, Partition};
 use mbqc_pattern::Pattern;
 use mbqc_schedule::{
     bdir_with, default_priorities, list_schedule_with, LayerScheduleProblem, LocalStructure,
@@ -277,15 +277,15 @@ fn workload_csr(graph: &Graph) -> CsrGraph {
 }
 
 /// A reusable compilation session: the configuration plus every
-/// stage's workspace. Compiling many patterns through one session (or
-/// through [`DcMbqcCompiler::compile_batch`]) reuses the partitioner's
-/// coarsening buffers, the per-worker mapper state, and the scheduler
-/// scratch across compilations.
+/// stage's workspace. Compiling many patterns through one session
+/// reuses the partitioner's coarsening buffers, the per-worker mapper
+/// state, and the scheduler scratch across compilations.
 ///
-/// Results are identical to fresh-session compilation; only allocation
-/// traffic changes.
-///
-/// [`DcMbqcCompiler::compile_batch`]: crate::DcMbqcCompiler::compile_batch
+/// Partitioning runs on the caller's thread. The map stage is the one
+/// place a compile spawns threads: each QPU's subprogram is mapped
+/// independently (the paper's figure-10 parallelism), across the
+/// session's mapping workers. Results are identical to fresh-session
+/// compilation; only allocation traffic changes.
 #[derive(Debug)]
 pub struct CompileSession {
     config: DcMbqcConfig,
@@ -314,8 +314,8 @@ impl CompileSession {
     }
 
     /// Sets the mapping-stage worker count (`0` = auto). Worker count
-    /// never changes results; callers that already parallelize *across*
-    /// sessions (e.g. a batch) pin this to 1 so nested stage
+    /// never changes results; callers that already run many sessions in
+    /// parallel (a service's workers) pin this to 1 so nested stage
     /// parallelism does not oversubscribe the machine.
     #[must_use]
     pub fn with_map_workers(mut self, workers: usize) -> Self {
@@ -503,6 +503,14 @@ pub fn map_stage<'p>(
         part_nodes,
         compiled,
     })
+}
+
+/// Resolves a worker-count request against the job count: `0` means one
+/// per available core, and never more workers than jobs.
+fn resolve_workers(requested: usize, jobs: usize) -> usize {
+    let auto = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let w = if requested == 0 { auto } else { requested };
+    w.min(jobs).max(1)
 }
 
 /// Stage 4 — assembles the layer scheduling problem from the cut edges

@@ -1,17 +1,7 @@
-//! Property-based pins for the staged pipeline rearchitecture:
-//!
-//! * the staged path (`Transpiled` → `Partitioned` → `Mapped` →
-//!   `Scheduled`, driven by hand) is bit-identical to the single-call
-//!   `compile_pattern` driver;
-//! * `compile_batch` equals a sequential loop of `compile_pattern`
-//!   per element, for every worker count;
-//! * the whole pipeline is seed-deterministic independent of the
-//!   partitioner's probe worker count (1, 2, and 8 workers).
-//!
-//! Every worker count is explicit — never the `0` = one-per-core
-//! default — and the first two pins iterate probe workers {1, 2}, so a
-//! 1-CPU host and a 64-CPU host run the same code paths (the
-//! speculative α-walk only engages with more than one probe worker).
+//! Property-based pins for the staged pipeline: the staged path
+//! (`Transpiled` → `Partitioned` → `Mapped` → `Scheduled`, driven by
+//! hand) is bit-identical to the single-call `compile_pattern` driver,
+//! and a reused session matches fresh compilers.
 
 use dc_mbqc::{CompileSession, DcMbqcCompiler, DcMbqcConfig, DistributedSchedule, Transpiled};
 use mbqc_circuit::bench::{self, BenchmarkKind};
@@ -85,63 +75,15 @@ proptest! {
         if refresh == 1 {
             base = base.with_refresh(4);
         }
-        for probe_workers in [1usize, 2] {
-            let config = base.clone().with_probe_workers(probe_workers);
-            let single = DcMbqcCompiler::new(config.clone()).compile_pattern(&pattern);
-            let staged = {
-                let mut session = CompileSession::new(config);
-                Transpiled::new(&pattern)
-                    .map(|t| session.partition(t))
-                    .and_then(|p| session.map(p))
-                    .map(|m| session.schedule(m))
-            };
-            assert_identical(&single, &staged)?;
-        }
-    }
-
-    #[test]
-    fn batch_equals_sequential_loop(
-        qubits in 6usize..12,
-        qpus in 2usize..5,
-        seed in 0u64..1000,
-        batch_size in 1usize..5,
-        workers in 1usize..5,
-    ) {
-        let patterns: Vec<Pattern> = (0..batch_size)
-            .map(|i| pattern_for(i, qubits + (i % 3)))
-            .collect();
-        for probe_workers in [1usize, 2] {
-            let config =
-                DcMbqcConfig::new(hardware(qpus, qubits + 2, ResourceStateKind::FIVE_STAR, 4))
-                    .with_seed(seed)
-                    .with_batch_workers(workers)
-                    .with_probe_workers(probe_workers);
-            let compiler = DcMbqcCompiler::new(config);
-            let batch = compiler.compile_batch(&patterns);
-            prop_assert_eq!(batch.len(), patterns.len());
-            for (pattern, batched) in patterns.iter().zip(&batch) {
-                let sequential = compiler.compile_pattern(pattern);
-                assert_identical(&sequential, batched)?;
-            }
-        }
-    }
-
-    #[test]
-    fn pipeline_deterministic_across_probe_workers(
-        kind_idx in 0usize..8,
-        qubits in 6usize..12,
-        qpus in 2usize..5,
-        seed in 0u64..1000,
-    ) {
-        let pattern = pattern_for(kind_idx, qubits);
-        let base = DcMbqcConfig::new(hardware(qpus, qubits, ResourceStateKind::FIVE_STAR, 4))
-            .with_seed(seed);
-        let one = DcMbqcCompiler::new(base.clone().with_probe_workers(1)).compile_pattern(&pattern);
-        for workers in [2usize, 8] {
-            let parallel = DcMbqcCompiler::new(base.clone().with_probe_workers(workers))
-                .compile_pattern(&pattern);
-            assert_identical(&one, &parallel)?;
-        }
+        let single = DcMbqcCompiler::new(base.clone()).compile_pattern(&pattern);
+        let staged = {
+            let mut session = CompileSession::new(base);
+            Transpiled::new(&pattern)
+                .map(|t| session.partition(t))
+                .and_then(|p| session.map(p))
+                .map(|m| session.schedule(m))
+        };
+        assert_identical(&single, &staged)?;
     }
 }
 
@@ -151,30 +93,25 @@ proptest! {
 /// the whole-pipeline level).
 #[test]
 fn session_reuse_matches_fresh_compilers() {
-    for probe_workers in [1usize, 2] {
-        let config = DcMbqcConfig::new(hardware(4, 12, ResourceStateKind::FIVE_STAR, 4))
-            .with_seed(3)
-            .with_probe_workers(probe_workers);
-        let compiler = DcMbqcCompiler::new(config.clone());
-        let mut session = CompileSession::new(config);
-        for (i, kind) in BenchmarkKind::all().iter().enumerate() {
-            let pattern = transpile(&kind.generate(10 + (i % 3), 1));
-            let fresh = compiler.compile_pattern(&pattern);
-            let reused = session.compile_pattern(&pattern);
-            let what = format!("{kind} probe_workers={probe_workers}");
-            match (fresh, reused) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(a.schedule(), b.schedule(), "{what}");
-                    assert_eq!(a.partition(), b.partition(), "{what}");
-                    assert_eq!(
-                        a.required_photon_lifetime(),
-                        b.required_photon_lifetime(),
-                        "{what}"
-                    );
-                }
-                (Err(a), Err(b)) => assert_eq!(a, b, "{what}"),
-                _ => panic!("fresh and reused disagree on success for {what}"),
+    let config = DcMbqcConfig::new(hardware(4, 12, ResourceStateKind::FIVE_STAR, 4)).with_seed(3);
+    let compiler = DcMbqcCompiler::new(config.clone());
+    let mut session = CompileSession::new(config);
+    for (i, kind) in BenchmarkKind::all().iter().enumerate() {
+        let pattern = transpile(&kind.generate(10 + (i % 3), 1));
+        let fresh = compiler.compile_pattern(&pattern);
+        let reused = session.compile_pattern(&pattern);
+        match (fresh, reused) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(a.schedule(), b.schedule(), "{kind}");
+                assert_eq!(a.partition(), b.partition(), "{kind}");
+                assert_eq!(
+                    a.required_photon_lifetime(),
+                    b.required_photon_lifetime(),
+                    "{kind}"
+                );
             }
+            (Err(a), Err(b)) => assert_eq!(a, b, "{kind}"),
+            _ => panic!("fresh and reused disagree on success for {kind}"),
         }
     }
 }

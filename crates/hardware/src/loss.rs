@@ -141,12 +141,6 @@ impl DelayLine {
         self.max_cycles
     }
 
-    /// Loss probability after storing for `cycles` (not capped).
-    #[must_use]
-    pub fn loss_after(&self, cycles: usize) -> f64 {
-        loss_probability(cycles, self.ns_per_cycle)
-    }
-
     /// Whether a required photon lifetime fits this delay line.
     #[must_use]
     pub fn supports_lifetime(&self, required_cycles: usize) -> bool {
@@ -226,7 +220,7 @@ mod tests {
         let line = DelayLine::for_loss_budget(0.05, 1.0);
         assert!(line.supports_lifetime(1000));
         assert!(!line.supports_lifetime(line.max_cycles() + 1));
-        assert!(line.loss_after(line.max_cycles()) <= 0.05 + 1e-9);
+        assert!(loss_probability(line.max_cycles(), 1.0) <= 0.05 + 1e-9);
     }
 
     #[test]

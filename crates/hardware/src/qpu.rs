@@ -68,15 +68,6 @@ impl DistributedHardware {
     pub fn sites_per_layer(&self) -> usize {
         self.grid_width * self.grid_width
     }
-
-    /// A single-QPU view of the same hardware (for baseline compilation).
-    #[must_use]
-    pub fn single_qpu(&self) -> DistributedHardware {
-        DistributedHardware {
-            num_qpus: 1,
-            ..*self
-        }
-    }
 }
 
 /// Builder for [`DistributedHardware`].
@@ -163,14 +154,6 @@ mod tests {
     fn sites_per_layer() {
         let hw = DistributedHardware::builder().grid_width(11).build();
         assert_eq!(hw.sites_per_layer(), 121);
-    }
-
-    #[test]
-    fn single_qpu_view() {
-        let hw = DistributedHardware::builder().num_qpus(8).build();
-        let solo = hw.single_qpu();
-        assert_eq!(solo.num_qpus(), 1);
-        assert_eq!(solo.grid_width(), hw.grid_width());
     }
 
     #[test]

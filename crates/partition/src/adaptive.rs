@@ -32,12 +32,6 @@ pub struct AdaptiveConfig {
     /// cap; a deterministic partitioner can oscillate between two α
     /// values, so we bound the search).
     pub max_iters: usize,
-    /// Restart-probe workers forwarded to the k-way partitioner (`0` =
-    /// one per available core). With more than one effective worker the
-    /// adaptive walk also probes the two candidate successors `α·γ` and
-    /// `α/γ` concurrently, discarding the loser. Worker count never
-    /// changes the result.
-    pub probe_workers: usize,
 }
 
 impl AdaptiveConfig {
@@ -51,7 +45,6 @@ impl AdaptiveConfig {
             alpha_max: 1.5,
             seed: 42,
             max_iters: 64,
-            probe_workers: 0,
         }
     }
 
@@ -66,13 +59,6 @@ impl AdaptiveConfig {
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the number of restart-probe workers (`0` = auto).
-    #[must_use]
-    pub fn with_probe_workers(mut self, workers: usize) -> Self {
-        self.probe_workers = workers;
         self
     }
 }
@@ -181,77 +167,26 @@ pub fn adaptive_partition_csr_with(
     // modularity are computed once, with its partition.
     let mut memo: std::collections::HashMap<u64, (Partition, f64, i64)> =
         std::collections::HashMap::new();
-    // Speculative α-probing: with a second worker available, each
-    // iteration probes both candidate successors (α·γ capped at α_max,
-    // and α/γ) concurrently before the ΔQ decision picks one — the
-    // winner is already memoized when the next iteration needs it, the
-    // loser is discarded (it stays in the memo, where an oscillating
-    // walk may still consume it). Probes are deterministic per
-    // (α, seed) and workspace-independent, so speculation is
-    // bit-identical to the sequential walk: the history records only
-    // visited αs, in the same order, with the same partitions.
-    let workers = if config.probe_workers == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        config.probe_workers
-    };
-    let speculative = workers > 1;
     // The walk's down-step, clamped at 1 because the k-way partitioner
-    // rejects α < 1. Without the clamp the speculative down-candidate
-    // at α = 1 is 1/γ; for the sequential walk the clamp states the
-    // floor outright instead of leaving it to an argument about ΔQ
-    // signs. At α = 1 the clamped candidate is α itself, already
-    // probed.
+    // rejects α < 1: the floor is stated outright instead of being left
+    // to an argument about ΔQ signs.
     let down = |a: f64| (a / config.gamma).max(1.0);
     ws.refine.counters = FmCounters::default();
     let hierarchy = Hierarchy::build(g, config.k, config.seed, ws);
     let ws = &mut ws.refine;
-    let mut spec_ws: Option<RefineWorkspace> = None;
     let probe = |a: f64, ws: &mut RefineWorkspace| {
         let kcfg = KwayConfig::new(config.k)
             .with_alpha(a)
-            .with_seed(config.seed)
-            .with_probe_workers(config.probe_workers);
+            .with_seed(config.seed);
         let p = uncoarsen(g, &hierarchy, &kcfg, ws);
         let (cut, q) = cut_and_modularity_csr(g, &p);
         (p, q, cut)
     };
 
     for _ in 0..config.max_iters {
-        // At most two missing probes run per iteration (one per
-        // workspace): the current α always wins a slot, then the
-        // successors in up-then-down order.
-        let mut targets: Vec<u64> = Vec::new();
-        let mut candidates = vec![alpha];
-        if speculative {
-            candidates.push((alpha * config.gamma).min(config.alpha_max));
-            candidates.push(down(alpha));
-        }
-        for a in candidates {
-            let bits = a.to_bits();
-            if targets.len() < 2 && !memo.contains_key(&bits) && !targets.contains(&bits) {
-                targets.push(bits);
-            }
-        }
-        match *targets.as_slice() {
-            [] => {}
-            [a] => {
-                let r = probe(f64::from_bits(a), ws);
-                memo.insert(a, r);
-            }
-            [a, b] => {
-                let sw = spec_ws.get_or_insert_with(RefineWorkspace::new);
-                let (ra, rb) = std::thread::scope(|s| {
-                    let hb = s.spawn(|| probe(f64::from_bits(b), sw));
-                    let ra = probe(f64::from_bits(a), ws);
-                    (ra, hb.join().expect("speculative probe panicked"))
-                });
-                memo.insert(a, ra);
-                memo.insert(b, rb);
-            }
-            _ => unreachable!("targets capped at two"),
-        }
-        let (p, q, cut) = &memo[&alpha.to_bits()];
+        let (p, q, cut) = memo
+            .entry(alpha.to_bits())
+            .or_insert_with(|| probe(alpha, ws));
         let (q, cut) = (*q, *cut);
         history.push(AdaptiveStep {
             alpha,
@@ -272,9 +207,6 @@ pub fn adaptive_partition_csr_with(
         }
     }
 
-    if let Some(sw) = spec_ws {
-        ws.counters += sw.counters;
-    }
     let (partition, q, cut, alpha) = best.expect("at least one probe ran");
     AdaptiveResult {
         partition,
@@ -372,39 +304,18 @@ mod tests {
         assert!(r.history.len() <= 5);
     }
 
-    #[test]
-    fn speculative_probing_is_bit_identical() {
-        let g = generate::grid_graph(9, 9);
-        // One worker disables speculation; four force it on even on a
-        // single-core host.
-        let seq = adaptive_partition(&g, &AdaptiveConfig::new(4).with_probe_workers(1));
-        let spec = adaptive_partition(&g, &AdaptiveConfig::new(4).with_probe_workers(4));
-        assert_eq!(seq.partition, spec.partition);
-        assert_eq!(seq.history.len(), spec.history.len());
-        for (a, b) in seq.history.iter().zip(&spec.history) {
-            assert_eq!(a.alpha.to_bits(), b.alpha.to_bits());
-            assert_eq!(a.modularity.to_bits(), b.modularity.to_bits());
-            assert_eq!(a.cut, b.cut);
-        }
-        assert_eq!(seq.modularity.to_bits(), spec.modularity.to_bits());
-        assert_eq!(seq.alpha.to_bits(), spec.alpha.to_bits());
-        assert_eq!(seq.cut, spec.cut);
-    }
-
     /// A walk that steps up once and then back down to α = 1 (on this
-    /// 3×3 grid ΔQ drops at α = γ, so the walk oscillates 1 ↔ γ): with
-    /// speculation forced on, the down-candidate at α = 1 must be
-    /// clamped, never probed at 1/γ — whatever the host's core count.
+    /// 3×3 grid ΔQ drops at α = γ, so the walk oscillates 1 ↔ γ): the
+    /// down-step from γ lands on α = 1 exactly, and no probe goes below
+    /// it.
     #[test]
-    fn speculative_walk_back_to_alpha_one_stays_at_or_above_one() {
+    fn walk_back_to_alpha_one_stays_at_or_above_one() {
         let g = generate::grid_graph(3, 3);
-        let cfg = AdaptiveConfig::new(3).with_seed(2);
-        let seq = adaptive_partition(&g, &cfg.with_probe_workers(1));
-        let spec = adaptive_partition(&g, &cfg.with_probe_workers(2));
-        assert_eq!(seq.history[2].alpha.to_bits(), 1.0f64.to_bits());
-        assert!(spec.history.iter().all(|s| s.alpha >= 1.0));
-        assert_eq!(seq.partition, spec.partition);
-        assert_eq!(seq.history, spec.history);
+        let r = adaptive_partition(&g, &AdaptiveConfig::new(3).with_seed(2));
+        assert_eq!(r.history[0].alpha.to_bits(), 1.0f64.to_bits());
+        assert_eq!(r.history[1].alpha.to_bits(), 1.02f64.to_bits());
+        assert_eq!(r.history[2].alpha.to_bits(), 1.0f64.to_bits());
+        assert!(r.history.iter().all(|s| s.alpha >= 1.0));
     }
 
     #[test]
@@ -430,21 +341,16 @@ mod tests {
     #[test]
     fn fm_layouts_are_shared_by_every_probe() {
         // The layouts depend only on the hierarchy, so a walk of many
-        // probes, speculative ones included, builds exactly as many as
-        // one k-way call.
+        // probes builds exactly as many as one k-way call.
         use crate::kway::multilevel_kway_csr_with;
         let g = CsrGraph::from_graph(&generate::grid_graph(30, 30));
-        for workers in [1, 2] {
-            let mut ws = KwayWorkspace::new();
-            let cfg = AdaptiveConfig::new(4).with_probe_workers(workers);
-            let r = adaptive_partition_csr_with(&g, &cfg, &mut ws);
-            let walk = ws.counters();
-            let kcfg = KwayConfig::new(4).with_probe_workers(workers);
-            let _ = multilevel_kway_csr_with(&g, &kcfg, &mut ws);
-            let one = ws.counters();
-            assert!(r.history.len() > 1, "the walk probed one α");
-            assert!(walk.calls > one.calls, "{walk:?} vs {one:?}");
-            assert_eq!(walk.layouts, one.layouts);
-        }
+        let mut ws = KwayWorkspace::new();
+        let r = adaptive_partition_csr_with(&g, &AdaptiveConfig::new(4), &mut ws);
+        let walk = ws.counters();
+        let _ = multilevel_kway_csr_with(&g, &KwayConfig::new(4), &mut ws);
+        let one = ws.counters();
+        assert!(r.history.len() > 1, "the walk probed one α");
+        assert!(walk.calls > one.calls, "{walk:?} vs {one:?}");
+        assert_eq!(walk.layouts, one.layouts);
     }
 }

@@ -36,11 +36,6 @@ pub struct KwayConfig {
     pub initial_restarts: usize,
     /// RNG seed (the partitioner is deterministic given the seed).
     pub seed: u64,
-    /// Worker threads for the restart probes (`0` = one per available
-    /// core). Every probe draws from its own forked RNG and the lowest
-    /// `(cut, probe index)` wins, so the result is bit-identical for
-    /// every worker count — including fully sequential execution.
-    pub probe_workers: usize,
 }
 
 impl KwayConfig {
@@ -53,7 +48,6 @@ impl KwayConfig {
             refine_passes: 8,
             initial_restarts: 4,
             seed: 42,
-            probe_workers: 0,
         }
     }
 
@@ -71,28 +65,12 @@ impl KwayConfig {
         self
     }
 
-    /// Sets the number of restart-probe workers (`0` = auto).
-    #[must_use]
-    pub fn with_probe_workers(mut self, workers: usize) -> Self {
-        self.probe_workers = workers;
-        self
-    }
-
     /// Sets the number of independent restart probes.
     #[must_use]
     pub fn with_initial_restarts(mut self, restarts: usize) -> Self {
         self.initial_restarts = restarts;
         self
     }
-}
-
-/// Resolves a worker-count request against the job count: `0` means one
-/// per available core, and never more workers than jobs.
-#[must_use]
-pub fn resolve_workers(requested: usize, jobs: usize) -> usize {
-    let auto = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let w = if requested == 0 { auto } else { requested };
-    w.min(jobs).max(1)
 }
 
 /// Maximum part weight implied by a config for a given graph.
@@ -225,8 +203,7 @@ impl KwayWorkspace {
     /// FM work of the last partition call run in this workspace
     /// ([`multilevel_kway_csr_with`] or
     /// [`adaptive_partition_csr_with`](crate::adaptive_partition_csr_with)),
-    /// restart probes and speculative α probes on other threads
-    /// included.
+    /// every restart probe and α probe of that call included.
     #[must_use]
     pub fn counters(&self) -> FmCounters {
         self.refine.counters
@@ -249,10 +226,9 @@ fn restart_probe(
     (p.cut_weight_csr(g), p)
 }
 
-/// Runs the coarsest-graph restart probes — in parallel when the config
-/// asks for it — and returns the winner. Each probe owns a forked RNG
-/// drawn *before* any work starts and the lowest `(cut, probe index)`
-/// wins, so the result is bit-identical for every worker count.
+/// Runs the coarsest-graph restart probes and returns the winner. Each
+/// probe draws from its own RNG forked from `rng`, and the lowest
+/// `(cut, probe index)` wins.
 fn run_restarts(
     coarsest: &CsrGraph,
     layout: &LeafLayout,
@@ -261,61 +237,15 @@ fn run_restarts(
     rng: &mut Rng,
     ws: &mut RefineWorkspace,
 ) -> Partition {
-    let restarts = config.initial_restarts.max(1);
-    let mut probe_rngs: Vec<Rng> = (0..restarts).map(|_| rng.fork()).collect();
-    let workers = resolve_workers(config.probe_workers, restarts);
-    let mut results: Vec<(i64, usize, Partition)> = Vec::with_capacity(restarts);
-    if workers <= 1 {
-        for (idx, probe_rng) in probe_rngs.iter_mut().enumerate() {
-            let (cut, p) = restart_probe(coarsest, layout, config, max_w, probe_rng, ws);
-            results.push((cut, idx, p));
+    let mut best: Option<(i64, Partition)> = None;
+    for _ in 0..config.initial_restarts.max(1) {
+        let mut probe_rng = rng.fork();
+        let (cut, p) = restart_probe(coarsest, layout, config, max_w, &mut probe_rng, ws);
+        if best.as_ref().is_none_or(|(best_cut, _)| cut < *best_cut) {
+            best = Some((cut, p));
         }
-    } else {
-        // Strided ownership: worker w runs probes w, w + W, w + 2W, …
-        // Assignment is static, so no coordination is needed and the
-        // per-probe RNG guarantees scheduling cannot leak into results.
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for (w, chunk) in split_strided(&mut probe_rngs, workers)
-                .into_iter()
-                .enumerate()
-            {
-                handles.push(scope.spawn(move || {
-                    let mut ws = RefineWorkspace::new();
-                    let probes = chunk
-                        .into_iter()
-                        .enumerate()
-                        .map(|(j, probe_rng)| {
-                            let (cut, p) =
-                                restart_probe(coarsest, layout, config, max_w, probe_rng, &mut ws);
-                            (cut, w + j * workers, p)
-                        })
-                        .collect::<Vec<_>>();
-                    (probes, ws.counters)
-                }));
-            }
-            for h in handles {
-                let (probes, counters) = h.join().expect("restart probe panicked");
-                results.extend(probes);
-                ws.counters += counters;
-            }
-        });
     }
-    let (_, _, part) = results
-        .into_iter()
-        .min_by_key(|&(cut, idx, _)| (cut, idx))
-        .expect("at least one probe ran");
-    part
-}
-
-/// Splits `items` into `workers` strided chunks of `&mut` references:
-/// chunk `w` holds items `w, w + W, w + 2W, …` in that order.
-fn split_strided<T>(items: &mut [T], workers: usize) -> Vec<Vec<&mut T>> {
-    let mut chunks: Vec<Vec<&mut T>> = (0..workers).map(|_| Vec::new()).collect();
-    for (i, item) in items.iter_mut().enumerate() {
-        chunks[i % workers].push(item);
-    }
-    chunks
+    best.expect("at least one probe ran").1
 }
 
 /// [`multilevel_kway`] on an already-frozen CSR view. Callers that probe
@@ -569,26 +499,6 @@ mod tests {
     }
 
     #[test]
-    fn restart_result_independent_of_worker_count() {
-        // The tentpole determinism guarantee: same seed ⇒ bit-identical
-        // partition with 1, 2, and 8 probe workers.
-        let g = generate::grid_graph(10, 10);
-        for restarts in [1usize, 3, 8] {
-            let base = KwayConfig::new(4)
-                .with_seed(13)
-                .with_initial_restarts(restarts);
-            let sequential = multilevel_kway(&g, &base.with_probe_workers(1));
-            for workers in [2usize, 8] {
-                let parallel = multilevel_kway(&g, &base.with_probe_workers(workers));
-                assert_eq!(
-                    sequential, parallel,
-                    "restarts={restarts} workers={workers}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn workspace_reuse_is_bit_identical() {
         let mut ws = KwayWorkspace::new();
         for dim in [6usize, 9, 8] {
@@ -647,9 +557,7 @@ mod tests {
         // k = 8 coarsens to nothing, leaving one level.
         for (dim, k, restarts) in [(70, 4, 4), (30, 8, 3), (12, 2, 1), (5, 8, 2)] {
             let g = CsrGraph::from_graph(&generate::grid_graph(dim, dim));
-            let cfg = KwayConfig::new(k)
-                .with_initial_restarts(restarts)
-                .with_probe_workers(1);
+            let cfg = KwayConfig::new(k).with_initial_restarts(restarts);
             let mut ws = KwayWorkspace::new();
             for _ in 0..2 {
                 let _ = multilevel_kway_csr_with(&g, &cfg, &mut ws);

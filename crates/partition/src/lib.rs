@@ -63,9 +63,9 @@
 //! * **One hierarchy per α-walk** — the coarsening hierarchy depends
 //!   only on the graph, `k` and the seed, never on `α`, so
 //!   [`adaptive::adaptive_partition_csr_with`] coarsens once and runs
-//!   every probe (the speculative one included) as the uncoarsening
-//!   half of [`kway::multilevel_kway_csr_with`] on the shared levels,
-//!   from a clone of the RNG state coarsening left.
+//!   every probe as the uncoarsening half of
+//!   [`kway::multilevel_kway_csr_with`] on the shared levels, from a
+//!   clone of the RNG state coarsening left.
 //! * **Indexed FM selection** — FM keeps every candidate move in a
 //!   flat block-max index: per target part, one 64-bit key per node
 //!   (gain above the complement of the node index, the oracle's
@@ -114,8 +114,7 @@ pub use adaptive::{
     adaptive_partition, adaptive_partition_csr, adaptive_partition_csr_with, AdaptiveConfig,
 };
 pub use kway::{
-    multilevel_kway, multilevel_kway_csr, multilevel_kway_csr_with, resolve_workers, KwayConfig,
-    KwayWorkspace,
+    multilevel_kway, multilevel_kway_csr, multilevel_kway_csr_with, KwayConfig, KwayWorkspace,
 };
 pub use partition::Partition;
 pub use refine::FmCounters;

@@ -129,10 +129,9 @@ impl RefineWorkspace {
 /// Deterministic work counts of the FM refinement one partition call
 /// ran, read through
 /// [`KwayWorkspace::counters`](crate::kway::KwayWorkspace::counters).
-/// They depend only on the graph and the configuration, never on the
-/// host's timing. The probe worker count is part of the configuration:
-/// speculative α probes are work too, so with `probe_workers = 0` the
-/// counts depend on the host's core count.
+/// The call runs on its caller's thread, so they depend only on the
+/// graph and the configuration, never on the host's timing or core
+/// count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FmCounters {
     /// FM refinement calls.

@@ -169,27 +169,6 @@ proptest! {
     }
 
     #[test]
-    fn parallel_restarts_independent_of_worker_count(
-        n in 8usize..80,
-        extra in 0usize..60,
-        k in 2usize..6,
-        restarts in 1usize..10,
-        seed in 0u64..300,
-    ) {
-        // Same seed ⇒ bit-identical partition for every probe worker
-        // count (the deterministic-parallelism guarantee).
-        let g = random_connected_graph(n, extra, seed);
-        let base = KwayConfig::new(k)
-            .with_seed(seed)
-            .with_initial_restarts(restarts);
-        let one = multilevel_kway(&g, &base.with_probe_workers(1));
-        let two = multilevel_kway(&g, &base.with_probe_workers(2));
-        let eight = multilevel_kway(&g, &base.with_probe_workers(8));
-        prop_assert_eq!(&one, &two);
-        prop_assert_eq!(&one, &eight);
-    }
-
-    #[test]
     fn csr_partitioning_identical_to_seed_adjacency_path(
         n in 8usize..90,
         extra in 0usize..70,
@@ -311,24 +290,16 @@ proptest! {
     ) {
         // Algorithm 2 coarsens once and reuses the hierarchy for every
         // α it probes; each probe must still be exactly a fresh k-way
-        // partition at that α. One probe worker runs the walk
-        // sequentially, two run it speculatively, on any host.
+        // partition at that α.
         let (g, _) = weighted_instance(n, extra, k, 1, seed);
         let csr = CsrGraph::from_graph(&g);
-        for workers in [1usize, 2] {
-            let cfg = AdaptiveConfig::new(k).with_seed(seed).with_probe_workers(workers);
-            let r = adaptive_partition_csr(&csr, &cfg);
-            let fresh = |alpha: f64| {
-                let kcfg = KwayConfig::new(k)
-                    .with_alpha(alpha)
-                    .with_seed(seed)
-                    .with_probe_workers(workers);
-                multilevel_kway_csr(&csr, &kcfg)
-            };
-            prop_assert_eq!(&r.partition, &fresh(r.alpha));
-            for step in &r.history {
-                prop_assert_eq!(step.cut, fresh(step.alpha).cut_weight_csr(&csr));
-            }
+        let r = adaptive_partition_csr(&csr, &AdaptiveConfig::new(k).with_seed(seed));
+        let fresh = |alpha: f64| {
+            multilevel_kway_csr(&csr, &KwayConfig::new(k).with_alpha(alpha).with_seed(seed))
+        };
+        prop_assert_eq!(&r.partition, &fresh(r.alpha));
+        for step in &r.history {
+            prop_assert_eq!(step.cut, fresh(step.alpha).cut_weight_csr(&csr));
         }
     }
 

@@ -232,17 +232,10 @@ fn partition_task(
     if let Some(hit) = task_lookup(shared, job, state, PipelineStage::Partition) {
         return resume(state, hit, || Ok(transpiled));
     }
-    let mut config = state.config.clone();
-    if shared.workers > 1 {
-        // The worker fleet already saturates the machine; pin the
-        // restart probes to one thread. Worker counts never change
-        // results, and the artifact keys ignore this knob.
-        config.adaptive.probe_workers = 1;
-    }
     // Mid-task injection: a panic *here* unwinds with the workspace
     // borrowed, which the worker must survive by replacing it.
     shared.faults.maybe_panic(StageKind::Partition);
-    let partitioned = partition_stage(&config, transpiled, ws);
+    let partitioned = partition_stage(&state.config, transpiled, ws);
     // Publish gate: a task that observes its job's cancellation keeps
     // its (fully computed, deterministic) artifact out of the store —
     // the job terminates `Cancelled` at the requeue that follows.

@@ -3,8 +3,8 @@
 //!
 //! The headline property pins, for random [`FaultConfig`]s (injected
 //! disk IO errors, artifact byte corruption, task panics, stage
-//! delays) × partitioner probe workers {1, 2} × workers {1, 2, 8} ×
-//! cache state {cold, warm/disk-restored}, with per-job retry policies
+//! delays) × workers {1, 2, 8} × cache state {cold,
+//! warm/disk-restored}, with per-job retry policies
 //! and jobs split across two tenants (retries re-enter their tenant's
 //! fair lane):
 //!
@@ -151,162 +151,155 @@ proptest! {
         let patterns: Vec<Pattern> =
             (0..4).map(|i| pattern_for(i, qubits + (i % 3))).collect();
         let mut plan_rng = Rng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9));
-        // An explicit probe-worker axis (never the one-per-core
-        // default): every host runs both the sequential and the
-        // speculative α-walk under fire.
-        for probe_workers in [1usize, 2] {
-            let config = DcMbqcConfig::new(hardware(qpus, qubits + 2))
-                .with_seed(seed)
-                .with_probe_workers(probe_workers);
-            let workload: Vec<(Pattern, DistributedSchedule)> = {
-                let compiler = DcMbqcCompiler::new(config.clone());
-                patterns
-                    .iter()
-                    .map(|p| (p.clone(), compiler.compile_pattern(p).expect("compiles")))
-                    .collect()
+        let config = DcMbqcConfig::new(hardware(qpus, qubits + 2)).with_seed(seed);
+        let workload: Vec<(Pattern, DistributedSchedule)> = {
+            let compiler = DcMbqcCompiler::new(config.clone());
+            patterns
+                .iter()
+                .map(|p| (p.clone(), compiler.compile_pattern(p).expect("compiles")))
+                .collect()
+        };
+        // One disk dir per cell: workers=1 runs cold then warm;
+        // workers=2/8 start disk-restored (possibly with files a
+        // corrupting run left behind — they must read as misses).
+        let dir = scratch_dir();
+        for workers in [1usize, 2, 8] {
+            // A fresh random fault mix per service: moderate
+            // probabilities so most jobs see at least one fault
+            // but retries can still win.
+            let fault_config = FaultConfig {
+                seed: plan_rng.next_u64(),
+                disk_read_error: plan_rng.next_f64() * 0.3,
+                disk_write_error: plan_rng.next_f64() * 0.3,
+                disk_corrupt: plan_rng.next_f64() * 0.3,
+                task_panic: plan_rng.next_f64() * 0.2,
+                stage_delay: plan_rng.next_f64() * 0.3,
+                delay: Duration::from_micros(50 + plan_rng.range(200) as u64),
             };
-            // One disk dir per cell: workers=1 runs cold then warm;
-            // workers=2/8 start disk-restored (possibly with files a
-            // corrupting run left behind — they must read as misses).
-            let dir = scratch_dir();
-            for workers in [1usize, 2, 8] {
-                // A fresh random fault mix per service: moderate
-                // probabilities so most jobs see at least one fault
-                // but retries can still win.
-                let fault_config = FaultConfig {
-                    seed: plan_rng.next_u64(),
-                    disk_read_error: plan_rng.next_f64() * 0.3,
-                    disk_write_error: plan_rng.next_f64() * 0.3,
-                    disk_corrupt: plan_rng.next_f64() * 0.3,
-                    task_panic: plan_rng.next_f64() * 0.2,
-                    stage_delay: plan_rng.next_f64() * 0.3,
-                    delay: Duration::from_micros(50 + plan_rng.range(200) as u64),
-                };
-                // One plan drives the store sites and the task sites.
-                let plan = FaultPlan::new(fault_config);
-                let service = CompileService::new(ServiceConfig {
-                    workers,
-                    store: StoreConfig {
-                        memory_capacity: 8 << 20,
-                        disk_dir: Some(dir.clone()),
-                        disk_error_threshold: 4,
-                        disk_probe_interval: Duration::from_millis(5),
-                        faults: plan.clone(),
-                        ..StoreConfig::default()
-                    },
-                    faults: plan,
-                    // Flight recorder on: a failing cell dumps the
-                    // recent event history (retries, quarantine
-                    // transitions) alongside the assertion.
-                    telemetry: TelemetryConfig {
-                        flight_recorder: 128,
-                        ..TelemetryConfig::default()
-                    },
-                    ..ServiceConfig::default()
-                })
-                .expect("service starts");
-                // CI's release-mode pass sets MBQC_LIVE_SUBSCRIBER: the
-                // armed emit paths then run under injected faults too.
-                let _live = common::live_subscriber(&service);
-                let cell = (|| -> Result<(), TestCaseError> {
-                let rounds = if workers == 1 { 2 } else { 1 };
-                for round in 0..rounds {
-                    let mut rng = Rng::seed_from_u64(
-                        seed ^ (workers as u64) << 3 ^ (round as u64) << 9,
+            // One plan drives the store sites and the task sites.
+            let plan = FaultPlan::new(fault_config);
+            let service = CompileService::new(ServiceConfig {
+                workers,
+                store: StoreConfig {
+                    memory_capacity: 8 << 20,
+                    disk_dir: Some(dir.clone()),
+                    disk_error_threshold: 4,
+                    disk_probe_interval: Duration::from_millis(5),
+                    faults: plan.clone(),
+                    ..StoreConfig::default()
+                },
+                faults: plan,
+                // Flight recorder on: a failing cell dumps the
+                // recent event history (retries, quarantine
+                // transitions) alongside the assertion.
+                telemetry: TelemetryConfig {
+                    flight_recorder: 128,
+                    ..TelemetryConfig::default()
+                },
+                ..ServiceConfig::default()
+            })
+            .expect("service starts");
+            // CI's release-mode pass sets MBQC_LIVE_SUBSCRIBER: the
+            // armed emit paths then run under injected faults too.
+            let _live = common::live_subscriber(&service);
+            let cell = (|| -> Result<(), TestCaseError> {
+            let rounds = if workers == 1 { 2 } else { 1 };
+            for round in 0..rounds {
+                let mut rng = Rng::seed_from_u64(
+                    seed ^ (workers as u64) << 3 ^ (round as u64) << 9,
+                );
+                let mut jobs: Vec<(JobId, usize, u32)> = Vec::new();
+                for (i, (pattern, _)) in workload.iter().enumerate() {
+                    // Mixed retry budgets, including none.
+                    let max_attempts = 1 + rng.range(4) as u32;
+                    let retry = RetryPolicy::attempts(max_attempts)
+                        .with_backoff(Duration::from_micros(rng.range(500) as u64));
+                    let h = service.submit_with(
+                        pattern.clone(),
+                        config.clone(),
+                        JobOptions {
+                            retry,
+                            tenant: (i % 2) as u32,
+                            ..JobOptions::default()
+                        },
                     );
-                    let mut jobs: Vec<(JobId, usize, u32)> = Vec::new();
-                    for (i, (pattern, _)) in workload.iter().enumerate() {
-                        // Mixed retry budgets, including none.
-                        let max_attempts = 1 + rng.range(4) as u32;
-                        let retry = RetryPolicy::attempts(max_attempts)
-                            .with_backoff(Duration::from_micros(rng.range(500) as u64));
-                        let h = service.submit_with(
-                            pattern.clone(),
-                            config.clone(),
-                            JobOptions {
-                                retry,
-                                tenant: (i % 2) as u32,
-                                ..JobOptions::default()
-                            },
-                        );
-                        jobs.push((h.id(), i, max_attempts));
-                    }
-                    for &(id, i, max_attempts) in &jobs {
-                        let what = format!(
-                            "probe={probe_workers} workers={workers} \
-                             round={round} job={i} faults={fault_config:?}"
-                        );
-                        let attempts =
-                            service.attempts(id).expect("job known until taken");
-                        prop_assert!(
-                            (1..=max_attempts).contains(&attempts),
-                            "{}: attempts {} outside budget {}",
-                            &what, attempts, max_attempts
-                        );
-                        // Exactly one terminal state, and the only
-                        // legal failure is an exhausted retry budget
-                        // on an injected panic.
-                        match service.wait(id) {
-                            Ok(got) => prop_assert_eq!(
-                                &got,
-                                &workload[i].1,
-                                "{}: surviving job must be bit-identical",
-                                &what
-                            ),
-                            Err(ServiceError::Internal { message, .. }) => prop_assert!(
-                                message.contains("InjectedFault"),
-                                "{}: non-injected panic: {}",
-                                &what,
-                                message
-                            ),
-                            Err(other) => prop_assert!(
-                                false,
-                                "{}: illegal terminal state {:?}",
-                                &what,
-                                other
-                            ),
-                        }
+                    jobs.push((h.id(), i, max_attempts));
+                }
+                for &(id, i, max_attempts) in &jobs {
+                    let what = format!(
+                        "workers={workers} \
+                         round={round} job={i} faults={fault_config:?}"
+                    );
+                    let attempts =
+                        service.attempts(id).expect("job known until taken");
+                    prop_assert!(
+                        (1..=max_attempts).contains(&attempts),
+                        "{}: attempts {} outside budget {}",
+                        &what, attempts, max_attempts
+                    );
+                    // Exactly one terminal state, and the only
+                    // legal failure is an exhausted retry budget
+                    // on an injected panic.
+                    match service.wait(id) {
+                        Ok(got) => prop_assert_eq!(
+                            &got,
+                            &workload[i].1,
+                            "{}: surviving job must be bit-identical",
+                            &what
+                        ),
+                        Err(ServiceError::Internal { message, .. }) => prop_assert!(
+                            message.contains("InjectedFault"),
+                            "{}: non-injected panic: {}",
+                            &what,
+                            message
+                        ),
+                        Err(other) => prop_assert!(
+                            false,
+                            "{}: illegal terminal state {:?}",
+                            &what,
+                            other
+                        ),
                     }
                 }
-                let stats = service.stats();
-                let what =
-                    format!("probe={probe_workers} workers={workers}");
-                prop_assert_eq!(
-                    stats.completed + stats.cancelled + stats.expired,
-                    stats.submitted,
-                    "{}: every job terminal: {:?}",
-                    &what,
-                    stats
-                );
-                prop_assert_eq!(
-                    stats.pool_outstanding,
-                    0,
-                    "{}: task still running after drain under injected panics: {:?}",
-                    &what,
-                    stats
-                );
-                // Retries fit inside the submitted budgets (each job
-                // allowed at most 4 attempts, i.e. 3 retries).
-                prop_assert!(
-                    stats.retries <= stats.submitted * 3,
-                    "{}: runaway retries: {:?}",
-                    &what,
-                    stats
-                );
-                // The store never decoded an injected corruption into
-                // a foreign artifact; whatever survived is bit-exact.
-                check_store(&service, &workload, &config, &what)?;
-                Ok(())
-                })();
-                common::audited(
-                    &service,
-                    &format!("probe={probe_workers} workers={workers}"),
-                    cell,
-                )?;
-                drop(service);
             }
-            std::fs::remove_dir_all(&dir).ok();
+            let stats = service.stats();
+            let what =
+                format!("workers={workers}");
+            prop_assert_eq!(
+                stats.completed + stats.cancelled + stats.expired,
+                stats.submitted,
+                "{}: every job terminal: {:?}",
+                &what,
+                stats
+            );
+            prop_assert_eq!(
+                stats.pool_outstanding,
+                0,
+                "{}: task still running after drain under injected panics: {:?}",
+                &what,
+                stats
+            );
+            // Retries fit inside the submitted budgets (each job
+            // allowed at most 4 attempts, i.e. 3 retries).
+            prop_assert!(
+                stats.retries <= stats.submitted * 3,
+                "{}: runaway retries: {:?}",
+                &what,
+                stats
+            );
+            // The store never decoded an injected corruption into
+            // a foreign artifact; whatever survived is bit-exact.
+            check_store(&service, &workload, &config, &what)?;
+            Ok(())
+            })();
+            common::audited(
+                &service,
+                &format!("workers={workers}"),
+                cell,
+            )?;
+            drop(service);
         }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 

@@ -1,8 +1,8 @@
 //! The lifecycle determinism matrix: cancellation and expiry at
 //! arbitrary points must never corrupt the service.
 //!
-//! The headline property pins, for partitioner probe workers {1, 2} ×
-//! workers {1, 2, 8} × cache state {cold, warm, disk-restored}, under a
+//! The headline property pins, for workers {1, 2, 8} × cache state
+//! {cold, warm, disk-restored}, under a
 //! mixed workload split across two tenants (job `i` runs as tenant
 //! `i % 2`, so every priority class has two fair lanes to churn) where
 //! jobs are cancelled (by id and by shared token) and expired (lazy
@@ -199,224 +199,217 @@ proptest! {
     ) {
         let patterns: Vec<Pattern> =
             (0..5).map(|i| pattern_for(i, qubits + (i % 3))).collect();
-        // An explicit probe-worker axis (never the one-per-core
-        // default): every host runs both the sequential and the
-        // speculative α-walk.
-        for probe_workers in [1usize, 2] {
-            let config = DcMbqcConfig::new(hardware(qpus, qubits + 2))
-                .with_seed(seed)
-                .with_probe_workers(probe_workers);
-            let workload: Vec<(Pattern, DistributedSchedule)> = {
-                let compiler = DcMbqcCompiler::new(config.clone());
-                patterns
-                    .iter()
-                    .map(|p| (p.clone(), compiler.compile_pattern(p).expect("compiles")))
-                    .collect()
-            };
-            // One disk dir per probe-worker count: workers=1 runs cold
-            // then warm; workers=2/8 start disk-restored.
-            let dir = scratch_dir();
-            for workers in [1usize, 2, 8] {
-                let service = CompileService::new(ServiceConfig {
-                    workers,
-                    store: StoreConfig {
-                        memory_capacity: 8 << 20,
-                        disk_dir: Some(dir.clone()),
-                        ..StoreConfig::default()
-                    },
-                    // Flight recorder on: a failing cell below
-                    // dumps the recent event history alongside the
-                    // assertion (see `common::audited`).
-                    telemetry: TelemetryConfig {
-                        flight_recorder: 128,
-                        ..TelemetryConfig::default()
-                    },
-                    ..ServiceConfig::default()
-                })
-                .expect("service starts");
-                // CI's release-mode pass sets MBQC_LIVE_SUBSCRIBER:
-                // the armed fan-out path then runs under the full
-                // lifecycle churn instead of only the happy paths.
-                let _live = common::live_subscriber(&service);
-                let cell = (|| -> Result<(), TestCaseError> {
-                let rounds = if workers == 1 { 2 } else { 1 };
-                for round in 0..rounds {
-                    // Deterministic churn plan from the seed; the
-                    // *timing* of each cancel is inherently racy —
-                    // which is the point: any interleaving must be
-                    // safe.
-                    let mut rng = Rng::seed_from_u64(
-                        seed ^ (workers as u64) << 3 ^ (round as u64) << 9,
-                    );
-                    let group = CancelToken::new();
-                    let mut jobs: Vec<(JobId, usize, Fate)> = Vec::new();
-                    let mut cancel_late: Vec<JobId> = Vec::new();
-                    for (i, (pattern, _)) in workload.iter().enumerate() {
-                        let priority = Priority::ALL[rng.range(3)];
-                        // Two tenants: every class churns two fair
-                        // lanes.
-                        let tenant = (i % 2) as u32;
-                        let fate = rng.range(10);
-                        let (id, fate) = match fate {
-                            // ~30% cancellations, at varied points.
-                            0 => {
-                                // Cancel immediately after submit.
-                                let h = service.submit_with(
-                                    pattern.clone(),
-                                    config.clone(),
-                                    JobOptions {
-                                        priority,
-                                        tenant,
-                                        ..JobOptions::default()
-                                    },
-                                );
-                                service.cancel(h.id());
-                                (h.id(), Fate::CancelRequested)
-                            }
-                            1 => {
-                                // Shared token, fired after all
-                                // submissions.
-                                let h = service.submit_with(
-                                    pattern.clone(),
-                                    config.clone(),
-                                    JobOptions {
-                                        priority,
-                                        tenant,
-                                        cancel: Some(group.clone()),
-                                        ..JobOptions::default()
-                                    },
-                                );
-                                (h.id(), Fate::CancelRequested)
-                            }
-                            2 => {
-                                // Cancel after the first wait (some
-                                // jobs will be mid-flight by then).
-                                let id = service
-                                    .submit_with(
-                                        pattern.clone(),
-                                        config.clone(),
-                                        JobOptions {
-                                            priority,
-                                            tenant,
-                                            ..JobOptions::default()
-                                        },
-                                    )
-                                    .id();
-                                cancel_late.push(id);
-                                (id, Fate::CancelRequested)
-                            }
-                            3 => {
-                                // Already-lapsed deadline: expires
-                                // at its first pop, runs nothing.
-                                let also_cancelled = rng.bernoulli(0.3);
-                                let h = service.submit_with(
-                                    pattern.clone(),
-                                    config.clone(),
-                                    JobOptions {
-                                        priority,
-                                        tenant,
-                                        deadline: Some(Duration::ZERO),
-                                        ..JobOptions::default()
-                                    },
-                                );
-                                if also_cancelled {
-                                    service.cancel(h.id());
-                                }
-                                (h.id(), Fate::DeadlineLapsed { also_cancelled })
-                            }
-                            4 => {
-                                // Generous deadline: never fires.
-                                let h = service.submit_with(
-                                    pattern.clone(),
-                                    config.clone(),
-                                    JobOptions {
-                                        tenant,
-                                        deadline: Some(Duration::from_secs(3600)),
-                                        ..JobOptions::default()
-                                    },
-                                );
-                                (h.id(), Fate::RunsFree)
-                            }
-                            _ => (
-                                service
-                                    .submit_with(
-                                        pattern.clone(),
-                                        config.clone(),
-                                        JobOptions {
-                                            priority,
-                                            tenant,
-                                            ..JobOptions::default()
-                                        },
-                                    )
-                                    .id(),
-                                Fate::RunsFree,
-                            ),
-                        };
-                        jobs.push((id, i, fate));
-                    }
-                    group.cancel();
-                    let mut first_wait_done = false;
-                    let mut survivors = 0usize;
-                    for &(id, i, fate) in &jobs {
-                        let result = service.wait(id);
-                        if !first_wait_done {
-                            // Mid-flight cancellations: the rest of
-                            // the queue is in arbitrary progress now.
-                            for &late in &cancel_late {
-                                service.cancel(late);
-                            }
-                            first_wait_done = true;
+        let config = DcMbqcConfig::new(hardware(qpus, qubits + 2)).with_seed(seed);
+        let workload: Vec<(Pattern, DistributedSchedule)> = {
+            let compiler = DcMbqcCompiler::new(config.clone());
+            patterns
+                .iter()
+                .map(|p| (p.clone(), compiler.compile_pattern(p).expect("compiles")))
+                .collect()
+        };
+        // One disk dir: workers=1 runs cold then warm; workers=2/8
+        // start disk-restored.
+        let dir = scratch_dir();
+        for workers in [1usize, 2, 8] {
+            let service = CompileService::new(ServiceConfig {
+                workers,
+                store: StoreConfig {
+                    memory_capacity: 8 << 20,
+                    disk_dir: Some(dir.clone()),
+                    ..StoreConfig::default()
+                },
+                // Flight recorder on: a failing cell below
+                // dumps the recent event history alongside the
+                // assertion (see `common::audited`).
+                telemetry: TelemetryConfig {
+                    flight_recorder: 128,
+                    ..TelemetryConfig::default()
+                },
+                ..ServiceConfig::default()
+            })
+            .expect("service starts");
+            // CI's release-mode pass sets MBQC_LIVE_SUBSCRIBER:
+            // the armed fan-out path then runs under the full
+            // lifecycle churn instead of only the happy paths.
+            let _live = common::live_subscriber(&service);
+            let cell = (|| -> Result<(), TestCaseError> {
+            let rounds = if workers == 1 { 2 } else { 1 };
+            for round in 0..rounds {
+                // Deterministic churn plan from the seed; the
+                // *timing* of each cancel is inherently racy —
+                // which is the point: any interleaving must be
+                // safe.
+                let mut rng = Rng::seed_from_u64(
+                    seed ^ (workers as u64) << 3 ^ (round as u64) << 9,
+                );
+                let group = CancelToken::new();
+                let mut jobs: Vec<(JobId, usize, Fate)> = Vec::new();
+                let mut cancel_late: Vec<JobId> = Vec::new();
+                for (i, (pattern, _)) in workload.iter().enumerate() {
+                    let priority = Priority::ALL[rng.range(3)];
+                    // Two tenants: every class churns two fair
+                    // lanes.
+                    let tenant = (i % 2) as u32;
+                    let fate = rng.range(10);
+                    let (id, fate) = match fate {
+                        // ~30% cancellations, at varied points.
+                        0 => {
+                            // Cancel immediately after submit.
+                            let h = service.submit_with(
+                                pattern.clone(),
+                                config.clone(),
+                                JobOptions {
+                                    priority,
+                                    tenant,
+                                    ..JobOptions::default()
+                                },
+                            );
+                            service.cancel(h.id());
+                            (h.id(), Fate::CancelRequested)
                         }
-                        let what = format!(
-                            "probe={probe_workers} workers={workers} \
-                             round={round} job={i}"
-                        );
-                        survivors += usize::from(check_terminal(
-                            &what,
-                            // A late cancel may arrive after the
-                            // job completed: Done is legal for
-                            // CancelRequested either way.
-                            fate,
-                            &result,
-                            &workload[i].1,
-                        )?);
-                    }
-                    prop_assert!(survivors <= jobs.len());
+                        1 => {
+                            // Shared token, fired after all
+                            // submissions.
+                            let h = service.submit_with(
+                                pattern.clone(),
+                                config.clone(),
+                                JobOptions {
+                                    priority,
+                                    tenant,
+                                    cancel: Some(group.clone()),
+                                    ..JobOptions::default()
+                                },
+                            );
+                            (h.id(), Fate::CancelRequested)
+                        }
+                        2 => {
+                            // Cancel after the first wait (some
+                            // jobs will be mid-flight by then).
+                            let id = service
+                                .submit_with(
+                                    pattern.clone(),
+                                    config.clone(),
+                                    JobOptions {
+                                        priority,
+                                        tenant,
+                                        ..JobOptions::default()
+                                    },
+                                )
+                                .id();
+                            cancel_late.push(id);
+                            (id, Fate::CancelRequested)
+                        }
+                        3 => {
+                            // Already-lapsed deadline: expires
+                            // at its first pop, runs nothing.
+                            let also_cancelled = rng.bernoulli(0.3);
+                            let h = service.submit_with(
+                                pattern.clone(),
+                                config.clone(),
+                                JobOptions {
+                                    priority,
+                                    tenant,
+                                    deadline: Some(Duration::ZERO),
+                                    ..JobOptions::default()
+                                },
+                            );
+                            if also_cancelled {
+                                service.cancel(h.id());
+                            }
+                            (h.id(), Fate::DeadlineLapsed { also_cancelled })
+                        }
+                        4 => {
+                            // Generous deadline: never fires.
+                            let h = service.submit_with(
+                                pattern.clone(),
+                                config.clone(),
+                                JobOptions {
+                                    tenant,
+                                    deadline: Some(Duration::from_secs(3600)),
+                                    ..JobOptions::default()
+                                },
+                            );
+                            (h.id(), Fate::RunsFree)
+                        }
+                        _ => (
+                            service
+                                .submit_with(
+                                    pattern.clone(),
+                                    config.clone(),
+                                    JobOptions {
+                                        priority,
+                                        tenant,
+                                        ..JobOptions::default()
+                                    },
+                                )
+                                .id(),
+                            Fate::RunsFree,
+                        ),
+                    };
+                    jobs.push((id, i, fate));
                 }
-                let stats = service.stats();
-                let what = format!("probe={probe_workers} workers={workers}");
-                prop_assert_eq!(
-                    stats.completed + stats.cancelled + stats.expired,
-                    stats.submitted,
-                    "{}: every job terminal: {:?}",
-                    &what,
-                    stats
-                );
-                prop_assert_eq!(stats.failed, 0, "{}: {:?}", &what, stats);
-                prop_assert!(
-                    stats.tenants.len() == 2 && stats.tenants.iter().all(|t| t.in_flight == 0),
-                    "{}: both tenants ran and drained: {:?}",
-                    &what,
-                    stats.tenants
-                );
-                prop_assert_eq!(
-                    stats.pool_outstanding,
-                    0,
-                    "{}: task still running after drain: {:?}",
-                    &what,
-                    stats
-                );
-                check_store(&service, &workload, &config, &what)?;
-                Ok(())
-                })();
-                common::audited(
-                    &service,
-                    &format!("probe={probe_workers} workers={workers}"),
-                    cell,
-                )?;
+                group.cancel();
+                let mut first_wait_done = false;
+                let mut survivors = 0usize;
+                for &(id, i, fate) in &jobs {
+                    let result = service.wait(id);
+                    if !first_wait_done {
+                        // Mid-flight cancellations: the rest of
+                        // the queue is in arbitrary progress now.
+                        for &late in &cancel_late {
+                            service.cancel(late);
+                        }
+                        first_wait_done = true;
+                    }
+                    let what = format!(
+                        "workers={workers} \
+                         round={round} job={i}"
+                    );
+                    survivors += usize::from(check_terminal(
+                        &what,
+                        // A late cancel may arrive after the
+                        // job completed: Done is legal for
+                        // CancelRequested either way.
+                        fate,
+                        &result,
+                        &workload[i].1,
+                    )?);
+                }
+                prop_assert!(survivors <= jobs.len());
             }
-            std::fs::remove_dir_all(&dir).ok();
+            let stats = service.stats();
+            let what = format!("workers={workers}");
+            prop_assert_eq!(
+                stats.completed + stats.cancelled + stats.expired,
+                stats.submitted,
+                "{}: every job terminal: {:?}",
+                &what,
+                stats
+            );
+            prop_assert_eq!(stats.failed, 0, "{}: {:?}", &what, stats);
+            prop_assert!(
+                stats.tenants.len() == 2 && stats.tenants.iter().all(|t| t.in_flight == 0),
+                "{}: both tenants ran and drained: {:?}",
+                &what,
+                stats.tenants
+            );
+            prop_assert_eq!(
+                stats.pool_outstanding,
+                0,
+                "{}: task still running after drain: {:?}",
+                &what,
+                stats
+            );
+            check_store(&service, &workload, &config, &what)?;
+            Ok(())
+            })();
+            common::audited(
+                &service,
+                &format!("workers={workers}"),
+                cell,
+            )?;
         }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 

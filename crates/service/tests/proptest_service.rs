@@ -2,12 +2,8 @@
 //!
 //! * the stage-graph executor's output is **bit-identical** to a
 //!   sequential `compile_pattern` loop across worker counts {1, 2, 8}
-//!   × partitioner probe workers {1, 2} × priority mixes × cache
-//!   states {cold, warm, disk-restored};
+//!   × priority mixes × cache states {cold, warm, disk-restored};
 //! * every stage codec round-trips exactly on real pipeline artifacts.
-//!
-//! Probe workers are always explicit (never the `0` = one-per-core
-//! default), so every host runs the same code paths.
 
 use dc_mbqc::{DcMbqcCompiler, DcMbqcConfig, DistributedSchedule};
 use mbqc_circuit::bench::{self, BenchmarkKind};
@@ -86,10 +82,10 @@ fn assert_identical(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The acceptance property: worker counts {1, 2, 8} × probe
-    /// workers {1, 2} × a cycling priority mix × cache states {cold,
-    /// warm, disk-restored} all reproduce `compile_pattern`
-    /// bit-for-bit under the stage-graph executor.
+    /// The acceptance property: worker counts {1, 2, 8} × a cycling
+    /// priority mix × cache states {cold, warm, disk-restored} all
+    /// reproduce `compile_pattern` bit-for-bit under the stage-graph
+    /// executor.
     #[test]
     fn executor_bit_identical_to_compile_pattern(
         qubits in 6usize..11,
@@ -99,66 +95,61 @@ proptest! {
     ) {
         let patterns: Vec<Pattern> =
             (0..batch).map(|i| pattern_for(i, qubits + (i % 3))).collect();
-        for probe_workers in [1usize, 2] {
-            let config = DcMbqcConfig::new(hardware(qpus, qubits + 2))
-                .with_seed(seed)
-                .with_probe_workers(probe_workers);
-            let expected: Vec<DistributedSchedule> = {
-                let compiler = DcMbqcCompiler::new(config.clone());
-                patterns
-                    .iter()
-                    .map(|p| compiler.compile_pattern(p).expect("compiles"))
-                    .collect()
-            };
+        let config = DcMbqcConfig::new(hardware(qpus, qubits + 2)).with_seed(seed);
+        let expected: Vec<DistributedSchedule> = {
+            let compiler = DcMbqcCompiler::new(config.clone());
+            patterns
+                .iter()
+                .map(|p| compiler.compile_pattern(p).expect("compiles"))
+                .collect()
+        };
 
-            let dir = scratch_dir();
-            for workers in [1usize, 2, 8] {
-                let service = CompileService::new(ServiceConfig {
-                    workers,
-                    store: StoreConfig {
-                        memory_capacity: 8 << 20,
-                        disk_dir: Some(dir.clone()),
-                        ..StoreConfig::default()
-                    },
-                    ..ServiceConfig::default()
-                })
-                .expect("service starts");
-                // Cold on the first worker count; disk-restored (fresh
-                // memory, persisted artifacts) on the later ones.
-                for round in 0..2 {
-                    let ids: Vec<_> = patterns
-                        .iter()
-                        .enumerate()
-                        .map(|(i, p)| {
-                            submit_at(&service, p.clone(), config.clone(), priority_of(i + round))
-                        })
-                        .collect();
-                    for (i, id) in ids.into_iter().enumerate() {
-                        let got = service.wait(id).expect("service compiles");
-                        assert_identical(
-                            &expected[i],
-                            &got,
-                            &format!(
-                                "probe_workers={probe_workers} workers={workers} \
-                                 round={round} job={i}"
-                            ),
-                        )?;
-                    }
+        let dir = scratch_dir();
+        for workers in [1usize, 2, 8] {
+            let service = CompileService::new(ServiceConfig {
+                workers,
+                store: StoreConfig {
+                    memory_capacity: 8 << 20,
+                    disk_dir: Some(dir.clone()),
+                    ..StoreConfig::default()
+                },
+                ..ServiceConfig::default()
+            })
+            .expect("service starts");
+            // Cold on the first worker count; disk-restored (fresh
+            // memory, persisted artifacts) on the later ones.
+            for round in 0..2 {
+                let ids: Vec<_> = patterns
+                    .iter()
+                    .enumerate()
+                    .map(|(i, p)| {
+                        submit_at(&service, p.clone(), config.clone(), priority_of(i + round))
+                    })
+                    .collect();
+                for (i, id) in ids.into_iter().enumerate() {
+                    let got = service.wait(id).expect("service compiles");
+                    assert_identical(
+                        &expected[i],
+                        &got,
+                        &format!(
+                            "workers={workers} round={round} job={i}"
+                        ),
+                    )?;
                 }
-                let stats = service.stats();
-                prop_assert_eq!(stats.completed, 2 * patterns.len() as u64);
-                prop_assert_eq!(stats.failed, 0);
-                prop_assert!(stats.tasks_executed >= 1, "{:?}", stats);
-                // Round 2 (and later worker counts, via the disk tier) must
-                // be pure `Scheduled` hits.
-                prop_assert!(
-                    stats.hits_scheduled >= patterns.len() as u64,
-                    "warm round recomputed: {:?}",
-                    stats
-                );
             }
-            std::fs::remove_dir_all(&dir).ok();
+            let stats = service.stats();
+            prop_assert_eq!(stats.completed, 2 * patterns.len() as u64);
+            prop_assert_eq!(stats.failed, 0);
+            prop_assert!(stats.tasks_executed >= 1, "{:?}", stats);
+            // Round 2 (and later worker counts, via the disk tier) must
+            // be pure `Scheduled` hits.
+            prop_assert!(
+                stats.hits_scheduled >= patterns.len() as u64,
+                "warm round recomputed: {:?}",
+                stats
+            );
         }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Mid-pipeline re-entry: a `Partitioned`/`Mapped` hit under a
@@ -171,36 +162,32 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let pattern = pattern_for(seed as usize, qubits);
-        for probe_workers in [1usize, 2] {
-            let base = DcMbqcConfig::new(hardware(qpus, qubits))
-                .with_seed(seed)
-                .with_probe_workers(probe_workers);
-            let changed = base.clone().without_bdir();
-            let service = CompileService::new(ServiceConfig {
-                workers: 1,
-                ..ServiceConfig::default()
-            })
-            .expect("service starts");
-            service
-                .wait(service.submit(pattern.clone(), base))
-                .expect("warms the cache");
-            let got = service
-                .wait(service.submit(pattern.clone(), changed.clone()))
-                .expect("service compiles");
-            let direct = DcMbqcCompiler::new(changed)
-                .compile_pattern(&pattern)
-                .expect("compiles");
-            assert_identical(
-                &direct,
-                &got,
-                &format!("re-entry after config change, probe_workers={probe_workers}"),
-            )?;
-            // The scheduling-stage fingerprint changed, but partitioning
-            // and mapping were served from cache.
-            let stats = service.stats();
-            prop_assert_eq!(stats.hits_mapped, 1, "{:?}", stats);
-            prop_assert_eq!(stats.full_compiles, 1);
-        }
+        let base = DcMbqcConfig::new(hardware(qpus, qubits)).with_seed(seed);
+        let changed = base.clone().without_bdir();
+        let service = CompileService::new(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        })
+        .expect("service starts");
+        service
+            .wait(service.submit(pattern.clone(), base))
+            .expect("warms the cache");
+        let got = service
+            .wait(service.submit(pattern.clone(), changed.clone()))
+            .expect("service compiles");
+        let direct = DcMbqcCompiler::new(changed)
+            .compile_pattern(&pattern)
+            .expect("compiles");
+        assert_identical(
+            &direct,
+            &got,
+            "re-entry after config change",
+        )?;
+        // The scheduling-stage fingerprint changed, but partitioning
+        // and mapping were served from cache.
+        let stats = service.stats();
+        prop_assert_eq!(stats.hits_mapped, 1, "{:?}", stats);
+        prop_assert_eq!(stats.full_compiles, 1);
     }
 
     /// Round trips of every stage codec on real pipeline artifacts.

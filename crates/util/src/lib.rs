@@ -8,7 +8,7 @@
 //!   compiler (simulated annealing, random benchmark instances, tie
 //!   breaking) draw from these generators so that every experiment in the
 //!   paper reproduction is bit-for-bit repeatable from a seed.
-//! * [`table`] — plain-text / markdown / CSV table rendering used by the
+//! * [`table`] — plain-text / CSV table rendering used by the
 //!   `repro` binary to print the paper's tables and figure series.
 //! * [`codec`] — the hand-rolled binary encoder/decoder behind every
 //!   stage-artifact `to_bytes`/`from_bytes` pair (the build box is

@@ -1,4 +1,4 @@
-//! Plain-text, markdown, and CSV table rendering.
+//! Plain-text and CSV table rendering.
 //!
 //! The `repro` binary in `mbqc-bench` uses [`TextTable`] to print every
 //! table and figure series from the paper in a terminal-friendly format.
@@ -27,8 +27,7 @@ pub enum Align {
     Right,
 }
 
-/// A simple table builder that renders to aligned plain text, markdown, or
-/// CSV.
+/// A simple table builder that renders to aligned plain text or CSV.
 ///
 /// # Examples
 ///
@@ -149,29 +148,6 @@ impl TextTable {
         out
     }
 
-    /// Renders the table as GitHub-flavored markdown.
-    #[must_use]
-    pub fn render_markdown(&self) -> String {
-        let mut out = String::new();
-        if let Some(t) = &self.title {
-            let _ = writeln!(out, "### {t}\n");
-        }
-        let _ = writeln!(out, "| {} |", self.headers.join(" | "));
-        let seps: Vec<&str> = self
-            .aligns
-            .iter()
-            .map(|a| match a {
-                Align::Left => ":---",
-                Align::Right => "---:",
-            })
-            .collect();
-        let _ = writeln!(out, "| {} |", seps.join(" | "));
-        for row in &self.rows {
-            let _ = writeln!(out, "| {} |", row.join(" | "));
-        }
-        out
-    }
-
     /// Renders the table as CSV (RFC-4180-style quoting for cells
     /// containing commas, quotes, or newlines).
     #[must_use]
@@ -261,13 +237,6 @@ mod tests {
         let mut t = sample();
         t.title("Table III");
         assert!(t.render().starts_with("== Table III =="));
-        assert!(t.render_markdown().starts_with("### Table III"));
-    }
-
-    #[test]
-    fn markdown_has_separator() {
-        let md = sample().render_markdown();
-        assert!(md.contains("| :--- | ---: | ---: |"));
     }
 
     #[test]
