@@ -91,12 +91,6 @@ impl Circuit {
         self.gates.iter().filter(|g| g.is_two_qubit()).count()
     }
 
-    /// Number of single-qubit gates.
-    #[must_use]
-    pub fn single_qubit_gate_count(&self) -> usize {
-        self.gates.iter().filter(|g| g.is_single_qubit()).count()
-    }
-
     /// Circuit depth: length of the longest chain of gates sharing qubits.
     #[must_use]
     pub fn depth(&self) -> usize {
@@ -276,7 +270,7 @@ mod tests {
         c.h(0).cnot(0, 1).cz(1, 2).rz(2, 0.25);
         assert_eq!(c.gate_count(), 4);
         assert_eq!(c.two_qubit_gate_count(), 2);
-        assert_eq!(c.single_qubit_gate_count(), 2);
+        assert_eq!(c.gates().iter().filter(|g| g.is_single_qubit()).count(), 2);
     }
 
     #[test]

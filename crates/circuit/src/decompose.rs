@@ -128,7 +128,7 @@ mod tests {
         let d = decompose_three_qubit(&c);
         assert_eq!(d.two_qubit_gate_count(), 6);
         // 2 H + 7 T/Tdg single-qubit gates.
-        assert_eq!(d.single_qubit_gate_count(), 9);
+        assert_eq!(d.gates().iter().filter(|g| g.is_single_qubit()).count(), 9);
     }
 
     #[test]

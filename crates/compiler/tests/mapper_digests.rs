@@ -13,6 +13,9 @@
 //! every digest as it is; a deliberate output change re-baselines them
 //! in the same commit.
 
+mod common;
+
+use common::{edge_from_index, erdos_renyi_gnm};
 use mbqc_compiler::{CompilerConfig, GridMapper, MapperWorkspace};
 use mbqc_graph::{generate, Graph, NodeId};
 use mbqc_hardware::ResourceStateKind;
@@ -35,8 +38,8 @@ fn graphs() -> Vec<(&'static str, Graph, usize)> {
         ("star20", generate::star_graph(20), 5),
         ("complete10", generate::complete_graph(10), 5),
         ("complete14", generate::complete_graph(14), 7),
-        ("gnm80", generate::erdos_renyi_gnm(80, 160, &mut rng), 8),
-        ("gnm150", generate::erdos_renyi_gnm(150, 450, &mut rng), 12),
+        ("gnm80", erdos_renyi_gnm(80, 160, &mut rng), 8),
+        ("gnm150", erdos_renyi_gnm(150, 450, &mut rng), 12),
     ]
 }
 
@@ -277,4 +280,46 @@ fn mapper_outputs_match_pinned_digests() {
         "mapper output changed; got:\n{}",
         got.join("\n")
     );
+}
+
+// The `G(n, m)` corpus generator: its output is part of the pins above.
+
+#[test]
+fn edge_from_index_covers_all_pairs() {
+    let n = 7;
+    let mut seen = std::collections::HashSet::new();
+    for k in 0..(n * (n - 1) / 2) {
+        let (i, j) = edge_from_index(n, k);
+        assert!(i < j && j < n);
+        assert!(seen.insert((i, j)));
+    }
+    assert_eq!(seen.len(), 21);
+}
+
+#[test]
+fn gnm_has_exact_edges() {
+    let mut rng = Rng::seed_from_u64(1);
+    let g = erdos_renyi_gnm(16, 60, &mut rng);
+    assert_eq!(g.node_count(), 16);
+    assert_eq!(g.edge_count(), 60);
+}
+
+#[test]
+fn gnm_deterministic_for_seed() {
+    let a = erdos_renyi_gnm(10, 20, &mut Rng::seed_from_u64(5));
+    let b = erdos_renyi_gnm(10, 20, &mut Rng::seed_from_u64(5));
+    assert_eq!(a, b);
+}
+
+#[test]
+fn gnm_full_is_complete() {
+    let mut rng = Rng::seed_from_u64(2);
+    let g = erdos_renyi_gnm(5, 10, &mut rng);
+    assert_eq!(g.edge_count(), 10);
+}
+
+#[test]
+#[should_panic(expected = "edges but only")]
+fn gnm_too_many_edges_panics() {
+    let _ = erdos_renyi_gnm(4, 7, &mut Rng::seed_from_u64(0));
 }

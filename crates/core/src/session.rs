@@ -95,12 +95,6 @@ impl<'p> Transpiled<'p> {
     pub fn pattern(&self) -> &Pattern {
         &self.pattern
     }
-
-    /// The flow-respecting placement order (covers all nodes).
-    #[must_use]
-    pub fn placement_order(&self) -> &[NodeId] {
-        &self.order
-    }
 }
 
 impl Transpiled<'static> {
@@ -118,13 +112,11 @@ impl Transpiled<'static> {
 }
 
 /// Stage-2 artifact: the computation graph partitioned across QPUs
-/// (Algorithm 2), with the workload-weighted CSR view and the full
-/// probe history retained for diagnostics.
+/// (Algorithm 2), with the full probe history retained for
+/// diagnostics.
 #[derive(Debug, Clone)]
 pub struct Partitioned<'p> {
     transpiled: Transpiled<'p>,
-    /// Workload-weighted frozen view (node weight = 2 + degree).
-    csr: CsrGraph,
     adaptive: AdaptiveResult,
 }
 
@@ -144,7 +136,6 @@ impl<'p> Partitioned<'p> {
         let alpha = partition.imbalance_csr(&csr);
         Self {
             transpiled,
-            csr,
             adaptive: AdaptiveResult {
                 partition,
                 modularity: q,
@@ -177,12 +168,6 @@ impl<'p> Partitioned<'p> {
     #[must_use]
     pub fn modularity(&self) -> f64 {
         self.adaptive.modularity
-    }
-
-    /// The workload-weighted CSR view the partitioner ran on.
-    #[must_use]
-    pub fn weighted_graph(&self) -> &CsrGraph {
-        &self.csr
     }
 
     /// Global node ids owned by each QPU, in placement order: the
@@ -243,12 +228,6 @@ impl<'p> Mapped<'p> {
     #[must_use]
     pub fn partitioned(&self) -> &Partitioned<'p> {
         &self.partitioned
-    }
-
-    /// Global node ids owned by each QPU, in placement order.
-    #[must_use]
-    pub fn part_nodes(&self) -> &[Vec<NodeId>] {
-        &self.part_nodes
     }
 
     /// The compiled per-QPU programs.
@@ -409,7 +388,6 @@ pub fn partition_stage<'p>(
     let adaptive = adaptive_partition_csr_with(&csr, &adaptive_cfg, ws);
     Partitioned {
         transpiled,
-        csr,
         adaptive,
     }
 }

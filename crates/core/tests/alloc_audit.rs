@@ -57,19 +57,15 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, usize) {
 #[test]
 fn warm_flow_order_and_schedule_allocations_are_bounded() {
     let n = 100;
-    // Table IV: 8 QPUs of 4-ring resource states; every worker count
-    // pinned to one so no helper thread allocates while armed.
+    // Table IV: 8 QPUs of 4-ring resource states; one map worker so no
+    // helper thread allocates while armed.
     let hw = DistributedHardware::builder()
         .num_qpus(8)
         .grid_width(bench::grid_size_for(n))
         .resource_state(ResourceStateKind::FOUR_RING)
         .kmax(4)
         .build();
-    let config = DcMbqcConfig::new(hw)
-        .with_seed(2026)
-        .with_alpha_max(1.5)
-        .with_probe_workers(1)
-        .with_batch_workers(1);
+    let config = DcMbqcConfig::new(hw).with_seed(2026).with_alpha_max(1.5);
     let pattern = transpile(&bench::qft(n));
     let mut session = CompileSession::new(config).with_map_workers(1);
     let reference = session.compile_pattern(&pattern).expect("QFT-100 compiles");

@@ -24,15 +24,11 @@ fn table3(n: usize) -> DcMbqcConfig {
 }
 
 /// The FM counters of partitioning `kind`-`n` twice in one workspace,
-/// under table III's configuration with `probe_workers` set through the
-/// no-op setter a caller may still name (`None` leaves the default):
-/// counts are per call, so both calls must read the same.
-fn counters(kind: BenchmarkKind, n: usize, probe_workers: Option<usize>) -> FmCounters {
+/// under table III's configuration: counts are per call, so both calls
+/// must read the same.
+fn counters(kind: BenchmarkKind, n: usize) -> FmCounters {
     let pattern = transpile(&kind.generate(n, 2026));
-    let config = match probe_workers {
-        Some(workers) => table3(n).with_probe_workers(workers),
-        None => table3(n),
-    };
+    let config = table3(n);
     let mut ws = KwayWorkspace::new();
     let mut got = Vec::new();
     for _ in 0..2 {
@@ -70,13 +66,11 @@ fn fm_counters_are_pinned() {
     // laid out once per partition call, however many α probes and
     // restarts share it.
     let pins = [
-        (Qaoa, 16, Some(1), fm(21, 31, 956, 840, 4)),
-        (Qaoa, 16, None, fm(21, 31, 956, 840, 4)),
-        (Qft, 36, Some(1), fm(16, 18, 362, 342, 5)),
-        (Qft, 36, None, fm(16, 18, 362, 342, 5)),
+        (Qaoa, 16, fm(21, 31, 956, 840, 4)),
+        (Qft, 36, fm(16, 18, 362, 342, 5)),
     ];
-    for (kind, n, workers, want) in pins {
-        let got = counters(kind, n, workers);
-        assert_eq!(got, want, "{kind:?}-{n}, probe workers {workers:?}");
+    for (kind, n, want) in pins {
+        let got = counters(kind, n);
+        assert_eq!(got, want, "{kind:?}-{n}");
     }
 }

@@ -4,37 +4,17 @@ use std::collections::VecDeque;
 
 use crate::{Graph, NodeId};
 
-/// Breadth-first search from `start`; returns visit order.
+/// Unweighted BFS distances from `start`; unreachable nodes get `None`.
 ///
 /// # Examples
 ///
 /// ```
-/// use mbqc_graph::{algo, generate};
+/// use mbqc_graph::{algo, generate, NodeId};
 ///
 /// let g = generate::path_graph(4);
-/// let order = algo::bfs_order(&g, mbqc_graph::NodeId::new(0));
-/// assert_eq!(order.len(), 4);
+/// let dist = algo::bfs_distances(&g, NodeId::new(0));
+/// assert_eq!(dist, vec![Some(0), Some(1), Some(2), Some(3)]);
 /// ```
-#[must_use]
-pub fn bfs_order(g: &Graph, start: NodeId) -> Vec<NodeId> {
-    let mut seen = vec![false; g.node_count()];
-    let mut order = Vec::new();
-    let mut queue = VecDeque::new();
-    seen[start.index()] = true;
-    queue.push_back(start);
-    while let Some(u) = queue.pop_front() {
-        order.push(u);
-        for v in g.neighbors(u) {
-            if !seen[v.index()] {
-                seen[v.index()] = true;
-                queue.push_back(v);
-            }
-        }
-    }
-    order
-}
-
-/// Unweighted BFS distances from `start`; unreachable nodes get `None`.
 #[must_use]
 pub fn bfs_distances(g: &Graph, start: NodeId) -> Vec<Option<usize>> {
     let mut dist = vec![None; g.node_count()];
@@ -82,77 +62,10 @@ pub fn connected_components(g: &Graph) -> (Vec<usize>, usize) {
     (comp, count)
 }
 
-/// Returns `true` if the graph is connected (the empty graph counts as
-/// connected).
-#[must_use]
-pub fn is_connected(g: &Graph) -> bool {
-    g.node_count() == 0 || connected_components(g).1 == 1
-}
-
-/// Shortest path between `a` and `b` as a node sequence (inclusive), or
-/// `None` if disconnected.
-#[must_use]
-pub fn shortest_path(g: &Graph, a: NodeId, b: NodeId) -> Option<Vec<NodeId>> {
-    if a == b {
-        return Some(vec![a]);
-    }
-    let mut prev: Vec<Option<NodeId>> = vec![None; g.node_count()];
-    let mut seen = vec![false; g.node_count()];
-    let mut queue = VecDeque::new();
-    seen[a.index()] = true;
-    queue.push_back(a);
-    while let Some(u) = queue.pop_front() {
-        for v in g.neighbors(u) {
-            if !seen[v.index()] {
-                seen[v.index()] = true;
-                prev[v.index()] = Some(u);
-                if v == b {
-                    let mut path = vec![b];
-                    let mut cur = b;
-                    while let Some(p) = prev[cur.index()] {
-                        path.push(p);
-                        cur = p;
-                    }
-                    path.reverse();
-                    return Some(path);
-                }
-                queue.push_back(v);
-            }
-        }
-    }
-    None
-}
-
-/// Graph diameter (longest shortest path) of a connected graph; `None` if
-/// the graph is disconnected or empty.
-#[must_use]
-pub fn diameter(g: &Graph) -> Option<usize> {
-    if g.node_count() == 0 || !is_connected(g) {
-        return None;
-    }
-    let mut best = 0;
-    for u in g.nodes() {
-        for d in bfs_distances(g, u).into_iter().flatten() {
-            best = best.max(d);
-        }
-    }
-    Some(best)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generate;
-
-    #[test]
-    fn bfs_visits_component_once() {
-        let g = generate::cycle_graph(6);
-        let order = bfs_order(&g, NodeId::new(0));
-        assert_eq!(order.len(), 6);
-        let mut idx: Vec<usize> = order.iter().map(|n| n.index()).collect();
-        idx.sort_unstable();
-        assert_eq!(idx, (0..6).collect::<Vec<_>>());
-    }
 
     #[test]
     fn distances_on_path() {
@@ -180,52 +93,5 @@ mod tests {
         assert_eq!(comp[0], comp[2]);
         assert_eq!(comp[a.index()], comp[b.index()]);
         assert_ne!(comp[0], comp[a.index()]);
-    }
-
-    #[test]
-    fn connectivity() {
-        assert!(is_connected(&Graph::new()));
-        assert!(is_connected(&generate::complete_graph(4)));
-        let mut g = generate::path_graph(2);
-        g.add_node();
-        assert!(!is_connected(&g));
-    }
-
-    #[test]
-    fn shortest_path_on_cycle() {
-        let g = generate::cycle_graph(6);
-        let p = shortest_path(&g, NodeId::new(0), NodeId::new(3)).unwrap();
-        assert_eq!(p.len(), 4); // 0-1-2-3 or 0-5-4-3
-        assert_eq!(p[0], NodeId::new(0));
-        assert_eq!(p[3], NodeId::new(3));
-        for w in p.windows(2) {
-            assert!(g.has_edge(w[0], w[1]));
-        }
-    }
-
-    #[test]
-    fn shortest_path_self() {
-        let g = generate::path_graph(2);
-        assert_eq!(
-            shortest_path(&g, NodeId::new(1), NodeId::new(1)),
-            Some(vec![NodeId::new(1)])
-        );
-    }
-
-    #[test]
-    fn shortest_path_disconnected() {
-        let mut g = generate::path_graph(2);
-        let c = g.add_node();
-        assert!(shortest_path(&g, NodeId::new(0), c).is_none());
-    }
-
-    #[test]
-    fn diameter_values() {
-        assert_eq!(diameter(&generate::path_graph(5)), Some(4));
-        assert_eq!(diameter(&generate::complete_graph(5)), Some(1));
-        assert_eq!(diameter(&generate::cycle_graph(6)), Some(3));
-        let mut g = generate::path_graph(2);
-        g.add_node();
-        assert_eq!(diameter(&g), None);
     }
 }

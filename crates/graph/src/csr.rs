@@ -96,39 +96,6 @@ impl CsrGraph {
         csr
     }
 
-    /// Builds a CSR graph directly from per-node adjacency lists and node
-    /// weights (the coarsening path, which never materializes a [`Graph`]).
-    ///
-    /// Each undirected edge must appear in both endpoint lists with equal
-    /// weight; this is debug-asserted, not checked in release builds.
-    #[must_use]
-    pub fn from_adjacency(adj: &[Vec<(NodeId, i64)>], node_weights: Vec<i64>) -> Self {
-        assert_eq!(adj.len(), node_weights.len(), "node count mismatch");
-        let mut offsets = Vec::with_capacity(adj.len() + 1);
-        let total_len: usize = adj.iter().map(Vec::len).sum();
-        let mut neighbors = Vec::with_capacity(total_len);
-        let mut weights = Vec::with_capacity(total_len);
-        let mut total_edge_weight = 0i64;
-        offsets.push(0u32);
-        for list in adj {
-            for &(v, w) in list {
-                neighbors.push(v);
-                weights.push(w);
-                total_edge_weight += w;
-            }
-            offsets.push(neighbors.len() as u32);
-        }
-        debug_assert!(total_len.is_multiple_of(2), "asymmetric adjacency");
-        Self {
-            offsets,
-            neighbors,
-            weights,
-            node_weights,
-            edge_count: total_len / 2,
-            total_edge_weight: total_edge_weight / 2,
-        }
-    }
-
     /// Builds a CSR graph directly from its raw arrays — the
     /// zero-copy constructor for graph-contraction passes that
     /// assemble the flat arrays themselves (e.g. the partitioner's
@@ -278,19 +245,6 @@ impl CsrGraph {
                 .filter(move |&(b, _)| a < b)
                 .map(move |(b, w)| (a, b, w))
         })
-    }
-
-    /// Thaws the CSR view back into a mutable [`Graph`].
-    #[must_use]
-    pub fn to_graph(&self) -> Graph {
-        let mut g = Graph::with_nodes(self.node_count());
-        for u in self.nodes() {
-            g.set_node_weight(u, self.node_weight(u));
-        }
-        for (a, b, w) in self.edges() {
-            g.add_edge_weighted(a, b, w);
-        }
-        g
     }
 }
 
@@ -525,7 +479,15 @@ mod tests {
 
     #[test]
     fn edges_order_matches_graph() {
-        let g = generate::erdos_renyi_gnp(30, 0.2, &mut mbqc_util::Rng::seed_from_u64(1));
+        // Random edges inserted in scrambled order.
+        let mut rng = mbqc_util::Rng::seed_from_u64(1);
+        let mut g = Graph::with_nodes(30);
+        for _ in 0..90 {
+            let (a, b) = (rng.range(30), rng.range(30));
+            if a != b {
+                g.add_edge(NodeId::new(a), NodeId::new(b));
+            }
+        }
         let csr = CsrGraph::from_graph(&g);
         let a: Vec<_> = g.edges().collect();
         let b: Vec<_> = csr.edges().collect();
@@ -538,23 +500,6 @@ mod tests {
         assert!(csr.is_empty());
         assert_eq!(csr.node_count(), 0);
         assert_eq!(csr.edges().count(), 0);
-    }
-
-    #[test]
-    fn roundtrip_through_graph() {
-        // Adjacency-list order may differ after a thaw (edges re-inserted
-        // in a < b order); compare structure, not list order.
-        let g = generate::cycle_graph(9);
-        let back = CsrGraph::from_graph(&g).to_graph();
-        assert_eq!(back.node_count(), g.node_count());
-        let mut e1: Vec<_> = g.edges().collect();
-        let mut e2: Vec<_> = back.edges().collect();
-        e1.sort_unstable();
-        e2.sort_unstable();
-        assert_eq!(e1, e2);
-        for u in g.nodes() {
-            assert_eq!(back.node_weight(u), g.node_weight(u));
-        }
     }
 
     #[test]
@@ -629,23 +574,5 @@ mod tests {
             }
             assert_eq!(recycled.finish(), fresh.build(), "round {round}");
         }
-    }
-
-    #[test]
-    fn from_adjacency_counts() {
-        // Triangle with one weighted edge.
-        let n0 = NodeId::new(0);
-        let n1 = NodeId::new(1);
-        let n2 = NodeId::new(2);
-        let adj = vec![
-            vec![(n1, 5i64), (n2, 1)],
-            vec![(n0, 5), (n2, 1)],
-            vec![(n0, 1), (n1, 1)],
-        ];
-        let csr = CsrGraph::from_adjacency(&adj, vec![1, 2, 3]);
-        assert_eq!(csr.edge_count(), 3);
-        assert_eq!(csr.total_edge_weight(), 7);
-        assert_eq!(csr.total_node_weight(), 6);
-        assert_eq!(csr.neighbors(n1), &[n0, n2]);
     }
 }

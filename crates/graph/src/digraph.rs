@@ -155,12 +155,6 @@ impl DiGraph {
         self.predecessors(n).len()
     }
 
-    /// Out-degree of `n`.
-    #[must_use]
-    pub fn out_degree(&self, n: NodeId) -> usize {
-        self.successors(n).len()
-    }
-
     /// Iterates over all node ids.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.node_count()).map(NodeId::new)
@@ -466,7 +460,7 @@ mod tests {
         assert_eq!(d.edge_count(), 1, "repeated edges are kept once");
         assert!(d.has_edge(a, b));
         assert!(!d.has_edge(b, a));
-        assert_eq!(d.out_degree(a), 1);
+        assert_eq!(d.successors(a).len(), 1);
         assert_eq!(d.in_degree(b), 1);
         assert_eq!(d.predecessors(b), &[a]);
         assert_eq!(DiGraph::new().node_count(), 0);

@@ -1,10 +1,7 @@
 //! Deterministic graph generators.
 //!
-//! These feed the benchmark suite: QAOA Max-Cut instances are built on
-//! Erdős–Rényi graphs with "half of all possible edges" (Section V-A of the
-//! paper), and the photonic resource states are rings and stars.
-
-use mbqc_util::Rng;
+//! These feed the benchmark circuits and the tests: the photonic
+//! resource states are rings and stars, and RSG arrays are grids.
 
 use crate::{Graph, NodeId};
 
@@ -78,61 +75,6 @@ pub fn grid_graph(rows: usize, cols: usize) -> Graph {
     g
 }
 
-/// Erdős–Rényi `G(n, m)`: exactly `m` distinct edges chosen uniformly at
-/// random.
-///
-/// This is the paper's QAOA instance generator with
-/// `m = (n·(n−1)/2) / 2` ("randomly selecting half of all possible
-/// edges").
-///
-/// # Panics
-///
-/// Panics if `m` exceeds the number of possible edges.
-#[must_use]
-pub fn erdos_renyi_gnm(n: usize, m: usize, rng: &mut Rng) -> Graph {
-    let possible = n * n.saturating_sub(1) / 2;
-    assert!(
-        m <= possible,
-        "requested {m} edges but only {possible} exist"
-    );
-    let mut g = Graph::with_nodes(n);
-    // Sample m distinct edge indices out of the C(n,2) possible ones.
-    let picks = rng.sample_indices(possible, m);
-    for k in picks {
-        let (i, j) = edge_from_index(n, k);
-        g.add_edge(NodeId::new(i), NodeId::new(j));
-    }
-    g
-}
-
-/// Erdős–Rényi `G(n, p)`: each possible edge included independently with
-/// probability `p`.
-#[must_use]
-pub fn erdos_renyi_gnp(n: usize, p: f64, rng: &mut Rng) -> Graph {
-    let mut g = Graph::with_nodes(n);
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if rng.bernoulli(p) {
-                g.add_edge(NodeId::new(i), NodeId::new(j));
-            }
-        }
-    }
-    g
-}
-
-/// Maps a linear index `k ∈ [0, C(n,2))` to the `k`-th pair `(i, j)` with
-/// `i < j` in lexicographic order.
-fn edge_from_index(n: usize, mut k: usize) -> (usize, usize) {
-    for i in 0..n {
-        let row = n - 1 - i;
-        if k < row {
-            return (i, i + 1 + k);
-        }
-        k -= row;
-    }
-    unreachable!("edge index out of range");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,63 +110,8 @@ mod tests {
         assert_eq!(g.node_count(), 12);
         // edges: 3*3 horizontal + 2*4 vertical = 17
         assert_eq!(g.edge_count(), 17);
-        assert!(algo::is_connected(&g));
-        assert_eq!(algo::diameter(&g), Some(5));
-    }
-
-    #[test]
-    fn edge_from_index_covers_all_pairs() {
-        let n = 7;
-        let mut seen = std::collections::HashSet::new();
-        for k in 0..(n * (n - 1) / 2) {
-            let (i, j) = edge_from_index(n, k);
-            assert!(i < j && j < n);
-            assert!(seen.insert((i, j)));
-        }
-        assert_eq!(seen.len(), 21);
-    }
-
-    #[test]
-    fn gnm_has_exact_edges() {
-        let mut rng = Rng::seed_from_u64(1);
-        let g = erdos_renyi_gnm(16, 60, &mut rng);
-        assert_eq!(g.node_count(), 16);
-        assert_eq!(g.edge_count(), 60);
-    }
-
-    #[test]
-    fn gnm_deterministic_for_seed() {
-        let a = erdos_renyi_gnm(10, 20, &mut Rng::seed_from_u64(5));
-        let b = erdos_renyi_gnm(10, 20, &mut Rng::seed_from_u64(5));
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn gnm_full_is_complete() {
-        let mut rng = Rng::seed_from_u64(2);
-        let g = erdos_renyi_gnm(5, 10, &mut rng);
-        assert_eq!(g.edge_count(), 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "edges but only")]
-    fn gnm_too_many_edges_panics() {
-        let _ = erdos_renyi_gnm(4, 7, &mut Rng::seed_from_u64(0));
-    }
-
-    #[test]
-    fn gnp_probability_extremes() {
-        let mut rng = Rng::seed_from_u64(3);
-        assert_eq!(erdos_renyi_gnp(8, 0.0, &mut rng).edge_count(), 0);
-        assert_eq!(erdos_renyi_gnp(8, 1.0, &mut rng).edge_count(), 28);
-    }
-
-    #[test]
-    fn gnp_expected_density() {
-        let mut rng = Rng::seed_from_u64(4);
-        let g = erdos_renyi_gnp(60, 0.5, &mut rng);
-        let possible = 60 * 59 / 2;
-        let ratio = g.edge_count() as f64 / possible as f64;
-        assert!((ratio - 0.5).abs() < 0.05, "ratio {ratio}");
+        assert_eq!(algo::connected_components(&g).1, 1);
+        // Corner to opposite corner: 2 + 3 steps.
+        assert_eq!(algo::bfs_distances(&g, NodeId::new(0))[11], Some(5));
     }
 }

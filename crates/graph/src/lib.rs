@@ -14,10 +14,9 @@
 //! * [`DiGraph`] — a frozen CSR directed graph, built once from an edge
 //!   list, with topological sorting and longest-path queries: the
 //!   representation of measurement dependency graphs.
-//! * [`algo`] — traversals, connected components, BFS distances.
-//! * [`generate`] — deterministic random and structured graph generators
-//!   (Erdős–Rényi, paths, cycles, grids, complete graphs) used by the
-//!   benchmark suite.
+//! * [`algo`] — connected components and BFS distances.
+//! * [`generate`] — structured graph generators (paths, cycles, stars,
+//!   grids, complete graphs) used by the benchmark circuits and tests.
 //!
 //! # Examples
 //!

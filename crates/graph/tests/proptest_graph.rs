@@ -1,13 +1,16 @@
 //! Property-based tests for the graph substrate.
 
-use mbqc_graph::{algo, generate, DiGraph, Graph, NodeId};
+mod common;
+
+use common::erdos_renyi_gnp;
+use mbqc_graph::{algo, DiGraph, Graph, NodeId};
 use mbqc_util::Rng;
 use proptest::prelude::*;
 
 /// Builds a random graph from a seed and an edge density in [0, 100].
 fn random_graph(n: usize, density_pct: u8, seed: u64) -> Graph {
     let mut rng = Rng::seed_from_u64(seed);
-    generate::erdos_renyi_gnp(n, f64::from(density_pct) / 100.0, &mut rng)
+    erdos_renyi_gnp(n, f64::from(density_pct) / 100.0, &mut rng)
 }
 
 /// Min-index-first Kahn on a binary heap: the reference order
@@ -79,25 +82,6 @@ proptest! {
             if let (Some(da), Some(db)) = (dist[a.index()], dist[b.index()]) {
                 prop_assert!(da.abs_diff(db) <= 1);
             }
-        }
-    }
-
-    #[test]
-    fn shortest_path_is_valid_and_minimal(n in 2usize..20, d in 30u8..=100, seed in 0u64..300) {
-        let g = random_graph(n, d, seed);
-        let a = NodeId::new(0);
-        let b = NodeId::new(n - 1);
-        let dist = algo::bfs_distances(&g, a);
-        match algo::shortest_path(&g, a, b) {
-            Some(path) => {
-                prop_assert_eq!(path[0], a);
-                prop_assert_eq!(*path.last().unwrap(), b);
-                for w in path.windows(2) {
-                    prop_assert!(g.has_edge(w[0], w[1]));
-                }
-                prop_assert_eq!(path.len() - 1, dist[b.index()].unwrap());
-            }
-            None => prop_assert!(dist[b.index()].is_none()),
         }
     }
 
@@ -180,4 +164,20 @@ proptest! {
         let d = DiGraph::from_edges(n, &edges);
         prop_assert_eq!(d.topological_sort(), heap_kahn(&d));
     }
+}
+
+#[test]
+fn gnp_probability_extremes() {
+    let mut rng = Rng::seed_from_u64(3);
+    assert_eq!(erdos_renyi_gnp(8, 0.0, &mut rng).edge_count(), 0);
+    assert_eq!(erdos_renyi_gnp(8, 1.0, &mut rng).edge_count(), 28);
+}
+
+#[test]
+fn gnp_expected_density() {
+    let mut rng = Rng::seed_from_u64(4);
+    let g = erdos_renyi_gnp(60, 0.5, &mut rng);
+    let possible = 60 * 59 / 2;
+    let ratio = g.edge_count() as f64 / possible as f64;
+    assert!((ratio - 0.5).abs() < 0.05, "ratio {ratio}");
 }

@@ -20,7 +20,8 @@ use crate::ResourceStateKind;
 ///     .resource_state(ResourceStateKind::FOUR_RING)
 ///     .kmax(4)
 ///     .build();
-/// assert_eq!(hw.sites_per_layer(), 49);
+/// assert_eq!(hw.num_qpus(), 8);
+/// assert_eq!(hw.grid_width(), 7);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DistributedHardware {
@@ -61,12 +62,6 @@ impl DistributedHardware {
     #[must_use]
     pub fn kmax(&self) -> usize {
         self.kmax
-    }
-
-    /// Resource states produced per layer per QPU.
-    #[must_use]
-    pub fn sites_per_layer(&self) -> usize {
-        self.grid_width * self.grid_width
     }
 }
 
@@ -148,12 +143,6 @@ mod tests {
         assert_eq!(hw.num_qpus(), 4);
         assert_eq!(hw.kmax(), 4);
         assert_eq!(hw.resource_state(), ResourceStateKind::FIVE_STAR);
-    }
-
-    #[test]
-    fn sites_per_layer() {
-        let hw = DistributedHardware::builder().grid_width(11).build();
-        assert_eq!(hw.sites_per_layer(), 121);
     }
 
     #[test]

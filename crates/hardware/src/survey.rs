@@ -82,36 +82,6 @@ pub fn table1_entries() -> Vec<PlatformEntry> {
     ]
 }
 
-/// The DQC viability thresholds quoted in Section I (from Sinclair et
-/// al.): remote entanglement fidelity above 90 % and MHz-level clock.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DqcThresholds {
-    /// Minimum remote-entanglement fidelity.
-    pub min_fidelity: f64,
-    /// Minimum clock speed in Hz.
-    pub min_clock_hz: f64,
-}
-
-/// The paper's quoted thresholds (≥ 90 % fidelity, ~MHz clock).
-#[must_use]
-pub fn dqc_thresholds() -> DqcThresholds {
-    DqcThresholds {
-        min_fidelity: 0.90,
-        min_clock_hz: 1e6,
-    }
-}
-
-/// Platforms meeting both DQC thresholds — the paper's argument for
-/// photonics.
-#[must_use]
-pub fn platforms_meeting_thresholds() -> Vec<PlatformEntry> {
-    let t = dqc_thresholds();
-    table1_entries()
-        .into_iter()
-        .filter(|e| e.fidelity >= t.min_fidelity && e.clock_hz >= t.min_clock_hz)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,8 +100,12 @@ mod tests {
 
     #[test]
     fn only_photonics_meets_both_thresholds_experimentally() {
-        let winners = platforms_meeting_thresholds();
-        let experimental: Vec<&PlatformEntry> = winners.iter().filter(|e| e.experimental).collect();
+        // Section I's DQC viability thresholds (from Sinclair et al.):
+        // remote entanglement fidelity of at least 90% and a MHz clock.
+        let experimental: Vec<PlatformEntry> = table1_entries()
+            .into_iter()
+            .filter(|e| e.experimental && e.fidelity >= 0.90 && e.clock_hz >= 1e6)
+            .collect();
         assert_eq!(experimental.len(), 1);
         assert!(experimental[0].platform.starts_with("Photonic"));
     }

@@ -383,20 +383,6 @@ impl WireOutcome {
         }
     }
 
-    /// The terminal state this outcome maps to (`None` for
-    /// [`UnknownJob`](Self::UnknownJob), which is not a terminal state
-    /// — the job may never have existed).
-    #[must_use]
-    pub fn terminal_state(&self) -> Option<TerminalState> {
-        match self {
-            WireOutcome::Ok(_) => Some(TerminalState::Done),
-            WireOutcome::Compile(_) | WireOutcome::Internal { .. } => Some(TerminalState::Failed),
-            WireOutcome::Cancelled(_) => Some(TerminalState::Cancelled),
-            WireOutcome::Expired(_) => Some(TerminalState::Expired),
-            WireOutcome::UnknownJob(_) => None,
-        }
-    }
-
     fn encode(&self, e: &mut Encoder) {
         match self {
             WireOutcome::Ok(s) => {

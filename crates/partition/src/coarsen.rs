@@ -1,8 +1,8 @@
 //! Multilevel coarsening via heavy-edge matching (Karypis–Kumar).
 //!
 //! The multilevel driver coarsens frozen [`CsrGraph`]s through one
-//! entry point, [`coarsen_to_csr`] (or [`coarsen_to_csr_with`] with a
-//! reusable [`CoarsenWorkspace`]). Each round visits nodes by
+//! entry point, [`coarsen_to_csr_with`] with a reusable
+//! [`CoarsenWorkspace`]. Each round visits nodes by
 //! decreasing heaviest incident edge (random tie-break), pairs every
 //! unmatched node with its heaviest unmatched neighbor
 //! ([`heavy_edge_matching`]), and rebuilds the coarse graph with each
@@ -336,14 +336,10 @@ fn rebuild(
 /// Coarsens until at most `target_nodes` nodes remain or a round
 /// shrinks the graph by less than ~10%. Returns the hierarchy from
 /// finest to coarsest (empty if the input is already small enough).
-#[must_use]
-pub fn coarsen_to_csr(g: &CsrGraph, target_nodes: usize, rng: &mut Rng) -> Vec<CsrLevel> {
-    coarsen_to_csr_with(g, target_nodes, rng, &mut CoarsenWorkspace::new())
-}
-
-/// [`coarsen_to_csr`] with a caller-owned [`CoarsenWorkspace`]; the
-/// matching buffers and rebuild scratch are reused across every level of
-/// the hierarchy (and across calls when the caller keeps the workspace).
+///
+/// The caller-owned [`CoarsenWorkspace`]'s matching buffers and rebuild
+/// scratch are reused across every level of the hierarchy (and across
+/// calls when the caller keeps the workspace).
 #[must_use]
 pub fn coarsen_to_csr_with(
     g: &CsrGraph,
@@ -380,7 +376,12 @@ mod tests {
     /// hierarchy.
     fn hierarchy(g: &Graph, target: usize, seed: u64) -> Vec<CsrLevel> {
         let mut rng = Rng::seed_from_u64(seed);
-        coarsen_to_csr(&CsrGraph::from_graph(g), target, &mut rng)
+        coarsen_to_csr_with(
+            &CsrGraph::from_graph(g),
+            target,
+            &mut rng,
+            &mut CoarsenWorkspace::new(),
+        )
     }
 
     /// Exactly one matching round (a target one below the node count
@@ -455,7 +456,7 @@ mod tests {
             let g = CsrGraph::from_graph(&generate::grid_graph(dim, dim));
             let mut rng_a = Rng::seed_from_u64(seed);
             let mut rng_b = Rng::seed_from_u64(seed);
-            let fresh = coarsen_to_csr(&g, 12, &mut rng_a);
+            let fresh = coarsen_to_csr_with(&g, 12, &mut rng_a, &mut CoarsenWorkspace::new());
             let reused = coarsen_to_csr_with(&g, 12, &mut rng_b, &mut ws);
             assert_eq!(fresh.len(), reused.len());
             for (a, b) in fresh.iter().zip(&reused) {

@@ -64,13 +64,6 @@ impl KwayConfig {
         self.seed = seed;
         self
     }
-
-    /// Sets the number of independent restart probes.
-    #[must_use]
-    pub fn with_initial_restarts(mut self, restarts: usize) -> Self {
-        self.initial_restarts = restarts;
-        self
-    }
 }
 
 /// Maximum part weight implied by a config for a given graph.
@@ -557,7 +550,10 @@ mod tests {
         // k = 8 coarsens to nothing, leaving one level.
         for (dim, k, restarts) in [(70, 4, 4), (30, 8, 3), (12, 2, 1), (5, 8, 2)] {
             let g = CsrGraph::from_graph(&generate::grid_graph(dim, dim));
-            let cfg = KwayConfig::new(k).with_initial_restarts(restarts);
+            let cfg = KwayConfig {
+                initial_restarts: restarts,
+                ..KwayConfig::new(k)
+            };
             let mut ws = KwayWorkspace::new();
             for _ in 0..2 {
                 let _ = multilevel_kway_csr_with(&g, &cfg, &mut ws);

@@ -52,7 +52,7 @@
 //! partitioning proptests pin them for free:
 //!
 //! * **Hash-free coarse rebuild** — the one coarse-graph rebuild
-//!   ([`coarsen::coarsen_to_csr`]) reproduces the oracle's
+//!   ([`coarsen::coarsen_to_csr_with`]) reproduces the oracle's
 //!   `add_edge_weighted` insertion order with a 3-pass bucket scatter +
 //!   per-node stamp dedup instead of a dedup hash table (order depends
 //!   only on the fine-edge scan, not on how duplicates are detected).

@@ -62,21 +62,10 @@ pub fn modularity(g: &Graph, p: &Partition) -> f64 {
         .sum()
 }
 
-/// [`modularity`] computed from a frozen CSR view; one linear pass over
-/// the flat adjacency arrays.
-///
-/// # Panics
-///
-/// Panics if the partition size disagrees with the graph.
-#[must_use]
-pub fn modularity_csr(g: &CsrGraph, p: &Partition) -> f64 {
-    cut_and_modularity_csr(g, p).1
-}
-
 /// The cut weight ([`Partition::cut_weight_csr`]) and the modularity
-/// ([`modularity_csr`]) of a partition, from one pass over the CSR
-/// arrays: the half-edges that stay inside a part feed the modularity,
-/// the others the cut.
+/// ([`modularity`], computed from the frozen CSR view) of a partition,
+/// from one linear pass over the CSR arrays: the half-edges that stay
+/// inside a part feed the modularity, the others the cut.
 ///
 /// # Panics
 ///
@@ -174,13 +163,9 @@ mod tests {
         for k in 1..5 {
             let p = Partition::new((0..30).map(|i| i % k).collect(), k);
             let a = modularity(&g, &p);
-            let b = modularity_csr(&csr, &p);
+            let (cut, b) = cut_and_modularity_csr(&csr, &p);
             assert!((a - b).abs() < 1e-12, "k={k}: {a} vs {b}");
-            assert_eq!(
-                cut_and_modularity_csr(&csr, &p),
-                (p.cut_weight_csr(&csr), b),
-                "k={k}"
-            );
+            assert_eq!(cut, p.cut_weight_csr(&csr), "k={k}");
         }
     }
 

@@ -352,30 +352,8 @@ fn block_max(keys: &[MoveKey]) -> MoveKey {
 /// `max part weight ≤ max_part_weight`. Stops early when a pass makes no
 /// move.
 ///
-/// Returns the total cut-weight improvement.
-///
-/// # Panics
-///
-/// Panics if graph and partition sizes disagree.
-pub fn refine_csr(
-    g: &CsrGraph,
-    p: &mut Partition,
-    max_part_weight: i64,
-    passes: usize,
-    rng: &mut Rng,
-) -> i64 {
-    refine_csr_with(
-        g,
-        p,
-        max_part_weight,
-        passes,
-        rng,
-        &mut RefineWorkspace::new(),
-    )
-}
-
-/// [`refine_csr`] with caller-owned scratch — identical moves and RNG
-/// consumption, zero steady-state allocation.
+/// Returns the total cut-weight improvement. The caller-owned
+/// [`RefineWorkspace`] makes the steady state allocation-free.
 ///
 /// # Panics
 ///
@@ -741,7 +719,14 @@ mod tests {
         let mut p = Partition::new(vec![0, 1, 0, 1, 0, 1], 2);
         let before = p.cut_weight(&g);
         let mut rng = Rng::seed_from_u64(1);
-        let gain = refine_csr(&CsrGraph::from_graph(&g), &mut p, 4, 10, &mut rng);
+        let gain = refine_csr_with(
+            &CsrGraph::from_graph(&g),
+            &mut p,
+            4,
+            10,
+            &mut rng,
+            &mut RefineWorkspace::new(),
+        );
         let after = p.cut_weight(&g);
         assert_eq!(before - gain, after);
         assert!(after <= 2, "cut after refine: {after}");
@@ -754,7 +739,14 @@ mod tests {
         let mut p = Partition::new(vec![0, 0, 0, 1, 1, 1], 2);
         let mut rng = Rng::seed_from_u64(2);
         // In a clique every move has negative or zero gain; nothing moves.
-        refine_csr(&CsrGraph::from_graph(&g), &mut p, 3, 5, &mut rng);
+        refine_csr_with(
+            &CsrGraph::from_graph(&g),
+            &mut p,
+            3,
+            5,
+            &mut rng,
+            &mut RefineWorkspace::new(),
+        );
         let w = p.part_weights(&g);
         assert_eq!(w, vec![3, 3]);
     }
@@ -767,7 +759,14 @@ mod tests {
         let assignment: Vec<usize> = (0..36).map(|_| rng.range(3)).collect();
         let mut p = Partition::new(assignment, 3);
         let before = p.cut_weight(&g);
-        let gain = refine_csr(&CsrGraph::from_graph(&g), &mut p, 15, 8, &mut rng);
+        let gain = refine_csr_with(
+            &CsrGraph::from_graph(&g),
+            &mut p,
+            15,
+            8,
+            &mut rng,
+            &mut RefineWorkspace::new(),
+        );
         assert_eq!(p.cut_weight(&g), before - gain);
         assert!(gain >= 0);
     }

@@ -5,8 +5,8 @@
 mod common;
 
 use mbqc_graph::{generate, CsrGraph, Graph};
-use mbqc_partition::coarsen::coarsen_to_csr;
-use mbqc_partition::refine::{fm_refine_csr, refine_csr};
+use mbqc_partition::coarsen::{coarsen_to_csr_with, CoarsenWorkspace};
+use mbqc_partition::refine::{fm_refine_csr, refine_csr_with, RefineWorkspace};
 use mbqc_partition::{KwayConfig, Partition};
 use mbqc_util::Rng;
 
@@ -18,7 +18,7 @@ fn assert_same_hierarchy(g: &Graph, target: usize, seed: u64) -> usize {
     let mut rng_a = Rng::seed_from_u64(seed);
     let mut rng_b = Rng::seed_from_u64(seed);
     let adj_levels = common::coarsen_to(g, target, &mut rng_a);
-    let csr_levels = coarsen_to_csr(&csr, target, &mut rng_b);
+    let csr_levels = coarsen_to_csr_with(&csr, target, &mut rng_b, &mut CoarsenWorkspace::new());
     assert_eq!(adj_levels.len(), csr_levels.len());
     for (a, b) in adj_levels.iter().zip(&csr_levels) {
         assert_eq!(a.map, b.map);
@@ -63,7 +63,14 @@ fn reference_refine_matches_csr_refine() {
     let mut rng_ref = Rng::seed_from_u64(5);
     let mut rng_csr = Rng::seed_from_u64(5);
     let g_ref = common::refine(&g, &mut p_ref, 14, 6, &mut rng_ref);
-    let g_csr = refine_csr(&CsrGraph::from_graph(&g), &mut p_csr, 14, 6, &mut rng_csr);
+    let g_csr = refine_csr_with(
+        &CsrGraph::from_graph(&g),
+        &mut p_csr,
+        14,
+        6,
+        &mut rng_csr,
+        &mut RefineWorkspace::new(),
+    );
     assert_eq!(g_ref, g_csr);
     assert_eq!(p_ref, p_csr);
     // Both consumed the same amount of randomness.

@@ -63,30 +63,6 @@ pub fn verify_order(pattern: &Pattern, order: &[NodeId]) -> bool {
     true
 }
 
-/// The *flow depth* of the pattern: number of layers when measured nodes
-/// are scheduled greedily by flow constraints (nodes in layer `k` depend
-/// only on layers `< k`).
-///
-/// This is the intrinsic parallelism bound of the MBQC program —
-/// Broadbent–Kashefi's parallelized depth after signal shifting would be
-/// computed on the X-only graph instead.
-///
-/// # Panics
-///
-/// Panics if the pattern has no causal flow.
-#[must_use]
-pub fn flow_depth(pattern: &Pattern) -> usize {
-    let constraints = pattern.flow_constraints();
-    let depths = constraints.depths();
-    pattern
-        .graph()
-        .nodes()
-        .filter(|u| pattern.is_measured(*u))
-        .map(|u| depths[u.index()] + 1)
-        .max()
-        .unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,29 +118,9 @@ mod tests {
     }
 
     #[test]
-    fn flow_depth_of_chain() {
-        // Three chained J's: depth 3 (strictly sequential).
-        let mut c = Circuit::new(1);
-        c.t(0).h(0).t(0);
-        let p = transpile(&c);
-        let measured = p.stats().measured;
-        assert_eq!(flow_depth(&p), measured);
-    }
-
-    #[test]
-    fn flow_depth_parallel_wires() {
-        // Two independent qubits: depth is per-wire, not total.
-        let mut c = Circuit::new(2);
-        c.t(0).t(1);
-        let p = transpile(&c);
-        assert_eq!(flow_depth(&p), 2); // each wire has 2 measured nodes
-    }
-
-    #[test]
-    fn empty_pattern_depth_zero() {
+    fn empty_pattern_accepts_empty_order() {
         let c = Circuit::new(2);
         let p = transpile(&c);
-        assert_eq!(flow_depth(&p), 0);
         assert!(verify_order(&p, &[]));
     }
 }

@@ -133,12 +133,6 @@ impl Pattern {
         self.wire_succ[n.index()]
     }
 
-    /// The logical circuit qubit whose timeline node `n` belongs to.
-    #[must_use]
-    pub fn qubit_of(&self, n: NodeId) -> usize {
-        self.qubit_of[n.index()]
-    }
-
     /// Input nodes, one per logical qubit.
     #[must_use]
     pub fn inputs(&self) -> &[NodeId] {
@@ -478,7 +472,7 @@ mod tests {
         assert_eq!(p.wire_successor(n[0]), Some(n[1]));
         assert_eq!(p.wire_successor(n[2]), None);
         assert_eq!(p.angle(n[1]), 0.2);
-        assert_eq!(p.qubit_of(n[1]), 0);
+        assert_eq!(p.qubit_of[n[1].index()], 0);
         assert_eq!(p.inputs(), &[n[0]]);
         assert_eq!(p.outputs(), &[n[2]]);
         assert_eq!(p.measurement_order(), vec![n[0], n[1]]);
@@ -490,12 +484,12 @@ mod tests {
         let deps = p.dependency_graph();
         let n: Vec<NodeId> = p.graph().nodes().collect();
         // n0's X byproduct goes to n1 (measured) → real-time edge.
-        assert!(deps.x_deps().has_edge(n[0], n[1]));
+        assert!(deps.real_time().has_edge(n[0], n[1]));
         // n1's successor is the unmeasured output → no real-time edge.
-        assert_eq!(deps.x_deps().edge_count(), 1);
+        assert_eq!(deps.real_time().edge_count(), 1);
         // Measuring n0 also puts Z^{s} on N(f(n0)) \ {n0} = {n2}, an
         // output, so no measured Z-dependency either.
-        assert_eq!(deps.z_deps().edge_count(), 0);
+        assert_eq!(deps.combined().edge_count(), 1);
     }
 
     /// Two 2-node wires with a CZ edge between the *second* nodes:
@@ -521,10 +515,13 @@ mod tests {
         let deps = p.dependency_graph();
         // Measuring n0: X on n2, Z on neighbors of n2 other than n0 =
         // {n4 (output, skipped), n3 (measured)}.
-        assert!(deps.x_deps().has_edge(n[0], n[2]));
-        assert!(deps.z_deps().has_edge(n[0], n[3]));
+        assert!(deps.real_time().has_edge(n[0], n[2]));
+        let z_edge = |a: NodeId, b: NodeId| {
+            deps.combined().has_edge(a, b) && !deps.real_time().has_edge(a, b)
+        };
+        assert!(z_edge(n[0], n[3]));
         // Symmetrically n1 → n2 as a Z-dependency.
-        assert!(deps.z_deps().has_edge(n[1], n[2]));
+        assert!(z_edge(n[1], n[2]));
         // Real-time graph (X only) has exactly the two wire edges.
         assert_eq!(deps.real_time().edge_count(), 2);
         // Flow constraints are acyclic and the order is valid.

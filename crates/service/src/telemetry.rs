@@ -257,11 +257,6 @@ impl EventStream {
         }
     }
 
-    /// Non-blocking receive: `None` when nothing is buffered right now.
-    pub fn try_recv(&self) -> Option<TelemetryEvent> {
-        lock(&self.chan.state).buf.pop_front()
-    }
-
     /// Number of events discarded because this subscription's buffer
     /// was full when they arrived. Delivery is lossy by design — a slow
     /// subscriber can never block an emitter.
@@ -780,7 +775,7 @@ mod tests {
         assert!(got.iter().all(|e| e.job == Some(JobId(2))));
 
         let mut seen = Vec::new();
-        while let Some(e) = all.try_recv() {
+        while let Some(e) = all.recv_timeout(Duration::ZERO) {
             seen.push(e);
         }
         assert_eq!(seen.len(), 5);

@@ -191,7 +191,7 @@ proptest! {
             // already delivered to the pre-registered
             // subscriber, so a non-blocking drain is complete.
             let mut captured: Vec<TelemetryEvent> = Vec::new();
-            while let Some(ev) = all.try_recv() {
+            while let Some(ev) = all.recv_timeout(Duration::ZERO) {
                 captured.push(ev);
             }
             prop_assert_eq!(all.dropped(), 0, "{}: capacity overrun", &what);
@@ -367,7 +367,7 @@ fn observed() -> JobOptions {
 /// Number of buffered events a stream currently holds (drains it).
 fn lockstep_len(stream: &mbqc_service::EventStream) -> usize {
     let mut n = 0;
-    while stream.try_recv().is_some() {
+    while stream.recv_timeout(Duration::ZERO).is_some() {
         n += 1;
     }
     n
@@ -390,7 +390,7 @@ fn dormant_service_emits_nothing() {
     assert!(service.flight_recorder().is_empty());
     let late = service.subscribe(None, None);
     assert!(
-        late.try_recv().is_none(),
+        late.recv_timeout(Duration::ZERO).is_none(),
         "late subscriber saw stale events"
     );
     drop(service);

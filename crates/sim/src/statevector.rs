@@ -174,36 +174,6 @@ impl StateVector {
         }
     }
 
-    /// Builds a state from raw amplitudes (must have power-of-two length
-    /// and unit norm).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the length is not a power of two, exceeds the
-    /// [`MAX_QUBITS`] cap, or the norm differs from 1 by more than
-    /// `1e-6`.
-    #[must_use]
-    pub fn from_amplitudes(amps: Vec<C64>) -> Self {
-        assert!(
-            amps.len().is_power_of_two(),
-            "length must be a power of two"
-        );
-        let n = amps.len().trailing_zeros() as usize;
-        assert!(
-            n <= MAX_QUBITS,
-            "statevector limited to {MAX_QUBITS} qubits (requested {n})"
-        );
-        let norm: f64 = amps.iter().map(|a| a.norm_sqr()).sum();
-        assert!(
-            (norm - 1.0).abs() < 1e-6,
-            "state not normalized (norm² = {norm})"
-        );
-        Self {
-            num_qubits: n,
-            amps,
-        }
-    }
-
     /// Number of qubits.
     #[must_use]
     pub fn num_qubits(&self) -> usize {

@@ -53,12 +53,6 @@ impl Counter {
         Counter(AtomicU64::new(0))
     }
 
-    /// Increment by one.
-    #[inline]
-    pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Increment by `n`.
     #[inline]
     pub fn add(&self, n: u64) {

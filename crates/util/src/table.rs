@@ -16,17 +16,6 @@
 
 use std::fmt::Write as _;
 
-/// Column alignment for [`TextTable`] rendering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Align {
-    /// Left-aligned (default for the first column).
-    Left,
-    /// Right-aligned (default for all other columns — most cells are
-    /// numeric).
-    #[default]
-    Right,
-}
-
 /// A simple table builder that renders to aligned plain text or CSV.
 ///
 /// # Examples
@@ -42,24 +31,19 @@ pub enum Align {
 pub struct TextTable {
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
-    aligns: Vec<Align>,
     title: Option<String>,
 }
 
 impl TextTable {
     /// Creates a table with the given column headers.
     ///
-    /// The first column defaults to left alignment, the rest to right.
+    /// The first column renders left-aligned, the rest right-aligned
+    /// (most cells are numeric).
     #[must_use]
     pub fn new<S: Into<String>>(headers: Vec<S>) -> Self {
-        let headers: Vec<String> = headers.into_iter().map(Into::into).collect();
-        let aligns = (0..headers.len())
-            .map(|i| if i == 0 { Align::Left } else { Align::Right })
-            .collect();
         Self {
-            headers,
+            headers: headers.into_iter().map(Into::into).collect(),
             rows: Vec::new(),
-            aligns,
             title: None,
         }
     }
@@ -67,17 +51,6 @@ impl TextTable {
     /// Sets a title rendered above the table.
     pub fn title<S: Into<String>>(&mut self, title: S) -> &mut Self {
         self.title = Some(title.into());
-        self
-    }
-
-    /// Overrides per-column alignments.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `aligns.len()` differs from the number of headers.
-    pub fn aligns(&mut self, aligns: Vec<Align>) -> &mut Self {
-        assert_eq!(aligns.len(), self.headers.len(), "alignment count mismatch");
-        self.aligns = aligns;
         self
     }
 
@@ -122,28 +95,22 @@ impl TextTable {
         if let Some(t) = &self.title {
             let _ = writeln!(out, "== {t} ==");
         }
-        let fmt_row = |cells: &[String], w: &[usize], aligns: &[Align]| -> String {
+        let fmt_row = |cells: &[String], w: &[usize]| -> String {
             let mut line = String::new();
             for (i, cell) in cells.iter().enumerate() {
-                if i > 0 {
-                    line.push_str("  ");
-                }
-                match aligns[i] {
-                    Align::Left => {
-                        let _ = write!(line, "{:<width$}", cell, width = w[i]);
-                    }
-                    Align::Right => {
-                        let _ = write!(line, "{:>width$}", cell, width = w[i]);
-                    }
+                if i == 0 {
+                    let _ = write!(line, "{:<width$}", cell, width = w[i]);
+                } else {
+                    let _ = write!(line, "  {:>width$}", cell, width = w[i]);
                 }
             }
             line
         };
-        let _ = writeln!(out, "{}", fmt_row(&self.headers, &w, &self.aligns));
+        let _ = writeln!(out, "{}", fmt_row(&self.headers, &w));
         let total: usize = w.iter().sum::<usize>() + 2 * (w.len().saturating_sub(1));
         let _ = writeln!(out, "{}", "-".repeat(total));
         for row in &self.rows {
-            let _ = writeln!(out, "{}", fmt_row(row, &w, &self.aligns));
+            let _ = writeln!(out, "{}", fmt_row(row, &w));
         }
         out
     }

@@ -10,7 +10,7 @@
 
 use dc_mbqc::{DcMbqcCompiler, DcMbqcConfig};
 use mbqc_circuit::bench;
-use mbqc_hardware::loss::{self, DelayLine};
+use mbqc_hardware::loss;
 use mbqc_hardware::{DistributedHardware, ResourceStateKind};
 use mbqc_pattern::transpile::transpile;
 
@@ -61,15 +61,13 @@ fn main() {
     // Delay-line budgeting: how long a program fits a 5%-loss line.
     println!("\ndelay-line budget check (5% loss):");
     for ns in loss::FIGURE1_CLOCK_RATES_NS {
-        let line = DelayLine::for_loss_budget(0.05, ns);
-        let fit_base = line.supports_lifetime(b);
-        let fit_dist = line.supports_lifetime(d);
+        let budget = loss::max_cycles_for_loss(0.05, ns);
         println!(
             "  {:>5.0} ns/cycle: budget {:>6} cycles | monolithic fits: {:5} | 8 QPUs fits: {}",
             ns,
-            line.max_cycles(),
-            fit_base,
-            fit_dist
+            budget,
+            b <= budget,
+            d <= budget
         );
     }
 }

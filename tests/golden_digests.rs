@@ -27,7 +27,7 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// Table-III style configuration for an `n`-qubit program on `qpus`
-/// QPUs of `rsg` resource states, every worker count pinned to one.
+/// QPUs of `rsg` resource states.
 fn config(n: usize, qpus: usize, rsg: ResourceStateKind) -> DcMbqcConfig {
     let hw = DistributedHardware::builder()
         .num_qpus(qpus)
@@ -35,11 +35,7 @@ fn config(n: usize, qpus: usize, rsg: ResourceStateKind) -> DcMbqcConfig {
         .resource_state(rsg)
         .kmax(4)
         .build();
-    DcMbqcConfig::new(hw)
-        .with_seed(SEED)
-        .with_alpha_max(1.5)
-        .with_probe_workers(1)
-        .with_batch_workers(1)
+    DcMbqcConfig::new(hw).with_seed(SEED).with_alpha_max(1.5)
 }
 
 /// Grid-mapping worker counts every corpus program is compiled with.

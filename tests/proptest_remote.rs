@@ -26,7 +26,7 @@ use mbqc_net::{Client, Server, WireJobOptions, WireOutcome};
 use mbqc_pattern::transpile::transpile;
 use mbqc_pattern::Pattern;
 use mbqc_service::{
-    CompileService, EventKind, JobOptions, Priority, ServiceConfig, TelemetryEvent,
+    CompileService, EventKind, JobOptions, Priority, ServiceConfig, TelemetryEvent, TerminalState,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -34,6 +34,18 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 const QUBITS: usize = 8;
+
+/// The terminal state a wire outcome maps to (`None` for `UnknownJob`,
+/// which is not a terminal state: the job may never have existed).
+fn terminal_state(outcome: &WireOutcome) -> Option<TerminalState> {
+    match outcome {
+        WireOutcome::Ok(_) => Some(TerminalState::Done),
+        WireOutcome::Compile(_) | WireOutcome::Internal { .. } => Some(TerminalState::Failed),
+        WireOutcome::Cancelled(_) => Some(TerminalState::Cancelled),
+        WireOutcome::Expired(_) => Some(TerminalState::Expired),
+        WireOutcome::UnknownJob(_) => None,
+    }
+}
 
 fn config() -> DcMbqcConfig {
     let hw = DistributedHardware::builder()
@@ -294,9 +306,7 @@ fn remote_churn_every_job_exactly_one_terminal_state() {
             .wait(*id, Some(Duration::from_secs(60)))
             .expect("transport")
             .expect("job terminates");
-        let state = outcome
-            .terminal_state()
-            .expect("first wait sees a real terminal state");
+        let state = terminal_state(&outcome).expect("first wait sees a real terminal state");
         *terminal_counts.entry(format!("{state:?}")).or_insert(0u32) += 1;
         // ...and a second poll answers UnknownJob: the result was
         // consumed exactly once, there is no second terminal state.
