@@ -268,9 +268,21 @@ impl Graph {
     /// remote matrix pins bit-identical schedules).
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        // Exact encoded size: node count + per-node weight and list
-        // length + 16 bytes per half-edge (2·edge_count halves).
-        let mut e = Encoder::with_capacity(8 + 16 * self.adj.len() + 32 * self.edge_count);
+        let mut e = Encoder::with_capacity(self.encoded_len());
+        self.encode(&mut e);
+        e.into_bytes()
+    }
+
+    /// The exact length of [`Graph::to_bytes`]: node count, per-node
+    /// weight and list length, and 16 bytes per half-edge
+    /// (2·edge_count halves).
+    #[must_use]
+    pub fn encoded_len(&self) -> usize {
+        8 + 16 * self.adj.len() + 32 * self.edge_count
+    }
+
+    /// Appends [`Graph::to_bytes`] to `e`.
+    pub fn encode(&self, e: &mut Encoder) {
         e.usize(self.adj.len());
         for w in &self.node_weights {
             e.i64(*w);
@@ -282,7 +294,6 @@ impl Graph {
                 e.i64(*w);
             }
         }
-        e.into_bytes()
     }
 
     /// Decodes a graph written by [`Graph::to_bytes`].
@@ -502,6 +513,7 @@ mod tests {
         g.add_edge(n[0], n[1]);
         g.add_edge_weighted(n[1], n[3], 5);
         g.set_node_weight(n[3], -2);
+        assert_eq!(g.to_bytes().len(), g.encoded_len(), "the length is exact");
         let back = Graph::from_bytes(&g.to_bytes()).unwrap();
         assert_eq!(back, g);
         assert_eq!(back.edge_count(), g.edge_count());

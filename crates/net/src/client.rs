@@ -6,8 +6,8 @@
 //! [`CompileService`]: mbqc_service::CompileService
 
 use crate::wire::{
-    decode_event, Request, Response, WireJobOptions, WireOutcome, KIND_EVENT, KIND_REPLY,
-    KIND_REQUEST, KIND_STREAM_END,
+    decode_event, submit_bytes, Request, Response, WireJobOptions, WireOutcome, KIND_EVENT,
+    KIND_REPLY, KIND_REQUEST, KIND_STREAM_END,
 };
 use dc_mbqc::DcMbqcConfig;
 use mbqc_pattern::Pattern;
@@ -94,7 +94,12 @@ impl Client {
     }
 
     fn request(&mut self, req: &Request) -> Result<Response, ClientError> {
-        write_frame(&mut self.stream, KIND_REQUEST, &req.to_bytes())?;
+        self.send(&req.to_bytes())
+    }
+
+    /// Sends one request payload and reads its reply.
+    fn send(&mut self, payload: &[u8]) -> Result<Response, ClientError> {
+        write_frame(&mut self.stream, KIND_REQUEST, payload)?;
         self.read_reply()
     }
 
@@ -128,11 +133,7 @@ impl Client {
         config: &DcMbqcConfig,
         options: WireJobOptions,
     ) -> Result<u64, ClientError> {
-        let resp = self.request(&Request::Submit {
-            pattern: pattern.clone(),
-            config: config.clone(),
-            options,
-        })?;
+        let resp = self.send(&submit_bytes(false, pattern, config, &options))?;
         Self::expect_submitted(resp)
     }
 
@@ -151,11 +152,7 @@ impl Client {
         config: &DcMbqcConfig,
         options: WireJobOptions,
     ) -> Result<RemoteEvents, ClientError> {
-        let resp = self.request(&Request::SubmitObserved {
-            pattern: pattern.clone(),
-            config: config.clone(),
-            options,
-        })?;
+        let resp = self.send(&submit_bytes(true, pattern, config, &options))?;
         let id = Self::expect_submitted(resp)?;
         Ok(RemoteEvents {
             client: self,

@@ -108,6 +108,11 @@
 //!   artifact store) into the `Outcome` reply as they are. It never
 //!   decodes or re-encodes them, and the reply is byte-identical to
 //!   encoding the decoded schedule.
+//! * **A repeat pattern is not decoded.** The server hands a submit's
+//!   pattern bytes to the service undecoded; a pattern it has served
+//!   from the store before is keyed through a bounded memo of its wire
+//!   bytes (see the [`server`] module). Requests and replies are
+//!   byte-identical to decoding every pattern.
 //! * **`SubmitObserved` streams are gap-free**: the subscription is
 //!   registered before the job's first event, so the remote stream is
 //!   (seq, kind)-identical to the stream of an in-process submit with

@@ -8,6 +8,21 @@
 //! timeouts that re-check the shutdown flag, so [`Server::shutdown`]
 //! converges without abandoning threads.
 //!
+//! **The submit path.** A request frame is decoded with
+//! [`Request::parse`], which validates every field except a submit's
+//! pattern: the pattern stays in its wire bytes, borrowed from the
+//! frame. Those bytes go to
+//! [`CompileService::submit_checked`], which keys a pattern it has
+//! served from the store before through a bounded memo of wire bytes
+//! (every byte compared, no decoded pattern held, entries inserted
+//! only after a resident schedule hit), and decodes the bytes only on
+//! a memo miss or when the job must compile. So a warm repeat submit
+//! does no per-request pattern decode, content encoding or content
+//! hash. Bytes that do not decode are answered with a typed
+//! [`Response::Error`] and never memoized, exactly like a payload that
+//! fails [`Request::parse`]; admission still runs before any store
+//! read.
+//!
 //! Jobs are **service-scoped, not connection-scoped**: a client that
 //! disconnects mid-job leaves the job running, and any later
 //! connection can `Wait`/`Poll`/`Cancel` it by id. The
@@ -19,6 +34,7 @@ use crate::wire::{
     KIND_STREAM_END,
 };
 use mbqc_service::{CompileService, EventStream, JobId, JobOptions, ScheduleBytes, ServiceError};
+use mbqc_util::codec::CodecError;
 use mbqc_util::frame::{read_frame, write_frame, FrameError, MAX_FRAME_PAYLOAD};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -191,15 +207,10 @@ fn serve_connection(
         // The frame arrived intact (checksummed) but its payload may
         // still be semantic garbage — that is a typed reply, not a
         // desync, and the connection stays usable.
-        let request = match Request::from_bytes(&frame.payload) {
+        let request = match Request::parse(&frame.payload) {
             Ok(r) => r,
             Err(e) => {
-                reply(
-                    &mut stream,
-                    &Response::Error {
-                        message: format!("malformed request: {e}"),
-                    },
-                )?;
+                malformed(&mut stream, &e)?;
                 continue;
             }
         };
@@ -220,7 +231,7 @@ fn serve_connection(
                     ..options.to_job_options()
                 };
                 match service.submit_checked(pattern, config, options) {
-                    Ok(mut handle) => {
+                    Ok(Ok(mut handle)) => {
                         reply(
                             &mut stream,
                             &Response::Submitted {
@@ -231,7 +242,8 @@ fn serve_connection(
                             stream_events(&mut stream, &events, shutdown)?;
                         }
                     }
-                    Err(e) => reply(&mut stream, &Response::Rejected(e))?,
+                    Ok(Err(e)) => reply(&mut stream, &Response::Rejected(e))?,
+                    Err(e) => malformed(&mut stream, &e)?,
                 }
             }
             Request::Cancel { id } => {
@@ -261,6 +273,18 @@ fn serve_connection(
 
 fn reply(stream: &mut TcpStream, resp: &Response) -> Result<(), FrameError> {
     write_frame(stream, KIND_REPLY, &resp.to_bytes())
+}
+
+/// Answers an intact frame whose payload did not decode — the request
+/// itself, or a submit's pattern bytes — with a typed error; the
+/// connection stays usable.
+fn malformed(stream: &mut TcpStream, e: &CodecError) -> Result<(), FrameError> {
+    reply(
+        stream,
+        &Response::Error {
+            message: format!("malformed request: {e}"),
+        },
+    )
 }
 
 /// Replies to a `Poll` or `Wait`: the job's taken result as a

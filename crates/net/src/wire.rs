@@ -171,13 +171,18 @@ impl WireJobOptions {
 // ---------------------------------------------------------------------------
 
 /// One client request (the payload of a [`KIND_REQUEST`] frame).
+///
+/// `P` is the submit verbs' pattern: a decoded [`Pattern`] by default,
+/// or its wire bytes, `&[u8]`, as the server reads it
+/// ([`Request::parse`]), so that it can key a repeat pattern without
+/// decoding it.
 #[derive(Debug, Clone)]
-pub enum Request {
+pub enum Request<P = Pattern> {
     /// Submit a job through the admission-checked path; replied with
     /// [`Response::Submitted`] or [`Response::Rejected`].
     Submit {
         /// The measurement pattern to compile.
-        pattern: Pattern,
+        pattern: P,
         /// The pipeline configuration.
         config: DcMbqcConfig,
         /// Lifecycle options.
@@ -190,7 +195,7 @@ pub enum Request {
     /// gap-free) and closes with [`KIND_STREAM_END`] after `Terminal`.
     SubmitObserved {
         /// The measurement pattern to compile.
-        pattern: Pattern,
+        pattern: P,
         /// The pipeline configuration.
         config: DcMbqcConfig,
         /// Lifecycle options.
@@ -239,35 +244,54 @@ const VERB_WAIT: u8 = 4;
 const VERB_STATS: u8 = 5;
 const VERB_SUBSCRIBE_EVENTS: u8 = 6;
 
+/// Encodes a submit verb's request payload straight from the caller's
+/// pattern and configuration: [`Request::to_bytes`] of a
+/// [`Request::Submit`] (or, with `observe`, a
+/// [`Request::SubmitObserved`]) holding them, without building that
+/// request.
+#[must_use]
+pub(crate) fn submit_bytes(
+    observe: bool,
+    pattern: &Pattern,
+    config: &DcMbqcConfig,
+    options: &WireJobOptions,
+) -> Vec<u8> {
+    // Submit payloads are dominated by the encoded pattern: it is
+    // written in place, framed by its exact length, into one buffer
+    // reserved up front, so the request encoder never re-grows.
+    let pattern_len = pattern.encoded_len();
+    let config = config.to_bytes();
+    let mut e = Encoder::with_capacity(pattern_len + config.len() + 96);
+    e.u8(if observe {
+        VERB_SUBMIT_OBSERVED
+    } else {
+        VERB_SUBMIT
+    });
+    e.usize(pattern_len);
+    pattern.encode(&mut e);
+    assert_eq!(e.len(), 9 + pattern_len, "Pattern::encoded_len is exact");
+    e.bytes(&config);
+    options.encode(&mut e);
+    e.into_bytes()
+}
+
 impl Request {
     /// Serializes the request (the payload of a [`KIND_REQUEST`]
     /// frame).
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        // Submit payloads are dominated by the encoded pattern; build
-        // it first and reserve, so the request encoder never re-grows.
-        let submit = |verb: u8, pattern: &Pattern, config: &DcMbqcConfig, opts: &WireJobOptions| {
-            let pattern = pattern.to_bytes();
-            let config = config.to_bytes();
-            let mut e = Encoder::with_capacity(pattern.len() + config.len() + 96);
-            e.u8(verb);
-            e.bytes(&pattern);
-            e.bytes(&config);
-            opts.encode(&mut e);
-            e.into_bytes()
-        };
         let mut e = Encoder::new();
         match self {
             Request::Submit {
                 pattern,
                 config,
                 options,
-            } => return submit(VERB_SUBMIT, pattern, config, options),
+            } => return submit_bytes(false, pattern, config, options),
             Request::SubmitObserved {
                 pattern,
                 config,
                 options,
-            } => return submit(VERB_SUBMIT_OBSERVED, pattern, config, options),
+            } => return submit_bytes(true, pattern, config, options),
             Request::Cancel { id } => {
                 e.u8(VERB_CANCEL);
                 e.u64(*id);
@@ -292,17 +316,58 @@ impl Request {
 
     /// Decodes a request off the wire, validating everything — an
     /// unknown verb, a malformed pattern, an inconsistent
-    /// configuration all return typed errors.
+    /// configuration all return typed errors. This is
+    /// [`parse`](Request::parse) followed by [`Pattern::from_bytes`]
+    /// of a submit's pattern bytes.
     ///
     /// # Errors
     ///
     /// [`CodecError`] on any malformed payload.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
+        Ok(match Request::parse(bytes)? {
+            Request::Submit {
+                pattern,
+                config,
+                options,
+            } => Request::Submit {
+                pattern: Pattern::from_bytes(pattern)?,
+                config,
+                options,
+            },
+            Request::SubmitObserved {
+                pattern,
+                config,
+                options,
+            } => Request::SubmitObserved {
+                pattern: Pattern::from_bytes(pattern)?,
+                config,
+                options,
+            },
+            Request::Cancel { id } => Request::Cancel { id },
+            Request::Poll { id } => Request::Poll { id },
+            Request::Wait { id, timeout_ns } => Request::Wait { id, timeout_ns },
+            Request::Stats => Request::Stats,
+            Request::SubscribeEvents { id } => Request::SubscribeEvents { id },
+        })
+    }
+}
+
+impl<'a> Request<&'a [u8]> {
+    /// Decodes a request off the wire as the server reads it: every
+    /// field is validated except a submit's pattern, which stays in its
+    /// wire bytes (length-checked, borrowed from `bytes`) for the
+    /// service to key or decode.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError`] on an unknown verb, a truncated or overlong
+    /// payload, or a malformed configuration or options block.
+    pub fn parse(bytes: &'a [u8]) -> Result<Self, CodecError> {
         let mut d = Decoder::new(bytes);
         let verb = d.u8()?;
         let req = match verb {
             VERB_SUBMIT | VERB_SUBMIT_OBSERVED => {
-                let pattern = Pattern::from_bytes(d.bytes()?)?;
+                let pattern = d.bytes()?;
                 let config = DcMbqcConfig::from_bytes(d.bytes()?)?;
                 let options = WireJobOptions::decode(&mut d)?;
                 if verb == VERB_SUBMIT {

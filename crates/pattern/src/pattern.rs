@@ -313,13 +313,26 @@ impl Pattern {
     /// path. A wire successor of `u64::MAX` encodes `None`.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let graph_bytes = self.graph.to_bytes();
-        let n = self.node_count();
-        // Per node: angle (8) + measured (1) + wire successor (8) +
-        // qubit (8); plus the graph blob and the input/output lists.
-        let cap = graph_bytes.len() + 25 * n + 16 * (self.inputs.len() + self.outputs.len()) + 64;
-        let mut e = Encoder::with_capacity(cap);
-        e.bytes(&graph_bytes);
+        let mut e = Encoder::with_capacity(self.encoded_len());
+        self.encode(&mut e);
+        e.into_bytes()
+    }
+
+    /// The exact length of [`Pattern::to_bytes`]: the framed graph
+    /// blob, 25 bytes per node (angle 8, measured 1, wire successor 8,
+    /// qubit 8), and the framed input and output lists.
+    #[must_use]
+    pub fn encoded_len(&self) -> usize {
+        8 + self.graph.encoded_len()
+            + 25 * self.node_count()
+            + 8 * (2 + self.inputs.len() + self.outputs.len())
+    }
+
+    /// Appends [`Pattern::to_bytes`] to `e`, graph blob included, with
+    /// no intermediate buffer.
+    pub fn encode(&self, e: &mut Encoder) {
+        e.usize(self.graph.encoded_len());
+        self.graph.encode(e);
         for &a in &self.angles {
             e.f64(a);
         }
@@ -334,7 +347,6 @@ impl Pattern {
         }
         e.usize_slice(&self.inputs.iter().map(|n| n.index()).collect::<Vec<_>>());
         e.usize_slice(&self.outputs.iter().map(|n| n.index()).collect::<Vec<_>>());
-        e.into_bytes()
     }
 
     /// Decodes a pattern written by [`Pattern::to_bytes`], validating
@@ -581,7 +593,9 @@ mod tests {
     #[test]
     fn wire_codec_round_trips() {
         let p = chain_pattern();
-        let back = Pattern::from_bytes(&p.to_bytes()).unwrap();
+        let bytes = p.to_bytes();
+        assert_eq!(bytes.len(), p.encoded_len(), "the length is exact");
+        let back = Pattern::from_bytes(&bytes).unwrap();
         assert_eq!(back, p);
         // And the cache fingerprint input agrees, so a remotely
         // submitted pattern hits the same store entries.

@@ -176,10 +176,13 @@
 //! **Three ways to submit.** [`CompileService::submit`] takes default
 //! options and returns the [`JobId`]. [`CompileService::submit_with`]
 //! takes [`JobOptions`] and always enqueues. [`CompileService::submit_checked`]
-//! takes [`JobOptions`] and first enforces [`ServiceConfig::admission`],
-//! so it can reject the job; the `mbqc-net` front door uses it. Both
-//! return a [`JobHandle`]: the id, plus the job's event stream when
-//! [`JobOptions::observe`] is set. Wait, poll and cancel by id.
+//! takes the pattern's wire bytes and [`JobOptions`], and first enforces
+//! [`ServiceConfig::admission`], so it can reject the job (or the bytes,
+//! when they do not decode); the `mbqc-net` front door uses it, and a
+//! bounded memo lets it key a pattern it served before without decoding
+//! the bytes. An admitted job gets a [`JobHandle`]: the id, plus the
+//! job's event stream when [`JobOptions::observe`] is set. Wait, poll
+//! and cancel by id.
 //!
 //! **Cancellation is boundary-checked.** Stages are deterministic and
 //! are never interrupted mid-computation: a queued job is dropped from
@@ -501,6 +504,7 @@
 pub mod executor;
 pub(crate) mod fair;
 pub mod fault;
+mod memo;
 pub mod service;
 pub mod store;
 pub mod telemetry;

@@ -80,6 +80,7 @@ use dc_mbqc::{
     Transpiled,
 };
 use mbqc_pattern::Pattern;
+use mbqc_util::codec::CodecError;
 use mbqc_util::sync::{lock, wait, wait_timeout};
 
 use mbqc_util::metrics::{Histogram, Summary};
@@ -87,6 +88,7 @@ use mbqc_util::metrics::{Histogram, Summary};
 use crate::executor;
 use crate::fair::{FairClass, TenantWeights};
 use crate::fault::FaultPlan;
+use crate::memo::{Content, PatternMemo};
 use crate::store::{ArtifactKey, ArtifactStore, StoreConfig, StoreStats};
 use crate::telemetry::{EventKind, EventStream, TelemetryEvent, TelemetryHub, TerminalState};
 
@@ -797,8 +799,15 @@ pub(crate) struct StageKeys {
 
 impl StageKeys {
     pub(crate) fn new(pattern: &Pattern, config: &DcMbqcConfig) -> Self {
-        let pattern_bytes = Arc::new(pattern.content_bytes());
-        let pattern_hash = ArtifactKey::pattern_hash(&pattern_bytes);
+        Self::with_content(content_of(pattern), config)
+    }
+
+    /// The keys over a pattern's already-hashed content bytes (see
+    /// [`content_of`]).
+    pub(crate) fn with_content(
+        (pattern_bytes, pattern_hash): Content,
+        config: &DcMbqcConfig,
+    ) -> Self {
         let key_of = |stage: PipelineStage| {
             ArtifactKey::with_pattern(
                 stage,
@@ -813,6 +822,30 @@ impl StageKeys {
             sched: key_of(PipelineStage::Schedule),
         }
     }
+}
+
+/// A pattern's content bytes, shared, and their hash: the part of its
+/// [`StageKeys`] that does not depend on the configuration.
+fn content_of(pattern: &Pattern) -> Content {
+    let bytes = Arc::new(pattern.content_bytes());
+    let hash = ArtifactKey::pattern_hash(&bytes);
+    (bytes, hash)
+}
+
+/// Where a submit's pattern comes from.
+enum Source<'a> {
+    /// An in-process caller's pattern.
+    Pattern(Pattern),
+    /// A pattern's wire bytes ([`Pattern::to_bytes`]) with their
+    /// [`PatternMemo::tag`] and key material. `decoded` holds the
+    /// pattern when the memo missed, and is `None` for a memo hit,
+    /// whose bytes are decoded only if the job must compile.
+    Wire {
+        bytes: &'a [u8],
+        tag: u64,
+        content: Content,
+        decoded: Option<Pattern>,
+    },
 }
 
 /// A job's pipeline progress: the latest stage artifact it carries,
@@ -1494,6 +1527,8 @@ impl Shared {
 pub struct CompileService {
     shared: Arc<Shared>,
     workers: Vec<std::thread::JoinHandle<()>>,
+    /// The wire-pattern memo of [`submit_checked`](Self::submit_checked).
+    memo: Mutex<PatternMemo>,
 }
 
 impl CompileService {
@@ -1580,6 +1615,7 @@ impl CompileService {
         Ok(Self {
             shared,
             workers: handles,
+            memo: Mutex::new(PatternMemo::default()),
         })
     }
 
@@ -1626,11 +1662,12 @@ impl CompileService {
         config: DcMbqcConfig,
         options: JobOptions,
     ) -> JobHandle {
-        self.submit_inner(pattern, config, options, false)
+        self.submit_inner(Source::Pattern(pattern), config, options, false)
             .expect("admission checks disabled")
     }
 
-    /// Admission-checked submit: enforces [`ServiceConfig::admission`]
+    /// Admission-checked submit of a pattern's wire bytes (the output
+    /// of [`Pattern::to_bytes`]): enforces [`ServiceConfig::admission`]
     /// — the queue bound, the tenant's in-flight quota, and deadline
     /// feasibility — *before* the job enters the queue. A rejected job
     /// was never enqueued, holds no id, and costs the service nothing
@@ -1645,25 +1682,55 @@ impl CompileService {
     /// [`submit_with`](Self::submit_with), on the caller's thread — for
     /// the network front door, the connection's thread.
     ///
+    /// The bytes are not decoded when the service has served them
+    /// before. A bounded memo maps the wire bytes of patterns that had
+    /// a resident hit to their content bytes and hash, the key
+    /// material of the job's artifact keys. A submit whose bytes are
+    /// memoized (every byte compared) is keyed from the memo, and its
+    /// bytes are decoded only if the stored schedule is gone and the
+    /// job must compile. Other bytes are decoded and keyed first, and
+    /// enter the memo only when that submit is answered from a
+    /// resident schedule: bytes that do not decode, and patterns seen
+    /// once, never do. The memo holds no decoded pattern, and its
+    /// entry count and byte size are bounded by constants.
+    ///
     /// # Errors
     ///
-    /// [`AdmissionError::Overloaded`] when the queue is at its bound,
+    /// The outer `Err` is the [`CodecError`] of bytes that do not
+    /// decode to a pattern; nothing was counted or enqueued. The inner
+    /// one is the admission verdict: [`AdmissionError::Overloaded`]
+    /// when the queue is at its bound,
     /// [`AdmissionError::QuotaExceeded`] when the tenant is at its
     /// in-flight ceiling, [`AdmissionError::DeadlineUnmeetable`] when
     /// the deadline already lapsed or the queue's depth times the
     /// observed per-job stage latency exceeds it.
     pub fn submit_checked(
         &self,
-        pattern: Pattern,
+        pattern: &[u8],
         config: DcMbqcConfig,
         options: JobOptions,
-    ) -> Result<JobHandle, AdmissionError> {
-        self.submit_inner(pattern, config, options, true)
+    ) -> Result<Result<JobHandle, AdmissionError>, CodecError> {
+        let tag = PatternMemo::tag(pattern);
+        let memoized = lock(&self.memo).get(tag, pattern);
+        let (content, decoded) = match memoized {
+            Some(content) => (content, None),
+            None => {
+                let decoded = Pattern::from_bytes(pattern)?;
+                (content_of(&decoded), Some(decoded))
+            }
+        };
+        let source = Source::Wire {
+            bytes: pattern,
+            tag,
+            content,
+            decoded,
+        };
+        Ok(self.submit_inner(source, config, options, true))
     }
 
     fn submit_inner(
         &self,
-        pattern: Pattern,
+        source: Source<'_>,
         config: DcMbqcConfig,
         options: JobOptions,
         admission: bool,
@@ -1712,9 +1779,6 @@ impl CompileService {
                 }
             }
         }
-        // Shared, never copied: every stage artifact of the job holds a
-        // reference count on this one pattern.
-        let pattern = Arc::new(pattern);
         let cancel = cancel.unwrap_or_default();
         let deadline = deadline.map(|d| Instant::now() + d);
         let attempts = Arc::new(AtomicU32::new(1));
@@ -1756,7 +1820,10 @@ impl CompileService {
                 .telemetry
                 .emit(Some(id), EventKind::Submitted { priority });
         }
-        let keys = StageKeys::new(&pattern, &config);
+        let keys = match &source {
+            Source::Pattern(pattern) => StageKeys::new(pattern, &config),
+            Source::Wire { content, .. } => StageKeys::with_content(content.clone(), &config),
+        };
         // Resident warm hit: a `Scheduled` artifact in the memory tier
         // is the whole answer, so the job ends `Done` here, on the
         // submitting thread — no queue entry, worker hand-off or stage
@@ -1771,9 +1838,37 @@ impl CompileService {
                 lock(&self.shared.counters).hits_scheduled += 1;
                 executor::emit_cache_hit(&self.shared, id, PipelineStage::Schedule);
                 self.shared.publish_terminal(id.0, Ok(bytes), elapsed_ns);
+                if let Source::Wire {
+                    bytes,
+                    tag,
+                    content: (content, hash),
+                    decoded: Some(_),
+                } = source
+                {
+                    // Share the resident key's buffer, so later keys
+                    // built from this entry compare by pointer.
+                    let content = self
+                        .shared
+                        .store
+                        .resident_pattern(&keys.sched)
+                        .unwrap_or(content);
+                    lock(&self.memo).insert(tag, bytes, (content, hash));
+                }
                 return Ok(JobHandle { id, events });
             }
         }
+        // The job needs its pattern. Shared, never copied: every stage
+        // artifact of the job holds a reference count on this one
+        // pattern.
+        let pattern = Arc::new(match source {
+            Source::Pattern(pattern)
+            | Source::Wire {
+                decoded: Some(pattern),
+                ..
+            } => pattern,
+            Source::Wire { bytes, .. } => Pattern::from_bytes(bytes)
+                .expect("memoized wire bytes decoded when they entered the memo"),
+        });
         // In-flight dedup: an identical submit still in flight makes
         // this job a *follower* — it registers in the leader's group
         // and never enters the queue; the leader's terminal settlement
@@ -2673,6 +2768,149 @@ mod tests {
         assert_eq!(warm.stats().store.entries, 1, "only the schedule was read");
         drop(warm);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The offset of the angle column in `Pattern::to_bytes` output:
+    /// it follows the length-framed graph blob.
+    fn angle_offset(wire: &[u8]) -> usize {
+        let mut d = mbqc_util::codec::Decoder::new(wire);
+        d.bytes().expect("graph blob");
+        wire.len() - d.remaining()
+    }
+
+    /// A wire submit through the memo, waited on.
+    fn wire_submit(
+        service: &CompileService,
+        wire: &[u8],
+        config: &DcMbqcConfig,
+    ) -> DistributedSchedule {
+        let handle = service
+            .submit_checked(wire, config.clone(), JobOptions::default())
+            .expect("pattern decodes")
+            .expect("admitted");
+        service.wait(handle.id()).expect("job is served")
+    }
+
+    #[test]
+    fn memo_keeps_equal_length_twins_apart() {
+        let (pattern, config, expected) = qft6_job();
+        let wire = pattern.to_bytes();
+        let mut twin_wire = wire.clone();
+        twin_wire[angle_offset(&wire)] ^= 1;
+        let twin = Pattern::from_bytes(&twin_wire).expect("twin decodes");
+        let twin_expected = dc_mbqc::DcMbqcCompiler::new(config.clone())
+            .compile_pattern(&twin)
+            .expect("twin compiles");
+        let service = CompileService::new(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        })
+        .expect("service starts");
+        for p in [&pattern, &twin] {
+            let id = service.submit(p.clone(), config.clone());
+            service.wait(id).expect("cold compile");
+        }
+        for round in 0..3 {
+            for (wire, want) in [(&wire, &expected), (&twin_wire, &twin_expected)] {
+                assert_eq!(&wire_submit(&service, wire, &config), want, "round {round}");
+            }
+        }
+        let stats = service.stats();
+        assert_eq!((stats.hits_scheduled, stats.full_compiles), (6, 2));
+        assert_eq!(lock(&service.memo).len(), 2, "one entry per twin");
+    }
+
+    #[test]
+    fn memo_hit_whose_schedule_was_evicted_compiles_again() {
+        let (pattern, config, expected) = qft6_job();
+        let capacity = 4 << 20;
+        let service = CompileService::new(ServiceConfig {
+            workers: 1,
+            store: StoreConfig {
+                memory_capacity: capacity,
+                ..StoreConfig::default()
+            },
+            ..ServiceConfig::default()
+        })
+        .expect("service starts");
+        let wire = pattern.to_bytes();
+        // Cold compile, then a resident hit that memoizes the bytes.
+        for _ in 0..2 {
+            assert_eq!(wire_submit(&service, &wire, &config), expected);
+        }
+        assert_eq!(lock(&service.memo).len(), 1);
+        // One artifact that fills the memory tier evicts every other.
+        let junk = ArtifactKey::new(PipelineStage::Schedule, b"junk", b"junk");
+        service.shared.store.put(&junk, vec![0; capacity - 64]);
+        assert_eq!(service.stats().store.entries, 1);
+
+        let before = service.stats();
+        assert_eq!(wire_submit(&service, &wire, &config), expected);
+        let after = service.stats();
+        assert_eq!(after.full_compiles, before.full_compiles + 1);
+        assert_eq!(after.hits_scheduled, before.hits_scheduled);
+        // The recompiled schedule is resident again and served.
+        assert_eq!(wire_submit(&service, &wire, &config), expected);
+        assert_eq!(service.stats().hits_scheduled, after.hits_scheduled + 1);
+        assert_eq!(lock(&service.memo).len(), 1);
+    }
+
+    #[test]
+    fn rejected_or_malformed_submits_memoize_nothing() {
+        let (pattern, config, expected) = qft6_job();
+        let service = CompileService::new(ServiceConfig {
+            workers: 1,
+            admission: AdmissionConfig {
+                tenants: vec![TenantQuota::new(1).with_max_in_flight(0)],
+                ..AdmissionConfig::default()
+            },
+            ..ServiceConfig::default()
+        })
+        .expect("service starts");
+        let id = service.submit(pattern.clone(), config.clone());
+        service.wait(id).expect("cold compile");
+        let wire = pattern.to_bytes();
+        let refused = JobOptions {
+            tenant: 1,
+            ..JobOptions::default()
+        };
+        let submit = |options: &JobOptions| {
+            service
+                .submit_checked(&wire, config.clone(), options.clone())
+                .expect("pattern decodes")
+        };
+        assert!(matches!(
+            submit(&refused),
+            Err(AdmissionError::QuotaExceeded { tenant: 1, .. })
+        ));
+        assert_eq!(
+            lock(&service.memo).len(),
+            0,
+            "a refused submit inserts nothing"
+        );
+
+        // Bytes that fail to decode: an out-of-range wire successor.
+        let n = pattern.node_count();
+        let mut malformed = wire.clone();
+        let succ = angle_offset(&wire) + 9 * n;
+        malformed[succ..succ + 8].copy_from_slice(&(n as u64).to_le_bytes());
+        let before = service.stats();
+        for _ in 0..2 {
+            assert!(service
+                .submit_checked(&malformed, config.clone(), JobOptions::default())
+                .is_err());
+        }
+        assert_eq!(service.stats().submitted, before.submitted);
+        assert_eq!(
+            lock(&service.memo).len(),
+            0,
+            "malformed bytes are not memoized"
+        );
+
+        assert_eq!(wire_submit(&service, &wire, &config), expected);
+        assert_eq!(lock(&service.memo).len(), 1);
+        assert!(submit(&refused).is_err());
+        assert_eq!(lock(&service.memo).len(), 1);
     }
 
     #[test]

@@ -936,6 +936,15 @@ impl ArtifactStore {
         Some(entry)
     }
 
+    /// The pattern buffer of the memory tier's own copy of `key`, when
+    /// resident: keys built on it compare with that copy by pointer.
+    /// Counts nothing and refreshes nothing.
+    pub(crate) fn resident_pattern(&self, key: &ArtifactKey) -> Option<Arc<Vec<u8>>> {
+        let inner = lock(&self.inner);
+        let (stored, _) = inner.lru.map.get_key_value(key)?;
+        Some(Arc::clone(&stored.pattern))
+    }
+
     /// Stores an artifact in both tiers, untrusted in memory. Disk
     /// failures are counted, fed to the circuit breaker, and otherwise
     /// ignored — the cache stays best-effort.

@@ -213,14 +213,16 @@ fn admission_refuses_a_warm_hit_before_reading_the_store() {
     });
     let before = service.stats();
     let (pattern, config) = job();
-    let refused = service.submit_checked(
-        pattern.clone(),
-        config.clone(),
-        JobOptions {
-            tenant: 1,
-            ..JobOptions::default()
-        },
-    );
+    let refused = service
+        .submit_checked(
+            &pattern.to_bytes(),
+            config.clone(),
+            JobOptions {
+                tenant: 1,
+                ..JobOptions::default()
+            },
+        )
+        .expect("pattern decodes");
     assert!(matches!(
         refused,
         Err(AdmissionError::QuotaExceeded {
@@ -237,7 +239,8 @@ fn admission_refuses_a_warm_hit_before_reading_the_store() {
 
     // The same job from a tenant with room is served at submit.
     let admitted = service
-        .submit_checked(pattern.clone(), config.clone(), JobOptions::default())
+        .submit_checked(&pattern.to_bytes(), config.clone(), JobOptions::default())
+        .expect("pattern decodes")
         .expect("admitted");
     let got = service.try_poll(admitted.id()).expect("terminal");
     assert_eq!(got.expect("served"), direct(&pattern, &config));

@@ -10,7 +10,8 @@
 //! snapshot fetched over the `Stats` verb.
 //!
 //! On the server, both submit verbs go through one admission-checked
-//! call, `CompileService::submit_checked`. `SubmitObserved` sets
+//! call, `CompileService::submit_checked`, which takes the pattern's
+//! wire bytes as they arrived. `SubmitObserved` sets
 //! `JobOptions::observe`, so the job's stream is registered before its
 //! first event. `SubscribeEvents` calls `CompileService::subscribe` for
 //! one job id.

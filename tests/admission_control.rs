@@ -64,13 +64,14 @@ fn unmeetable_deadline_rejected_at_submit_and_never_enqueued() {
     // fresh service with empty latency histograms.
     let err = service
         .submit_checked(
-            pattern.clone(),
+            &pattern.to_bytes(),
             config(8),
             JobOptions {
                 deadline: Some(Duration::ZERO),
                 ..JobOptions::default()
             },
         )
+        .expect("pattern decodes")
         .expect_err("zero deadline can never be met");
     assert!(matches!(err, AdmissionError::DeadlineUnmeetable { .. }));
 
@@ -85,13 +86,14 @@ fn unmeetable_deadline_rejected_at_submit_and_never_enqueued() {
     // One nanosecond against a multi-microsecond p95 estimate: reject.
     let err = service
         .submit_checked(
-            pattern.clone(),
+            &pattern.to_bytes(),
             config(8),
             JobOptions {
                 deadline: Some(Duration::from_nanos(1)),
                 ..JobOptions::default()
             },
         )
+        .expect("pattern decodes")
         .expect_err("1 ns deadline is unmeetable once histograms have samples");
     match err {
         AdmissionError::DeadlineUnmeetable {
@@ -117,13 +119,14 @@ fn unmeetable_deadline_rejected_at_submit_and_never_enqueued() {
     // A generous deadline sails through and compiles.
     let handle = service
         .submit_checked(
-            pattern,
+            &pattern.to_bytes(),
             config(8),
             JobOptions {
                 deadline: Some(Duration::from_secs(120)),
                 ..JobOptions::default()
             },
         )
+        .expect("pattern decodes")
         .expect("generous deadline admitted");
     service
         .wait(handle.id())
@@ -146,9 +149,12 @@ fn bounded_queue_overloads_exactly_at_limit_and_drains_to_accepting() {
     })
     .expect("service starts");
 
-    // The first submit always lands: the queue is empty.
+    // The first submit always lands: the queue is empty. The pattern
+    // is encoded once, so each submit below costs only its decode.
+    let slow = slow_pattern().to_bytes();
     let first = service
-        .submit_checked(slow_pattern(), config(12), JobOptions::default())
+        .submit_checked(&slow, config(12), JobOptions::default())
+        .expect("pattern decodes")
         .expect("empty queue admits");
 
     // Keep submitting: the single worker is busy compiling, so the
@@ -157,7 +163,10 @@ fn bounded_queue_overloads_exactly_at_limit_and_drains_to_accepting() {
     let mut admitted = vec![first];
     let mut overload = None;
     for _ in 0..100 {
-        match service.submit_checked(slow_pattern(), config(12), JobOptions::default()) {
+        match service
+            .submit_checked(&slow, config(12), JobOptions::default())
+            .expect("pattern decodes")
+        {
             Ok(h) => admitted.push(h),
             Err(e) => {
                 overload = Some(e);
@@ -180,7 +189,8 @@ fn bounded_queue_overloads_exactly_at_limit_and_drains_to_accepting() {
         service.wait(id).expect("admitted jobs compile");
     }
     let again = service
-        .submit_checked(slow_pattern(), config(12), JobOptions::default())
+        .submit_checked(&slow, config(12), JobOptions::default())
+        .expect("pattern decodes")
         .expect("drained queue admits again");
     service.wait(again.id()).expect("compiles");
 }
@@ -199,11 +209,13 @@ fn quota_exceeded_rejected_with_tenant_id_and_drains() {
     .expect("service starts");
 
     let first = service
-        .submit_checked(slow_pattern(), config(12), tenant_opts(7))
+        .submit_checked(&slow_pattern().to_bytes(), config(12), tenant_opts(7))
+        .expect("pattern decodes")
         .expect("first job within quota");
 
     let err = service
-        .submit_checked(slow_pattern(), config(12), tenant_opts(7))
+        .submit_checked(&slow_pattern().to_bytes(), config(12), tenant_opts(7))
+        .expect("pattern decodes")
         .expect_err("second in-flight job exceeds quota 1");
     match &err {
         AdmissionError::QuotaExceeded {
@@ -224,13 +236,15 @@ fn quota_exceeded_rejected_with_tenant_id_and_drains() {
 
     // An unconfigured tenant is unconstrained.
     let other = service
-        .submit_checked(slow_pattern(), config(12), tenant_opts(8))
+        .submit_checked(&slow_pattern().to_bytes(), config(12), tenant_opts(8))
+        .expect("pattern decodes")
         .expect("tenant without a quota is not limited");
 
     // Once tenant 7's job drains, its quota frees up.
     service.wait(first.id()).expect("compiles");
     let again = service
-        .submit_checked(slow_pattern(), config(12), tenant_opts(7))
+        .submit_checked(&slow_pattern().to_bytes(), config(12), tenant_opts(7))
+        .expect("pattern decodes")
         .expect("drained tenant admits again");
     service.wait(again.id()).expect("compiles");
     service.wait(other.id()).expect("compiles");
@@ -258,7 +272,8 @@ fn observed_checked_submit_streams_or_rejects() {
     };
 
     let mut admitted = service
-        .submit_checked(slow_pattern(), config(12), observed.clone())
+        .submit_checked(&slow_pattern().to_bytes(), config(12), observed.clone())
+        .expect("pattern decodes")
         .expect("first job within quota");
     let events = admitted
         .take_events()
@@ -267,7 +282,8 @@ fn observed_checked_submit_streams_or_rejects() {
     // Tenant 7 is at its quota while the first job is in flight.
     let before = service.stats();
     let err = service
-        .submit_checked(slow_pattern(), config(12), observed)
+        .submit_checked(&slow_pattern().to_bytes(), config(12), observed)
+        .expect("pattern decodes")
         .expect_err("second in-flight job exceeds quota 1");
     assert!(
         matches!(err, AdmissionError::QuotaExceeded { tenant: 7, .. }),
@@ -337,11 +353,10 @@ fn stats_snapshots_stay_consistent_under_churn() {
                 let pattern = transpile(&bench::qft(8));
                 let mut n = 0u64;
                 while !stop.load(Ordering::Relaxed) {
-                    let handle = match service.submit_checked(
-                        pattern.clone(),
-                        config(8),
-                        tenant_opts(tenant),
-                    ) {
+                    let handle = match service
+                        .submit_checked(&pattern.to_bytes(), config(8), tenant_opts(tenant))
+                        .expect("pattern decodes")
+                    {
                         Ok(h) => h,
                         Err(_) => continue,
                     };

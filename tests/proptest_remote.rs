@@ -6,10 +6,10 @@
 //!
 //! Pinned here:
 //!
-//! * worker counts {1, 2, 8} × cache states {cold, warm,
-//!   disk-restored}, with jobs spread over three tenants and all
-//!   three priorities: every remote schedule's bytes equal the
-//!   in-process compiler's bytes;
+//! * worker counts {1, 2, 8} × cache states {cold, warm, warm and
+//!   keyed from the server's wire-pattern memo, disk-restored}, with
+//!   jobs spread over three tenants and all three priorities: every
+//!   remote schedule's bytes equal the in-process compiler's bytes;
 //! * remote `SubmitObserved` event streams are gap-free (consecutive
 //!   seq from 0) and (seq, kind)-equal to in-process
 //!   observed-submit streams;
@@ -17,7 +17,9 @@
 //!   wait takes it; a second poll answers `UnknownJob`);
 //! * no stage task still running after every cell
 //!   (`pool_outstanding == 0`);
-//! * a proptest sweep over random workloads and churn masks.
+//! * a proptest sweep over random workloads and churn masks, whose
+//!   patterns are then resubmitted on a second connection, so the
+//!   server's wire-pattern memo answers inside the matrix too.
 
 use dc_mbqc::{DcMbqcCompiler, DcMbqcConfig};
 use mbqc_circuit::bench;
@@ -140,14 +142,17 @@ fn remote_matrix_bit_identical_across_workers_policies_and_cache_states() {
             let server = Server::bind(Arc::clone(&service), "127.0.0.1:0").expect("bind");
             submit_round(server.local_addr(), &format!("{tag}-cold"));
             submit_round(server.local_addr(), &format!("{tag}-warm"));
+            // The warm round's hits taught the server the patterns'
+            // wire bytes: this round is keyed from its memo.
+            submit_round(server.local_addr(), &format!("{tag}-memo"));
             let stats = service.stats();
             assert_eq!(
                 stats.pool_outstanding, 0,
                 "{tag}: task still running after drain"
             );
             assert!(
-                stats.hits_scheduled >= workload().len() as u64,
-                "{tag}: warm round should be served from cache"
+                stats.hits_scheduled >= 2 * workload().len() as u64,
+                "{tag}: warm and memo rounds should be served from cache"
             );
         }
 
@@ -386,6 +391,25 @@ proptest! {
                     prop_assert_eq!(cid, id);
                 }
                 other => prop_assert!(false, "job {} unexpected outcome {:?}", id, other),
+            }
+        }
+        // Resubmit the case's patterns twice on a second connection:
+        // the first resubmit of each is a resident hit that the server
+        // memoizes, the second is keyed from the memo. Both must stay
+        // bit-identical.
+        let mut second = Client::connect(server.local_addr()).expect("connect");
+        for round in 0..2 {
+            for (i, &v) in jobs.iter().enumerate() {
+                let (pattern, expected) = &workload()[v % 3];
+                let id = second.submit(pattern, &config(), options(i)).expect("admitted");
+                match second.wait(id, None).expect("transport") {
+                    Some(WireOutcome::Ok(schedule)) => prop_assert_eq!(
+                        &schedule.to_bytes(),
+                        expected,
+                        "round {} job {} diverged from compile_pattern", round, id
+                    ),
+                    other => prop_assert!(false, "round {} job {} unexpected outcome {:?}", round, id, other),
+                }
             }
         }
         prop_assert_eq!(service.stats().pool_outstanding, 0);
