@@ -19,7 +19,7 @@ use mbqc_util::metrics::Summary;
 use std::time::Duration;
 
 /// Frame kind: a client request (payload decodes with
-/// [`Request::from_bytes`]).
+/// [`Request::parse`]).
 pub const KIND_REQUEST: u8 = 1;
 /// Frame kind: the server's reply to one request (payload decodes with
 /// [`Response::from_bytes`]).
@@ -312,43 +312,6 @@ impl Request {
             }
         }
         e.into_bytes()
-    }
-
-    /// Decodes a request off the wire, validating everything — an
-    /// unknown verb, a malformed pattern, an inconsistent
-    /// configuration all return typed errors. This is
-    /// [`parse`](Request::parse) followed by [`Pattern::from_bytes`]
-    /// of a submit's pattern bytes.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError`] on any malformed payload.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
-        Ok(match Request::parse(bytes)? {
-            Request::Submit {
-                pattern,
-                config,
-                options,
-            } => Request::Submit {
-                pattern: Pattern::from_bytes(pattern)?,
-                config,
-                options,
-            },
-            Request::SubmitObserved {
-                pattern,
-                config,
-                options,
-            } => Request::SubmitObserved {
-                pattern: Pattern::from_bytes(pattern)?,
-                config,
-                options,
-            },
-            Request::Cancel { id } => Request::Cancel { id },
-            Request::Poll { id } => Request::Poll { id },
-            Request::Wait { id, timeout_ns } => Request::Wait { id, timeout_ns },
-            Request::Stats => Request::Stats,
-            Request::SubscribeEvents { id } => Request::SubscribeEvents { id },
-        })
     }
 }
 
@@ -891,7 +854,8 @@ const EVT_SUBMITTED: u8 = 0;
 const EVT_TASK_STARTED: u8 = 1;
 const EVT_TASK_FINISHED: u8 = 2;
 const EVT_CACHE_HIT: u8 = 3;
-const EVT_DEDUPLICATED: u8 = 4;
+// Tag 4 is retired with the event kind it carried: it decodes as an
+// unknown tag, and no other tag moves.
 const EVT_RETRY_SCHEDULED: u8 = 5;
 const EVT_QUARANTINE_OPENED: u8 = 6;
 const EVT_QUARANTINE_CLOSED: u8 = 7;
@@ -948,10 +912,6 @@ pub fn encode_event(event: &TelemetryEvent) -> Vec<u8> {
             e.u8(EVT_CACHE_HIT);
             e.u8(pipeline_stage_tag(*stage));
         }
-        EventKind::Deduplicated { leader } => {
-            e.u8(EVT_DEDUPLICATED);
-            e.u64(leader.as_u64());
-        }
         EventKind::RetryScheduled { attempt, delay_ns } => {
             e.u8(EVT_RETRY_SCHEDULED);
             e.u64(u64::from(*attempt));
@@ -992,9 +952,6 @@ pub fn decode_event(bytes: &[u8]) -> Result<TelemetryEvent, CodecError> {
         },
         EVT_CACHE_HIT => EventKind::CacheHit {
             stage: pipeline_stage_from(d.u8()?)?,
-        },
-        EVT_DEDUPLICATED => EventKind::Deduplicated {
-            leader: JobId::from_raw(d.u64()?),
         },
         EVT_RETRY_SCHEDULED => EventKind::RetryScheduled {
             attempt: u32::try_from(d.u64()?).map_err(|_| CodecError::Invalid("attempt"))?,
@@ -1046,7 +1003,8 @@ mod tests {
             Request::SubscribeEvents { id: 2 },
         ];
         for req in &reqs {
-            let back = Request::from_bytes(&req.to_bytes()).expect("round trip");
+            let bytes = req.to_bytes();
+            let back = Request::parse(&bytes).expect("round trip");
             assert_eq!(format!("{back:?}"), format!("{req:?}"));
         }
     }
@@ -1218,9 +1176,6 @@ mod tests {
             EventKind::CacheHit {
                 stage: PipelineStage::Map,
             },
-            EventKind::Deduplicated {
-                leader: JobId::from_raw(7),
-            },
             EventKind::RetryScheduled {
                 attempt: 3,
                 delay_ns: 10,
@@ -1249,7 +1204,7 @@ mod tests {
     #[test]
     fn unknown_tags_are_typed_errors() {
         assert!(matches!(
-            Request::from_bytes(&[200]),
+            Request::parse(&[200]),
             Err(CodecError::Invalid("unknown request verb"))
         ));
         assert!(matches!(
@@ -1257,7 +1212,19 @@ mod tests {
             Err(CodecError::Invalid("unknown response tag"))
         ));
         assert!(decode_event(&[0, 0, 0, 0, 0, 0, 0, 0, 0]).is_err());
-        assert!(Request::from_bytes(&[]).is_err(), "empty payload");
+        // The retired event tag 4, framed as its event once was (job,
+        // seq, time, tag, then a job id).
+        let mut e = Encoder::new();
+        opt_u64(&mut e, Some(1));
+        e.u64(0);
+        e.u64(10);
+        e.u8(4);
+        e.u64(0);
+        assert!(matches!(
+            decode_event(&e.into_bytes()),
+            Err(CodecError::Invalid("unknown event tag"))
+        ));
+        assert!(Request::parse(&[]).is_err(), "empty payload");
         assert!(Response::from_bytes(&[]).is_err(), "empty payload");
     }
 
@@ -1266,7 +1233,7 @@ mod tests {
         let mut bytes = Request::Stats.to_bytes();
         bytes.push(0);
         assert!(matches!(
-            Request::from_bytes(&bytes),
+            Request::parse(&bytes),
             Err(CodecError::TrailingBytes)
         ));
     }

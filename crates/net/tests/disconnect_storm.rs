@@ -30,9 +30,6 @@ fn disconnect_storm_leaks_no_jobs_or_workspaces() {
     let service = Arc::new(
         CompileService::new(ServiceConfig {
             workers: 2,
-            // Distinct queue entries per submission — the storm should
-            // exercise real jobs, not dedup followers.
-            dedup: false,
             ..ServiceConfig::default()
         })
         .expect("service starts"),

@@ -39,6 +39,12 @@
 //!   those bytes are both the job's result and the stored artifact,
 //!   stored trusted (`ArtifactStore::put_trusted`).
 //!
+//! These re-checks are the only link between concurrent identical
+//! jobs: nothing collapses them at submit, and each runs its own tasks
+//! under its own lifecycle. A twin one stage behind reads the leading
+//! twin's artifacts instead of recomputing them, and its results are
+//! the same bits either way.
+//!
 //! Artifacts are built on the job's shared pattern
 //! ([`Transpiled::shared`]), so they are `'static` and nothing is
 //! rebuilt or copied between tasks. Stage functions are pure in

@@ -26,10 +26,10 @@
 //!
 //! Fairness is scheduling only: it decides *when* a tenant's job runs,
 //! never its result (the remote-equivalence matrix pins bit-identical
-//! schedules across tenants). Dedup followers never enter the queue,
-//! so fairness is accounted on leaders; a stale entry whose job was
-//! cancelled still charges its lane one pop (rare, and self-correcting
-//! within the same bound).
+//! schedules across tenants). A job answered at submit from a resident
+//! schedule never enters the queue and costs its lane nothing; a stale
+//! entry whose job was cancelled still charges its lane one pop (rare,
+//! and self-correcting within the same bound).
 
 use std::collections::{BinaryHeap, HashMap};
 

@@ -108,18 +108,15 @@
 //! `mbqc-net` server writes them into its reply without decoding
 //! them at all.
 //!
-//! **In-flight dedup** ([`ServiceConfig::dedup`], on by default).
-//! Concurrent submits of an identical `(pattern, config)` collapse
-//! into one compilation: the first in flight is the *leader*; later
-//! ones become *followers* that run zero tasks and receive a clone of
-//! the leader's result at its terminal event
-//! ([`ServiceStats::dedup_hits`], [`EventKind::Deduplicated`]).
-//! Followers keep their own lifecycle — a follower's fired cancel or
-//! lapsed deadline wins over the shared result at delivery — and a
-//! leader that ends `Cancelled`/`Expired`/`Internal` (artifacts of
-//! *its* lifecycle, not of the computation) promotes its first live
-//! follower to a fresh leader instead of failing the group. Exactly
-//! one compilation, whatever the interleaving:
+//! **Concurrent duplicates are ordinary jobs.** Every stage is a pure
+//! function of `(pattern, config)`, so identical jobs in flight together
+//! need no coordination. A twin whose schedule is already resident is
+//! answered at submit; any other runs its own planning task, which
+//! re-enters at the deepest artifact published so far, and its later
+//! tasks pick up whatever the first twin publishes ahead of them. Each
+//! job is counted once per attempt, as a submit-time hit or by its
+//! planning task (`hits_scheduled`, `hits_mapped`, `hits_partitioned`
+//! or `full_compiles`), and every twin gets the same bits:
 //!
 //! ```
 //! use dc_mbqc::DcMbqcConfig;
@@ -142,7 +139,7 @@
 //! .unwrap();
 //!
 //! // A blocker occupies the lone worker, so the identical burst below
-//! // is all in flight at once.
+//! // is all queued at once.
 //! let blocker = service.submit(transpile(&bench::qft(10)), config.clone());
 //! let burst: Vec<_> = (0..3)
 //!     .map(|_| service.submit(transpile(&bench::qft(8)), config.clone()))
@@ -152,12 +149,14 @@
 //! assert!(results.windows(2).all(|w| w[0] == w[1]), "bit-identical");
 //! service.wait(blocker).unwrap();
 //!
-//! // One compilation for the whole burst (the blocker is the other):
-//! // the two duplicates either joined the leader in flight, or — had
-//! // the leader already finished — warm-hit its stored artifact.
+//! // Four jobs, each counted once. One worker runs the first twin to
+//! // the end before the next one's planning task pops, so the other
+//! // two find its stored schedule.
 //! let stats = service.stats();
-//! assert_eq!(stats.full_compiles, 2, "{stats:?}");
-//! assert_eq!(stats.dedup_hits + stats.hits_scheduled, 2, "{stats:?}");
+//! let planned = stats.hits_scheduled + stats.hits_mapped + stats.hits_partitioned;
+//! assert_eq!(planned + stats.full_compiles, 4, "{stats:?}");
+//! assert_eq!((stats.full_compiles, stats.hits_scheduled), (2, 2), "{stats:?}");
+//! assert_eq!(stats.dedup_hits, 0);
 //! ```
 //!
 //! ## Job lifecycle
@@ -209,6 +208,11 @@
 //! priority-then-submission order. Queue order is pure scheduling — no
 //! order, cancellation interleaving, or deadline can change a
 //! surviving job's bits.
+//!
+//! **Every job has its own lifecycle.** Identical submits are separate
+//! jobs, so cancelling one, or letting its deadline lapse, never touches
+//! a twin; the twin keeps whatever artifacts the cancelled job published
+//! before it stopped.
 //!
 //! ```
 //! use dc_mbqc::DcMbqcConfig;
@@ -370,8 +374,8 @@
 //!   channels: a slow or abandoned
 //!   subscriber overflows (counted, [`EventStream::dropped`]) or is
 //!   pruned — it never blocks a worker. **Emission is zero-cost when
-//!   nobody listens**: with no subscriber and no flight recorder, an
-//!   emit site is one relaxed atomic load.
+//!   nobody listens**: with no subscriber, an emit site is one relaxed
+//!   atomic load.
 //! * **Latency histograms.** Always-on `mbqc_util::metrics` log-bucketed
 //!   histograms (relaxed atomics, ≤12.5% relative quantile error)
 //!   record per-stage execution latency, queue wait, and warm-hit
@@ -381,12 +385,9 @@
 //!   p50/p95/p99 [`ServiceStats::stage_latency`] /
 //!   [`ServiceStats::queue_wait`] / [`ServiceStats::warm_hit`]
 //!   summaries.
-//! * **Flight recorder and traces.** [`TelemetryConfig::flight_recorder`]
-//!   keeps the last N events in a ring ([`CompileService::flight_recorder`])
-//!   — the lifecycle/chaos proptests dump it on failure. Any captured
-//!   event slice renders to Chrome trace-event JSON
-//!   ([`chrome_trace_json`]; the telemetry tests check its schema) as
-//!   a job → attempt → stage-task span tree for `chrome://tracing` /
+//! * **Traces.** Any captured event slice renders to Chrome trace-event
+//!   JSON ([`chrome_trace_json`]; the telemetry tests check its schema)
+//!   as a job → attempt → stage-task span tree for `chrome://tracing` /
 //!   Perfetto; the `service_demo` example's `--trace <path>` flag
 //!   writes one.
 //!
@@ -487,18 +488,16 @@
 //!     .unwrap();
 //! assert_eq!(got, direct);
 //!
-//! // …and the duplicate batch job is answered without recompiling —
-//! // deduplicated while its twin is in flight, or from the cache.
+//! // …and the duplicate batch job is answered without recompiling:
+//! // its twin pops first and runs to the end on the lone worker, so
+//! // the duplicate's planning task finds the stored schedule.
 //! for id in batch_ids {
 //!     service.wait(id).unwrap();
 //! }
 //! let stats = service.stats();
 //! assert_eq!(stats.completed, 3);
 //! assert_eq!(stats.submitted_by_priority, [2, 0, 1]);
-//! assert!(
-//!     stats.dedup_hits + stats.hits_scheduled + stats.task_store_hits >= 1,
-//!     "{stats:?}"
-//! );
+//! assert_eq!(stats.hits_scheduled, 1, "{stats:?}");
 //! ```
 
 pub mod executor;

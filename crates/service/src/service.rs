@@ -90,7 +90,7 @@ use crate::fair::{FairClass, TenantWeights};
 use crate::fault::FaultPlan;
 use crate::memo::{Content, PatternMemo};
 use crate::store::{ArtifactKey, ArtifactStore, StoreConfig, StoreStats};
-use crate::telemetry::{EventKind, EventStream, TelemetryEvent, TelemetryHub, TerminalState};
+use crate::telemetry::{EventKind, EventStream, TelemetryHub, TerminalState};
 
 /// Handle of a submitted compilation job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -559,18 +559,6 @@ pub struct ServiceConfig {
     /// Worker threads (`0` = one per available core). Worker count
     /// never changes results, only throughput.
     pub workers: usize,
-    /// In-flight deduplication (on by default): concurrent submits of
-    /// an identical job — same pattern content and same scheduling
-    /// fingerprint — collapse into one compilation. The first submit
-    /// leads; later ones register as followers and receive a clone of
-    /// the leader's result (bit-identical — artifacts are
-    /// deterministic). Followers keep their own lifecycle: a
-    /// follower's cancellation or deadline is honoured at delivery,
-    /// and a leader that ends cancelled/expired/panicked promotes its
-    /// first live follower to a fresh leader instead of spreading the
-    /// non-deterministic failure. Deterministic `Compile` rejections
-    /// are shared like successes.
-    pub dedup: bool,
     /// Artifact-store configuration (memory budget, optional disk
     /// tier).
     pub store: StoreConfig,
@@ -581,9 +569,8 @@ pub struct ServiceConfig {
     /// [`StoreConfig::faults`](crate::StoreConfig) — pass clones of
     /// one plan to both to drive them from a single seed.
     pub faults: FaultPlan,
-    /// Telemetry knobs (flight-recorder capacity, subscription-channel
-    /// bound). The defaults keep the hub dormant: no recorder, and no
-    /// cost beyond one relaxed atomic check per emit site until
+    /// Telemetry knobs (the subscription-channel bound). The hub stays
+    /// dormant, at one relaxed atomic check per emit site, until
     /// somebody subscribes.
     pub telemetry: TelemetryConfig,
     /// Admission control: queue bound, per-tenant weights and quotas.
@@ -597,7 +584,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             workers: 0,
-            dedup: true,
             store: StoreConfig::default(),
             faults: FaultPlan::none(),
             telemetry: TelemetryConfig::default(),
@@ -610,12 +596,6 @@ impl Default for ServiceConfig {
 /// section).
 #[derive(Debug, Clone)]
 pub struct TelemetryConfig {
-    /// Capacity (in events) of the flight recorder — the ring buffer of
-    /// most-recent events [`CompileService::flight_recorder`] snapshots.
-    /// `0` (the default) disables it; a non-zero capacity keeps the
-    /// telemetry hub permanently armed, so every event pays the
-    /// recording cost even with no subscriber.
-    pub flight_recorder: usize,
     /// Default capacity of subscription channels
     /// ([`CompileService::subscribe`], [`JobOptions::observe`]). A full
     /// channel drops events (counted on [`EventStream::dropped`])
@@ -626,7 +606,6 @@ pub struct TelemetryConfig {
 impl Default for TelemetryConfig {
     fn default() -> Self {
         TelemetryConfig {
-            flight_recorder: 0,
             channel_capacity: 1024,
         }
     }
@@ -666,10 +645,10 @@ pub struct ServiceStats {
     /// job's initial cache probe (e.g. published by a concurrent
     /// duplicate job).
     pub task_store_hits: u64,
-    /// Submits that collapsed into a concurrent identical in-flight
-    /// job ([`ServiceConfig::dedup`]): the follower ran zero tasks and
-    /// received a clone of the leader's result. Not counted in the
-    /// `hits_*`/`full_compiles` buckets — the leader's execution is.
+    /// Always 0: concurrent identical submits are ordinary jobs, each
+    /// answered at submit or by its own tasks, so no submit is folded
+    /// into another. The field keeps its slot in the `Stats` wire
+    /// layout for existing readers.
     pub dedup_hits: u64,
     /// Jobs answered by a `Scheduled` artifact (nothing recomputed):
     /// at submit when the artifact is resident in the store's memory
@@ -885,8 +864,7 @@ pub(crate) struct JobState {
     /// The submitting tenant ([`JobOptions::tenant`]): routes the
     /// job's queue entries to its fair lane.
     pub(crate) tenant: u32,
-    /// Artifact keys (also the dedup key's source), built at submit
-    /// and kept across retries.
+    /// Artifact keys, built at submit and kept across retries.
     pub(crate) keys: StageKeys,
     /// The latest stage artifact.
     pub(crate) carried: Carried,
@@ -912,34 +890,6 @@ pub(crate) struct JobState {
 }
 
 impl JobState {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        pattern: Arc<Pattern>,
-        config: DcMbqcConfig,
-        keys: StageKeys,
-        priority: Priority,
-        tenant: u32,
-        cancel: CancelToken,
-        deadline: Option<Instant>,
-        retry: RetryPolicy,
-        attempts: Arc<AtomicU32>,
-    ) -> Self {
-        Self {
-            pattern,
-            config,
-            priority,
-            tenant,
-            keys,
-            carried: Carried::NotStarted,
-            latency_ns: 0,
-            cancel,
-            deadline,
-            retry,
-            attempt: 1,
-            attempts,
-        }
-    }
-
     /// Resets the job to a fresh pipeline for a retry by dropping its
     /// carried artifact (the failed attempt may have left it
     /// mid-update). Identity (pattern, config, artifact keys, priority,
@@ -1074,32 +1024,6 @@ struct ResultState {
     done: HashMap<JobId, DoneJob>,
 }
 
-/// A submit that collapsed into a concurrent identical leader
-/// ([`ServiceConfig::dedup`]). It holds everything needed to finalize
-/// the job at delivery time — or to rebuild it as a fresh leader when
-/// the original leader ends without a shareable result.
-#[derive(Debug)]
-struct Follower {
-    seq: u64,
-    pattern: Arc<Pattern>,
-    config: DcMbqcConfig,
-    keys: StageKeys,
-    priority: Priority,
-    tenant: u32,
-    cancel: CancelToken,
-    deadline: Option<Instant>,
-    retry: RetryPolicy,
-    attempts: Arc<AtomicU32>,
-}
-
-impl Follower {
-    /// The follower's own terminal verdict at delivery time, if its
-    /// lifecycle ended independently of the leader's result.
-    fn dead_verdict(&self) -> Option<ServiceError> {
-        lapsed(self.seq, &self.cancel, self.deadline)
-    }
-}
-
 /// A job's own terminal verdict, if its lifecycle already ended:
 /// `Cancelled` once its token fired, else `Expired` once its deadline
 /// passed.
@@ -1111,27 +1035,6 @@ fn lapsed(seq: u64, cancel: &CancelToken, deadline: Option<Instant>) -> Option<S
     } else {
         None
     }
-}
-
-/// One in-flight dedup group: the leading job plus the followers
-/// awaiting its result.
-#[derive(Debug)]
-struct InflightGroup {
-    /// The dedup key (the `Schedule`-stage artifact key), kept here so
-    /// the leader's terminal hook can clear `by_key`.
-    key: ArtifactKey,
-    followers: Vec<Follower>,
-}
-
-/// The in-flight dedup table. Both maps mutate together under one
-/// lock: `by_key` routes submits to the live leader, `groups` routes
-/// the leader's terminal result back to its followers.
-#[derive(Debug, Default)]
-struct InflightState {
-    /// Dedup key → leader seq.
-    by_key: HashMap<ArtifactKey, u64>,
-    /// Leader seq → its group.
-    groups: HashMap<u64, InflightGroup>,
 }
 
 #[derive(Debug, Default)]
@@ -1150,7 +1053,6 @@ pub(crate) struct Counters {
     pub(crate) submitted_by_priority: [u64; 3],
     pub(crate) tasks_executed: u64,
     pub(crate) task_store_hits: u64,
-    pub(crate) dedup_hits: u64,
     pub(crate) hits_scheduled: u64,
     pub(crate) hits_mapped: u64,
     pub(crate) hits_partitioned: u64,
@@ -1192,13 +1094,6 @@ pub(crate) struct Shared {
     results_cv: Condvar,
     pub(crate) store: ArtifactStore,
     pub(crate) counters: Mutex<Counters>,
-    /// In-flight dedup table ([`ServiceConfig::dedup`]). Lock order:
-    /// `inflight` is never held while acquiring `queue`, `counters`,
-    /// or `results` — every settlement collects under `inflight` and
-    /// acts after dropping it.
-    inflight: Mutex<InflightState>,
-    /// Whether submits consult the dedup table at all.
-    dedup: bool,
     /// Job-id allocator only; the `submitted` *statistic* lives in
     /// [`Counters`] so stats snapshots stay consistent.
     next_id: AtomicU64,
@@ -1306,85 +1201,6 @@ impl Shared {
         self.queue_cv.notify_all();
     }
 
-    /// The dedup settlement hook, run on every terminal publish. A
-    /// *deliverable* result — `Ok`, or the deterministic
-    /// [`ServiceError::Compile`] rejection — is cloned to every
-    /// follower of the ending leader; an `Ok` clone shares the leader's
-    /// schedule bytes. Each follower's own fired cancel or lapsed
-    /// deadline wins over the shared result at delivery. A
-    /// non-deliverable terminal (`Cancelled`/`Expired`/`Internal` —
-    /// artifacts of the *leader's* lifecycle, not of the computation)
-    /// instead promotes the first still-live follower to a fresh
-    /// leader carrying the remaining followers; a leader's
-    /// cancellation therefore never cancels its followers.
-    fn settle_inflight(&self, seq: u64, result: &Result<ScheduleBytes, ServiceError>) {
-        // All table surgery in one critical section; follower
-        // publishing and leader re-enqueue happen after the lock
-        // drops (lock order: `inflight` before everything else).
-        let mut inflight = lock(&self.inflight);
-        // Followers never create a group, so the delivery recursion
-        // below bottoms out here at depth one.
-        let Some(InflightGroup { key, followers }) = inflight.groups.remove(&seq) else {
-            return;
-        };
-        let deliverable = matches!(result, Ok(_) | Err(ServiceError::Compile(_)));
-        if deliverable {
-            debug_assert_eq!(inflight.by_key.get(&key), Some(&seq));
-            inflight.by_key.remove(&key);
-            drop(inflight);
-            for f in followers {
-                let r = match f.dead_verdict() {
-                    Some(err) => Err(err),
-                    None => result.clone(),
-                };
-                // Followers ran zero tasks: no latency contribution.
-                self.publish_terminal(f.seq, r, 0);
-            }
-            return;
-        }
-        let mut dead = Vec::new();
-        let mut live = Vec::new();
-        for f in followers {
-            match f.dead_verdict() {
-                Some(err) => dead.push((f.seq, err)),
-                None => live.push(f),
-            }
-        }
-        let promoted = if live.is_empty() {
-            debug_assert_eq!(inflight.by_key.get(&key), Some(&seq));
-            inflight.by_key.remove(&key);
-            None
-        } else {
-            let rest = live.split_off(1);
-            let f = live.pop().expect("live is non-empty");
-            inflight.by_key.insert(key.clone(), f.seq);
-            inflight.groups.insert(
-                f.seq,
-                InflightGroup {
-                    key,
-                    followers: rest,
-                },
-            );
-            Some(f)
-        };
-        drop(inflight);
-        for (fseq, err) in dead {
-            self.publish_terminal(fseq, Err(err), 0);
-        }
-        if let Some(f) = promoted {
-            let state = JobState::new(
-                f.pattern, f.config, f.keys, f.priority, f.tenant, f.cancel, f.deadline, f.retry,
-                f.attempts,
-            );
-            let entry = ReadyJob::new(f.seq, &state);
-            let mut q = lock(&self.queue);
-            q.jobs.insert(f.seq, state);
-            q.push_ready(entry);
-            drop(q);
-            self.queue_cv.notify_one();
-        }
-    }
-
     /// Rolls the terminal-state counters and publishes the result
     /// (common tail of every way a job can end). `latency_ns` is the
     /// job's accumulated in-worker latency — folded into
@@ -1401,7 +1217,6 @@ impl Shared {
         result: Result<ScheduleBytes, ServiceError>,
         latency_ns: u64,
     ) {
-        self.settle_inflight(seq, &result);
         // Each job publishes exactly once, and its pending entry is
         // only removed below — so the tenant read here is reliable.
         let tenant = lock(&self.results)
@@ -1563,10 +1378,7 @@ impl CompileService {
         } else {
             config.workers
         };
-        let telemetry = Arc::new(TelemetryHub::new(
-            config.telemetry.flight_recorder,
-            config.telemetry.channel_capacity,
-        ));
+        let telemetry = Arc::new(TelemetryHub::new(config.telemetry.channel_capacity));
         let store = ArtifactStore::new(config.store)?;
         // The store emits quarantine transitions through the same hub.
         store.attach_telemetry(Arc::clone(&telemetry));
@@ -1593,8 +1405,6 @@ impl CompileService {
             results_cv: Condvar::new(),
             store,
             counters: Mutex::new(Counters::default()),
-            inflight: Mutex::new(InflightState::default()),
-            dedup: config.dedup,
             next_id: AtomicU64::new(0),
             telemetry,
             metrics: ServiceMetrics::default(),
@@ -1869,58 +1679,20 @@ impl CompileService {
             Source::Wire { bytes, .. } => Pattern::from_bytes(bytes)
                 .expect("memoized wire bytes decoded when they entered the memo"),
         });
-        // In-flight dedup: an identical submit still in flight makes
-        // this job a *follower* — it registers in the leader's group
-        // and never enters the queue; the leader's terminal settlement
-        // delivers to it (see [`Shared::settle_inflight`]). The lookup
-        // and the registration are one critical section, so a submit
-        // either joins a group that settlement will still observe, or
-        // finds the group gone and becomes a fresh leader.
-        if self.shared.dedup {
-            let key = keys.sched.clone();
-            let mut inflight = lock(&self.shared.inflight);
-            if let Some(&leader) = inflight.by_key.get(&key) {
-                inflight
-                    .groups
-                    .get_mut(&leader)
-                    .expect("by_key entry has a live group")
-                    .followers
-                    .push(Follower {
-                        seq: id.0,
-                        pattern,
-                        config,
-                        keys,
-                        priority,
-                        tenant,
-                        cancel,
-                        deadline,
-                        retry,
-                        attempts,
-                    });
-                drop(inflight);
-                lock(&self.shared.counters).dedup_hits += 1;
-                if self.shared.telemetry.armed() {
-                    self.shared.telemetry.emit(
-                        Some(id),
-                        EventKind::Deduplicated {
-                            leader: JobId(leader),
-                        },
-                    );
-                }
-                return Ok(JobHandle { id, events });
-            }
-            inflight.by_key.insert(key.clone(), id.0);
-            inflight.groups.insert(
-                id.0,
-                InflightGroup {
-                    key,
-                    followers: Vec::new(),
-                },
-            );
-        }
-        let state = JobState::new(
-            pattern, config, keys, priority, tenant, cancel, deadline, retry, attempts,
-        );
+        let state = JobState {
+            pattern,
+            config,
+            priority,
+            tenant,
+            keys,
+            carried: Carried::NotStarted,
+            latency_ns: 0,
+            cancel,
+            deadline,
+            retry,
+            attempt: 1,
+            attempts,
+        };
         let entry = ReadyJob::new(id.0, &state);
         let mut q = lock(&self.shared.queue);
         q.jobs.insert(id.0, state);
@@ -2123,7 +1895,7 @@ impl CompileService {
             expired: c.expired,
             tasks_executed: c.tasks_executed,
             task_store_hits: c.task_store_hits,
-            dedup_hits: c.dedup_hits,
+            dedup_hits: 0,
             hits_scheduled: c.hits_scheduled,
             hits_mapped: c.hits_mapped,
             hits_partitioned: c.hits_partitioned,
@@ -2172,17 +1944,6 @@ impl CompileService {
             }
         }
         stream
-    }
-
-    /// Snapshot of the flight recorder: the most recent telemetry
-    /// events (oldest first), up to
-    /// [`TelemetryConfig::flight_recorder`] of them. Empty when the
-    /// recorder is disabled (the default). The lifecycle/chaos
-    /// property tests dump this on failure, turning "assertion failed"
-    /// into a replayable event history.
-    #[must_use]
-    pub fn flight_recorder(&self) -> Vec<TelemetryEvent> {
-        self.shared.telemetry.recorder_dump()
     }
 }
 

@@ -1,11 +1,10 @@
-//! Flight-recorder telemetry: structured per-job event streams, a
-//! bounded-channel subscription fabric, a fixed-capacity ring buffer of
-//! recent events, and a Chrome trace-event JSON exporter.
+//! Telemetry: structured per-job event streams, a bounded-channel
+//! subscription fabric, and a Chrome trace-event JSON exporter.
 //!
 //! The design constraint is **zero cost when nobody is listening**:
 //! every emit site in the service does exactly one relaxed atomic load
 //! (`TelemetryHub::armed`) before constructing an event. Only when a
-//! subscriber exists (or the flight recorder is enabled) does an emit
+//! subscriber exists does an emit
 //! take the hub lock, stamp a monotonic timestamp and a per-job
 //! sequence number, and fan the event out. Delivery is strictly
 //! non-blocking: a full subscription channel drops the event and counts
@@ -88,14 +87,6 @@ pub enum EventKind {
     CacheHit {
         /// The deepest pipeline stage the cached artifact covers.
         stage: PipelineStage,
-    },
-    /// The job joined a concurrent identical in-flight job instead of
-    /// entering the queue (`ServiceConfig::dedup`): it runs zero tasks
-    /// and receives a clone of the leader's result at the leader's
-    /// terminal event. Emitted right after [`Submitted`](Self::Submitted).
-    Deduplicated {
-        /// The in-flight job this submit collapsed into.
-        leader: JobId,
     },
     /// A transient failure was absorbed by the retry policy; the job
     /// will re-enter the queue after the backoff delay.
@@ -288,48 +279,6 @@ impl Drop for EventStream {
 }
 
 // ---------------------------------------------------------------------------
-// Flight recorder
-// ---------------------------------------------------------------------------
-
-/// Fixed-capacity ring buffer of the most recent events.
-struct FlightRecorder {
-    buf: Vec<TelemetryEvent>,
-    cap: usize,
-    /// Overwrite position once the buffer is full (= index of the
-    /// oldest retained event).
-    next: usize,
-    total: u64,
-}
-
-impl FlightRecorder {
-    fn new(cap: usize) -> Self {
-        FlightRecorder {
-            buf: Vec::with_capacity(cap.min(4096)),
-            cap,
-            next: 0,
-            total: 0,
-        }
-    }
-
-    fn push(&mut self, ev: TelemetryEvent) {
-        self.total += 1;
-        if self.buf.len() < self.cap {
-            self.buf.push(ev);
-        } else {
-            self.buf[self.next] = ev;
-            self.next = (self.next + 1) % self.cap;
-        }
-    }
-
-    fn dump(&self) -> Vec<TelemetryEvent> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        out.extend_from_slice(&self.buf[self.next..]);
-        out.extend_from_slice(&self.buf[..self.next]);
-        out
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Hub
 // ---------------------------------------------------------------------------
 
@@ -348,15 +297,13 @@ struct HubInner {
     job_seq: HashMap<u64, u32>,
     /// Sequence stream for service-scoped (`job: None`) events.
     service_seq: u32,
-    recorder: Option<FlightRecorder>,
 }
 
 /// The service-wide telemetry fan-out point.
 ///
 /// Emit sites call [`armed`](Self::armed) (one relaxed atomic load) and
 /// construct an event only when it returns `true` — the hub keeps the
-/// flag equal to "at least one subscription or the flight recorder
-/// exists".
+/// flag equal to "at least one subscription exists".
 pub(crate) struct TelemetryHub {
     enabled: AtomicBool,
     epoch: Instant,
@@ -372,22 +319,20 @@ impl std::fmt::Debug for TelemetryHub {
         f.debug_struct("TelemetryHub")
             .field("armed", &self.armed())
             .field("subscriptions", &inner.subs.len())
-            .field("recorder", &inner.recorder.is_some())
             .finish()
     }
 }
 
 impl TelemetryHub {
-    pub(crate) fn new(recorder_capacity: usize, channel_capacity: usize) -> Self {
+    pub(crate) fn new(channel_capacity: usize) -> Self {
         TelemetryHub {
-            enabled: AtomicBool::new(recorder_capacity > 0),
+            enabled: AtomicBool::new(false),
             epoch: Instant::now(),
             channel_capacity: channel_capacity.max(1),
             inner: Mutex::new(HubInner {
                 subs: Vec::new(),
                 job_seq: HashMap::new(),
                 service_seq: 0,
-                recorder: (recorder_capacity > 0).then(|| FlightRecorder::new(recorder_capacity)),
             }),
         }
     }
@@ -399,7 +344,7 @@ impl TelemetryHub {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Record + fan out one event. Callers gate on [`armed`](Self::armed)
+    /// Fans out one event. Callers gate on [`armed`](Self::armed)
     /// first; calling while dormant is correct but wastes a lock.
     pub(crate) fn emit(&self, job: Option<JobId>, kind: EventKind) {
         let at_ns = self.epoch.elapsed().as_nanos() as u64;
@@ -423,9 +368,6 @@ impl TelemetryHub {
             at_ns,
             kind,
         };
-        if let Some(rec) = inner.recorder.as_mut() {
-            rec.push(ev);
-        }
         let mut prune = false;
         for sub in &inner.subs {
             if (sub.filter.is_none() || sub.filter == job) && !sub.chan.send(ev) {
@@ -471,16 +413,6 @@ impl TelemetryHub {
         self.refresh(&mut inner);
     }
 
-    /// Snapshot the flight recorder (oldest first). Empty when the
-    /// recorder is disabled.
-    pub(crate) fn recorder_dump(&self) -> Vec<TelemetryEvent> {
-        lock(&self.inner)
-            .recorder
-            .as_ref()
-            .map(FlightRecorder::dump)
-            .unwrap_or_default()
-    }
-
     /// Close every subscription (service shutdown): streams drain their
     /// buffers, then iterators end.
     pub(crate) fn close(&self) {
@@ -493,7 +425,7 @@ impl TelemetryHub {
     }
 
     fn refresh(&self, inner: &mut HubInner) {
-        let live = !inner.subs.is_empty() || inner.recorder.is_some();
+        let live = !inner.subs.is_empty();
         if !live {
             // Dormant again: forget per-job sequence state so the map
             // cannot leak across unobserved traffic.
@@ -591,7 +523,7 @@ impl TraceWriter {
 }
 
 /// Render a collection of [`TelemetryEvent`]s (e.g. everything drained
-/// from a service-wide subscription, or a flight-recorder dump) as
+/// from a service-wide subscription) as
 /// Chrome trace-event JSON — loadable in `chrome://tracing` / Perfetto.
 ///
 /// The span tree is **job → attempt → stage-task**: each job becomes a
@@ -694,14 +626,6 @@ pub fn chrome_trace_json(events: &[TelemetryEvent]) -> String {
                         ev.at_ns,
                     );
                 }
-                EventKind::Deduplicated { leader } => {
-                    w.instant(
-                        &format!("deduplicated into job {}", leader.0),
-                        "dedup",
-                        id,
-                        ev.at_ns,
-                    );
-                }
                 _ => {}
             }
         }
@@ -722,33 +646,9 @@ pub fn chrome_trace_json(events: &[TelemetryEvent]) -> String {
 mod tests {
     use super::*;
 
-    fn ev(job: u64, seq: u32, at_ns: u64, kind: EventKind) -> TelemetryEvent {
-        TelemetryEvent {
-            job: Some(JobId(job)),
-            seq,
-            at_ns,
-            kind,
-        }
-    }
-
-    #[test]
-    fn flight_recorder_keeps_most_recent_in_order() {
-        let mut rec = FlightRecorder::new(3);
-        for i in 0..5u64 {
-            rec.push(ev(1, i as u32, i * 100, EventKind::QuarantineOpened));
-        }
-        let dump = rec.dump();
-        assert_eq!(dump.len(), 3);
-        assert_eq!(
-            dump.iter().map(|e| e.seq).collect::<Vec<_>>(),
-            vec![2, 3, 4]
-        );
-        assert_eq!(rec.total, 5);
-    }
-
     #[test]
     fn hub_assigns_gap_free_sequences_and_closes_per_job_streams() {
-        let hub = TelemetryHub::new(0, 1024);
+        let hub = TelemetryHub::new(1024);
         assert!(!hub.armed());
         let all = hub.subscribe(None, Some(64));
         let only_two = hub.subscribe(Some(JobId(2)), Some(64));
@@ -786,7 +686,7 @@ mod tests {
 
     #[test]
     fn full_channel_drops_and_dead_receiver_is_pruned() {
-        let hub = TelemetryHub::new(0, 1024);
+        let hub = TelemetryHub::new(1024);
         let stream = hub.subscribe(None, Some(2));
         for _ in 0..5 {
             hub.emit(None, EventKind::QuarantineOpened);
@@ -796,17 +696,5 @@ mod tests {
         // Next emit prunes the dead subscription and disarms the hub.
         hub.emit(None, EventKind::QuarantineClosed);
         assert!(!hub.armed());
-    }
-
-    #[test]
-    fn recorder_keeps_hub_armed() {
-        let hub = TelemetryHub::new(8, 1024);
-        assert!(hub.armed());
-        hub.emit(None, EventKind::QuarantineOpened);
-        let s = hub.subscribe(None, Some(4));
-        drop(s);
-        hub.emit(None, EventKind::QuarantineClosed);
-        assert!(hub.armed(), "recorder alone must keep the hub armed");
-        assert_eq!(hub.recorder_dump().len(), 2);
     }
 }

@@ -8,10 +8,10 @@
 //!   matrices in this mode so the armed emit paths (fan-out under the
 //!   hub lock, bounded-channel backpressure, terminal auto-close) are
 //!   exercised under the same churn the dormant runs pin.
-//! * **Flight-recorder dump** — on a failing matrix cell the last
-//!   events of the service's flight recorder are printed, giving the
-//!   shrunk counterexample a causal event history instead of a bare
-//!   assertion message.
+//! * **Recent-event dump** — [`RecentEvents`] keeps the last events of
+//!   a service-wide subscription, and on a failing matrix cell
+//!   [`audited`] prints them, giving the shrunk counterexample a causal
+//!   event history instead of a bare assertion message.
 //! * **Trace schema check** — [`chrome_trace::validate_chrome_trace`]
 //!   parses exported Chrome trace JSON and checks its event schema.
 
@@ -19,7 +19,9 @@
 
 pub mod chrome_trace;
 
-use mbqc_service::{CompileService, EventStream};
+use mbqc_service::{CompileService, EventStream, TelemetryEvent};
+use std::collections::VecDeque;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 /// Drains an event stream until the service closes it. Receiving in a
@@ -44,27 +46,44 @@ pub fn live_subscriber(service: &CompileService) -> Option<JoinHandle<u64>> {
     Some(std::thread::spawn(move || drain(stream)))
 }
 
-/// Prints the service's flight recorder (most recent events, oldest
-/// first) to stderr. Called on matrix-cell failure so the shrunk
-/// counterexample carries its own event history.
-pub fn dump_flight_recorder(service: &CompileService, what: &str) {
-    let events = service.flight_recorder();
-    eprintln!(
-        "--- flight recorder ({}): {} event(s) ---",
-        what,
-        events.len()
-    );
-    for ev in &events {
-        eprintln!("  {ev:?}");
-    }
-    eprintln!("--- end flight recorder ---");
+/// The most recent events of one service, oldest first: a service-wide
+/// subscription drained into a bounded ring by a background thread
+/// until the service drops. Attach it before the first submission. Its
+/// subscription keeps the telemetry hub armed, so a matrix that keeps
+/// one runs the armed emit paths in every cell.
+pub struct RecentEvents {
+    ring: Arc<Mutex<VecDeque<TelemetryEvent>>>,
 }
 
-/// Wraps a matrix-cell audit: on `Err`, dumps the flight recorder
-/// before propagating the failure.
-pub fn audited<T, E>(service: &CompileService, what: &str, result: Result<T, E>) -> Result<T, E> {
+impl RecentEvents {
+    /// Subscribes to `service` and keeps its last `capacity` events.
+    pub fn attach(service: &CompileService, capacity: usize) -> Self {
+        let ring = Arc::new(Mutex::new(VecDeque::with_capacity(capacity)));
+        let stream = service.subscribe(None, Some(1 << 14));
+        let sink = Arc::clone(&ring);
+        std::thread::spawn(move || {
+            for event in stream {
+                let mut ring = sink.lock().unwrap_or_else(PoisonError::into_inner);
+                if ring.len() == capacity {
+                    ring.pop_front();
+                }
+                ring.push_back(event);
+            }
+        });
+        Self { ring }
+    }
+}
+
+/// Wraps a matrix-cell audit: on `Err`, prints the service's recent
+/// events to stderr before propagating the failure.
+pub fn audited<T, E>(recent: &RecentEvents, what: &str, result: Result<T, E>) -> Result<T, E> {
     if result.is_err() {
-        dump_flight_recorder(service, what);
+        let events = recent.ring.lock().unwrap_or_else(PoisonError::into_inner);
+        eprintln!("--- recent events ({what}): {} event(s) ---", events.len());
+        for event in events.iter() {
+            eprintln!("  {event:?}");
+        }
+        eprintln!("--- end recent events ---");
     }
     result
 }

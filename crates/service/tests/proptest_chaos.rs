@@ -45,7 +45,7 @@ use mbqc_partition::Partition;
 use mbqc_pattern::{transpile::transpile, Pattern};
 use mbqc_service::{
     ArtifactKey, CompileService, FaultConfig, FaultPlan, JobId, JobOptions, RetryPolicy,
-    ServiceConfig, ServiceError, StoreConfig, TelemetryConfig,
+    ServiceConfig, ServiceError, StoreConfig,
 };
 use mbqc_util::Rng;
 use proptest::prelude::*;
@@ -189,19 +189,15 @@ proptest! {
                     ..StoreConfig::default()
                 },
                 faults: plan,
-                // Flight recorder on: a failing cell dumps the
-                // recent event history (retries, quarantine
-                // transitions) alongside the assertion.
-                telemetry: TelemetryConfig {
-                    flight_recorder: 128,
-                    ..TelemetryConfig::default()
-                },
                 ..ServiceConfig::default()
             })
             .expect("service starts");
             // CI's release-mode pass sets MBQC_LIVE_SUBSCRIBER: the
             // armed emit paths then run under injected faults too.
             let _live = common::live_subscriber(&service);
+            // A failing cell dumps the recent event history
+            // alongside the assertion (see `common::audited`).
+            let recent = common::RecentEvents::attach(&service, 128);
             let cell = (|| -> Result<(), TestCaseError> {
             let rounds = if workers == 1 { 2 } else { 1 };
             for round in 0..rounds {
@@ -292,11 +288,7 @@ proptest! {
             check_store(&service, &workload, &config, &what)?;
             Ok(())
             })();
-            common::audited(
-                &service,
-                &format!("workers={workers}"),
-                cell,
-            )?;
+            common::audited(&recent, &format!("workers={workers}"), cell)?;
             drop(service);
         }
         std::fs::remove_dir_all(&dir).ok();

@@ -37,7 +37,7 @@ use mbqc_partition::Partition;
 use mbqc_pattern::{transpile::transpile, Pattern};
 use mbqc_service::{
     ArtifactKey, CancelToken, CompileService, JobId, JobOptions, Priority, ServiceConfig,
-    ServiceError, StoreConfig, TelemetryConfig,
+    ServiceError, StoreConfig,
 };
 use mbqc_util::Rng;
 use proptest::prelude::*;
@@ -218,13 +218,6 @@ proptest! {
                     disk_dir: Some(dir.clone()),
                     ..StoreConfig::default()
                 },
-                // Flight recorder on: a failing cell below
-                // dumps the recent event history alongside the
-                // assertion (see `common::audited`).
-                telemetry: TelemetryConfig {
-                    flight_recorder: 128,
-                    ..TelemetryConfig::default()
-                },
                 ..ServiceConfig::default()
             })
             .expect("service starts");
@@ -232,6 +225,9 @@ proptest! {
             // the armed fan-out path then runs under the full
             // lifecycle churn instead of only the happy paths.
             let _live = common::live_subscriber(&service);
+            // A failing cell dumps the recent event history
+            // alongside the assertion (see `common::audited`).
+            let recent = common::RecentEvents::attach(&service, 128);
             let cell = (|| -> Result<(), TestCaseError> {
             let rounds = if workers == 1 { 2 } else { 1 };
             for round in 0..rounds {
@@ -403,11 +399,7 @@ proptest! {
             check_store(&service, &workload, &config, &what)?;
             Ok(())
             })();
-            common::audited(
-                &service,
-                &format!("workers={workers}"),
-                cell,
-            )?;
+            common::audited(&recent, &format!("workers={workers}"), cell)?;
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -16,16 +16,14 @@
 //!   `Expired` jobs ran zero tasks;
 //! * a service-wide subscriber created before any submission misses
 //!   nothing, and the whole capture round-trips the Chrome trace
-//!   exporter's schema check;
-//! * the flight recorder retains at most its configured capacity, as a
-//!   suffix of the event history.
+//!   exporter's schema check.
 //!
 //! Deterministic companions pin the subscriber-robustness corners: a
 //! full (undrained) bounded subscription counts drops but never blocks
 //! or corrupts job results; a subscriber dropped mid-run never wedges
 //! the service; per-job streams close themselves after `Terminal`, or
 //! at once for a job that is already terminal or unknown; and a dormant
-//! service (no subscribers, no recorder) emits nothing.
+//! service (no subscribers) emits nothing.
 
 mod common;
 
@@ -39,7 +37,7 @@ use mbqc_hardware::{DistributedHardware, ResourceStateKind};
 use mbqc_pattern::{transpile::transpile, Pattern};
 use mbqc_service::{
     chrome_trace_json, CompileService, EventKind, JobId, JobOptions, PipelineStage, Priority,
-    ServiceConfig, ServiceError, StageKind, TelemetryConfig, TelemetryEvent, TerminalState,
+    ServiceConfig, ServiceError, StageKind, TelemetryEvent, TerminalState,
 };
 use mbqc_util::Rng;
 use proptest::prelude::*;
@@ -152,13 +150,10 @@ proptest! {
             (0..4).map(|i| pattern_for(i, qubits + (i % 3))).collect();
         let service = CompileService::new(ServiceConfig {
             workers: 2,
-            telemetry: TelemetryConfig {
-                flight_recorder: 64,
-                ..TelemetryConfig::default()
-            },
             ..ServiceConfig::default()
         })
         .expect("service starts");
+        let recent = common::RecentEvents::attach(&service, 64);
         let what = format!("seed={seed}");
         let cell = (|| -> Result<(), TestCaseError> {
             // Service-wide subscriber registered before any
@@ -215,25 +210,9 @@ proptest! {
             let spans = validate_chrome_trace(&json);
             prop_assert!(spans.is_ok(), "{}: {:?}", &what, spans);
             prop_assert!(spans.unwrap() > 0, "{}: empty trace", &what);
-            // The flight recorder holds a bounded suffix of the
-            // same history.
-            let recorded = service.flight_recorder();
-            prop_assert!(
-                recorded.len() <= 64,
-                "{}: recorder over capacity: {}",
-                &what,
-                recorded.len()
-            );
-            let tail = &captured[captured.len() - recorded.len()..];
-            prop_assert_eq!(
-                recorded.as_slice(),
-                tail,
-                "{}: recorder is not the event-history suffix",
-                &what
-            );
             Ok(())
         })();
-        common::audited(&service, &what, cell)?;
+        common::audited(&recent, &what, cell)?;
     }
 }
 
@@ -373,9 +352,8 @@ fn lockstep_len(stream: &mbqc_service::EventStream) -> usize {
     n
 }
 
-/// With no subscriber and no flight recorder the service emits nothing
-/// and allocates nothing: a stream subscribed *after* the workload saw
-/// none of it, and the recorder stays empty.
+/// With no subscriber the service emits nothing and allocates nothing:
+/// a stream subscribed *after* the workload saw none of it.
 #[test]
 fn dormant_service_emits_nothing() {
     let config = DcMbqcConfig::new(hardware(2, 9));
@@ -387,7 +365,6 @@ fn dormant_service_emits_nothing() {
     .unwrap();
     let id = service.submit(pattern, config);
     service.wait(id).expect("completes");
-    assert!(service.flight_recorder().is_empty());
     let late = service.subscribe(None, None);
     assert!(
         late.recv_timeout(Duration::ZERO).is_none(),

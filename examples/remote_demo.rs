@@ -266,12 +266,11 @@ fn main() {
     let stats = survivor.stats().expect("stats over the wire");
     println!(
         "server stats: submitted {} | completed {} | rejected {} | cache hits {} | \
-         dedup {} | tasks running {}",
+         tasks running {}",
         stats.submitted,
         stats.completed,
         stats.rejected,
         stats.hits_scheduled + stats.hits_mapped + stats.hits_partitioned,
-        stats.dedup_hits,
         stats.pool_outstanding
     );
     println!("per tenant:");

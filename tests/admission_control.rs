@@ -138,9 +138,6 @@ fn bounded_queue_overloads_exactly_at_limit_and_drains_to_accepting() {
     const LIMIT: usize = 2;
     let service = CompileService::new(ServiceConfig {
         workers: 1,
-        // Dedup would fold identical submissions into one leader and
-        // the queue would never fill; this test wants real depth.
-        dedup: false,
         admission: AdmissionConfig {
             max_queue_depth: Some(LIMIT),
             ..AdmissionConfig::default()
@@ -151,9 +148,12 @@ fn bounded_queue_overloads_exactly_at_limit_and_drains_to_accepting() {
 
     // The first submit always lands: the queue is empty. The pattern
     // is encoded once, so each submit below costs only its decode.
+    // Every submit has its own compiler seed: none can be answered
+    // from an earlier job's stored schedule, so only compiles drain
+    // the queue.
     let slow = slow_pattern().to_bytes();
     let first = service
-        .submit_checked(&slow, config(12), JobOptions::default())
+        .submit_checked(&slow, config(12).with_seed(0), JobOptions::default())
         .expect("pattern decodes")
         .expect("empty queue admits");
 
@@ -162,9 +162,9 @@ fn bounded_queue_overloads_exactly_at_limit_and_drains_to_accepting() {
     // long before 100 attempts.
     let mut admitted = vec![first];
     let mut overload = None;
-    for _ in 0..100 {
+    for seed in 1..=100 {
         match service
-            .submit_checked(&slow, config(12), JobOptions::default())
+            .submit_checked(&slow, config(12).with_seed(seed), JobOptions::default())
             .expect("pattern decodes")
         {
             Ok(h) => admitted.push(h),
@@ -189,7 +189,7 @@ fn bounded_queue_overloads_exactly_at_limit_and_drains_to_accepting() {
         service.wait(id).expect("admitted jobs compile");
     }
     let again = service
-        .submit_checked(&slow, config(12), JobOptions::default())
+        .submit_checked(&slow, config(12).with_seed(101), JobOptions::default())
         .expect("pattern decodes")
         .expect("drained queue admits again");
     service.wait(again.id()).expect("compiles");
@@ -199,7 +199,6 @@ fn bounded_queue_overloads_exactly_at_limit_and_drains_to_accepting() {
 fn quota_exceeded_rejected_with_tenant_id_and_drains() {
     let service = CompileService::new(ServiceConfig {
         workers: 1,
-        dedup: false,
         admission: AdmissionConfig {
             tenants: vec![TenantQuota::new(7).with_max_in_flight(1)],
             ..AdmissionConfig::default()
@@ -258,7 +257,6 @@ fn quota_exceeded_rejected_with_tenant_id_and_drains() {
 fn observed_checked_submit_streams_or_rejects() {
     let service = CompileService::new(ServiceConfig {
         workers: 1,
-        dedup: false,
         admission: AdmissionConfig {
             tenants: vec![TenantQuota::new(7).with_max_in_flight(1)],
             ..AdmissionConfig::default()
@@ -336,7 +334,6 @@ fn stats_snapshots_stay_consistent_under_churn() {
     let service = Arc::new(
         CompileService::new(ServiceConfig {
             workers: 4,
-            dedup: false,
             ..ServiceConfig::default()
         })
         .expect("service starts"),
