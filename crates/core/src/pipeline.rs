@@ -142,11 +142,14 @@ impl DistributedSchedule {
         let schedule = self.schedule.to_bytes();
         let problem = self.problem.to_bytes();
         let partition = self.partition.to_bytes();
-        // Three nested blobs (with length prefixes) plus the scalar
-        // fields and the per-QPU table; reserving the exact size skips
-        // the doubling-growth copies on the wire reply path.
+        // Three nested blobs plus ten 8-byte words (three costs, three
+        // blob length prefixes, modularity, cut edges, the per-QPU
+        // table's length prefix, refresh events) and the per-QPU
+        // table. The reservation is exact, so the buffer never grows:
+        // it is stored as the `Scheduled` artifact and served as every
+        // reply spliced from it, and a short one would double it.
         let cap =
-            schedule.len() + problem.len() + partition.len() + 8 * (8 + self.per_qpu_layers.len());
+            schedule.len() + problem.len() + partition.len() + 8 * (10 + self.per_qpu_layers.len());
         let mut e = Encoder::with_capacity(cap);
         e.usize(self.cost.tau_local);
         e.usize(self.cost.tau_remote);
@@ -158,6 +161,7 @@ impl DistributedSchedule {
         e.usize(self.cut_edges);
         e.usize_slice(&self.per_qpu_layers);
         e.usize(self.refresh_events);
+        debug_assert_eq!(e.len(), cap, "DistributedSchedule::to_bytes capacity");
         e.into_bytes()
     }
 
@@ -437,6 +441,7 @@ mod tests {
         assert_eq!(back, dist);
         assert!(back.problem().is_feasible(back.schedule()));
         let bytes = dist.to_bytes();
+        assert_eq!(bytes.capacity(), bytes.len(), "reserved exactly");
         assert!(DistributedSchedule::from_bytes(&bytes[..bytes.len() - 3]).is_err());
     }
 

@@ -29,8 +29,9 @@ pub struct AdaptiveConfig {
     /// RNG seed forwarded to the k-way partitioner.
     pub seed: u64,
     /// Safety cap on probe iterations (the paper's loop has no explicit
-    /// cap; a deterministic partitioner can oscillate between two α
-    /// values, so we bound the search).
+    /// cap). A walk that oscillates between α values already stops at
+    /// its first repeated step, so only a walk of more distinct steps
+    /// than this meets the cap.
     pub max_iters: usize,
 }
 
@@ -85,7 +86,8 @@ pub struct AdaptiveResult {
     pub cut: i64,
     /// The α that produced the best partition.
     pub alpha: f64,
-    /// Full probe history, in search order.
+    /// Full probe history, in search order, up to the walk's first
+    /// repeated step.
     pub history: Vec<AdaptiveStep>,
 }
 
@@ -161,12 +163,17 @@ pub fn adaptive_partition_csr_with(
     let mut best: Option<(Partition, f64, i64, f64)> = None; // (partition, Q, cut, alpha)
     let mut prev_q = -1.0f64;
     let mut history = Vec::new();
-    // The partitioner is deterministic per (α, seed): memoize probes so
-    // an oscillating α·γ / α/γ walk terminates via ΔQ = 0 instead of
-    // re-partitioning until the iteration cap. Each probe's cut and
-    // modularity are computed once, with its partition.
+    // The partitioner is deterministic per (α, seed): memoize probes, so
+    // each α's partition, cut and modularity are computed once.
     let mut memo: std::collections::HashMap<u64, (Partition, f64, i64)> =
         std::collections::HashMap::new();
+    // The walk's steps, as (previous α, α). A step's ΔQ, and so the
+    // next step, depends only on those two α values, so a repeated step
+    // starts a cycle: every α after it was probed already, and `best`,
+    // which changes only on a strictly higher Q, can no longer change.
+    // An oscillating walk stops there instead of running to the cap.
+    let mut steps = std::collections::HashSet::new();
+    let mut prev_alpha = None;
     // The walk's down-step, clamped at 1 because the k-way partitioner
     // rejects α < 1: the floor is stated outright instead of being left
     // to an argument about ΔQ signs.
@@ -184,6 +191,10 @@ pub fn adaptive_partition_csr_with(
     };
 
     for _ in 0..config.max_iters {
+        if !steps.insert((prev_alpha, alpha.to_bits())) {
+            break;
+        }
+        prev_alpha = Some(alpha.to_bits());
         let (p, q, cut) = memo
             .entry(alpha.to_bits())
             .or_insert_with(|| probe(alpha, ws));

@@ -226,7 +226,9 @@ impl Partition {
     /// `Partitioned` stage artifact of `mbqc-service`).
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
+        // `k`, the assignment's length prefix and one word per node:
+        // exact, so the stored artifact carries no spare capacity.
+        let mut e = Encoder::with_capacity(8 * (2 + self.assignment.len()));
         e.usize(self.k);
         e.usize_slice(&self.assignment);
         e.into_bytes()
@@ -323,7 +325,9 @@ mod tests {
     #[test]
     fn codec_round_trip_and_validation() {
         let p = Partition::new(vec![1, 0, 2, 1], 3);
-        let back = Partition::from_bytes(&p.to_bytes()).unwrap();
+        let bytes = p.to_bytes();
+        assert_eq!(bytes.capacity(), bytes.len(), "reserved exactly");
+        let back = Partition::from_bytes(&bytes).unwrap();
         assert_eq!(back, p);
         // Entries beyond k and zero k are rejected.
         let mut e = mbqc_util::Encoder::new();

@@ -461,14 +461,22 @@ fn programs_fit(partition: &Partition, programs: &[CompiledProgram]) -> bool {
 
 /// Encodes the `Mapped` artifact: the partition plus every per-QPU
 /// compiled program (the node lists are re-derived from the partition
-/// and placement order on re-entry).
+/// and placement order on re-entry). The buffer is reserved at its
+/// exact length, so the stored artifact carries no spare capacity.
 pub(crate) fn encode_mapped(partition: &Partition, programs: &[CompiledProgram]) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.bytes(&partition.to_bytes());
+    let partition = partition.to_bytes();
+    let programs: Vec<Vec<u8>> = programs.iter().map(CompiledProgram::to_bytes).collect();
+    // Length prefixes: the partition's, the program count, and one per
+    // program.
+    let cap =
+        8 * (2 + programs.len()) + partition.len() + programs.iter().map(Vec::len).sum::<usize>();
+    let mut e = Encoder::with_capacity(cap);
+    e.bytes(&partition);
     e.usize(programs.len());
-    for p in programs {
-        e.bytes(&p.to_bytes());
+    for p in &programs {
+        e.bytes(p);
     }
+    debug_assert_eq!(e.len(), cap, "encode_mapped capacity");
     e.into_bytes()
 }
 

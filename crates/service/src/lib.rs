@@ -84,6 +84,17 @@
 //! ([`StoreConfig::disk_capacity`]). Every artifact is recomputable, so
 //! the disk tier is only a cache and the directory is its only index.
 //!
+//! **One copy of each pattern.** Every key embeds the pattern's content
+//! bytes, and the memory tier holds those bytes once per distinct
+//! pattern: a pattern index maps the pattern's hash to one shared
+//! buffer, matched by comparing every byte, and drops it with the last
+//! resident key built on it. A submit keys its job on that buffer when
+//! it is resident, so a sweep that recompiles one program under many
+//! configurations or seeds keeps one copy of the program. Stored values
+//! sit in allocations of exactly their length. The budget still charges
+//! every key its full pattern length, so sharing changes what is
+//! resident, never which entries stay or the order they are evicted in.
+//!
 //! **One read path.** [`ArtifactStore::get`] is the store's only
 //! public read. A memory-tier hit hands out the LRU's `Arc`-shared
 //! bytes without copying them. A disk-tier hit reads the file, verifies

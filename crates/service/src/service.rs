@@ -767,8 +767,9 @@ impl ServiceStats {
 
 /// The three content-addressed keys of one job's stage artifacts,
 /// built once at submit: they depend only on the pattern and the
-/// configuration. The pattern's content bytes are encoded once, and
-/// the three keys share that one buffer.
+/// configuration. The three keys share one buffer of the pattern's
+/// content bytes: at submit, the store's buffer for them when a
+/// resident key holds equal bytes (see `ArtifactStore::intern`).
 #[derive(Debug)]
 pub(crate) struct StageKeys {
     pub(crate) part: ArtifactKey,
@@ -777,6 +778,7 @@ pub(crate) struct StageKeys {
 }
 
 impl StageKeys {
+    #[cfg(test)]
     pub(crate) fn new(pattern: &Pattern, config: &DcMbqcConfig) -> Self {
         Self::with_content(content_of(pattern), config)
     }
@@ -1630,10 +1632,14 @@ impl CompileService {
                 .telemetry
                 .emit(Some(id), EventKind::Submitted { priority });
         }
-        let keys = match &source {
-            Source::Pattern(pattern) => StageKeys::new(pattern, &config),
-            Source::Wire { content, .. } => StageKeys::with_content(content.clone(), &config),
-        };
+        // Keyed on the store's buffer of these content bytes when one is
+        // resident, so a pattern compiled under many configurations
+        // keeps one copy of its bytes in the memory tier.
+        let content = self.shared.store.intern(match &source {
+            Source::Pattern(pattern) => content_of(pattern),
+            Source::Wire { content, .. } => content.clone(),
+        });
+        let keys = StageKeys::with_content(content.clone(), &config);
         // Resident warm hit: a `Scheduled` artifact in the memory tier
         // is the whole answer, so the job ends `Done` here, on the
         // submitting thread — no queue entry, worker hand-off or stage
@@ -1651,18 +1657,13 @@ impl CompileService {
                 if let Source::Wire {
                     bytes,
                     tag,
-                    content: (content, hash),
                     decoded: Some(_),
+                    ..
                 } = source
                 {
-                    // Share the resident key's buffer, so later keys
-                    // built from this entry compare by pointer.
-                    let content = self
-                        .shared
-                        .store
-                        .resident_pattern(&keys.sched)
-                        .unwrap_or(content);
-                    lock(&self.memo).insert(tag, bytes, (content, hash));
+                    // `content` is the resident keys' buffer, so later
+                    // keys built from this entry compare by pointer.
+                    lock(&self.memo).insert(tag, bytes, content);
                 }
                 return Ok(JobHandle { id, events });
             }
@@ -2291,6 +2292,102 @@ mod tests {
             .compile_pattern(&pattern)
             .expect("compiles");
         (pattern, config, expected)
+    }
+
+    /// A compiled job's stored partition, mapped and schedule artifacts
+    /// sit in allocations of exactly their length.
+    #[test]
+    fn stored_artifacts_carry_no_spare_capacity() {
+        let (pattern, config, expected) = qft6_job();
+        let service = CompileService::new(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        })
+        .expect("service starts");
+        let id = service.submit(pattern.clone(), config.clone());
+        assert_eq!(service.wait(id).expect("job compiles"), expected);
+        let keys = StageKeys::new(&pattern, &config);
+        for key in [&keys.part, &keys.map, &keys.sched] {
+            let value = service.shared.store.get(key).expect("stored");
+            assert_eq!(value.capacity(), value.len());
+        }
+    }
+
+    /// Jobs of one pattern under several seeds, submitted back to back
+    /// (a job submitted before the pattern is resident keys its own
+    /// copy of the content bytes), leave one content buffer in the
+    /// memory tier: every stage key of every seed is built on it, and a
+    /// later submit's keys are too.
+    #[test]
+    fn one_pattern_under_many_seeds_keeps_one_content_buffer() {
+        let (pattern, config, _) = qft6_job();
+        let service = CompileService::new(ServiceConfig {
+            workers: 2,
+            ..ServiceConfig::default()
+        })
+        .expect("service starts");
+        let configs: Vec<DcMbqcConfig> = (0..4).map(|s| config.clone().with_seed(s)).collect();
+        let ids: Vec<JobId> = configs
+            .iter()
+            .map(|c| service.submit(pattern.clone(), c.clone()))
+            .collect();
+        for id in ids {
+            service.wait(id).expect("job compiles");
+        }
+        let store = &service.shared.store;
+        assert_eq!(store.interned_patterns(), 1);
+        assert_eq!(store.stats().entries, 3 * configs.len());
+        let (shared, _) = store.intern(content_of(&pattern));
+        for c in &configs {
+            let keys = StageKeys::new(&pattern, c);
+            for key in [&keys.part, &keys.map, &keys.sched] {
+                let resident = store.resident_key(key).expect("resident");
+                assert!(Arc::ptr_eq(resident.pattern_buffer(), &shared));
+            }
+        }
+    }
+
+    /// Two patterns one angle bit apart, submitted as wire bytes, are
+    /// keyed and stored apart: neither job is the other's hit, and each
+    /// keeps its own content buffer.
+    #[test]
+    fn patterns_one_angle_bit_apart_keep_their_own_buffers() {
+        let (pattern, config, expected) = qft6_job();
+        let wire = pattern.to_bytes();
+        // The angle column follows the framed graph blob.
+        let angles = 8 + pattern.graph().encoded_len();
+        let mut flipped = wire.clone();
+        flipped[angles] ^= 1;
+        let twin = Pattern::from_bytes(&flipped).expect("still a pattern");
+        assert_ne!(twin, pattern);
+        assert_eq!(twin.content_bytes().len(), pattern.content_bytes().len());
+
+        let service = CompileService::new(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        })
+        .expect("service starts");
+        for bytes in [&wire, &flipped] {
+            let handle = service
+                .submit_checked(bytes, config.clone(), JobOptions::default())
+                .expect("decodes")
+                .expect("admitted");
+            service.wait(handle.id()).expect("job compiles");
+        }
+        assert_eq!(service.stats().full_compiles, 2);
+        let store = &service.shared.store;
+        assert_eq!(store.interned_patterns(), 2);
+        let (a, b) = (
+            store
+                .resident_key(&StageKeys::new(&pattern, &config).sched)
+                .unwrap(),
+            store
+                .resident_key(&StageKeys::new(&twin, &config).sched)
+                .unwrap(),
+        );
+        assert!(!Arc::ptr_eq(a.pattern_buffer(), b.pattern_buffer()));
+        let id = service.submit(pattern, config);
+        assert_eq!(service.wait(id).expect("served"), expected);
     }
 
     /// `schedule`'s bytes with the stored makespan (the third cost word)

@@ -14,7 +14,12 @@
 //! * an in-memory LRU bounded by a byte budget (intrusive list over a
 //!   slab; O(1) get/insert/evict). The budget charges each entry its
 //!   value plus its full key length, as if no key shared its pattern
-//!   buffer, so resident memory stays below the budget; and
+//!   buffer, so resident memory stays below the budget. The tier holds
+//!   each distinct pattern's content bytes once: a pattern index maps
+//!   the pattern hash to the one buffer every resident key of that
+//!   pattern is built on (equal bytes, every byte compared), and drops
+//!   the buffer with the last such key. Values are stored at their
+//!   exact length; and
 //! * an optional on-disk tier — one `<fingerprint>.art` file per
 //!   artifact, written via temp-file + fsync + rename — giving
 //!   persistence and warm restarts. Disk reads verify the embedded key
@@ -85,6 +90,7 @@ use mbqc_util::sync::lock;
 use mbqc_util::Fingerprint;
 
 use crate::fault::FaultPlan;
+use crate::memo::Content;
 use crate::telemetry::{EventKind, TelemetryHub};
 
 /// A content-addressed cache key: canonical bytes of
@@ -104,6 +110,9 @@ use crate::telemetry::{EventKind, TelemetryHub};
 pub struct ArtifactKey {
     head: Arc<[u8]>,
     pattern: Arc<Vec<u8>>,
+    /// [`ArtifactKey::pattern_hash`] of the pattern bytes: the memory
+    /// tier's pattern index is keyed by it.
+    pattern_hash: u64,
     /// SipHash, under per-process random keys (see
     /// [`key_hash_state`]), of the stage, the configuration bytes and
     /// the pattern bytes' own hash.
@@ -176,6 +185,7 @@ impl ArtifactKey {
         Self {
             head: e.into_bytes().into(),
             pattern,
+            pattern_hash,
             hash: key_hash_state().hash_one((tag, config_bytes, pattern_hash)),
         }
     }
@@ -229,10 +239,16 @@ impl Hasher for KeyHasher {
 /// Store configuration.
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
-    /// Byte budget of the in-memory LRU tier (keys + values). Each
-    /// entry is charged its full key length, although a job's keys
-    /// share one pattern buffer, so resident memory stays below this
-    /// budget.
+    /// Byte budget of the in-memory LRU tier (keys + values).
+    ///
+    /// What is charged: each entry's value length plus its full key
+    /// length, the pattern's content bytes included, as if no key
+    /// shared them. What is resident: one content buffer per distinct
+    /// pattern among the resident keys, however many stages and
+    /// configurations key it, and each value at its exact length. So
+    /// resident memory stays below this budget, far below it when many
+    /// keys share a pattern; the charge decides which entries stay and
+    /// the eviction order, never the sharing.
     pub memory_capacity: usize,
     /// Directory of the on-disk tier; `None` disables it.
     pub disk_dir: Option<PathBuf>,
@@ -275,7 +291,9 @@ impl Default for StoreConfig {
 pub struct StoreStats {
     /// Artifacts currently resident in the memory tier.
     pub entries: usize,
-    /// Bytes (keys + values) resident in the memory tier.
+    /// Bytes (keys + values) the memory tier's budget charges its
+    /// entries: shared pattern bytes count once per key (see
+    /// [`StoreConfig::memory_capacity`]).
     pub bytes: usize,
     /// Memory-tier evictions since creation.
     pub evictions: u64,
@@ -316,10 +334,10 @@ const NONE: usize = usize::MAX;
 
 #[derive(Debug)]
 struct Slot {
-    /// Shares its bytes with the map key and the caller's key, so the
-    /// (pattern-sized) key bytes exist once; the byte accounting below
-    /// charges them to every entry that holds them. `None` once
-    /// evicted.
+    /// Shares its bytes with the map key, and its pattern buffer with
+    /// every resident key of the same pattern (see [`PatternIndex`]);
+    /// the byte accounting below charges the pattern to every entry
+    /// that holds it. `None` once evicted.
     key: Option<ArtifactKey>,
     /// Shared with in-flight readers: a memory hit clones the `Arc`,
     /// never the bytes.
@@ -331,10 +349,75 @@ struct Slot {
     next: usize,
 }
 
+/// One interned pattern: the content buffer and the number of
+/// resident keys built on it.
+#[derive(Debug)]
+struct Interned {
+    bytes: Arc<Vec<u8>>,
+    keys: usize,
+}
+
+/// The memory tier's pattern index: pattern hash → the one content
+/// buffer that every resident key of that pattern shares. Buckets hold
+/// more than one buffer only when distinct patterns collide on the
+/// hash; a match always compares every byte. An entry leaves with its
+/// last resident key, so the index never outgrows the tier.
+#[derive(Debug, Default)]
+struct PatternIndex {
+    by_hash: HashMap<u64, Vec<Interned>, BuildHasherDefault<KeyHasher>>,
+}
+
+impl PatternIndex {
+    /// Counts a new resident key of `key`'s pattern and returns the
+    /// buffer it is to share: the indexed one for these bytes, or
+    /// `key`'s own, which is indexed from now on.
+    fn acquire(&mut self, key: &ArtifactKey) -> Arc<Vec<u8>> {
+        let bucket = self.by_hash.entry(key.pattern_hash).or_default();
+        let found = bucket
+            .iter_mut()
+            .find(|i| Arc::ptr_eq(&i.bytes, &key.pattern) || i.bytes == key.pattern);
+        match found {
+            Some(interned) => {
+                interned.keys += 1;
+                Arc::clone(&interned.bytes)
+            }
+            None => {
+                bucket.push(Interned {
+                    bytes: Arc::clone(&key.pattern),
+                    keys: 1,
+                });
+                Arc::clone(&key.pattern)
+            }
+        }
+    }
+
+    /// Uncounts an evicted key, built on an indexed buffer by
+    /// [`acquire`](Self::acquire); the buffer leaves with its last key.
+    fn release(&mut self, key: &ArtifactKey) {
+        let bucket = self
+            .by_hash
+            .get_mut(&key.pattern_hash)
+            .expect("resident keys are indexed");
+        let at = bucket
+            .iter()
+            .position(|i| Arc::ptr_eq(&i.bytes, &key.pattern))
+            .expect("resident keys share their indexed buffer");
+        bucket[at].keys -= 1;
+        if bucket[at].keys == 0 {
+            bucket.swap_remove(at);
+            if bucket.is_empty() {
+                self.by_hash.remove(&key.pattern_hash);
+            }
+        }
+    }
+}
+
 /// Intrusive-list LRU over a slab, bounded by a byte budget.
 #[derive(Debug)]
 struct Lru {
     map: HashMap<ArtifactKey, usize, BuildHasherDefault<KeyHasher>>,
+    /// The pattern buffers of the keys in `map`.
+    patterns: PatternIndex,
     slots: Vec<Slot>,
     free: Vec<usize>,
     head: usize,
@@ -347,6 +430,7 @@ impl Lru {
     fn new(capacity: usize) -> Self {
         Self {
             map: HashMap::default(),
+            patterns: PatternIndex::default(),
             slots: Vec::new(),
             free: Vec::new(),
             head: NONE,
@@ -398,11 +482,13 @@ impl Lru {
     }
 
     /// Inserts (or replaces) an entry with the given trust bit, evicting
-    /// from the tail until the budget holds. Oversized artifacts are not
-    /// cached (a replace with an oversized value keeps the existing
-    /// entry, trust bit included, rather than flushing the whole tier).
-    /// Returns the number of evictions.
+    /// from the tail until the budget holds. A new entry's key is
+    /// stored on the pattern index's buffer for its bytes. Oversized
+    /// artifacts are not cached (a replace with an oversized value
+    /// keeps the existing entry, trust bit included, rather than
+    /// flushing the whole tier). Returns the number of evictions.
     fn insert(&mut self, key: &ArtifactKey, value: Arc<Vec<u8>>, trusted: bool) -> u64 {
+        debug_assert_eq!(value.capacity(), value.len(), "stored values are exact");
         let cost = key.len() + value.len();
         if cost > self.capacity {
             return 0;
@@ -414,6 +500,10 @@ impl Lru {
             self.unlink(i);
             self.push_front(i);
         } else {
+            let key = ArtifactKey {
+                pattern: self.patterns.acquire(key),
+                ..key.clone()
+            };
             let slot = Slot {
                 key: Some(key.clone()),
                 value,
@@ -431,7 +521,7 @@ impl Lru {
                     self.slots.len() - 1
                 }
             };
-            self.map.insert(key.clone(), i);
+            self.map.insert(key, i);
             self.bytes += cost;
             self.push_front(i);
         }
@@ -443,6 +533,7 @@ impl Lru {
             let key = self.slots[t].key.take().expect("listed slots are live");
             self.bytes -= key.len() + self.slots[t].value.len();
             self.map.remove(&key);
+            self.patterns.release(&key);
             self.slots[t].value = Arc::new(Vec::new());
             self.slots[t].trusted = false;
             self.free.push(t);
@@ -936,19 +1027,36 @@ impl ArtifactStore {
         Some(entry)
     }
 
-    /// The pattern buffer of the memory tier's own copy of `key`, when
-    /// resident: keys built on it compare with that copy by pointer.
+    /// A pattern's content bytes and hash, on the memory tier's buffer
+    /// for them when a resident key holds equal bytes (every byte
+    /// compared, outside the store lock): keys built on the result
+    /// share that buffer and compare with resident keys by pointer.
     /// Counts nothing and refreshes nothing.
-    pub(crate) fn resident_pattern(&self, key: &ArtifactKey) -> Option<Arc<Vec<u8>>> {
-        let inner = lock(&self.inner);
-        let (stored, _) = inner.lru.map.get_key_value(key)?;
-        Some(Arc::clone(&stored.pattern))
+    pub(crate) fn intern(&self, (bytes, hash): Content) -> Content {
+        let resident = lock(&self.inner)
+            .lru
+            .patterns
+            .by_hash
+            .get(&hash)
+            .map(|bucket| {
+                bucket
+                    .iter()
+                    .map(|i| Arc::clone(&i.bytes))
+                    .collect::<Vec<_>>()
+            });
+        let shared = resident
+            .into_iter()
+            .flatten()
+            .find(|b| Arc::ptr_eq(b, &bytes) || *b == bytes);
+        (shared.unwrap_or(bytes), hash)
     }
 
     /// Stores an artifact in both tiers, untrusted in memory. Disk
     /// failures are counted, fed to the circuit breaker, and otherwise
-    /// ignored — the cache stays best-effort.
-    pub fn put(&self, key: &ArtifactKey, value: Vec<u8>) {
+    /// ignored — the cache stays best-effort. The memory tier keeps
+    /// the bytes at their exact length.
+    pub fn put(&self, key: &ArtifactKey, mut value: Vec<u8>) {
+        value.shrink_to_fit();
         self.put_shared(key, Arc::new(value), false);
     }
 
@@ -1092,8 +1200,137 @@ fn write_atomically(path: &Path, contents: &[u8]) -> std::io::Result<()> {
 mod tests {
     use super::*;
 
+    impl ArtifactStore {
+        /// The memory tier's own copy of `key`, when resident.
+        pub(crate) fn resident_key(&self, key: &ArtifactKey) -> Option<ArtifactKey> {
+            let inner = lock(&self.inner);
+            inner.lru.map.get_key_value(key).map(|(k, _)| k.clone())
+        }
+
+        /// Distinct patterns in the memory tier's pattern index.
+        pub(crate) fn interned_patterns(&self) -> usize {
+            lock(&self.inner).lru.patterns.len()
+        }
+    }
+
+    impl PatternIndex {
+        /// Distinct patterns indexed.
+        fn len(&self) -> usize {
+            self.by_hash.values().map(Vec::len).sum()
+        }
+    }
+
+    impl Lru {
+        /// The index counts every resident key exactly once.
+        fn assert_index_counts_keys(&self) {
+            let counted: usize = self
+                .patterns
+                .by_hash
+                .values()
+                .flatten()
+                .map(|i| i.keys)
+                .sum();
+            assert_eq!(counted, self.len());
+        }
+    }
+
     fn key(n: u8) -> ArtifactKey {
         ArtifactKey::new(PipelineStage::Partition, &[n], &[n, n])
+    }
+
+    /// Keys of one pattern under different configurations, each built
+    /// on its own copy of the bytes, share one buffer once resident;
+    /// `intern` hands that buffer to the next key built. Each key is
+    /// still charged its full length.
+    #[test]
+    fn keys_of_one_pattern_share_one_resident_buffer() {
+        let store = ArtifactStore::new(StoreConfig::default()).unwrap();
+        let pattern = vec![5u8; 64];
+        let keys: Vec<ArtifactKey> = (0..3)
+            .map(|c| ArtifactKey::new(PipelineStage::Schedule, &[c], &pattern))
+            .collect();
+        for k in &keys {
+            store.put(k, vec![1; 4]);
+        }
+        let resident: Vec<ArtifactKey> = keys
+            .iter()
+            .map(|k| store.resident_key(k).expect("resident"))
+            .collect();
+        let shared = resident[0].pattern_buffer();
+        for k in &resident {
+            assert!(Arc::ptr_eq(k.pattern_buffer(), shared));
+        }
+        assert_eq!(store.interned_patterns(), 1);
+        let copy = (
+            Arc::new(pattern.clone()),
+            ArtifactKey::pattern_hash(&pattern),
+        );
+        assert!(Arc::ptr_eq(&store.intern(copy).0, shared));
+        assert_eq!(store.stats().bytes, 3 * (keys[0].len() + 4));
+    }
+
+    /// Patterns of equal length one angle bit apart keep their own
+    /// buffers, even forced onto one pattern hash: the index matches by
+    /// comparing every byte.
+    #[test]
+    fn patterns_one_angle_bit_apart_never_share_a_buffer() {
+        let a = [&[3u8; 16][..], &0.25f64.to_le_bytes()].concat();
+        for bit in 0..64 {
+            let mut b = a.clone();
+            b[16 + bit / 8] ^= 1 << (bit % 8);
+            let store = ArtifactStore::new(StoreConfig::default()).unwrap();
+            let ka = ArtifactKey::new(PipelineStage::Map, b"cfg", &a);
+            let kb = ArtifactKey {
+                pattern_hash: ka.pattern_hash,
+                ..ArtifactKey::new(PipelineStage::Map, b"cfg", &b)
+            };
+            store.put(&ka, vec![1]);
+            store.put(&kb, vec![2]);
+            let (ra, rb) = (
+                store.resident_key(&ka).unwrap(),
+                store.resident_key(&kb).unwrap(),
+            );
+            assert!(
+                !Arc::ptr_eq(ra.pattern_buffer(), rb.pattern_buffer()),
+                "bit {bit}"
+            );
+            assert_eq!(**rb.pattern_buffer(), b);
+            assert_eq!(store.interned_patterns(), 2);
+            let (interned, _) = store.intern((Arc::new(b.clone()), ka.pattern_hash));
+            assert!(Arc::ptr_eq(&interned, rb.pattern_buffer()), "bit {bit}");
+            assert_eq!(store.get(&ka).as_deref(), Some(&vec![1]));
+            assert_eq!(store.get(&kb).as_deref(), Some(&vec![2]));
+        }
+    }
+
+    /// A pattern leaves the index with its last resident key, and a
+    /// replace does not count its key twice.
+    #[test]
+    fn pattern_index_empties_with_the_last_key() {
+        let cost = key(0).len() + 1;
+        let mut lru = Lru::new(3 * cost);
+        let keys: Vec<ArtifactKey> = (0..3)
+            .map(|c| ArtifactKey::new(PipelineStage::Partition, &[c], &[1, 1]))
+            .collect();
+        for k in &keys {
+            lru.insert(k, Arc::new(vec![0]), false);
+        }
+        lru.insert(&keys[0], Arc::new(vec![1]), false);
+        lru.assert_index_counts_keys();
+        assert_eq!(lru.patterns.len(), 1);
+        // Each key of another pattern evicts one of the three, oldest
+        // first; the third eviction takes the pattern out.
+        for (n, patterns) in [(2, 2), (3, 3), (4, 3)] {
+            assert_eq!(lru.insert(&key(n), Arc::new(vec![0]), false), 1);
+            lru.assert_index_counts_keys();
+            assert_eq!(lru.patterns.len(), patterns);
+        }
+        assert!(!lru.patterns.by_hash.contains_key(&keys[0].pattern_hash));
+        // One entry the size of the whole budget evicts everything else.
+        let big = key(9);
+        lru.insert(&big, Arc::new(vec![0; 3 * cost - big.len()]), false);
+        lru.assert_index_counts_keys();
+        assert_eq!((lru.len(), lru.patterns.len()), (1, 1));
     }
 
     #[test]
@@ -1202,6 +1439,7 @@ mod tests {
             let other = ArtifactKey {
                 head: head.into(),
                 pattern: Arc::new(pattern.to_vec()),
+                pattern_hash: k.pattern_hash,
                 hash: k.hash,
             };
             assert_ne!(k, other, "byte {i}");
