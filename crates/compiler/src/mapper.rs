@@ -88,7 +88,23 @@ impl CompiledProgram {
     /// fusee-pair order, is preserved.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
+        let mut e = Encoder::with_capacity(self.encoded_len());
+        self.encode(&mut e);
+        debug_assert_eq!(e.len(), self.encoded_len(), "CompiledProgram::encoded_len");
+        e.into_bytes()
+    }
+
+    /// The exact length of [`CompiledProgram::to_bytes`]: five scalar
+    /// words, three framed per-node tables and four words per fusee
+    /// pair behind its length prefix.
+    #[must_use]
+    pub fn encoded_len(&self) -> usize {
+        let tables = self.layer_of.len() + self.effective_layer.len() + self.site_of.len();
+        8 * (5 + 3 + tables + 1 + 4 * self.fusee_pairs.len())
+    }
+
+    /// Appends [`CompiledProgram::to_bytes`] to `e`.
+    pub fn encode(&self, e: &mut Encoder) {
         e.usize(self.num_layers);
         e.usize_slice(&self.layer_of);
         e.usize_slice(&self.effective_layer);
@@ -104,7 +120,6 @@ impl CompiledProgram {
         e.usize(self.routing_fusions);
         e.usize(self.wire_fusions);
         e.usize(self.refresh_events);
-        e.into_bytes()
     }
 
     /// Decodes a program written by [`CompiledProgram::to_bytes`].

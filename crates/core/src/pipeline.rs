@@ -139,24 +139,26 @@ impl DistributedSchedule {
     /// to the freshly compiled one (property-tested).
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let schedule = self.schedule.to_bytes();
-        let problem = self.problem.to_bytes();
-        let partition = self.partition.to_bytes();
-        // Three nested blobs plus ten 8-byte words (three costs, three
-        // blob length prefixes, modularity, cut edges, the per-QPU
-        // table's length prefix, refresh events) and the per-QPU
-        // table. The reservation is exact, so the buffer never grows:
-        // it is stored as the `Scheduled` artifact and served as every
-        // reply spliced from it, and a short one would double it.
-        let cap =
-            schedule.len() + problem.len() + partition.len() + 8 * (10 + self.per_qpu_layers.len());
+        // Three nested blobs, each written in place behind its exact
+        // length, plus ten 8-byte words (three costs, three blob length
+        // prefixes, modularity, cut edges, the per-QPU table's length
+        // prefix, refresh events) and the per-QPU table. The
+        // reservation is exact, so the buffer never grows: it is stored
+        // as the `Scheduled` artifact and served as every reply spliced
+        // from it, and a short one would double it.
+        let (schedule, problem, partition) = (
+            self.schedule.encoded_len(),
+            self.problem.encoded_len(),
+            self.partition.encoded_len(),
+        );
+        let cap = schedule + problem + partition + 8 * (10 + self.per_qpu_layers.len());
         let mut e = Encoder::with_capacity(cap);
         e.usize(self.cost.tau_local);
         e.usize(self.cost.tau_remote);
         e.usize(self.cost.makespan);
-        e.bytes(&schedule);
-        e.bytes(&problem);
-        e.bytes(&partition);
+        e.nested(schedule, |e| self.schedule.encode(e));
+        e.nested(problem, |e| self.problem.encode(e));
+        e.nested(partition, |e| self.partition.encode(e));
         e.f64(self.modularity);
         e.usize(self.cut_edges);
         e.usize_slice(&self.per_qpu_layers);

@@ -244,9 +244,22 @@ impl DiGraph {
     /// traversal visits neighbors identically.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let n = self.node_count();
-        let mut e = Encoder::with_capacity(8 * (1 + 2 * n + 2 * self.edge_count()));
-        e.usize(n);
+        let mut e = Encoder::with_capacity(self.encoded_len());
+        self.encode(&mut e);
+        debug_assert_eq!(e.len(), self.encoded_len(), "DiGraph::encoded_len");
+        e.into_bytes()
+    }
+
+    /// The exact length of [`DiGraph::to_bytes`]: the node count, two
+    /// list lengths per node and one word per edge in each direction.
+    #[must_use]
+    pub fn encoded_len(&self) -> usize {
+        8 * (1 + 2 * self.node_count() + 2 * self.edge_count())
+    }
+
+    /// Appends [`DiGraph::to_bytes`] to `e`.
+    pub fn encode(&self, e: &mut Encoder) {
+        e.usize(self.node_count());
         for (off, adj) in [(&self.succ_off, &self.succ), (&self.pred_off, &self.pred)] {
             for w in off.windows(2) {
                 let list = &adj[w[0] as usize..w[1] as usize];
@@ -256,7 +269,6 @@ impl DiGraph {
                 }
             }
         }
-        e.into_bytes()
     }
 
     /// Decodes a graph written by [`DiGraph::to_bytes`].

@@ -6,14 +6,16 @@
 //! [`CompileService`]: mbqc_service::CompileService
 
 use crate::wire::{
-    decode_event, submit_bytes, Request, Response, WireJobOptions, WireOutcome, KIND_EVENT,
+    decode_event, Request, Response, SubmitPayload, WireJobOptions, WireOutcome, KIND_EVENT,
     KIND_REPLY, KIND_REQUEST, KIND_STREAM_END,
 };
 use dc_mbqc::DcMbqcConfig;
 use mbqc_pattern::Pattern;
 use mbqc_service::{AdmissionError, ServiceStats, TelemetryEvent};
 use mbqc_util::codec::CodecError;
-use mbqc_util::frame::{read_frame, write_frame, FrameError, MAX_FRAME_PAYLOAD};
+use mbqc_util::frame::{
+    frame_checksum_parts, read_frame, write_frame, write_frame_parts, FrameError, MAX_FRAME_PAYLOAD,
+};
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -93,13 +95,23 @@ impl Client {
         Ok(Self { stream })
     }
 
+    /// Sends one request and reads its reply.
     fn request(&mut self, req: &Request) -> Result<Response, ClientError> {
-        self.send(&req.to_bytes())
+        write_frame(&mut self.stream, KIND_REQUEST, &req.to_bytes())?;
+        self.read_reply()
     }
 
-    /// Sends one request payload and reads its reply.
-    fn send(&mut self, payload: &[u8]) -> Result<Response, ClientError> {
-        write_frame(&mut self.stream, KIND_REQUEST, payload)?;
+    /// Sends one submit payload as a gather write of its parts (the
+    /// pattern's cached wire bytes are written where they are) and
+    /// reads the reply.
+    fn send_submit(&mut self, payload: &SubmitPayload<'_>) -> Result<Response, ClientError> {
+        let parts = payload.parts();
+        write_frame_parts(
+            &mut self.stream,
+            KIND_REQUEST,
+            &parts,
+            frame_checksum_parts(&parts),
+        )?;
         self.read_reply()
     }
 
@@ -133,7 +145,7 @@ impl Client {
         config: &DcMbqcConfig,
         options: WireJobOptions,
     ) -> Result<u64, ClientError> {
-        let resp = self.send(&submit_bytes(false, pattern, config, &options))?;
+        let resp = self.send_submit(&SubmitPayload::new(false, pattern, config, &options))?;
         Self::expect_submitted(resp)
     }
 
@@ -152,7 +164,7 @@ impl Client {
         config: &DcMbqcConfig,
         options: WireJobOptions,
     ) -> Result<RemoteEvents, ClientError> {
-        let resp = self.send(&submit_bytes(true, pattern, config, &options))?;
+        let resp = self.send_submit(&SubmitPayload::new(true, pattern, config, &options))?;
         let id = Self::expect_submitted(resp)?;
         Ok(RemoteEvents {
             client: self,

@@ -18,8 +18,9 @@
 //! 4       1     kind        (table below)
 //! 5       4     payload len u32 LE, checked against the 64 MiB cap
 //!                           before any allocation
-//! 9       8     checksum    u64 LE, low 64 bits of the payload's
-//!                           FNV-1a fingerprint
+//! 9       8     checksum    u64 LE, `frame_checksum` of the
+//!                           payload (a four-lane multiply–rotate
+//!                           hash)
 //! 17      len   payload
 //! ```
 //!
@@ -102,12 +103,23 @@
 //! * **Results are take-once**, exactly like the in-process API: the
 //!   first `Wait`/`Poll` that sees a terminal state consumes the
 //!   result, and later calls answer `UnknownJob`.
-//! * **A served schedule is a byte copy.** The server writes the
-//!   schedule bytes the service holds for the job
-//!   ([`ScheduleBytes`](mbqc_service::ScheduleBytes), shared with its
-//!   artifact store) into the `Outcome` reply as they are. It never
-//!   decodes or re-encodes them, and the reply is byte-identical to
-//!   encoding the decoded schedule.
+//! * **A served schedule is spliced, not copied.** The server answers a
+//!   `Poll`/`Wait` for a finished schedule with one gather write: the
+//!   frame header, the 10-byte outcome prefix (response tag, status,
+//!   length), then the bytes the service holds for the job
+//!   ([`ScheduleBytes`](mbqc_service::ScheduleBytes), the artifact
+//!   store's own buffer). It never decodes, re-encodes or copies them.
+//!   The frame checksum is computed once per stored buffer and cached
+//!   with it ([`ScheduleBytes::reply_checksum`](mbqc_service::ScheduleBytes::reply_checksum)),
+//!   so a repeat hit hashes nothing; a new buffer (an overwrite, a
+//!   recompile, a disk-tier promotion) gets a new checksum. The reply is
+//!   byte-identical to encoding the decoded schedule.
+//! * **A repeat submit is not encoded again.** The client writes a
+//!   pattern's wire bytes as the pattern caches them
+//!   ([`Pattern::wire_bytes`](mbqc_pattern::Pattern::wire_bytes),
+//!   encoded once per value and shared by its clones) in one gather
+//!   write with the rest of the request; the frame is byte-identical to
+//!   [`Request::to_bytes`]'s.
 //! * **A repeat pattern is not decoded.** The server hands a submit's
 //!   pattern bytes to the service undecoded; a pattern it has served
 //!   from the store before is keyed through a bounded memo of its wire

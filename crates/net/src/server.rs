@@ -23,6 +23,22 @@
 //! fails [`Request::parse`]; admission still runs before any store
 //! read.
 //!
+//! Each connection reads its request frames into one buffer it keeps
+//! between requests (up to 4 MiB of capacity), so a large submit does
+//! not allocate and fault in a fresh payload buffer per request.
+//!
+//! **The reply path.** A `Poll` or `Wait` that finds a finished
+//! schedule answers with the service's [`ScheduleBytes`] spliced into
+//! the reply: one gather write of the frame header, the 10-byte
+//! `Outcome` prefix and the stored bytes, with no copy of the schedule.
+//! The frame checksum covers prefix and schedule, so it depends on the
+//! stored buffer alone. It is computed the first time a buffer is
+//! served and cached in that buffer's checksum cell
+//! ([`ScheduleBytes::reply_checksum`]), which every connection serving
+//! the buffer shares. The cell belongs to the buffer, not to its
+//! artifact key: an overwrite, a recompile or a disk-tier promotion
+//! stores a new buffer with an empty cell. Nothing else is cached.
+//!
 //! Jobs are **service-scoped, not connection-scoped**: a client that
 //! disconnects mid-job leaves the job running, and any later
 //! connection can `Wait`/`Poll`/`Cancel` it by id. The
@@ -30,12 +46,12 @@
 //! leaks no job and leaves no stage task running.
 
 use crate::wire::{
-    encode_event, outcome_reply, Request, Response, KIND_EVENT, KIND_REPLY, KIND_REQUEST,
+    encode_event, write_outcome, Request, Response, KIND_EVENT, KIND_REPLY, KIND_REQUEST,
     KIND_STREAM_END,
 };
 use mbqc_service::{CompileService, EventStream, JobId, JobOptions, ScheduleBytes, ServiceError};
 use mbqc_util::codec::CodecError;
-use mbqc_util::frame::{read_frame, write_frame, FrameError, MAX_FRAME_PAYLOAD};
+use mbqc_util::frame::{read_frame_into, write_frame, FrameError, MAX_FRAME_PAYLOAD};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -46,6 +62,11 @@ use std::time::{Duration, Instant};
 /// How often parked operations (idle connections, waits, streams)
 /// re-check the shutdown flag.
 const POLL_SLICE: Duration = Duration::from_millis(100);
+
+/// The most request-buffer capacity a connection keeps between
+/// requests: a peer's rare oversized request is not pinned in memory
+/// for the life of its connection.
+const KEPT_REQUEST_BUFFER: usize = 4 << 20;
 
 /// Read timeout once a frame header has started arriving, and write
 /// timeout throughout: a peer that stalls mid-frame this long is
@@ -171,7 +192,13 @@ fn serve_connection(
     stream
         .set_write_timeout(Some(STALL_TIMEOUT))
         .map_err(FrameError::Io)?;
+    // Every request frame is read into this one buffer, whose pages
+    // stay mapped between requests.
+    let mut payload = Vec::new();
     loop {
+        if payload.capacity() > KEPT_REQUEST_BUFFER {
+            payload = Vec::new();
+        }
         // Idle loop: a 1-byte peek under a short timeout, so the
         // thread notices shutdown without ever consuming bytes — the
         // frame reader below always starts at a frame boundary.
@@ -197,8 +224,8 @@ fn serve_connection(
         stream
             .set_read_timeout(Some(STALL_TIMEOUT))
             .map_err(FrameError::Io)?;
-        let frame = read_frame(&mut stream, MAX_FRAME_PAYLOAD)?;
-        if frame.kind != KIND_REQUEST {
+        let kind = read_frame_into(&mut stream, MAX_FRAME_PAYLOAD, &mut payload)?;
+        if kind != KIND_REQUEST {
             return Err(FrameError::Io(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "unexpected frame kind",
@@ -207,7 +234,7 @@ fn serve_connection(
         // The frame arrived intact (checksummed) but its payload may
         // still be semantic garbage — that is a typed reply, not a
         // desync, and the connection stays usable.
-        let request = match Request::parse(&frame.payload) {
+        let request = match Request::parse(&payload) {
             Ok(r) => r,
             Err(e) => {
                 malformed(&mut stream, &e)?;
@@ -288,14 +315,15 @@ fn malformed(stream: &mut TcpStream, e: &CodecError) -> Result<(), FrameError> {
 }
 
 /// Replies to a `Poll` or `Wait`: the job's taken result as a
-/// [`Response::Outcome`], its schedule bytes spliced in as the service
-/// holds them, or [`Response::Pending`] for `None`.
+/// [`Response::Outcome`], a schedule spliced in from the service's
+/// bytes with its cached checksum (see the module docs), or
+/// [`Response::Pending`] for `None`.
 fn reply_outcome(
     stream: &mut TcpStream,
     result: Option<Result<ScheduleBytes, ServiceError>>,
 ) -> Result<(), FrameError> {
     match result {
-        Some(result) => write_frame(stream, KIND_REPLY, &outcome_reply(result)),
+        Some(result) => write_outcome(stream, result),
         None => reply(stream, &Response::Pending),
     }
 }

@@ -15,7 +15,9 @@ use mbqc_service::{
     ServiceError, ServiceStats, StoreStats, TelemetryEvent, TenantStat, TerminalState,
 };
 use mbqc_util::codec::{CodecError, Decoder, Encoder};
+use mbqc_util::frame::{frame_checksum_parts, write_frame, write_frame_parts, FrameError};
 use mbqc_util::metrics::Summary;
+use std::io::Write;
 use std::time::Duration;
 
 /// Frame kind: a client request (payload decodes with
@@ -244,35 +246,48 @@ const VERB_WAIT: u8 = 4;
 const VERB_STATS: u8 = 5;
 const VERB_SUBSCRIBE_EVENTS: u8 = 6;
 
-/// Encodes a submit verb's request payload straight from the caller's
-/// pattern and configuration: [`Request::to_bytes`] of a
+/// A submit verb's request payload as three parts: the verb and the
+/// pattern's length prefix, the pattern's wire bytes as the pattern
+/// caches them ([`Pattern::wire_bytes`]), and the framed configuration
+/// and options. Their concatenation is [`Request::to_bytes`] of a
 /// [`Request::Submit`] (or, with `observe`, a
-/// [`Request::SubmitObserved`]) holding them, without building that
-/// request.
-#[must_use]
-pub(crate) fn submit_bytes(
-    observe: bool,
-    pattern: &Pattern,
-    config: &DcMbqcConfig,
-    options: &WireJobOptions,
-) -> Vec<u8> {
-    // Submit payloads are dominated by the encoded pattern: it is
-    // written in place, framed by its exact length, into one buffer
-    // reserved up front, so the request encoder never re-grows.
-    let pattern_len = pattern.encoded_len();
-    let config = config.to_bytes();
-    let mut e = Encoder::with_capacity(pattern_len + config.len() + 96);
-    e.u8(if observe {
-        VERB_SUBMIT_OBSERVED
-    } else {
-        VERB_SUBMIT
-    });
-    e.usize(pattern_len);
-    pattern.encode(&mut e);
-    assert_eq!(e.len(), 9 + pattern_len, "Pattern::encoded_len is exact");
-    e.bytes(&config);
-    options.encode(&mut e);
-    e.into_bytes()
+/// [`Request::SubmitObserved`]) holding the same values, built without
+/// that request and without encoding the pattern again.
+pub(crate) struct SubmitPayload<'a> {
+    head: [u8; 9],
+    pattern: &'a [u8],
+    tail: Vec<u8>,
+}
+
+impl<'a> SubmitPayload<'a> {
+    pub(crate) fn new(
+        observe: bool,
+        pattern: &'a Pattern,
+        config: &DcMbqcConfig,
+        options: &WireJobOptions,
+    ) -> Self {
+        let pattern = pattern.wire_bytes();
+        let mut head = [0u8; 9];
+        head[0] = if observe {
+            VERB_SUBMIT_OBSERVED
+        } else {
+            VERB_SUBMIT
+        };
+        head[1..].copy_from_slice(&(pattern.len() as u64).to_le_bytes());
+        let mut tail = Encoder::new();
+        tail.bytes(&config.to_bytes());
+        options.encode(&mut tail);
+        Self {
+            head,
+            pattern,
+            tail: tail.into_bytes(),
+        }
+    }
+
+    /// The payload's parts, in wire order.
+    pub(crate) fn parts(&self) -> [&[u8]; 3] {
+        [&self.head, self.pattern, &self.tail]
+    }
 }
 
 impl Request {
@@ -286,12 +301,17 @@ impl Request {
                 pattern,
                 config,
                 options,
-            } => return submit_bytes(false, pattern, config, options),
-            Request::SubmitObserved {
+            }
+            | Request::SubmitObserved {
                 pattern,
                 config,
                 options,
-            } => return submit_bytes(true, pattern, config, options),
+            } => {
+                let observe = matches!(self, Request::SubmitObserved { .. });
+                return SubmitPayload::new(observe, pattern, config, options)
+                    .parts()
+                    .concat();
+            }
             Request::Cancel { id } => {
                 e.u8(VERB_CANCEL);
                 e.u64(*id);
@@ -473,22 +493,33 @@ impl WireOutcome {
     }
 }
 
-/// The payload of the [`Response::Outcome`] reply to a `Poll` or
-/// `Wait`, written straight from a job's taken result. A schedule's
-/// bytes are spliced in as the service holds them, with no decode or
-/// re-encode; the payload is byte-identical to
-/// `Response::Outcome(WireOutcome::Ok(schedule)).to_bytes()`.
-pub(crate) fn outcome_reply(result: Result<ScheduleBytes, ServiceError>) -> Vec<u8> {
+/// Writes the [`KIND_REPLY`] frame answering a `Poll` or `Wait` with a
+/// job's taken result. A schedule is spliced in: one gather write of
+/// the frame header, the 10-byte outcome prefix (response tag, `Ok`
+/// status, the schedule's length) and the service's bytes as they are,
+/// with no decode, re-encode or copy. The frame checksum covers prefix
+/// and bytes, so it is a function of the stored buffer alone: it is
+/// computed the first time that buffer is served and cached with it
+/// ([`ScheduleBytes::reply_checksum`]). The frame is byte-identical to
+/// one carrying `Response::Outcome(WireOutcome::Ok(schedule)).to_bytes()`.
+pub(crate) fn write_outcome<W: Write>(
+    w: &mut W,
+    result: Result<ScheduleBytes, ServiceError>,
+) -> Result<(), FrameError> {
     match result {
         Ok(schedule) => {
             let bytes = schedule.as_bytes();
-            let mut e = Encoder::with_capacity(bytes.len() + 10);
-            e.u8(RESP_OUTCOME);
-            e.u8(STATUS_OK);
-            e.bytes(bytes);
-            e.into_bytes()
+            let mut prefix = [0u8; 10];
+            prefix[0] = RESP_OUTCOME;
+            prefix[1] = STATUS_OK;
+            prefix[2..].copy_from_slice(&(bytes.len() as u64).to_le_bytes());
+            let checksum = schedule.reply_checksum(|bytes| frame_checksum_parts(&[&prefix, bytes]));
+            write_frame_parts(w, KIND_REPLY, &[&prefix, bytes], checksum)
         }
-        Err(err) => Response::Outcome(WireOutcome::from_error(err)).to_bytes(),
+        Err(err) => {
+            let reply = Response::Outcome(WireOutcome::from_error(err));
+            write_frame(w, KIND_REPLY, &reply.to_bytes())
+        }
     }
 }
 
@@ -976,6 +1007,7 @@ pub fn decode_event(bytes: &[u8]) -> Result<TelemetryEvent, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mbqc_util::frame::{encode_frame, FRAME_HEADER_LEN};
 
     fn opts() -> WireJobOptions {
         WireJobOptions {
@@ -1107,18 +1139,27 @@ mod tests {
             .compile_pattern(&pattern)
             .expect("compiles");
         let encoded = Response::Outcome(WireOutcome::Ok(Box::new(direct))).to_bytes();
+        let spliced = |result| {
+            let mut frame = Vec::new();
+            write_outcome(&mut frame, result).expect("a Vec takes every byte");
+            frame
+        };
         let service = CompileService::new(ServiceConfig {
             workers: 1,
             ..ServiceConfig::default()
         })
         .expect("service starts");
-        for hits in 0..2 {
+        for hits in 0..3 {
             let id = service.submit(pattern.clone(), config.clone());
             let result = service
                 .wait_bytes_timeout(id, Duration::from_secs(300))
                 .expect("terminal");
             assert_eq!(service.stats().hits_scheduled, hits);
-            assert_eq!(outcome_reply(result), encoded, "hits {hits}");
+            assert_eq!(
+                spliced(result),
+                encode_frame(KIND_REPLY, &encoded),
+                "hits {hits}"
+            );
         }
 
         let errors = [
@@ -1152,9 +1193,14 @@ mod tests {
         for (err, outcome) in errors {
             let what = format!("{err:?}");
             let expected = Response::Outcome(outcome);
-            let spliced = outcome_reply(Err(err));
-            assert_eq!(spliced, expected.to_bytes(), "{what}");
-            assert_eq!(Response::from_bytes(&spliced).unwrap(), expected, "{what}");
+            let frame = spliced(Err(err));
+            assert_eq!(
+                frame,
+                encode_frame(KIND_REPLY, &expected.to_bytes()),
+                "{what}"
+            );
+            let payload = &frame[FRAME_HEADER_LEN..];
+            assert_eq!(Response::from_bytes(payload).unwrap(), expected, "{what}");
         }
     }
 

@@ -18,7 +18,9 @@ use mbqc_net::{
 use mbqc_pattern::transpile::transpile;
 use mbqc_pattern::Pattern;
 use mbqc_service::{Priority, RetryPolicy};
-use mbqc_util::frame::{read_frame, write_frame, MAX_FRAME_PAYLOAD};
+use mbqc_util::frame::{
+    encode_frame, read_frame, write_frame, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD,
+};
 
 fn hot_set() -> Vec<(Pattern, DcMbqcConfig)> {
     use BenchmarkKind::{Qaoa, Qft, Rca, Vqe};
@@ -119,5 +121,72 @@ fn client_submit_frames_equal_request_to_bytes() {
             &want.to_bytes(),
             "job {i}: SubmitObserved frame differs"
         );
+    }
+}
+
+/// Reads one frame off `stream` as it was sent, header included.
+fn read_raw_frame(stream: &mut std::net::TcpStream) -> Vec<u8> {
+    use std::io::Read;
+    let mut frame = vec![0u8; FRAME_HEADER_LEN];
+    stream.read_exact(&mut frame).expect("frame header");
+    let len = u32::from_le_bytes(frame[5..9].try_into().unwrap()) as usize;
+    frame.resize(FRAME_HEADER_LEN + len, 0);
+    stream
+        .read_exact(&mut frame[FRAME_HEADER_LEN..])
+        .expect("frame payload");
+    frame
+}
+
+/// A pattern caches its wire bytes on first use and shares them with
+/// its clones: repeat submits of one value, of a clone made before the
+/// first submit and of one made after it all send the first submit's
+/// frame byte for byte, which is the frame of `Request::to_bytes` of a
+/// separately built equal pattern.
+#[test]
+fn repeat_submits_send_the_first_frame() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let (pattern, config) = hot_set().swap_remove(3);
+    let early_clone = pattern.clone();
+    let submits = 4;
+    let capture = thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        (0..submits)
+            .map(|i| {
+                let frame = read_raw_frame(&mut stream);
+                let reply = Response::Submitted { id: i as u64 }.to_bytes();
+                write_frame(&mut stream, KIND_REPLY, &reply).expect("reply");
+                frame
+            })
+            .collect::<Vec<_>>()
+    });
+
+    let options = WireJobOptions::default();
+    let mut client = Client::connect(addr).expect("connect");
+    client.submit(&pattern, &config, options).expect("first");
+    client
+        .submit(&pattern, &config, options)
+        .expect("same value");
+    client
+        .submit(&early_clone, &config, options)
+        .expect("early clone");
+    client
+        .submit(&pattern.clone(), &config, options)
+        .expect("late clone");
+    let frames = capture.join().expect("capture thread");
+
+    let (fresh, _) = hot_set().swap_remove(3);
+    let want = encode_frame(
+        KIND_REQUEST,
+        &Request::Submit {
+            pattern: fresh,
+            config,
+            options,
+        }
+        .to_bytes(),
+    );
+    assert_eq!(frames[0], want, "the first submit's frame");
+    for (i, frame) in frames.iter().enumerate().skip(1) {
+        assert_eq!(frame, &frames[0], "submit {i}");
     }
 }

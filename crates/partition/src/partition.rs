@@ -226,12 +226,24 @@ impl Partition {
     /// `Partitioned` stage artifact of `mbqc-service`).
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        // `k`, the assignment's length prefix and one word per node:
-        // exact, so the stored artifact carries no spare capacity.
-        let mut e = Encoder::with_capacity(8 * (2 + self.assignment.len()));
+        // Exact, so the stored artifact carries no spare capacity.
+        let mut e = Encoder::with_capacity(self.encoded_len());
+        self.encode(&mut e);
+        debug_assert_eq!(e.len(), self.encoded_len(), "Partition::encoded_len");
+        e.into_bytes()
+    }
+
+    /// The exact length of [`Partition::to_bytes`]: `k`, the
+    /// assignment's length prefix and one word per node.
+    #[must_use]
+    pub fn encoded_len(&self) -> usize {
+        8 * (2 + self.assignment.len())
+    }
+
+    /// Appends [`Partition::to_bytes`] to `e`.
+    pub fn encode(&self, e: &mut Encoder) {
         e.usize(self.k);
         e.usize_slice(&self.assignment);
-        e.into_bytes()
     }
 
     /// Decodes a partition written by [`Partition::to_bytes`].

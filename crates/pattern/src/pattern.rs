@@ -1,5 +1,7 @@
 //! The [`Pattern`] type: graph state + measurement pattern + flow.
 
+use std::sync::{Arc, OnceLock};
+
 use mbqc_graph::{DiGraph, Graph, NodeId};
 use mbqc_util::codec::{CodecError, Decoder};
 use mbqc_util::Encoder;
@@ -37,7 +39,13 @@ pub struct PatternStats {
 /// the compiler crates consume [`Pattern::graph`] as the computation
 /// graph and [`Pattern::real_time_dependencies`] for lifetime
 /// accounting.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A pattern is immutable once built (no method takes `&mut self`), so
+/// its two encodings — [`Pattern::wire_bytes`] and
+/// [`Pattern::content_bytes`] — are computed at most once per value,
+/// on first use, and shared by every clone made before or after that
+/// use. Equality and `Debug` ignore them.
+#[derive(Clone)]
 pub struct Pattern {
     graph: Graph,
     angles: Vec<f64>,
@@ -46,6 +54,42 @@ pub struct Pattern {
     qubit_of: Vec<usize>,
     inputs: Vec<NodeId>,
     outputs: Vec<NodeId>,
+    encodings: Arc<Encodings>,
+}
+
+/// A pattern's encodings, filled on first use and shared by its clones.
+#[derive(Default)]
+struct Encodings {
+    /// [`Pattern::to_bytes`].
+    wire: OnceLock<Vec<u8>>,
+    /// The content bytes, shared with every artifact key built on them.
+    content: OnceLock<Arc<Vec<u8>>>,
+}
+
+impl PartialEq for Pattern {
+    fn eq(&self, other: &Self) -> bool {
+        self.graph == other.graph
+            && self.angles == other.angles
+            && self.measured == other.measured
+            && self.wire_succ == other.wire_succ
+            && self.qubit_of == other.qubit_of
+            && self.inputs == other.inputs
+            && self.outputs == other.outputs
+    }
+}
+
+impl std::fmt::Debug for Pattern {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Pattern")
+            .field("graph", &self.graph)
+            .field("angles", &self.angles)
+            .field("measured", &self.measured)
+            .field("wire_succ", &self.wire_succ)
+            .field("qubit_of", &self.qubit_of)
+            .field("inputs", &self.inputs)
+            .field("outputs", &self.outputs)
+            .finish()
+    }
 }
 
 impl Pattern {
@@ -97,6 +141,7 @@ impl Pattern {
             qubit_of,
             inputs,
             outputs,
+            encodings: Arc::default(),
         }
     }
 
@@ -253,11 +298,21 @@ impl Pattern {
     /// with the same edge set but different insertion histories are
     /// deliberately distinct). Angles are encoded by `f64` bit pattern.
     ///
-    /// The buffer is sized exactly up front, so encoding never
-    /// reallocates: this runs on every service submit, and a QFT-36
-    /// pattern's bytes run to 312 KB.
+    /// Encoded on the first call for this value or any of its clones,
+    /// into a buffer sized exactly up front, and shared from then on:
+    /// every service submit keys the job on these bytes, and a QFT-36
+    /// pattern's run to 312 KB.
     #[must_use]
-    pub fn content_bytes(&self) -> Vec<u8> {
+    pub fn content_bytes(&self) -> Arc<Vec<u8>> {
+        Arc::clone(
+            self.encodings
+                .content
+                .get_or_init(|| Arc::new(self.encode_content())),
+        )
+    }
+
+    /// The uncached [`Pattern::content_bytes`].
+    fn encode_content(&self) -> Vec<u8> {
         let n = self.node_count();
         // Per node: weight and adjacency length (16), 16 per incident
         // edge, angle (8), measured flag (1), wire successor (1, or 9
@@ -311,11 +366,24 @@ impl Pattern {
     /// records: the decoder pays one bounds check per column instead
     /// of four per node, which is measurable on the network submit
     /// path. A wire successor of `u64::MAX` encodes `None`.
+    ///
+    /// Encodes afresh on every call; [`Pattern::wire_bytes`] holds the
+    /// same bytes, encoded once per value.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut e = Encoder::with_capacity(self.encoded_len());
         self.encode(&mut e);
+        debug_assert_eq!(e.len(), self.encoded_len(), "Pattern::encoded_len");
         e.into_bytes()
+    }
+
+    /// [`Pattern::to_bytes`], encoded on the first call for this value
+    /// or any of its clones and shared from then on: a client that
+    /// submits the same pattern many times writes these bytes each
+    /// time instead of encoding it again.
+    #[must_use]
+    pub fn wire_bytes(&self) -> &[u8] {
+        self.encodings.wire.get_or_init(|| self.to_bytes())
     }
 
     /// The exact length of [`Pattern::to_bytes`]: the framed graph
@@ -331,8 +399,7 @@ impl Pattern {
     /// Appends [`Pattern::to_bytes`] to `e`, graph blob included, with
     /// no intermediate buffer.
     pub fn encode(&self, e: &mut Encoder) {
-        e.usize(self.graph.encoded_len());
-        self.graph.encode(e);
+        e.nested(self.graph.encoded_len(), |e| self.graph.encode(e));
         for &a in &self.angles {
             e.f64(a);
         }
@@ -435,6 +502,7 @@ impl Pattern {
             qubit_of,
             inputs,
             outputs,
+            encodings: Arc::default(),
         })
     }
 

@@ -93,13 +93,28 @@ impl Schedule {
     /// of the `Scheduled` stage artifact of `mbqc-service`).
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
+        let mut e = Encoder::with_capacity(self.encoded_len());
+        self.encode(&mut e);
+        debug_assert_eq!(e.len(), self.encoded_len(), "Schedule::encoded_len");
+        e.into_bytes()
+    }
+
+    /// The exact length of [`Schedule::to_bytes`]: one word per start
+    /// time, per QPU list length, and for the QPU count and the sync
+    /// list's length.
+    #[must_use]
+    pub fn encoded_len(&self) -> usize {
+        let starts: usize = self.main_start.iter().map(Vec::len).sum();
+        8 * (2 + self.main_start.len() + starts + self.sync_start.len())
+    }
+
+    /// Appends [`Schedule::to_bytes`] to `e`.
+    pub fn encode(&self, e: &mut Encoder) {
         e.usize(self.main_start.len());
         for starts in &self.main_start {
             e.usize_slice(starts);
         }
         e.usize_slice(&self.sync_start);
-        e.into_bytes()
     }
 
     /// Decodes a schedule written by [`Schedule::to_bytes`].
@@ -287,7 +302,36 @@ impl LayerScheduleProblem {
     /// (part of the `Scheduled` stage artifact of `mbqc-service`).
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
+        let mut e = Encoder::with_capacity(self.encoded_len());
+        self.encode(&mut e);
+        debug_assert_eq!(
+            e.len(),
+            self.encoded_len(),
+            "LayerScheduleProblem::encoded_len"
+        );
+        e.into_bytes()
+    }
+
+    /// The exact length of [`LayerScheduleProblem::to_bytes`]: the QPU
+    /// count, `K_max` and three list lengths (8 each), one word per
+    /// main count, four per sync task, the node-level structure (a
+    /// presence byte, two list lengths, two words per node slot and
+    /// fusee pair, and the framed dependency DAG), and the optional
+    /// refresh bound (a presence byte and a word).
+    #[must_use]
+    pub fn encoded_len(&self) -> usize {
+        let local = self.local.as_ref().map_or(1, |local| {
+            1 + 8 * 3
+                + 16 * (local.node_slot.len() + local.fusee_pairs.len())
+                + local.deps.encoded_len()
+        });
+        let refresh = if self.refresh_bound.is_some() { 9 } else { 1 };
+        8 * (4 + self.main_counts.len() + 4 * self.sync_tasks.len()) + local + refresh
+    }
+
+    /// Appends [`LayerScheduleProblem::to_bytes`] to `e`, the
+    /// dependency DAG written in place.
+    pub fn encode(&self, e: &mut Encoder) {
         e.usize(self.num_qpus);
         e.usize_slice(&self.main_counts);
         e.usize(self.sync_tasks.len());
@@ -311,12 +355,11 @@ impl LayerScheduleProblem {
                     e.usize(u);
                     e.usize(v);
                 }
-                e.bytes(&local.deps.to_bytes());
+                e.nested(local.deps.encoded_len(), |e| local.deps.encode(e));
             }
             None => e.bool(false),
         }
         e.opt_usize(self.refresh_bound);
-        e.into_bytes()
     }
 
     /// Decodes a problem written by [`LayerScheduleProblem::to_bytes`].

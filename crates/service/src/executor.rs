@@ -81,7 +81,7 @@ use mbqc_util::sync::lock;
 use crate::service::{
     internal_error, Carried, JobId, JobState, ScheduleBytes, ServiceError, Shared, StageKeys,
 };
-use crate::store::ArtifactKey;
+use crate::store::{ArtifactKey, ChecksumCell, Entry};
 use crate::telemetry::EventKind;
 
 /// What a stage task leaves behind: `Ok(Some(..))` is the job's final
@@ -301,17 +301,19 @@ fn schedule_task(
         return resume(state, hit, || Ok(mapped.partitioned().transpiled().clone()));
     }
     shared.faults.maybe_panic(StageKind::Schedule);
-    // Encoded once: the bytes are both the job's result and the stored
-    // artifact, trusted because this task computed the schedule.
+    // Encoded once: the bytes (and their checksum cell) are both the
+    // job's result and the stored artifact, trusted because this task
+    // computed the schedule.
     let bytes = Arc::new(schedule_stage(&state.config, mapped, ws).to_bytes());
+    let checksum = ChecksumCell::default();
     // The job's result exists, so it terminates `Done` even under a
     // late cancel — but the artifact publish is still gated.
     if !state.cancel.is_cancelled() {
         shared
             .store
-            .put_trusted(&state.keys.sched, Arc::clone(&bytes));
+            .put_trusted(&state.keys.sched, Arc::clone(&bytes), Arc::clone(&checksum));
     }
-    Ok(Some(ScheduleBytes::new(bytes)))
+    Ok(Some(ScheduleBytes::new(bytes, checksum)))
 }
 
 /// A later task's lookup of the artifact it is about to compute: a
@@ -394,8 +396,8 @@ fn lookup(
     // A memory hit shares the store's bytes (no copy).
     match stage {
         PipelineStage::Schedule => {
-            let (bytes, trusted) = shared.store.get_entry(&keys.sched)?;
-            vouch(shared, &keys.sched, bytes, trusted).map(CacheEntry::Scheduled)
+            let entry = shared.store.get_entry(&keys.sched)?;
+            vouch(shared, &keys.sched, entry).map(CacheEntry::Scheduled)
         }
         PipelineStage::Map => {
             let (p, programs) = decode_mapped(&shared.store.get(&keys.map)?).ok()?;
@@ -415,8 +417,8 @@ fn lookup(
 /// validating decode is left to the planning task, whose `lookup`
 /// rejects it too and recompiles.
 pub(crate) fn resident_schedule(shared: &Shared, keys: &StageKeys) -> Option<ScheduleBytes> {
-    let (bytes, trusted) = shared.store.get_resident(&keys.sched)?;
-    vouch(shared, &keys.sched, bytes, trusted)
+    let entry = shared.store.get_resident(&keys.sched)?;
+    vouch(shared, &keys.sched, entry)
 }
 
 /// The one rule of both `Scheduled` probes. A trusted entry is served
@@ -428,14 +430,13 @@ pub(crate) fn resident_schedule(shared: &Shared, keys: &StageKeys) -> Option<Sch
 fn vouch(
     shared: &Shared,
     key: &ArtifactKey,
-    bytes: Arc<Vec<u8>>,
-    trusted: bool,
+    (bytes, trusted, checksum): Entry,
 ) -> Option<ScheduleBytes> {
     if !trusted {
         DistributedSchedule::from_bytes(&bytes).ok()?;
         shared.store.mark_trusted(key, &bytes);
     }
-    Some(ScheduleBytes::new(bytes))
+    Some(ScheduleBytes::new(bytes, checksum))
 }
 
 /// Shape guard for decoded partitions: one part per QPU, one entry per
@@ -464,17 +465,19 @@ fn programs_fit(partition: &Partition, programs: &[CompiledProgram]) -> bool {
 /// and placement order on re-entry). The buffer is reserved at its
 /// exact length, so the stored artifact carries no spare capacity.
 pub(crate) fn encode_mapped(partition: &Partition, programs: &[CompiledProgram]) -> Vec<u8> {
-    let partition = partition.to_bytes();
-    let programs: Vec<Vec<u8>> = programs.iter().map(CompiledProgram::to_bytes).collect();
     // Length prefixes: the partition's, the program count, and one per
-    // program.
-    let cap =
-        8 * (2 + programs.len()) + partition.len() + programs.iter().map(Vec::len).sum::<usize>();
+    // program; every nested blob is written in place.
+    let cap = 8 * (2 + programs.len())
+        + partition.encoded_len()
+        + programs
+            .iter()
+            .map(CompiledProgram::encoded_len)
+            .sum::<usize>();
     let mut e = Encoder::with_capacity(cap);
-    e.bytes(&partition);
+    e.nested(partition.encoded_len(), |e| partition.encode(e));
     e.usize(programs.len());
-    for p in &programs {
-        e.bytes(p);
+    for p in programs {
+        e.nested(p.encoded_len(), |e| p.encode(e));
     }
     debug_assert_eq!(e.len(), cap, "encode_mapped capacity");
     e.into_bytes()

@@ -90,7 +90,12 @@
 //! buffer, matched by comparing every byte, and drops it with the last
 //! resident key built on it. A submit keys its job on that buffer when
 //! it is resident, so a sweep that recompiles one program under many
-//! configurations or seeds keeps one copy of the program. Stored values
+//! configurations or seeds keeps one copy of the program. The bytes a
+//! submit starts from are the pattern's own cached encoding
+//! ([`Pattern::content_bytes`](mbqc_pattern::Pattern::content_bytes),
+//! computed once per pattern value and shared by its clones), so
+//! submitting the same value again encodes nothing; when that buffer is
+//! the resident one, the match is a pointer comparison. Stored values
 //! sit in allocations of exactly their length. The budget still charges
 //! every key its full pattern length, so sharing changes what is
 //! resident, never which entries stay or the order they are evicted in.
@@ -117,7 +122,11 @@
 //! bytes as its result ([`ScheduleBytes`], shared with the store):
 //! `wait` decodes them with the structural checks only, and the
 //! `mbqc-net` server writes them into its reply without decoding
-//! them at all.
+//! them at all. Next to the trust bit, each memory-tier entry holds a
+//! checksum cell for its buffer, shared with every `ScheduleBytes`
+//! served from it ([`ScheduleBytes::reply_checksum`]): the server's
+//! reply checksum is computed once per stored buffer. Every new value
+//! of an entry gets a new, empty cell.
 //!
 //! **Concurrent duplicates are ordinary jobs.** Every stage is a pure
 //! function of `(pattern, config)`, so identical jobs in flight together

@@ -89,7 +89,7 @@ use crate::executor;
 use crate::fair::{FairClass, TenantWeights};
 use crate::fault::FaultPlan;
 use crate::memo::{Content, PatternMemo};
-use crate::store::{ArtifactKey, ArtifactStore, StoreConfig, StoreStats};
+use crate::store::{ArtifactKey, ArtifactStore, ChecksumCell, StoreConfig, StoreStats};
 use crate::telemetry::{EventKind, EventStream, TelemetryHub, TerminalState};
 
 /// Handle of a submitted compilation job.
@@ -191,19 +191,38 @@ impl std::error::Error for ServiceError {
 /// The buffer is shared with the artifact store's memory tier, so a
 /// clone is a reference-count bump. There is no public constructor:
 /// only the service hands these out.
+///
+/// Each stored buffer also carries one checksum cell
+/// ([`reply_checksum`](Self::reply_checksum)), shared by every
+/// `ScheduleBytes` served from that buffer and new with every new
+/// buffer, so a reply built around the bytes is checksummed once per
+/// buffer rather than once per request.
 #[derive(Clone)]
-pub struct ScheduleBytes(Arc<Vec<u8>>);
+pub struct ScheduleBytes {
+    bytes: Arc<Vec<u8>>,
+    checksum: ChecksumCell,
+}
 
 impl ScheduleBytes {
-    pub(crate) fn new(bytes: Arc<Vec<u8>>) -> Self {
-        Self(bytes)
+    pub(crate) fn new(bytes: Arc<Vec<u8>>, checksum: ChecksumCell) -> Self {
+        Self { bytes, checksum }
     }
 
     /// The encoded schedule: what [`DistributedSchedule::to_bytes`]
     /// returns for [`decode`](Self::decode)'s result.
     #[must_use]
     pub fn as_bytes(&self) -> &[u8] {
-        &self.0
+        &self.bytes
+    }
+
+    /// A checksum of one fixed reply built around these bytes:
+    /// `compute(bytes)` on the first call for this stored buffer, from
+    /// any job on any thread, and the cached value on every later
+    /// call — whatever `compute` the later call passes. So every caller
+    /// must pass the same function of the bytes. `mbqc-net` is the one
+    /// caller: it keeps its `Outcome` reply's frame checksum here.
+    pub fn reply_checksum(&self, compute: impl FnOnce(&[u8]) -> u64) -> u64 {
+        *self.checksum.get_or_init(|| compute(&self.bytes))
     }
 
     /// Decodes the schedule with
@@ -218,14 +237,14 @@ impl ScheduleBytes {
     /// subset of its checks.
     #[must_use]
     pub fn decode(&self) -> DistributedSchedule {
-        DistributedSchedule::from_bytes_trusted(&self.0).expect("vouched schedule bytes decode")
+        DistributedSchedule::from_bytes_trusted(&self.bytes).expect("vouched schedule bytes decode")
     }
 }
 
 impl std::fmt::Debug for ScheduleBytes {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ScheduleBytes")
-            .field("len", &self.0.len())
+            .field("len", &self.bytes.len())
             .finish()
     }
 }
@@ -806,9 +825,11 @@ impl StageKeys {
 }
 
 /// A pattern's content bytes, shared, and their hash: the part of its
-/// [`StageKeys`] that does not depend on the configuration.
+/// [`StageKeys`] that does not depend on the configuration. The bytes
+/// are the pattern's own cached buffer ([`Pattern::content_bytes`]),
+/// encoded once per value however often it is submitted.
 fn content_of(pattern: &Pattern) -> Content {
-    let bytes = Arc::new(pattern.content_bytes());
+    let bytes = pattern.content_bytes();
     let hash = ArtifactKey::pattern_hash(&bytes);
     (bytes, hash)
 }
@@ -2152,9 +2173,10 @@ mod tests {
         assert!(msg.contains('5') && msg.contains('9'), "{msg}");
     }
 
-    /// A job's three stage keys share one pattern buffer; equal inputs
-    /// give equal keys and hashes, a one-byte change in the pattern or
-    /// the configuration gives unequal ones, and each key is the key
+    /// A job's three stage keys share one pattern buffer, the one the
+    /// pattern and its clones cache; equal inputs give equal keys and
+    /// hashes, a one-byte change in the pattern or the configuration
+    /// gives unequal ones, and each key is the key
     /// [`ArtifactKey::new`] builds from the same bytes.
     #[test]
     fn stage_keys_share_one_pattern_buffer() {
@@ -2171,9 +2193,18 @@ mod tests {
         let [part, map, sched] = all(&keys);
         assert!(Arc::ptr_eq(part.pattern_buffer(), map.pattern_buffer()));
         assert!(Arc::ptr_eq(part.pattern_buffer(), sched.pattern_buffer()));
+        // A clone's keys share the pattern's cached content buffer.
+        let cloned = StageKeys::new(&pattern.clone(), &config);
+        assert!(Arc::ptr_eq(
+            cloned.sched.pattern_buffer(),
+            sched.pattern_buffer()
+        ));
 
+        // Keys of an equal pattern, transpiled separately (a clone
+        // would share the pattern's cached content buffer): equal by
+        // bytes, not by pointer.
         let hasher = std::collections::hash_map::RandomState::new();
-        let again = StageKeys::new(&pattern.clone(), &config.clone());
+        let again = StageKeys::new(&transpile(&bench::qft(4)), &config.clone());
         for (a, b) in all(&keys).iter().zip(&all(&again)) {
             assert!(!Arc::ptr_eq(a.pattern_buffer(), b.pattern_buffer()));
             assert_eq!(a, b);
@@ -2194,7 +2225,7 @@ mod tests {
             assert_eq!(hasher.hash_one(key), hasher.hash_one(&direct));
             // One byte off in the pattern or the configuration.
             for i in [0, pattern_bytes.len() / 2, pattern_bytes.len() - 1] {
-                let mut bytes = pattern_bytes.clone();
+                let mut bytes = pattern_bytes.to_vec();
                 bytes[i] ^= 1;
                 assert_ne!(*key, ArtifactKey::new(stage, &config_bytes, &bytes));
             }
@@ -2419,7 +2450,7 @@ mod tests {
             let id = service.submit(pattern.clone(), config.clone());
             assert_eq!(service.wait(id).expect("served"), expected);
             assert_eq!(service.stats().hits_scheduled, round);
-            let (bytes, trusted) = resident();
+            let (bytes, trusted, _) = resident();
             assert!(trusted, "round {round}");
             assert_eq!(*bytes, expected.to_bytes());
         }
@@ -2438,7 +2469,7 @@ mod tests {
             (1, 6),
             "{stats:?}"
         );
-        let (bytes, trusted) = resident();
+        let (bytes, trusted, _) = resident();
         assert!(trusted, "the recompile stored its own bytes");
         assert_eq!(*bytes, expected.to_bytes());
     }

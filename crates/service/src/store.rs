@@ -45,6 +45,15 @@
 //! either. A trusted hit is served without a decode; an untrusted one is
 //! validated first.
 //!
+//! Next to the trust bit, each entry holds a **checksum cell** for its
+//! value: empty until a reader of the bytes fills it once (the
+//! `mbqc-net` server caches its reply's frame checksum there, through
+//! `ScheduleBytes::reply_checksum`), then shared by every later reader
+//! of the same buffer. A cell belongs to one buffer: `put`,
+//! `put_trusted` and a disk-tier promotion each store a new value with
+//! a new cell (`put_trusted` takes the one its caller's result holds),
+//! and `mark_trusted` keeps the cell, since it keeps the buffer.
+//!
 //! **The directory is the index.** Compilation is a pure function of
 //! `(pattern, config)`, so every artifact is recomputable and the disk
 //! tier is only a cache. Each `.art` file is the latest atomic rename
@@ -332,6 +341,20 @@ pub struct StoreStats {
 
 const NONE: usize = usize::MAX;
 
+/// A checksum cell tied to one stored buffer: filled at most once, by
+/// the first reader that needs a checksum over those bytes (the
+/// network front door's `Outcome` reply, see
+/// [`ScheduleBytes::reply_checksum`](crate::ScheduleBytes::reply_checksum)),
+/// and shared by everyone served that buffer. Each new value a slot
+/// takes — a put, an overwrite, a recompile, a disk-tier promotion —
+/// comes with a new, empty cell, so a checksum never outlives its
+/// bytes.
+pub(crate) type ChecksumCell = Arc<OnceLock<u64>>;
+
+/// A memory-tier entry as a lookup hands it out: the shared value, its
+/// trust bit and its checksum cell.
+pub(crate) type Entry = (Arc<Vec<u8>>, bool, ChecksumCell);
+
 #[derive(Debug)]
 struct Slot {
     /// Shares its bytes with the map key, and its pattern buffer with
@@ -345,6 +368,8 @@ struct Slot {
     /// The trust bit (see the module docs): set by `put_trusted` and
     /// `mark_trusted`, cleared by every other write of the slot.
     trusted: bool,
+    /// `value`'s checksum cell, replaced with every new value.
+    checksum: ChecksumCell,
     prev: usize,
     next: usize,
 }
@@ -471,23 +496,34 @@ impl Lru {
     }
 
     /// Looks up `key`, marks it most recently used, and returns the
-    /// shared value handle (an `Arc` clone, no byte copy) and the
-    /// entry's trust bit.
-    fn get_arc(&mut self, key: &ArtifactKey) -> Option<(Arc<Vec<u8>>, bool)> {
+    /// shared value handle (an `Arc` clone, no byte copy), the entry's
+    /// trust bit and the value's checksum cell.
+    fn get_arc(&mut self, key: &ArtifactKey) -> Option<Entry> {
         let &i = self.map.get(key)?;
         self.unlink(i);
         self.push_front(i);
         let slot = &self.slots[i];
-        Some((Arc::clone(&slot.value), slot.trusted))
+        Some((
+            Arc::clone(&slot.value),
+            slot.trusted,
+            Arc::clone(&slot.checksum),
+        ))
     }
 
-    /// Inserts (or replaces) an entry with the given trust bit, evicting
-    /// from the tail until the budget holds. A new entry's key is
-    /// stored on the pattern index's buffer for its bytes. Oversized
-    /// artifacts are not cached (a replace with an oversized value
-    /// keeps the existing entry, trust bit included, rather than
-    /// flushing the whole tier). Returns the number of evictions.
-    fn insert(&mut self, key: &ArtifactKey, value: Arc<Vec<u8>>, trusted: bool) -> u64 {
+    /// Inserts (or replaces) an entry with the given trust bit and the
+    /// value's checksum cell, evicting from the tail until the budget
+    /// holds. A new entry's key is stored on the pattern index's buffer
+    /// for its bytes. Oversized artifacts are not cached (a replace
+    /// with an oversized value keeps the existing entry, trust bit and
+    /// cell included, rather than flushing the whole tier). Returns the
+    /// number of evictions.
+    fn insert(
+        &mut self,
+        key: &ArtifactKey,
+        value: Arc<Vec<u8>>,
+        trusted: bool,
+        checksum: ChecksumCell,
+    ) -> u64 {
         debug_assert_eq!(value.capacity(), value.len(), "stored values are exact");
         let cost = key.len() + value.len();
         if cost > self.capacity {
@@ -497,6 +533,7 @@ impl Lru {
             self.bytes = self.bytes - self.slots[i].value.len() + value.len();
             self.slots[i].value = value;
             self.slots[i].trusted = trusted;
+            self.slots[i].checksum = checksum;
             self.unlink(i);
             self.push_front(i);
         } else {
@@ -508,6 +545,7 @@ impl Lru {
                 key: Some(key.clone()),
                 value,
                 trusted,
+                checksum,
                 prev: NONE,
                 next: NONE,
             };
@@ -933,12 +971,13 @@ impl ArtifactStore {
     /// stalls the others' memory-tier traffic.
     #[must_use]
     pub fn get(&self, key: &ArtifactKey) -> Option<Arc<Vec<u8>>> {
-        self.get_entry(key).map(|(value, _)| value)
+        self.get_entry(key).map(|(value, ..)| value)
     }
 
     /// [`get`](Self::get) plus the entry's trust bit (see the module
-    /// docs). A disk-tier hit is promoted untrusted.
-    pub(crate) fn get_entry(&self, key: &ArtifactKey) -> Option<(Arc<Vec<u8>>, bool)> {
+    /// docs) and checksum cell. A disk-tier hit is promoted untrusted,
+    /// with a new cell.
+    pub(crate) fn get_entry(&self, key: &ArtifactKey) -> Option<Entry> {
         if let Some(entry) = self.get_resident(key) {
             return Some(entry);
         }
@@ -1008,8 +1047,12 @@ impl ArtifactStore {
         }
         if let Some(value) = hit {
             inner.stats.disk_hits += 1;
-            inner.stats.evictions += inner.lru.insert(key, Arc::clone(&value), false);
-            return Some((value, false));
+            let checksum = ChecksumCell::default();
+            inner.stats.evictions +=
+                inner
+                    .lru
+                    .insert(key, Arc::clone(&value), false, Arc::clone(&checksum));
+            return Some((value, false, checksum));
         }
         inner.stats.misses += 1;
         None
@@ -1020,7 +1063,7 @@ impl ArtifactStore {
     /// recency; an absent key counts nothing and never touches the disk
     /// tier. The service's submit-time probe reads through this, so
     /// disk reads stay on workers.
-    pub(crate) fn get_resident(&self, key: &ArtifactKey) -> Option<(Arc<Vec<u8>>, bool)> {
+    pub(crate) fn get_resident(&self, key: &ArtifactKey) -> Option<Entry> {
         let mut inner = lock(&self.inner);
         let entry = inner.lru.get_arc(key)?;
         inner.stats.memory_hits += 1;
@@ -1057,14 +1100,19 @@ impl ArtifactStore {
     /// the bytes at their exact length.
     pub fn put(&self, key: &ArtifactKey, mut value: Vec<u8>) {
         value.shrink_to_fit();
-        self.put_shared(key, Arc::new(value), false);
+        self.put_shared(key, Arc::new(value), false, ChecksumCell::default());
     }
 
     /// [`put`](Self::put) for bytes the caller encoded from a schedule
     /// it computed itself: the memory-tier entry is trusted, and shares
-    /// `value` with the caller.
-    pub(crate) fn put_trusted(&self, key: &ArtifactKey, value: Arc<Vec<u8>>) {
-        self.put_shared(key, value, true);
+    /// `value` and its fresh checksum cell with the caller.
+    pub(crate) fn put_trusted(
+        &self,
+        key: &ArtifactKey,
+        value: Arc<Vec<u8>>,
+        checksum: ChecksumCell,
+    ) {
+        self.put_shared(key, value, true, checksum);
     }
 
     /// Trusts `key`'s memory-tier entry once its bytes passed the
@@ -1075,7 +1123,13 @@ impl ArtifactStore {
         lock(&self.inner).lru.mark_trusted(key, value);
     }
 
-    fn put_shared(&self, key: &ArtifactKey, value: Arc<Vec<u8>>, trusted: bool) {
+    fn put_shared(
+        &self,
+        key: &ArtifactKey,
+        value: Arc<Vec<u8>>,
+        trusted: bool,
+        checksum: ChecksumCell,
+    ) {
         let mut disk_error = false;
         if let Some(disk) = &self.disk {
             let name = Self::name_of(key);
@@ -1115,7 +1169,7 @@ impl ArtifactStore {
         if disk_error {
             inner.stats.disk_errors += 1;
         }
-        inner.stats.evictions += inner.lru.insert(key, value, trusted);
+        inner.stats.evictions += inner.lru.insert(key, value, trusted, checksum);
     }
 
     /// A snapshot of the store counters.
@@ -1313,22 +1367,30 @@ mod tests {
             .map(|c| ArtifactKey::new(PipelineStage::Partition, &[c], &[1, 1]))
             .collect();
         for k in &keys {
-            lru.insert(k, Arc::new(vec![0]), false);
+            lru.insert(k, Arc::new(vec![0]), false, ChecksumCell::default());
         }
-        lru.insert(&keys[0], Arc::new(vec![1]), false);
+        lru.insert(&keys[0], Arc::new(vec![1]), false, ChecksumCell::default());
         lru.assert_index_counts_keys();
         assert_eq!(lru.patterns.len(), 1);
         // Each key of another pattern evicts one of the three, oldest
         // first; the third eviction takes the pattern out.
         for (n, patterns) in [(2, 2), (3, 3), (4, 3)] {
-            assert_eq!(lru.insert(&key(n), Arc::new(vec![0]), false), 1);
+            assert_eq!(
+                lru.insert(&key(n), Arc::new(vec![0]), false, ChecksumCell::default()),
+                1
+            );
             lru.assert_index_counts_keys();
             assert_eq!(lru.patterns.len(), patterns);
         }
         assert!(!lru.patterns.by_hash.contains_key(&keys[0].pattern_hash));
         // One entry the size of the whole budget evicts everything else.
         let big = key(9);
-        lru.insert(&big, Arc::new(vec![0; 3 * cost - big.len()]), false);
+        lru.insert(
+            &big,
+            Arc::new(vec![0; 3 * cost - big.len()]),
+            false,
+            ChecksumCell::default(),
+        );
         lru.assert_index_counts_keys();
         assert_eq!((lru.len(), lru.patterns.len()), (1, 1));
     }
@@ -1371,24 +1433,24 @@ mod tests {
             ..StoreConfig::default()
         })
         .unwrap();
-        let trust = |n| store.get_resident(&key(n)).map(|(_, trusted)| trusted);
+        let trust = |n| store.get_resident(&key(n)).map(|(_, trusted, _)| trusted);
         store.put(&key(1), vec![1; 8]);
         assert_eq!(trust(1), Some(false), "put is untrusted");
         let computed = Arc::new(vec![2; 8]);
-        store.put_trusted(&key(2), Arc::clone(&computed));
-        let (resident, trusted) = store.get_resident(&key(2)).unwrap();
+        store.put_trusted(&key(2), Arc::clone(&computed), ChecksumCell::default());
+        let (resident, trusted, _) = store.get_resident(&key(2)).unwrap();
         assert!(trusted, "put_trusted is trusted");
         assert!(Arc::ptr_eq(&resident, &computed), "and shares the bytes");
 
         // Stale `Arc`s are no-ops: equal bytes in another allocation,
         // and a decoded value that a concurrent `put` replaced.
-        let (decoded, _) = store.get_resident(&key(1)).unwrap();
+        let (decoded, ..) = store.get_resident(&key(1)).unwrap();
         store.mark_trusted(&key(1), &Arc::new(vec![1; 8]));
         assert_eq!(trust(1), Some(false), "equal bytes, other allocation");
         store.put(&key(1), vec![1; 8]);
         store.mark_trusted(&key(1), &decoded);
         assert_eq!(trust(1), Some(false), "the decoded value was replaced");
-        let (decoded, _) = store.get_resident(&key(1)).unwrap();
+        let (decoded, ..) = store.get_resident(&key(1)).unwrap();
         store.mark_trusted(&key(1), &decoded);
         assert_eq!(trust(1), Some(true), "the resident value passed");
         store.mark_trusted(&key(3), &decoded);
@@ -1399,7 +1461,7 @@ mod tests {
         store.put(&key(2), vec![2; 8]);
         assert_eq!((trust(1), trust(2)), (Some(false), Some(false)));
         // An oversized replace leaves the entry, and its bit, alone.
-        let (decoded, _) = store.get_resident(&key(1)).unwrap();
+        let (decoded, ..) = store.get_resident(&key(1)).unwrap();
         store.mark_trusted(&key(1), &decoded);
         store.put(&key(1), vec![0; budget]);
         assert_eq!(trust(1), Some(true));
@@ -1474,7 +1536,7 @@ mod tests {
         // A budget one byte short of three entries evicts the oldest.
         let mut lru = Lru::new(3 * (key_len + 10) - 1);
         for key in &keys {
-            lru.insert(key, Arc::new(vec![0; 10]), false);
+            lru.insert(key, Arc::new(vec![0; 10]), false, ChecksumCell::default());
         }
         assert_eq!((lru.len(), lru.bytes), (2, 2 * (key_len + 10)));
         assert!(lru.get(&keys[0]).is_none());
@@ -1501,13 +1563,19 @@ mod tests {
         // Room for two entries: the third evicts the least recently
         // used one, and only that one.
         let mut lru = Lru::new(2 * (a.len() + 1));
-        lru.insert(&a, Arc::new(vec![1]), false);
-        lru.insert(&b, Arc::new(vec![2]), false);
-        assert_eq!(lru.insert(&c, Arc::new(vec![3]), false), 1);
+        lru.insert(&a, Arc::new(vec![1]), false, ChecksumCell::default());
+        lru.insert(&b, Arc::new(vec![2]), false, ChecksumCell::default());
+        assert_eq!(
+            lru.insert(&c, Arc::new(vec![3]), false, ChecksumCell::default()),
+            1
+        );
         assert!(lru.get(&a).is_none());
         assert_eq!(lru.get(&b), Some(&[2][..]));
         assert_eq!(lru.get(&c), Some(&[3][..]));
-        assert_eq!(lru.insert(&a, Arc::new(vec![4]), false), 1);
+        assert_eq!(
+            lru.insert(&a, Arc::new(vec![4]), false, ChecksumCell::default()),
+            1
+        );
         assert!(lru.get(&b).is_none());
         assert_eq!(lru.get(&a), Some(&[4][..]));
         assert_eq!(lru.get(&c), Some(&[3][..]));
@@ -1517,11 +1585,27 @@ mod tests {
     fn lru_evicts_least_recently_used_first() {
         let mut lru = Lru::new(3 * (key(0).len() + 8));
         for n in 0..3 {
-            assert_eq!(lru.insert(&key(n), Arc::new(vec![n; 8]), false), 0);
+            assert_eq!(
+                lru.insert(
+                    &key(n),
+                    Arc::new(vec![n; 8]),
+                    false,
+                    ChecksumCell::default()
+                ),
+                0
+            );
         }
         // Touch 0 so 1 becomes the eviction victim.
         assert!(lru.get(&key(0)).is_some());
-        assert_eq!(lru.insert(&key(3), Arc::new(vec![3; 8]), false), 1);
+        assert_eq!(
+            lru.insert(
+                &key(3),
+                Arc::new(vec![3; 8]),
+                false,
+                ChecksumCell::default()
+            ),
+            1
+        );
         assert!(lru.get(&key(1)).is_none());
         assert!(lru.get(&key(0)).is_some());
         assert!(lru.get(&key(2)).is_some());
@@ -1533,18 +1617,44 @@ mod tests {
     fn lru_replaces_in_place_and_skips_oversized() {
         let budget = key(0).len() + 16;
         let mut lru = Lru::new(budget);
-        lru.insert(&key(0), Arc::new(vec![1; 8]), false);
-        lru.insert(&key(0), Arc::new(vec![2; 16]), false);
+        lru.insert(
+            &key(0),
+            Arc::new(vec![1; 8]),
+            false,
+            ChecksumCell::default(),
+        );
+        lru.insert(
+            &key(0),
+            Arc::new(vec![2; 16]),
+            false,
+            ChecksumCell::default(),
+        );
         assert_eq!(lru.get(&key(0)), Some(&vec![2u8; 16][..]));
         assert_eq!(lru.len(), 1);
         // An artifact larger than the whole budget is not cached (and
         // does not flush everything else out).
-        assert_eq!(lru.insert(&key(1), Arc::new(vec![0; budget + 1]), false), 0);
+        assert_eq!(
+            lru.insert(
+                &key(1),
+                Arc::new(vec![0; budget + 1]),
+                false,
+                ChecksumCell::default()
+            ),
+            0
+        );
         assert!(lru.get(&key(1)).is_none());
         assert!(lru.get(&key(0)).is_some());
         // Same for an oversized *replacement*: the existing entry
         // survives untouched instead of the tier being flushed.
-        assert_eq!(lru.insert(&key(0), Arc::new(vec![9; budget + 1]), false), 0);
+        assert_eq!(
+            lru.insert(
+                &key(0),
+                Arc::new(vec![9; budget + 1]),
+                false,
+                ChecksumCell::default()
+            ),
+            0
+        );
         assert_eq!(lru.get(&key(0)), Some(&vec![2u8; 16][..]));
     }
 
@@ -1635,6 +1745,61 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A checksum cell belongs to one stored buffer: every lookup of
+    /// that buffer shares it, and every new buffer under the key — an
+    /// overwrite, a re-put after eviction, a disk-tier promotion —
+    /// starts with a new, empty cell.
+    #[test]
+    fn checksum_cells_are_tied_to_buffers() {
+        let cell = |store: &ArtifactStore, n| store.get_resident(&key(n)).map(|(.., c)| c);
+        let store = ArtifactStore::new(StoreConfig {
+            memory_capacity: 1 << 12,
+            ..StoreConfig::default()
+        })
+        .unwrap();
+        let computed = ChecksumCell::default();
+        store.put_trusted(&key(1), Arc::new(vec![1; 8]), Arc::clone(&computed));
+        let resident = cell(&store, 1).unwrap();
+        assert!(
+            Arc::ptr_eq(&resident, &computed),
+            "the caller's cell is stored"
+        );
+        resident.set(7).unwrap();
+        assert_eq!(
+            cell(&store, 1).unwrap().get(),
+            Some(&7),
+            "shared by lookups"
+        );
+        store.mark_trusted(&key(1), &store.get_resident(&key(1)).unwrap().0);
+        assert_eq!(cell(&store, 1).unwrap().get(), Some(&7), "trust keeps it");
+        store.put(&key(1), vec![1; 8]);
+        assert_eq!(cell(&store, 1).unwrap().get(), None, "an overwrite is new");
+        // Evict key 1 by filling the budget, then store it again.
+        for n in 2..100 {
+            store.put(&key(n), vec![0; 64]);
+        }
+        assert!(cell(&store, 1).is_none(), "evicted");
+        store.put_trusted(&key(1), Arc::new(vec![1; 8]), ChecksumCell::default());
+        assert_eq!(cell(&store, 1).unwrap().get(), None, "a recompile is new");
+
+        let dir = scratch_dir("checksum-cells");
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = StoreConfig {
+            disk_dir: Some(dir.clone()),
+            ..StoreConfig::default()
+        };
+        {
+            let store = ArtifactStore::new(cfg.clone()).unwrap();
+            store.put_trusted(&key(1), Arc::new(vec![1; 8]), ChecksumCell::default());
+            cell(&store, 1).unwrap().set(7).unwrap();
+        }
+        let store = ArtifactStore::new(cfg).unwrap();
+        let (_, _, promoted) = store.get_entry(&key(1)).unwrap();
+        assert_eq!(promoted.get(), None, "a promotion is new");
+        assert!(Arc::ptr_eq(&cell(&store, 1).unwrap(), &promoted));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     /// A disk-tier read promotes its value untrusted, whatever the
     /// entry's trust was before the restart; the memory hit after it
     /// reports the same bit.
@@ -1648,15 +1813,15 @@ mod tests {
         };
         {
             let store = ArtifactStore::new(cfg.clone()).unwrap();
-            store.put_trusted(&key(4), Arc::new(vec![4; 50]));
-            assert_eq!(store.get_entry(&key(4)).map(|(_, t)| t), Some(true));
+            store.put_trusted(&key(4), Arc::new(vec![4; 50]), ChecksumCell::default());
+            assert_eq!(store.get_entry(&key(4)).map(|(_, t, _)| t), Some(true));
         }
         let store = ArtifactStore::new(cfg).unwrap();
         assert!(store.get_resident(&key(4)).is_none(), "cold memory tier");
-        let (value, trusted) = store.get_entry(&key(4)).unwrap();
+        let (value, trusted, _) = store.get_entry(&key(4)).unwrap();
         assert_eq!((value.as_slice(), trusted), (&[4; 50][..], false));
         assert_eq!(store.stats().disk_hits, 1);
-        let (resident, trusted) = store.get_resident(&key(4)).unwrap();
+        let (resident, trusted, _) = store.get_resident(&key(4)).unwrap();
         assert!(Arc::ptr_eq(&resident, &value) && !trusted);
         std::fs::remove_dir_all(&dir).unwrap();
     }

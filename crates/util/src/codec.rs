@@ -131,6 +131,18 @@ impl Encoder {
         self.raw(v);
     }
 
+    /// Writes a length-prefixed byte string in place: the prefix `len`,
+    /// then whatever `encode` appends, which must be exactly `len` bytes
+    /// (debug-asserted). It reads back with [`Decoder::bytes`] like a
+    /// blob written by [`Encoder::bytes`], but the nested value is
+    /// never encoded into a buffer of its own first.
+    pub fn nested(&mut self, len: usize, encode: impl FnOnce(&mut Encoder)) {
+        self.usize(len);
+        let start = self.buf.len();
+        encode(self);
+        debug_assert_eq!(self.buf.len() - start, len, "nested blob length");
+    }
+
     /// Writes bytes as they are, with no length prefix (the inverse of
     /// [`Decoder::raw`]).
     pub fn raw(&mut self, v: &[u8]) {
