@@ -26,7 +26,6 @@
 use std::collections::VecDeque;
 
 use mbqc_graph::{DiGraph, Graph, NodeId};
-use mbqc_util::codec::{CodecError, Decoder, Encoder};
 use mbqc_util::Rng;
 
 use crate::config::{CompileError, CompilerConfig};
@@ -80,91 +79,6 @@ impl CompiledProgram {
     #[must_use]
     pub fn execution_time(&self) -> usize {
         self.num_layers
-    }
-
-    /// Serializes the program with the hand-rolled binary codec (the
-    /// per-QPU payload of the `Mapped` stage artifact in
-    /// `mbqc-service`). The round trip is exact: every field, including
-    /// fusee-pair order, is preserved.
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut e = Encoder::with_capacity(self.encoded_len());
-        self.encode(&mut e);
-        debug_assert_eq!(e.len(), self.encoded_len(), "CompiledProgram::encoded_len");
-        e.into_bytes()
-    }
-
-    /// The exact length of [`CompiledProgram::to_bytes`]: five scalar
-    /// words, three framed per-node tables and four words per fusee
-    /// pair behind its length prefix.
-    #[must_use]
-    pub fn encoded_len(&self) -> usize {
-        let tables = self.layer_of.len() + self.effective_layer.len() + self.site_of.len();
-        8 * (5 + 3 + tables + 1 + 4 * self.fusee_pairs.len())
-    }
-
-    /// Appends [`CompiledProgram::to_bytes`] to `e`.
-    pub fn encode(&self, e: &mut Encoder) {
-        e.usize(self.num_layers);
-        e.usize_slice(&self.layer_of);
-        e.usize_slice(&self.effective_layer);
-        e.usize_slice(&self.site_of);
-        e.usize(self.fusee_pairs.len());
-        for p in &self.fusee_pairs {
-            e.usize(p.a.index());
-            e.usize(p.b.index());
-            e.usize(p.time_a);
-            e.usize(p.time_b);
-        }
-        e.usize(self.fusion_count);
-        e.usize(self.routing_fusions);
-        e.usize(self.wire_fusions);
-        e.usize(self.refresh_events);
-    }
-
-    /// Decodes a program written by [`CompiledProgram::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodecError`] on truncated input or side tables whose
-    /// lengths disagree.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
-        let mut d = Decoder::new(bytes);
-        let num_layers = d.usize()?;
-        let layer_of = d.usize_vec()?;
-        let effective_layer = d.usize_vec()?;
-        let site_of = d.usize_vec()?;
-        if effective_layer.len() != layer_of.len() || site_of.len() != layer_of.len() {
-            return Err(CodecError::Invalid("per-node table lengths disagree"));
-        }
-        let pairs = d.len_hint()?;
-        let mut fusee_pairs = Vec::with_capacity(pairs);
-        for _ in 0..pairs {
-            let a = d.usize()?;
-            let b = d.usize()?;
-            if a >= layer_of.len() || b >= layer_of.len() {
-                return Err(CodecError::Invalid("fusee node out of range"));
-            }
-            fusee_pairs.push(FuseePair {
-                a: NodeId::new(a),
-                b: NodeId::new(b),
-                time_a: d.usize()?,
-                time_b: d.usize()?,
-            });
-        }
-        let program = Self {
-            num_layers,
-            layer_of,
-            effective_layer,
-            site_of,
-            fusee_pairs,
-            fusion_count: d.usize()?,
-            routing_fusions: d.usize()?,
-            wire_fusions: d.usize()?,
-            refresh_events: d.usize()?,
-        };
-        d.finish()?;
-        Ok(program)
     }
 
     /// Algorithm 1 on this compilation: required photon lifetime from
@@ -724,23 +638,6 @@ mod tests {
         let c = compile(&g, 3, ResourceStateKind::FIVE_STAR).unwrap();
         assert_eq!(c.num_layers, 0);
         assert_eq!(c.fusion_count, 0);
-    }
-
-    #[test]
-    fn codec_round_trips_real_compilations() {
-        for g in [
-            Graph::new(),
-            generate::path_graph(20),
-            generate::grid_graph(5, 5),
-        ] {
-            let c = compile(&g, 5, ResourceStateKind::FIVE_STAR).unwrap();
-            let back = CompiledProgram::from_bytes(&c.to_bytes()).unwrap();
-            assert_eq!(back, c);
-        }
-        // Truncation is an error, not a garbage program.
-        let c = compile(&generate::path_graph(6), 5, ResourceStateKind::FIVE_STAR).unwrap();
-        let bytes = c.to_bytes();
-        assert!(CompiledProgram::from_bytes(&bytes[..bytes.len() - 1]).is_err());
     }
 
     #[test]

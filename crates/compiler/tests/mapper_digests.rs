@@ -1,6 +1,6 @@
-//! Mapper-level output digests: the FNV-1a-64 of
-//! `CompiledProgram::to_bytes()` for a fixed corpus of graphs, resource
-//! states and mapper settings.
+//! Mapper-level output digests: the FNV-1a-64 of every field of a
+//! `CompiledProgram` (`program_bytes`) for a fixed corpus of graphs,
+//! resource states and mapper settings.
 //!
 //! The pipeline golden digests (`tests/golden_digests.rs` at the
 //! workspace root) cover only the paper's table configurations. These
@@ -16,10 +16,10 @@
 mod common;
 
 use common::{edge_from_index, erdos_renyi_gnm};
-use mbqc_compiler::{CompilerConfig, GridMapper, MapperWorkspace};
+use mbqc_compiler::{CompiledProgram, CompilerConfig, GridMapper, MapperWorkspace};
 use mbqc_graph::{generate, Graph, NodeId};
 use mbqc_hardware::ResourceStateKind;
-use mbqc_util::Rng;
+use mbqc_util::{Encoder, Rng};
 
 /// FNV-1a, 64-bit.
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -62,10 +62,33 @@ const KINDS: [(&str, ResourceStateKind); 3] = [
     ("six_ring", ResourceStateKind::SIX_RING),
 ];
 
+/// Every field of a program as little-endian words, in declaration
+/// order, with a length prefix before each per-node table and before
+/// the fusee pairs (four words each); the scalar counters follow.
+fn program_bytes(c: &CompiledProgram) -> Vec<u8> {
+    let mut e = Encoder::new();
+    e.usize(c.num_layers);
+    e.usize_slice(&c.layer_of);
+    e.usize_slice(&c.effective_layer);
+    e.usize_slice(&c.site_of);
+    e.usize(c.fusee_pairs.len());
+    for p in &c.fusee_pairs {
+        e.usize(p.a.index());
+        e.usize(p.b.index());
+        e.usize(p.time_a);
+        e.usize(p.time_b);
+    }
+    e.usize(c.fusion_count);
+    e.usize(c.routing_fusions);
+    e.usize(c.wire_fusions);
+    e.usize(c.refresh_events);
+    e.into_bytes()
+}
+
 /// The digest of one compilation, or its error.
 fn digest(cfg: CompilerConfig, g: &Graph, order: &[NodeId], ws: &mut MapperWorkspace) -> String {
     match GridMapper::new(cfg).compile_with(g, order, ws) {
-        Ok(c) => format!("{:016x}", fnv1a64(&c.to_bytes())),
+        Ok(c) => format!("{:016x}", fnv1a64(&program_bytes(&c))),
         Err(e) => format!("error: {e}"),
     }
 }

@@ -9,40 +9,10 @@ use mbqc_schedule::BdirConfig;
 use mbqc_util::codec::{CodecError, Decoder};
 use mbqc_util::Encoder;
 
-/// The pipeline stage a configuration fingerprint is scoped to (see
-/// [`DcMbqcConfig::stage_fingerprint_bytes`]).
-///
-/// Stages are cumulative: each one's fingerprint covers every
-/// configuration field that can influence it *or any earlier stage*, so
-/// equal fingerprints guarantee bit-identical artifacts up to that
-/// stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum PipelineStage {
-    /// Adaptive graph partitioning (Algorithm 2).
-    Partition,
-    /// Per-QPU grid mapping.
-    Map,
-    /// Layer scheduling (list scheduling + BDIR).
-    Schedule,
-}
-
-impl PipelineStage {
-    /// Human-readable stage name, used by telemetry events and trace
-    /// export.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            PipelineStage::Partition => "partition",
-            PipelineStage::Map => "map",
-            PipelineStage::Schedule => "schedule",
-        }
-    }
-}
-
 /// One stage task of a job, in pipeline order. `Transpile` also acts
 /// as the job's planning step in executors: it probes the artifact
-/// cache deepest-first and re-enters the pipeline past every stage a
-/// cached artifact already answers.
+/// cache for the finished schedule and skips the rest of the pipeline
+/// on a hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum StageKind {
     /// Flow verification + placement-order derivation.
@@ -201,55 +171,49 @@ impl DcMbqcConfig {
     }
 
     /// A stable byte rendering of every configuration field that can
-    /// influence the given stage (or an earlier one) — the
-    /// configuration half of the content-addressed artifact keys in
-    /// `mbqc-service`.
+    /// influence the compiled schedule — the configuration half of the
+    /// content-addressed artifact keys in `mbqc-service`.
     ///
     /// `adaptive.k` and `adaptive.seed` are excluded: the pipeline
     /// overrides them with the hardware's QPU count and the master
     /// seed. Everything else is included so a future stage change
-    /// cannot silently serve stale artifacts.
+    /// cannot silently serve stale artifacts. The leading tag byte (2)
+    /// and the field order are frozen so cache keys never shift.
     #[must_use]
-    pub fn stage_fingerprint_bytes(&self, stage: PipelineStage) -> Vec<u8> {
+    pub fn fingerprint_bytes(&self) -> Vec<u8> {
         let mut e = Encoder::new();
-        e.u8(match stage {
-            PipelineStage::Partition => 0,
-            PipelineStage::Map => 1,
-            PipelineStage::Schedule => 2,
-        });
-        // Partition-relevant fields (feed every stage).
+        e.u8(2);
+        // Partitioning.
         e.u64(self.seed);
         e.usize(self.hardware.num_qpus());
         e.f64(self.adaptive.epsilon_q);
         e.f64(self.adaptive.gamma);
         e.f64(self.adaptive.alpha_max);
         e.usize(self.adaptive.max_iters);
-        if stage >= PipelineStage::Map {
-            e.usize(self.hardware.grid_width());
-            let (tag, photons) = match self.hardware.resource_state() {
-                ResourceStateKind::Ring(p) => (0u8, p),
-                ResourceStateKind::Star(p) => (1u8, p),
-            };
-            e.u8(tag);
-            e.usize(photons);
-            e.bool(self.boundary_reservation);
-            e.opt_usize(self.refresh_interval);
-        }
-        if stage >= PipelineStage::Schedule {
-            e.usize(self.hardware.kmax());
-            // Reserved byte, always 0: still written so cache keys do
-            // not shift.
-            e.u8(0);
-            match &self.bdir {
-                Some(b) => {
-                    e.bool(true);
-                    e.f64(b.t0);
-                    e.f64(b.cooling);
-                    e.usize(b.max_iters);
-                    // b.seed is overridden with the master seed.
-                }
-                None => e.bool(false),
+        // Mapping.
+        e.usize(self.hardware.grid_width());
+        let (tag, photons) = match self.hardware.resource_state() {
+            ResourceStateKind::Ring(p) => (0u8, p),
+            ResourceStateKind::Star(p) => (1u8, p),
+        };
+        e.u8(tag);
+        e.usize(photons);
+        e.bool(self.boundary_reservation);
+        e.opt_usize(self.refresh_interval);
+        // Scheduling.
+        e.usize(self.hardware.kmax());
+        // Reserved byte, always 0: still written so cache keys do not
+        // shift.
+        e.u8(0);
+        match &self.bdir {
+            Some(b) => {
+                e.bool(true);
+                e.f64(b.t0);
+                e.f64(b.cooling);
+                e.usize(b.max_iters);
+                // b.seed is overridden with the master seed.
             }
+            None => e.bool(false),
         }
         e.into_bytes()
     }
@@ -261,7 +225,7 @@ impl DcMbqcConfig {
     /// `0`, held the old restart-probe and batch worker counts; they
     /// keep the wire layout unchanged.
     ///
-    /// This is distinct from [`DcMbqcConfig::stage_fingerprint_bytes`],
+    /// This is distinct from [`DcMbqcConfig::fingerprint_bytes`],
     /// which deliberately omits result-neutral fields and stays frozen
     /// so cache keys never shift.
     #[must_use]
@@ -457,41 +421,20 @@ mod tests {
     fn stage_fingerprints_scope_config_fields() {
         let hw = DistributedHardware::builder().num_qpus(4).build();
         let base = DcMbqcConfig::new(hw);
-        // BDIR only affects the scheduling stage.
-        let no_bdir = base.clone().without_bdir();
-        assert_eq!(
-            base.stage_fingerprint_bytes(PipelineStage::Partition),
-            no_bdir.stage_fingerprint_bytes(PipelineStage::Partition)
-        );
-        assert_eq!(
-            base.stage_fingerprint_bytes(PipelineStage::Map),
-            no_bdir.stage_fingerprint_bytes(PipelineStage::Map)
-        );
-        assert_ne!(
-            base.stage_fingerprint_bytes(PipelineStage::Schedule),
-            no_bdir.stage_fingerprint_bytes(PipelineStage::Schedule)
-        );
-        // Refresh reaches mapping but not partitioning; the seed
-        // reaches everything.
-        let refreshed = base.clone().with_refresh(4);
-        assert_eq!(
-            base.stage_fingerprint_bytes(PipelineStage::Partition),
-            refreshed.stage_fingerprint_bytes(PipelineStage::Partition)
-        );
-        assert_ne!(
-            base.stage_fingerprint_bytes(PipelineStage::Map),
-            refreshed.stage_fingerprint_bytes(PipelineStage::Map)
-        );
-        let reseeded = base.clone().with_seed(7);
-        assert_ne!(
-            base.stage_fingerprint_bytes(PipelineStage::Partition),
-            reseeded.stage_fingerprint_bytes(PipelineStage::Partition)
-        );
-        // Stages are distinguished even for identical configs.
-        assert_ne!(
-            base.stage_fingerprint_bytes(PipelineStage::Partition),
-            base.stage_fingerprint_bytes(PipelineStage::Map)
-        );
+        // A knob of any stage changes the one fingerprint: the seed
+        // (partitioning), refresh (mapping) and BDIR (scheduling).
+        for changed in [
+            base.clone().with_seed(7),
+            base.clone().with_refresh(4),
+            base.clone().without_bdir(),
+        ] {
+            assert_ne!(base.fingerprint_bytes(), changed.fingerprint_bytes());
+        }
+        // The fields the pipeline overrides are out of scope.
+        let mut overridden = base.clone();
+        overridden.adaptive.k = 9;
+        overridden.adaptive.seed = 9;
+        assert_eq!(base.fingerprint_bytes(), overridden.fingerprint_bytes());
     }
 
     fn hex(bytes: &[u8]) -> String {
@@ -515,35 +458,19 @@ mod tests {
             .with_boundary_reservation(true)
             .with_alpha_max(2.5)
             .without_bdir();
+        // The tag byte 2 is the one the schedule key always wrote.
         let pins = [
             (
                 &paper,
-                [
-                    "002a0000000000000008000000000000007b14ae47e17a843f52b81e85eb51f03f000000000000f83f4000000000000000",
-                    "012a0000000000000008000000000000007b14ae47e17a843f52b81e85eb51f03f000000000000f83f400000000000000007000000000000000105000000000000000000",
-                    "022a0000000000000008000000000000007b14ae47e17a843f52b81e85eb51f03f000000000000f83f400000000000000007000000000000000105000000000000000000040000000000000000010000000000002440666666666666ee3f1400000000000000",
-                ],
+                "022a0000000000000008000000000000007b14ae47e17a843f52b81e85eb51f03f000000000000f83f400000000000000007000000000000000105000000000000000000040000000000000000010000000000002440666666666666ee3f1400000000000000",
             ),
             (
                 &tuned,
-                [
-                    "00630000000000000003000000000000007b14ae47e17a843f52b81e85eb51f03f00000000000004404000000000000000",
-                    "01630000000000000003000000000000007b14ae47e17a843f52b81e85eb51f03f00000000000004404000000000000000090000000000000000060000000000000001010500000000000000",
-                    "02630000000000000003000000000000007b14ae47e17a843f52b81e85eb51f03f0000000000000440400000000000000009000000000000000006000000000000000101050000000000000002000000000000000000",
-                ],
+                "02630000000000000003000000000000007b14ae47e17a843f52b81e85eb51f03f0000000000000440400000000000000009000000000000000006000000000000000101050000000000000002000000000000000000",
             ),
         ];
         for (cfg, want) in pins {
-            for (stage, want) in [
-                PipelineStage::Partition,
-                PipelineStage::Map,
-                PipelineStage::Schedule,
-            ]
-            .into_iter()
-            .zip(want)
-            {
-                assert_eq!(hex(&cfg.stage_fingerprint_bytes(stage)), want, "{stage:?}");
-            }
+            assert_eq!(hex(&cfg.fingerprint_bytes()), want);
         }
     }
 
@@ -571,17 +498,7 @@ mod tests {
         assert_eq!(back.hardware.resource_state(), ResourceStateKind::Ring(6));
         assert_eq!(back.hardware.kmax(), 2);
         // The decoded config keys into the same cache entries.
-        for stage in [
-            PipelineStage::Partition,
-            PipelineStage::Map,
-            PipelineStage::Schedule,
-        ] {
-            assert_eq!(
-                back.stage_fingerprint_bytes(stage),
-                cfg.stage_fingerprint_bytes(stage),
-                "{stage:?}"
-            );
-        }
+        assert_eq!(back.fingerprint_bytes(), cfg.fingerprint_bytes());
         // No-BDIR configurations round-trip too.
         let no_bdir = cfg.without_bdir();
         assert!(DcMbqcConfig::from_bytes(&no_bdir.to_bytes())
@@ -636,17 +553,7 @@ mod tests {
         // The reserved slots are written as 0 and the layout is unchanged.
         assert_eq!(cfg.to_bytes(), bytes_with_worker_counts(&cfg, 0, 0));
         let back = DcMbqcConfig::from_bytes(&bytes_with_worker_counts(&cfg, 3, 2)).unwrap();
-        for stage in [
-            PipelineStage::Partition,
-            PipelineStage::Map,
-            PipelineStage::Schedule,
-        ] {
-            assert_eq!(
-                back.stage_fingerprint_bytes(stage),
-                cfg.stage_fingerprint_bytes(stage),
-                "{stage:?}"
-            );
-        }
+        assert_eq!(back.fingerprint_bytes(), cfg.fingerprint_bytes());
         assert_eq!(back.to_bytes(), cfg.to_bytes());
     }
 

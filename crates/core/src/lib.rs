@@ -93,10 +93,10 @@
 //! any job's next stage. The batch engine is `mbqc-service`'s
 //! `CompileService`, built on these functions: each worker owns one
 //! workspace per stage, each job carries its latest shared-pattern
-//! artifact between tasks, and a content-addressed stage-artifact cache
+//! artifact between tasks, and a content-addressed schedule cache
 //! keyed by [`Pattern::content_bytes`] and
-//! [`DcMbqcConfig::stage_fingerprint_bytes`] lets a job re-enter the
-//! chain at any stage. The stage functions compute exactly what a
+//! [`DcMbqcConfig::fingerprint_bytes`] answers a repeat job without
+//! running any stage. The stage functions compute exactly what a
 //! [`CompileSession`] does:
 //!
 //! [`Pattern::content_bytes`]: mbqc_pattern::Pattern::content_bytes
@@ -139,7 +139,7 @@ pub mod report;
 pub mod session;
 
 pub use baseline::BaselineResult;
-pub use config::{DcMbqcConfig, DcMbqcError, PipelineStage, StageKind};
+pub use config::{DcMbqcConfig, DcMbqcError, StageKind};
 pub use pipeline::{DcMbqcCompiler, DistributedSchedule};
 pub use report::ComparisonReport;
 pub use session::{

@@ -28,7 +28,6 @@ use std::sync::Arc;
 use mbqc_compiler::{CompiledProgram, GridMapper, MapperWorkspace};
 use mbqc_graph::{CsrGraph, Graph, NodeId};
 use mbqc_partition::adaptive::AdaptiveResult;
-use mbqc_partition::modularity::cut_and_modularity_csr;
 use mbqc_partition::{adaptive_partition_csr_with, KwayWorkspace, Partition};
 use mbqc_pattern::Pattern;
 use mbqc_schedule::{
@@ -121,31 +120,6 @@ pub struct Partitioned<'p> {
 }
 
 impl<'p> Partitioned<'p> {
-    /// Re-enters the pipeline with an externally supplied partition
-    /// (e.g. a stored one, or an alternative partitioner), computing
-    /// the derived metrics the later stages and reports need.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the partition does not cover the pattern's nodes.
-    #[must_use]
-    pub fn with_partition(transpiled: Transpiled<'p>, partition: Partition) -> Self {
-        let csr = workload_csr(transpiled.pattern.graph());
-        assert_eq!(partition.len(), csr.node_count(), "partition size mismatch");
-        let (cut, q) = cut_and_modularity_csr(&csr, &partition);
-        let alpha = partition.imbalance_csr(&csr);
-        Self {
-            transpiled,
-            adaptive: AdaptiveResult {
-                partition,
-                modularity: q,
-                cut,
-                alpha,
-                history: Vec::new(),
-            },
-        }
-    }
-
     /// The transpiled artifact this stage consumed.
     #[must_use]
     pub fn transpiled(&self) -> &Transpiled<'p> {
@@ -192,38 +166,6 @@ pub struct Mapped<'p> {
 }
 
 impl<'p> Mapped<'p> {
-    /// Re-enters the pipeline with externally compiled per-QPU
-    /// programs, one per part of the partition, each compiled from its
-    /// part's nodes in placement order (the node lists are derived from
-    /// the partition exactly as [`map_stage`] derives them).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes disagree with the partition.
-    #[must_use]
-    pub fn from_parts(partitioned: Partitioned<'p>, compiled: Vec<CompiledProgram>) -> Self {
-        let part_nodes = partitioned.part_nodes();
-        assert_eq!(
-            compiled.len(),
-            part_nodes.len(),
-            "per-QPU programs disagree with k"
-        );
-        for (qpu, (nodes, program)) in part_nodes.iter().zip(&compiled).enumerate() {
-            assert_eq!(
-                program.layer_of.len(),
-                nodes.len(),
-                "QPU {qpu}: compiled program covers {} nodes, partition assigns {}",
-                program.layer_of.len(),
-                nodes.len()
-            );
-        }
-        Self {
-            partitioned,
-            part_nodes,
-            compiled,
-        }
-    }
-
     /// The partitioned artifact this stage consumed.
     #[must_use]
     pub fn partitioned(&self) -> &Partitioned<'p> {
@@ -412,14 +354,6 @@ pub fn map_stage<'p>(
 ) -> Result<Mapped<'p>, DcMbqcError> {
     let graph = partitioned.transpiled.pattern.graph();
     let k = config.hardware.num_qpus();
-    // Guards externally injected partitions (`with_partition`): the
-    // adaptive stage always produces exactly one part per QPU.
-    assert_eq!(
-        partitioned.partition().k(),
-        k,
-        "partition has {} parts for {k} QPUs",
-        partitioned.partition().k()
-    );
     let part_nodes = partitioned.part_nodes();
     let subgraphs: Vec<Graph> = part_nodes
         .iter()

@@ -1,21 +1,21 @@
-//! Mid-pipeline re-entry on degenerate inputs: the re-entry
-//! constructors ([`Partitioned::with_partition`], [`Mapped::from_parts`])
-//! and the full pipeline must **error or compile cleanly — never
-//! panic** on the edge shapes a service meets in the wild: the empty
-//! pattern, a single-qubit pattern, a `k = 1` partition, and more QPUs
-//! than nodes. Contract *violations* (mismatched table sizes) stay
-//! documented panics — those are executor bugs, not inputs.
+//! Stage-by-stage re-entry on degenerate inputs: the free stage
+//! functions, run one task at a time on a carried artifact as a service
+//! worker runs them, and the full pipeline must **error or compile
+//! cleanly — never panic** on the edge shapes a service meets in the
+//! wild: the empty pattern, a single-qubit pattern, a `k = 1`
+//! partition, and more QPUs than nodes.
 
 use std::sync::Arc;
 
 use dc_mbqc::{
-    CompileSession, DcMbqcCompiler, DcMbqcConfig, DcMbqcError, DistributedSchedule, Mapped,
-    Partitioned, Transpiled,
+    map_stage, partition_stage, schedule_stage, CompileSession, DcMbqcCompiler, DcMbqcConfig,
+    DcMbqcError, DistributedSchedule, Transpiled,
 };
 use mbqc_graph::Graph;
 use mbqc_hardware::{DistributedHardware, ResourceStateKind};
-use mbqc_partition::Partition;
+use mbqc_partition::KwayWorkspace;
 use mbqc_pattern::Pattern;
+use mbqc_schedule::ScheduleWorkspace;
 
 fn hw(qpus: usize, width: usize) -> DistributedHardware {
     DistributedHardware::builder()
@@ -120,10 +120,11 @@ fn pipeline_compiles_degenerate_shapes() {
     }
 }
 
-/// Re-entry through `Partitioned::with_partition` (a stored partition)
-/// and `Mapped::from_parts` (stored per-QPU programs) reproduces the
-/// direct compilation bit for bit on every degenerate shape, with the
-/// pattern borrowed or shared.
+/// Re-entering the pipeline at every stage with the artifact the
+/// previous stage left — through the session with a borrowed pattern,
+/// and through the free stage functions on fresh workspaces with a
+/// shared pattern, as the service's stage tasks do — reproduces the
+/// direct compilation bit for bit on every degenerate shape.
 #[test]
 fn reentry_matches_direct_on_degenerate_shapes() {
     for (what, pattern, qpus) in degenerate_cases() {
@@ -131,28 +132,26 @@ fn reentry_matches_direct_on_degenerate_shapes() {
         let direct = DcMbqcCompiler::new(config.clone())
             .compile_pattern(&pattern)
             .unwrap_or_else(|e| panic!("{what}: direct: {e}"));
-        let mut session = CompileSession::new(config.clone());
 
-        // Stored partition, borrowed pattern.
+        // One stage at a time through a session, borrowed pattern.
+        let mut session = CompileSession::new(config.clone());
         let transpiled =
             Transpiled::new(&pattern).unwrap_or_else(|e| panic!("{what}: transpile: {e}"));
-        let partitioned = Partitioned::with_partition(transpiled, direct.partition().clone());
+        let partitioned = session.partition(transpiled);
         let mapped = session
             .map(partitioned)
             .unwrap_or_else(|e| panic!("{what}: map: {e}"));
-        let programs = mapped.programs().to_vec();
-        let scheduled = session.schedule(mapped);
-        assert_eq!(scheduled, direct, "{what}: with_partition re-entry");
+        assert_eq!(session.schedule(mapped), direct, "{what}: session stages");
 
-        // Stored partition and programs, shared pattern: the service's
-        // `Mapped` cache re-entry.
+        // The stage functions on a shared pattern: the service's path.
         let shared = Arc::new(pattern.clone());
         let transpiled =
             Transpiled::shared(shared).unwrap_or_else(|e| panic!("{what}: shared transpile: {e}"));
-        let partitioned = Partitioned::with_partition(transpiled, direct.partition().clone());
-        let mapped = Mapped::from_parts(partitioned, programs);
-        let scheduled = session.schedule(mapped);
-        assert_eq!(scheduled, direct, "{what}: Mapped::from_parts re-entry");
+        let partitioned = partition_stage(&config, transpiled, &mut KwayWorkspace::new());
+        let mapped = map_stage(&config, partitioned, 1, &mut Vec::new())
+            .unwrap_or_else(|e| panic!("{what}: map stage: {e}"));
+        let staged = schedule_stage(&config, mapped, &mut ScheduleWorkspace::new());
+        assert_eq!(staged, direct, "{what}: stage functions");
     }
 }
 
@@ -170,43 +169,4 @@ fn flowless_pattern_errors_cleanly() {
         compiler.compile_pattern(&pattern),
         Err(DcMbqcError::NoFlow)
     ));
-}
-
-/// Contract violations stay loud: the re-entry constructors panic on
-/// mismatched shapes rather than silently compiling garbage.
-#[test]
-fn reentry_contract_violations_panic() {
-    let single = single_node_pattern();
-    // Partition not covering the pattern.
-    assert!(std::panic::catch_unwind(|| {
-        let t = Transpiled::new(&single).unwrap();
-        Partitioned::with_partition(t, Partition::new(vec![0, 1], 2))
-    })
-    .is_err());
-
-    // Programs that do not match the partition's shape.
-    let two = two_node_pattern();
-    let config = DcMbqcConfig::new(hw(2, 4));
-    let split = Partition::new(vec![0, 1], 2);
-    let mapped = CompileSession::new(config)
-        .map(Partitioned::with_partition(
-            Transpiled::new(&two).unwrap(),
-            split.clone(),
-        ))
-        .expect("two nodes fit");
-    let programs = mapped.programs().to_vec();
-    // One program for two parts.
-    assert!(std::panic::catch_unwind(|| {
-        let p = Partitioned::with_partition(Transpiled::new(&two).unwrap(), split.clone());
-        Mapped::from_parts(p, programs[..1].to_vec())
-    })
-    .is_err());
-    // Right count, wrong sizes: both nodes on part 0, but part 0's
-    // program covers one node.
-    assert!(std::panic::catch_unwind(|| {
-        let both_on_0 = Partition::new(vec![0, 0], 2);
-        let p = Partitioned::with_partition(Transpiled::new(&two).unwrap(), both_on_0);
-        Mapped::from_parts(p, programs.clone())
-    })
-    .is_err());
 }

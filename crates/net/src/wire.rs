@@ -8,7 +8,7 @@
 //! TCP peer sends, and the client decodes whatever claims to be a
 //! server. See the crate docs for the frame layout and verb table.
 
-use dc_mbqc::{DcMbqcConfig, DistributedSchedule, PipelineStage, StageKind};
+use dc_mbqc::{DcMbqcConfig, DistributedSchedule, StageKind};
 use mbqc_pattern::Pattern;
 use mbqc_service::{
     AdmissionError, EventKind, JobId, JobOptions, Priority, RetryPolicy, ScheduleBytes,
@@ -63,23 +63,6 @@ fn stage_kind_from(tag: u8) -> Result<StageKind, CodecError> {
         .get(tag as usize)
         .copied()
         .ok_or(CodecError::Invalid("unknown stage tag"))
-}
-
-fn pipeline_stage_tag(s: PipelineStage) -> u8 {
-    match s {
-        PipelineStage::Partition => 0,
-        PipelineStage::Map => 1,
-        PipelineStage::Schedule => 2,
-    }
-}
-
-fn pipeline_stage_from(tag: u8) -> Result<PipelineStage, CodecError> {
-    match tag {
-        0 => Ok(PipelineStage::Partition),
-        1 => Ok(PipelineStage::Map),
-        2 => Ok(PipelineStage::Schedule),
-        _ => Err(CodecError::Invalid("unknown pipeline-stage tag")),
-    }
 }
 
 fn opt_u64(e: &mut Encoder, v: Option<u64>) {
@@ -602,7 +585,7 @@ fn decode_summary(d: &mut Decoder<'_>) -> Result<Summary, CodecError> {
 /// order: counters, sizes, flags, latency summaries. Tenant rows travel
 /// separately.
 type StatsFields<'a> = (
-    [&'a mut u64; 28],
+    [&'a mut u64; 25],
     [&'a mut usize; 6],
     [&'a mut bool; 2],
     [&'a mut Summary; 6],
@@ -622,11 +605,8 @@ fn stats_fields(s: &mut ServiceStats) -> (StatsFields<'_>, &mut Vec<TenantStat>)
         cancelled,
         expired,
         tasks_executed,
-        task_store_hits,
         dedup_hits,
         hits_scheduled,
-        hits_mapped,
-        hits_partitioned,
         full_compiles,
         total_latency_ns,
         stage_latency: [transpile, partition, map, schedule],
@@ -667,11 +647,8 @@ fn stats_fields(s: &mut ServiceStats) -> (StatsFields<'_>, &mut Vec<TenantStat>)
         cancelled,
         expired,
         tasks_executed,
-        task_store_hits,
         dedup_hits,
         hits_scheduled,
-        hits_mapped,
-        hits_partitioned,
         full_compiles,
         total_latency_ns,
         rejected,
@@ -939,10 +916,7 @@ pub fn encode_event(event: &TelemetryEvent) -> Vec<u8> {
             e.u64(u64::from(*attempt));
             e.u64(*duration_ns);
         }
-        EventKind::CacheHit { stage } => {
-            e.u8(EVT_CACHE_HIT);
-            e.u8(pipeline_stage_tag(*stage));
-        }
+        EventKind::CacheHit => e.u8(EVT_CACHE_HIT),
         EventKind::RetryScheduled { attempt, delay_ns } => {
             e.u8(EVT_RETRY_SCHEDULED);
             e.u64(u64::from(*attempt));
@@ -981,9 +955,7 @@ pub fn decode_event(bytes: &[u8]) -> Result<TelemetryEvent, CodecError> {
             attempt: u32::try_from(d.u64()?).map_err(|_| CodecError::Invalid("attempt"))?,
             duration_ns: d.u64()?,
         },
-        EVT_CACHE_HIT => EventKind::CacheHit {
-            stage: pipeline_stage_from(d.u8()?)?,
-        },
+        EVT_CACHE_HIT => EventKind::CacheHit,
         EVT_RETRY_SCHEDULED => EventKind::RetryScheduled {
             attempt: u32::try_from(d.u64()?).map_err(|_| CodecError::Invalid("attempt"))?,
             delay_ns: d.u64()?,
@@ -1219,9 +1191,7 @@ mod tests {
                 attempt: 1,
                 duration_ns: 123,
             },
-            EventKind::CacheHit {
-                stage: PipelineStage::Map,
-            },
+            EventKind::CacheHit,
             EventKind::RetryScheduled {
                 attempt: 3,
                 delay_ns: 10,

@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use dc_mbqc::{DcMbqcCompiler, DcMbqcConfig, PipelineStage};
+use dc_mbqc::{DcMbqcCompiler, DcMbqcConfig};
 use mbqc_circuit::bench;
 use mbqc_hardware::{DistributedHardware, ResourceStateKind};
 use mbqc_net::{Client, Server, WireJobOptions, WireOutcome};
@@ -68,9 +68,7 @@ fn warm_submit_is_answered_before_its_reply() {
             kinds.as_slice(),
             [
                 EventKind::Submitted { .. },
-                EventKind::CacheHit {
-                    stage: PipelineStage::Schedule
-                },
+                EventKind::CacheHit,
                 EventKind::Terminal {
                     state: TerminalState::Done
                 },

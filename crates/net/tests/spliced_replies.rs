@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread;
 
-use dc_mbqc::{DcMbqcCompiler, DcMbqcConfig, DistributedSchedule, PipelineStage};
+use dc_mbqc::{DcMbqcCompiler, DcMbqcConfig, DistributedSchedule};
 use mbqc_circuit::bench;
 use mbqc_hardware::{DistributedHardware, ResourceStateKind};
 use mbqc_net::{Request, Response, Server, WireJobOptions, WireOutcome, KIND_REPLY, KIND_REQUEST};
@@ -186,11 +186,7 @@ fn an_overwritten_and_promoted_schedule_is_served_byte_identically() {
     assert_eq!(raw.serve(&pattern, &config, false), outcome_frame(&first));
     assert_eq!(raw.serve(&pattern, &config, true), outcome_frame(&first));
 
-    let key = ArtifactKey::new(
-        PipelineStage::Schedule,
-        &config.stage_fingerprint_bytes(PipelineStage::Schedule),
-        &pattern.content_bytes(),
-    );
+    let key = ArtifactKey::new(&config.fingerprint_bytes(), &pattern.content_bytes());
     ArtifactStore::new(store)
         .expect("second store opens")
         .put(&key, other.to_bytes());

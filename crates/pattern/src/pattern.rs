@@ -288,8 +288,8 @@ impl Pattern {
     }
 
     /// A stable, canonical byte rendering of the pattern's full content
-    /// — the fingerprint input of the content-addressed stage-artifact
-    /// cache in `mbqc-service`.
+    /// — the fingerprint input of the content-addressed schedule cache
+    /// in `mbqc-service`.
     ///
     /// Two patterns with equal `content_bytes` compile identically under
     /// any configuration: the encoding covers everything compilation

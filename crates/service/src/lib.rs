@@ -2,7 +2,7 @@
 //!
 //! A pipelined compilation service over the DC-MBQC staged pipeline,
 //! with a priority-aware stage-task scheduler and a content-addressed
-//! stage-artifact cache.
+//! schedule cache.
 //!
 //! # Architecture
 //!
@@ -16,7 +16,8 @@
 //! > `Transpile` → `Partition` → `Map` → `Schedule`
 //!
 //! unless its finished schedule is resident in the store, which
-//! answers it at submit (see "Cache re-entry points"). All jobs' ready tasks sit in one shared priority queue that every
+//! answers it at submit (see "The schedule cache"). All jobs' ready
+//! tasks sit in one shared priority queue that every
 //! worker drains: worker A can partition job 2 while worker B schedules
 //! job 1. The service wraps the submitted pattern in an `Arc` once, and
 //! between tasks a job carries exactly one thing: its latest stage
@@ -27,10 +28,8 @@
 //! function ([`dc_mbqc::partition_stage`] & co.), runs on the stage
 //! workspace its worker owns (each worker thread owns one per stage,
 //! and replaces all of them after a panic), and stores the result.
-//! Nothing is rebuilt or copied between tasks; the re-entry
-//! constructors ([`dc_mbqc::Partitioned::with_partition`],
-//! [`dc_mbqc::Mapped::from_parts`]) run only when a stored artifact
-//! answers a stage.
+//! Nothing is rebuilt or copied between tasks, and nothing but the
+//! finished schedule is stored.
 //!
 //! ## Priority semantics
 //!
@@ -42,37 +41,30 @@
 //! runs — it does not wait for whole batch pipelines. Priority never
 //! changes any job's result (property-tested), only when it runs.
 //!
-//! ## Cache re-entry points
+//! ## The schedule cache
 //!
-//! Production traffic repeats itself: the same circuit families, the
-//! same hardware configurations, shared prefixes of both. Each stage
-//! output is addressed by `(stage, stage-scoped config fingerprint,
-//! pattern content)`, so a repeat job short-circuits at the deepest
-//! cached stage:
+//! Production traffic repeats itself: the same circuit families on the
+//! same hardware configurations. The paper's output is one artifact,
+//! the distributed schedule of a `(pattern, config)` pair, and that is
+//! the only artifact the service stores, addressed by `(config
+//! fingerprint, pattern content)`. A repeat job skips every stage.
 //!
-//! | cache hit at | work skipped |
-//! |---|---|
-//! | `Scheduled` | everything — the stored bytes are the result |
-//! | `Mapped` | partitioning *and* per-QPU grid mapping |
-//! | `Partitioned` | partitioning (the α-search of Algorithm 2) |
-//!
-//! The store is consulted at submit and then *per task*. A submit
-//! whose `Scheduled` artifact is resident in the memory tier is a
-//! *resident hit*: the submit call takes its bytes as the job's result
-//! on the caller's thread and publishes the job `Done`, so the job
-//! never queues, wakes no worker and runs no stage task. Any other job's first task probes
-//! deepest-artifact-first, disk tier included, and re-enters the
-//! pipeline at the deepest hit. Every later task re-checks its own
-//! stage key before computing (catching artifacts published mid-flight
-//! by concurrent duplicate jobs), and every computed artifact is
-//! published the moment its task completes. Because configuration fingerprints are
-//! *stage-scoped*, changing a late-stage knob (say the BDIR budget)
-//! still hits the `Partitioned` and `Mapped` artifacts computed under
-//! the old configuration.
+//! The store is consulted at most twice per job. A submit whose
+//! `Scheduled` artifact is resident in the memory tier is a *resident
+//! hit*: the submit call takes its bytes as the job's result on the
+//! caller's thread and publishes the job `Done`, so the job never
+//! queues, wakes no worker and runs no stage task. Any other job's
+//! first task probes for the schedule again, disk tier included, and a
+//! hit there ends the job. A miss runs the remaining stages without
+//! another store read, and the schedule task stores the result the
+//! moment it is computed. The fingerprint covers every configuration
+//! field that can change the schedule, so a job that differs from a
+//! stored one in any knob, the BDIR budget included, compiles from
+//! scratch.
 //!
 //! ## Store architecture
 //!
-//! The [`ArtifactStore`] behind those re-entry points is two tiers
+//! The [`ArtifactStore`] behind that cache is two tiers
 //! under one API (hand-rolled binary codecs; the build box is offline,
 //! so there is no serde): a byte-budgeted in-memory LRU
 //! ([`StoreConfig::memory_capacity`]) whose entries are `Arc`-shared,
@@ -83,6 +75,7 @@
 //! bounded by a byte budget with least-recently-accessed eviction
 //! ([`StoreConfig::disk_capacity`]). Every artifact is recomputable, so
 //! the disk tier is only a cache and the directory is its only index.
+//! The memory tier's default budget is 32 MiB.
 //!
 //! **One copy of each pattern.** Every key embeds the pattern's content
 //! bytes, and the memory tier holds those bytes once per distinct
@@ -130,13 +123,12 @@
 //!
 //! **Concurrent duplicates are ordinary jobs.** Every stage is a pure
 //! function of `(pattern, config)`, so identical jobs in flight together
-//! need no coordination. A twin whose schedule is already resident is
-//! answered at submit; any other runs its own planning task, which
-//! re-enters at the deepest artifact published so far, and its later
-//! tasks pick up whatever the first twin publishes ahead of them. Each
-//! job is counted once per attempt, as a submit-time hit or by its
-//! planning task (`hits_scheduled`, `hits_mapped`, `hits_partitioned`
-//! or `full_compiles`), and every twin gets the same bits:
+//! need no coordination. A twin whose schedule is already stored when
+//! it is submitted or planned is answered by it; any other compiles
+//! the schedule itself, with the same bits. Each job is counted once,
+//! as a submit-time hit or by its first planning task
+//! (`hits_scheduled` or `full_compiles`), however often it is
+//! retried, and every twin gets the same bits:
 //!
 //! ```
 //! use dc_mbqc::DcMbqcConfig;
@@ -173,8 +165,7 @@
 //! // the end before the next one's planning task pops, so the other
 //! // two find its stored schedule.
 //! let stats = service.stats();
-//! let planned = stats.hits_scheduled + stats.hits_mapped + stats.hits_partitioned;
-//! assert_eq!(planned + stats.full_compiles, 4, "{stats:?}");
+//! assert_eq!(stats.hits_scheduled + stats.full_compiles, 4, "{stats:?}");
 //! assert_eq!((stats.full_compiles, stats.hits_scheduled), (2, 2), "{stats:?}");
 //! assert_eq!(stats.dedup_hits, 0);
 //! ```
@@ -231,8 +222,8 @@
 //!
 //! **Every job has its own lifecycle.** Identical submits are separate
 //! jobs, so cancelling one, or letting its deadline lapse, never touches
-//! a twin; the twin keeps whatever artifacts the cancelled job published
-//! before it stopped.
+//! a twin; a cancelled job stores no schedule, so the twin compiles its
+//! own unless a third one stored it first.
 //!
 //! ```
 //! use dc_mbqc::DcMbqcConfig;
@@ -295,8 +286,8 @@
 //! (doubling per retry, capped at [`RetryPolicy::max_backoff`]). A
 //! retried job drops its carried artifact, is parked until its backoff
 //! elapses, then re-enqueued from `Transpile` — no state from the
-//! failed attempt leaks into the next one, and stage artifacts the failed attempt already
-//! published still short-circuit the redo. Every retry increments
+//! failed attempt leaks into the next one, so the redo starts from the
+//! pattern again. Every retry increments
 //! [`ServiceStats::retries`], and [`CompileService::attempts`] reports
 //! a job's attempt count (frozen at its terminal state) until the
 //! result is taken. A panic is reported with the panicking stage and a
@@ -385,7 +376,7 @@
 //!   cache hit, retry scheduled, quarantine opened/closed, terminal —
 //!   with a monotonic timestamp and a gap-free per-job sequence
 //!   number. An observed resident hit's stream is exactly
-//!   `Submitted`, `CacheHit { stage: Schedule }`, `Terminal { Done }`,
+//!   `Submitted`, `CacheHit`, `Terminal { Done }`,
 //!   all emitted before its submit returns.
 //!   [`CompileService::subscribe`] observes from now on,
 //!   service-wide or for one job; a submit with
@@ -528,7 +519,7 @@ pub mod service;
 pub mod store;
 pub mod telemetry;
 
-pub use dc_mbqc::{PipelineStage, StageKind};
+pub use dc_mbqc::StageKind;
 pub use fault::{FaultConfig, FaultPlan, InjectedFault};
 pub use service::{
     AdmissionConfig, AdmissionError, CancelToken, CompileService, JobHandle, JobId, JobOptions,

@@ -2,17 +2,15 @@
 //! its docs for the policy): a small LRU map from a pattern's wire
 //! bytes ([`Pattern::to_bytes`]) to its content bytes and their hash,
 //! so a repeat submit of a resident pattern is keyed without decoding
-//! it. A lookup picks candidates by [`frame_checksum`] and matches by
-//! comparing every byte. Entries are charged their wire and content
-//! lengths, although the content buffer is shared with the store's
-//! keys.
+//! it. A lookup matches an entry of equal length by comparing every
+//! byte, so it costs no pass over the submit's bytes beyond that
+//! comparison. Entries are charged their wire and content lengths,
+//! although the content buffer is shared with the store's keys.
 //!
 //! [`CompileService::submit_checked`]: crate::CompileService::submit_checked
 //! [`Pattern::to_bytes`]: mbqc_pattern::Pattern::to_bytes
 
 use std::sync::Arc;
-
-use mbqc_util::frame::frame_checksum;
 
 /// Most entries the memo holds.
 pub(crate) const MAX_ENTRIES: usize = 64;
@@ -22,12 +20,12 @@ pub(crate) const MAX_BYTES: usize = 16 << 20;
 
 /// A pattern's content bytes and their
 /// [`ArtifactKey::pattern_hash`](crate::store::ArtifactKey::pattern_hash):
-/// what [`StageKeys`](crate::service::StageKeys) are built from.
+/// what a job's [`ArtifactKey`](crate::store::ArtifactKey) is built
+/// from.
 pub(crate) type Content = (Arc<Vec<u8>>, u64);
 
 #[derive(Debug)]
 struct Entry {
-    tag: u64,
     wire: Box<[u8]>,
     content: Content,
     last_use: u64,
@@ -47,21 +45,16 @@ pub(crate) struct PatternMemo {
 }
 
 impl PatternMemo {
-    /// The candidate tag of `wire`, computed outside the memo's lock.
-    pub(crate) fn tag(wire: &[u8]) -> u64 {
-        frame_checksum(wire)
-    }
-
-    fn find(&self, tag: u64, wire: &[u8]) -> Option<usize> {
-        self.entries
-            .iter()
-            .position(|e| e.tag == tag && *e.wire == *wire)
+    /// The entry whose wire bytes equal `wire`: equal length first,
+    /// then every byte.
+    fn find(&self, wire: &[u8]) -> Option<usize> {
+        self.entries.iter().position(|e| *e.wire == *wire)
     }
 
     /// The content of the entry whose wire bytes equal `wire`, marked
     /// most recently used.
-    pub(crate) fn get(&mut self, tag: u64, wire: &[u8]) -> Option<Content> {
-        let i = self.find(tag, wire)?;
+    pub(crate) fn get(&mut self, wire: &[u8]) -> Option<Content> {
+        let i = self.find(wire)?;
         self.clock += 1;
         self.entries[i].last_use = self.clock;
         Some(self.entries[i].content.clone())
@@ -70,9 +63,9 @@ impl PatternMemo {
     /// Remembers `wire`'s content, evicting least recently used
     /// entries until both bounds hold. An entry over the byte bound on
     /// its own is not kept; a present one is left as it is.
-    pub(crate) fn insert(&mut self, tag: u64, wire: &[u8], content: Content) {
+    pub(crate) fn insert(&mut self, wire: &[u8], content: Content) {
         let cost = wire.len() + content.0.len();
-        if cost > MAX_BYTES || self.find(tag, wire).is_some() {
+        if cost > MAX_BYTES || self.find(wire).is_some() {
             return;
         }
         while self.entries.len() >= MAX_ENTRIES || self.bytes + cost > MAX_BYTES {
@@ -84,7 +77,6 @@ impl PatternMemo {
         self.clock += 1;
         self.bytes += cost;
         self.entries.push(Entry {
-            tag,
             wire: wire.into(),
             content,
             last_use: self.clock,
@@ -111,11 +103,11 @@ mod tests {
     }
 
     fn put(memo: &mut PatternMemo, wire: &[u8], content: Content) {
-        memo.insert(PatternMemo::tag(wire), wire, content);
+        memo.insert(wire, content);
     }
 
     fn get(memo: &mut PatternMemo, wire: &[u8]) -> Option<u64> {
-        memo.get(PatternMemo::tag(wire), wire).map(|(_, h)| h)
+        memo.get(wire).map(|(_, h)| h)
     }
 
     #[test]
@@ -127,8 +119,9 @@ mod tests {
         put(&mut memo, &wire, content(10, 1));
         assert_eq!(get(&mut memo, &wire), Some(1));
         assert_eq!(get(&mut memo, &twin), None);
-        // Even a forged tag decides nothing: the bytes must match.
-        assert!(memo.get(PatternMemo::tag(&wire), &twin).is_none());
+        // A prefix or an extension of the bytes is no match either.
+        assert_eq!(get(&mut memo, &wire[..4095]), None);
+        assert_eq!(get(&mut memo, &[&wire[..], &[1]].concat()), None);
         put(&mut memo, &twin, content(10, 2));
         assert_eq!(get(&mut memo, &twin), Some(2));
         assert_eq!(get(&mut memo, &wire), Some(1));

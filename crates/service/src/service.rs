@@ -9,7 +9,8 @@
 //! tasks a job carries its latest stage artifact, which names the next
 //! task.
 //!
-//! Every job routes its stages through the shared [`ArtifactStore`]:
+//! Every job is keyed in the shared [`ArtifactStore`], which holds one
+//! artifact per `(pattern, config)`: its `Scheduled` schedule.
 //!
 //! * a `Scheduled` hit is the job's result — partitioning, mapping,
 //!   and scheduling are all skipped. The job finishes holding the
@@ -19,12 +20,9 @@
 //!   resident in the memory tier, the submit call itself answers the
 //!   job: it never enters the queue and no worker or stage task
 //!   touches it;
-//! * a `Mapped` hit re-enters the pipeline at scheduling via
-//!   [`Partitioned::with_partition`] + [`Mapped::from_parts`];
-//! * a `Partitioned` hit re-enters at mapping via
-//!   [`Partitioned::with_partition`];
-//! * a full miss runs the pipeline and stores every stage artifact on
-//!   the way out.
+//! * a miss runs the whole pipeline and stores the schedule. A job
+//!   that differs from a stored one only in a mapping or scheduling
+//!   knob is a miss too.
 //!
 //! Results are **bit-identical** to a direct
 //! [`DcMbqcCompiler::compile_pattern`](dc_mbqc::DcMbqcCompiler::compile_pattern)
@@ -76,8 +74,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use dc_mbqc::{
-    DcMbqcConfig, DcMbqcError, DistributedSchedule, Mapped, Partitioned, PipelineStage, StageKind,
-    Transpiled,
+    DcMbqcConfig, DcMbqcError, DistributedSchedule, Mapped, Partitioned, StageKind, Transpiled,
 };
 use mbqc_pattern::Pattern;
 use mbqc_util::codec::CodecError;
@@ -660,25 +657,19 @@ pub struct ServiceStats {
     /// answered at submit by a resident `Scheduled` artifact runs none;
     /// a full miss runs four.
     pub tasks_executed: u64,
-    /// Stage tasks answered by an artifact that appeared *after* the
-    /// job's initial cache probe (e.g. published by a concurrent
-    /// duplicate job).
-    pub task_store_hits: u64,
     /// Always 0: concurrent identical submits are ordinary jobs, each
-    /// answered at submit or by its own tasks, so no submit is folded
-    /// into another. The field keeps its slot in the `Stats` wire
-    /// layout for existing readers.
+    /// answered at submit or by its own planning task or compile, so
+    /// no submit is folded into another. The field keeps its slot in
+    /// the `Stats` wire layout for existing readers.
     pub dedup_hits: u64,
     /// Jobs answered by a `Scheduled` artifact (nothing recomputed):
     /// at submit when the artifact is resident in the store's memory
     /// tier, otherwise by the job's planning task (an artifact on the
-    /// disk tier, or one published after the submit).
+    /// disk tier, or one published after the submit). Counted once per
+    /// job, like `full_compiles`: a retried job is not counted again.
     pub hits_scheduled: u64,
-    /// Jobs re-entered at scheduling from a `Mapped` artifact.
-    pub hits_mapped: u64,
-    /// Jobs re-entered at mapping from a `Partitioned` artifact.
-    pub hits_partitioned: u64,
-    /// Jobs that ran the full pipeline.
+    /// Jobs whose planning task found no `Scheduled` artifact, so the
+    /// job ran the full pipeline. Counted once per job.
     pub full_compiles: u64,
     /// Total service latency across *successful* jobs, nanoseconds —
     /// the sum of each job's stage-task execution times, or, for a job
@@ -691,12 +682,12 @@ pub struct ServiceStats {
     pub total_latency_ns: u64,
     /// Per-stage execution-latency summaries (p50/p95/p99, ns),
     /// indexed like [`StageKind::ALL`]: one sample per executed stage
-    /// task, including the task's cache re-check and artifact publish.
+    /// task, including the schedule task's artifact publish.
     /// Recorded for every executed stage, whatever the job's eventual
     /// terminal state; panicked executions record nothing. A resident
     /// warm hit runs no task, so the `Transpile` summary times planning
-    /// tasks only: misses, partial hits, and `Scheduled` hits the
-    /// submit-time probe could not see.
+    /// tasks only: misses, and `Scheduled` hits the submit-time probe
+    /// could not see.
     pub stage_latency: [Summary; 4],
     /// Queue-wait summary (ns): time from a job's (re-)enqueue to the
     /// pop that ran its next task. One sample per task pop; a parked
@@ -784,50 +775,11 @@ impl ServiceStats {
     }
 }
 
-/// The three content-addressed keys of one job's stage artifacts,
-/// built once at submit: they depend only on the pattern and the
-/// configuration. The three keys share one buffer of the pattern's
-/// content bytes: at submit, the store's buffer for them when a
-/// resident key holds equal bytes (see `ArtifactStore::intern`).
-#[derive(Debug)]
-pub(crate) struct StageKeys {
-    pub(crate) part: ArtifactKey,
-    pub(crate) map: ArtifactKey,
-    pub(crate) sched: ArtifactKey,
-}
-
-impl StageKeys {
-    #[cfg(test)]
-    pub(crate) fn new(pattern: &Pattern, config: &DcMbqcConfig) -> Self {
-        Self::with_content(content_of(pattern), config)
-    }
-
-    /// The keys over a pattern's already-hashed content bytes (see
-    /// [`content_of`]).
-    pub(crate) fn with_content(
-        (pattern_bytes, pattern_hash): Content,
-        config: &DcMbqcConfig,
-    ) -> Self {
-        let key_of = |stage: PipelineStage| {
-            ArtifactKey::with_pattern(
-                stage,
-                &config.stage_fingerprint_bytes(stage),
-                Arc::clone(&pattern_bytes),
-                pattern_hash,
-            )
-        };
-        Self {
-            part: key_of(PipelineStage::Partition),
-            map: key_of(PipelineStage::Map),
-            sched: key_of(PipelineStage::Schedule),
-        }
-    }
-}
-
-/// A pattern's content bytes, shared, and their hash: the part of its
-/// [`StageKeys`] that does not depend on the configuration. The bytes
-/// are the pattern's own cached buffer ([`Pattern::content_bytes`]),
-/// encoded once per value however often it is submitted.
+/// A pattern's content bytes, shared, and their hash: the part of a
+/// job's [`ArtifactKey`] that does not depend on the configuration.
+/// The bytes are the pattern's own cached buffer
+/// ([`Pattern::content_bytes`]), encoded once per value however often
+/// it is submitted.
 fn content_of(pattern: &Pattern) -> Content {
     let bytes = pattern.content_bytes();
     let hash = ArtifactKey::pattern_hash(&bytes);
@@ -838,13 +790,12 @@ fn content_of(pattern: &Pattern) -> Content {
 enum Source<'a> {
     /// An in-process caller's pattern.
     Pattern(Pattern),
-    /// A pattern's wire bytes ([`Pattern::to_bytes`]) with their
-    /// [`PatternMemo::tag`] and key material. `decoded` holds the
-    /// pattern when the memo missed, and is `None` for a memo hit,
-    /// whose bytes are decoded only if the job must compile.
+    /// A pattern's wire bytes ([`Pattern::to_bytes`]) with their key
+    /// material. `decoded` holds the pattern when the memo missed, and
+    /// is `None` for a memo hit, whose bytes are decoded only if the
+    /// job must compile.
     Wire {
         bytes: &'a [u8],
-        tag: u64,
         content: Content,
         decoded: Option<Pattern>,
     },
@@ -887,8 +838,13 @@ pub(crate) struct JobState {
     /// The submitting tenant ([`JobOptions::tenant`]): routes the
     /// job's queue entries to its fair lane.
     pub(crate) tenant: u32,
-    /// Artifact keys, built at submit and kept across retries.
-    pub(crate) keys: StageKeys,
+    /// The `Scheduled` artifact's key, built at submit and kept across
+    /// retries.
+    pub(crate) key: ArtifactKey,
+    /// Whether the job's planning outcome is counted
+    /// (`hits_scheduled` or `full_compiles`): set by its first planning
+    /// task and kept across retries, so each job counts once.
+    pub(crate) counted: bool,
     /// The latest stage artifact.
     pub(crate) carried: Carried,
     /// Accumulated in-worker execution time of this job's tasks.
@@ -915,7 +871,7 @@ pub(crate) struct JobState {
 impl JobState {
     /// Resets the job to a fresh pipeline for a retry by dropping its
     /// carried artifact (the failed attempt may have left it
-    /// mid-update). Identity (pattern, config, artifact keys, priority,
+    /// mid-update). Identity (pattern, config, artifact key, priority,
     /// cancellation, deadline) and the accumulated in-worker latency
     /// survive — latency spans attempts.
     fn reset_for_retry(&mut self) {
@@ -1075,10 +1031,7 @@ pub(crate) struct Counters {
     pub(crate) expired: u64,
     pub(crate) submitted_by_priority: [u64; 3],
     pub(crate) tasks_executed: u64,
-    pub(crate) task_store_hits: u64,
     pub(crate) hits_scheduled: u64,
-    pub(crate) hits_mapped: u64,
-    pub(crate) hits_partitioned: u64,
     pub(crate) full_compiles: u64,
     pub(crate) total_latency_ns: u64,
     /// Admission-checked submits refused before enqueue.
@@ -1543,8 +1496,7 @@ impl CompileService {
         config: DcMbqcConfig,
         options: JobOptions,
     ) -> Result<Result<JobHandle, AdmissionError>, CodecError> {
-        let tag = PatternMemo::tag(pattern);
-        let memoized = lock(&self.memo).get(tag, pattern);
+        let memoized = lock(&self.memo).get(pattern);
         let (content, decoded) = match memoized {
             Some(content) => (content, None),
             None => {
@@ -1554,7 +1506,6 @@ impl CompileService {
         };
         let source = Source::Wire {
             bytes: pattern,
-            tag,
             content,
             decoded,
         };
@@ -1660,7 +1611,11 @@ impl CompileService {
             Source::Pattern(pattern) => content_of(pattern),
             Source::Wire { content, .. } => content.clone(),
         });
-        let keys = StageKeys::with_content(content.clone(), &config);
+        let key = ArtifactKey::with_pattern(
+            &config.fingerprint_bytes(),
+            Arc::clone(&content.0),
+            content.1,
+        );
         // Resident warm hit: a `Scheduled` artifact in the memory tier
         // is the whole answer, so the job ends `Done` here, on the
         // submitting thread — no queue entry, worker hand-off or stage
@@ -1669,22 +1624,21 @@ impl CompileService {
         // queue pop, as it would without a stored artifact.
         if lapsed(id.0, &cancel, deadline).is_none() {
             let start = Instant::now();
-            if let Some(bytes) = executor::resident_schedule(&self.shared, &keys) {
+            if let Some(bytes) = executor::resident_schedule(&self.shared, &key) {
                 let elapsed_ns = start.elapsed().as_nanos() as u64;
                 self.shared.metrics.warm_hit.record(elapsed_ns);
                 lock(&self.shared.counters).hits_scheduled += 1;
-                executor::emit_cache_hit(&self.shared, id, PipelineStage::Schedule);
+                executor::emit_cache_hit(&self.shared, id);
                 self.shared.publish_terminal(id.0, Ok(bytes), elapsed_ns);
                 if let Source::Wire {
                     bytes,
-                    tag,
                     decoded: Some(_),
                     ..
                 } = source
                 {
-                    // `content` is the resident keys' buffer, so later
+                    // `content` is the resident key's buffer, so later
                     // keys built from this entry compare by pointer.
-                    lock(&self.memo).insert(tag, bytes, content);
+                    lock(&self.memo).insert(bytes, content);
                 }
                 return Ok(JobHandle { id, events });
             }
@@ -1706,7 +1660,8 @@ impl CompileService {
             config,
             priority,
             tenant,
-            keys,
+            key,
+            counted: false,
             carried: Carried::NotStarted,
             latency_ns: 0,
             cancel,
@@ -1916,11 +1871,8 @@ impl CompileService {
             cancelled: c.cancelled,
             expired: c.expired,
             tasks_executed: c.tasks_executed,
-            task_store_hits: c.task_store_hits,
             dedup_hits: 0,
             hits_scheduled: c.hits_scheduled,
-            hits_mapped: c.hits_mapped,
-            hits_partitioned: c.hits_partitioned,
             full_compiles: c.full_compiles,
             total_latency_ns: c.total_latency_ns,
             stage_latency,
@@ -2173,11 +2125,17 @@ mod tests {
         assert!(msg.contains('5') && msg.contains('9'), "{msg}");
     }
 
-    /// A job's three stage keys share one pattern buffer, the one the
-    /// pattern and its clones cache; equal inputs give equal keys and
-    /// hashes, a one-byte change in the pattern or the configuration
-    /// gives unequal ones, and each key is the key
-    /// [`ArtifactKey::new`] builds from the same bytes.
+    /// The key of a job's `Scheduled` artifact.
+    fn key_of(pattern: &Pattern, config: &DcMbqcConfig) -> ArtifactKey {
+        let (bytes, hash) = content_of(pattern);
+        ArtifactKey::with_pattern(&config.fingerprint_bytes(), bytes, hash)
+    }
+
+    /// A job's key is built on the pattern's cached content buffer,
+    /// which its clones share; equal inputs give equal keys and hashes,
+    /// a one-byte change in the pattern or the configuration gives
+    /// unequal ones, and the key is the key [`ArtifactKey::new`] builds
+    /// from the same bytes.
     #[test]
     fn stage_keys_share_one_pattern_buffer() {
         use std::hash::BuildHasher;
@@ -2188,61 +2146,46 @@ mod tests {
 
         let pattern = transpile(&bench::qft(4));
         let config = DcMbqcConfig::new(DistributedHardware::builder().num_qpus(2).build());
-        let keys = StageKeys::new(&pattern, &config);
-        let all = |k: &StageKeys| [k.part.clone(), k.map.clone(), k.sched.clone()];
-        let [part, map, sched] = all(&keys);
-        assert!(Arc::ptr_eq(part.pattern_buffer(), map.pattern_buffer()));
-        assert!(Arc::ptr_eq(part.pattern_buffer(), sched.pattern_buffer()));
-        // A clone's keys share the pattern's cached content buffer.
-        let cloned = StageKeys::new(&pattern.clone(), &config);
-        assert!(Arc::ptr_eq(
-            cloned.sched.pattern_buffer(),
-            sched.pattern_buffer()
-        ));
+        let key = key_of(&pattern, &config);
+        assert!(Arc::ptr_eq(key.pattern_buffer(), &pattern.content_bytes()));
+        // A clone's key shares the pattern's cached content buffer.
+        let cloned = key_of(&pattern.clone(), &config);
+        assert!(Arc::ptr_eq(cloned.pattern_buffer(), key.pattern_buffer()));
 
-        // Keys of an equal pattern, transpiled separately (a clone
+        // The key of an equal pattern, transpiled separately (a clone
         // would share the pattern's cached content buffer): equal by
         // bytes, not by pointer.
         let hasher = std::collections::hash_map::RandomState::new();
-        let again = StageKeys::new(&transpile(&bench::qft(4)), &config.clone());
-        for (a, b) in all(&keys).iter().zip(&all(&again)) {
-            assert!(!Arc::ptr_eq(a.pattern_buffer(), b.pattern_buffer()));
-            assert_eq!(a, b);
-            assert_eq!(hasher.hash_one(a), hasher.hash_one(b));
-        }
+        let again = key_of(&transpile(&bench::qft(4)), &config.clone());
+        assert!(!Arc::ptr_eq(again.pattern_buffer(), key.pattern_buffer()));
+        assert_eq!(again, key);
+        assert_eq!(hasher.hash_one(&again), hasher.hash_one(&key));
 
         let pattern_bytes = pattern.content_bytes();
-        let stages = [
-            PipelineStage::Partition,
-            PipelineStage::Map,
-            PipelineStage::Schedule,
-        ];
-        for (key, stage) in all(&keys).iter().zip(stages) {
-            let config_bytes = config.stage_fingerprint_bytes(stage);
-            let direct = ArtifactKey::new(stage, &config_bytes, &pattern_bytes);
-            assert_eq!(*key, direct, "{stage:?}");
-            assert_eq!(key.fingerprint(), direct.fingerprint(), "{stage:?}");
-            assert_eq!(hasher.hash_one(key), hasher.hash_one(&direct));
-            // One byte off in the pattern or the configuration.
-            for i in [0, pattern_bytes.len() / 2, pattern_bytes.len() - 1] {
-                let mut bytes = pattern_bytes.to_vec();
-                bytes[i] ^= 1;
-                assert_ne!(*key, ArtifactKey::new(stage, &config_bytes, &bytes));
-            }
-            for i in 0..config_bytes.len() {
-                let mut bytes = config_bytes.clone();
-                bytes[i] ^= 1;
-                assert_ne!(*key, ArtifactKey::new(stage, &bytes, &pattern_bytes));
-            }
+        let config_bytes = config.fingerprint_bytes();
+        let direct = ArtifactKey::new(&config_bytes, &pattern_bytes);
+        assert_eq!(key, direct);
+        assert_eq!(key.fingerprint(), direct.fingerprint());
+        assert_eq!(hasher.hash_one(&key), hasher.hash_one(&direct));
+        // One byte off in the pattern or the configuration.
+        for i in [0, pattern_bytes.len() / 2, pattern_bytes.len() - 1] {
+            let mut bytes = pattern_bytes.to_vec();
+            bytes[i] ^= 1;
+            assert_ne!(key, ArtifactKey::new(&config_bytes, &bytes));
         }
-        // A real one-field change: another seed keys every stage anew.
-        let reseeded = StageKeys::new(&pattern, &config.clone().with_seed(config.seed + 1));
-        for (a, b) in all(&keys).iter().zip(&all(&reseeded)) {
-            assert_ne!(a, b);
+        for i in 0..config_bytes.len() {
+            let mut bytes = config_bytes.clone();
+            bytes[i] ^= 1;
+            assert_ne!(key, ArtifactKey::new(&bytes, &pattern_bytes));
         }
+        // A real one-field change: another seed keys the job anew.
+        assert_ne!(
+            key,
+            key_of(&pattern, &config.clone().with_seed(config.seed + 1))
+        );
     }
 
-    /// The disk files a real job's keys name: a shift here would orphan
+    /// The disk file a real job's key names: a shift here would orphan
     /// every existing artifact directory.
     #[test]
     fn stage_keys_name_pinned_disk_files() {
@@ -2252,15 +2195,9 @@ mod tests {
 
         let pattern = transpile(&bench::qft(4));
         let config = DcMbqcConfig::new(DistributedHardware::builder().num_qpus(2).build());
-        let keys = StageKeys::new(&pattern, &config);
-        let names = [&keys.part, &keys.map, &keys.sched].map(|k| k.fingerprint().to_hex());
         assert_eq!(
-            names,
-            [
-                "b2c17f608c4f405b485058b232442c41",
-                "095a40c9bd22cb1af09fa90f3773ae98",
-                "9beedd8b3dc7a96df0f97cce5e5b73e4",
-            ]
+            key_of(&pattern, &config).fingerprint().to_hex(),
+            "9beedd8b3dc7a96df0f97cce5e5b73e4"
         );
     }
 
@@ -2296,8 +2233,10 @@ mod tests {
             ..ServiceConfig::default()
         })
         .expect("service starts");
-        let keys = StageKeys::new(&pattern, &config);
-        service.shared.store.put(&keys.sched, tampered);
+        service
+            .shared
+            .store
+            .put(&key_of(&pattern, &config), tampered);
         let id = service.submit(pattern, config);
         assert_eq!(service.wait(id).expect("job compiles"), expected);
         let stats = service.stats();
@@ -2325,8 +2264,8 @@ mod tests {
         (pattern, config, expected)
     }
 
-    /// A compiled job's stored partition, mapped and schedule artifacts
-    /// sit in allocations of exactly their length.
+    /// A compiled job's stored schedule sits in an allocation of
+    /// exactly its length.
     #[test]
     fn stored_artifacts_carry_no_spare_capacity() {
         let (pattern, config, expected) = qft6_job();
@@ -2337,18 +2276,61 @@ mod tests {
         .expect("service starts");
         let id = service.submit(pattern.clone(), config.clone());
         assert_eq!(service.wait(id).expect("job compiles"), expected);
-        let keys = StageKeys::new(&pattern, &config);
-        for key in [&keys.part, &keys.map, &keys.sched] {
-            let value = service.shared.store.get(key).expect("stored");
-            assert_eq!(value.capacity(), value.len());
+        let value = service
+            .shared
+            .store
+            .get(&key_of(&pattern, &config))
+            .expect("stored");
+        assert_eq!(value.capacity(), value.len());
+    }
+
+    /// A finished miss stores exactly one artifact, its schedule: one
+    /// memory-tier entry and, with a disk tier, one `.art` file.
+    #[test]
+    fn a_finished_miss_stores_one_schedule() {
+        let (pattern, config, expected) = qft6_job();
+        let dir =
+            std::env::temp_dir().join(format!("mbqc-service-test-one-art-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        for disk_dir in [None, Some(dir.clone())] {
+            let service = CompileService::new(ServiceConfig {
+                workers: 1,
+                store: StoreConfig {
+                    disk_dir: disk_dir.clone(),
+                    ..StoreConfig::default()
+                },
+                ..ServiceConfig::default()
+            })
+            .expect("service starts");
+            let id = service.submit(pattern.clone(), config.clone());
+            assert_eq!(service.wait(id).expect("job compiles"), expected);
+            let stats = service.stats();
+            assert_eq!((stats.full_compiles, stats.store.entries), (1, 1));
+            let (bytes, trusted, _) = service
+                .shared
+                .store
+                .get_resident(&key_of(&pattern, &config))
+                .expect("the schedule is resident");
+            assert!(trusted);
+            assert_eq!(*bytes, expected.to_bytes());
+            if let Some(dir) = disk_dir {
+                let files: Vec<_> = std::fs::read_dir(&dir)
+                    .expect("disk tier exists")
+                    .map(|e| e.expect("entry").file_name())
+                    .collect();
+                let name = format!("{}.art", key_of(&pattern, &config).fingerprint().to_hex());
+                assert_eq!(files, [std::ffi::OsString::from(name)]);
+                assert_eq!(stats.store.disk_entries, 1);
+            }
         }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Jobs of one pattern under several seeds, submitted back to back
     /// (a job submitted before the pattern is resident keys its own
     /// copy of the content bytes), leave one content buffer in the
-    /// memory tier: every stage key of every seed is built on it, and a
-    /// later submit's keys are too.
+    /// memory tier: the key of every seed is built on it, and a later
+    /// submit's key is too.
     #[test]
     fn one_pattern_under_many_seeds_keeps_one_content_buffer() {
         let (pattern, config, _) = qft6_job();
@@ -2367,14 +2349,11 @@ mod tests {
         }
         let store = &service.shared.store;
         assert_eq!(store.interned_patterns(), 1);
-        assert_eq!(store.stats().entries, 3 * configs.len());
+        assert_eq!(store.stats().entries, configs.len());
         let (shared, _) = store.intern(content_of(&pattern));
         for c in &configs {
-            let keys = StageKeys::new(&pattern, c);
-            for key in [&keys.part, &keys.map, &keys.sched] {
-                let resident = store.resident_key(key).expect("resident");
-                assert!(Arc::ptr_eq(resident.pattern_buffer(), &shared));
-            }
+            let resident = store.resident_key(&key_of(&pattern, c)).expect("resident");
+            assert!(Arc::ptr_eq(resident.pattern_buffer(), &shared));
         }
     }
 
@@ -2409,12 +2388,8 @@ mod tests {
         let store = &service.shared.store;
         assert_eq!(store.interned_patterns(), 2);
         let (a, b) = (
-            store
-                .resident_key(&StageKeys::new(&pattern, &config).sched)
-                .unwrap(),
-            store
-                .resident_key(&StageKeys::new(&twin, &config).sched)
-                .unwrap(),
+            store.resident_key(&key_of(&pattern, &config)).unwrap(),
+            store.resident_key(&key_of(&twin, &config)).unwrap(),
         );
         assert!(!Arc::ptr_eq(a.pattern_buffer(), b.pattern_buffer()));
         let id = service.submit(pattern, config);
@@ -2435,7 +2410,7 @@ mod tests {
     /// The schedule task stores its bytes trusted, and a hit on them is
     /// served without a decode. A public `put` over the same key drops
     /// that trust: the lying bytes it writes are validated, rejected,
-    /// and replaced by a recompile from the stored `Mapped` artifact.
+    /// and replaced by a recompile.
     #[test]
     fn put_over_a_trusted_schedule_is_validated_again() {
         let (pattern, config, expected) = qft6_job();
@@ -2444,8 +2419,8 @@ mod tests {
             ..ServiceConfig::default()
         })
         .expect("service starts");
-        let keys = StageKeys::new(&pattern, &config);
-        let resident = || service.shared.store.get_resident(&keys.sched).unwrap();
+        let key = key_of(&pattern, &config);
+        let resident = || service.shared.store.get_resident(&key).unwrap();
         for round in 0..2 {
             let id = service.submit(pattern.clone(), config.clone());
             assert_eq!(service.wait(id).expect("served"), expected);
@@ -2455,18 +2430,15 @@ mod tests {
             assert_eq!(*bytes, expected.to_bytes());
         }
 
-        service
-            .shared
-            .store
-            .put(&keys.sched, cost_tampered(&expected));
+        service.shared.store.put(&key, cost_tampered(&expected));
         assert!(!resident().1, "put is untrusted");
         let id = service.submit(pattern.clone(), config.clone());
         assert_eq!(service.wait(id).expect("recompiles"), expected);
         let stats = service.stats();
         assert_eq!(stats.hits_scheduled, 1, "the lying artifact was served");
         assert_eq!(
-            (stats.hits_mapped, stats.tasks_executed),
-            (1, 6),
+            (stats.full_compiles, stats.tasks_executed),
+            (2, 8),
             "{stats:?}"
         );
         let (bytes, trusted, _) = resident();
@@ -2479,8 +2451,7 @@ mod tests {
     /// and served by no probe: not by the planning task that reads it
     /// off the disk, and not by a submit-time probe that finds it
     /// resident after a disk read promoted it. Each job recompiles from
-    /// the stored `Mapped` artifact, and the recompiled schedule is then
-    /// served from memory.
+    /// scratch, and the recompiled schedule is then served from memory.
     #[test]
     fn restart_serves_no_cost_tampered_disk_schedule() {
         let (pattern, config, expected) = qft6_job();
@@ -2501,11 +2472,11 @@ mod tests {
             let id = cold.submit(pattern.clone(), config.clone());
             assert_eq!(cold.wait(id).expect("compiles"), expected);
         }
-        let keys = StageKeys::new(&pattern, &config);
+        let key = key_of(&pattern, &config);
         let plant_lie = || {
             ArtifactStore::new(store_config.clone())
                 .expect("store opens")
-                .put(&keys.sched, cost_tampered(&expected));
+                .put(&key, cost_tampered(&expected));
         };
         for promote_first in [false, true] {
             plant_lie();
@@ -2513,8 +2484,8 @@ mod tests {
             if promote_first {
                 // A disk read promotes the lie into the memory tier, where
                 // the submit-time probe finds it.
-                assert!(warm.shared.store.get(&keys.sched).is_some());
-                assert!(!warm.shared.store.get_resident(&keys.sched).unwrap().1);
+                assert!(warm.shared.store.get(&key).is_some());
+                assert!(!warm.shared.store.get_resident(&key).unwrap().1);
             }
             let id = warm.submit(pattern.clone(), config.clone());
             assert_eq!(warm.wait(id).expect("recompiles"), expected);
@@ -2522,10 +2493,10 @@ mod tests {
             assert_eq!(
                 (
                     stats.hits_scheduled,
-                    stats.hits_mapped,
+                    stats.full_compiles,
                     stats.tasks_executed
                 ),
-                (0, 1, 2),
+                (0, 1, 4),
                 "promote_first {promote_first}: {stats:?}"
             );
             let id = warm.submit(pattern.clone(), config.clone());
@@ -2533,79 +2504,6 @@ mod tests {
             assert_eq!(warm.stats().hits_scheduled, 1);
         }
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// Decodable artifacts of the wrong shape under a job's own keys —
-    /// a partition with the wrong `k`, and a `Mapped` artifact whose
-    /// per-QPU programs do not cover their parts — are misses, not
-    /// hits: the job compiles from scratch to the direct result.
-    #[test]
-    fn wrong_shaped_artifacts_are_misses() {
-        use dc_mbqc::CompileSession;
-        use mbqc_circuit::bench;
-        use mbqc_hardware::{DistributedHardware, ResourceStateKind};
-        use mbqc_pattern::transpile::transpile;
-
-        let config_for = |qpus| {
-            DcMbqcConfig::new(
-                DistributedHardware::builder()
-                    .num_qpus(qpus)
-                    .grid_width(bench::grid_size_for(6))
-                    .resource_state(ResourceStateKind::FIVE_STAR)
-                    .kmax(4)
-                    .build(),
-            )
-        };
-        let pattern = transpile(&bench::qft(6));
-        let config = config_for(2);
-        let expected = dc_mbqc::DcMbqcCompiler::new(config.clone())
-            .compile_pattern(&pattern)
-            .expect("compiles");
-
-        // Wrong `k`: a 3-part partition of the job's own pattern.
-        let three_parts = CompileSession::new(config_for(3))
-            .partition(Transpiled::new(&pattern).expect("flow"))
-            .partition()
-            .clone();
-        assert_eq!(three_parts.len(), pattern.node_count());
-        // Wrong program sizes: the job's own partition with the two
-        // programs of a smaller pattern.
-        let mut session = CompileSession::new(config.clone());
-        let partitioned = session.partition(Transpiled::new(&pattern).expect("flow"));
-        let own = session.map(partitioned).expect("maps");
-        let smaller = transpile(&bench::qft(5));
-        let partitioned = session.partition(Transpiled::new(&smaller).expect("flow"));
-        let foreign = session.map(partitioned).expect("maps").programs().to_vec();
-        let sizes = |programs: &[mbqc_compiler::CompiledProgram]| -> Vec<usize> {
-            programs.iter().map(|p| p.layer_of.len()).collect()
-        };
-        assert_eq!(foreign.len(), 2);
-        assert_ne!(sizes(&foreign), sizes(own.programs()));
-
-        let service = CompileService::new(ServiceConfig {
-            workers: 1,
-            ..ServiceConfig::default()
-        })
-        .expect("service starts");
-        let keys = StageKeys::new(&pattern, &config);
-        service.shared.store.put(&keys.part, three_parts.to_bytes());
-        service.shared.store.put(
-            &keys.map,
-            crate::executor::encode_mapped(own.partitioned().partition(), &foreign),
-        );
-        let id = service.submit(pattern, config);
-        assert_eq!(service.wait(id).expect("job compiles"), expected);
-        let stats = service.stats();
-        assert_eq!(
-            (
-                stats.hits_partitioned,
-                stats.hits_mapped,
-                stats.full_compiles
-            ),
-            (0, 0, 1),
-            "{stats:?}"
-        );
-        assert_eq!(stats.task_store_hits, 0, "{stats:?}");
     }
 
     #[test]
@@ -2729,7 +2627,7 @@ mod tests {
         }
         assert_eq!(lock(&service.memo).len(), 1);
         // One artifact that fills the memory tier evicts every other.
-        let junk = ArtifactKey::new(PipelineStage::Schedule, b"junk", b"junk");
+        let junk = ArtifactKey::new(b"junk", b"junk");
         service.shared.store.put(&junk, vec![0; capacity - 64]);
         assert_eq!(service.stats().store.entries, 1);
 

@@ -1,13 +1,13 @@
-//! The content-addressed stage-artifact store.
+//! The content-addressed artifact store.
 //!
-//! Every pipeline stage output is stored under an [`ArtifactKey`]: the
-//! canonical bytes of `(stage, stage-scoped config fingerprint, pattern
-//! content)`. Lookups compare the *full key bytes*, never just a hash,
-//! so a hit is guaranteed to be the artifact of exactly this input —
-//! the 128-bit [`Fingerprint`] only names disk files, and a 64-bit
-//! hash computed once when the key is built buckets the in-memory map
-//! (which never rehashes the key bytes). A job's three stage keys share
-//! one buffer of the pattern's content bytes.
+//! The service stores one artifact per `(pattern, config)`, its
+//! schedule, under an [`ArtifactKey`]: the canonical bytes of
+//! `(config fingerprint, pattern content)`. Lookups compare the *full
+//! key bytes*, never just a hash, so a hit is guaranteed to be the
+//! artifact of exactly this input — the 128-bit [`Fingerprint`] only
+//! names disk files, and a 64-bit hash computed once when the key is
+//! built buckets the in-memory map (which never rehashes the key
+//! bytes).
 //!
 //! Two tiers:
 //!
@@ -33,7 +33,7 @@
 //!   artifacts.
 //!
 //! Each memory-tier entry also carries a **trust bit**, read only by the
-//! service's `Schedule`-stage lookups. An entry is trusted when its
+//! service's schedule lookups. An entry is trusted when its
 //! bytes are known to decode to a valid schedule: the schedule task
 //! encoded them from a schedule it computed itself
 //! (`ArtifactStore::put_trusted`), or they passed
@@ -93,7 +93,6 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant, SystemTime};
 
-use dc_mbqc::PipelineStage;
 use mbqc_util::codec::{Decoder, Encoder};
 use mbqc_util::sync::lock;
 use mbqc_util::Fingerprint;
@@ -103,18 +102,17 @@ use crate::memo::Content;
 use crate::telemetry::{EventKind, TelemetryHub};
 
 /// A content-addressed cache key: canonical bytes of
-/// `(stage, config fingerprint, pattern content)`. The stage is the
-/// pipeline's own [`PipelineStage`] — the artifact stored under
-/// `Partition` is a `Partition`, under `Map` a partition plus per-QPU
-/// programs, under `Schedule` a full `DistributedSchedule`.
+/// `(config fingerprint, pattern content)`. The service stores a full
+/// `DistributedSchedule` under it.
 ///
-/// The canonical bytes are `head ++ pattern`: a small head (the stage
-/// tag, the length-framed configuration bytes and the pattern's length
-/// prefix) and the pattern's content bytes. Both parts sit behind an
-/// [`Arc`], so clones (and the memory tier's copy) share them, and the
-/// three stage keys of one job share a single pattern buffer. The
-/// in-memory hash is computed at construction: [`Hash`] writes only
-/// that hash, while equality compares every byte.
+/// The canonical bytes are `head ++ pattern`: a small head (a tag byte,
+/// always 2, the length-framed configuration bytes and the pattern's
+/// length prefix) and the pattern's content bytes. The tag is the one
+/// schedule keys have always written, so disk file names never shift.
+/// Both parts sit behind an [`Arc`], so clones (and the memory tier's
+/// copy) share them, and every key of one pattern can share a single
+/// pattern buffer. The in-memory hash is computed at construction:
+/// [`Hash`] writes only that hash, while equality compares every byte.
 #[derive(Debug, Clone)]
 pub struct ArtifactKey {
     head: Arc<[u8]>,
@@ -123,8 +121,8 @@ pub struct ArtifactKey {
     /// tier's pattern index is keyed by it.
     pattern_hash: u64,
     /// SipHash, under per-process random keys (see
-    /// [`key_hash_state`]), of the stage, the configuration bytes and
-    /// the pattern bytes' own hash.
+    /// [`key_hash_state`]), of the configuration bytes and the pattern
+    /// bytes' own hash.
     hash: u64,
 }
 
@@ -153,17 +151,13 @@ impl Hash for ArtifactKey {
 }
 
 impl ArtifactKey {
-    /// Builds the key for `stage` from the stage-scoped configuration
-    /// fingerprint bytes and the pattern's content bytes.
+    /// Builds the key from the configuration fingerprint bytes
+    /// (`DcMbqcConfig::fingerprint_bytes`) and the pattern's content
+    /// bytes.
     #[must_use]
-    pub fn new(stage: PipelineStage, config_bytes: &[u8], pattern_bytes: &[u8]) -> Self {
+    pub fn new(config_bytes: &[u8], pattern_bytes: &[u8]) -> Self {
         let pattern_hash = Self::pattern_hash(pattern_bytes);
-        Self::with_pattern(
-            stage,
-            config_bytes,
-            Arc::new(pattern_bytes.to_vec()),
-            pattern_hash,
-        )
+        Self::with_pattern(config_bytes, Arc::new(pattern_bytes.to_vec()), pattern_hash)
     }
 
     /// The hash of a pattern's content bytes that
@@ -173,29 +167,23 @@ impl ArtifactKey {
     }
 
     /// [`ArtifactKey::new`] over a shared pattern buffer and its hash,
-    /// so the keys of one pattern's stages share its bytes and pass
-    /// over them once. Equal keys have equal `(stage, config, pattern)`
-    /// and so equal hashes.
+    /// so the keys of one pattern share its bytes and pass over them
+    /// once. Equal keys have equal `(config, pattern)` and so equal
+    /// hashes.
     pub(crate) fn with_pattern(
-        stage: PipelineStage,
         config_bytes: &[u8],
         pattern: Arc<Vec<u8>>,
         pattern_hash: u64,
     ) -> Self {
-        let tag = match stage {
-            PipelineStage::Partition => 0,
-            PipelineStage::Map => 1,
-            PipelineStage::Schedule => 2,
-        };
         let mut e = Encoder::with_capacity(17 + config_bytes.len());
-        e.u8(tag);
+        e.u8(2);
         e.bytes(config_bytes);
         e.usize(pattern.len());
         Self {
             head: e.into_bytes().into(),
             pattern,
             pattern_hash,
-            hash: key_hash_state().hash_one((tag, config_bytes, pattern_hash)),
+            hash: key_hash_state().hash_one((config_bytes, pattern_hash)),
         }
     }
 
@@ -212,7 +200,7 @@ impl ArtifactKey {
         self.head.len() + self.pattern.len()
     }
 
-    /// The pattern buffer, to check that a job's keys share it.
+    /// The pattern buffer, to check which keys share it.
     #[cfg(test)]
     pub(crate) fn pattern_buffer(&self) -> &Arc<Vec<u8>> {
         &self.pattern
@@ -253,11 +241,16 @@ pub struct StoreConfig {
     /// What is charged: each entry's value length plus its full key
     /// length, the pattern's content bytes included, as if no key
     /// shared them. What is resident: one content buffer per distinct
-    /// pattern among the resident keys, however many stages and
-    /// configurations key it, and each value at its exact length. So
-    /// resident memory stays below this budget, far below it when many
-    /// keys share a pattern; the charge decides which entries stay and
-    /// the eviction order, never the sharing.
+    /// pattern among the resident keys, however many configurations key
+    /// it, and each value at its exact length. So resident memory stays
+    /// below this budget; the charge decides which entries stay and the
+    /// eviction order, never the sharing.
+    ///
+    /// The default is 32 MiB. The service stores one schedule per
+    /// `(pattern, config)`, so only keys of one pattern under several
+    /// configurations share a buffer, and traffic of distinct patterns
+    /// is resident at close to the full charge: the budget is about
+    /// what the tier really holds.
     pub memory_capacity: usize,
     /// Directory of the on-disk tier; `None` disables it.
     pub disk_dir: Option<PathBuf>,
@@ -284,7 +277,7 @@ pub struct StoreConfig {
 impl Default for StoreConfig {
     fn default() -> Self {
         Self {
-            memory_capacity: 64 << 20,
+            memory_capacity: 32 << 20,
             disk_dir: None,
             disk_capacity: Some(1 << 30),
             disk_error_threshold: 8,
@@ -1289,7 +1282,7 @@ mod tests {
     }
 
     fn key(n: u8) -> ArtifactKey {
-        ArtifactKey::new(PipelineStage::Partition, &[n], &[n, n])
+        ArtifactKey::new(&[n], &[n, n])
     }
 
     /// Keys of one pattern under different configurations, each built
@@ -1300,9 +1293,7 @@ mod tests {
     fn keys_of_one_pattern_share_one_resident_buffer() {
         let store = ArtifactStore::new(StoreConfig::default()).unwrap();
         let pattern = vec![5u8; 64];
-        let keys: Vec<ArtifactKey> = (0..3)
-            .map(|c| ArtifactKey::new(PipelineStage::Schedule, &[c], &pattern))
-            .collect();
+        let keys: Vec<ArtifactKey> = (0..3).map(|c| ArtifactKey::new(&[c], &pattern)).collect();
         for k in &keys {
             store.put(k, vec![1; 4]);
         }
@@ -1333,10 +1324,10 @@ mod tests {
             let mut b = a.clone();
             b[16 + bit / 8] ^= 1 << (bit % 8);
             let store = ArtifactStore::new(StoreConfig::default()).unwrap();
-            let ka = ArtifactKey::new(PipelineStage::Map, b"cfg", &a);
+            let ka = ArtifactKey::new(b"cfg", &a);
             let kb = ArtifactKey {
                 pattern_hash: ka.pattern_hash,
-                ..ArtifactKey::new(PipelineStage::Map, b"cfg", &b)
+                ..ArtifactKey::new(b"cfg", &b)
             };
             store.put(&ka, vec![1]);
             store.put(&kb, vec![2]);
@@ -1363,9 +1354,7 @@ mod tests {
     fn pattern_index_empties_with_the_last_key() {
         let cost = key(0).len() + 1;
         let mut lru = Lru::new(3 * cost);
-        let keys: Vec<ArtifactKey> = (0..3)
-            .map(|c| ArtifactKey::new(PipelineStage::Partition, &[c], &[1, 1]))
-            .collect();
+        let keys: Vec<ArtifactKey> = (0..3).map(|c| ArtifactKey::new(&[c], &[1, 1])).collect();
         for k in &keys {
             lru.insert(k, Arc::new(vec![0]), false, ChecksumCell::default());
         }
@@ -1469,13 +1458,12 @@ mod tests {
 
     #[test]
     fn keys_distinguish_stage_config_and_pattern() {
-        let k = ArtifactKey::new(PipelineStage::Map, b"cfg", b"pat");
+        let k = ArtifactKey::new(b"cfg", b"pat");
         for other in [
-            ArtifactKey::new(PipelineStage::Schedule, b"cfg", b"pat"),
-            ArtifactKey::new(PipelineStage::Map, b"cfg2", b"pat"),
-            ArtifactKey::new(PipelineStage::Map, b"cfg", b"pat2"),
+            ArtifactKey::new(b"cfg2", b"pat"),
+            ArtifactKey::new(b"cfg", b"pat2"),
             // Length-prefixing keeps the boundary unambiguous.
-            ArtifactKey::new(PipelineStage::Map, b"cfgp", b"at"),
+            ArtifactKey::new(b"cfgp", b"at"),
         ] {
             assert_ne!(k, other);
             assert_ne!(k.fingerprint(), other.fingerprint());
@@ -1488,7 +1476,7 @@ mod tests {
     /// disk-frame bytes.
     #[test]
     fn equality_compares_every_byte() {
-        let k = ArtifactKey::new(PipelineStage::Map, b"config", b"pattern bytes");
+        let k = ArtifactKey::new(b"config", b"pattern bytes");
         let canonical = [&k.head[..], &k.pattern[..]].concat();
         assert!(k.matches(&canonical));
         assert!(!k.matches(&canonical[..canonical.len() - 1]));
@@ -1507,7 +1495,7 @@ mod tests {
             assert_ne!(k, other, "byte {i}");
         }
         // The same bytes in separate buffers, and a shared buffer.
-        let copy = ArtifactKey::new(PipelineStage::Map, b"config", b"pattern bytes");
+        let copy = ArtifactKey::new(b"config", b"pattern bytes");
         assert!(!Arc::ptr_eq(&k.pattern, &copy.pattern));
         assert_eq!(k, copy);
         assert_eq!(k, k.clone());
@@ -1519,12 +1507,8 @@ mod tests {
     fn memory_budget_charges_the_full_key_length() {
         let pattern = Arc::new(vec![7u8; 100]);
         let hash = ArtifactKey::pattern_hash(&pattern);
-        let keys = [
-            PipelineStage::Partition,
-            PipelineStage::Map,
-            PipelineStage::Schedule,
-        ]
-        .map(|stage| ArtifactKey::with_pattern(stage, b"cfg", Arc::clone(&pattern), hash));
+        let keys = [b"cf1", b"cf2", b"cf3"]
+            .map(|config| ArtifactKey::with_pattern(config, Arc::clone(&pattern), hash));
         // Head: tag (1), framed config (8 + 3), pattern length (8).
         let key_len = 20 + 100;
         let store = ArtifactStore::new(StoreConfig::default()).unwrap();
@@ -1664,10 +1648,10 @@ mod tests {
     /// chunk edges of the fingerprint.
     #[test]
     fn disk_format_is_pinned() {
-        let key = ArtifactKey::new(PipelineStage::Map, b"cfg", b"pattern bytes!");
+        let key = ArtifactKey::new(b"cfg", b"pattern bytes!");
         assert_eq!(
             key.fingerprint().to_hex(),
-            "3317b454f716e2c750bbd8975ac4c17e"
+            "09191b5a0dff1d711a4053b03b7d8fc7"
         );
         let frame: String = encode_disk_artifact(&key, &[1, 2, 3, 4, 5])
             .iter()
@@ -1677,14 +1661,14 @@ mod tests {
             frame,
             concat!(
                 "2200000000000000", // key length 34
-                "01",               // stage tag: map
+                "02",               // tag
                 "0300000000000000",
                 "636667", // config
                 "0e00000000000000",
                 "7061747465726e20627974657321", // pattern
                 "0500000000000000",
                 "0102030405",                       // value
-                "734d71f7a667fa84656e0b724d72a8e5", // checksum
+                "d1cba44143ffbc9c8aafac0a98f6a5e1", // checksum
             )
         );
     }

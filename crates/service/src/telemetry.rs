@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use dc_mbqc::{PipelineStage, StageKind};
+use dc_mbqc::StageKind;
 use mbqc_util::sync::{lock, wait, wait_timeout};
 
 use crate::service::{JobId, Priority};
@@ -82,12 +82,8 @@ pub enum EventKind {
         /// Wall time the task ran, in nanoseconds.
         duration_ns: u64,
     },
-    /// The artifact store answered a probe with a reusable stage
-    /// artifact (deepest stage reported).
-    CacheHit {
-        /// The deepest pipeline stage the cached artifact covers.
-        stage: PipelineStage,
-    },
+    /// The artifact store answered the job with its stored schedule.
+    CacheHit,
     /// A transient failure was absorbed by the retry policy; the job
     /// will re-enter the queue after the backoff delay.
     RetryScheduled {
@@ -610,13 +606,8 @@ pub fn chrome_trace_json(events: &[TelemetryEvent]) -> String {
                         "",
                     );
                 }
-                EventKind::CacheHit { stage } => {
-                    w.instant(
-                        &format!("cache hit: {}", stage.name()),
-                        "cache",
-                        id,
-                        ev.at_ns,
-                    );
+                EventKind::CacheHit => {
+                    w.instant("cache hit: schedule", "cache", id, ev.at_ns);
                 }
                 EventKind::RetryScheduled { attempt, .. } => {
                     w.instant(

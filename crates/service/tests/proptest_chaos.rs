@@ -38,10 +38,9 @@ mod common;
 
 use std::time::Duration;
 
-use dc_mbqc::{DcMbqcCompiler, DcMbqcConfig, DistributedSchedule, PipelineStage};
+use dc_mbqc::{DcMbqcCompiler, DcMbqcConfig, DistributedSchedule};
 use mbqc_circuit::bench::{self, BenchmarkKind};
 use mbqc_hardware::{DistributedHardware, ResourceStateKind};
-use mbqc_partition::Partition;
 use mbqc_pattern::{transpile::transpile, Pattern};
 use mbqc_service::{
     ArtifactKey, CompileService, FaultConfig, FaultPlan, JobId, JobOptions, RetryPolicy,
@@ -75,26 +74,15 @@ fn scratch_dir() -> std::path::PathBuf {
     ))
 }
 
-/// The three content-addressed keys of one `(pattern, config)` job.
-fn keys_of(pattern: &Pattern, config: &DcMbqcConfig) -> [ArtifactKey; 3] {
-    let pattern_bytes = pattern.content_bytes();
-    [
-        PipelineStage::Partition,
-        PipelineStage::Map,
-        PipelineStage::Schedule,
-    ]
-    .map(|stage| {
-        ArtifactKey::new(
-            stage,
-            &config.stage_fingerprint_bytes(stage),
-            &pattern_bytes,
-        )
-    })
+/// The content-addressed key of one `(pattern, config)` job: its
+/// `Scheduled` artifact's, the only one the store keeps.
+fn key_of(pattern: &Pattern, config: &DcMbqcConfig) -> ArtifactKey {
+    ArtifactKey::new(&config.fingerprint_bytes(), &pattern.content_bytes())
 }
 
 /// Audits the whole store: every resident artifact must be bit-exact
 /// for its key. Injected write corruption makes files unreadable, not
-/// wrong — a corrupt artifact must *never* decode into stage re-entry.
+/// wrong — a corrupt artifact must *never* be served.
 fn check_store(
     service: &CompileService,
     workload: &[(Pattern, DistributedSchedule)],
@@ -102,35 +90,13 @@ fn check_store(
     what: &str,
 ) -> Result<(), TestCaseError> {
     for (pattern, expected) in workload {
-        let [part_key, map_key, sched_key] = keys_of(pattern, config);
-        if let Some(bytes) = service.store_get(&sched_key) {
+        if let Some(bytes) = service.store_get(&key_of(pattern, config)) {
             let decoded = DistributedSchedule::from_bytes(&bytes);
             prop_assert!(decoded.is_ok(), "{}: torn Scheduled artifact", what);
             prop_assert_eq!(
                 &decoded.unwrap(),
                 expected,
                 "{}: wrong Scheduled bits",
-                what
-            );
-        }
-        if let Some(bytes) = service.store_get(&part_key) {
-            let decoded = Partition::from_bytes(&bytes);
-            prop_assert!(decoded.is_ok(), "{}: torn Partition artifact", what);
-            prop_assert_eq!(
-                &decoded.unwrap(),
-                expected.partition(),
-                "{}: wrong Partition bits",
-                what
-            );
-        }
-        if let Some(bytes) = service.store_get(&map_key) {
-            let mut d = mbqc_util::codec::Decoder::new(&bytes);
-            let part = d.bytes().ok().and_then(|b| Partition::from_bytes(b).ok());
-            prop_assert!(part.is_some(), "{}: torn Mapped artifact", what);
-            prop_assert_eq!(
-                &part.unwrap(),
-                expected.partition(),
-                "{}: wrong Mapped partition bits",
                 what
             );
         }
@@ -370,7 +336,7 @@ fn retries_recover_from_transient_panics() {
         workers: 1,
         faults: FaultPlan::new(FaultConfig {
             // This seed's Panic-site decision stream at p = 0.25
-            // fails attempts 1-12 and lets attempt 13 through (every
+            // fails attempts 1-13 and lets attempt 14 through (every
             // attempt draws at each stage-task entry and at the
             // mid-task site of each stage it computes), so the recovery
             // path is genuinely walked, not merely possible.
@@ -385,7 +351,7 @@ fn retries_recover_from_transient_panics() {
         pattern,
         config,
         JobOptions {
-            // Headroom past the 13 attempts this seed's stream needs.
+            // Headroom past the 14 attempts this seed's stream needs.
             retry: RetryPolicy::attempts(24).with_backoff(Duration::from_micros(100)),
             ..JobOptions::default()
         },
@@ -461,7 +427,11 @@ fn disk_quarantine_degrades_to_memory_only() {
         store: StoreConfig {
             memory_capacity: 8 << 20,
             disk_dir: Some(dir.clone()),
-            disk_error_threshold: 2,
+            // Each job reads the disk once, at planning, and a write
+            // already in flight when the breaker opens closes it again.
+            // The first disk operation is always a read, so opening on
+            // the first error leaves no write a way in.
+            disk_error_threshold: 1,
             disk_probe_interval: Duration::from_secs(3600),
             faults: FaultPlan::new(FaultConfig {
                 seed: 9,
@@ -490,4 +460,48 @@ fn disk_quarantine_degrades_to_memory_only() {
     assert_eq!(stats.failed, 0, "{stats:?}");
     drop(service);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A job whose first attempt panics after its planning task ran, and
+/// whose second attempt succeeds, is counted once: each job's planning
+/// outcome is counted by its first planning task, not per attempt.
+#[test]
+fn a_job_that_panics_once_is_counted_once() {
+    let config = DcMbqcConfig::new(hardware(2, 9));
+    let pattern = pattern_for(1, 7);
+    let expected = DcMbqcCompiler::new(config.clone())
+        .compile_pattern(&pattern)
+        .unwrap();
+    let service = CompileService::new(ServiceConfig {
+        workers: 1,
+        faults: FaultPlan::new(FaultConfig {
+            // With one worker the draws are deterministic: this seed's
+            // stream at p = 0.2 lets attempt 1 plan and partition,
+            // panics its map task, and lets attempt 2 through.
+            seed: 17,
+            task_panic: 0.2,
+            ..FaultConfig::default()
+        }),
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    let h = service.submit_with(
+        pattern,
+        config,
+        JobOptions {
+            retry: RetryPolicy::attempts(4).with_backoff(Duration::from_micros(100)),
+            ..JobOptions::default()
+        },
+    );
+    await_completed(&service, 1);
+    assert_eq!(service.attempts(h.id()), Some(2));
+    assert_eq!(service.wait(h.id()).unwrap(), expected);
+    let stats = service.stats();
+    // Attempt 1 ran three tasks (the third panicked), attempt 2 four.
+    assert_eq!((stats.retries, stats.tasks_executed), (1, 7), "{stats:?}");
+    assert_eq!(
+        (stats.full_compiles, stats.hits_scheduled),
+        (1, 0),
+        "counted once: {stats:?}"
+    );
 }

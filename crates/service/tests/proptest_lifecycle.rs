@@ -30,10 +30,9 @@ mod common;
 
 use std::time::Duration;
 
-use dc_mbqc::{DcMbqcCompiler, DcMbqcConfig, DistributedSchedule, PipelineStage};
+use dc_mbqc::{DcMbqcCompiler, DcMbqcConfig, DistributedSchedule};
 use mbqc_circuit::bench::{self, BenchmarkKind};
 use mbqc_hardware::{DistributedHardware, ResourceStateKind};
-use mbqc_partition::Partition;
 use mbqc_pattern::{transpile::transpile, Pattern};
 use mbqc_service::{
     ArtifactKey, CancelToken, CompileService, JobId, JobOptions, Priority, ServiceConfig,
@@ -75,21 +74,10 @@ fn deadline(budget: Duration) -> JobOptions {
     }
 }
 
-/// The three content-addressed keys of one `(pattern, config)` job.
-fn keys_of(pattern: &Pattern, config: &DcMbqcConfig) -> [ArtifactKey; 3] {
-    let pattern_bytes = pattern.content_bytes();
-    [
-        PipelineStage::Partition,
-        PipelineStage::Map,
-        PipelineStage::Schedule,
-    ]
-    .map(|stage| {
-        ArtifactKey::new(
-            stage,
-            &config.stage_fingerprint_bytes(stage),
-            &pattern_bytes,
-        )
-    })
+/// The content-addressed key of one `(pattern, config)` job: its
+/// `Scheduled` artifact's, the only one the store keeps.
+fn key_of(pattern: &Pattern, config: &DcMbqcConfig) -> ArtifactKey {
+    ArtifactKey::new(&config.fingerprint_bytes(), &pattern.content_bytes())
 }
 
 /// What the test did to a job, hence which terminal states are legal.
@@ -148,38 +136,13 @@ fn check_store(
     what: &str,
 ) -> Result<(), TestCaseError> {
     for (pattern, expected) in workload {
-        let [part_key, map_key, sched_key] = keys_of(pattern, config);
-        if let Some(bytes) = service.store_get(&sched_key) {
+        if let Some(bytes) = service.store_get(&key_of(pattern, config)) {
             let decoded = DistributedSchedule::from_bytes(&bytes);
             prop_assert!(decoded.is_ok(), "{}: torn Scheduled artifact", what);
             prop_assert_eq!(
                 &decoded.unwrap(),
                 expected,
                 "{}: wrong Scheduled bits",
-                what
-            );
-        }
-        if let Some(bytes) = service.store_get(&part_key) {
-            let decoded = Partition::from_bytes(&bytes);
-            prop_assert!(decoded.is_ok(), "{}: torn Partition artifact", what);
-            prop_assert_eq!(
-                &decoded.unwrap(),
-                expected.partition(),
-                "{}: wrong Partition bits",
-                what
-            );
-        }
-        if let Some(bytes) = service.store_get(&map_key) {
-            // The Mapped payload is partition + per-QPU programs; the
-            // partition half is cross-checkable against the expected
-            // schedule, the programs must at least frame-decode.
-            let mut d = mbqc_util::codec::Decoder::new(&bytes);
-            let part = d.bytes().ok().and_then(|b| Partition::from_bytes(b).ok());
-            prop_assert!(part.is_some(), "{}: torn Mapped artifact", what);
-            prop_assert_eq!(
-                &part.unwrap(),
-                expected.partition(),
-                "{}: wrong Mapped partition bits",
                 what
             );
         }
@@ -434,12 +397,10 @@ fn cancelled_while_queued_runs_nothing_and_publishes_nothing() {
     assert_eq!(stats.cancelled, 1);
     assert_eq!(stats.completed, 1);
     assert_eq!(stats.pool_outstanding, 0);
-    for key in keys_of(&victim, &config) {
-        assert!(
-            service.store_get(&key).is_none(),
-            "cancelled job published an artifact"
-        );
-    }
+    assert!(
+        service.store_get(&key_of(&victim, &config)).is_none(),
+        "cancelled job published an artifact"
+    );
 }
 
 /// A job whose deadline lapsed before submission returning runs zero
@@ -462,9 +423,7 @@ fn lapsed_deadline_expires_without_running() {
     assert_eq!(stats.expired, 1);
     assert_eq!(stats.completed, 0);
     assert_eq!(stats.tasks_executed, 0, "expiry costs a pop, not a stage");
-    for key in keys_of(&pattern, &config) {
-        assert!(service.store_get(&key).is_none());
-    }
+    assert!(service.store_get(&key_of(&pattern, &config)).is_none());
     // A second wait on the taken id is UnknownJob, like any other
     // terminal state.
     assert!(matches!(

@@ -3,6 +3,8 @@
 //! * the stage-graph executor's output is **bit-identical** to a
 //!   sequential `compile_pattern` loop across worker counts {1, 2, 8}
 //!   × priority mixes × cache states {cold, warm, disk-restored};
+//! * a job that differs from a stored one only in a scheduling knob
+//!   compiles from scratch to the direct result;
 //! * every stage codec round-trips exactly on real pipeline artifacts.
 
 use dc_mbqc::{DcMbqcCompiler, DcMbqcConfig, DistributedSchedule};
@@ -152,11 +154,12 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Mid-pipeline re-entry: a `Partitioned`/`Mapped` hit under a
-    /// *changed scheduling configuration* still reproduces the direct
-    /// compilation for the new configuration.
+    /// A job that differs from a resident one only in BDIR is a miss:
+    /// the store keys schedules by the whole configuration, so it
+    /// compiles from scratch and matches the direct compilation for
+    /// the new configuration bit for bit.
     #[test]
-    fn stage_reentry_after_config_change_is_identical(
+    fn bdir_variant_of_a_resident_job_compiles_from_scratch(
         qubits in 6usize..11,
         qpus in 2usize..5,
         seed in 0u64..1000,
@@ -178,16 +181,15 @@ proptest! {
         let direct = DcMbqcCompiler::new(changed)
             .compile_pattern(&pattern)
             .expect("compiles");
-        assert_identical(
-            &direct,
-            &got,
-            "re-entry after config change",
-        )?;
-        // The scheduling-stage fingerprint changed, but partitioning
-        // and mapping were served from cache.
+        assert_identical(&direct, &got, "BDIR variant")?;
+        // Both jobs ran all four stage tasks; nothing was served.
         let stats = service.stats();
-        prop_assert_eq!(stats.hits_mapped, 1, "{:?}", stats);
-        prop_assert_eq!(stats.full_compiles, 1);
+        prop_assert_eq!(
+            (stats.hits_scheduled, stats.full_compiles, stats.tasks_executed),
+            (0, 2, 8),
+            "{:?}",
+            stats
+        );
     }
 
     /// Round trips of every stage codec on real pipeline artifacts.
@@ -238,7 +240,7 @@ proptest! {
 /// * a restart sweeps abandoned temp files.
 mod disk_churn {
     use super::*;
-    use mbqc_service::{ArtifactKey, ArtifactStore, PipelineStage};
+    use mbqc_service::{ArtifactKey, ArtifactStore};
     use mbqc_util::Rng;
     use std::path::Path;
 
@@ -246,7 +248,7 @@ mod disk_churn {
     const CAPACITY: usize = 1200;
 
     fn key(n: u64) -> ArtifactKey {
-        ArtifactKey::new(PipelineStage::Partition, &[n as u8], &[n as u8, n as u8])
+        ArtifactKey::new(&[n as u8], &[n as u8, n as u8])
     }
 
     fn art_path(dir: &Path, n: u64) -> std::path::PathBuf {
@@ -526,11 +528,9 @@ fn interactive_overtakes_batch_backlog() {
 
 /// Degenerate patterns — empty, single-node, two nodes on one or more
 /// QPUs than nodes — round-trip through the service twice: the cold
-/// round runs the stage tasks on edge shapes, the warm round re-enters
-/// mid-pipeline from their cached artifacts
-/// (`Partitioned::with_partition`, `Mapped::from_parts`, codec decodes
-/// of empty artifacts). Both must match the direct compilation; nothing may
-/// panic a worker.
+/// round runs the stage tasks on edge shapes, the warm round is served
+/// their stored schedules (an empty schedule included). Both must
+/// match the direct compilation; nothing may panic a worker.
 #[test]
 fn degenerate_patterns_round_trip_through_the_service() {
     use mbqc_graph::Graph;
@@ -624,10 +624,9 @@ fn compile_errors_surface_per_job() {
 
 /// A storm of concurrent identical submits: every waiter gets bits
 /// identical to the direct compilation, and each job is counted once —
-/// answered at submit from a resident schedule (`hits_scheduled`), or
-/// planned by its own transpile task, which re-enters at the deepest
-/// artifact a twin published before it (`hits_*`) or compiles from
-/// scratch (`full_compiles`). No submit collapses into another.
+/// answered by a schedule a twin stored before it, at submit or by its
+/// planning task (`hits_scheduled`), or compiled from scratch
+/// (`full_compiles`). No submit collapses into another.
 #[test]
 fn concurrent_identical_submits_are_bit_identical() {
     const STORM: usize = 12;
@@ -658,7 +657,7 @@ fn concurrent_identical_submits_are_bit_identical() {
     let stats = service.stats();
     assert_eq!(stats.completed, STORM as u64, "{stats:?}");
     assert_eq!(
-        stats.hits_scheduled + stats.hits_mapped + stats.hits_partitioned + stats.full_compiles,
+        stats.hits_scheduled + stats.full_compiles,
         STORM as u64,
         "{stats:?}"
     );

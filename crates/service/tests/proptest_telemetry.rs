@@ -36,8 +36,8 @@ use mbqc_circuit::bench::{self, BenchmarkKind};
 use mbqc_hardware::{DistributedHardware, ResourceStateKind};
 use mbqc_pattern::{transpile::transpile, Pattern};
 use mbqc_service::{
-    chrome_trace_json, CompileService, EventKind, JobId, JobOptions, PipelineStage, Priority,
-    ServiceConfig, ServiceError, StageKind, TelemetryEvent, TerminalState,
+    chrome_trace_json, CompileService, EventKind, JobId, JobOptions, Priority, ServiceConfig,
+    ServiceError, StageKind, TelemetryEvent, TerminalState,
 };
 use mbqc_util::Rng;
 use proptest::prelude::*;
@@ -438,14 +438,7 @@ fn trace_export_round_trips_schema_validation() {
                 duration_ns: 7_000,
             },
         ),
-        trace_event(
-            3,
-            3,
-            9_500,
-            EventKind::CacheHit {
-                stage: PipelineStage::Schedule,
-            },
-        ),
+        trace_event(3, 3, 9_500, EventKind::CacheHit),
         trace_event(
             3,
             4,

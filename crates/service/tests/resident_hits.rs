@@ -17,7 +17,7 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use dc_mbqc::{DcMbqcCompiler, DcMbqcConfig, DistributedSchedule, PipelineStage};
+use dc_mbqc::{DcMbqcCompiler, DcMbqcConfig, DistributedSchedule};
 use mbqc_circuit::bench;
 use mbqc_hardware::{DistributedHardware, ResourceStateKind};
 use mbqc_pattern::{transpile::transpile, Pattern};
@@ -42,7 +42,7 @@ fn direct(pattern: &Pattern, config: &DcMbqcConfig) -> DistributedSchedule {
         .expect("compiles")
 }
 
-/// A one-worker service whose store already holds the job's artifacts
+/// A one-worker service whose store already holds the job's schedule
 /// (one cold compile ran through it).
 fn warm_service(config: ServiceConfig) -> CompileService {
     let service = CompileService::new(ServiceConfig {
@@ -77,9 +77,9 @@ fn resident_hit_completes_inside_submit() {
     let (pattern, config) = job();
     let expected = direct(&pattern, &config);
     let before = service.stats();
-    // The cold compile's planning task probed three keys and each later
-    // task its own: the submit-time probe added no miss.
-    assert_eq!(before.store.misses, 6, "{before:?}");
+    // The cold compile's planning task probed the job's one key: the
+    // submit-time probe added no miss.
+    assert_eq!(before.store.misses, 1, "{before:?}");
 
     let id = service.submit(pattern, config);
     let got = service
@@ -182,9 +182,7 @@ fn observed_resident_hit_streams_three_events() {
             kinds.as_slice(),
             [
                 EventKind::Submitted { .. },
-                EventKind::CacheHit {
-                    stage: PipelineStage::Schedule
-                },
+                EventKind::CacheHit,
                 EventKind::Terminal {
                     state: TerminalState::Done
                 },

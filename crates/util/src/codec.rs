@@ -1,6 +1,6 @@
 //! A minimal hand-rolled binary codec.
 //!
-//! The build environment is offline (no serde), so the stage-artifact
+//! The build environment is offline (no serde), so the artifact
 //! persistence of `mbqc-service` uses this fixed-width little-endian
 //! format instead: each crate encodes its own types with [`Encoder`] and
 //! decodes them with [`Decoder`]. The format is deliberately boring —

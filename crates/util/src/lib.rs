@@ -11,7 +11,7 @@
 //! * [`table`] — plain-text / CSV table rendering used by the
 //!   `repro` binary to print the paper's tables and figure series.
 //! * [`codec`] — the hand-rolled binary encoder/decoder behind every
-//!   stage-artifact `to_bytes`/`from_bytes` pair (the build box is
+//!   artifact `to_bytes`/`from_bytes` pair (the build box is
 //!   offline, so there is no serde).
 //! * [`fingerprint`] — stable 128-bit content hashing for the
 //!   content-addressed artifact store of `mbqc-service`.

@@ -5,7 +5,7 @@
 //! watched live over a remote event stream; admission control rejects
 //! an over-quota tenant and an unmeetable deadline at the door; a
 //! client vanishes mid-stream and its job is collected by id from a
-//! fresh connection; and a warm repeat round shows the artifact cache
+//! fresh connection; and a warm repeat round shows the schedule cache
 //! working across the wire. Ends with the server-side counter
 //! snapshot fetched over the `Stats` verb.
 //!
@@ -248,7 +248,7 @@ fn main() {
     }
 
     // 6. Warm repeat round: same workload again — served from the
-    //    artifact cache, visible in the wire-level stats.
+    //    schedule cache, visible in the wire-level stats.
     let t = Instant::now();
     let warm_ids: Vec<u64> = workload()
         .iter()
@@ -266,11 +266,12 @@ fn main() {
     let stats = survivor.stats().expect("stats over the wire");
     println!(
         "server stats: submitted {} | completed {} | rejected {} | cache hits {} | \
-         tasks running {}",
+         full compiles {} | tasks running {}",
         stats.submitted,
         stats.completed,
         stats.rejected,
-        stats.hits_scheduled + stats.hits_mapped + stats.hits_partitioned,
+        stats.hits_scheduled,
+        stats.full_compiles,
         stats.pool_outstanding
     );
     println!("per tenant:");

@@ -1,18 +1,18 @@
 //! The compilation service in action: a mixed QFT / QAOA / RCA workload
 //! submitted twice through a sharded [`CompileService`], showing the
-//! content-addressed stage-artifact cache turn the repeat traffic into
-//! near-free `Scheduled`-artifact hits — plus a BDIR-budget change that
-//! re-enters the pipeline mid-way from the cached `Mapped` artifacts,
-//! and a lifecycle round where clients abandon work: cancellations (by
-//! id and by shared token) and deadlines drop jobs without
-//! disturbing the rest of the queue (a job whose last task finishes
-//! before its cancel lands ends `Done`, with the same bits as a direct
-//! compile). A persistence round then runs a disk-backed service: a
-//! storm of identical submits runs as ordinary jobs that reuse each
-//! other's stored artifacts, cold traffic fills the disk tier with one
-//! file per artifact, and a restart re-indexes that directory with one
-//! scan and serves the warm repeat round from the disk tier, promoting
-//! each artifact into memory on its first read. The run ends with the
+//! content-addressed schedule cache turn the repeat traffic into
+//! near-free `Scheduled`-artifact hits — plus a BDIR-budget change,
+//! which is a new configuration and so compiles from scratch, and a
+//! lifecycle round where clients abandon work: cancellations (by id
+//! and by shared token) and deadlines drop jobs without disturbing the
+//! rest of the queue (a job whose last task finishes before its cancel
+//! lands ends `Done`, with the same bits as a direct compile). A
+//! persistence round then runs a disk-backed service: a storm of
+//! identical submits runs as ordinary jobs, the later ones answered by
+//! an earlier one's stored schedule, cold traffic fills the disk tier
+//! with one file per schedule, and a restart re-indexes that directory
+//! with one scan and serves the warm repeat round from the disk tier,
+//! promoting each schedule into memory on its first read. The run ends with the
 //! service's per-stage latency distributions (p50/p95/p99 from the
 //! always-on histograms).
 //!
@@ -173,19 +173,20 @@ fn main() {
         );
     }
 
-    // 4. Change a *scheduling* knob: the partition and mapping
-    //    artifacts still hit (their stage-scoped fingerprints ignore
-    //    BDIR), so only the scheduler reruns.
+    // 4. Change a *scheduling* knob: the store keeps only finished
+    //    schedules, keyed by the whole configuration, so every job of
+    //    this round compiles from scratch.
     let core_only = config.clone().without_bdir();
+    let compiled_before = service.stats().full_compiles;
     let t = Instant::now();
     for id in submit_all(&service, &just_patterns, &core_only, Priority::Normal) {
         service.wait(id).expect("job compiles");
     }
     let stats = service.stats();
     println!(
-        "re-schedule round (BDIR off): {:.1} ms wall — {} mapped-artifact re-entries, {} full compiles total",
+        "re-schedule round (BDIR off): {:.1} ms wall — {} full compiles this round, {} total",
         t.elapsed().as_secs_f64() * 1e3,
-        stats.hits_mapped,
+        stats.full_compiles - compiled_before,
         stats.full_compiles,
     );
     println!(
@@ -282,11 +283,12 @@ fn main() {
     println!("\n{}", latency_table(&stats));
 
     // 6. Persistence round: a disk-backed service. First a burst of
-    //    identical submits: each is an ordinary job, and the later
-    //    ones are answered from the first one's schedule (at submit
-    //    once it is resident, else by their planning task) or pick up
-    //    its artifacts stage by stage. Then the mixed workload
-    //    cold-fills the disk tier, one `.art` file per artifact.
+    //    identical submits: each is an ordinary job. The ones planned
+    //    before any twin stored its schedule compile it themselves,
+    //    with the same bits; the later ones are answered from the
+    //    stored schedule (at submit once it is resident, else by their
+    //    planning task). Then the mixed workload cold-fills the disk
+    //    tier, one `.art` file per schedule.
     //    Finally the service is dropped and reopened over the same
     //    directory: one directory scan re-indexes the artifacts and
     //    the repeat traffic is served from the disk tier — a checksum
@@ -314,12 +316,8 @@ fn main() {
     let storm_ms = t.elapsed().as_secs_f64() * 1e3;
     let stats = persistent.stats();
     println!(
-        "\nidentical-submit storm: 10 submits -> {} full compile(s), {} scheduled hits, {} partial re-entries, {} stage tasks answered by a twin's artifact, {:.1} ms wall",
-        stats.full_compiles,
-        stats.hits_scheduled,
-        stats.hits_mapped + stats.hits_partitioned,
-        stats.task_store_hits,
-        storm_ms,
+        "\nidentical-submit storm: 10 submits -> {} full compile(s), {} scheduled hits, {:.1} ms wall",
+        stats.full_compiles, stats.hits_scheduled, storm_ms,
     );
     let t = Instant::now();
     for id in submit_all(&persistent, &just_patterns, &config, Priority::Normal) {

@@ -5,13 +5,12 @@
 //! structurally valid, a decoded value) — **never** a panic or a runaway
 //! allocation.
 //!
-//! Covered impls: `Partition`, `CompiledProgram`, `Schedule`,
+//! Covered impls: `Partition`, `Schedule`,
 //! `LayerScheduleProblem`, `DistributedSchedule`, `DiGraph`, and the
 //! `mbqc-net` request frames, `Stats` reply and worker-panic outcome.
 
 use dc_mbqc::{DcMbqcCompiler, DcMbqcConfig, DistributedSchedule};
 use mbqc_circuit::bench;
-use mbqc_compiler::{CompiledProgram, CompilerConfig, GridMapper};
 use mbqc_graph::DiGraph;
 use mbqc_hardware::{DistributedHardware, ResourceStateKind};
 use mbqc_partition::Partition;
@@ -51,17 +50,6 @@ fn build_codecs() -> Vec<Codec> {
         .compile_pattern(&pattern)
         .expect("compiles");
 
-    let order = pattern
-        .flow_constraints()
-        .topological_sort()
-        .expect("has flow");
-    let program = GridMapper::new(CompilerConfig::new(
-        bench::grid_size_for(qubits),
-        ResourceStateKind::FIVE_STAR,
-    ))
-    .compile(pattern.graph(), &order)
-    .expect("maps");
-
     let deps = pattern.dependency_graph().real_time().clone();
 
     vec![
@@ -70,13 +58,6 @@ fn build_codecs() -> Vec<Codec> {
             bytes: dist.partition().to_bytes(),
             decodes: |b| Partition::from_bytes(b).is_ok(),
             // Layout: k (u64), then the assignment length prefix.
-            len_prefix_offset: 8,
-        },
-        Codec {
-            name: "CompiledProgram",
-            bytes: program.to_bytes(),
-            decodes: |b| CompiledProgram::from_bytes(b).is_ok(),
-            // Layout: num_layers (u64), then the layer_of length prefix.
             len_prefix_offset: 8,
         },
         Codec {
@@ -161,8 +142,8 @@ fn corrupted_length_prefixes_are_errors() {
     }
 }
 
-/// Feeding one stage's bytes to another stage's decoder must return an
-/// error, not a bogus artifact or a panic.
+/// Feeding one codec's bytes to another codec's decoder must return an
+/// error, not a bogus value or a panic.
 #[test]
 fn wrong_stage_bytes_are_errors() {
     let all = codecs();
